@@ -78,7 +78,7 @@ class ShadingClasses:
         return Sign.PLUS if c in self.plus_class else Sign.MINUS
 
 
-def shading_classes(d: Diagram, fs: FaceSet | None = None) -> ShadingClasses:
+def shading_classes(d: Diagram) -> ShadingClasses:
     """Checkerboard-color the faces and classify the crossings.
 
     Seeded by leaving the face on the left of the lowest-id edge
@@ -90,7 +90,7 @@ def shading_classes(d: Diagram, fs: FaceSet | None = None) -> ShadingClasses:
         raise NotConnected("shading classes need at least one crossing")
     if not is_connected(d):
         raise NotConnected("diagram is not connected")
-    fs = fs or face_set(d)
+    fs = face_set(d)
 
     lowest = min(d.edges)
     seed = fs.edge_sides(d, lowest)[0]
@@ -179,13 +179,13 @@ def _region_topology(d: Diagram, fs: FaceSet, bigons: list[Face]) -> RegionTopol
     raise InvariantError(f"twist region with Euler characteristic {chi}")
 
 
-def twist_partition(d: Diagram, fs: FaceSet | None = None) -> TwistPartition:
+def twist_partition(d: Diagram) -> TwistPartition:
     """Bigon faces, the regions they chain into, and the twist count t.
 
     Every crossing lies in exactly one region: crossings incident to no
     bigon form singleton regions.
     """
-    fs = fs or face_set(d)
+    fs = face_set(d)
     bigons = [f for f in fs.faces if f.is_bigon]
     parent = {f.id: f.id for f in bigons}
 
@@ -206,21 +206,22 @@ def twist_partition(d: Diagram, fs: FaceSet | None = None) -> TwistPartition:
     grouped: dict[int, list[Face]] = {}
     for f in bigons:
         grouped.setdefault(find(f.id), []).append(f)
+    # all bigons at one crossing share a root, so each link belongs to
+    # the region of its first bigon
+    links: dict[int, list[tuple[int, int, int]]] = {}
+    for c, shared in sorted(by_crossing.items()):
+        if len(shared) == 2:
+            a, b = sorted(f.id for f in shared)
+            links.setdefault(find(a), []).append((a, b, c))
 
     regions = []
-    for fl in grouped.values():
+    for root, fl in grouped.items():
         crossings = frozenset().union(*(f.crossings() for f in fl))
-        links = []
-        for c, shared in sorted(by_crossing.items()):
-            here = [f for f in shared if f in fl]
-            if len(here) == 2:
-                a, b = sorted(f.id for f in here)
-                links.append((a, b, c))
         regions.append(
             TwistRegion(
                 crossings,
                 tuple(sorted(f.id for f in fl)),
-                tuple(links),
+                tuple(links.get(root, ())),
                 _region_topology(d, fs, fl),
             )
         )
@@ -282,35 +283,22 @@ class DiagramFlags:
 
 def cut_vertices(d: Diagram) -> list[int]:
     """Crossings whose removal disconnects the diagram as a subset of the
-    sphere.  The four strand stubs at the crossing are kept as separate
-    points, so a kink crossing is a cut vertex even though the abstract
-    multigraph would not notice."""
-    out = []
-    for c in sorted(d.crossings):
-        nodes: dict[object, object] = {}
+    sphere, in increasing order.  The four strand stubs at the crossing
+    count as separate points, so a kink crossing is a cut vertex even
+    though the abstract multigraph would not notice.
 
-        def find(x):
-            while nodes[x] != x:
-                nodes[x] = nodes[nodes[x]]
-                x = nodes[x]
-            return x
-
-        def union(a, b):
-            nodes.setdefault(a, a)
-            nodes.setdefault(b, b)
-            nodes[find(a)] = find(b)
-
-        for s in range(4):
-            nodes[("stub", s)] = ("stub", s)
-        for e, rec in d.edges.items():
-            pts = [
-                ("stub", s) if cid == c else ("x", cid) for cid, s in rec.ends
-            ]
-            union(pts[0], pts[1])
-        roots = {find(("stub", s)) for s in range(4)}
-        if len(roots) > 1:
-            out.append(c)
-    return out
+    Face test: in a spherical map a crossing is a cut vertex exactly
+    when one face meets it at two of its four corners.  That assumes the
+    rotation system is spherical, which ``parse_pd`` and every
+    constructor in the package guarantee.  On disconnected input each
+    piece has its own faces, so the test is evaluated per piece: a
+    crossing is a cut vertex when it cuts its own piece.
+    """
+    corner_face = face_set(d).corner_face
+    return [
+        c for c in sorted(d.crossings)
+        if len({corner_face[(c, s)] for s in range(4)}) < 4
+    ]
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
@@ -354,14 +342,14 @@ def _cut_sides(d: Diagram, pair: tuple[int, int]) -> tuple[int, int]:
     return (sides[0], sides[1])
 
 
-def diagram_flags(d: Diagram, fs: FaceSet | None = None) -> DiagramFlags:
+def diagram_flags(d: Diagram) -> DiagramFlags:
     """Connectivity, reducedness, R2-reducedness and diagram primality.
 
     Primality uses the dual reading of the separating-curve definition:
     a simple closed curve meeting the diagram in two edge points exists
     exactly when two edges border the same pair of faces.
     """
-    fs = fs or face_set(d)
+    fs = face_set(d)
     connected = piece_count(d) == 1
     cuts = cut_vertices(d)
     reduced = not cuts
@@ -408,8 +396,7 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
     q = len(d.crossings)
     if q < 2:
         return None
-    fs = face_set(d)
-    tp = twist_partition(d, fs)
+    tp = twist_partition(d)
     if tp.t != 1:
         return None
     region = tp.regions[0]
@@ -419,6 +406,7 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
         return None
     if len(region.bigons) != q:
         return None
+    fs = face_set(d)
     covered = set()
     for fid in region.bigons:
         covered |= set(fs.by_id[fid].boundary_edges)
@@ -536,8 +524,9 @@ def refinement_check(
             want = _assign_components(expected_d)
             if not same_map(_assign_components(d), want, check_origins=False):
                 raise MappingError("reconstructed diagram differs from the expected one")
+    # d's table is held here: twist_partition(g) takes the memo slot
     d_fs = face_set(d)
-    d_tp = twist_partition(d, d_fs)
+    d_tp = twist_partition(d)
     p = [r.crossings for r in d_tp.regions]
 
     g_tp = twist_partition(g)
@@ -556,10 +545,9 @@ def refinement_check(
 
 def analysis_report(d: Diagram) -> dict:
     """JSON-ready summary used by the CLI ``analyze`` command."""
-    fs = face_set(d)
     cls = classify_edges(d)
-    flags = diagram_flags(d, fs)
-    tp = twist_partition(d, fs)
+    flags = diagram_flags(d)
+    tp = twist_partition(d)
     rep = validate_diagram(d)
     return {
         "valid": rep.valid,

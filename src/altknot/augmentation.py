@@ -47,6 +47,7 @@ from .diagram import (
     MapBuilder,
     Sign,
     face_set,
+    restamp_origins,
     validate_diagram,
 )
 from .errors import (
@@ -303,7 +304,6 @@ def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
 def find_merge_arc(
     g: Diagram,
     curve_comps: list[int],
-    fs: FaceSet | None = None,
     ban_bigons: bool = True,
 ) -> MergeArc:
     """Cheapest face path from one augmenting circle to another.
@@ -316,7 +316,7 @@ def find_merge_arc(
     """
     if len(curve_comps) < 2:
         raise PreconditionError("need at least two augmenting circles to merge")
-    fs = fs or face_set(g)
+    fs = face_set(g)
     comps = set(curve_comps)
     touched = _forbidden_origins(g, comps)
     banned_faces = _d_bigon_faces(g, fs) if ban_bigons else set()
@@ -538,7 +538,6 @@ def join_curves(
     ci: int,
     cj: int,
     shared_face: int,
-    fs: FaceSet | None = None,
     max_retries: int | None = None,
     _depth: int = 0,
 ) -> Diagram:
@@ -548,7 +547,8 @@ def join_curves(
     alternating.  If none works the finger is pushed across one more
     admissible edge and the join retried; failure after as many retries
     as there are edges is an error."""
-    fs = fs or face_set(g)
+    # g's table is held here: validating each candidate takes the memo slot
+    fs = face_set(g)
     walk = _face_edge_walk(g, fs, shared_face)
     budget = max_retries if max_retries is not None else len(g.edges)
 
@@ -707,13 +707,6 @@ class AugmentationResult:
         }
 
 
-def _restamp_origins(d: Diagram) -> Diagram:
-    from .diagram import Edge
-
-    edges = {e: Edge(e, r.ends, e, r.component) for e, r in d.edges.items()}
-    return Diagram(d.crossings, edges, d.loops, d.augmenting_component)
-
-
 def _crossing_strand_comps(g: Diagram, c) -> tuple[int, int]:
     return (g.edges[c.slots[0]].component, g.edges[c.slots[1]].component)
 
@@ -738,9 +731,9 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         if not ok:
             raise PreconditionError(f"diagram is not {name}", failed_flag=name)
 
-    d = _restamp_origins(d)
+    d = restamp_origins(d)
     d_fs = face_set(d)
-    d_tp = twist_partition(d, d_fs)
+    d_tp = twist_partition(d)
     t_d = d_tp.t
     bigon_edge_origins = set()
     for fid in d_tp.bigon_faces:

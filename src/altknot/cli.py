@@ -3,7 +3,10 @@
 Commands: ``analyze``, ``reduce``, ``augment``, ``bounds``, ``gen``,
 ``selfcheck``, ``render``.  Files may hold one diagram or a corpus of
 blank-line-separated PD blocks (optionally titled with ``# name:``
-comments); batch output is one JSON line per block in input order.
+comments); batch output is one JSON line per block in input order.  A
+block that fails does not stop the batch: it gets an error record on
+stderr carrying its name, and the command exits with the worst code of
+its blocks.
 
 Exit codes: 0 success, 1 precondition failure, 2 input or I/O error,
 3 internal guarantee violation.  Machine-readable error objects go to
@@ -16,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .analysis import analysis_report
@@ -61,11 +63,27 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _run_blocks(blocks, worker, parallelism: int):
-    if parallelism <= 1 or len(blocks) <= 1:
-        return [worker(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(worker, blocks))
+def _error_record(exc: BaseException, code: int, **extra) -> None:
+    err = {**extra, "error": type(exc).__name__, "message": str(exc), "exit": code}
+    print(json.dumps(err), file=sys.stderr)
+
+
+def _run_blocks(blocks, worker) -> tuple[list, int]:
+    """Run ``worker`` on each (name, text) block in input order.
+
+    A block whose worker raises a DiagramError gets an error record on
+    stderr and the batch goes on.  Returns the outputs of the blocks
+    that succeeded, in input order, and the worst exit code among the
+    failed ones (0 when none failed)."""
+    outputs, worst = [], 0
+    for block in blocks:
+        try:
+            outputs.append(worker(block))
+        except DiagramError as exc:
+            code = exit_code_for(exc)
+            _error_record(exc, code, name=block[0])
+            worst = max(worst, code)
+    return outputs, worst
 
 
 def _cmd_analyze(args) -> int:
@@ -77,9 +95,10 @@ def _cmd_analyze(args) -> int:
         rep["name"] = name
         return rep
 
-    for rep in _run_blocks(blocks, work, args.parallel):
+    outputs, code = _run_blocks(blocks, work)
+    for rep in outputs:
         _emit(rep, args.format)
-    return 0
+    return code
 
 
 def _cmd_reduce(args) -> int:
@@ -90,9 +109,10 @@ def _cmd_reduce(args) -> int:
         d, trace = preprocess(parse_pd(text))
         return {"name": name, "pd": serialize_pd(d), "trace": trace.to_json()}
 
-    for rep in _run_blocks(blocks, work, args.parallel):
+    outputs, code = _run_blocks(blocks, work)
+    for rep in outputs:
         _emit(rep, args.format)
-    return 0
+    return code
 
 
 def _cmd_augment(args) -> int:
@@ -106,18 +126,20 @@ def _cmd_augment(args) -> int:
         rep["volume"] = volume_report(res)
         return rep, res
 
-    outputs = _run_blocks(blocks, work, args.parallel)
+    outputs, code = _run_blocks(blocks, work)
     for rep, res in outputs:
         _emit(rep, args.format)
-    if args.emit_pd:
+    # the emitted files cover the blocks that succeeded; with none, no file
+    # is written
+    if args.emit_pd and outputs:
         with open(args.emit_pd, "w") as fh:
             for rep, _res in outputs:
                 fh.write(f"# name: {rep['name']}\n{rep['pd_G']}\n\n")
-    if args.emit_svg:
+    if args.emit_svg and outputs:
         _rep, res = outputs[-1]
         with open(args.emit_svg, "w") as fh:
             fh.write(render_svg(res.g))
-    return 0
+    return code
 
 
 def _cmd_bounds(args) -> int:
@@ -186,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"altknot {__version__}")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--parallel", type=int, default=1, help="batch worker count")
     sub = p.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="diagram predicates and twist statistics")
@@ -236,8 +257,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DiagramError as exc:
         code = exit_code_for(exc)
-        err = {"error": type(exc).__name__, "message": str(exc), "exit": code}
-        print(json.dumps(err), file=sys.stderr)
+        _error_record(exc, code)
         return code
     except OSError as exc:
         print(

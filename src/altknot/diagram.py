@@ -19,6 +19,7 @@ mutate their inputs.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -160,11 +161,6 @@ class Diagram:
 
 # -- strand and connectivity structure ----------------------------------------
 
-def strand_pairs(c: Crossing) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two transversal strands at a crossing, as slot pairs."""
-    return (0, 2), (1, 3)
-
-
 def strand_components(d: Diagram) -> list[frozenset[int]]:
     """Orbits of edges under going straight through crossings."""
     parent = {e: e for e in d.edges}
@@ -246,7 +242,33 @@ class FaceSet:
         return frozenset(self.edge_sides(d, e))
 
 
+# the table of the last diagram asked for, as (weak reference, table);
+# replaced as a whole, never updated in place
+_last_face_set: tuple[weakref.ref, FaceSet] | None = None
+
+
 def face_set(d: Diagram) -> FaceSet:
+    """Faces of ``d``, built once per diagram.
+
+    A single-slot memo keeps the table of the last diagram asked for and
+    returns it while that same object is asked for again.  This is sound
+    because a Diagram is never mutated after construction (every edit
+    goes through MapBuilder and yields a new Diagram).  The slot holds
+    the diagram only weakly, so it keeps no diagram alive.  The returned
+    table is shared: callers must not modify it.  A function that works
+    on two diagrams at once holds each table itself rather than asking
+    again, so the slot does not thrash.
+    """
+    global _last_face_set
+    last = _last_face_set
+    if last is not None and last[0]() is d:
+        return last[1]
+    fs = _build_face_set(d)
+    _last_face_set = (weakref.ref(d), fs)
+    return fs
+
+
+def _build_face_set(d: Diagram) -> FaceSet:
     corner_face: dict[End, int] = {}
     faces: list[Face] = []
     for c in sorted(d.crossings):
@@ -279,13 +301,14 @@ def face_set(d: Diagram) -> FaceSet:
 
 
 def faces(d: Diagram) -> list[Face]:
-    """All complementary regions (two per crossing-free loop)."""
-    return face_set(d).faces
+    """All complementary regions (two per crossing-free loop), as a new
+    list the caller may modify."""
+    return list(face_set(d).faces)
 
 
-def euler_by_piece(d: Diagram, fs: FaceSet | None = None) -> list[tuple[int, int, int]]:
+def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
     """(V, E, F) per crossing-bearing connected piece."""
-    fs = fs or face_set(d)
+    fs = face_set(d)
     out = []
     for cs, es in connected_pieces(d):
         nf = sum(1 for f in fs.faces if f.corners and f.corners[0][0] in cs)
@@ -392,6 +415,12 @@ def _assign_components(d: Diagram) -> Diagram:
     return Diagram(d.crossings, edges, loops, d.augmenting_component)
 
 
+def restamp_origins(d: Diagram) -> Diagram:
+    """The same diagram with every edge re-stamped as its own origin."""
+    edges = {e: Edge(e, r.ends, e, r.component) for e, r in d.edges.items()}
+    return Diagram(d.crossings, edges, d.loops, d.augmenting_component)
+
+
 def serialize_pd(d: Diagram) -> str:
     """Emit PD text; parse_pd(serialize_pd(d)) reproduces the map."""
     parts = []
@@ -467,7 +496,7 @@ def validate_diagram(d: Diagram) -> ValidationReport:
         try:
             fs = face_set(d)
             f = len(fs.faces)
-            for pv, pe, pf in euler_by_piece(d, fs):
+            for pv, pe, pf in euler_by_piece(d):
                 if pv - pe + pf != 2:
                     failures.append(f"sphericity: V-E+F = {pv - pe + pf} on a piece")
         except InvariantError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import cut_vertices, twist_partition
-from .diagram import Diagram, MapBuilder, face_set, validate_diagram
+from .diagram import Diagram, MapBuilder, face_set, restamp_origins, validate_diagram
 from .errors import (
     InvariantError,
     NotNugatory,
@@ -176,14 +176,5 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
         t_prev = t_now
     trace.crossings_after = len(cur.crossings)
     trace.t_after = t_prev
-    cur = _restamp_origins(cur)
+    cur = restamp_origins(cur)
     return cur, trace
-
-
-def _restamp_origins(d: Diagram) -> Diagram:
-    from .diagram import Edge
-
-    edges = {
-        e: Edge(e, rec.ends, e, rec.component) for e, rec in d.edges.items()
-    }
-    return Diagram(d.crossings, edges, d.loops, d.augmenting_component)

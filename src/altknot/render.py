@@ -6,11 +6,12 @@ largest face's boundary cycle to a regular polygon, and place the rest
 at the average of their neighbors.  The under strand is drawn with a gap
 on each side of every crossing; an augmenting component gets its own
 stroke class.  Purely cosmetic: nothing downstream reads this.
+
+numpy is imported inside the functions that use it, so importing the
+package does not load it for callers that never render.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .diagram import Diagram, face_set, is_connected
 from .errors import RenderError
@@ -24,6 +25,8 @@ _STYLE = (
 
 def _positions(d: Diagram) -> dict:
     """Crossing and edge-midpoint coordinates via a barycentric solve."""
+    import numpy as np
+
     fs = face_set(d)
     outer = max((f for f in fs.faces if f.corners), key=lambda f: (f.degree, -f.id))
 
@@ -80,6 +83,8 @@ def _positions(d: Diagram) -> dict:
 
 
 def _fallback_positions(d: Diagram) -> dict:
+    import numpy as np
+
     pos = {}
     cs = sorted(d.crossings)
     for k, c in enumerate(cs):
@@ -104,6 +109,8 @@ def _quad_point(p0, p1, p2, t):
 
 def render_svg(d: Diagram, size: int = 480) -> str:
     """Render a connected diagram as SVG 1.1 text."""
+    import numpy as np
+
     if not is_connected(d):
         raise RenderError("can only render connected diagrams")
     if not d.crossings:

@@ -79,7 +79,7 @@ def verify_augmentation(d, res) -> list[str]:
     from .diagram import face_set
 
     d_fs = face_set(d)
-    d_tp = twist_partition(d, d_fs)
+    d_tp = twist_partition(d)
     bigon_edges = set()
     for fid in d_tp.bigon_faces:
         bigon_edges |= set(d_fs.by_id[fid].boundary_edges)

@@ -23,7 +23,6 @@ explicit caller claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotCertified
@@ -136,7 +135,3 @@ def volume_report(result, t_lower_claim: int | None = None) -> dict:
 def catalan_reference() -> float:
     """4G, for sanity comparisons (e.g. 4G <= 40 * v3)."""
     return _FOUR_CATALAN
-
-
-def _math_sanity() -> bool:
-    return 0.0 < _V3 < _FOUR_CATALAN < 4 * math.pi

@@ -1,6 +1,8 @@
 """Analysis: classification, shading classes, twist regions, flags,
 two-strand torus detection, refinement."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,6 +271,32 @@ class TestFlags:
 
         d = braid_closure(word)
         assert cut_vertices(d) == oracle_cut_vertices(d)
+
+    def test_face_predicates_match_oracles_on_large_closures(self):
+        # 2-6 strands, up to 60 letters; generators skipped at random give
+        # split closures, and odd seeds add a lone letter, which is often
+        # a nugatory crossing
+        from altknot.analysis import cut_vertices
+        from altknot.diagram import piece_count
+
+        seen = {"cut": 0, "split": 0, "link": 0}
+        for seed in range(80):
+            rng = random.Random(seed)
+            strands = rng.randint(2, 6)
+            gens = [i for i in range(1, strands) if rng.random() < 0.8] or [1]
+            word = [rng.choice((1, -1)) * rng.choice(gens)
+                    for _ in range(rng.randint(1, 60))]
+            if seed % 2:
+                lone = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                word.insert(rng.randrange(len(word) + 1), lone)
+            d = braid_closure(word, strands=strands)
+            cuts = oracle_cut_vertices(d)
+            assert cut_vertices(d) == cuts, word
+            assert twist_partition(d).t == oracle_twist_count(d), word
+            seen["cut"] += bool(cuts)
+            seen["split"] += piece_count(d) > 1
+            seen["link"] += len(d.components()) > 1
+        assert min(seen.values()) >= 5, seen
 
 
 class TestTwoStrandTorus:

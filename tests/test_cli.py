@@ -50,18 +50,6 @@ class TestAnalyze:
         names = [r["name"] for r in _json_lines(capsys)]
         assert names == ["one", "two", "three"]
 
-    def test_batch_parallel_preserves_order(self, tmp_path, capsys):
-        p = tmp_path / "corpus.pd"
-        blocks = []
-        for k, n in enumerate((2, 3, 4, 5, 6, 7)):
-            blocks.append(f"# name: t{n}\n" + " ".join(
-                serialize_pd(__import__("altknot").generate.two_strand_torus(n)).split()
-            ))
-        p.write_text("\n\n".join(blocks) + "\n")
-        assert run(["--parallel", "4", "analyze", str(p)]) == 0
-        names = [r["name"] for r in _json_lines(capsys)]
-        assert names == [f"t{n}" for n in (2, 3, 4, 5, 6, 7)]
-
     def test_syntax_error_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.pd"
         p.write_text("X(1,2,3)\n")
@@ -87,8 +75,44 @@ class TestReduce:
 class TestAugment:
     def test_alternating_input_exit_1(self, trefoil_file, capsys):
         assert run(["augment", trefoil_file]) == 1
-        err = json.loads(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
         assert err["error"] == "PreconditionError"
+        assert err["name"] == "trefoil" and err["exit"] == 1
+
+    def test_bad_block_does_not_stop_batch(self, tmp_path, capsys):
+        blocks, knots = [], []
+        for name, seed in (("first", 5), ("last", 6)):
+            d, _ = random_knot_diagram(seed, 12, 2)
+            knots.append(d)
+            blocks.append(f"# name: {name}\n{serialize_pd(d)}")
+        blocks.insert(1, f"# name: trefoil\n{TREFOIL}")
+        p = tmp_path / "corpus.pd"
+        p.write_text("\n\n".join(blocks) + "\n")
+        pd_out = str(tmp_path / "aug.pd")
+        svg_out = str(tmp_path / "aug.svg")
+        assert run(["augment", str(p), "--emit-pd", pd_out, "--emit-svg", svg_out]) == 1
+        captured = capsys.readouterr()
+        results = [json.loads(x) for x in captured.out.splitlines()]
+        assert [r["name"] for r in results] == ["first", "last"]
+        (err,) = [json.loads(x) for x in captured.err.splitlines()]
+        assert err == {"name": "trefoil", "error": "PreconditionError",
+                       "message": err["message"], "exit": 1}
+        emitted = open(pd_out).read()
+        assert emitted == "".join(f"# name: {r['name']}\n{r['pd_G']}\n\n" for r in results)
+        from altknot import augment, render_svg
+
+        assert open(svg_out).read() == render_svg(augment(knots[-1]).g)
+
+    def test_worst_block_code_wins(self, tmp_path, capsys):
+        p = tmp_path / "corpus.pd"
+        p.write_text(f"# name: alt\n{TREFOIL}\n\n# name: broken\nX(1,2,3)\n")
+        assert run(["augment", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs = [json.loads(x) for x in captured.err.splitlines()]
+        assert [(e["name"], e["exit"]) for e in errs] == [("alt", 1), ("broken", 2)]
 
     def test_qualifying_input(self, knot_file, tmp_path, capsys):
         pd_out = str(tmp_path / "aug.pd")

@@ -274,3 +274,40 @@ class TestStructure:
         fs = face_set(trefoil)
         corners = {(c, s) for c in trefoil.crossings for s in range(4)}
         assert set(fs.corner_face) == corners
+
+
+class TestFaceSetMemo:
+    @staticmethod
+    def _same_table(fs, d):
+        from altknot.diagram import _build_face_set
+
+        fresh = _build_face_set(d)
+        return fs.faces == fresh.faces and fs.corner_face == fresh.corner_face
+
+    def test_interleaved_diagrams_get_their_own_table(self, trefoil, granny_sum):
+        for d in (trefoil, granny_sum, trefoil, granny_sum, granny_sum):
+            assert self._same_table(face_set(d), d)
+
+    def test_equal_but_distinct_diagram_is_not_served_a_stale_table(self, trefoil):
+        face_set(trefoil)
+        flipped = flip_crossing(trefoil, 0)
+        assert self._same_table(face_set(flipped), flipped)
+        # the memo answers by identity, never by content
+        twin = parse_pd(TREFOIL)
+        assert face_set(twin) is not face_set(trefoil)
+
+    def test_dead_diagram_does_not_answer_for_a_new_one(self):
+        face_set(parse_pd(TREFOIL))
+        d = braid_closure([1, -2, 1, -2], strands=3)
+        assert self._same_table(face_set(d), d)
+
+    def test_repeat_returns_the_same_table(self, granny_sum):
+        assert face_set(granny_sum) is face_set(granny_sum)
+
+    def test_no_derived_state_kept_on_the_diagram(self, granny_sum):
+        from altknot import diagram_flags, twist_partition
+
+        before = dict(vars(granny_sum))
+        diagram_flags(granny_sum)
+        twist_partition(granny_sum)
+        assert vars(granny_sum) == before
