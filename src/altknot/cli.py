@@ -63,8 +63,9 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _error_record(exc: BaseException, code: int, **extra) -> None:
-    err = {**extra, "error": type(exc).__name__, "message": str(exc), "exit": code}
+def _error_record(exc: DiagramError, code: int, name: str | None = None) -> None:
+    err = {} if name is None else {"name": name}
+    err.update(error=type(exc).__name__, message=str(exc), exit=code)
     print(json.dumps(err), file=sys.stderr)
 
 
