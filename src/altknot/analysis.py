@@ -524,12 +524,13 @@ def refinement_check(
             want = _assign_components(expected_d)
             if not same_map(_assign_components(d), want, check_origins=False):
                 raise MappingError("reconstructed diagram differs from the expected one")
-    # d's table is held here: twist_partition(g) takes the memo slot
+    # g first, while the memo may still hold its table; then d's table,
+    # held here
+    g_tp = twist_partition(g)
     d_fs = face_set(d)
     d_tp = twist_partition(d)
     p = [r.crossings for r in d_tp.regions]
 
-    g_tp = twist_partition(g)
     d_crossings = set(d.crossings)
     if not d_crossings <= set(g.crossings):
         raise MappingError("reconstructed crossings are not a subset of the ambient ones")

@@ -1,7 +1,10 @@
 """Turning a non-alternating diagram into an alternating two-component link.
 
 The construction in five stages, each re-checking the properties the
-theory promises:
+theory promises.  The whole map is validated where a diagram enters (the
+input and the overlay) and where the result leaves (``_verify_result``);
+each finger and band splice in between is a local edit, checked on what
+it touched (``edits.check_edit``).
 
 1.  ``build_cut_curves``: checkerboard-classify the crossings, thicken
     the smaller class, and walk the boundary of its ribbon neighborhood.
@@ -19,8 +22,9 @@ theory promises:
     Every new crossing's sign is forced by keeping each cut edge
     alternating, and the diagram stays alternating as a whole.
 5.  ``join_curves``: splice two circles incident to a common face with a
-    crossing-free band; the cut points are searched so the splice keeps
-    the diagram alternating.
+    crossing-free band that replaces one edge of each; the first pair of
+    circle edges along the face whose band edges carry opposite labels
+    is spliced, which keeps the diagram alternating.
 
 The loop of 3-5 runs exactly (number of circles - 1) times and ends with
 one augmenting unknot whose projection is simple, misses the original
@@ -47,9 +51,11 @@ from .diagram import (
     MapBuilder,
     Sign,
     face_set,
+    mark_augmenting,
     restamp_origins,
     validate_diagram,
 )
+from .edits import check_edit
 from .errors import (
     AlternationError,
     ConstructionError,
@@ -431,7 +437,8 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     pieces alternating (the strand takes - next to the edge's + end and
     + next to its - end); the finger's base replaces the middle of one
     circle edge on the first face.  Every circle edge bordering that
-    face is tried as the base until the result validates alternating.
+    face is tried as the base until the result passes the local edit
+    check (valid and alternating).
     """
     if arc.phi == 0:
         return g
@@ -511,11 +518,9 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
     b.add_edge(tip, [(xl[k - 1], 0), (xr[k - 1], 0)], None, comp)
 
     out = b.build()
-    rep = validate_diagram(out)
-    if not rep.valid:
-        raise AlternationError(f"finger base {base} broke the map: {rep.failures}")
-    if not classify_edges(out).is_alternating:
-        raise AlternationError(f"finger base {base} left non-alternating edges")
+    failures = check_edit(b, fs, out, alternating=True)
+    if failures:
+        raise AlternationError(f"finger base {base} broke the diagram: {failures}")
     return out
 
 
@@ -533,24 +538,24 @@ def _face_edge_walk(g: Diagram, fs: FaceSet, fid: int) -> list[tuple[int, tuple,
     return out
 
 
-def join_curves(
-    g: Diagram,
-    ci: int,
-    cj: int,
-    shared_face: int,
-    max_retries: int | None = None,
-    _depth: int = 0,
-) -> Diagram:
+def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     """Splice circles ``ci`` and ``cj`` with a crossing-free band inside
-    ``shared_face``.  All cut pairs (one edge of each circle on the face
-    boundary) are tried; a pair is kept when the two band edges come out
-    alternating.  If none works the finger is pushed across one more
-    admissible edge and the join retried; failure after as many retries
-    as there are edges is an error."""
-    # g's table is held here: validating each candidate takes the memo slot
+    ``shared_face``.
+
+    The band replaces one edge of each circle on the face boundary: it
+    pairs the arrival stub of the edge met first in walk order with the
+    departure stub of the other, and joins the two leftover stubs.  Both
+    band edges alternate exactly when the two paired stubs carry opposite
+    labels.  The first pair of circle edges, in walk order, for which
+    they do is spliced; each splice is checked locally (``check_edit``)
+    and a pair that fails the check is passed over.  JoinError when no
+    pair splices.
+    """
+    # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
     walk = _face_edge_walk(g, fs, shared_face)
-    budget = max_retries if max_retries is not None else len(g.edges)
+    merged, dropped = min(ci, cj), max(ci, cj)
+    relabel = [e for e, rec in g.edges.items() if rec.component == dropped]
 
     def curve_entries(comp: int):
         return [
@@ -571,52 +576,17 @@ def join_curves(
         b = MapBuilder(g)
         b.remove_edge(ea)
         b.remove_edge(eb)
-        merged = min(ci, cj)
         g1, g2 = b.new_edge_id(), b.new_edge_id()
         b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
         b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
-        for e, c in list(b.comp.items()):
-            if c in (ci, cj):
-                b.comp[e] = merged
+        for e in relabel:
+            if e in b.comp:
+                b.set_component(e, merged)
         out = b.build()
-        rep = validate_diagram(out)
-        if not rep.valid:
-            continue
-        if not classify_edges(out).is_alternating:
+        if check_edit(b, fs, out, alternating=True):
             continue
         return out
-
-    if _depth >= budget:
-        raise JoinError(
-            f"no alternating splice of circles {ci} and {cj} within {budget} retries"
-        )
-    extended = _extend_one_edge(g, ci, cj, shared_face, fs)
-    g2, new_face = extended
-    return join_curves(g2, ci, cj, new_face, max_retries=budget, _depth=_depth + 1)
-
-
-def _extend_one_edge(
-    g: Diagram, ci: int, cj: int, shared_face: int, fs: FaceSet
-) -> tuple[Diagram, int]:
-    """Fallback for the join: push the source circle across one more
-    admissible edge bordering the shared face, then recompute a face both
-    circles border."""
-    comps = {ci, cj}
-    touched = _forbidden_origins(g, comps)
-    banned = _d_bigon_faces(g, fs)
-    for e in sorted(fs.by_id[shared_face].boundary_edges):
-        rec = g.edges[e]
-        if rec.component in comps or rec.origin in touched:
-            continue
-        l, r = fs.edge_sides(g, e)
-        other = r if l == shared_face else l
-        if other in banned:
-            continue
-        arc = MergeArc(ci, cj, (shared_face, other), (e,), 1, frozenset({shared_face, other}))
-        g2 = propagate_finger(g, arc)
-        face = _shared_face(g2, ci, cj)
-        return g2, face
-    raise JoinError("no admissible extension edge borders the shared face")
+    raise JoinError(f"no alternating splice of circles {ci} and {cj} in face {shared_face}")
 
 
 def _shared_face(g: Diagram, ci: int, cj: int) -> int:
@@ -764,7 +734,7 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         raise InvariantError("merge loop did not run exactly n-1 times")
 
     aug_comp = live[0]
-    g = Diagram(g.crossings, g.edges, g.loops, aug_comp)
+    g = mark_augmenting(g, aug_comp)
     _verify_result(d, g, aug_comp, free_edges, t_d)
 
     g_tp = twist_partition(g)

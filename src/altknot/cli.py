@@ -5,8 +5,8 @@ Commands: ``analyze``, ``reduce``, ``augment``, ``bounds``, ``gen``,
 blank-line-separated PD blocks (optionally titled with ``# name:``
 comments); batch output is one JSON line per block in input order.  A
 block that fails does not stop the batch: it gets an error record on
-stderr carrying its name, and the command exits with the worst code of
-its blocks.
+stderr carrying its name (and, for exit code 3, its PD text), and the
+command exits with the worst code of its blocks.
 
 Exit codes: 0 success, 1 precondition failure, 2 input or I/O error,
 3 internal guarantee violation.  Machine-readable error objects go to
@@ -63,9 +63,13 @@ def _emit(obj: dict, fmt: str) -> None:
             print(f"{k}: {v}")
 
 
-def _error_record(exc: DiagramError, code: int, name: str | None = None) -> None:
+def _error_record(
+    exc: DiagramError, code: int, name: str | None = None, pd: str | None = None
+) -> None:
     err = {} if name is None else {"name": name}
     err.update(error=type(exc).__name__, message=str(exc), exit=code)
+    if pd is not None:
+        err["pd"] = pd
     print(json.dumps(err), file=sys.stderr)
 
 
@@ -73,16 +77,18 @@ def _run_blocks(blocks, worker) -> tuple[list, int]:
     """Run ``worker`` on each (name, text) block in input order.
 
     A block whose worker raises a DiagramError gets an error record on
-    stderr and the batch goes on.  Returns the outputs of the blocks
-    that succeeded, in input order, and the worst exit code among the
-    failed ones (0 when none failed)."""
+    stderr and the batch goes on; an internal-guarantee failure (exit 3)
+    also carries the block's PD text, so it can be reproduced from the
+    record alone.  Returns the outputs of the blocks that succeeded, in
+    input order, and the worst exit code among the failed ones (0 when
+    none failed)."""
     outputs, worst = [], 0
-    for block in blocks:
+    for name, text in blocks:
         try:
-            outputs.append(worker(block))
+            outputs.append(worker((name, text)))
         except DiagramError as exc:
             code = exit_code_for(exc)
-            _error_record(exc, code, name=block[0])
+            _error_record(exc, code, name=name, pd=text if code == 3 else None)
             worst = max(worst, code)
     return outputs, worst
 

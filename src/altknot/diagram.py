@@ -189,21 +189,25 @@ def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
     seen: set[int] = set()
     pieces = []
     for start in sorted(d.crossings):
-        if start in seen:
-            continue
-        stack, cs, es = [start], set(), set()
-        seen.add(start)
-        while stack:
-            c = stack.pop()
-            cs.add(c)
-            for e in d.crossings[c].slots:
-                es.add(e)
-                for (c2, _s) in d.edges[e].ends:
-                    if c2 not in seen:
-                        seen.add(c2)
-                        stack.append(c2)
-        pieces.append((frozenset(cs), frozenset(es)))
+        if start not in seen:
+            cs = _grow_piece(d, start, seen)
+            es = frozenset(e for c in cs for e in d.crossings[c].slots)
+            pieces.append((frozenset(cs), es))
     return pieces
+
+
+def _grow_piece(d: Diagram, start: int, seen: set[int]) -> list[int]:
+    """Crossings of the piece holding ``start``, which must not be in
+    ``seen``; each is added to ``seen``."""
+    seen.add(start)
+    cs = [start]
+    for c in cs:
+        for e in d.crossings[c].slots:
+            for c2, _s in d.edges[e].ends:
+                if c2 not in seen:
+                    seen.add(c2)
+                    cs.append(c2)
+    return cs
 
 
 def piece_count(d: Diagram) -> int:
@@ -266,6 +270,18 @@ def face_set(d: Diagram) -> FaceSet:
     fs = _build_face_set(d)
     _last_face_set = (weakref.ref(d), fs)
     return fs
+
+
+def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
+    """Return ``dst``, which must have the crossings, slots and loops of
+    ``src``; if the memo holds ``src``'s table it now answers for ``dst``.
+    Faces do not depend on origins, components or the augmenting
+    component, so a copy that changes only those keeps the table."""
+    global _last_face_set
+    last = _last_face_set
+    if last is not None and last[0]() is src:
+        _last_face_set = (weakref.ref(dst), last[1])
+    return dst
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
@@ -416,9 +432,16 @@ def _assign_components(d: Diagram) -> Diagram:
 
 
 def restamp_origins(d: Diagram) -> Diagram:
-    """The same diagram with every edge re-stamped as its own origin."""
+    """The same diagram with every edge re-stamped as its own origin; it
+    keeps ``d``'s face table."""
     edges = {e: Edge(e, r.ends, e, r.component) for e, r in d.edges.items()}
-    return Diagram(d.crossings, edges, d.loops, d.augmenting_component)
+    return _hand_over_face_set(d, Diagram(d.crossings, edges, d.loops, d.augmenting_component))
+
+
+def mark_augmenting(d: Diagram, comp: int) -> Diagram:
+    """The same diagram with ``comp`` recorded as its augmenting
+    component; it keeps ``d``'s face table."""
+    return _hand_over_face_set(d, Diagram(d.crossings, d.edges, d.loops, comp))
 
 
 def serialize_pd(d: Diagram) -> str:
@@ -570,19 +593,35 @@ def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
 class MapBuilder:
     """Mutable scratch copy of a diagram for surgery.  Keeps the slot
     tables and edge records consistent through welds and deletions; call
-    ``build()`` to freeze (and re-derive strand components)."""
+    ``build()`` to freeze (and re-derive strand components).
+
+    The builder records every crossing and edge id it adds, removes or
+    changes in ``touched_crossings`` / ``touched_edges``.  ``build()``
+    re-creates only those records and shares the rest with ``source``,
+    and ``edits.check_edit`` inspects only them.  Slot and end sequences
+    stay the source's tuples until first written, so all writes go
+    through the methods below."""
 
     def __init__(self, d: Diagram):
-        self.slots: dict[int, list[int]] = {c: list(x.slots) for c, x in d.crossings.items()}
+        self.source = d
+        self.slots: dict[int, list[int] | tuple] = {c: x.slots for c, x in d.crossings.items()}
         self.over: dict[int, tuple[int, int]] = {c: x.over_slots for c, x in d.crossings.items()}
-        self.ends: dict[int, list[End]] = {e: list(x.ends) for e, x in d.edges.items()}
+        self.ends: dict[int, list[End] | tuple] = {e: x.ends for e, x in d.edges.items()}
         self.origin: dict[int, int | None] = {e: x.origin for e, x in d.edges.items()}
         self.comp: dict[int, int] = {e: x.component for e, x in d.edges.items()}
         self.loops: dict[int, int] = dict(d.loops)
         self.augmenting = d.augmenting_component
+        self.touched_crossings: set[int] = set()
+        self.touched_edges: set[int] = set()
         self._next_edge = d.next_edge_id()
         self._next_crossing = d.next_crossing_id()
         self._next_comp = d.next_component_id()
+
+    def _own_slots(self, c: int) -> list[int]:
+        if c not in self.touched_crossings:
+            self.slots[c] = list(self.slots[c])
+            self.touched_crossings.add(c)
+        return self.slots[c]
 
     def new_edge_id(self) -> int:
         self._next_edge += 1
@@ -599,25 +638,35 @@ class MapBuilder:
     def add_crossing(self, cid: int, slots: list[int], over_slots: tuple[int, int]) -> None:
         self.slots[cid] = slots
         self.over[cid] = over_slots
+        self.touched_crossings.add(cid)
 
     def add_edge(self, eid: int, ends: list[End], origin: int | None, comp: int) -> None:
         self.ends[eid] = [tuple(x) for x in ends]
         self.origin[eid] = origin
         self.comp[eid] = comp
+        self.touched_edges.add(eid)
         for c, s in ends:
-            self.slots[c][s] = eid
+            self._own_slots(c)[s] = eid
+
+    def set_component(self, eid: int, comp: int) -> None:
+        if self.comp[eid] != comp:
+            self.comp[eid] = comp
+            self.touched_edges.add(eid)
 
     def remove_edge(self, eid: int) -> None:
         del self.ends[eid], self.origin[eid], self.comp[eid]
+        self.touched_edges.add(eid)
 
     def remove_crossing(self, cid: int) -> None:
         del self.slots[cid], self.over[cid]
+        self.touched_crossings.add(cid)
 
     def reattach(self, eid: int, old_end: End, new_end: End) -> None:
-        ends = self.ends[eid]
+        ends = self.ends[eid] = list(self.ends[eid])
         ends[ends.index(tuple(old_end))] = tuple(new_end)
+        self.touched_edges.add(eid)
         c, s = new_end
-        self.slots[c][s] = eid
+        self._own_slots(c)[s] = eid
 
     def weld(self, c: int, s1: int, s2: int) -> int | None:
         """Join the two edges entering crossing ``c`` at slots s1, s2 into
@@ -647,13 +696,19 @@ class MapBuilder:
         return tuple(b) if tuple(a) == tuple(end) else tuple(a)
 
     def build(self, reassign_components: bool = False) -> Diagram:
-        crossings = {
-            c: Crossing(c, tuple(slots), self.over[c]) for c, slots in self.slots.items()
-        }
-        edges = {
-            e: Edge(e, (tuple(ends[0]), tuple(ends[1])), self.origin[e], self.comp[e])
-            for e, ends in self.ends.items()
-        }
+        crossings = dict(self.source.crossings)
+        for c in sorted(self.touched_crossings):
+            if c in self.slots:
+                crossings[c] = Crossing(c, tuple(self.slots[c]), self.over[c])
+            else:
+                crossings.pop(c, None)
+        edges = dict(self.source.edges)
+        for e in sorted(self.touched_edges):
+            if e in self.ends:
+                ends = self.ends[e]
+                edges[e] = Edge(e, (tuple(ends[0]), tuple(ends[1])), self.origin[e], self.comp[e])
+            else:
+                edges.pop(e, None)
         d = Diagram(crossings, edges, dict(self.loops), self.augmenting)
         if reassign_components:
             d = _assign_components(d)

@@ -108,7 +108,7 @@ class InvariantError(InternalInvariantError):
 
 
 class JoinError(InternalInvariantError):
-    """No alternating band splice found within the retry budget."""
+    """No pair of circle edges on the shared face splices alternating."""
 
 
 class MappingError(InternalInvariantError):

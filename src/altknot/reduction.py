@@ -13,11 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import cut_vertices, twist_partition
-from .diagram import Diagram, MapBuilder, face_set, restamp_origins, validate_diagram
+from .diagram import (
+    Diagram,
+    MapBuilder,
+    face_set,
+    restamp_origins,
+    validate_diagram,
+)
+from .edits import check_edit
 from .errors import (
     InvariantError,
     NotNugatory,
     NotR2Bigon,
+    PreconditionError,
     ReductionInvariantError,
     UnknownCrossing,
     UnknownFace,
@@ -71,9 +79,9 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     b.weld(c, 1, 3)
     b.remove_crossing(c)
     out = b.build()
-    rep = validate_diagram(out)
-    if not rep.valid:
-        raise InvariantError(f"nugatory removal broke the map: {rep.failures}")
+    failures = check_edit(b, face_set(d), out)
+    if failures:
+        raise InvariantError(f"nugatory removal broke the map: {failures}")
     return out
 
 
@@ -126,9 +134,9 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
     b.remove_crossing(x)
     b.remove_crossing(y)
     out = b.build()
-    rep = validate_diagram(out)
-    if not rep.valid:
-        raise InvariantError(f"R2 removal broke the map: {rep.failures}")
+    failures = check_edit(b, fs, out)
+    if failures:
+        raise InvariantError(f"R2 removal broke the map: {failures}")
     return out
 
 
@@ -146,7 +154,14 @@ def _r2_bigon_ids(d: Diagram) -> list[int]:
 def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     """Apply nugatory and R2 removals (lowest id first, nugatory first)
     until neither applies.  The fixpoint is reduced and R2-reduced; every
-    edge of the result is re-stamped as its own origin."""
+    edge of the result is re-stamped as its own origin.
+
+    The input is validated as a whole map once (PreconditionError with
+    ``failed_flag="valid"`` when it is not a valid diagram); each move is
+    then checked locally."""
+    rep = validate_diagram(d)
+    if not rep.valid:
+        raise PreconditionError(f"invalid diagram: {rep.failures}", failed_flag="valid")
     trace = ReductionTrace(
         crossings_before=len(d.crossings),
         t_before=twist_partition(d).t,

@@ -74,6 +74,43 @@ def corpus_diagrams(n, start_seed=0, letters=(8, 10, 12, 14, 16), max_crossings=
     return out
 
 
+def link_diagrams(n, min_crossings=31, start_seed=0):
+    """Deterministic list of n qualifying 2- and 3-component link
+    diagrams of at least ``min_crossings`` crossings, as (seed, diagram).
+
+    Braid words on 3-5 strands whose generators mostly keep their sign,
+    so few R2 bigons appear and the closures stay large after
+    ``preprocess``."""
+    import random
+
+    from altknot import classify_edges, diagram_flags, preprocess
+
+    out = []
+    seed = start_seed
+    while len(out) < n:
+        rng = random.Random(seed)
+        strands = rng.randint(3, 5)
+        sign = {g: rng.choice((1, -1)) for g in range(1, strands)}
+        word = []
+        for _ in range(rng.randint(36, 56)):
+            g = rng.randint(1, strands - 1)
+            if rng.random() < 0.15:
+                sign[g] = -sign[g]
+            word.append(sign[g] * g)
+        seed += 1
+        d = braid_closure(word, strands=strands)
+        if d.loops or len(d.components()) not in (2, 3):
+            continue
+        d, _ = preprocess(d)
+        if d.loops or len(d.crossings) < min_crossings or len(d.components()) not in (2, 3):
+            continue
+        fl = diagram_flags(d)
+        if (fl.connected and fl.reduced and fl.r2_reduced and fl.prime
+                and classify_edges(d).is_non_alternating):
+            out.append((seed - 1, d))
+    return out
+
+
 # -- oracles ----------------------------------------------------------------------
 
 def oracle_labels_from_pd(text: str) -> dict[int, list[str]]:

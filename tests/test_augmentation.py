@@ -30,7 +30,7 @@ from altknot.diagram import euler_by_piece, is_connected
 from altknot.errors import PreconditionError
 from altknot.generate import two_strand_torus
 
-from conftest import TREFOIL, corpus_diagrams
+from conftest import TREFOIL, corpus_diagrams, link_diagrams
 
 
 class TestCutCurves:
@@ -299,8 +299,8 @@ class TestGuardRails:
             find_merge_arc(g, [comps[0], 9999])
 
     def test_join_error_when_face_misses_a_curve(self):
-        # hand the join a face the target circle does not border and no
-        # retry budget: the search must fail loudly instead of looping
+        # hand the join a face the target circle does not border: no pair
+        # of circle edges exists there, and the join must fail loudly
         from altknot.errors import JoinError
 
         d, g, comps = TestFinger()._overlay_with_two_curves()
@@ -311,27 +311,7 @@ class TestGuardRails:
         if not only_ci:
             pytest.skip("every face of the first circle touches the second")
         with pytest.raises(JoinError):
-            join_curves(g, comps[0], comps[1], only_ci[0], max_retries=0)
-
-    def test_extension_fallback_behaves(self):
-        # the join search never needs the fallback (the first label-phase
-        # match always splices), so when exercised artificially it must
-        # either extend to a valid alternating diagram or fail loudly
-        from altknot.augmentation import _extend_one_edge
-        from altknot.errors import JoinError
-
-        d, g, comps = TestFinger()._overlay_with_two_curves()
-        fs = face_set(g)
-        for fid in sorted(_curve_faces(g, fs, comps[0])):
-            try:
-                g2, face = _extend_one_edge(g, comps[0], comps[1], fid, fs)
-            except JoinError:
-                continue
-            assert validate_diagram(g2).valid
-            assert classify_edges(g2).is_alternating
-            assert face in _curve_faces(g2, face_set(g2), comps[0])
-            return
-        pytest.skip("no face of the first circle admits an extension edge")
+            join_curves(g, comps[0], comps[1], only_ci[0])
 
     def test_augment_deterministic(self):
         from altknot import serialize_pd
@@ -423,6 +403,27 @@ class TestAugment:
             if found >= 6:
                 break
         assert found >= 6
+
+
+    def test_large_links_audited_stage_by_stage(self):
+        # 2- and 3-component links above 30 crossings: every stage passes
+        # the whole-map check, whatever the local checks in between said
+        from altknot.selfcheck import verify_augmentation
+
+        cases = link_diagrams(24)
+        assert {len(d.components()) for _seed, d in cases} == {2, 3}
+        merges = 0
+        for seed, d in cases:
+            assert len(d.crossings) > 30
+            stages = []
+            res = augment(d, on_stage=lambda name, g: stages.append((name, g)))
+            for name, g in stages:
+                rep = validate_diagram(g)
+                assert rep.valid, (seed, name, rep.failures)
+                assert classify_edges(g).is_alternating, (seed, name)
+            assert verify_augmentation(d, res) == [], seed
+            merges += len(res.merges)
+        assert merges >= 10
 
 
 class TestCertificate:

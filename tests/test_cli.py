@@ -113,6 +113,33 @@ class TestAugment:
         assert captured.out == ""
         errs = [json.loads(x) for x in captured.err.splitlines()]
         assert [(e["name"], e["exit"]) for e in errs] == [("alt", 1), ("broken", 2)]
+        assert not any("pd" in e for e in errs)
+
+    def test_exit_3_record_carries_the_input(self, tmp_path, capsys, monkeypatch):
+        from altknot import cli
+        from altknot.errors import InvariantError
+
+        def broken_augment(d):
+            raise InvariantError("guarantee failed")
+
+        monkeypatch.setattr(cli, "augment", broken_augment)
+        d, _ = random_knot_diagram(5, 12, 2)
+        pd = serialize_pd(d)
+        p = tmp_path / "corpus.pd"
+        p.write_text(f"# name: alt\n{TREFOIL}\n\n# name: knot\n{pd}\n")
+        assert run(["augment", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs = [json.loads(x) for x in captured.err.splitlines()]
+        assert errs == [
+            {"name": "alt", "error": "InvariantError", "message": "guarantee failed",
+             "exit": 3, "pd": TREFOIL},
+            {"name": "knot", "error": "InvariantError", "message": "guarantee failed",
+             "exit": 3, "pd": pd},
+        ]
+        from altknot import parse_pd, same_map
+
+        assert same_map(parse_pd(errs[1]["pd"]), d)
 
     def test_qualifying_input(self, knot_file, tmp_path, capsys):
         pd_out = str(tmp_path / "aug.pd")

@@ -1,0 +1,304 @@
+"""The local edit check against the whole-map check.
+
+``check_edit`` inspects only what a surgery step touched.  Given a valid
+source, it must accept an edit exactly when ``validate_diagram`` (plus
+``classify_edges`` where the step must stay alternating) accepts the
+whole result.  The audit below wraps it at all four surgery sites (band
+join, finger, R2 removal, nugatory removal), compares the two verdicts
+on every real edit, and then breaks the same edit at random and
+compares them again.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+from altknot import (
+    augment,
+    classify_edges,
+    flip_crossing,
+    parse_pd,
+    preprocess,
+    remove_nugatory_crossing,
+    remove_r2_bigon,
+    validate_diagram,
+)
+from altknot import augmentation, reduction
+from altknot.diagram import MapBuilder, connected_pieces, face_set
+from altknot.edits import check_edit
+from altknot.errors import AlternationError, InvariantError, JoinError
+from altknot.generate import braid_closure
+
+from conftest import corpus_diagrams, link_diagrams
+
+
+def whole_map_accepts(out, alternating: bool) -> bool:
+    if not validate_diagram(out).valid:
+        return False
+    return not alternating or classify_edges(out).is_alternating
+
+
+def _flip(over):
+    return (0, 2) if over == (1, 3) else (1, 3)
+
+
+def corrupt(rng: random.Random, b: MapBuilder) -> str:
+    """Break (or, by chance, not break) the edit held in ``b`` with one
+    random move made through the builder, so its touched sets stay right."""
+    edges = sorted(b.ends)
+    if not edges:
+        return "none"
+    kind = rng.choice(("swap_ends", "swap_slots", "flip", "recolor", "drop", "loop_clash"))
+    touched = sorted(e for e in b.touched_edges if e in b.ends) or edges
+    if kind == "swap_ends" and len(edges) >= 2:
+        e1 = rng.choice(touched)
+        e2 = rng.choice([e for e in edges if e != e1])
+        a = tuple(rng.choice(b.ends[e1]))
+        z = tuple(rng.choice(b.ends[e2]))
+        if a != z:
+            b.reattach(e1, a, z)
+            b.reattach(e2, z, a)
+    elif kind == "swap_slots":
+        c = rng.choice(sorted(b.touched_crossings & set(b.slots)) or sorted(b.slots))
+        i, j = rng.sample(range(4), 2)
+        ei, ej = b.slots[c][i], b.slots[c][j]
+        if ei != ej:
+            b.reattach(ei, (c, i), (c, j))
+            b.reattach(ej, (c, j), (c, i))
+    elif kind == "flip":
+        c = rng.choice(sorted(b.slots))
+        b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
+    elif kind == "recolor":
+        e = rng.choice(touched)
+        b.set_component(e, rng.choice(sorted(set(b.comp.values()))) + rng.randint(0, 1))
+    elif kind == "drop":
+        b.remove_edge(rng.choice(touched))
+    else:
+        b.loops[rng.choice(edges)] = 0
+    return kind
+
+
+class Audit:
+    """Drop-in for ``check_edit`` that checks its verdicts as it goes."""
+
+    def __init__(self, seed: int, mutate: bool = True):
+        self.rng = random.Random(seed)
+        self.mutate = mutate
+        self.real = Counter()
+        self.mutants = Counter()
+
+    def __call__(self, b, source_fs, out, alternating=False):
+        failures = check_edit(b, source_fs, out, alternating)
+        whole = whole_map_accepts(out, alternating)
+        assert (not failures) == whole, failures
+        self.real[whole] += 1
+        if self.mutate:
+            kind = corrupt(self.rng, b)
+            broken = b.build()
+            local = check_edit(b, source_fs, broken, alternating)
+            whole = whole_map_accepts(broken, alternating)
+            assert (not local) == whole, (kind, local)
+            self.mutants[(kind, whole)] += 1
+        return failures
+
+
+@pytest.fixture
+def audit(monkeypatch):
+    def install(seed, mutate=True):
+        a = Audit(seed, mutate)
+        monkeypatch.setattr(augmentation, "check_edit", a)
+        monkeypatch.setattr(reduction, "check_edit", a)
+        return a
+    return install
+
+
+def raw_closures(n, seed0, links):
+    """Unreduced flipped closures, knots or links, for the reduction moves."""
+    out = []
+    seed = seed0
+    while len(out) < n:
+        rng = random.Random(seed)
+        seed += 1
+        strands = rng.randint(3, 5)
+        gens = [i for i in range(-(strands - 1), strands) if i != 0]
+        d = braid_closure([rng.choice(gens) for _ in range(rng.randint(10, 40))], strands)
+        if (len(d.components()) > 1) != links:
+            continue
+        for _ in range(rng.randint(0, 3)):
+            d = flip_crossing(d, rng.choice(sorted(d.crossings)))
+        out.append(d)
+    return out
+
+
+def _check_tally(a: Audit, sites_min: int) -> None:
+    assert sum(a.real.values()) >= sites_min
+    accepted = sum(v for (_k, ok), v in a.mutants.items() if ok)
+    rejected = sum(v for (_k, ok), v in a.mutants.items() if not ok)
+    # both verdicts must occur among the mutants, or the comparison is idle
+    assert accepted >= 5 and rejected >= 5, a.mutants
+
+
+class TestVerdictsAgree:
+    def test_augment_on_knots(self, audit):
+        a = audit(1)
+        for _seed, d in corpus_diagrams(40, start_seed=200, letters=(14, 18, 22, 26)):
+            augment(d)
+        _check_tally(a, 20)
+
+    def test_augment_on_links(self, audit):
+        a = audit(2)
+        for _seed, d in link_diagrams(16):
+            augment(d)
+        _check_tally(a, 20)
+
+    def test_reductions_on_knots_and_links(self, audit):
+        a = audit(3)
+        for links in (False, True):
+            for d in raw_closures(40, 500 if links else 0, links):
+                preprocess(d)
+        _check_tally(a, 100)
+
+    def test_real_edits_pass_unmutated(self, audit):
+        # without the random breakage every real edit is accepted by both
+        a = audit(4, mutate=False)
+        for _seed, d in link_diagrams(4, start_seed=100):
+            augment(d)
+        for d in raw_closures(10, 900, True):
+            preprocess(d)
+        assert a.real[False] == 0 and a.real[True] > 0
+
+
+# -- one deliberately broken edit per surgery site -----------------------------------
+
+
+def _spy_on_site(monkeypatch, module, broken_builder, alternating):
+    """Record the whole-map verdict of every edit the site checks."""
+    verdicts = []
+
+    def spy(b, source_fs, out, alternating=alternating):
+        verdicts.append(whole_map_accepts(out, alternating))
+        return check_edit(b, source_fs, out, alternating)
+
+    monkeypatch.setattr(module, "MapBuilder", broken_builder)
+    monkeypatch.setattr(module, "check_edit", spy)
+    return verdicts
+
+
+class CrossedBand(MapBuilder):
+    """Pairs the band stubs crosswise: arrival with arrival, departure
+    with departure."""
+
+    first = None
+
+    def add_edge(self, eid, ends, origin, comp):
+        if origin is not None or len(self.touched_edges) < 2:
+            return super().add_edge(eid, ends, origin, comp)
+        if self.first is None:
+            self.first = (eid, tuple(ends[1]))
+            return super().add_edge(eid, ends, origin, comp)
+        first_eid, first_far = self.first
+        super().add_edge(eid, [ends[0], first_far], origin, comp)
+        self.reattach(first_eid, first_far, tuple(ends[1]))
+
+
+class WrongFingerSign(MapBuilder):
+    """Gives the first finger crossing the opposite over strand."""
+
+    flipped = False
+
+    def add_crossing(self, cid, slots, over_slots):
+        if not self.flipped:
+            self.flipped = True
+            over_slots = _flip(over_slots)
+        super().add_crossing(cid, slots, over_slots)
+
+
+class SwappedWeld(MapBuilder):
+    """Welds the outer stubs of an R2 bigon crosswise."""
+
+    first = None
+
+    def add_edge(self, eid, ends, origin, comp):
+        if self.first is None:
+            self.first = (eid, tuple(ends[1]))
+            return super().add_edge(eid, ends, origin, comp)
+        first_eid, first_far = self.first
+        super().add_edge(eid, [ends[0], first_far], origin, comp)
+        self.reattach(first_eid, first_far, tuple(ends[1]))
+
+
+class CrossingLeftBehind(MapBuilder):
+    """Forgets to delete the crossing it welded through."""
+
+    def remove_crossing(self, cid):
+        pass
+
+
+def _two_curve_overlay(arc_length: int | None = None):
+    for _seed, d in corpus_diagrams(60):
+        cs = augmentation.build_cut_curves(d)
+        if len(cs.curves) < 2:
+            continue
+        g, cs2 = augmentation.overlay_unlink(d, cs)
+        comps = [c.component for c in cs2.curves]
+        arc = augmentation.find_merge_arc(g, comps)
+        if arc_length is None or arc.phi >= arc_length:
+            return g, arc
+    pytest.skip("no suitable overlay in the sampled corpus")
+
+
+class TestBrokenEditsRejected:
+    def test_crossed_band_pairing(self, monkeypatch):
+        g, arc = _two_curve_overlay()
+        g = augmentation.propagate_finger(g, arc)
+        face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
+        verdicts = _spy_on_site(monkeypatch, augmentation, CrossedBand, True)
+        with pytest.raises(JoinError):
+            augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
+        assert verdicts and not any(verdicts)
+
+    def test_wrong_finger_sign(self, monkeypatch):
+        g, arc = _two_curve_overlay(arc_length=1)
+        verdicts = _spy_on_site(monkeypatch, augmentation, WrongFingerSign, True)
+        with pytest.raises(AlternationError):
+            augmentation.propagate_finger(g, arc)
+        assert verdicts and not any(verdicts)
+
+    def test_swapped_r2_weld(self, monkeypatch):
+        # a flipped crossing in the middle of a five-crossing twist plants
+        # an R2 bigon whose two strands both weld to outer arcs
+        d = flip_crossing(braid_closure([1, 1, 1, 1, 1, 2, -2], strands=3), 2)
+        fs = face_set(d)
+        bigon = next(
+            f.id for f in fs.faces
+            if f.is_bigon and len(set(d.edge_labels(f.boundary_edges[0]))) == 1
+        )
+        verdicts = _spy_on_site(monkeypatch, reduction, SwappedWeld, False)
+        with pytest.raises(InvariantError):
+            remove_r2_bigon(d, bigon)
+        assert verdicts == [False]
+
+    def test_crossing_left_behind(self, monkeypatch):
+        d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
+        verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind, False)
+        with pytest.raises(InvariantError):
+            remove_nugatory_crossing(d, 3)
+        assert verdicts == [False]
+
+
+def test_moves_that_change_the_piece_count():
+    # the flipped Hopf link unlinks into two loops (its only piece
+    # vanishes); a flipped clasp between two trefoils splits one piece
+    # into two.  Both R2 moves must pass the local check.
+    cases = (
+        (flip_crossing(braid_closure([1, 1], strands=2), 0), 0, 2),
+        (flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3), 2, 0),
+    )
+    for d, pieces, loops in cases:
+        out, trace = preprocess(d)
+        assert [s.kind for s in trace.steps] == ["r2"]
+        assert validate_diagram(out).valid
+        assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)

@@ -1,0 +1,52 @@
+"""Byte identity of the benchmark outputs.
+
+The ``reduce`` and ``augment-large`` benchmark inputs for seed 0 are
+rebuilt with ``perfbench/inputs.py`` and run through the package; the
+sha256 digests of the inputs and of the ``serialize_pd`` outputs must
+equal the ones pinned in ``perfbench/pinned.json``.  A change that alters
+serialized output must say why and re-pin.  Nothing under ``perfbench/``
+is written.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from altknot import augment, parse_pd, preprocess, serialize_pd
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 0
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return inputs
+
+
+def _pins(workload: str) -> dict:
+    return json.loads((PERFBENCH / "pinned.json").read_text())[workload][str(SEED)]
+
+
+def test_reduce_outputs_match_pins(bench_inputs):
+    items = bench_inputs.reduce_inputs(SEED, n=48, lo=30, hi=80)
+    pins = _pins("reduce")
+    assert bench_inputs.digest(x.pd for x in items) == pins["inputs"]
+    outs = [serialize_pd(preprocess(parse_pd(x.pd))[0]) for x in items]
+    assert bench_inputs.digest(outs) == pins["outputs"]
+
+
+def test_augment_large_outputs_match_pins(bench_inputs):
+    items = bench_inputs.large_inputs(SEED, n=64, lo=50, hi=110)
+    pins = _pins("augment-large")
+    assert bench_inputs.digest(x.pd for x in items) == pins["inputs"]
+    outs = [serialize_pd(augment(parse_pd(x.pd)).g) for x in items]
+    assert bench_inputs.digest(outs) == pins["outputs"]
