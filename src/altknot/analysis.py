@@ -183,9 +183,13 @@ def twist_partition(d: Diagram) -> TwistPartition:
     """Bigon faces, the regions they chain into, and the twist count t.
 
     Every crossing lies in exactly one region: crossings incident to no
-    bigon form singleton regions.
+    bigon form singleton regions.  Computed once per face table and kept
+    on it (``FaceSet.partition``), so copies that share the table, such
+    as ``mark_augmenting``'s, share the partition object too.
     """
     fs = face_set(d)
+    if fs.partition is not None:
+        return fs.partition
     bigons = [f for f in fs.faces if f.is_bigon]
     parent = {f.id: f.id for f in bigons}
 
@@ -230,9 +234,10 @@ def twist_partition(d: Diagram) -> TwistPartition:
         if c not in in_bigon:
             regions.append(TwistRegion(frozenset([c]), (), (), RegionTopology.DISK))
     regions.sort(key=lambda r: min(r.crossings))
-    return TwistPartition(
+    fs.partition = TwistPartition(
         frozenset(f.id for f in bigons), tuple(regions), len(regions)
     )
+    return fs.partition
 
 
 def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:

@@ -18,6 +18,7 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import bisect
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -109,7 +110,9 @@ class Face:
 
     @property
     def is_bigon(self) -> bool:
-        return self.loop is None and self.degree == 2 and len(self.crossings()) == 2
+        """Two corners at two distinct crossings (loop faces have none)."""
+        corners = self.corners
+        return len(corners) == 2 and corners[0][0] != corners[1][0]
 
 
 @dataclass(frozen=True)
@@ -227,12 +230,21 @@ class FaceSet:
     from the corner between slots i and i+1 at a crossing, leave through
     the edge in slot i+1 and arrive at the corner just counterclockwise
     of its far end.  Corner (c, i) therefore denotes the quadrant swept
-    counterclockwise from slot i."""
+    counterclockwise from slot i.
+
+    Face ids rank the faces by their least corner (c, i), and each
+    corner list starts at that corner; the two faces of each
+    crossing-free loop come last, in loop-id order.
+
+    ``partition`` holds the map's twist partition once
+    ``analysis.twist_partition`` has computed it: it depends only on the
+    crossings and slots, which every diagram served this table shares."""
 
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
         self.corner_face = corner_face
         self.by_id = {f.id: f for f in faces}
+        self.partition = None
 
     def face_of_corner(self, c: int, slot: int) -> int:
         return self.corner_face[(c, slot % 4)]
@@ -262,6 +274,12 @@ def face_set(d: Diagram) -> FaceSet:
     table is shared: callers must not modify it.  A function that works
     on two diagrams at once holds each table itself rather than asking
     again, so the slot does not thrash.
+
+    Surgery results do not reach the full walk: ``edits.check_edit``
+    derives their table from the source's by a local update
+    (``_edited_face_set``) and leaves it here.  Only diagrams made
+    without a source table (parsed, overlaid, reconstructed) are walked
+    whole.
     """
     global _last_face_set
     last = _last_face_set
@@ -284,36 +302,130 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     return dst
 
 
-def _build_face_set(d: Diagram) -> FaceSet:
-    corner_face: dict[End, int] = {}
-    faces: list[Face] = []
-    for c in sorted(d.crossings):
-        for s in range(4):
-            if (c, s) in corner_face:
-                continue
-            fid = len(faces)
-            corners = []
-            slots = []
-            edges = []
-            cc, ss = c, s
-            while True:
-                corner_face[(cc, ss)] = fid
-                out_edge = d.edge_at(cc, ss + 1)
-                corners.append((cc, d.edge_at(cc, ss), out_edge))
-                slots.append((cc, ss))
-                edges.append(out_edge)
-                cc, ss = d.other_end((cc, (ss + 1) % 4))
-                if (cc, ss) == (c, s):
-                    break
-                if (cc, ss) in corner_face:  # broken rotation data
-                    raise InvariantError(f"face walk collided at corner {(cc, ss)}")
-            faces.append(Face(fid, tuple(corners), tuple(edges), corner_slots=tuple(slots)))
+def _walk_faces(crossings: dict[int, Crossing], far: dict[End, End], starts, todo: set[End]) -> list[tuple]:
+    """(corners, boundary edges, corner slots) of each face through the
+    corners ``todo``, walked from each of ``starts`` still in ``todo``,
+    in that order; every corner walked leaves ``todo``.  ``far`` maps
+    each slot end the walks leave by to the far end of its edge.  A walk
+    that reaches a corner not in ``todo`` (taken, or outside the set)
+    means broken rotation data."""
+    walks = []
+    for start in starts:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        corners = []
+        edges = []
+        slots = []
+        corner = start
+        while True:
+            c, s = corner
+            x = crossings[c].slots
+            s1 = (s + 1) % 4
+            out_edge = x[s1]
+            corners.append((c, x[s], out_edge))
+            edges.append(out_edge)
+            slots.append(corner)
+            corner = far.get((c, s1))
+            if corner == start:
+                break
+            try:
+                todo.remove(corner)
+            except KeyError:
+                raise InvariantError(f"face walk collided at corner {corner}") from None
+        walks.append((tuple(corners), tuple(edges), tuple(slots)))
+    return walks
+
+
+def _face_table(faces: list[Face], corner_face: dict[End, int], loops: dict[int, int]) -> FaceSet:
+    """Table of the corner faces ``faces`` (numbered in order) plus two
+    faces per crossing-free loop."""
     nxt = len(faces)
-    for loop_id in sorted(d.loops):
-        faces.append(Face(nxt, (), (), loop=loop_id))
-        faces.append(Face(nxt + 1, (), (), loop=loop_id))
+    for loop_id in sorted(loops):
+        faces.append(Face(nxt, (), (), loop_id))
+        faces.append(Face(nxt + 1, (), (), loop_id))
         nxt += 2
     return FaceSet(faces, corner_face)
+
+
+def _build_face_set(d: Diagram) -> FaceSet:
+    """The full walk: every corner of ``d``, crossings in id order."""
+    far: dict[End, End] = {}
+    for rec in d.edges.values():
+        a, z = rec.ends
+        far[a] = z
+        far[z] = a
+    starts = [(c, s) for c in sorted(d.crossings) for s in range(4)]
+    walks = _walk_faces(d.crossings, far, starts, set(starts))
+    faces = [Face(i, corners, edges, None, slots) for i, (corners, edges, slots) in enumerate(walks)]
+    return _face_table(faces, {k: f.id for f in faces for k in f.corner_slots}, d.loops)
+
+
+def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet:
+    """Face table of ``out = b.build()``, derived from ``source_fs`` (the
+    table of ``b.source``) and left in the ``face_set`` memo.
+
+    ``out`` must pass the incidence checks of ``edits.check_edit``.  A
+    source face that meets no crossing whose slots changed is a face of
+    ``out`` as it stands; only the corners of the other faces and of new
+    or re-slotted crossings are walked.  Edges need no test of their
+    own: with slots and ends agreeing on both sides, an edge whose ends
+    changed no longer sits in the same slot at one of its old ends, and
+    both faces along it have a corner there.  Touched crossings whose
+    slots did not change (a new over strand, or only a component
+    written on their edges) change no face.  Ids and corner order come
+    out as ``_build_face_set(out)`` gives them: the kept faces and the
+    new ones are merged by least corner.  InvariantError when a walk
+    runs into a kept face."""
+    global _last_face_set
+    d = b.source
+    old_c, new_c = d.crossings, out.crossings
+    moved = set()  # crossings added, removed or re-slotted
+    for c in b.touched_crossings:
+        x, y = old_c.get(c), new_c.get(c)
+        if x is None or y is None or x.slots != y.slots:
+            moved.add(c)
+    corner_face = dict(source_fs.corner_face)
+    dirty = set()  # source faces that do not survive as they stand
+    for c in moved:
+        if c in old_c:
+            for s in range(4):
+                dirty.add(corner_face[(c, s)])
+                if c not in new_c:
+                    del corner_face[(c, s)]
+    todo = {(c, s) for c in moved if c in new_c for s in range(4)}
+    for fid in dirty:
+        todo.update(k for k in source_fs.by_id[fid].corner_slots if k[0] not in moved)
+    far: dict[End, End] = {}
+    for c, s in todo:
+        a, z = out.edges[new_c[c].slots[(s + 1) % 4]].ends
+        far[a] = z
+        far[z] = a
+    fresh = _walk_faces(new_c, far, sorted(todo), todo)
+
+    # merge by least corner; a face whose id moved is re-made
+    kept = [f for f in source_fs.faces if f.loop is None and f.id not in dirty]
+    firsts = [f.corner_slots[0] for f in kept]
+    merged: list = []
+    at = 0
+    for walk in fresh:
+        upto = bisect.bisect_left(firsts, walk[2][0], at)
+        merged += kept[at:upto]
+        merged.append(walk)
+        at = upto
+    merged += kept[at:]
+    for i, f in enumerate(merged):
+        if type(f) is tuple:
+            f = merged[i] = Face(i, f[0], f[1], None, f[2])
+        elif f.id != i:
+            f = merged[i] = Face(i, f.corners, f.boundary_edges, None, f.corner_slots)
+        else:
+            continue
+        for k in f.corner_slots:
+            corner_face[k] = i
+    fs = _face_table(merged, corner_face, out.loops)
+    _last_face_set = (weakref.ref(out), fs)
+    return fs
 
 
 def faces(d: Diagram) -> list[Face]:

@@ -4,13 +4,16 @@ A surgery step (a band splice, a finger push, an R2 or nugatory removal)
 edits a valid diagram through a ``MapBuilder``.  ``check_edit`` decides
 whether the result is still valid -- and, where asked, alternating -- by
 inspecting only what the builder touched, instead of walking the whole
-map as ``validate_diagram`` does.  Whole-map validation stays where a
-diagram enters or leaves the pipeline.
+map as ``validate_diagram`` does.  The face table of the result is
+derived from the source's by a local update that re-walks only the
+faces the edit changed, and stays in the ``face_set`` memo for the next
+step.  Whole-map validation stays where a diagram enters or leaves the
+pipeline.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, End, FaceSet, MapBuilder, _grow_piece, face_set
+from .diagram import Diagram, End, FaceSet, MapBuilder, _edited_face_set, _grow_piece
 from .errors import InvariantError
 
 
@@ -25,8 +28,12 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: boo
     incidence of the touched crossings and edges; strand components at
     every crossing a touched edge meets; alternation of the touched
     edges; and sphericity as dV - dE + dF = 2 dP, where F comes from
-    ``out``'s face table (left in the memo for the next step) and dP,
-    the change in the number of pieces, from the source's faces.
+    ``out``'s face table and dP, the change in the number of pieces,
+    from the source's faces.  That table is updated from ``source_fs``
+    by re-walking only the faces at crossings whose slots changed
+    (``diagram._edited_face_set``, equal to the full walk of ``out``)
+    and left in the memo for the next step; a walk that runs into a
+    kept face is a sphericity failure.
     """
     d = b.source
     failures: list[str] = []
@@ -67,7 +74,7 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: boo
         return failures + broken
 
     try:
-        fs = face_set(out)
+        fs = _edited_face_set(b, source_fs, out)
     except InvariantError as exc:
         failures.append(f"sphericity: {exc}")
     else:

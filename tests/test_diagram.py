@@ -18,7 +18,7 @@ from altknot import (
     subdivide_edge_with_crossing,
     validate_diagram,
 )
-from altknot.diagram import Crossing, Diagram, connected_pieces, euler_by_piece
+from altknot.diagram import Crossing, Diagram, connected_pieces, euler_by_piece, mark_augmenting
 from altknot.errors import (
     IncidenceError,
     PDSyntaxError,
@@ -28,7 +28,7 @@ from altknot.errors import (
 )
 from altknot.generate import braid_closure
 
-from conftest import TREFOIL, oracle_labels_from_pd
+from conftest import GRANNY_SUM, TREFOIL, oracle_labels_from_pd
 
 BRAID_LETTERS = st.lists(
     st.sampled_from([i for i in range(-4, 5) if i != 0]), min_size=1, max_size=25
@@ -58,6 +58,17 @@ class TestParse:
         fl = faces(hopf)
         assert len(fl) == 4
         assert all(f.is_bigon for f in fl)
+
+    def test_bigon_is_two_corners_at_two_crossings(self, trefoil, curl, kink_unknot, granny_sum):
+        # kinks give faces with two corners at one crossing; loops none
+        ds = [trefoil, curl, kink_unknot, granny_sum, parse_pd("O(1)"), parse_pd(TREFOIL + " O(7)")]
+        ds += [braid_closure(w, strands=3) for w in ([1, 1, 2], [1, -2, 1, -2], [1, 1, -1, 2, 2])]
+        seen = set()
+        for d in ds:
+            for f in faces(d):
+                assert f.is_bigon == (f.loop is None and f.degree == 2 and len(f.crossings()) == 2)
+                seen.add((f.degree, f.is_bigon))
+        assert {(2, True), (2, False), (0, False)} <= seen
 
     def test_lone_record_incidence(self):
         with pytest.raises(IncidenceError):
@@ -303,6 +314,28 @@ class TestFaceSetMemo:
 
     def test_repeat_returns_the_same_table(self, granny_sum):
         assert face_set(granny_sum) is face_set(granny_sum)
+
+    def test_broken_rotation_data_stops_the_walk(self, trefoil):
+        from altknot.diagram import Edge, _build_face_set
+        from altknot.errors import InvariantError
+
+        # edge 1 claims the ends of edge 4: two edges now leave by the
+        # same slot ends, and two slot ends lead nowhere
+        edges = dict(trefoil.edges)
+        edges[1] = Edge(1, trefoil.edges[4].ends, 1, 0)
+        with pytest.raises(InvariantError):
+            _build_face_set(Diagram(trefoil.crossings, edges))
+
+    def test_twist_partition_kept_on_the_table(self, granny_sum):
+        from altknot import twist_partition
+
+        tp = twist_partition(granny_sum)
+        assert twist_partition(granny_sum) is tp
+        # a copy that shares the map shares the table and its partition
+        assert twist_partition(mark_augmenting(granny_sum, 0)) is tp
+        # an equal map built anew gets an equal partition of its own
+        fresh = twist_partition(parse_pd(GRANNY_SUM))
+        assert fresh is not tp and fresh == tp
 
     def test_no_derived_state_kept_on_the_diagram(self, granny_sum):
         from altknot import diagram_flags, twist_partition

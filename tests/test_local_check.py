@@ -7,11 +7,17 @@ whole result.  The audit below wraps it at all four surgery sites (band
 join, finger, R2 removal, nugatory removal), compares the two verdicts
 on every real edit, and then breaks the same edit at random and
 compares them again.
+
+The face table ``check_edit`` leaves in the memo is a local update of
+the source's table.  Before each verdict comparison the audit checks it
+against the full walk, ``_build_face_set``: every face, its id and
+corner order, and every ``corner_face`` entry.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -26,8 +32,8 @@ from altknot import (
     remove_r2_bigon,
     validate_diagram,
 )
-from altknot import augmentation, reduction
-from altknot.diagram import MapBuilder, connected_pieces, face_set
+from altknot import augmentation, diagram, reduction
+from altknot.diagram import MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
 from altknot.edits import check_edit
 from altknot.errors import AlternationError, InvariantError, JoinError
 from altknot.generate import braid_closure
@@ -81,17 +87,52 @@ def corrupt(rng: random.Random, b: MapBuilder) -> str:
     return kind
 
 
+def same_table(fs, ref) -> bool:
+    return fs.faces == ref.faces and fs.corner_face == ref.corner_face
+
+
+def memo_table(d):
+    """The table the ``face_set`` memo holds for ``d``, or None."""
+    last = diagram._last_face_set
+    return last[1] if last is not None and last[0]() is d else None
+
+
+def past_incidence(failures) -> bool:
+    """``check_edit`` got as far as the face table."""
+    return not any(msg.startswith(("incidence", "valence")) for msg in failures)
+
+
 class Audit:
-    """Drop-in for ``check_edit`` that checks its verdicts as it goes."""
+    """Drop-in for ``check_edit`` that checks its verdicts, and the face
+    table it leaves in the memo, as it goes."""
 
     def __init__(self, seed: int, mutate: bool = True):
         self.rng = random.Random(seed)
         self.mutate = mutate
         self.real = Counter()
         self.mutants = Counter()
+        self.tables = Counter()  # (site, "real" | "mutant") -> tables compared
+        self.loops_made = Counter()  # site -> edits that made a crossing-free loop
+
+    def _check_table(self, out, failures, site, kind) -> None:
+        fs = memo_table(out)
+        if fs is None:
+            # no table: the incidence phase failed, or the walk ran into
+            # a kept face, which the full walk must then do as well
+            if past_incidence(failures):
+                with pytest.raises(InvariantError):
+                    _build_face_set(out)
+            return
+        assert same_table(fs, _build_face_set(out)), (site, kind)
+        self.tables[(site, kind)] += 1
 
     def __call__(self, b, source_fs, out, alternating=False):
+        site = sys._getframe(1).f_code.co_name
         failures = check_edit(b, source_fs, out, alternating)
+        assert memo_table(out) is not None, site
+        self._check_table(out, failures, site, "real")
+        if out.crossings and len(out.loops) > len(b.source.loops):
+            self.loops_made[site] += 1
         whole = whole_map_accepts(out, alternating)
         assert (not failures) == whole, failures
         self.real[whole] += 1
@@ -99,6 +140,7 @@ class Audit:
             kind = corrupt(self.rng, b)
             broken = b.build()
             local = check_edit(b, source_fs, broken, alternating)
+            self._check_table(broken, local, site, "mutant")
             whole = whole_map_accepts(broken, alternating)
             assert (not local) == whole, (kind, local)
             self.mutants[(kind, whole)] += 1
@@ -133,12 +175,20 @@ def raw_closures(n, seed0, links):
     return out
 
 
-def _check_tally(a: Audit, sites_min: int) -> None:
+def _check_tally(a: Audit, sites_min: int, sites) -> None:
     assert sum(a.real.values()) >= sites_min
     accepted = sum(v for (_k, ok), v in a.mutants.items() if ok)
     rejected = sum(v for (_k, ok), v in a.mutants.items() if not ok)
     # both verdicts must occur among the mutants, or the comparison is idle
     assert accepted >= 5 and rejected >= 5, a.mutants
+    # every site's local tables were compared, on real edits and mutants
+    for site in sites:
+        assert a.tables[(site, "real")] >= 1, a.tables
+    assert sum(v for (_s, kind), v in a.tables.items() if kind == "mutant") >= 5, a.tables
+
+
+AUGMENT_SITES = ("_insert_finger", "join_curves")
+REDUCTION_SITES = ("remove_r2_bigon", "remove_nugatory_crossing")
 
 
 class TestVerdictsAgree:
@@ -146,20 +196,22 @@ class TestVerdictsAgree:
         a = audit(1)
         for _seed, d in corpus_diagrams(40, start_seed=200, letters=(14, 18, 22, 26)):
             augment(d)
-        _check_tally(a, 20)
+        _check_tally(a, 20, AUGMENT_SITES)
 
     def test_augment_on_links(self, audit):
         a = audit(2)
         for _seed, d in link_diagrams(16):
             augment(d)
-        _check_tally(a, 20)
+        _check_tally(a, 20, AUGMENT_SITES)
 
     def test_reductions_on_knots_and_links(self, audit):
         a = audit(3)
         for links in (False, True):
             for d in raw_closures(40, 500 if links else 0, links):
                 preprocess(d)
-        _check_tally(a, 100)
+        _check_tally(a, 100, REDUCTION_SITES)
+        # R2 removals that leave a crossing-free loop beside crossings
+        assert a.loops_made["remove_r2_bigon"] >= 1, a.loops_made
 
     def test_real_edits_pass_unmutated(self, audit):
         # without the random breakage every real edit is accepted by both
@@ -289,16 +341,81 @@ class TestBrokenEditsRejected:
         assert verdicts == [False]
 
 
-def test_moves_that_change_the_piece_count():
+def test_moves_that_change_the_piece_count(audit):
     # the flipped Hopf link unlinks into two loops (its only piece
     # vanishes); a flipped clasp between two trefoils splits one piece
-    # into two.  Both R2 moves must pass the local check.
+    # into two; a flipped clasp in a chain of three strands leaves a
+    # loop beside a Hopf link.  Each R2 move must pass the local check,
+    # and its local face table must equal the full walk.
+    a = audit(5, mutate=False)
     cases = (
         (flip_crossing(braid_closure([1, 1], strands=2), 0), 0, 2),
         (flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3), 2, 0),
+        (flip_crossing(braid_closure([1, 1, 2, 2], strands=3), 0), 1, 1),
     )
     for d, pieces, loops in cases:
         out, trace = preprocess(d)
         assert [s.kind for s in trace.steps] == ["r2"]
         assert validate_diagram(out).valid
         assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)
+    assert a.tables == {("remove_r2_bigon", "real"): 3}
+
+
+# -- the local face table ----------------------------------------------------------
+
+
+def test_component_and_label_changes_rewalk_nothing():
+    # relabelling a whole component and flipping a crossing touch
+    # records but change no face: every face object is the source's
+    _seed, d = link_diagrams(1)[0]
+    fs = face_set(d)
+    b = MapBuilder(d)
+    comp = max(b.comp.values())
+    for e in sorted(b.comp):
+        if b.comp[e] == comp:
+            b.set_component(e, 0)
+    c = min(b.slots)
+    b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
+    out = b.build()
+    table = _edited_face_set(b, fs, out)
+    assert len(table.faces) == len(fs.faces)
+    assert all(x is y for x, y in zip(table.faces, fs.faces))
+    assert same_table(table, _build_face_set(out))
+    assert face_set(out) is table
+
+
+def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
+    g, arc = _two_curve_overlay()
+    g = augmentation.propagate_finger(g, arc)
+    face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
+    seen = []
+
+    def spy(b, source_fs, out, alternating=False):
+        seen.append((b, source_fs))
+        return check_edit(b, source_fs, out, alternating)
+
+    monkeypatch.setattr(augmentation, "check_edit", spy)
+    out = augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
+    b, source_fs = seen[-1]
+    table = face_set(out)
+    assert same_table(table, _build_face_set(out))
+    dropped = max(arc.source_curve, arc.target_curve)
+    relabelled = {
+        e for e in b.touched_edges
+        if e in g.edges and e in out.edges
+        and g.edges[e].component == dropped and g.edges[e].ends == out.edges[e].ends
+    }
+    removed = [e for e in b.touched_edges if e in g.edges and e not in out.edges]
+    spliced = {c for e in removed for c, _s in g.edges[e].ends}
+    along = [
+        f for f in source_fs.faces
+        if set(f.boundary_edges) & relabelled and not f.crossings() & spliced
+    ]
+    assert relabelled and along
+    by_corners = {f.corner_slots: f for f in table.faces}
+    # each is a face of the result as it stands, the same object unless
+    # its id moved
+    for f in along:
+        new = by_corners[f.corner_slots]
+        assert new is f or new.id != f.id
+    assert any(by_corners[f.corner_slots] is f for f in along)

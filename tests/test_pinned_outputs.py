@@ -6,6 +6,10 @@ sha256 digests of the inputs and of the ``serialize_pd`` outputs must
 equal the ones pinned in ``perfbench/pinned.json``.  A change that alters
 serialized output must say why and re-pin.  Nothing under ``perfbench/``
 is written.
+
+The face ids the CLI reports (``merges[].faces``, ``join_face``) are not
+in ``serialize_pd``; ``AUGMENT_LARGE_REPORTS`` pins the whole
+``AugmentationResult.to_json()`` of the seed-0 ``augment-large`` inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from altknot import augment, parse_pd, preprocess, serialize_pd
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
+# digest (``inputs.digest``) of json.dumps(augment(d).to_json(),
+# sort_keys=True) over the seed-0 augment-large inputs
+AUGMENT_LARGE_REPORTS = "e8e233bd31aa683823f091718a1f798cf0b366df9a0f987287169c7a74ade6ea"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +57,9 @@ def test_augment_large_outputs_match_pins(bench_inputs):
     assert bench_inputs.digest(x.pd for x in items) == pins["inputs"]
     outs = [serialize_pd(augment(parse_pd(x.pd)).g) for x in items]
     assert bench_inputs.digest(outs) == pins["outputs"]
+
+
+def test_augment_large_reports_match_pin(bench_inputs):
+    items = bench_inputs.large_inputs(SEED, n=64, lo=50, hi=110)
+    reports = [json.dumps(augment(parse_pd(x.pd)).to_json(), sort_keys=True) for x in items]
+    assert bench_inputs.digest(reports) == AUGMENT_LARGE_REPORTS
