@@ -18,6 +18,8 @@ from .diagram import (
     Face,
     FaceSet,
     Sign,
+    _assign_components,
+    _held_face_set,
     drop_component,
     face_set,
     is_connected,
@@ -48,18 +50,27 @@ def classify_edges(d: Diagram) -> EdgeClassification:
 
     A diagram is alternating when every edge is (a bare loop counts as
     alternating); it is non-alternating when at least one edge is not.
+    While the ``face_set`` memo holds ``d``'s table, the result is
+    computed once and kept on it (``FaceSet.classification``); otherwise
+    it is computed afresh, and no table is built for it.
     """
+    fs = _held_face_set(d)
+    if fs is not None and fs.classification is not None:
+        return fs.classification
     alt, non = set(), set()
     for e in d.edges:
         a, b = d.edge_labels(e)
         (alt if a != b else non).add(e)
     has_strands = bool(d.crossings) or bool(d.loops)
-    return EdgeClassification(
+    out = EdgeClassification(
         alternating=frozenset(alt),
         non_alternating=frozenset(non),
         is_alternating=not non and has_strands,
         is_non_alternating=bool(non),
     )
+    if fs is not None:
+        fs.classification = out
+    return out
 
 
 # -- checkerboard shading and crossing classes ------------------------------------
@@ -299,11 +310,20 @@ def cut_vertices(d: Diagram) -> list[int]:
     piece has its own faces, so the test is evaluated per piece: a
     crossing is a cut vertex when it cuts its own piece.
     """
+    # the test of ``_is_cut_vertex``, inlined: ``preprocess`` runs this
+    # loop after every move, and a call per crossing costs 15% here
     corner_face = face_set(d).corner_face
     return [
         c for c in sorted(d.crossings)
         if len({corner_face[(c, s)] for s in range(4)}) < 4
     ]
+
+
+def _is_cut_vertex(fs: FaceSet, c: int) -> bool:
+    """The face test of ``cut_vertices`` for the one crossing ``c`` of the
+    map whose table is ``fs``: one face meets it at two corners."""
+    corner_face = fs.corner_face
+    return len({corner_face[(c, s)] for s in range(4)}) < 4
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
@@ -505,6 +525,37 @@ def _verify_refinement(
     )
 
 
+def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram | None = None) -> Diagram:
+    """The diagram the origin-labeled edges of ``g`` came from:
+    ``drop_component(g, aug)``, whose components are already numbered as
+    ``parse_pd`` numbers them.  With ``expected_d``, MappingError unless
+    the two are the same map (edge ids, crossings up to slot rotation,
+    the component partition)."""
+    d = drop_component(g, aug)
+    if expected_d is not None:
+        if not same_map(d, _assign_components(expected_d), check_origins=False):
+            raise MappingError("reconstructed diagram differs from the expected one")
+    return d
+
+
+def refinement_report(
+    d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, g_tp: TwistPartition,
+) -> RefinementReport:
+    """The refinement report of ``d`` inside ``g`` from tables the caller
+    holds: ``d``'s face table and twist partition, ``g``'s twist
+    partition.  No map is walked."""
+    p = [r.crossings for r in d_tp.regions]
+    d_crossings = set(d.crossings)
+    if not d_crossings <= set(g.crossings):
+        raise MappingError("reconstructed crossings are not a subset of the ambient ones")
+    p_prime = []
+    for r in g_tp.regions:
+        x = frozenset(r.crossings & d_crossings)
+        if x:
+            p_prime.append(x)
+    return _verify_refinement(p, p_prime, d_tp, d_fs, g_tp.t)
+
+
 def refinement_check(
     g: Diagram,
     augmenting: int | None = None,
@@ -516,35 +567,20 @@ def refinement_check(
 
     The inherited partition must refine the reconstructed one: parts are
     pairwise disjoint, each is a sub twist region, and together they
-    cover every reconstructed crossing.
+    cover every reconstructed crossing.  The check is independent of
+    ``augment``: it reconstructs the diagram (``reconstruct_input``) and
+    walks its faces and twist partition itself, where ``augment`` reuses
+    the tables of its input.  UnknownComponent when ``g`` has no
+    component ``augmenting``.
     """
     aug = augmenting if augmenting is not None else g.augmenting_component
-    if aug is None:
-        d = g
-    else:
-        d = drop_component(g, aug)
-        if expected_d is not None:
-            from .diagram import _assign_components
-
-            want = _assign_components(expected_d)
-            if not same_map(_assign_components(d), want, check_origins=False):
-                raise MappingError("reconstructed diagram differs from the expected one")
+    d = g if aug is None else reconstruct_input(g, aug, expected_d)
     # g first, while the memo may still hold its table; then d's table,
     # held here
     g_tp = twist_partition(g)
     d_fs = face_set(d)
     d_tp = twist_partition(d)
-    p = [r.crossings for r in d_tp.regions]
-
-    d_crossings = set(d.crossings)
-    if not d_crossings <= set(g.crossings):
-        raise MappingError("reconstructed crossings are not a subset of the ambient ones")
-    p_prime = []
-    for r in g_tp.regions:
-        x = frozenset(r.crossings & d_crossings)
-        if x:
-            p_prime.append(x)
-    return _verify_refinement(p, p_prime, d_tp, d_fs, g_tp.t)
+    return refinement_report(d, d_fs, d_tp, g, g_tp)
 
 
 # -- aggregate report ------------------------------------------------------------------

@@ -41,7 +41,8 @@ from .analysis import (
     classify_edges,
     detect_two_strand_torus,
     diagram_flags,
-    refinement_check,
+    reconstruct_input,
+    refinement_report,
     shading_classes,
     twist_partition,
 )
@@ -61,6 +62,7 @@ from .errors import (
     ConstructionError,
     InvariantError,
     JoinError,
+    MappingError,
     NoPathError,
     PreconditionError,
 )
@@ -287,13 +289,17 @@ def _forbidden_origins(g: Diagram, curve_comps: set[int]) -> set[int]:
     return touched
 
 
-def _curve_faces(g: Diagram, fs: FaceSet, comp: int) -> set[int]:
-    out = set()
-    for e, rec in g.edges.items():
-        if rec.component == comp:
-            l, r = fs.edge_sides(g, e)
-            out.add(l)
-            out.add(r)
+def _curve_faces(g: Diagram, fs: FaceSet, comps) -> dict[int, set[int]]:
+    """Component -> the faces its edges border, for each of ``comps``, in
+    one pass over the edges."""
+    corner_face = fs.corner_face
+    out: dict[int, set[int]] = {ci: set() for ci in comps}
+    for rec in g.edges.values():
+        faces = out.get(rec.component)
+        if faces is not None:
+            a, z = rec.ends
+            faces.add(corner_face[a])
+            faces.add(corner_face[z])
     return out
 
 
@@ -327,19 +333,20 @@ def find_merge_arc(
     touched = _forbidden_origins(g, comps)
     banned_faces = _d_bigon_faces(g, fs) if ban_bigons else set()
 
+    corner_face = fs.corner_face
     allowed: dict[int, list[tuple[int, int]]] = {}
     for e, rec in sorted(g.edges.items()):
         if rec.component in comps:
             continue
         if rec.origin in touched:
             continue
-        l, r = fs.edge_sides(g, e)
+        l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
         if l in banned_faces or r in banned_faces:
             continue
         allowed.setdefault(l, []).append((r, e))
         allowed.setdefault(r, []).append((l, e))
 
-    curve_face_map = {ci: _curve_faces(g, fs, ci) for ci in curve_comps}
+    curve_face_map = _curve_faces(g, fs, curve_comps)
 
     best: tuple[int, int] | None = None  # (phi, source comp)
     best_data = None
@@ -590,8 +597,8 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
 
 
 def _shared_face(g: Diagram, ci: int, cj: int) -> int:
-    fs = face_set(g)
-    shared = _curve_faces(g, fs, ci) & _curve_faces(g, fs, cj)
+    faces = _curve_faces(g, face_set(g), (ci, cj))
+    shared = faces[ci] & faces[cj]
     if not shared:
         raise InvariantError(f"circles {ci} and {cj} share no face")
     return min(shared)
@@ -746,7 +753,12 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     cert = certify_hyperbolic(g)
     if cert.verdict != "hyperbolic":
         raise InvariantError(f"augmentation failed certification: {cert}")
-    ref = refinement_check(g, augmenting=aug_comp, expected_d=d)
+    # dropping the curve gives back d verbatim (``drop_component``), so
+    # the report reads d's tables instead of walking the reconstruction
+    rec = reconstruct_input(g, aug_comp, expected_d=d)
+    if rec.crossings != d.crossings or set(rec.loops) != set(d.loops):
+        raise MappingError("reconstructed diagram is not the input verbatim")
+    ref = refinement_report(d, d_fs, d_tp, g, g_tp)
     if not ref.refines:
         raise InvariantError(f"refinement check failed: {ref.failures}")
     t_g = g_tp.t

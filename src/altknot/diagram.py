@@ -29,6 +29,7 @@ from .errors import (
     InvariantError,
     PDSyntaxError,
     SphericityError,
+    UnknownComponent,
     UnknownCrossing,
     UnknownEdge,
 )
@@ -188,7 +189,15 @@ def strand_components(d: Diagram) -> list[frozenset[int]]:
 
 def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
     """(crossing ids, edge ids) per connected piece of the 4-valent map;
-    crossing-free loops are separate pieces and are not listed here."""
+    crossing-free loops are separate pieces and are not listed here.
+
+    While the ``face_set`` memo holds ``d``'s table, the list is computed
+    once and kept on it (``FaceSet.pieces``); otherwise it is computed
+    afresh, and no table is built for it.  The list may be shared:
+    callers must not modify it."""
+    fs = _held_face_set(d)
+    if fs is not None and fs.pieces is not None:
+        return fs.pieces
     seen: set[int] = set()
     pieces = []
     for start in sorted(d.crossings):
@@ -196,6 +205,8 @@ def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
             cs = _grow_piece(d, start, seen)
             es = frozenset(e for c in cs for e in d.crossings[c].slots)
             pieces.append((frozenset(cs), es))
+    if fs is not None:
+        fs.pieces = pieces
     return pieces
 
 
@@ -236,15 +247,24 @@ class FaceSet:
     corner list starts at that corner; the two faces of each
     crossing-free loop come last, in loop-id order.
 
-    ``partition`` holds the map's twist partition once
-    ``analysis.twist_partition`` has computed it: it depends only on the
-    crossings and slots, which every diagram served this table shares."""
+    The table also keeps whole-map facts of the map once they are
+    computed, each filled by its own function and empty on a new table:
+    ``partition`` (``analysis.twist_partition``), ``pieces``
+    (``connected_pieces``) and ``classification``
+    (``analysis.classify_edges``).  They depend only on the crossings,
+    their slots and over strands, the loops and the edge ends.  Every
+    diagram a table serves shares all of these with the one it was built
+    for: ``restamp_origins`` and ``mark_augmenting`` change only origins,
+    components and the augmenting component, and a surgery result gets
+    a new table (``_edited_face_set``)."""
 
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
         self.corner_face = corner_face
         self.by_id = {f.id: f for f in faces}
         self.partition = None
+        self.pieces = None
+        self.classification = None
 
     def face_of_corner(self, c: int, slot: int) -> int:
         return self.corner_face[(c, slot % 4)]
@@ -278,16 +298,23 @@ def face_set(d: Diagram) -> FaceSet:
     Surgery results do not reach the full walk: ``edits.check_edit``
     derives their table from the source's by a local update
     (``_edited_face_set``) and leaves it here.  Only diagrams made
-    without a source table (parsed, overlaid, reconstructed) are walked
-    whole.
+    without a source table (parsed, overlaid, or reconstructed by
+    ``analysis.refinement_check``) are walked whole.
     """
     global _last_face_set
+    fs = _held_face_set(d)
+    if fs is None:
+        fs = _build_face_set(d)
+        _last_face_set = (weakref.ref(d), fs)
+    return fs
+
+
+def _held_face_set(d: Diagram) -> FaceSet | None:
+    """``d``'s table when the memo holds it, else None; never walks."""
     last = _last_face_set
     if last is not None and last[0]() is d:
         return last[1]
-    fs = _build_face_set(d)
-    _last_face_set = (weakref.ref(d), fs)
-    return fs
+    return None
 
 
 def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
@@ -296,9 +323,9 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     Faces do not depend on origins, components or the augmenting
     component, so a copy that changes only those keeps the table."""
     global _last_face_set
-    last = _last_face_set
-    if last is not None and last[0]() is src:
-        _last_face_set = (weakref.ref(dst), last[1])
+    fs = _held_face_set(src)
+    if fs is not None:
+        _last_face_set = (weakref.ref(dst), fs)
     return dst
 
 
@@ -880,11 +907,15 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
 
     Sub-edges welded back together must share an origin id; the fused
     edge takes that origin as its id, so dropping an augmenting curve
-    reconstructs the original diagram verbatim."""
+    reconstructs the original diagram verbatim: the same crossings (ids,
+    slots, over strands) and loop ids, with components numbered afresh.
+    UnknownComponent when ``d`` has no component ``comp``."""
     from .errors import MappingError
 
     b = MapBuilder(d)
     comp_edges = sorted(e for e, c in b.comp.items() if c == comp)
+    if not comp_edges and comp not in b.loops.values():
+        raise UnknownComponent(f"no component {comp}")
     hit = sorted(
         c for c, slots in b.slots.items()
         if any(b.comp[e] == comp for e in slots)

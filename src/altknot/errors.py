@@ -43,6 +43,10 @@ class UnknownFace(DiagramError, KeyError):
     pass
 
 
+class UnknownComponent(DiagramError, KeyError):
+    """The diagram has no link component with the requested id."""
+
+
 # -- preconditions ------------------------------------------------------------
 
 class PreconditionError(DiagramError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import cut_vertices, twist_partition
+from .analysis import _is_cut_vertex, cut_vertices, twist_partition
 from .diagram import (
     Diagram,
     MapBuilder,
@@ -72,14 +72,15 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     link type survives; V drops by one."""
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
-    if c not in cut_vertices(d):
+    fs = face_set(d)
+    if not _is_cut_vertex(fs, c):
         raise NotNugatory(f"crossing {c} is not a cut vertex")
     b = MapBuilder(d)
     b.weld(c, 0, 2)
     b.weld(c, 1, 3)
     b.remove_crossing(c)
     out = b.build()
-    failures = check_edit(b, face_set(d), out)
+    failures = check_edit(b, fs, out)
     if failures:
         raise InvariantError(f"nugatory removal broke the map: {failures}")
     return out

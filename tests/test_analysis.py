@@ -21,7 +21,7 @@ from altknot import (
     twist_region_topology,
 )
 from altknot.analysis import _is_sub_twist, _verify_refinement
-from altknot.errors import NotConnected
+from altknot.errors import NotConnected, UnknownComponent
 from altknot.generate import braid_closure, two_strand_torus
 
 from conftest import (
@@ -325,6 +325,11 @@ class TestRefinement:
             assert rep.refines
             assert rep.P == rep.P_prime
             assert rep.sizes[0] == rep.sizes[1] <= rep.sizes[2]
+
+    def test_unknown_augmenting_component(self, trefoil):
+        # a component the diagram lacks is an error, not a vacuous pass
+        with pytest.raises(UnknownComponent):
+            refinement_check(trefoil, augmenting=7)
 
     def test_fabricated_cross_region_part_fails(self, fig8):
         # a part straddling two twist regions is not a sub twist region

@@ -26,7 +26,7 @@ from altknot.augmentation import (
     _forbidden_origins,
     _shared_face,
 )
-from altknot.diagram import euler_by_piece, is_connected
+from altknot.diagram import Diagram, _held_face_set, connected_pieces, euler_by_piece, is_connected
 from altknot.errors import PreconditionError
 from altknot.generate import two_strand_torus
 
@@ -189,7 +189,7 @@ def _synthetic_long_arcs(g, comps, length):
             continue
         adj.setdefault(l, []).append((r, e))
         adj.setdefault(r, []).append((l, e))
-    curve_faces = {c: _curve_faces(g, fs, c) for c in comps}
+    curve_faces = _curve_faces(g, fs, comps)
     ci, cj = comps[0], comps[1]
     for f0 in sorted(curve_faces[ci] - banned):
         stack = [(f0, (f0,), (), frozenset())]
@@ -305,9 +305,8 @@ class TestGuardRails:
 
         d, g, comps = TestFinger()._overlay_with_two_curves()
         fs = face_set(g)
-        only_ci = sorted(
-            _curve_faces(g, fs, comps[0]) - _curve_faces(g, fs, comps[1])
-        )
+        curve_faces = _curve_faces(g, fs, comps)
+        only_ci = sorted(curve_faces[comps[0]] - curve_faces[comps[1]])
         if not only_ci:
             pytest.skip("every face of the first circle touches the second")
         with pytest.raises(JoinError):
@@ -424,6 +423,114 @@ class TestAugment:
             assert verify_augmentation(d, res) == [], seed
             merges += len(res.merges)
         assert merges >= 10
+
+
+def _cases_for_caches():
+    return [d for _seed, d in corpus_diagrams(8)] + [d for _seed, d in link_diagrams(4)]
+
+
+def _rebuilt(x):
+    """An equal diagram the memo holds no table for."""
+    return Diagram(dict(x.crossings), dict(x.edges), dict(x.loops), x.augmenting_component)
+
+
+class TestWholeMapFactsOncePerMap:
+    @staticmethod
+    def _check_table(x, fs):
+        # the facts kept on x's table equal a fresh computation on an equal
+        # diagram, which builds no table of its own
+        assert fs.pieces is not None and fs.classification is not None
+        twin = _rebuilt(x)
+        assert connected_pieces(twin) == fs.pieces
+        assert classify_edges(twin) == fs.classification
+        assert _held_face_set(twin) is None
+
+    def test_cached_facts_equal_fresh_ones(self, monkeypatch):
+        from altknot import augmentation
+
+        inputs = []
+        real_cut_curves = augmentation.build_cut_curves
+
+        def cut_curves(d, *args):
+            # the (restamped) input, with the table augment left for it
+            inputs.append((d, _held_face_set(d)))
+            return real_cut_curves(d, *args)
+
+        monkeypatch.setattr(augmentation, "build_cut_curves", cut_curves)
+        seen = {}
+        for d in _cases_for_caches():
+            inputs.clear()
+
+            def on_stage(name, g):
+                fs = _held_face_set(g)
+                assert fs is not None, name
+                if name == "overlay":
+                    # filled by the overlay's own checks
+                    self._check_table(g, fs)
+                seen[name] = seen.get(name, 0) + (fs.pieces is None)
+                # a surgery result's table starts empty and fills for g
+                assert connected_pieces(g) is fs.pieces is not None
+                assert classify_edges(g) is fs.classification is not None
+                self._check_table(g, fs)
+
+            res = augment(d, on_stage=on_stage)
+            (d_in, d_fs), = inputs
+            self._check_table(d_in, d_fs)
+            g_fs = _held_face_set(res.g)
+            assert g_fs is not None
+            self._check_table(res.g, g_fs)
+        assert seen["overlay"] == 0 and seen["finger"] > 0 and seen["join"] > 0
+
+    def test_refinement_report_equals_the_public_check(self, monkeypatch):
+        from altknot import augmentation
+
+        reports = []
+        real_report = augmentation.refinement_report
+
+        def report(*args):
+            reports.append(real_report(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(augmentation, "refinement_report", report)
+        for d in _cases_for_caches():
+            reports.clear()
+            res = augment(d)
+            (ref,) = reports
+            assert ref.refines
+            assert ref == refinement_check(res.g, augmenting=res.augmenting_component, expected_d=d)
+
+    def test_reconstruction_must_be_the_input_verbatim(self, monkeypatch):
+        # a reconstruction that is the same map with one crossing's slots
+        # numbered from another start passes same_map, so only the
+        # verbatim comparison can catch it
+        from altknot import analysis
+        from altknot.diagram import Crossing, Edge, _assign_components, same_map
+        from altknot.errors import MappingError
+
+        real_drop = analysis.drop_component
+        rotated = []
+
+        def drop_rotated(g, comp):
+            rec = real_drop(g, comp)
+            c = min(rec.crossings)
+            x = rec.crossings[c]
+            crossings = dict(rec.crossings)
+            crossings[c] = Crossing(c, x.slots[1:] + x.slots[:1], (1, 3) if x.over_slots == (0, 2) else (0, 2))
+            edges = {
+                e: Edge(e, tuple((cc, (s - 1) % 4) if cc == c else (cc, s) for cc, s in r.ends), r.origin, r.component)
+                for e, r in rec.edges.items()
+            }
+            out = Diagram(crossings, edges, rec.loops, None)
+            rotated.append((out, rec))
+            return out
+
+        monkeypatch.setattr(analysis, "drop_component", drop_rotated)
+        _seed, d = corpus_diagrams(1)[0]
+        with pytest.raises(MappingError, match="verbatim"):
+            augment(d)
+        (out, rec), = rotated
+        assert same_map(out, _assign_components(rec), check_origins=False)
+        assert validate_diagram(out).valid
 
 
 class TestCertificate:

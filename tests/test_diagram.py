@@ -18,11 +18,20 @@ from altknot import (
     subdivide_edge_with_crossing,
     validate_diagram,
 )
-from altknot.diagram import Crossing, Diagram, connected_pieces, euler_by_piece, mark_augmenting
+from altknot.diagram import (
+    Crossing,
+    Diagram,
+    connected_pieces,
+    drop_component,
+    euler_by_piece,
+    mark_augmenting,
+    restamp_origins,
+)
 from altknot.errors import (
     IncidenceError,
     PDSyntaxError,
     SphericityError,
+    UnknownComponent,
     UnknownCrossing,
     UnknownEdge,
 )
@@ -281,6 +290,28 @@ class TestStructure:
     def test_same_map_distinguishes(self, trefoil):
         assert not same_map(trefoil, flip_crossing(trefoil, 0))
 
+    def test_drop_unknown_component(self, trefoil):
+        # a parsed diagram: nothing to drop, so no relabelled copy either
+        with pytest.raises(UnknownComponent):
+            drop_component(trefoil, 7)
+
+    def test_drop_unknown_component_of_an_augmentation(self):
+        from altknot import augment
+
+        from conftest import corpus_diagrams
+
+        _seed, d = corpus_diagrams(1)[0]
+        g = augment(d).g
+        missing = max(g.components()) + 1
+        # UnknownComponent, not the MappingError of a botched fusion
+        with pytest.raises(UnknownComponent):
+            drop_component(g, missing)
+
+    def test_drop_a_crossing_free_component(self, trefoil):
+        two = parse_pd(TREFOIL + " O(7)")
+        out = drop_component(two, two.loops[7])
+        assert not out.loops and out.crossings == trefoil.crossings
+
     def test_corner_cover(self, trefoil):
         fs = face_set(trefoil)
         corners = {(c, s) for c in trefoil.crossings for s in range(4)}
@@ -336,6 +367,53 @@ class TestFaceSetMemo:
         # an equal map built anew gets an equal partition of its own
         fresh = twist_partition(parse_pd(GRANNY_SUM))
         assert fresh is not tp and fresh == tp
+
+    def test_pieces_and_edge_classes_kept_on_the_table(self, granny_sum):
+        from altknot import classify_edges
+
+        fs = face_set(granny_sum)
+        pieces, cls = connected_pieces(granny_sum), classify_edges(granny_sum)
+        assert (fs.pieces, fs.classification) == (pieces, cls)
+        assert connected_pieces(granny_sum) is pieces
+        assert classify_edges(granny_sum) is cls
+        # copies that share the map take over the table and its facts
+        copy = mark_augmenting(granny_sum, 0)
+        assert connected_pieces(copy) is pieces and classify_edges(copy) is cls
+        copy = restamp_origins(copy)
+        assert connected_pieces(copy) is pieces and classify_edges(copy) is cls
+        # an equal map built anew computes its own
+        twin = parse_pd(GRANNY_SUM)
+        face_set(twin)
+        assert connected_pieces(twin) is not pieces and connected_pieces(twin) == pieces
+        assert classify_edges(twin) is not cls and classify_edges(twin) == cls
+
+    def test_facts_of_a_diagram_without_a_held_table_build_none(self, trefoil, granny_sum):
+        from altknot import classify_edges
+        from altknot.diagram import _held_face_set
+
+        fs = face_set(trefoil)
+        assert len(connected_pieces(granny_sum)) == 1
+        assert classify_edges(granny_sum).is_alternating
+        # the memo still holds the trefoil's table, and nothing was kept
+        assert _held_face_set(trefoil) is fs
+        assert _held_face_set(granny_sum) is None
+        assert (fs.pieces, fs.classification) == (None, None)
+
+    def test_a_surgery_result_starts_with_no_facts(self, trefoil):
+        from altknot import classify_edges
+        from altknot.diagram import MapBuilder, _edited_face_set
+
+        fs = face_set(trefoil)
+        connected_pieces(trefoil)
+        classify_edges(trefoil)
+        b = MapBuilder(trefoil)
+        # a flip: the same faces, other edge classes
+        b.add_crossing(0, list(trefoil.crossings[0].slots), (0, 2))
+        out = b.build()
+        out_fs = _edited_face_set(b, fs, out)
+        assert (out_fs.pieces, out_fs.classification, out_fs.partition) == (None, None, None)
+        assert classify_edges(out) == classify_edges(flip_crossing(trefoil, 0))
+        assert not classify_edges(out).is_alternating
 
     def test_no_derived_state_kept_on_the_diagram(self, granny_sum):
         from altknot import diagram_flags, twist_partition

@@ -56,6 +56,22 @@ class TestNugatory:
         assert classify_edges(out).is_alternating
 
 
+    @settings(deadline=None, max_examples=40)
+    @given(BRAID_LETTERS)
+    def test_verdict_is_the_cut_vertex_test(self, word):
+        # the one-crossing face test agrees with cut_vertices everywhere
+        from altknot.analysis import cut_vertices
+
+        d = braid_closure(word)
+        cuts = set(cut_vertices(d))
+        for c in sorted(d.crossings):
+            if c in cuts:
+                assert len(remove_nugatory_crossing(d, c).crossings) == len(d.crossings) - 1
+            else:
+                with pytest.raises(NotNugatory):
+                    remove_nugatory_crossing(d, c)
+
+
 class TestR2:
     def test_flipped_trefoil_bigon(self, trefoil):
         f = flip_crossing(trefoil, 0)
