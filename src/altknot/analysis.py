@@ -18,13 +18,11 @@ from .diagram import (
     Face,
     FaceSet,
     Sign,
-    _assign_components,
     _held_face_set,
     drop_component,
     face_set,
     is_connected,
     piece_count,
-    same_map,
     validate_diagram,
 )
 from .errors import (
@@ -529,12 +527,16 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram | None = None) -
     """The diagram the origin-labeled edges of ``g`` came from:
     ``drop_component(g, aug)``, whose components are already numbered as
     ``parse_pd`` numbers them.  With ``expected_d``, MappingError unless
-    the two are the same map (edge ids, crossings up to slot rotation,
-    the component partition)."""
+    it is ``expected_d`` verbatim: equal crossings (ids, slots, over
+    strands), loop ids and edge ids.  Equal slots fix every edge's ends
+    and strand, so the component partition agrees too."""
     d = drop_component(g, aug)
-    if expected_d is not None:
-        if not same_map(d, _assign_components(expected_d), check_origins=False):
-            raise MappingError("reconstructed diagram differs from the expected one")
+    if expected_d is not None and (
+        d.crossings != expected_d.crossings
+        or set(d.loops) != set(expected_d.loops)
+        or set(d.edges) != set(expected_d.edges)
+    ):
+        raise MappingError("reconstructed diagram is not the input verbatim")
     return d
 
 

@@ -18,13 +18,17 @@ it touched (``edits.check_edit``).
     cheapest dual-face path joining two of them that crosses no bigon of
     the original diagram, no edge the circles already cross, and no edge
     twice.
-4.  ``propagate_finger``: push a finger of one circle along that path.
+4.  ``propagate_finger``: push a finger of one circle along that path
+    from the least circle edge on its first face (every corner of a face
+    of an alternating diagram carries the same labels, so any would do).
     Every new crossing's sign is forced by keeping each cut edge
     alternating, and the diagram stays alternating as a whole.
 5.  ``join_curves``: splice two circles incident to a common face with a
     crossing-free band that replaces one edge of each; the first pair of
     circle edges along the face whose band edges carry opposite labels
     is spliced, which keeps the diagram alternating.
+
+Steps 4 and 5 each build once and raise when the build fails its check.
 
 The loop of 3-5 runs exactly (number of circles - 1) times and ends with
 one augmenting unknot whose projection is simple, misses the original
@@ -34,8 +38,7 @@ t(D) <= t(G) <= 5 t(D).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import (
     classify_edges,
@@ -52,8 +55,10 @@ from .diagram import (
     MapBuilder,
     Sign,
     face_set,
+    is_connected,
     mark_augmenting,
     restamp_origins,
+    serialize_pd,
     validate_diagram,
 )
 from .edits import check_edit
@@ -62,7 +67,6 @@ from .errors import (
     ConstructionError,
     InvariantError,
     JoinError,
-    MappingError,
     NoPathError,
     PreconditionError,
 )
@@ -108,7 +112,6 @@ def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
     if not cls.is_non_alternating:
         raise PreconditionError("diagram is alternating; nothing to augment",
                                 failed_flag="non_alternating")
-    from .diagram import is_connected
     if not is_connected(d):
         raise PreconditionError("diagram is not connected", failed_flag="connected")
 
@@ -232,7 +235,6 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
         raise ConstructionError(f"overlay produced an invalid map: {rep.failures}")
     if not classify_edges(g).is_alternating:
         raise AlternationError("overlay is not alternating")
-    from .diagram import is_connected
     if not is_connected(g):
         raise AlternationError("overlay is not connected")
     curve_set = set(comp_ids)
@@ -242,8 +244,6 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
             raise ConstructionError(
                 f"inserted circles intersect each other at crossing {c.id}"
             )
-    from dataclasses import replace
-
     realized = CutSystem(
         cs.thickened_class,
         cs.thickened_crossings,
@@ -263,15 +263,13 @@ class MergeArc:
     """A cheapest admissible dual path between two augmenting circles.
 
     ``faces`` and ``edges`` interleave (k+1 faces, k crossed edges); the
-    cost ``phi`` is k.  ``region`` is the set of faces the search could
-    reach from the source circle without crossing another circle."""
+    cost ``phi`` is k."""
 
     source_curve: int
     target_curve: int
     faces: tuple[int, ...]
     edges: tuple[int, ...]
     phi: int
-    region: frozenset[int]
 
 
 def _forbidden_origins(g: Diagram, curve_comps: set[int]) -> set[int]:
@@ -313,11 +311,7 @@ def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
     return out
 
 
-def find_merge_arc(
-    g: Diagram,
-    curve_comps: list[int],
-    ban_bigons: bool = True,
-) -> MergeArc:
+def find_merge_arc(g: Diagram, curve_comps: list[int]) -> MergeArc:
     """Cheapest face path from one augmenting circle to another.
 
     A step crosses one admissible edge: never a circle edge, never an
@@ -331,7 +325,7 @@ def find_merge_arc(
     fs = face_set(g)
     comps = set(curve_comps)
     touched = _forbidden_origins(g, comps)
-    banned_faces = _d_bigon_faces(g, fs) if ban_bigons else set()
+    banned_faces = _d_bigon_faces(g, fs)
 
     corner_face = fs.corner_face
     allowed: dict[int, list[tuple[int, int]]] = {}
@@ -351,12 +345,13 @@ def find_merge_arc(
     best: tuple[int, int] | None = None  # (phi, source comp)
     best_data = None
     for ci in sorted(curve_comps):
-        sources = curve_face_map[ci] - banned_faces
+        # a face along a circle has a circle edge, which has no origin,
+        # so it is never an original bigon
+        sources = curve_face_map[ci]
         targets = set()
         for cj in curve_comps:
             if cj != ci:
                 targets |= curve_face_map[cj]
-        targets -= banned_faces
         # distance-to-target table by reverse BFS
         dist: dict[int, int] = {f: 0 for f in targets}
         frontier = sorted(targets)
@@ -390,10 +385,7 @@ def find_merge_arc(
                 cj for cj in curve_comps
                 if cj != ci and target_face in curve_face_map[cj]
             )
-            region = {f for f in dist} | set(sources)
-            best_data = MergeArc(
-                ci, tgt_curve, tuple(faces_seq), tuple(edges_seq), phi, frozenset(region)
-            )
+            best_data = MergeArc(ci, tgt_curve, tuple(faces_seq), tuple(edges_seq), phi)
     if best_data is None:
         raise NoPathError("no admissible path joins two augmenting circles")
     _check_arc(g, best_data, comps, touched, banned_faces)
@@ -442,33 +434,26 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
 
     Each crossed edge receives two new crossings whose signs keep its
     pieces alternating (the strand takes - next to the edge's + end and
-    + next to its - end); the finger's base replaces the middle of one
-    circle edge on the first face.  Every circle edge bordering that
-    face is tried as the base until the result passes the local edit
-    check (valid and alternating).
+    + next to its - end); the finger's base replaces the middle of the
+    least-id circle edge on the first face.  Every such edge is an
+    equally good base, since each corner of a face of an alternating
+    diagram carries the same label pattern.  AlternationError when the
+    result fails the local edit check (valid and alternating).
     """
     if arc.phi == 0:
         return g
     fs = face_set(g)
     f0 = arc.faces[0]
-    candidates = sorted(
-        e for e, rec in g.edges.items()
-        if rec.component == arc.source_curve
-        and f0 in fs.edge_sides(g, e)
+    base = min(
+        (
+            e for e, rec in g.edges.items()
+            if rec.component == arc.source_curve and f0 in fs.edge_sides(g, e)
+        ),
+        default=None,
     )
-    if not candidates:
+    if base is None:
         raise InvariantError("source circle does not border the first face of the arc")
-    last_error: Exception | None = None
-    for base in candidates:
-        try:
-            out = _insert_finger(g, fs, arc, base)
-        except AlternationError as exc:
-            last_error = exc
-            continue
-        return out
-    raise AlternationError(
-        f"no base anchoring along face {f0} keeps the diagram alternating: {last_error}"
-    )
+    return _insert_finger(g, fs, arc, base)
 
 
 def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram:
@@ -554,9 +539,8 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     departure stub of the other, and joins the two leftover stubs.  Both
     band edges alternate exactly when the two paired stubs carry opposite
     labels.  The first pair of circle edges, in walk order, for which
-    they do is spliced; each splice is checked locally (``check_edit``)
-    and a pair that fails the check is passed over.  JoinError when no
-    pair splices.
+    they do is spliced and checked locally (``check_edit``).  JoinError
+    when no pair carries opposite labels or the splice fails the check.
     """
     # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
@@ -564,36 +548,35 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     merged, dropped = min(ci, cj), max(ci, cj)
     relabel = [e for e, rec in g.edges.items() if rec.component == dropped]
 
-    def curve_entries(comp: int):
-        return [
-            (idx, e, dep, arr) for idx, (e, dep, arr) in enumerate(walk)
-            if g.edges[e].component == comp
-        ]
-
-    for (ia, ea, dep_a, arr_a), (ib, eb, dep_b, arr_b) in itertools.product(
-        curve_entries(ci), curve_entries(cj)
-    ):
-        if ea == eb:
-            continue
-        # walk order around the face: the non-crossing band pairs the
-        # arrival stub of the earlier edge with the departure stub of the
-        # later one, and the two leftovers
-        if g.label(*arr_a) == g.label(*dep_b):
-            continue  # band edges would repeat a sign; splice not alternating
-        b = MapBuilder(g)
-        b.remove_edge(ea)
-        b.remove_edge(eb)
-        g1, g2 = b.new_edge_id(), b.new_edge_id()
-        b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
-        b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
-        for e in relabel:
-            if e in b.comp:
-                b.set_component(e, merged)
-        out = b.build()
-        if check_edit(b, fs, out, alternating=True):
-            continue
-        return out
-    raise JoinError(f"no alternating splice of circles {ci} and {cj} in face {shared_face}")
+    on_ci = [w for w in walk if g.edges[w[0]].component == ci]
+    on_cj = [w for w in walk if g.edges[w[0]].component == cj]
+    # walk order around the face: the non-crossing band pairs the
+    # arrival stub of the earlier edge with the departure stub of the
+    # later one, and the two leftovers; equal labels there would give a
+    # band edge that repeats a sign
+    pair = next(
+        ((a, b) for a in on_ci for b in on_cj if g.label(*a[2]) != g.label(*b[1])),
+        None,
+    )
+    if pair is None:
+        raise JoinError(f"no alternating splice of circles {ci} and {cj} in face {shared_face}")
+    (ea, dep_a, arr_a), (eb, dep_b, arr_b) = pair
+    b = MapBuilder(g)
+    b.remove_edge(ea)
+    b.remove_edge(eb)
+    g1, g2 = b.new_edge_id(), b.new_edge_id()
+    b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
+    b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
+    for e in relabel:
+        if e in b.comp:
+            b.set_component(e, merged)
+    out = b.build()
+    failures = check_edit(b, fs, out, alternating=True)
+    if failures:
+        raise JoinError(
+            f"splice of circles {ci} and {cj} in face {shared_face} broke the diagram: {failures}"
+        )
+    return out
 
 
 def _shared_face(g: Diagram, ci: int, cj: int) -> int:
@@ -670,8 +653,6 @@ class AugmentationResult:
     cut_system: CutSystem
 
     def to_json(self) -> dict:
-        from .diagram import serialize_pd
-
         return {
             "pd_G": serialize_pd(self.g),
             "augmenting_component": self.augmenting_component,
@@ -755,9 +736,7 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         raise InvariantError(f"augmentation failed certification: {cert}")
     # dropping the curve gives back d verbatim (``drop_component``), so
     # the report reads d's tables instead of walking the reconstruction
-    rec = reconstruct_input(g, aug_comp, expected_d=d)
-    if rec.crossings != d.crossings or set(rec.loops) != set(d.loops):
-        raise MappingError("reconstructed diagram is not the input verbatim")
+    reconstruct_input(g, aug_comp, expected_d=d)
     ref = refinement_report(d, d_fs, d_tp, g, g_tp)
     if not ref.refines:
         raise InvariantError(f"refinement check failed: {ref.failures}")

@@ -27,6 +27,7 @@ from enum import Enum
 from .errors import (
     IncidenceError,
     InvariantError,
+    MappingError,
     PDSyntaxError,
     SphericityError,
     UnknownComponent,
@@ -910,8 +911,6 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
     reconstructs the original diagram verbatim: the same crossings (ids,
     slots, over strands) and loop ids, with components numbered afresh.
     UnknownComponent when ``d`` has no component ``comp``."""
-    from .errors import MappingError
-
     b = MapBuilder(d)
     comp_edges = sorted(e for e, c in b.comp.items() if c == comp)
     if not comp_edges and comp not in b.loops.values():

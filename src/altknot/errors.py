@@ -112,7 +112,8 @@ class InvariantError(InternalInvariantError):
 
 
 class JoinError(InternalInvariantError):
-    """No pair of circle edges on the shared face splices alternating."""
+    """The band splice of two circles on their shared face is not
+    alternating or fails the local edit check."""
 
 
 class MappingError(InternalInvariantError):

@@ -8,6 +8,8 @@ genuinely different computations.
 from __future__ import annotations
 
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,63 @@ def link_diagrams(n, min_crossings=31, start_seed=0):
     return out
 
 
+@pytest.fixture(scope="session")
+def bench_inputs():
+    """The benchmark's input generator, ``perfbench/inputs.py``, read-only."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(perfbench)
+    return inputs
+
+
+# -- finger bases ------------------------------------------------------------------
+
+def augment_recording_fingers(monkeypatch, diagrams):
+    """``augment`` each diagram; returns the results and every (map, arc)
+    of positive cost along which the merge loop pushed a finger."""
+    from altknot import augment, augmentation
+
+    arcs = []
+    real = augmentation.propagate_finger
+
+    def record(g, arc):
+        if arc.phi > 0:
+            arcs.append((g, arc))
+        return real(g, arc)
+
+    with monkeypatch.context() as m:
+        m.setattr(augmentation, "propagate_finger", record)
+        results = [augment(d) for d in diagrams]
+    return results, arcs
+
+
+def finger_base_verdicts(monkeypatch, arcs):
+    """Build the finger of each (map, arc) on every circle edge bordering
+    the arc's first face; returns what ``check_edit`` said of each build,
+    as (alternating, failures)."""
+    from altknot import augmentation, face_set
+
+    verdicts = []
+    real = augmentation.check_edit
+
+    def check(b, source_fs, out, alternating=False):
+        failures = real(b, source_fs, out, alternating)
+        verdicts.append((alternating, failures))
+        return failures
+
+    with monkeypatch.context() as m:
+        m.setattr(augmentation, "check_edit", check)
+        for g, arc in arcs:
+            fs = face_set(g)
+            for e, rec in sorted(g.edges.items()):
+                if rec.component == arc.source_curve and arc.faces[0] in fs.edge_sides(g, e):
+                    augmentation._insert_finger(g, fs, arc, e)
+    return verdicts
+
+
 # -- oracles ----------------------------------------------------------------------
 
 def oracle_labels_from_pd(text: str) -> dict[int, list[str]]:
@@ -160,23 +219,25 @@ def oracle_two_edge_cuts(d) -> list[tuple[int, int]]:
 
 
 def oracle_cut_vertices(d) -> list[int]:
-    """Stub-splitting reimplementation of projection cut vertices."""
+    """Stub-splitting reimplementation of projection cut vertices: split
+    the crossing into its four stubs and join the ends of every edge; the
+    crossing is a cut vertex when its stubs fall into more than one
+    group."""
     out = []
     for c in sorted(d.crossings):
-        groups: list[set] = []
-        for e, rec in d.edges.items():
-            pts = {("s", s) if cid == c else ("c", cid) for cid, s in rec.ends}
-            merged = [g for g in groups if g & pts]
-            for g in merged:
-                groups.remove(g)
-                pts |= g
-            groups.append(pts)
-        stub_groups = {
-            frozenset(x for x in g if x[0] == "s")
-            for g in groups
-            if any(x[0] == "s" for x in g)
-        }
-        if len(stub_groups) > 1:
+        parent: dict = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for rec in d.edges.values():
+            a, b = (("s", s) if cid == c else ("c", cid) for cid, s in rec.ends)
+            parent[find(a)] = find(b)
+        if len({find(("s", s)) for s in range(4)}) > 1:
             out.append(c)
     return out
 

@@ -30,7 +30,13 @@ from altknot.diagram import Diagram, _held_face_set, connected_pieces, euler_by_
 from altknot.errors import PreconditionError
 from altknot.generate import two_strand_torus
 
-from conftest import TREFOIL, corpus_diagrams, link_diagrams
+from conftest import (
+    TREFOIL,
+    augment_recording_fingers,
+    corpus_diagrams,
+    finger_base_verdicts,
+    link_diagrams,
+)
 
 
 class TestCutCurves:
@@ -144,21 +150,6 @@ class TestMergeArc:
             a2 = find_merge_arc(g, comps)
             assert a1 == a2
 
-    def test_banned_bigons_cost_no_more(self):
-        # rerouting around original bigons never raises the cost
-        checked = 0
-        for seed, d in corpus_diagrams(40):
-            cs = build_cut_curves(d)
-            if len(cs.curves) < 2:
-                continue
-            g, cs2 = overlay_unlink(d, cs)
-            comps = [c.component for c in cs2.curves]
-            with_ban = find_merge_arc(g, comps, ban_bigons=True)
-            without = find_merge_arc(g, comps, ban_bigons=False)
-            assert with_ban.phi == without.phi
-            checked += 1
-        assert checked >= 3
-
     def test_arc_respects_touched_edges(self):
         for seed, d in corpus_diagrams(20):
             cs = build_cut_curves(d)
@@ -197,7 +188,7 @@ def _synthetic_long_arcs(g, comps, length):
             f, fp, ep, used = stack.pop()
             if len(ep) == length:
                 if f in curve_faces[cj] and f0 not in curve_faces[cj]:
-                    yield MergeArc(ci, cj, fp, ep, length, frozenset(fp))
+                    yield MergeArc(ci, cj, fp, ep, length)
                 continue
             for nf, e in adj.get(f, ()):
                 o = g.edges[e].origin
@@ -255,6 +246,24 @@ class TestFinger:
             if found:
                 break
         assert found, "no two-edge arc available in the sampled overlays"
+
+    def test_every_base_on_the_first_face_passes(self, monkeypatch):
+        # propagate_finger builds on the least circle edge of the first
+        # face and does not search: every such edge must be a good base
+        diagrams = [d for _seed, d in corpus_diagrams(40) + link_diagrams(16)]
+        _results, arcs = augment_recording_fingers(monkeypatch, diagrams)
+        assert len(arcs) >= 3
+        for d in diagrams:
+            cs = build_cut_curves(d)
+            if len(cs.curves) < 2:
+                continue
+            g, cs2 = overlay_unlink(d, cs)
+            comps = [c.component for c in cs2.curves]
+            for length in (1, 2):
+                arcs += [(g, arc) for arc in _synthetic_long_arcs(g, comps, length)]
+        verdicts = finger_base_verdicts(monkeypatch, arcs)
+        assert len(verdicts) >= len(arcs) >= 100
+        assert all(v == (True, []) for v in verdicts)
 
     def test_zero_length_arc_noop(self):
         d, g, comps = self._overlay_with_two_curves()

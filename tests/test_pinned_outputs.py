@@ -15,10 +15,7 @@ in ``serialize_pd``; ``AUGMENT_LARGE_REPORTS`` pins the whole
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 from altknot import augment, parse_pd, preprocess, serialize_pd
 
@@ -27,16 +24,6 @@ SEED = 0
 # digest (``inputs.digest``) of json.dumps(augment(d).to_json(),
 # sort_keys=True) over the seed-0 augment-large inputs
 AUGMENT_LARGE_REPORTS = "e8e233bd31aa683823f091718a1f798cf0b366df9a0f987287169c7a74ade6ea"
-
-
-@pytest.fixture(scope="module")
-def bench_inputs():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return inputs
 
 
 def _pins(workload: str) -> dict:
