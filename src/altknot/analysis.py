@@ -30,6 +30,7 @@ from .errors import (
     MappingError,
     NotConnected,
     SigmaMismatch,
+    UnknownComponent,
 )
 
 
@@ -162,12 +163,6 @@ class TwistPartition:
     bigon_faces: frozenset[int]
     regions: tuple[TwistRegion, ...]
     t: int
-
-    def region_of(self, crossing: int) -> TwistRegion:
-        for r in self.regions:
-            if crossing in r.crossings:
-                return r
-        raise KeyError(crossing)
 
 
 def _region_topology(d: Diagram, fs: FaceSet, bigons: list[Face]) -> RegionTopology:
@@ -496,6 +491,9 @@ def _verify_refinement(
     d_faces: FaceSet,
     t_ambient: int,
 ) -> RefinementReport:
+    """``p`` is the crossing sets of ``d_partition``'s regions, so a part
+    fits inside one of them exactly when it fits inside the region of
+    its least crossing."""
     failures = []
     flat: list[int] = []
     for x in p_prime:
@@ -505,12 +503,12 @@ def _verify_refinement(
     all_d = frozenset().union(*p) if p else frozenset()
     if frozenset(flat) != all_d:
         failures.append("parts do not cover every crossing")
+    region_at = {c: r for r in d_partition.regions for c in r.crossings}
     for x in p_prime:
-        hosts = [y for y in p if x <= y]
-        if not hosts:
+        region = region_at.get(min(x))
+        if region is None or not x <= region.crossings:
             failures.append(f"part {sorted(x)} fits inside no twist region")
             continue
-        region = d_partition.region_of(min(x))
         if not _is_sub_twist(x, region, d_faces):
             failures.append(f"part {sorted(x)} is not a sub twist region")
     refines = not failures
@@ -523,21 +521,67 @@ def _verify_refinement(
     )
 
 
-def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram | None = None) -> Diagram:
-    """The diagram the origin-labeled edges of ``g`` came from:
-    ``drop_component(g, aug)``, whose components are already numbered as
-    ``parse_pd`` numbers them.  With ``expected_d``, MappingError unless
-    it is ``expected_d`` verbatim: equal crossings (ids, slots, over
-    strands), loop ids and edge ids.  Equal slots fix every edge's ends
-    and strand, so the component partition agrees too."""
-    d = drop_component(g, aug)
-    if expected_d is not None and (
-        d.crossings != expected_d.crossings
-        or set(d.loops) != set(expected_d.loops)
-        or set(d.edges) != set(expected_d.edges)
-    ):
-        raise MappingError("reconstructed diagram is not the input verbatim")
-    return d
+def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> None:
+    """Check that dropping component ``aug`` from ``g`` gives back
+    ``expected_d`` verbatim: the crossings (ids, slots, over strands),
+    loop ids and edge ids of ``drop_component(g, aug)`` equal the
+    input's.  The test is read off ``g``; no map is built:
+
+    - each input crossing is in ``g`` with the same over strand, and the
+      edge in each of its slots is off ``aug`` and carries as origin the
+      input's edge in that slot;
+    - every other crossing carries ``aug`` on exactly one strand;
+    - each input edge, walked from its first end straight through such
+      crossings, keeps its origin and arrives at its second end;
+    - those walks and ``aug``'s edges (one per crossing it is on) are all
+      of ``g``'s edges, and the loops of ``g`` off ``aug`` are the
+      input's.
+
+    MappingError otherwise.  When nothing in ``g`` beyond the input's
+    crossings is on ``aug``, UnknownComponent rather than a vacuous
+    pass."""
+    def fail(why: str) -> MappingError:
+        return MappingError(f"reconstructed diagram is not the input verbatim: {why}")
+
+    crossings, edges = g.crossings, g.edges
+    d_crossings = expected_d.crossings
+    for cid, x in d_crossings.items():
+        y = crossings.get(cid)
+        if y is None or y.over_slots != x.over_slots:
+            raise fail(f"crossing {cid} differs")
+        for e, o in zip(y.slots, x.slots):
+            rec = edges[e]
+            if rec.origin != o or rec.component == aug:
+                raise fail(f"crossing {cid} has edge {e} in the slot of edge {o}")
+    n_aug = 0
+    for cid, y in crossings.items():
+        if cid not in d_crossings:
+            on = [edges[e].component == aug for e in y.slots]
+            if not (on[0] == on[2] != on[1] == on[3]):
+                raise fail(f"crossing {cid} does not carry component {aug} on exactly one strand")
+            n_aug += 1
+    aug_loops = {k for k, comp in g.loops.items() if comp == aug}
+    if not n_aug and not aug_loops:
+        raise UnknownComponent(f"no component {aug}")
+    walked = 0
+    for e, rec in expected_d.edges.items():
+        c, s = rec.ends[0]
+        while True:
+            sub = edges[crossings[c].slots[s]]
+            walked += 1
+            # the bound stops a walk that never reaches an input crossing
+            if sub.origin != e or sub.component == aug or walked > len(edges):
+                raise fail(f"edge {e} is not one strand of its sub-edges")
+            c, s = sub.other_end((c, s))
+            if c in d_crossings:
+                break
+            s = (s + 2) % 4
+        if (c, s) != tuple(rec.ends[1]):
+            raise fail(f"edge {e} ends at {(c, s)}")
+    if walked + n_aug != len(edges):
+        raise fail(f"{len(edges) - n_aug - walked} edges come from no input edge")
+    if set(g.loops) - aug_loops != set(expected_d.loops):
+        raise fail("the loops differ")
 
 
 def refinement_report(
@@ -570,13 +614,21 @@ def refinement_check(
     The inherited partition must refine the reconstructed one: parts are
     pairwise disjoint, each is a sub twist region, and together they
     cover every reconstructed crossing.  The check is independent of
-    ``augment``: it reconstructs the diagram (``reconstruct_input``) and
-    walks its faces and twist partition itself, where ``augment`` reuses
+    ``augment``: it builds the reconstruction (``drop_component``),
+    compares it with ``expected_d`` verbatim (MappingError) and walks its
+    faces and twist partition itself, where ``augment`` reads the same
+    verbatim test off the augmented map (``reconstruct_input``) and reuses
     the tables of its input.  UnknownComponent when ``g`` has no
     component ``augmenting``.
     """
     aug = augmenting if augmenting is not None else g.augmenting_component
-    d = g if aug is None else reconstruct_input(g, aug, expected_d)
+    d = g if aug is None else drop_component(g, aug)
+    if expected_d is not None and (
+        d.crossings != expected_d.crossings
+        or set(d.loops) != set(expected_d.loops)
+        or set(d.edges) != set(expected_d.edges)
+    ):
+        raise MappingError("reconstructed diagram is not the input verbatim")
     # g first, while the memo may still hold its table; then d's table,
     # held here
     g_tp = twist_partition(g)

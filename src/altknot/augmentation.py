@@ -17,7 +17,10 @@ it touched (``edits.check_edit``).
 3.  ``find_merge_arc``: when several circles were inserted, find a
     cheapest dual-face path joining two of them that crosses no bigon of
     the original diagram, no edge the circles already cross, and no edge
-    twice.
+    twice.  When two circles share a face the path has cost 0 and is read
+    off the circles' faces without a search; otherwise one breadth-first
+    search labelled by circle picks the source circle and one more
+    traces its path.
 4.  ``propagate_finger``: push a finger of one circle along that path
     from the least circle edge on its first face (every corner of a face
     of an alternating diagram carries the same labels, so any would do).
@@ -38,7 +41,9 @@ t(D) <= t(G) <= 5 t(D).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .analysis import (
     classify_edges,
@@ -51,6 +56,7 @@ from .analysis import (
 )
 from .diagram import (
     Diagram,
+    Face,
     FaceSet,
     MapBuilder,
     Sign,
@@ -301,14 +307,128 @@ def _curve_faces(g: Diagram, fs: FaceSet, comps) -> dict[int, set[int]]:
     return out
 
 
+def _is_original_bigon(g: Diagram, f: Face) -> bool:
+    """A bigon of the original diagram inside the overlay: a bigon face
+    both of whose edges are origin-carrying.  A face along a circle has a
+    circle edge, which has no origin, so it is never one."""
+    return f.is_bigon and all(g.edges[e].origin is not None for e in f.boundary_edges)
+
+
 def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
-    """Bigons of the original diagram inside the overlay: bigon faces
-    both of whose edges are origin-carrying."""
-    out = set()
-    for f in fs.faces:
-        if f.is_bigon and all(g.edges[e].origin is not None for e in f.boundary_edges):
-            out.add(f.id)
-    return out
+    """The faces of ``fs`` that are bigons of the original diagram."""
+    return {f.id for f in fs.faces if _is_original_bigon(g, f)}
+
+
+def _admissible_edges(
+    g: Diagram, fs: FaceSet, comps: set[int], touched: set[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """Face -> (neighbouring face, edge) for every edge a merge arc may
+    cross: no circle edge, no edge whose origin is in ``touched``, and no
+    edge of an original bigon."""
+    banned = _d_bigon_faces(g, fs)
+    corner_face = fs.corner_face
+    allowed: dict[int, list[tuple[int, int]]] = {}
+    for e, rec in g.edges.items():
+        if rec.component in comps or rec.origin in touched:
+            continue
+        l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
+        if l in banned or r in banned:
+            continue
+        allowed.setdefault(l, []).append((r, e))
+        allowed.setdefault(r, []).append((l, e))
+    return allowed
+
+
+def _free_arc(curve_faces: dict[int, set[int]]) -> MergeArc | None:
+    """The arc of cost 0 when two circles share a face: from the least
+    circle that shares one, at its least shared face, to the least other
+    circle on that face.  None when no two circles share a face."""
+    owners = Counter(chain.from_iterable(curve_faces.values()))
+    for ci in sorted(curve_faces):
+        shared = [f for f in curve_faces[ci] if owners[f] > 1]
+        if shared:
+            start = min(shared)
+            cj = min(c for c, faces in curve_faces.items() if c != ci and start in faces)
+            return MergeArc(ci, cj, (start,), (), 0)
+    return None
+
+
+def _nearest_circles(
+    allowed: dict[int, list[tuple[int, int]]], curve_faces: dict[int, set[int]]
+) -> tuple[int, int] | None:
+    """Least (phi, ci) over the circles, where phi is the distance from
+    circle ci to the nearest other circle, for circles no two of which
+    share a face.  None when no two circles are joined.
+
+    One breadth-first search runs from the faces of every circle at once
+    and labels each face with a circle nearest to it.  A step between
+    faces of different labels closes a walk of length dist + 1 + dist
+    between their circles.  On a shortest path from the winning ci to
+    its partner, every face nearer ci than the middle is labelled ci, so
+    a step at the middle joins ci to a circle at distance phi; the least
+    (length, lesser label) over all such steps is therefore the answer,
+    whichever nearest circle a face at the middle was labelled with."""
+    dist: dict[int, int] = {}
+    label: dict[int, int] = {}
+    for ci, faces in curve_faces.items():
+        for f in faces:
+            dist[f] = 0
+            label[f] = ci
+    frontier = list(dist)
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for f in frontier:
+            for h, _e in allowed.get(f, ()):
+                if h not in dist:
+                    dist[h] = level
+                    label[h] = label[f]
+                    nxt.append(h)
+        frontier = nxt
+    best = None
+    for f, steps in allowed.items():
+        if f not in dist:
+            continue
+        lf, df = label[f], dist[f]
+        for h, _e in steps:
+            lh = label[h]
+            if lh != lf:
+                cand = (df + dist[h] + 1, min(lf, lh))
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+def _trace_arc(
+    allowed: dict[int, list[tuple[int, int]]],
+    curve_faces: dict[int, set[int]],
+    phi: int,
+    ci: int,
+) -> MergeArc:
+    """The arc of cost ``phi`` from circle ``ci``: the least of its faces
+    at distance ``phi`` from another circle, then at each step the least
+    (face, edge) one step nearer, so the face sequence is the least of
+    its length.  A breadth-first search from the other circles' faces,
+    to depth ``phi``, gives the distances."""
+    target_of = {f: cj for cj, faces in curve_faces.items() if cj != ci for f in faces}
+    dist = dict.fromkeys(target_of, 0)
+    frontier = list(target_of)
+    for level in range(1, phi + 1):
+        nxt = []
+        for f in frontier:
+            for h, _e in allowed.get(f, ()):
+                if h not in dist:
+                    dist[h] = level
+                    nxt.append(h)
+        frontier = nxt
+    cur = min(f for f in curve_faces[ci] if dist.get(f) == phi)
+    faces, edges = [cur], []
+    for level in range(phi - 1, -1, -1):
+        cur, e = min((h, e) for h, e in allowed[cur] if dist.get(h) == level)
+        faces.append(cur)
+        edges.append(e)
+    return MergeArc(ci, target_of[cur], tuple(faces), tuple(edges), phi)
 
 
 def find_merge_arc(g: Diagram, curve_comps: list[int]) -> MergeArc:
@@ -319,85 +439,37 @@ def find_merge_arc(g: Diagram, curve_comps: list[int]) -> MergeArc:
     of the original diagram.  The global minimum over ordered source
     circles is taken, ties broken by source id then by the
     lexicographically least face sequence.
+
+    Cost 0 needs no search: when two circles share a face, the arc is
+    read off the faces of the circles (``_free_arc``).  Otherwise one
+    search labelled by circle finds the least (cost, source circle)
+    (``_nearest_circles``), and one search from the other circles traces
+    that source's arc (``_trace_arc``).
     """
     if len(curve_comps) < 2:
         raise PreconditionError("need at least two augmenting circles to merge")
     fs = face_set(g)
     comps = set(curve_comps)
-    touched = _forbidden_origins(g, comps)
-    banned_faces = _d_bigon_faces(g, fs)
-
-    corner_face = fs.corner_face
-    allowed: dict[int, list[tuple[int, int]]] = {}
-    for e, rec in sorted(g.edges.items()):
-        if rec.component in comps:
-            continue
-        if rec.origin in touched:
-            continue
-        l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
-        if l in banned_faces or r in banned_faces:
-            continue
-        allowed.setdefault(l, []).append((r, e))
-        allowed.setdefault(r, []).append((l, e))
-
-    curve_face_map = _curve_faces(g, fs, curve_comps)
-
-    best: tuple[int, int] | None = None  # (phi, source comp)
-    best_data = None
-    for ci in sorted(curve_comps):
-        # a face along a circle has a circle edge, which has no origin,
-        # so it is never an original bigon
-        sources = curve_face_map[ci]
-        targets = set()
-        for cj in curve_comps:
-            if cj != ci:
-                targets |= curve_face_map[cj]
-        # distance-to-target table by reverse BFS
-        dist: dict[int, int] = {f: 0 for f in targets}
-        frontier = sorted(targets)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for (gfid, _e) in allowed.get(f, ()):
-                    if gfid not in dist:
-                        dist[gfid] = dist[f] + 1
-                        nxt.append(gfid)
-            frontier = sorted(set(nxt))
-        reach = [f for f in sources if f in dist]
-        if not reach:
-            continue
-        phi = min(dist[f] for f in reach)
-        if best is None or (phi, ci) < best:
-            best = (phi, ci)
-            start = min(f for f in reach if dist[f] == phi)
-            faces_seq = [start]
-            edges_seq: list[int] = []
-            cur = start
-            while dist[cur] > 0:
-                step = min(
-                    ((gfid, e) for gfid, e in allowed[cur] if dist.get(gfid, -1) == dist[cur] - 1)
-                )
-                faces_seq.append(step[0])
-                edges_seq.append(step[1])
-                cur = step[0]
-            target_face = cur
-            tgt_curve = min(
-                cj for cj in curve_comps
-                if cj != ci and target_face in curve_face_map[cj]
-            )
-            best_data = MergeArc(ci, tgt_curve, tuple(faces_seq), tuple(edges_seq), phi)
-    if best_data is None:
-        raise NoPathError("no admissible path joins two augmenting circles")
-    _check_arc(g, best_data, comps, touched, banned_faces)
-    return best_data
+    curve_faces = _curve_faces(g, fs, comps)
+    arc = _free_arc(curve_faces)
+    touched: set[int] = set()  # a free arc crosses no edge
+    if arc is None:
+        touched = _forbidden_origins(g, comps)
+        allowed = _admissible_edges(g, fs, comps, touched)
+        best = _nearest_circles(allowed, curve_faces)
+        if best is None:
+            raise NoPathError("no admissible path joins two augmenting circles")
+        arc = _trace_arc(allowed, curve_faces, *best)
+    _check_arc(g, fs, arc, comps, touched)
+    return arc
 
 
 def _check_arc(
     g: Diagram,
+    fs: FaceSet,
     arc: MergeArc,
     comps: set[int],
     touched: set[int],
-    banned_faces: set[int],
 ) -> None:
     if len(arc.faces) != arc.phi + 1 or len(arc.edges) != arc.phi:
         raise InvariantError("merge arc bookkeeping is inconsistent")
@@ -411,7 +483,7 @@ def _check_arc(
         origins.append(rec.origin)
     if len(set(origins)) != len(origins):
         raise InvariantError("merge arc crosses some original edge twice")
-    if set(arc.faces) & banned_faces:
+    if any(_is_original_bigon(g, fs.by_id[f]) for f in arc.faces):
         raise InvariantError("merge arc passes through an original bigon")
 
 
@@ -712,7 +784,8 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         g = propagate_finger(g, arc)
         if on_stage:
             on_stage("finger", g)
-        face = _shared_face(g, arc.source_curve, arc.target_curve)
+        # a free arc's face is the least face its two circles share
+        face = arc.faces[0] if arc.phi == 0 else _shared_face(g, arc.source_curve, arc.target_curve)
         g = join_curves(g, arc.source_curve, arc.target_curve, face)
         if on_stage:
             on_stage("join", g)
@@ -734,8 +807,8 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     cert = certify_hyperbolic(g)
     if cert.verdict != "hyperbolic":
         raise InvariantError(f"augmentation failed certification: {cert}")
-    # dropping the curve gives back d verbatim (``drop_component``), so
-    # the report reads d's tables instead of walking the reconstruction
+    # dropping the curve gives back d verbatim (read off g, no map is
+    # built), so the report reads d's tables instead of a reconstruction's
     reconstruct_input(g, aug_comp, expected_d=d)
     ref = refinement_report(d, d_fs, d_tp, g, g_tp)
     if not ref.refines:

@@ -170,6 +170,27 @@ def finger_base_verdicts(monkeypatch, arcs):
     return verdicts
 
 
+# -- merge arcs --------------------------------------------------------------------
+
+def augment_recording_merge_arcs(monkeypatch, diagrams):
+    """``augment`` each diagram; returns the results and every (map, live
+    circles, arc) of the merge loop's ``find_merge_arc`` calls."""
+    from altknot import augment, augmentation
+
+    calls = []
+    real = augmentation.find_merge_arc
+
+    def record(g, live):
+        arc = real(g, live)
+        calls.append((g, list(live), arc))
+        return arc
+
+    with monkeypatch.context() as m:
+        m.setattr(augmentation, "find_merge_arc", record)
+        results = [augment(d) for d in diagrams]
+    return results, calls
+
+
 # -- oracles ----------------------------------------------------------------------
 
 def oracle_labels_from_pd(text: str) -> dict[int, list[str]]:
@@ -275,3 +296,79 @@ def oracle_twist_count(d) -> int:
             if len(cs) == 2:
                 parent[find(cs[0])] = find(cs[1])
     return len({find(c) for c in d.crossings})
+
+
+def oracle_merge_arc(g, live):
+    """The merge arc by one reverse breadth-first search per circle, with
+    the admissible steps re-derived from the edges: for each circle in
+    increasing order, the distance of every face to the other circles'
+    faces; the least (cost, circle) wins, then the least face sequence,
+    then the least target circle on its last face.  None when no
+    admissible path joins two circles."""
+    from altknot import face_set
+    from altknot.augmentation import MergeArc
+
+    fs = face_set(g)
+    corner_face = fs.corner_face
+    comps = set(live)
+    # origins of the original edges some circle crosses
+    touched = set()
+    for c in g.crossings.values():
+        on = [g.edges[e].component in comps for e in c.slots]
+        if on[0] != on[1]:
+            o = g.edges[c.slots[1 if on[0] else 0]].origin
+            if o is not None:
+                touched.add(o)
+    # bigons of the original diagram: two corners at two crossings, both
+    # edges origin-carrying
+    banned = {
+        f.id for f in fs.faces
+        if len(f.corners) == 2 and f.corners[0][0] != f.corners[1][0]
+        and all(g.edges[e].origin is not None for e in f.boundary_edges)
+    }
+    allowed = {}
+    for e, rec in sorted(g.edges.items()):
+        if rec.component in comps or rec.origin in touched:
+            continue
+        l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
+        if l in banned or r in banned:
+            continue
+        allowed.setdefault(l, []).append((r, e))
+        allowed.setdefault(r, []).append((l, e))
+    curve_faces = {ci: set() for ci in live}
+    for rec in g.edges.values():
+        if rec.component in curve_faces:
+            curve_faces[rec.component] |= {corner_face[end] for end in rec.ends}
+
+    best = None
+    best_arc = None
+    for ci in sorted(live):
+        targets = set()
+        for cj in live:
+            if cj != ci:
+                targets |= curve_faces[cj]
+        dist = {f: 0 for f in targets}
+        frontier = sorted(targets)
+        while frontier:
+            nxt = []
+            for f in frontier:
+                for h, _e in allowed.get(f, ()):
+                    if h not in dist:
+                        dist[h] = dist[f] + 1
+                        nxt.append(h)
+            frontier = sorted(set(nxt))
+        reach = [f for f in curve_faces[ci] if f in dist]
+        if not reach:
+            continue
+        phi = min(dist[f] for f in reach)
+        if best is None or (phi, ci) < best:
+            best = (phi, ci)
+            cur = min(f for f in reach if dist[f] == phi)
+            faces, edges = [cur], []
+            while dist[cur] > 0:
+                cur, e = min((h, e) for h, e in allowed[cur] if dist.get(h, -1) == dist[cur] - 1)
+                faces.append(cur)
+                edges.append(e)
+            target = min(cj for cj in live if cj != ci and cur in curve_faces[cj])
+            best_arc = MergeArc(ci, target, tuple(faces), tuple(edges), phi)
+    return best_arc

@@ -26,16 +26,18 @@ from altknot.augmentation import (
     _forbidden_origins,
     _shared_face,
 )
-from altknot.diagram import Diagram, _held_face_set, connected_pieces, euler_by_piece, is_connected
+from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, euler_by_piece, is_connected
 from altknot.errors import PreconditionError
 from altknot.generate import two_strand_torus
 
 from conftest import (
     TREFOIL,
     augment_recording_fingers,
+    augment_recording_merge_arcs,
     corpus_diagrams,
     finger_base_verdicts,
     link_diagrams,
+    oracle_merge_arc,
 )
 
 
@@ -149,6 +151,15 @@ class TestMergeArc:
             a1 = find_merge_arc(g, comps)
             a2 = find_merge_arc(g, comps)
             assert a1 == a2
+
+    def test_merge_loop_calls_match_the_oracle(self, monkeypatch):
+        # knots and links: every arc the merge loop asks for equals the
+        # one the per-circle searches give
+        diagrams = [d for _s, d in corpus_diagrams(40)] + [d for _s, d in link_diagrams(24)]
+        _results, calls = augment_recording_merge_arcs(monkeypatch, diagrams)
+        assert {arc.phi > 0 for _g, _live, arc in calls} == {False, True}
+        for g, live, arc in calls:
+            assert arc == oracle_merge_arc(g, live)
 
     def test_arc_respects_touched_edges(self):
         for seed, d in corpus_diagrams(20):
@@ -509,37 +520,82 @@ class TestWholeMapFactsOncePerMap:
             assert ref == refinement_check(res.g, augmenting=res.augmenting_component, expected_d=d)
 
     def test_reconstruction_must_be_the_input_verbatim(self, monkeypatch):
-        # a reconstruction that is the same map with one crossing's slots
-        # numbered from another start passes same_map, so only the
-        # verbatim comparison can catch it
-        from altknot import analysis
-        from altknot.diagram import Crossing, Edge, _assign_components, same_map
-        from altknot.errors import MappingError
+        # the verbatim test is read off the augmented map, so each mutant
+        # corrupts g itself.  Re-slotting an input crossing keeps the same
+        # map (its reconstruction passes same_map), so only the verbatim
+        # comparison can catch it
+        from altknot import analysis, augmentation
+        from altknot.diagram import (
+            Crossing, Edge, drop_component, restamp_origins, same_map, subdivide_edge_with_crossing,
+        )
+        from altknot.errors import MappingError, UnknownComponent
 
-        real_drop = analysis.drop_component
-        rotated = []
+        # a link whose curve crosses some original edge twice, after a finger
+        d, res = next(
+            (d, res) for _seed, d in link_diagrams(24)
+            for res in [augment(d)] if any(m.arc.phi > 0 for m in res.merges)
+        )
+        g, aug, d0 = res.g, res.augmenting_component, restamp_origins(d)
+        analysis.reconstruct_input(g, aug, d0)
 
-        def drop_rotated(g, comp):
-            rec = real_drop(g, comp)
-            c = min(rec.crossings)
-            x = rec.crossings[c]
-            crossings = dict(rec.crossings)
+        def reslot(g, c):
+            # crossing c's slots numbered from the next one on
+            x = g.crossings[c]
+            crossings = dict(g.crossings)
             crossings[c] = Crossing(c, x.slots[1:] + x.slots[:1], (1, 3) if x.over_slots == (0, 2) else (0, 2))
             edges = {
                 e: Edge(e, tuple((cc, (s - 1) % 4) if cc == c else (cc, s) for cc, s in r.ends), r.origin, r.component)
-                for e, r in rec.edges.items()
+                for e, r in g.edges.items()
             }
-            out = Diagram(crossings, edges, rec.loops, None)
-            rotated.append((out, rec))
-            return out
+            return Diagram(crossings, edges, g.loops, g.augmenting_component)
 
-        monkeypatch.setattr(analysis, "drop_component", drop_rotated)
-        _seed, d = corpus_diagrams(1)[0]
+        reslotted = reslot(g, min(d.crossings))
+        assert validate_diagram(reslotted).valid
+        assert same_map(drop_component(reslotted, aug), drop_component(g, aug), check_origins=False)
+
+        # an augmenting crossing whose two sub-edges carry different origins:
+        # the middle piece of an edge the curve crosses twice
+        e = min(
+            e for e, r in g.edges.items()
+            if r.component != aug and not {c for c, _s in r.ends} & set(d.crossings)
+        )
+        r = g.edges[e]
+        other = min(o for o in d0.edges if o != r.origin)
+        mixed = Diagram(g.crossings, {**g.edges, e: Edge(e, r.ends, other, r.component)}, g.loops, aug)
+
+        # an original edge split at a crossing the curve is not on
+        piece = min(e for e, r in g.edges.items() if r.origin is not None)
+        split = subdivide_edge_with_crossing(g, piece, Sign.PLUS)
+
+        # a loop of the input that g lacks: with the loop both pass
+        k, comp = g.next_edge_id(), g.next_component_id()
+        g_loop = Diagram(g.crossings, g.edges, {**g.loops, k: comp}, aug)
+        d_loop = Diagram(d0.crossings, d0.edges, {k: 0}, None)
+        analysis.reconstruct_input(g_loop, aug, d_loop)
+
+        for mutant, expected, why in (
+            (reslotted, d0, "crossing .* differs"),
+            (mixed, d0, f"edge {r.origin} is not one strand"),
+            (split, d0, "not carry component"),
+            (g, d_loop, "loops differ"),
+        ):
+            with pytest.raises(MappingError, match=f"verbatim: .*{why}"):
+                analysis.reconstruct_input(mutant, aug, expected)
+        # the input itself, with no curve on it, is not a vacuous pass
+        with pytest.raises(UnknownComponent):
+            analysis.reconstruct_input(d0, aug, d0)
+        # the independent re-check builds the reconstruction and catches it too
+        with pytest.raises(MappingError, match="verbatim"):
+            refinement_check(reslotted, augmenting=aug, expected_d=d0)
+
+        # augment runs the test on the map it made
+        real = augmentation.reconstruct_input
+        monkeypatch.setattr(
+            augmentation, "reconstruct_input",
+            lambda g, aug, expected_d: real(reslot(g, min(d.crossings)), aug, expected_d),
+        )
         with pytest.raises(MappingError, match="verbatim"):
             augment(d)
-        (out, rec), = rotated
-        assert same_map(out, _assign_components(rec), check_origins=False)
-        assert validate_diagram(out).valid
 
 
 class TestCertificate:

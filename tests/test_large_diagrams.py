@@ -11,16 +11,30 @@ reduction runs long chains of moves.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import combinations
 
-from altknot import parse_pd, preprocess, serialize_pd, validate_diagram
+from altknot import (
+    augmentation,
+    build_cut_curves,
+    face_set,
+    find_merge_arc,
+    overlay_unlink,
+    parse_pd,
+    preprocess,
+    serialize_pd,
+    validate_diagram,
+)
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
     augment_recording_fingers,
+    augment_recording_merge_arcs,
     finger_base_verdicts,
     oracle_alternating_edges,
     oracle_bigon_faces,
     oracle_cut_vertices,
+    oracle_merge_arc,
 )
 
 SEED = 0
@@ -31,8 +45,12 @@ SEED = 0
 LARGE_REPORTS = "3d8fdac34f59721b4eacff55b14b3f214733651c9209b4bd2faca9f6c7807282"
 
 
+def _augment_inputs(bench_inputs):
+    return [parse_pd(x.pd) for x in bench_inputs.large_inputs(SEED, n=4, lo=200, hi=600)]
+
+
 def test_augment(bench_inputs, monkeypatch):
-    diagrams = [parse_pd(x.pd) for x in bench_inputs.large_inputs(SEED, n=4, lo=200, hi=600)]
+    diagrams = _augment_inputs(bench_inputs)
     results, arcs = augment_recording_fingers(monkeypatch, diagrams)
     for d, res in zip(diagrams, results):
         assert verify_augmentation(d, res) == []
@@ -43,6 +61,44 @@ def test_augment(bench_inputs, monkeypatch):
     verdicts = finger_base_verdicts(monkeypatch, arcs)
     assert len(verdicts) > len(arcs) > 0
     assert all(v == (True, []) for v in verdicts)
+
+
+def test_merge_arcs(bench_inputs, monkeypatch):
+    # only the merges of positive cost search: the others build neither
+    # the forbidden origins nor the admissible steps
+    counts = Counter()
+    for name in ("_forbidden_origins", "_admissible_edges"):
+        def counted(*args, _real=getattr(augmentation, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(augmentation, name, counted)
+    results, calls = augment_recording_merge_arcs(monkeypatch, _augment_inputs(bench_inputs))
+    positive = sum(m.arc.phi > 0 for res in results for m in res.merges)
+    assert 0 < positive < len(calls)
+    assert counts == {"_forbidden_origins": positive, "_admissible_edges": positive}
+    for g, live, arc in calls:
+        assert arc == oracle_merge_arc(g, live)
+    # a map with three or more live circles and no two sharing a face
+    assert any(len(live) >= 3 and arc.phi > 0 for _g, live, arc in calls)
+
+
+def test_merge_arcs_between_circle_triples(bench_inputs):
+    # triples of an overlay's circles no two of which share a face: the
+    # cost is positive for every pair, so the least (cost, circle)
+    # decides among three
+    checked = 0
+    for d in _augment_inputs(bench_inputs):
+        g, cs = overlay_unlink(d, build_cut_curves(d))
+        circles = sorted(c.component for c in cs.curves)[:10]
+        faces = augmentation._curve_faces(g, face_set(g), circles)
+        for trio in combinations(circles, 3):
+            if not any(faces[a] & faces[b] for a, b in combinations(trio, 2)):
+                want = oracle_merge_arc(g, list(trio))
+                assert want.phi > 0
+                assert find_merge_arc(g, list(trio)) == want
+                checked += 1
+    assert checked >= 20
 
 
 def test_preprocess(bench_inputs):
