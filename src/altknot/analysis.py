@@ -17,7 +17,6 @@ from .diagram import (
     Diagram,
     Face,
     FaceSet,
-    Sign,
     _held_face_set,
     drop_component,
     face_set,
@@ -83,9 +82,6 @@ class ShadingClasses:
     shading: dict[int, bool]  # face id -> shaded
     plus_class: frozenset[int]
     minus_class: frozenset[int]
-
-    def class_of(self, c: int) -> Sign:
-        return Sign.PLUS if c in self.plus_class else Sign.MINUS
 
 
 def shading_classes(d: Diagram) -> ShadingClasses:
@@ -165,7 +161,7 @@ class TwistPartition:
     t: int
 
 
-def _region_topology(d: Diagram, fs: FaceSet, bigons: list[Face]) -> RegionTopology:
+def _region_topology(bigons: list[Face]) -> RegionTopology:
     if not bigons:
         return RegionTopology.DISK
     vs: set[int] = set()
@@ -230,7 +226,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
                 crossings,
                 tuple(sorted(f.id for f in fl)),
                 tuple(links.get(root, ())),
-                _region_topology(d, fs, fl),
+                _region_topology(fl),
             )
         )
     in_bigon = set(by_crossing)
@@ -250,7 +246,7 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     two-strand torus diagram."""
     fs = face_set(d)
     bigons = [fs.by_id[fid] for fid in region.bigons]
-    topo = _region_topology(d, fs, bigons)
+    topo = _region_topology(bigons)
     out = TwistRegion(region.crossings, region.bigons, region.links, topo)
     if topo is not RegionTopology.DISK:
         flags = diagram_flags(d)
@@ -521,7 +517,7 @@ def _verify_refinement(
     )
 
 
-def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> None:
+def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, int]:
     """Check that dropping component ``aug`` from ``g`` gives back
     ``expected_d`` verbatim: the crossings (ids, slots, over strands),
     loop ids and edge ids of ``drop_component(g, aug)`` equal the
@@ -539,7 +535,15 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> None:
 
     MappingError otherwise.  When nothing in ``g`` beyond the input's
     crossings is on ``aug``, UnknownComponent rather than a vacuous
-    pass."""
+    pass.
+
+    Returns ``{input edge: times aug crosses it}`` for the edges ``aug``
+    crosses: the number of non-input crossings the walk of that edge
+    passes.  On a valid map the walks are disjoint strands that cover
+    every edge off ``aug`` and pass every non-input crossing once, so
+    the counts sum to the number of crossings of ``aug`` with the rest;
+    ``aug`` crosses itself nowhere and crosses no edge without an
+    origin."""
     def fail(why: str) -> MappingError:
         return MappingError(f"reconstructed diagram is not the input verbatim: {why}")
 
@@ -563,9 +567,11 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> None:
     aug_loops = {k for k, comp in g.loops.items() if comp == aug}
     if not n_aug and not aug_loops:
         raise UnknownComponent(f"no component {aug}")
+    crossed: dict[int, int] = {}
     walked = 0
     for e, rec in expected_d.edges.items():
         c, s = rec.ends[0]
+        passed = 0
         while True:
             sub = edges[crossings[c].slots[s]]
             walked += 1
@@ -576,12 +582,16 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> None:
             if c in d_crossings:
                 break
             s = (s + 2) % 4
+            passed += 1
         if (c, s) != tuple(rec.ends[1]):
             raise fail(f"edge {e} ends at {(c, s)}")
+        if passed:
+            crossed[e] = passed
     if walked + n_aug != len(edges):
         raise fail(f"{len(edges) - n_aug - walked} edges come from no input edge")
     if set(g.loops) - aug_loops != set(expected_d.loops):
         raise fail("the loops differ")
+    return crossed
 
 
 def refinement_report(

@@ -2,9 +2,12 @@
 
 The construction in five stages, each re-checking the properties the
 theory promises.  The whole map is validated where a diagram enters (the
-input and the overlay) and where the result leaves (``_verify_result``);
-each finger and band splice in between is a local edit, checked on what
-it touched (``edits.check_edit``).
+input and the overlay) and where the result leaves; each finger and band
+splice in between is a local edit, checked on what it touched
+(``edits.check_edit``).  On the result, ``analysis.reconstruct_input``
+checks that dropping the curve gives back the input verbatim, and its
+walk counts the curve's crossings on each input edge; the exit checks
+on the curve read that count.
 
 1.  ``build_cut_curves``: checkerboard-classify the crossings, thicken
     the smaller class, and walk the boundary of its ribbon neighborhood.
@@ -737,10 +740,6 @@ class AugmentationResult:
         }
 
 
-def _crossing_strand_comps(g: Diagram, c) -> tuple[int, int]:
-    return (g.edges[c.slots[0]].component, g.edges[c.slots[1]].component)
-
-
 def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     """Run the whole construction on a connected, reduced, R2-reduced,
     prime, non-alternating diagram and verify every promised property of
@@ -796,20 +795,26 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
 
     aug_comp = live[0]
     g = mark_augmenting(g, aug_comp)
-    _verify_result(d, g, aug_comp, free_edges, t_d)
+    rep = validate_diagram(g)
+    if not rep.valid:
+        raise InvariantError(f"final diagram invalid: {rep.failures}")
+    if not classify_edges(g).is_alternating:
+        raise AlternationError("final diagram is not alternating")
+    # dropping the curve gives back d verbatim (read off g, no map is
+    # built), so the report below reads d's tables instead of a
+    # reconstruction's; the walk counts the curve's crossings per edge
+    crossed = reconstruct_input(g, aug_comp, expected_d=d)
+    inside = crossed.keys() - free_edges
+    if inside:
+        raise InvariantError(f"augmenting curve crosses edge {min(inside)} inside a twist region")
+    if any(n > 2 for n in crossed.values()):
+        raise InvariantError("some original edge is crossed more than twice")
+    i_a_d = sum(crossed.values())
 
     g_tp = twist_partition(g)
-    i_a_d = sum(
-        1 for c in g.crossings.values()
-        if (g.edges[c.slots[0]].component == aug_comp)
-        != (g.edges[c.slots[1]].component == aug_comp)
-    )
     cert = certify_hyperbolic(g)
     if cert.verdict != "hyperbolic":
         raise InvariantError(f"augmentation failed certification: {cert}")
-    # dropping the curve gives back d verbatim (read off g, no map is
-    # built), so the report reads d's tables instead of a reconstruction's
-    reconstruct_input(g, aug_comp, expected_d=d)
     ref = refinement_report(d, d_fs, d_tp, g, g_tp)
     if not ref.refines:
         raise InvariantError(f"refinement check failed: {ref.failures}")
@@ -825,30 +830,3 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         raise InvariantError(f"crossing-count bound violated: i={i_a_d}, t_D={t_d}")
     return AugmentationResult(g, aug_comp, i_a_d, t_d, t_g, merges, cert, cs)
 
-
-def _verify_result(
-    d: Diagram, g: Diagram, aug: int, free_edges: set[int], t_d: int
-) -> None:
-    rep = validate_diagram(g)
-    if not rep.valid:
-        raise InvariantError(f"final diagram invalid: {rep.failures}")
-    if not classify_edges(g).is_alternating:
-        raise AlternationError("final diagram is not alternating")
-    per_origin: dict[int, int] = {}
-    for c in g.crossings.values():
-        comps = _crossing_strand_comps(g, c)
-        aug0, aug1 = comps[0] == aug, comps[1] == aug
-        if aug0 and aug1:
-            raise InvariantError("augmenting curve crosses itself")
-        if aug0 != aug1:
-            d_slot = 1 if aug0 else 0
-            o = g.edges[c.slots[d_slot]].origin
-            if o is None:
-                raise InvariantError("augmenting curve crosses a non-original edge")
-            if o not in free_edges:
-                raise InvariantError(
-                    f"augmenting curve crosses edge {o} inside a twist region"
-                )
-            per_origin[o] = per_origin.get(o, 0) + 1
-    if any(n > 2 for n in per_origin.values()):
-        raise InvariantError("some original edge is crossed more than twice")

@@ -91,29 +91,29 @@ class Edge:
 class Face:
     """Complementary region of the diagram in the sphere.
 
-    ``corners`` lists (crossing, incoming edge, outgoing edge) in cyclic
-    order; ``corner_slots`` gives the matching (crossing, slot) pairs,
-    where slot i names the quadrant counterclockwise of slot i.  Loop
-    faces (the two sides of a crossing-free loop) have no corners and
-    carry the loop id instead."""
+    ``corner_slots`` lists the corners in cyclic order as (crossing,
+    slot) pairs, where slot i names the quadrant counterclockwise of
+    slot i; ``boundary_edges[k]`` is the edge leaving corner k, the one
+    in slot i + 1, and the edge arriving there is the one in slot i.
+    Loop faces (the two sides of a crossing-free loop) have no corners
+    and carry the loop id instead."""
 
     id: int
-    corners: tuple[tuple[int, int, int], ...]
+    corner_slots: tuple[End, ...]
     boundary_edges: tuple[int, ...]
     loop: int | None = None
-    corner_slots: tuple[End, ...] = ()
 
     @property
     def degree(self) -> int:
-        return len(self.corners)
+        return len(self.corner_slots)
 
     def crossings(self) -> frozenset[int]:
-        return frozenset(c for c, _i, _o in self.corners)
+        return frozenset(c for c, _s in self.corner_slots)
 
     @property
     def is_bigon(self) -> bool:
         """Two corners at two distinct crossings (loop faces have none)."""
-        corners = self.corners
+        corners = self.corner_slots
         return len(corners) == 2 and corners[0][0] != corners[1][0]
 
 
@@ -331,8 +331,8 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
 
 
 def _walk_faces(crossings: dict[int, Crossing], far: dict[End, End], starts, todo: set[End]) -> list[tuple]:
-    """(corners, boundary edges, corner slots) of each face through the
-    corners ``todo``, walked from each of ``starts`` still in ``todo``,
+    """(corner slots, boundary edges) of each face through the corners
+    ``todo``, walked from each of ``starts`` still in ``todo``,
     in that order; every corner walked leaves ``todo``.  ``far`` maps
     each slot end the walks leave by to the far end of its edge.  A walk
     that reaches a corner not in ``todo`` (taken, or outside the set)
@@ -342,18 +342,14 @@ def _walk_faces(crossings: dict[int, Crossing], far: dict[End, End], starts, tod
         if start not in todo:
             continue
         todo.remove(start)
-        corners = []
-        edges = []
         slots = []
+        edges = []
         corner = start
         while True:
             c, s = corner
-            x = crossings[c].slots
             s1 = (s + 1) % 4
-            out_edge = x[s1]
-            corners.append((c, x[s], out_edge))
-            edges.append(out_edge)
             slots.append(corner)
+            edges.append(crossings[c].slots[s1])
             corner = far.get((c, s1))
             if corner == start:
                 break
@@ -361,7 +357,7 @@ def _walk_faces(crossings: dict[int, Crossing], far: dict[End, End], starts, tod
                 todo.remove(corner)
             except KeyError:
                 raise InvariantError(f"face walk collided at corner {corner}") from None
-        walks.append((tuple(corners), tuple(edges), tuple(slots)))
+        walks.append((tuple(slots), tuple(edges)))
     return walks
 
 
@@ -385,7 +381,7 @@ def _build_face_set(d: Diagram) -> FaceSet:
         far[z] = a
     starts = [(c, s) for c in sorted(d.crossings) for s in range(4)]
     walks = _walk_faces(d.crossings, far, starts, set(starts))
-    faces = [Face(i, corners, edges, None, slots) for i, (corners, edges, slots) in enumerate(walks)]
+    faces = [Face(i, slots, edges) for i, (slots, edges) in enumerate(walks)]
     return _face_table(faces, {k: f.id for f in faces for k in f.corner_slots}, d.loops)
 
 
@@ -437,16 +433,16 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     merged: list = []
     at = 0
     for walk in fresh:
-        upto = bisect.bisect_left(firsts, walk[2][0], at)
+        upto = bisect.bisect_left(firsts, walk[0][0], at)
         merged += kept[at:upto]
         merged.append(walk)
         at = upto
     merged += kept[at:]
     for i, f in enumerate(merged):
         if type(f) is tuple:
-            f = merged[i] = Face(i, f[0], f[1], None, f[2])
+            f = merged[i] = Face(i, *f)
         elif f.id != i:
-            f = merged[i] = Face(i, f.corners, f.boundary_edges, None, f.corner_slots)
+            f = merged[i] = Face(i, f.corner_slots, f.boundary_edges)
         else:
             continue
         for k in f.corner_slots:
@@ -467,7 +463,7 @@ def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
     fs = face_set(d)
     out = []
     for cs, es in connected_pieces(d):
-        nf = sum(1 for f in fs.faces if f.corners and f.corners[0][0] in cs)
+        nf = sum(1 for f in fs.faces if f.corner_slots and f.corner_slots[0][0] in cs)
         out.append((len(cs), len(es), nf))
     return out
 
@@ -477,11 +473,6 @@ def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
 def end_labels(d: Diagram) -> dict[int, tuple[Sign, Sign]]:
     """Edge id -> (label at end0, label at end1); + marks the over strand."""
     return {e: d.edge_labels(e) for e in sorted(d.edges)}
-
-
-def is_alternating_edge(d: Diagram, e: int) -> bool:
-    a, b = d.edge_labels(e)
-    return a != b
 
 
 # -- parsing and serialization --------------------------------------------------
@@ -808,22 +799,24 @@ class MapBuilder:
         c, s = new_end
         self._own_slots(c)[s] = eid
 
-    def weld(self, c: int, s1: int, s2: int) -> int | None:
-        """Join the two edges entering crossing ``c`` at slots s1, s2 into
-        one arc that no longer touches c (the crossing is being removed).
-        Returns the surviving edge id, or None when the strand closed up
-        into a crossing-free loop."""
-        e1, e2 = self.slots[c][s1], self.slots[c][s2]
+    def weld(self, a: End, z: End) -> int | None:
+        """Join the edges in slot ends ``a`` and ``z``, which may sit at
+        different crossings, into one arc between their far ends; the
+        arc no longer touches ``a`` or ``z`` (their crossings are being
+        removed).  The arc keeps the lower of the two edge ids, the
+        component of the edge at ``a``, and the origin only when both
+        edges share it.  Only the two edges are read, so what lies
+        between ``a`` and ``z`` never affects the kept id.  Returns that
+        id, or None when ``a`` and ``z`` are the two ends of one edge,
+        which then closes up into a crossing-free loop with its id."""
+        e1, e2 = self.slots[a[0]][a[1]], self.slots[z[0]][z[1]]
         if e1 == e2:
-            # both ends of one edge at the removed crossing: a free loop
-            comp = self.comp[e1]
-            origin_id = e1
+            self.loops[e1] = self.comp[e1]
             self.remove_edge(e1)
-            self.loops[origin_id] = comp
             return None
-        far1 = self._far_end(e1, (c, s1))
-        far2 = self._far_end(e2, (c, s2))
-        keep, drop = (e1, e2) if e1 < e2 else (e2, e1)
+        far1 = self._far_end(e1, a)
+        far2 = self._far_end(e2, z)
+        keep = min(e1, e2)
         comp = self.comp[e1]
         origin = self.origin[e1] if self.origin[e1] == self.origin[e2] else None
         self.remove_edge(e1)
@@ -835,7 +828,7 @@ class MapBuilder:
         a, b = self.ends[eid]
         return tuple(b) if tuple(a) == tuple(end) else tuple(a)
 
-    def build(self, reassign_components: bool = False) -> Diagram:
+    def build(self) -> Diagram:
         crossings = dict(self.source.crossings)
         for c in sorted(self.touched_crossings):
             if c in self.slots:
@@ -849,10 +842,7 @@ class MapBuilder:
                 edges[e] = Edge(e, (tuple(ends[0]), tuple(ends[1])), self.origin[e], self.comp[e])
             else:
                 edges.pop(e, None)
-        d = Diagram(crossings, edges, dict(self.loops), self.augmenting)
-        if reassign_components:
-            d = _assign_components(d)
-        return d
+        return Diagram(crossings, edges, dict(self.loops), self.augmenting)
 
 
 def flip_crossing(d: Diagram, c: int) -> Diagram:
@@ -925,7 +915,7 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
             raise MappingError(
                 f"strand through crossing {c} mixes origins {o1} and {o2}"
             )
-        b.weld(c, s1, s2)
+        b.weld((c, s1), (c, s2))
 
     for c in hit:
         slots = b.slots[c]
@@ -958,5 +948,5 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
         ends, origin, compid = b.ends[e], b.origin[e], b.comp[e]
         b.remove_edge(e)
         b.add_edge(o, ends, origin, compid)
-    out = b.build(reassign_components=True)
+    out = _assign_components(b.build())
     return Diagram(out.crossings, out.edges, out.loops, None)

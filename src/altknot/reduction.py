@@ -76,8 +76,8 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     if not _is_cut_vertex(fs, c):
         raise NotNugatory(f"crossing {c} is not a cut vertex")
     b = MapBuilder(d)
-    b.weld(c, 0, 2)
-    b.weld(c, 1, 3)
+    b.weld((c, 0), (c, 2))
+    b.weld((c, 1), (c, 3))
     b.remove_crossing(c)
     out = b.build()
     failures = check_edit(b, fs, out)
@@ -103,35 +103,15 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
 
     x, y = sorted(face.crossings())
     b = MapBuilder(d)
+    # weld each strand across the pair: for the strand carrying ``inner``,
+    # the outer stubs sit opposite it at x and at y
     for inner in (e1, e2):
         sx = [s for s, e in enumerate(d.crossings[x].slots) if e == inner]
         sy = [s for s, e in enumerate(d.crossings[y].slots) if e == inner]
         if len(sx) != 1 or len(sy) != 1:
             raise NotR2Bigon(f"bigon {f} edges are not simple between two crossings")
-    # weld each strand across the pair: for the strand carrying ``inner``,
-    # the outer stubs sit opposite it at x and at y
-    for inner in (e1, e2):
-        if inner not in b.ends:
-            continue
-        sx = d.crossings[x].slots.index(inner)
-        sy = d.crossings[y].slots.index(inner)
-        # remove the inner edge first so the welds see only outer arcs
         b.remove_edge(inner)
-        ex = b.slots[x][(sx + 2) % 4]
-        ey = b.slots[y][(sy + 2) % 4]
-        if ex == ey:
-            comp = b.comp[ex]
-            b.remove_edge(ex)
-            b.loops[ex] = comp
-        else:
-            keep, drop = (ex, ey) if ex < ey else (ey, ex)
-            fx = b._far_end(ex, (x, (sx + 2) % 4))
-            fy = b._far_end(ey, (y, (sy + 2) % 4))
-            comp = b.comp[ex]
-            origin = b.origin[ex] if b.origin[ex] == b.origin[ey] else None
-            b.remove_edge(ex)
-            b.remove_edge(ey)
-            b.add_edge(keep, [fx, fy], origin, comp)
+        b.weld((x, (sx[0] + 2) % 4), (y, (sy[0] + 2) % 4))
     b.remove_crossing(x)
     b.remove_crossing(y)
     out = b.build()

@@ -28,7 +28,7 @@ def _positions(d: Diagram) -> dict:
     import numpy as np
 
     fs = face_set(d)
-    outer = max((f for f in fs.faces if f.corners), key=lambda f: (f.degree, -f.id))
+    outer = max((f for f in fs.faces if f.corner_slots), key=lambda f: (f.degree, -f.id))
 
     nodes: list = [("c", c) for c in sorted(d.crossings)]
     nodes += [("m", e) for e in sorted(d.edges)]
@@ -36,7 +36,7 @@ def _positions(d: Diagram) -> dict:
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []
-    for (c, s), (_c2, _in, out_e) in zip(outer.corner_slots, outer.corners):
+    for (c, _s), out_e in zip(outer.corner_slots, outer.boundary_edges):
         cycle.append(("c", c))
         cycle.append(("m", out_e))
     boundary = {}

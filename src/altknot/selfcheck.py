@@ -21,7 +21,7 @@ from .analysis import (
     twist_partition,
 )
 from .augmentation import augment
-from .diagram import validate_diagram
+from .diagram import face_set, validate_diagram
 from .errors import DiagramError
 from .generate import random_knot_diagram
 
@@ -75,8 +75,6 @@ def verify_augmentation(d, res) -> list[str]:
         problems.append("an original edge is crossed more than twice")
     if None in per_origin:
         problems.append("curve crosses a non-original edge")
-
-    from .diagram import face_set
 
     d_fs = face_set(d)
     d_tp = twist_partition(d)

@@ -270,8 +270,8 @@ def oracle_bigon_faces(d) -> list[frozenset[int]]:
 
     out = []
     for f in faces(d):
-        if f.loop is None and len(f.corners) == 2:
-            cs = {c for c, _i, _o in f.corners}
+        if f.loop is None and len(f.corner_slots) == 2:
+            cs = {c for c, _s in f.corner_slots}
             if len(cs) == 2:
                 out.append(frozenset(f.boundary_edges))
     return out
@@ -291,11 +291,25 @@ def oracle_twist_count(d) -> int:
         return x
 
     for f in faces(d):
-        if f.loop is None and len(f.corners) == 2:
-            cs = sorted({c for c, _i, _o in f.corners})
+        if f.loop is None and len(f.corner_slots) == 2:
+            cs = sorted({c for c, _s in f.corner_slots})
             if len(cs) == 2:
                 parent[find(cs[0])] = find(cs[1])
     return len({find(c) for c in d.crossings})
+
+
+def oracle_curve_crossings(g, aug) -> dict[int, int]:
+    """Times the curve ``aug`` crosses each input edge, by a census of
+    g's crossings: at each crossing with ``aug`` on exactly one strand,
+    the origin of the other strand's edge, counted."""
+    from collections import Counter
+
+    counts = Counter()
+    for c in g.crossings.values():
+        on = [g.edges[e].component == aug for e in c.slots]
+        if on[0] != on[1]:
+            counts[g.edges[c.slots[1 if on[0] else 0]].origin] += 1
+    return dict(counts)
 
 
 def oracle_merge_arc(g, live):
@@ -323,7 +337,7 @@ def oracle_merge_arc(g, live):
     # edges origin-carrying
     banned = {
         f.id for f in fs.faces
-        if len(f.corners) == 2 and f.corners[0][0] != f.corners[1][0]
+        if len(f.corner_slots) == 2 and f.corner_slots[0][0] != f.corner_slots[1][0]
         and all(g.edges[e].origin is not None for e in f.boundary_edges)
     }
     allowed = {}

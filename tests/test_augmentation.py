@@ -37,6 +37,7 @@ from conftest import (
     corpus_diagrams,
     finger_base_verdicts,
     link_diagrams,
+    oracle_curve_crossings,
     oracle_merge_arc,
 )
 
@@ -567,6 +568,10 @@ class TestWholeMapFactsOncePerMap:
         piece = min(e for e, r in g.edges.items() if r.origin is not None)
         split = subdivide_edge_with_crossing(g, piece, Sign.PLUS)
 
+        # the curve crossing itself, at a crossing on one of its own edges
+        own = min(e for e, r in g.edges.items() if r.component == aug)
+        self_crossing = subdivide_edge_with_crossing(g, own, Sign.PLUS, new_component=aug)
+
         # a loop of the input that g lacks: with the loop both pass
         k, comp = g.next_edge_id(), g.next_component_id()
         g_loop = Diagram(g.crossings, g.edges, {**g.loops, k: comp}, aug)
@@ -577,6 +582,7 @@ class TestWholeMapFactsOncePerMap:
             (reslotted, d0, "crossing .* differs"),
             (mixed, d0, f"edge {r.origin} is not one strand"),
             (split, d0, "not carry component"),
+            (self_crossing, d0, f"crossing {max(self_crossing.crossings)} does not carry .* exactly one strand"),
             (g, d_loop, "loops differ"),
         ):
             with pytest.raises(MappingError, match=f"verbatim: .*{why}"):
@@ -596,6 +602,44 @@ class TestWholeMapFactsOncePerMap:
         )
         with pytest.raises(MappingError, match="verbatim"):
             augment(d)
+
+    def test_curve_crossings_are_the_census(self):
+        # the reconstruction walk counts, per input edge, what a census of
+        # g's crossings counts, and the counts sum to the reported i(A, D)
+        from altknot import analysis
+        from altknot.diagram import restamp_origins
+
+        twice = 0
+        for d in [d for _s, d in corpus_diagrams(40)] + [d for _s, d in link_diagrams(24)]:
+            res = augment(d)
+            g, aug = res.g, res.augmenting_component
+            crossed = analysis.reconstruct_input(g, aug, restamp_origins(d))
+            assert crossed == oracle_curve_crossings(g, aug)
+            assert sum(crossed.values()) == res.i_A_D
+            twice += sum(n == 2 for n in crossed.values())
+        assert twice > 0
+
+    def test_exit_checks_read_the_census(self, monkeypatch):
+        # a count on an edge inside a twist region, or of three on one
+        # edge, stops augment with the check's own message
+        from altknot import analysis, augmentation, twist_partition
+        from altknot.errors import InvariantError
+
+        d = next(d for _s, d in corpus_diagrams(10) if twist_partition(d).bigon_faces)
+        fs = face_set(d)
+        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.by_id[f].boundary_edges}
+        inside, free = min(in_twist), min(set(d.edges) - in_twist)
+        real = analysis.reconstruct_input
+        for extra, why in (
+            ({inside: 1}, f"augmenting curve crosses edge {inside} inside a twist region"),
+            ({free: 3}, "some original edge is crossed more than twice"),
+        ):
+            monkeypatch.setattr(
+                augmentation, "reconstruct_input",
+                lambda g, aug, expected_d, extra=extra: {**real(g, aug, expected_d), **extra},
+            )
+            with pytest.raises(InvariantError, match=why):
+                augment(d)
 
 
 class TestCertificate:

@@ -15,6 +15,7 @@ from collections import Counter
 from itertools import combinations
 
 from altknot import (
+    analysis,
     augmentation,
     build_cut_curves,
     face_set,
@@ -25,6 +26,7 @@ from altknot import (
     serialize_pd,
     validate_diagram,
 )
+from altknot.diagram import restamp_origins
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
@@ -33,6 +35,7 @@ from conftest import (
     finger_base_verdicts,
     oracle_alternating_edges,
     oracle_bigon_faces,
+    oracle_curve_crossings,
     oracle_cut_vertices,
     oracle_merge_arc,
 )
@@ -54,6 +57,10 @@ def test_augment(bench_inputs, monkeypatch):
     results, arcs = augment_recording_fingers(monkeypatch, diagrams)
     for d, res in zip(diagrams, results):
         assert verify_augmentation(d, res) == []
+        g, aug = res.g, res.augmenting_component
+        crossed = analysis.reconstruct_input(g, aug, restamp_origins(d))
+        assert crossed == oracle_curve_crossings(g, aug)
+        assert sum(crossed.values()) == res.i_A_D
     reports = [json.dumps(res.to_json(), sort_keys=True) for res in results]
     assert bench_inputs.digest(reports) == LARGE_REPORTS
     # every circle edge on a finger's first face is a good base, and

@@ -98,6 +98,22 @@ class TestR2:
         out = remove_r2_bigon(curl, faces[0])
         assert not out.crossings and len(out.loops) == 1
 
+    def test_fused_strand_keeps_the_lower_outer_id(self):
+        # the bigon's inner edges 1 and 2 have lower ids than its four
+        # outer edges; each strand fuses into the lower of its two outer
+        # edges (4 of 4, 1, 8 and 3 of 3, 2, 7), which welding one
+        # crossing at a time through the inner edge would not give
+        d = parse_pd("X(3,4,2,1) X(4,3,5,6) X(5,7,8,6) X(7,1,2,8)")
+        face = face_set(d).by_id[2]
+        assert face.boundary_edges == (1, 2) and face.crossings() == {0, 3}
+        assert 2 in _r2_faces(d)
+        out = remove_r2_bigon(d, 2)
+        assert sorted(out.edges) == [3, 4, 5, 6]
+        # each fused edge runs between the far ends of its outer edges
+        assert out.edges[4].ends == (d.edges[4].ends[1], d.edges[8].ends[0])
+        assert out.edges[3].ends == (d.edges[3].ends[1], d.edges[7].ends[0])
+        assert serialize_pd(out) == "X(4,3,5,6) X(5,3,4,6)"
+
     def test_flipped_hopf_to_two_loops(self):
         h = flip_crossing(two_strand_torus(2), 0)
         faces = _r2_faces(h)
