@@ -245,7 +245,7 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     diagrams, enforce that a non-disk region forces the standard
     two-strand torus diagram."""
     fs = face_set(d)
-    bigons = [fs.by_id[fid] for fid in region.bigons]
+    bigons = [fs.faces[fid] for fid in region.bigons]
     topo = _region_topology(bigons)
     out = TwistRegion(region.crossings, region.bigons, region.links, topo)
     if topo is not RegionTopology.DISK:
@@ -423,7 +423,7 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
     fs = face_set(d)
     covered = set()
     for fid in region.bigons:
-        covered |= set(fs.by_id[fid].boundary_edges)
+        covered |= set(fs.faces[fid].boundary_edges)
     if covered != set(d.edges):
         return None
     return q
@@ -455,11 +455,11 @@ def _is_sub_twist(x: frozenset[int], region: TwistRegion, fs: FaceSet) -> bool:
     if len(x) == 1:
         return True
     inside = [
-        fid for fid in region.bigons if fs.by_id[fid].crossings() <= x
+        fid for fid in region.bigons if fs.faces[fid].crossings() <= x
     ]
     if not inside:
         return False
-    covered = frozenset().union(*(fs.by_id[f].crossings() for f in inside))
+    covered = frozenset().union(*(fs.faces[f].crossings() for f in inside))
     if covered != x:
         return False
     # connectivity of the chosen bigons inside the retract

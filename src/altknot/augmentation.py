@@ -103,7 +103,6 @@ class CutSystem:
     thickened_class: Sign
     thickened_crossings: frozenset[int]
     curves: tuple[CutCurve, ...]
-    crossing_signs: dict[tuple[int, int], Sign]  # (curve idx, edge) -> curve strand sign
 
 
 def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
@@ -174,18 +173,14 @@ def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
                 curves.append(CutCurve(tuple(stubs)))
 
     curves.sort(key=lambda cc: min(cc.edges))
-    signs: dict[tuple[int, int], Sign] = {}
     crossed_total: list[int] = []
-    for idx, curve in enumerate(curves):
+    for curve in curves:
         labels = []
         for e, _c, _s in curve.stubs:
             a, b = d.edge_labels(e)
             if a != b:
                 raise ConstructionError(f"cut curve crosses alternating edge {e}")
             labels.append(a)
-            # on a ++ edge the inserted strand passes over (sign +);
-            # on a -- edge it passes under
-            signs[(idx, e)] = a
             crossed_total.append(e)
         if len(labels) < 2 or len(labels) % 2:
             raise ConstructionError(
@@ -198,7 +193,7 @@ def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
         raise ConstructionError(
             "cut curves do not cross every non-alternating edge exactly once"
         )
-    return CutSystem(sign_w, frozenset(w), tuple(curves), signs)
+    return CutSystem(sign_w, frozenset(w), tuple(curves))
 
 
 # -- overlay ----------------------------------------------------------------------
@@ -220,25 +215,28 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
         xs = [b.new_crossing_id() for _ in range(n)]
         for k, (e, cw, sw) in enumerate(curve.stubs):
             x = xs[k]
-            if e not in b.ends:
+            rec = b.edges.get(e)
+            if rec is None:
                 raise ConstructionError(f"edge {e} crossed twice during overlay")
             # orient e away from its thickened-class end (cw, sw)
-            far = b._far_end(e, (cw, sw))
+            far = rec.other_end((cw, sw))
             a, bb = d.edge_labels(e)
             e_sign = a.opposite  # the original strand's forced sign at x
             over = (1, 3) if e_sign is Sign.PLUS else (0, 2)
             h_w, h_far = b.new_edge_id(), b.new_edge_id()
-            origin, comp_e = b.origin[e], b.comp[e]
             b.remove_edge(e)
             # slots ccw at x: 0 curve-to-previous, 1 toward far end,
             # 2 curve-to-next, 3 toward the thickened class
             b.add_crossing(x, [0, 0, 0, 0], over)
-            b.add_edge(h_w, [(cw, sw), (x, 3)], origin, comp_e)
-            b.add_edge(h_far, [(x, 1), far], origin, comp_e)
+            b.add_edge(h_w, [(cw, sw), (x, 3)], rec.origin, rec.component)
+            b.add_edge(h_far, [(x, 1), far], rec.origin, rec.component)
         for k in range(n):
             eid = b.new_edge_id()
             b.add_edge(eid, [(xs[k], 2), (xs[(k + 1) % n], 0)], None, comp)
     g = b.build()
+    # checked whole, not by ``check_edit``: the overlay re-slots about
+    # two-thirds of the input's crossings, so a local update of the face
+    # table would re-walk most of the map anyway
     rep = validate_diagram(g)
     if not rep.valid:
         raise ConstructionError(f"overlay produced an invalid map: {rep.failures}")
@@ -253,15 +251,9 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
             raise ConstructionError(
                 f"inserted circles intersect each other at crossing {c.id}"
             )
-    realized = CutSystem(
-        cs.thickened_class,
-        cs.thickened_crossings,
-        tuple(
-            replace(curve, component=comp)
-            for curve, comp in zip(cs.curves, comp_ids)
-        ),
-        cs.crossing_signs,
-    )
+    realized = replace(cs, curves=tuple(
+        replace(curve, component=comp) for curve, comp in zip(cs.curves, comp_ids)
+    ))
     return g, realized
 
 
@@ -486,7 +478,7 @@ def _check_arc(
         origins.append(rec.origin)
     if len(set(origins)) != len(origins):
         raise InvariantError("merge arc crosses some original edge twice")
-    if any(_is_original_bigon(g, fs.by_id[f]) for f in arc.faces):
+    if any(_is_original_bigon(g, fs.faces[f]) for f in arc.faces):
         raise InvariantError("merge arc passes through an original bigon")
 
 
@@ -554,7 +546,7 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
         lab_head = g.label(*head)
         if lab_tail == lab_head:
             raise InvariantError(f"crossed edge {e} is not alternating")
-        origin, comp_e = b.origin[e], b.comp[e]
+        rec = b.edges[e]
         b.remove_edge(e)
         # x_left sits nearer the head, x_right nearer the tail
         sign_l = lab_head.opposite  # edge strand sign at x_left
@@ -567,9 +559,9 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
         b.add_crossing(xl[m], [0, 0, 0, 0], over_l)
         b.add_crossing(xr[m], [0, 0, 0, 0], over_r)
         s_head, s_mid, s_tail = b.new_edge_id(), b.new_edge_id(), b.new_edge_id()
-        b.add_edge(s_head, [(xl[m], 1), tuple(head)], origin, comp_e)
-        b.add_edge(s_mid, [(xr[m], 1), (xl[m], 3)], origin, comp_e)
-        b.add_edge(s_tail, [tuple(tail), (xr[m], 3)], origin, comp_e)
+        b.add_edge(s_head, [(xl[m], 1), tuple(head)], rec.origin, rec.component)
+        b.add_edge(s_mid, [(xr[m], 1), (xl[m], 3)], rec.origin, rec.component)
+        b.add_edge(s_tail, [tuple(tail), (xr[m], 3)], rec.origin, rec.component)
 
     b.remove_edge(base)
     bl = b.new_edge_id()
@@ -595,7 +587,7 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
 
 def _face_edge_walk(g: Diagram, fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
     """Boundary walk of a face as (edge, departure end, arrival end)."""
-    face = fs.by_id[fid]
+    face = fs.faces[fid]
     out = []
     for c, s in face.corner_slots:
         dep = (c, (s + 1) % 4)
@@ -643,7 +635,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
     b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
     for e in relabel:
-        if e in b.comp:
+        if e in b.edges:
             b.set_component(e, merged)
     out = b.build()
     failures = check_edit(b, fs, out, alternating=True)
@@ -766,7 +758,7 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     t_d = d_tp.t
     bigon_edge_origins = set()
     for fid in d_tp.bigon_faces:
-        bigon_edge_origins |= set(d_fs.by_id[fid].boundary_edges)
+        bigon_edge_origins |= set(d_fs.faces[fid].boundary_edges)
     free_edges = set(d.edges) - bigon_edge_origins
 
     cs = build_cut_curves(d)

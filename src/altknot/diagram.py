@@ -246,7 +246,8 @@ class FaceSet:
 
     Face ids rank the faces by their least corner (c, i), and each
     corner list starts at that corner; the two faces of each
-    crossing-free loop come last, in loop-id order.
+    crossing-free loop come last, in loop-id order.  A face's id is its
+    position in ``faces``, so ``faces[f]`` looks face f up.
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
@@ -262,7 +263,6 @@ class FaceSet:
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
         self.corner_face = corner_face
-        self.by_id = {f.id: f for f in faces}
         self.partition = None
         self.pieces = None
         self.classification = None
@@ -298,9 +298,11 @@ def face_set(d: Diagram) -> FaceSet:
 
     Surgery results do not reach the full walk: ``edits.check_edit``
     derives their table from the source's by a local update
-    (``_edited_face_set``) and leaves it here.  Only diagrams made
-    without a source table (parsed, overlaid, or reconstructed by
-    ``analysis.refinement_check``) are walked whole.
+    (``_edited_face_set``) and leaves it here.  Diagrams made without a
+    source table (parsed, or reconstructed by
+    ``analysis.refinement_check``) are walked whole, and so is the
+    overlay of the cut circles: it re-slots about two-thirds of its
+    input's crossings, so a local update would re-walk most of the map.
     """
     global _last_face_set
     fs = _held_face_set(d)
@@ -419,7 +421,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
                     del corner_face[(c, s)]
     todo = {(c, s) for c in moved if c in new_c for s in range(4)}
     for fid in dirty:
-        todo.update(k for k in source_fs.by_id[fid].corner_slots if k[0] not in moved)
+        todo.update(k for k in source_fs.faces[fid].corner_slots if k[0] not in moved)
     far: dict[End, End] = {}
     for c, s in todo:
         a, z = out.edges[new_c[c].slots[(s + 1) % 4]].ends
@@ -459,7 +461,8 @@ def faces(d: Diagram) -> list[Face]:
 
 
 def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
-    """(V, E, F) per crossing-bearing connected piece."""
+    """(V, E, F) per crossing-bearing connected piece.  The package checks
+    their sum (``validate_diagram``); the tests check each piece."""
     fs = face_set(d)
     out = []
     for cs, es in connected_pieces(d):
@@ -489,7 +492,9 @@ def parse_pd(text: str) -> Diagram:
 
     Raises PDSyntaxError for malformed records, IncidenceError when an
     edge id is not used exactly twice, SphericityError when the rotation
-    system is not spherical.
+    system is not spherical: V - E + F over the corner faces must be 2P
+    for the P crossing-bearing pieces, as in ``validate_diagram``.  The
+    strand orbits are computed once, to number the components.
     """
     clean = _strip_comments(text)
     records = []
@@ -536,11 +541,11 @@ def parse_pd(text: str) -> Diagram:
     edges = {
         e: Edge(e, (u[0], u[1]), origin=e, component=-1) for e, u in uses.items()
     }
-    d = Diagram(crossings, edges, loops)
-    d = _assign_components(d)
-    for v, e, f in euler_by_piece(d):
-        if v - e + f != 2:
-            raise SphericityError(f"V-E+F = {v - e + f} on a connected piece")
+    d = _assign_components(Diagram(crossings, edges, loops))
+    chi = len(crossings) - len(edges) + len(face_set(d).faces) - 2 * len(loops)
+    pieces = len(connected_pieces(d))
+    if chi != 2 * pieces:
+        raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
     return d
 
 
@@ -617,7 +622,14 @@ class ValidationReport:
 
 def validate_diagram(d: Diagram) -> ValidationReport:
     """Check 4-valence, incidence, label consistency, sphericity and the
-    component census; failures are reported, not raised."""
+    component census; failures are reported, not raised.
+
+    Sphericity is one identity, V - E + F = 2P, with F the corner faces
+    and P the crossing-bearing pieces kept on the face table.  Each
+    piece's face walk embeds it in a closed orientable surface, where
+    V - E + F = 2 - 2g <= 2, so the sum is 2P exactly when every piece
+    is a sphere.  The component census is read per crossing: the two
+    edges of each strand through it carry one component id."""
     failures: list[str] = []
     uses: dict[int, list[End]] = {}
     for cid, c in d.crossings.items():
@@ -648,18 +660,20 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     structural_ok = not any(msg.startswith(("incidence", "valence")) for msg in failures)
     if structural_ok:
         try:
-            fs = face_set(d)
-            f = len(fs.faces)
-            for pv, pe, pf in euler_by_piece(d):
-                if pv - pe + pf != 2:
-                    failures.append(f"sphericity: V-E+F = {pv - pe + pf} on a piece")
+            f = len(face_set(d).faces)
         except InvariantError as exc:
             failures.append(f"sphericity: {exc}")
-        comps = strand_components(d)
-        for i, grp in enumerate(comps):
-            labels = {d.edges[x].component for x in grp}
-            if len(labels) != 1:
-                failures.append(f"components: strand {i} carries mixed ids {sorted(labels)}")
+        else:
+            chi = v - e + f - 2 * len(d.loops)
+            pieces = len(connected_pieces(d))
+            if chi != 2 * pieces:
+                failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
+        edges = d.edges
+        for cid, c in sorted(d.crossings.items()):
+            for s in (0, 1):
+                ids = {edges[c.slots[s]].component, edges[c.slots[s + 2]].component}
+                if len(ids) != 1:
+                    failures.append(f"components: strand through crossing {cid} carries mixed ids {sorted(ids)}")
     ncomp = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))
     return ValidationReport(not failures, failures, v, e, f, ncomp)
 
@@ -724,22 +738,22 @@ def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
 class MapBuilder:
     """Mutable scratch copy of a diagram for surgery.  Keeps the slot
     tables and edge records consistent through welds and deletions; call
-    ``build()`` to freeze (and re-derive strand components).
+    ``build()`` to freeze.
 
-    The builder records every crossing and edge id it adds, removes or
-    changes in ``touched_crossings`` / ``touched_edges``.  ``build()``
-    re-creates only those records and shares the rest with ``source``,
-    and ``edits.check_edit`` inspects only them.  Slot and end sequences
-    stay the source's tuples until first written, so all writes go
-    through the methods below."""
+    ``edges`` holds one ``Edge`` record per edge, the source's until
+    written: each write replaces the record it changes.  The builder
+    records every crossing and edge id it adds, removes or changes in
+    ``touched_crossings`` / ``touched_edges``; ``build()`` re-creates
+    only the touched crossings, hands over a copy of ``edges``, and
+    ``edits.check_edit`` inspects only the touched records.  Slot
+    sequences stay the source's tuples until first written, so all
+    writes go through the methods below."""
 
     def __init__(self, d: Diagram):
         self.source = d
         self.slots: dict[int, list[int] | tuple] = {c: x.slots for c, x in d.crossings.items()}
         self.over: dict[int, tuple[int, int]] = {c: x.over_slots for c, x in d.crossings.items()}
-        self.ends: dict[int, list[End] | tuple] = {e: x.ends for e, x in d.edges.items()}
-        self.origin: dict[int, int | None] = {e: x.origin for e, x in d.edges.items()}
-        self.comp: dict[int, int] = {e: x.component for e, x in d.edges.items()}
+        self.edges: dict[int, Edge] = dict(d.edges)
         self.loops: dict[int, int] = dict(d.loops)
         self.augmenting = d.augmenting_component
         self.touched_crossings: set[int] = set()
@@ -772,20 +786,20 @@ class MapBuilder:
         self.touched_crossings.add(cid)
 
     def add_edge(self, eid: int, ends: list[End], origin: int | None, comp: int) -> None:
-        self.ends[eid] = [tuple(x) for x in ends]
-        self.origin[eid] = origin
-        self.comp[eid] = comp
+        a, z = ends
+        self.edges[eid] = Edge(eid, (tuple(a), tuple(z)), origin, comp)
         self.touched_edges.add(eid)
         for c, s in ends:
             self._own_slots(c)[s] = eid
 
     def set_component(self, eid: int, comp: int) -> None:
-        if self.comp[eid] != comp:
-            self.comp[eid] = comp
+        rec = self.edges[eid]
+        if rec.component != comp:
+            self.edges[eid] = Edge(eid, rec.ends, rec.origin, comp)
             self.touched_edges.add(eid)
 
     def remove_edge(self, eid: int) -> None:
-        del self.ends[eid], self.origin[eid], self.comp[eid]
+        del self.edges[eid]
         self.touched_edges.add(eid)
 
     def remove_crossing(self, cid: int) -> None:
@@ -793,8 +807,10 @@ class MapBuilder:
         self.touched_crossings.add(cid)
 
     def reattach(self, eid: int, old_end: End, new_end: End) -> None:
-        ends = self.ends[eid] = list(self.ends[eid])
+        rec = self.edges[eid]
+        ends = list(rec.ends)
         ends[ends.index(tuple(old_end))] = tuple(new_end)
+        self.edges[eid] = Edge(eid, tuple(ends), rec.origin, rec.component)
         self.touched_edges.add(eid)
         c, s = new_end
         self._own_slots(c)[s] = eid
@@ -809,24 +825,17 @@ class MapBuilder:
         between ``a`` and ``z`` never affects the kept id.  Returns that
         id, or None when ``a`` and ``z`` are the two ends of one edge,
         which then closes up into a crossing-free loop with its id."""
-        e1, e2 = self.slots[a[0]][a[1]], self.slots[z[0]][z[1]]
-        if e1 == e2:
-            self.loops[e1] = self.comp[e1]
-            self.remove_edge(e1)
+        r1, r2 = self.edges[self.slots[a[0]][a[1]]], self.edges[self.slots[z[0]][z[1]]]
+        if r1.id == r2.id:
+            self.loops[r1.id] = r1.component
+            self.remove_edge(r1.id)
             return None
-        far1 = self._far_end(e1, a)
-        far2 = self._far_end(e2, z)
-        keep = min(e1, e2)
-        comp = self.comp[e1]
-        origin = self.origin[e1] if self.origin[e1] == self.origin[e2] else None
-        self.remove_edge(e1)
-        self.remove_edge(e2)
-        self.add_edge(keep, [far1, far2], origin, comp)
+        keep = min(r1.id, r2.id)
+        origin = r1.origin if r1.origin == r2.origin else None
+        self.remove_edge(r1.id)
+        self.remove_edge(r2.id)
+        self.add_edge(keep, [r1.other_end(a), r2.other_end(z)], origin, r1.component)
         return keep
-
-    def _far_end(self, eid: int, end: End) -> End:
-        a, b = self.ends[eid]
-        return tuple(b) if tuple(a) == tuple(end) else tuple(a)
 
     def build(self) -> Diagram:
         crossings = dict(self.source.crossings)
@@ -835,14 +844,7 @@ class MapBuilder:
                 crossings[c] = Crossing(c, tuple(self.slots[c]), self.over[c])
             else:
                 crossings.pop(c, None)
-        edges = dict(self.source.edges)
-        for e in sorted(self.touched_edges):
-            if e in self.ends:
-                ends = self.ends[e]
-                edges[e] = Edge(e, (tuple(ends[0]), tuple(ends[1])), self.origin[e], self.comp[e])
-            else:
-                edges.pop(e, None)
-        return Diagram(crossings, edges, dict(self.loops), self.augmenting)
+        return Diagram(crossings, dict(self.edges), dict(self.loops), self.augmenting)
 
 
 def flip_crossing(d: Diagram, c: int) -> Diagram:
@@ -902,15 +904,16 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
     slots, over strands) and loop ids, with components numbered afresh.
     UnknownComponent when ``d`` has no component ``comp``."""
     b = MapBuilder(d)
-    comp_edges = sorted(e for e, c in b.comp.items() if c == comp)
+    edges = b.edges
+    comp_edges = sorted(e for e, rec in edges.items() if rec.component == comp)
     if not comp_edges and comp not in b.loops.values():
         raise UnknownComponent(f"no component {comp}")
     hit = sorted(
         c for c, slots in b.slots.items()
-        if any(b.comp[e] == comp for e in slots)
+        if any(edges[e].component == comp for e in slots)
     )
     def weld_checked(c: int, s1: int, s2: int) -> None:
-        o1, o2 = b.origin[b.slots[c][s1]], b.origin[b.slots[c][s2]]
+        o1, o2 = edges[b.slots[c][s1]].origin, edges[b.slots[c][s2]].origin
         if o1 != o2:
             raise MappingError(
                 f"strand through crossing {c} mixes origins {o1} and {o2}"
@@ -919,10 +922,10 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
 
     for c in hit:
         slots = b.slots[c]
-        on = [b.comp[slots[s]] == comp for s in range(4)]
+        on = [edges[slots[s]].component == comp for s in range(4)]
         if all(on):
             for s in (0, 1):
-                if slots[s] in b.ends:
+                if slots[s] in edges:
                     weld_checked(c, s, s + 2)
         elif on[0] and on[2] and not (on[1] or on[3]):
             weld_checked(c, 1, 3)
@@ -932,21 +935,21 @@ def drop_component(d: Diagram, comp: int) -> Diagram:
             raise MappingError(f"crossing {c} mixes component {comp} within a strand")
         b.remove_crossing(c)
     for e in comp_edges:
-        if e in b.ends:
+        if e in edges:
             b.remove_edge(e)
     for k in [k for k, cc in b.loops.items() if cc == comp]:
         del b.loops[k]
     # rename fused arcs back to their origin ids
     renames = {}
-    for e in sorted(b.ends):
-        o = b.origin[e]
+    for e in sorted(edges):
+        o = edges[e].origin
         if o is not None and o != e:
-            if o in b.ends or o in renames.values():
+            if o in edges or o in renames.values():
                 raise MappingError(f"origin id {o} already taken while fusing edge {e}")
             renames[e] = o
     for e, o in renames.items():
-        ends, origin, compid = b.ends[e], b.origin[e], b.comp[e]
+        rec = edges[e]
         b.remove_edge(e)
-        b.add_edge(o, ends, origin, compid)
+        b.add_edge(o, rec.ends, rec.origin, rec.component)
     out = _assign_components(b.build())
     return Diagram(out.crossings, out.edges, out.loops, None)

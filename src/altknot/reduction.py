@@ -91,9 +91,9 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
     (one ++, one --): delete both crossings and rejoin the four outer
     strand ends in parallel.  Clasps (alternating edges) are refused."""
     fs = face_set(d)
-    if f not in fs.by_id:
+    if not 0 <= f < len(fs.faces):
         raise UnknownFace(f"no face {f}")
-    face = fs.by_id[f]
+    face = fs.faces[f]
     if not face.is_bigon:
         raise NotR2Bigon(f"face {f} is not a bigon")
     e1, e2 = face.boundary_edges
@@ -104,14 +104,13 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
     x, y = sorted(face.crossings())
     b = MapBuilder(d)
     # weld each strand across the pair: for the strand carrying ``inner``,
-    # the outer stubs sit opposite it at x and at y
+    # the outer stubs sit opposite it at x and at y; each inner edge runs
+    # from one corner's crossing to the other's, so it sits once at each
     for inner in (e1, e2):
-        sx = [s for s, e in enumerate(d.crossings[x].slots) if e == inner]
-        sy = [s for s, e in enumerate(d.crossings[y].slots) if e == inner]
-        if len(sx) != 1 or len(sy) != 1:
-            raise NotR2Bigon(f"bigon {f} edges are not simple between two crossings")
+        sx = d.crossings[x].slots.index(inner)
+        sy = d.crossings[y].slots.index(inner)
         b.remove_edge(inner)
-        b.weld((x, (sx[0] + 2) % 4), (y, (sy[0] + 2) % 4))
+        b.weld((x, (sx + 2) % 4), (y, (sy + 2) % 4))
     b.remove_crossing(x)
     b.remove_crossing(y)
     out = b.build()
@@ -160,7 +159,7 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
             if not bigons:
                 break
             f = bigons[0]
-            removed_set = face_set(cur).by_id[f].crossings()
+            removed_set = face_set(cur).faces[f].crossings()
             cur = remove_r2_bigon(cur, f)
             kind, removed = "r2", tuple(sorted(removed_set))
         t_now = twist_partition(cur).t

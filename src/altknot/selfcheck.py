@@ -80,7 +80,7 @@ def verify_augmentation(d, res) -> list[str]:
     d_tp = twist_partition(d)
     bigon_edges = set()
     for fid in d_tp.bigon_faces:
-        bigon_edges |= set(d_fs.by_id[fid].boundary_edges)
+        bigon_edges |= set(d_fs.faces[fid].boundary_edges)
     if set(per_origin) & bigon_edges:
         problems.append("curve crosses an edge inside a twist region")
 

@@ -211,6 +211,32 @@ def oracle_alternating_edges(text: str) -> set[int]:
     }
 
 
+def oracle_valid(d) -> bool:
+    """Validity from the definitions: four slots and a legal over strand
+    at every crossing; every edge id named by exactly the two slots its
+    ends list, and none also a loop id; one component id on each strand
+    orbit; and V - E + F = 2 on each piece."""
+    from altknot.diagram import euler_by_piece, strand_components
+    from altknot.errors import InvariantError
+
+    uses = {}
+    for cid, c in d.crossings.items():
+        if len(c.slots) != 4 or tuple(sorted(c.over_slots)) not in ((0, 2), (1, 3)):
+            return False
+        for s, e in enumerate(c.slots):
+            uses.setdefault(e, []).append((cid, s))
+    if set(uses) != set(d.edges) or set(d.edges) & set(d.loops):
+        return False
+    if any(sorted(uses[e]) != sorted(rec.ends) for e, rec in d.edges.items()):
+        return False
+    if any(len({d.edges[e].component for e in orbit}) != 1 for orbit in strand_components(d)):
+        return False
+    try:
+        return all(v - e + f == 2 for v, e, f in euler_by_piece(d))
+    except InvariantError:  # the face walk collided: not a rotation system
+        return False
+
+
 def oracle_two_edge_cuts(d) -> list[tuple[int, int]]:
     """Exhaustive crossing-separating two-edge cuts: remove each pair of
     distinct edges and test connectivity of the crossing multigraph."""

@@ -386,5 +386,5 @@ class TestAnalysisOnCorpus:
             for r in tp.regions:
                 assert r.topology is RegionTopology.DISK
             assert set(oracle_bigon_faces(d)) == {
-                frozenset(face_set(d).by_id[f].boundary_edges) for f in tp.bigon_faces
+                frozenset(face_set(d).faces[f].boundary_edges) for f in tp.bigon_faces
             }

@@ -75,10 +75,22 @@ class TestCutCurves:
             assert crossed == sorted(classify_edges(d).non_alternating)
 
     def test_curve_signs_follow_labels(self, trefoil):
-        f = flip_crossing(trefoil, 0)
-        cs = build_cut_curves(f)
-        for (idx, e), sign in cs.crossing_signs.items():
-            assert sign == f.edge_labels(e)[0]  # over on ++, under on --
+        # at every crossing the overlay adds, the curve passes over
+        # exactly when the edge it crosses reads ++ (and under on --)
+        seen = set()
+        for d in [flip_crossing(trefoil, 0)] + [d for _seed, d in corpus_diagrams(4)]:
+            g, cs = overlay_unlink(d, build_cut_curves(d))
+            curves = {c.component for c in cs.curves}
+            for x in set(g.crossings) - set(d.crossings):
+                c = g.crossings[x]
+                on = [g.edges[e].component in curves for e in c.slots]
+                assert on[0] != on[1]
+                crossed = g.edges[c.slots[1 if on[0] else 0]].origin
+                labels = d.edge_labels(crossed)
+                curve_over = on[c.over_slots[0]]
+                assert curve_over == (labels == (Sign.PLUS, Sign.PLUS)), (x, labels)
+                seen.add(labels)
+        assert seen == {(Sign.PLUS, Sign.PLUS), (Sign.MINUS, Sign.MINUS)}
 
     def test_either_class_works(self):
         # thickening the larger class satisfies the same promises and
@@ -373,6 +385,15 @@ class TestAugment:
             ks += 1
         assert ks == 40
 
+    def test_edge_order_does_not_change_the_report(self, bench_inputs):
+        # surgery hands its edges on in write order, so no report may
+        # depend on the order of a diagram's edges dict
+        for item in bench_inputs.large_inputs(1, n=16, lo=50, hi=110):
+            d = parse_pd(item.pd)
+            rev = Diagram(d.crossings, dict(reversed(d.edges.items())), d.loops)
+            assert list(rev.edges) != list(d.edges)
+            assert augment(rev).to_json() == augment(d).to_json(), item.name
+
     def test_single_curve_case_has_no_merges(self, trefoil):
         # two adjacent flips on a bigger torus diagram give one curve
         for seed, d in corpus_diagrams(30):
@@ -627,7 +648,7 @@ class TestWholeMapFactsOncePerMap:
 
         d = next(d for _s, d in corpus_diagrams(10) if twist_partition(d).bigon_faces)
         fs = face_set(d)
-        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.by_id[f].boundary_edges}
+        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.faces[f].boundary_edges}
         inside, free = min(in_twist), min(set(d.edges) - in_twist)
         real = analysis.reconstruct_input
         for extra, why in (

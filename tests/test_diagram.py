@@ -21,6 +21,8 @@ from altknot import (
 from altknot.diagram import (
     Crossing,
     Diagram,
+    Edge,
+    MapBuilder,
     connected_pieces,
     drop_component,
     euler_by_piece,
@@ -105,6 +107,22 @@ class TestParse:
             with pytest.raises(SphericityError):
                 parse_pd(code)
 
+    def test_sphere_beside_torus_rejected(self):
+        # a trefoil beside a genus-one trefoil: the Euler sums are 2 and 0,
+        # so the whole-map sum 2 falls short of 2P = 4
+        beside = TREFOIL + " X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
+        d = parse_pd(beside)
+        b = MapBuilder(d)
+        b.reattach(7, (3, 0), (3, 1))
+        b.reattach(10, (3, 1), (3, 0))
+        torus = b.build()
+        assert sorted(v - e + f for v, e, f in euler_by_piece(torus)) == [0, 2]
+        rep = validate_diagram(torus)
+        assert not rep.valid
+        assert "sphericity: V-E+F = 2 on 2 pieces, not 4" in rep.failures
+        with pytest.raises(SphericityError, match="on 2 pieces"):
+            parse_pd(beside.replace("X(7,10,8,11)", "X(10,7,8,11)"))
+
 
 class TestSerialize:
     def test_roundtrip_identity(self, trefoil):
@@ -177,8 +195,6 @@ class TestValidate:
         assert total == 2 * len(trefoil.edges)
 
     def test_inconsistent_edge_ends_flagged(self, trefoil):
-        from altknot.diagram import Edge
-
         e1 = trefoil.edges[1]
         hacked = Diagram(
             trefoil.crossings,
@@ -273,6 +289,39 @@ class TestSubdivide:
     def test_unknown_edge(self, trefoil):
         with pytest.raises(UnknownEdge):
             subdivide_edge_with_crossing(trefoil, 99, Sign.MINUS)
+
+
+class TestMapBuilder:
+    def test_build_is_a_snapshot(self, granny_sum):
+        # writes made through the builder after build() leave the built
+        # diagram as it was
+        b = MapBuilder(granny_sum)
+        b.set_component(1, 5)
+        out = b.build()
+        before = (dict(out.crossings), dict(out.edges), dict(out.loops))
+        b.weld((0, 1), (0, 3))
+        b.remove_crossing(0)
+        b.reattach(2, (2, 1), (2, 3))
+        b.set_component(3, 7)
+        b.add_crossing(9, [20, 21, 20, 21], (1, 3))
+        b.add_edge(20, [(9, 0), (9, 2)], None, 8)
+        b.loops[30] = 9
+        assert (out.crossings, out.edges, out.loops) == before
+        assert all(out.edges[e] is rec for e, rec in before[1].items())
+
+    def test_writes_replace_records(self, granny_sum):
+        b = MapBuilder(granny_sum)
+        assert b.edges == granny_sum.edges and b.edges is not granny_sum.edges
+        b.set_component(1, 0)  # no change: nothing touched
+        assert not b.touched_edges
+        b.set_component(1, 4)
+        b.reattach(2, (2, 1), (2, 3))
+        out = b.build()
+        assert out.edges[1] == Edge(1, granny_sum.edges[1].ends, 1, 4)
+        assert (2, 3) in out.edges[2].ends and (2, 1) not in out.edges[2].ends
+        assert b.touched_edges == {1, 2}
+        # every untouched edge is the source's record itself
+        assert all(out.edges[e] is granny_sum.edges[e] for e in out.edges if e not in b.touched_edges)
 
 
 class TestStructure:

@@ -6,7 +6,9 @@ source, it must accept an edit exactly when ``validate_diagram`` (plus
 whole result.  The audit below wraps it at all four surgery sites (band
 join, finger, R2 removal, nugatory removal), compares the two verdicts
 on every real edit, and then breaks the same edit at random and
-compares them again.
+compares them again.  Every whole-map verdict is itself compared with
+``conftest.oracle_valid``, which checks each piece's Euler sum and each
+strand orbit from the definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
@@ -38,11 +40,15 @@ from altknot.edits import check_edit
 from altknot.errors import AlternationError, InvariantError, JoinError
 from altknot.generate import braid_closure
 
-from conftest import corpus_diagrams, link_diagrams
+from conftest import corpus_diagrams, link_diagrams, oracle_valid
 
 
 def whole_map_accepts(out, alternating: bool) -> bool:
-    if not validate_diagram(out).valid:
+    valid = validate_diagram(out).valid
+    # the whole-map check reads the table's pieces and each crossing's
+    # strands; the oracle sums each piece and unions the strand orbits
+    assert valid == oracle_valid(out)
+    if not valid:
         return False
     return not alternating or classify_edges(out).is_alternating
 
@@ -54,16 +60,16 @@ def _flip(over):
 def corrupt(rng: random.Random, b: MapBuilder) -> str:
     """Break (or, by chance, not break) the edit held in ``b`` with one
     random move made through the builder, so its touched sets stay right."""
-    edges = sorted(b.ends)
+    edges = sorted(b.edges)
     if not edges:
         return "none"
     kind = rng.choice(("swap_ends", "swap_slots", "flip", "recolor", "drop", "loop_clash"))
-    touched = sorted(e for e in b.touched_edges if e in b.ends) or edges
+    touched = sorted(e for e in b.touched_edges if e in b.edges) or edges
     if kind == "swap_ends" and len(edges) >= 2:
         e1 = rng.choice(touched)
         e2 = rng.choice([e for e in edges if e != e1])
-        a = tuple(rng.choice(b.ends[e1]))
-        z = tuple(rng.choice(b.ends[e2]))
+        a = tuple(rng.choice(b.edges[e1].ends))
+        z = tuple(rng.choice(b.edges[e2].ends))
         if a != z:
             b.reattach(e1, a, z)
             b.reattach(e2, z, a)
@@ -79,7 +85,7 @@ def corrupt(rng: random.Random, b: MapBuilder) -> str:
         b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
     elif kind == "recolor":
         e = rng.choice(touched)
-        b.set_component(e, rng.choice(sorted(set(b.comp.values()))) + rng.randint(0, 1))
+        b.set_component(e, rng.choice(sorted({r.component for r in b.edges.values()})) + rng.randint(0, 1))
     elif kind == "drop":
         b.remove_edge(rng.choice(touched))
     else:
@@ -130,6 +136,9 @@ class Audit:
         site = sys._getframe(1).f_code.co_name
         failures = check_edit(b, source_fs, out, alternating)
         assert memo_table(out) is not None, site
+        # the builder re-creates only the records it touched
+        src = b.source.edges
+        assert all(rec is src[e] for e, rec in out.edges.items() if e not in b.touched_edges), site
         self._check_table(out, failures, site, "real")
         if out.crossings and len(out.loops) > len(b.source.loops):
             self.loops_made[site] += 1
@@ -137,8 +146,11 @@ class Audit:
         assert (not failures) == whole, failures
         self.real[whole] += 1
         if self.mutate:
+            built = (dict(out.crossings), dict(out.edges), dict(out.loops))
             kind = corrupt(self.rng, b)
             broken = b.build()
+            # writes after build() reach the next build only
+            assert (out.crossings, out.edges, out.loops) == built, kind
             local = check_edit(b, source_fs, broken, alternating)
             self._check_table(broken, local, site, "mutant")
             whole = whole_map_accepts(broken, alternating)
@@ -370,9 +382,9 @@ def test_component_and_label_changes_rewalk_nothing():
     _seed, d = link_diagrams(1)[0]
     fs = face_set(d)
     b = MapBuilder(d)
-    comp = max(b.comp.values())
-    for e in sorted(b.comp):
-        if b.comp[e] == comp:
+    comp = max(r.component for r in b.edges.values())
+    for e, r in sorted(b.edges.items()):
+        if r.component == comp:
             b.set_component(e, 0)
     c = min(b.slots)
     b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))

@@ -18,8 +18,8 @@ from altknot import (
     twist_partition,
     validate_diagram,
 )
-from altknot.diagram import euler_by_piece
-from altknot.errors import NotNugatory, NotR2Bigon
+from altknot.diagram import Diagram, euler_by_piece
+from altknot.errors import NotNugatory, NotR2Bigon, UnknownFace
 from altknot.generate import braid_closure, two_strand_torus
 
 BRAID_LETTERS = st.lists(
@@ -92,6 +92,12 @@ class TestR2:
         with pytest.raises(NotR2Bigon):
             remove_r2_bigon(trefoil, tri.id)
 
+    def test_unknown_face(self, trefoil):
+        # face ids are positions in the table: -1 must not wrap around
+        for f in (-1, len(face_set(trefoil).faces)):
+            with pytest.raises(UnknownFace):
+                remove_r2_bigon(trefoil, f)
+
     def test_curl_to_single_loop(self, curl):
         faces = _r2_faces(curl)
         assert len(faces) == 1
@@ -104,7 +110,7 @@ class TestR2:
         # edges (4 of 4, 1, 8 and 3 of 3, 2, 7), which welding one
         # crossing at a time through the inner edge would not give
         d = parse_pd("X(3,4,2,1) X(4,3,5,6) X(5,7,8,6) X(7,1,2,8)")
-        face = face_set(d).by_id[2]
+        face = face_set(d).faces[2]
         assert face.boundary_edges == (1, 2) and face.crossings() == {0, 3}
         assert 2 in _r2_faces(d)
         out = remove_r2_bigon(d, 2)
@@ -169,6 +175,18 @@ class TestPreprocess:
         # fixpoint really is a fixpoint
         again, trace2 = preprocess(out)
         assert not trace2.steps
+
+    def test_edge_order_does_not_change_the_output(self, bench_inputs):
+        # surgery hands its edges on in write order, so neither the output
+        # nor the trace may depend on the order of a diagram's edges dict
+        for item in bench_inputs.reduce_inputs(1, n=16, lo=30, hi=80):
+            d = parse_pd(item.pd)
+            rev = Diagram(d.crossings, dict(reversed(d.edges.items())), d.loops)
+            assert list(rev.edges) != list(d.edges)
+            out, trace = preprocess(d)
+            rev_out, rev_trace = preprocess(rev)
+            assert serialize_pd(rev_out) == serialize_pd(out), item.name
+            assert rev_trace.to_json() == trace.to_json(), item.name
 
     def test_origins_restamped(self, trefoil):
         out, _ = preprocess(flip_crossing(two_strand_torus(5), 0))
