@@ -299,13 +299,8 @@ def cut_vertices(d: Diagram) -> list[int]:
     piece has its own faces, so the test is evaluated per piece: a
     crossing is a cut vertex when it cuts its own piece.
     """
-    # the test of ``_is_cut_vertex``, inlined: ``preprocess`` runs this
-    # loop after every move, and a call per crossing costs 15% here
-    corner_face = face_set(d).corner_face
-    return [
-        c for c in sorted(d.crossings)
-        if len({corner_face[(c, s)] for s in range(4)}) < 4
-    ]
+    fs = face_set(d)
+    return [c for c in sorted(d.crossings) if _is_cut_vertex(fs, c)]
 
 
 def _is_cut_vertex(fs: FaceSet, c: int) -> bool:
@@ -313,6 +308,16 @@ def _is_cut_vertex(fs: FaceSet, c: int) -> bool:
     map whose table is ``fs``: one face meets it at two corners."""
     corner_face = fs.corner_face
     return len({corner_face[(c, s)] for s in range(4)}) < 4
+
+
+def _is_r2_bigon(d: Diagram, f: Face) -> bool:
+    """A bigon whose edges are non-alternating: an R2 move removes it.
+    The two edges leave each corner in adjacent slots, so the first
+    edge alternates exactly when the second does."""
+    if not f.is_bigon:
+        return False
+    a, z = d.edge_labels(f.boundary_edges[0])
+    return a == z
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
@@ -368,14 +373,7 @@ def diagram_flags(d: Diagram) -> DiagramFlags:
     cuts = cut_vertices(d)
     reduced = not cuts
 
-    r2_reduced = True
-    for f in fs.faces:
-        if f.is_bigon:
-            e = f.boundary_edges[0]
-            a, b = d.edge_labels(e)
-            if a == b:
-                r2_reduced = False
-                break
+    r2_reduced = not any(_is_r2_bigon(d, f) for f in fs.faces)
 
     if not connected:
         witness = PrimalityWitness("disconnected")

@@ -577,7 +577,7 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
     b.add_edge(tip, [(xl[k - 1], 0), (xr[k - 1], 0)], None, comp)
 
     out = b.build()
-    failures = check_edit(b, fs, out, alternating=True)
+    failures, _fs = check_edit(b, fs, out, alternating=True)
     if failures:
         raise AlternationError(f"finger base {base} broke the diagram: {failures}")
     return out
@@ -638,7 +638,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
         if e in b.edges:
             b.set_component(e, merged)
     out = b.build()
-    failures = check_edit(b, fs, out, alternating=True)
+    failures, _fs = check_edit(b, fs, out, alternating=True)
     if failures:
         raise JoinError(
             f"splice of circles {ci} and {cj} in face {shared_face} broke the diagram: {failures}"

@@ -258,11 +258,18 @@ class FaceSet:
     diagram a table serves shares all of these with the one it was built
     for: ``restamp_origins`` and ``mark_augmenting`` change only origins,
     components and the augmenting component, and a surgery result gets
-    a new table (``_edited_face_set``)."""
+    a new table (``_edited_face_set``).
+
+    A table from ``_edited_face_set`` also keeps ``delta``, the edit that
+    made it from its source's table: (first corners of the source faces
+    it dropped, first corners of the faces it walked afresh).  A face's
+    first corner is its least, so it names the face in both tables
+    while the ids renumber.  A table from the full walk has no delta."""
 
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
         self.corner_face = corner_face
+        self.delta: tuple[list[End], list[End]] | None = None
         self.partition = None
         self.pieces = None
         self.classification = None
@@ -401,8 +408,9 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     slots did not change (a new over strand, or only a component
     written on their edges) change no face.  Ids and corner order come
     out as ``_build_face_set(out)`` gives them: the kept faces and the
-    new ones are merged by least corner.  InvariantError when a walk
-    runs into a kept face."""
+    new ones are merged by least corner, and the table's ``delta`` names
+    the dropped and the fresh faces.  InvariantError when a walk runs
+    into a kept face."""
     global _last_face_set
     d = b.source
     old_c, new_c = d.crossings, out.crossings
@@ -450,6 +458,10 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         for k in f.corner_slots:
             corner_face[k] = i
     fs = _face_table(merged, corner_face, out.loops)
+    fs.delta = (
+        [source_fs.faces[fid].corner_slots[0] for fid in dirty],
+        [walk[0][0] for walk in fresh],
+    )
     _last_face_set = (weakref.ref(out), fs)
     return fs
 
@@ -646,11 +658,12 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     for e, rec in sorted(d.edges.items()):
         if e in d.loops:
             failures.append(f"incidence: id {e} is both edge and loop")
-        want = sorted(uses.get(e, []))
-        if sorted(rec.ends) != want:
+        # an edge has two ends: they match the slots in either order
+        u = tuple(uses.get(e, ()))
+        if u != rec.ends and u[::-1] != rec.ends:
             failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
     for cid, c in sorted(d.crossings.items()):
-        if tuple(sorted(c.over_slots)) not in ((0, 2), (1, 3)):
+        if tuple(c.over_slots) not in ((0, 2), (2, 0), (1, 3), (3, 1)):
             word = "".join(str(c.label(s)) for s in range(4))
             failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
 
@@ -671,9 +684,10 @@ def validate_diagram(d: Diagram) -> ValidationReport:
         edges = d.edges
         for cid, c in sorted(d.crossings.items()):
             for s in (0, 1):
-                ids = {edges[c.slots[s]].component, edges[c.slots[s + 2]].component}
-                if len(ids) != 1:
-                    failures.append(f"components: strand through crossing {cid} carries mixed ids {sorted(ids)}")
+                a, z = edges[c.slots[s]].component, edges[c.slots[s + 2]].component
+                if a != z:
+                    ids = sorted({a, z})
+                    failures.append(f"components: strand through crossing {cid} carries mixed ids {ids}")
     ncomp = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))
     return ValidationReport(not failures, failures, v, e, f, ncomp)
 

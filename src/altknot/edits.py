@@ -6,9 +6,9 @@ whether the result is still valid -- and, where asked, alternating -- by
 inspecting only what the builder touched, instead of walking the whole
 map as ``validate_diagram`` does.  The face table of the result is
 derived from the source's by a local update that re-walks only the
-faces the edit changed, and stays in the ``face_set`` memo for the next
-step.  Whole-map validation stays where a diagram enters or leaves the
-pipeline.
+faces the edit changed; ``check_edit`` returns it and leaves it in the
+``face_set`` memo for the next step.  Whole-map validation stays where
+a diagram enters or leaves the pipeline.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from .diagram import Diagram, End, FaceSet, MapBuilder, _edited_face_set, _grow_
 from .errors import InvariantError
 
 
-def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: bool = False) -> list[str]:
-    """Failures of the local edit ``out = b.build()``, inspecting only the
-    crossings and edges ``b`` touched.
+def check_edit(
+    b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: bool = False
+) -> tuple[list[str], FaceSet | None]:
+    """(failures, face table) of the local edit ``out = b.build()``,
+    inspecting only the crossings and edges ``b`` touched.
 
     ``b.source`` must be valid and ``source_fs`` its face table.  Then the
     list is empty exactly when ``validate_diagram(out)`` finds ``out``
@@ -31,9 +33,10 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: boo
     ``out``'s face table and dP, the change in the number of pieces,
     from the source's faces.  That table is updated from ``source_fs``
     by re-walking only the faces at crossings whose slots changed
-    (``diagram._edited_face_set``, equal to the full walk of ``out``)
-    and left in the memo for the next step; a walk that runs into a
-    kept face is a sphericity failure.
+    (``diagram._edited_face_set``, equal to the full walk of ``out``),
+    returned, and left in the memo for the next step.  The table is
+    None when the incidence checks fail or a walk runs into a kept
+    face, which is a sphericity failure.
     """
     d = b.source
     failures: list[str] = []
@@ -71,8 +74,9 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: boo
     for e in sorted({e for e in live_e if e in out.loops} | {k for k in new_loops if k in out.edges}):
         broken.append(f"incidence: id {e} is both edge and loop")
     if broken:
-        return failures + broken
+        return failures + broken, None
 
+    fs = None
     try:
         fs = _edited_face_set(b, source_fs, out)
     except InvariantError as exc:
@@ -103,7 +107,7 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: boo
             a, z = out.edge_labels(e)
             if a == z:
                 failures.append(f"alternation: edge {e} reads ({a}{z})")
-    return failures
+    return failures, fs
 
 
 class _Partition:

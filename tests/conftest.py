@@ -156,9 +156,9 @@ def finger_base_verdicts(monkeypatch, arcs):
     real = augmentation.check_edit
 
     def check(b, source_fs, out, alternating=False):
-        failures = real(b, source_fs, out, alternating)
+        failures, fs = real(b, source_fs, out, alternating)
         verdicts.append((alternating, failures))
-        return failures
+        return failures, fs
 
     with monkeypatch.context() as m:
         m.setattr(augmentation, "check_edit", check)
@@ -301,6 +301,89 @@ def oracle_bigon_faces(d) -> list[frozenset[int]]:
             if len(cs) == 2:
                 out.append(frozenset(f.boundary_edges))
     return out
+
+
+def oracle_r2_bigons(d) -> list[int]:
+    """Ids of the bigon faces whose edges do not alternate, by a scan of
+    every face."""
+    from altknot import face_set
+
+    fs = face_set(d)
+    out = []
+    for f in fs.faces:
+        if f.is_bigon:
+            a, b = d.edge_labels(f.boundary_edges[0])
+            if a == b:
+                out.append(f.id)
+    return out
+
+
+def oracle_preprocess(d):
+    """``preprocess`` as the whole-map loop: before every move, all cut
+    vertices and all R2 bigons of the map, and after it, its whole twist
+    partition.  Returns (output, trace)."""
+    from altknot import face_set
+    from altknot.analysis import cut_vertices, twist_partition
+    from altknot.diagram import restamp_origins
+    from altknot.reduction import (
+        ReductionStep,
+        ReductionTrace,
+        remove_nugatory_crossing,
+        remove_r2_bigon,
+    )
+
+    t = twist_partition(d).t
+    trace = ReductionTrace(crossings_before=len(d.crossings), t_before=t)
+    cur = d
+    while True:
+        cuts = cut_vertices(cur)
+        if cuts:
+            cur = remove_nugatory_crossing(cur, cuts[0])
+            kind, removed = "nugatory", (cuts[0],)
+        else:
+            bigons = oracle_r2_bigons(cur)
+            if not bigons:
+                break
+            removed = tuple(sorted(face_set(cur).faces[bigons[0]].crossings()))
+            cur = remove_r2_bigon(cur, bigons[0])
+            kind = "r2"
+        t = twist_partition(cur).t
+        trace.steps.append(ReductionStep(kind, removed, len(cur.crossings), t))
+    trace.crossings_after = len(cur.crossings)
+    trace.t_after = t
+    return restamp_origins(cur), trace
+
+
+def preprocess_audited(d):
+    """``preprocess(d)``, checking after every move that the worklist's
+    cut vertices, R2 bigons and twist count equal the whole map's.
+    Returns (output, trace)."""
+    from altknot import reduction
+    from altknot.analysis import cut_vertices, twist_partition
+
+    real = reduction._Moves.advance
+
+    def advance(moves, cur, fs):
+        real(moves, cur, fs)
+        assert moves.cuts == set(cut_vertices(cur))
+        assert moves.bigons == {fs.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur)}
+        assert moves.t == twist_partition(cur).t
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(reduction._Moves, "advance", advance)
+        return reduction.preprocess(d)
+
+
+def assert_preprocess_matches_oracle(d, audit=True):
+    """``preprocess(d)`` (audited move by move, unless ``audit`` is
+    false) gives the output and the trace of ``oracle_preprocess``."""
+    from altknot import reduction, serialize_pd
+
+    out, trace = preprocess_audited(d) if audit else reduction.preprocess(d)
+    want_out, want_trace = oracle_preprocess(d)
+    assert serialize_pd(out) == serialize_pd(want_out)
+    assert trace.to_json() == want_trace.to_json()
+    return out, trace
 
 
 def oracle_twist_count(d) -> int:

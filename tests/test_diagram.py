@@ -205,6 +205,30 @@ class TestValidate:
         assert not rep.valid
         assert any("incidence" in m for m in rep.failures)
 
+    def test_failures_are_reported_by_id(self, trefoil):
+        # the tables in reverse id order: each check reports its failures
+        # by id all the same, incidence and labels before components
+        cr = {c: trefoil.crossings[c] for c in sorted(trefoil.crossings, reverse=True)}
+        cr[2] = Crossing(2, cr[2].slots, (0, 1))
+        cr[0] = Crossing(0, cr[0].slots, (2, 3))
+        ed = {e: trefoil.edges[e] for e in sorted(trefoil.edges, reverse=True)}
+        ed[6] = Edge(6, ((0, 0), (1, 1)), 6, 0)
+        ed[3] = Edge(3, (ed[3].ends[0], (2, 0)), 3, 0)
+        labels = [
+            "labels: crossing 0 reads (--++) around, not (+-+-)",
+            "labels: crossing 2 reads (++--) around, not (+-+-)",
+        ]
+        assert validate_diagram(Diagram(cr, ed, {4: 0})).failures == [
+            "incidence: edge 3 ends ((1, 0), (2, 0)) do not match slots",
+            "incidence: id 4 is both edge and loop",
+            "incidence: edge 6 ends ((0, 0), (1, 1)) do not match slots",
+        ] + labels
+        ed = {e: Edge(e, r.ends, e, e % 3) for e, r in sorted(trefoil.edges.items(), reverse=True)}
+        mixed = [(0, [1, 2]), (0, [1, 2]), (1, [0, 1]), (1, [0, 1]), (2, [0, 2]), (2, [0, 2])]
+        assert validate_diagram(Diagram(cr, ed, {})).failures == labels + [
+            f"components: strand through crossing {c} carries mixed ids {ids}" for c, ids in mixed
+        ]
+
     @settings(deadline=None, max_examples=60)
     @given(BRAID_LETTERS)
     def test_braid_closures_validate(self, word):

@@ -1,4 +1,4 @@
-"""Diagrams of 200-600 crossings, well past the property corpus.
+"""Diagrams of 200-800 crossings, well past the property corpus.
 
 The inputs are the benchmark's own generators (``perfbench/inputs.py``,
 read-only) at larger sizes: reduced prime non-alternating closures for
@@ -22,7 +22,6 @@ from altknot import (
     find_merge_arc,
     overlay_unlink,
     parse_pd,
-    preprocess,
     serialize_pd,
     validate_diagram,
 )
@@ -30,6 +29,7 @@ from altknot.diagram import restamp_origins
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
+    assert_preprocess_matches_oracle,
     augment_recording_fingers,
     augment_recording_merge_arcs,
     finger_base_verdicts,
@@ -109,11 +109,22 @@ def test_merge_arcs_between_circle_triples(bench_inputs):
 
 
 def test_preprocess(bench_inputs):
+    # audited move by move against the whole map, and equal to the
+    # whole-map loop
     for x in bench_inputs.reduce_inputs(SEED, n=4, lo=200, hi=600):
-        out, trace = preprocess(parse_pd(x.pd))
+        out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd))
         assert validate_diagram(out).valid, x.name
         assert oracle_cut_vertices(out) == [], x.name
         alternating = oracle_alternating_edges(serialize_pd(out))
         assert all(b <= alternating for b in oracle_bigon_faces(out)), x.name
         ts = [trace.t_before] + [step.t_after for step in trace.steps]
         assert all(a >= b for a, b in zip(ts, ts[1:])), x.name
+
+
+def test_preprocess_800(bench_inputs):
+    # one closure of 800 crossings: the trace and output of the whole-map
+    # loop, without the per-move audit
+    (x,) = bench_inputs.reduce_inputs(SEED, n=1, lo=800, hi=800)
+    out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd), audit=False)
+    assert trace.crossings_before == 800 and len(trace.steps) > 100
+    assert validate_diagram(out).valid

@@ -120,8 +120,8 @@ class Audit:
         self.tables = Counter()  # (site, "real" | "mutant") -> tables compared
         self.loops_made = Counter()  # site -> edits that made a crossing-free loop
 
-    def _check_table(self, out, failures, site, kind) -> None:
-        fs = memo_table(out)
+    def _check_table(self, out, failures, fs, site, kind) -> None:
+        assert fs is memo_table(out), (site, kind)
         if fs is None:
             # no table: the incidence phase failed, or the walk ran into
             # a kept face, which the full walk must then do as well
@@ -134,12 +134,12 @@ class Audit:
 
     def __call__(self, b, source_fs, out, alternating=False):
         site = sys._getframe(1).f_code.co_name
-        failures = check_edit(b, source_fs, out, alternating)
-        assert memo_table(out) is not None, site
+        failures, fs = check_edit(b, source_fs, out, alternating)
+        assert fs is not None, site
         # the builder re-creates only the records it touched
         src = b.source.edges
         assert all(rec is src[e] for e, rec in out.edges.items() if e not in b.touched_edges), site
-        self._check_table(out, failures, site, "real")
+        self._check_table(out, failures, fs, site, "real")
         if out.crossings and len(out.loops) > len(b.source.loops):
             self.loops_made[site] += 1
         whole = whole_map_accepts(out, alternating)
@@ -151,12 +151,12 @@ class Audit:
             broken = b.build()
             # writes after build() reach the next build only
             assert (out.crossings, out.edges, out.loops) == built, kind
-            local = check_edit(b, source_fs, broken, alternating)
-            self._check_table(broken, local, site, "mutant")
+            local, local_fs = check_edit(b, source_fs, broken, alternating)
+            self._check_table(broken, local, local_fs, site, "mutant")
             whole = whole_map_accepts(broken, alternating)
             assert (not local) == whole, (kind, local)
             self.mutants[(kind, whole)] += 1
-        return failures
+        return failures, fs
 
 
 @pytest.fixture
@@ -200,7 +200,7 @@ def _check_tally(a: Audit, sites_min: int, sites) -> None:
 
 
 AUGMENT_SITES = ("_insert_finger", "join_curves")
-REDUCTION_SITES = ("remove_r2_bigon", "remove_nugatory_crossing")
+REDUCTION_SITES = ("_r2_move", "_nugatory_move")
 
 
 class TestVerdictsAgree:
@@ -223,7 +223,7 @@ class TestVerdictsAgree:
                 preprocess(d)
         _check_tally(a, 100, REDUCTION_SITES)
         # R2 removals that leave a crossing-free loop beside crossings
-        assert a.loops_made["remove_r2_bigon"] >= 1, a.loops_made
+        assert a.loops_made["_r2_move"] >= 1, a.loops_made
 
     def test_real_edits_pass_unmutated(self, audit):
         # without the random breakage every real edit is accepted by both
@@ -370,7 +370,7 @@ def test_moves_that_change_the_piece_count(audit):
         assert [s.kind for s in trace.steps] == ["r2"]
         assert validate_diagram(out).valid
         assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)
-    assert a.tables == {("remove_r2_bigon", "real"): 3}
+    assert a.tables == {("_r2_move", "real"): 3}
 
 
 # -- the local face table ----------------------------------------------------------

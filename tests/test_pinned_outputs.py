@@ -10,6 +10,9 @@ is written.
 The face ids the CLI reports (``merges[].faces``, ``join_face``) are not
 in ``serialize_pd``; ``AUGMENT_LARGE_REPORTS`` pins the whole
 ``AugmentationResult.to_json()`` of the seed-0 ``augment-large`` inputs.
+A reduction can reach the same output through other moves, so
+``REDUCE_TRACES`` pins the whole ``ReductionTrace.to_json()`` of the
+seed-0 ``reduce`` inputs: each move's kind, crossings and twist count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ SEED = 0
 # digest (``inputs.digest``) of json.dumps(augment(d).to_json(),
 # sort_keys=True) over the seed-0 augment-large inputs
 AUGMENT_LARGE_REPORTS = "e8e233bd31aa683823f091718a1f798cf0b366df9a0f987287169c7a74ade6ea"
+# digest of json.dumps(preprocess(d)[1].to_json(), sort_keys=True) over
+# the seed-0 reduce inputs
+REDUCE_TRACES = "55d74af0dc8d2e1fa95a83f8a7a2e46345e74ecd52c689ccd8dc379747d9d859"
 
 
 def _pins(workload: str) -> dict:
@@ -36,6 +42,12 @@ def test_reduce_outputs_match_pins(bench_inputs):
     assert bench_inputs.digest(x.pd for x in items) == pins["inputs"]
     outs = [serialize_pd(preprocess(parse_pd(x.pd))[0]) for x in items]
     assert bench_inputs.digest(outs) == pins["outputs"]
+
+
+def test_reduce_traces_match_pin(bench_inputs):
+    items = bench_inputs.reduce_inputs(SEED, n=48, lo=30, hi=80)
+    traces = [json.dumps(preprocess(parse_pd(x.pd))[1].to_json(), sort_keys=True) for x in items]
+    assert bench_inputs.digest(traces) == REDUCE_TRACES
 
 
 def test_augment_large_outputs_match_pins(bench_inputs):

@@ -22,18 +22,25 @@ from altknot.diagram import Diagram, euler_by_piece
 from altknot.errors import NotNugatory, NotR2Bigon, UnknownFace
 from altknot.generate import braid_closure, two_strand_torus
 
+from conftest import (
+    assert_preprocess_matches_oracle,
+    corpus_diagrams,
+    link_diagrams,
+    oracle_r2_bigons,
+)
+
 BRAID_LETTERS = st.lists(
     st.sampled_from([i for i in range(-4, 5) if i != 0]), min_size=1, max_size=25
 )
 
 
-def _r2_faces(d):
-    fs = face_set(d)
-    return [
-        f.id for f in fs.faces
-        if f.is_bigon and d.edge_labels(f.boundary_edges[0])[0]
-        == d.edge_labels(f.boundary_edges[0])[1]
-    ]
+def _flipped(word, flips):
+    """The closure of ``word`` with its first ``flips`` crossings (in id
+    order, cyclically) flipped."""
+    d = braid_closure(word)
+    for k in range(flips):
+        d = flip_crossing(d, sorted(d.crossings)[k % len(d.crossings)])
+    return d
 
 
 class TestNugatory:
@@ -75,7 +82,7 @@ class TestNugatory:
 class TestR2:
     def test_flipped_trefoil_bigon(self, trefoil):
         f = flip_crossing(trefoil, 0)
-        faces = _r2_faces(f)
+        faces = oracle_r2_bigons(f)
         assert faces
         out = remove_r2_bigon(f, faces[0])
         assert len(out.crossings) == 1
@@ -99,7 +106,7 @@ class TestR2:
                 remove_r2_bigon(trefoil, f)
 
     def test_curl_to_single_loop(self, curl):
-        faces = _r2_faces(curl)
+        faces = oracle_r2_bigons(curl)
         assert len(faces) == 1
         out = remove_r2_bigon(curl, faces[0])
         assert not out.crossings and len(out.loops) == 1
@@ -112,7 +119,7 @@ class TestR2:
         d = parse_pd("X(3,4,2,1) X(4,3,5,6) X(5,7,8,6) X(7,1,2,8)")
         face = face_set(d).faces[2]
         assert face.boundary_edges == (1, 2) and face.crossings() == {0, 3}
-        assert 2 in _r2_faces(d)
+        assert 2 in oracle_r2_bigons(d)
         out = remove_r2_bigon(d, 2)
         assert sorted(out.edges) == [3, 4, 5, 6]
         # each fused edge runs between the far ends of its outer edges
@@ -122,7 +129,7 @@ class TestR2:
 
     def test_flipped_hopf_to_two_loops(self):
         h = flip_crossing(two_strand_torus(2), 0)
-        faces = _r2_faces(h)
+        faces = oracle_r2_bigons(h)
         out = remove_r2_bigon(h, faces[0])
         assert not out.crossings and len(out.loops) == 2  # unlink preserved
 
@@ -157,11 +164,10 @@ class TestPreprocess:
     @settings(deadline=None, max_examples=50)
     @given(BRAID_LETTERS, st.integers(0, 6))
     def test_fixpoint_flags_and_monotone_counts(self, word, flips):
-        d = braid_closure(word)
-        for k in range(flips):
-            d = flip_crossing(d, sorted(d.crossings)[k % len(d.crossings)])
+        d = _flipped(word, flips)
         t0 = twist_partition(d).t
-        out, trace = preprocess(d)
+        # audited move by move, and equal to the whole-map loop
+        out, trace = assert_preprocess_matches_oracle(d)
         fl = diagram_flags(out)
         assert fl.reduced and fl.r2_reduced
         counts = [trace.crossings_before] + [s.crossings_after for s in trace.steps]
@@ -191,3 +197,77 @@ class TestPreprocess:
     def test_origins_restamped(self, trefoil):
         out, _ = preprocess(flip_crossing(two_strand_torus(5), 0))
         assert all(rec.origin == e for e, rec in out.edges.items())
+
+
+class TestWorklist:
+    """``preprocess`` updates its candidate moves and twist count from
+    each move's face-table delta.  Its outputs and traces must be those
+    of the whole-map loop (``oracle_preprocess``), and after every move
+    its cut vertices, R2 bigons and twist count those of the whole map
+    (``preprocess_audited``).  ``TestPreprocess`` does the same on the
+    ``BRAID_LETTERS`` words."""
+
+    def test_corpus_and_link_inputs(self, monkeypatch):
+        # every raw closure the corpus generators reduce, flipped
+        # crossings and 31+-crossing links among them
+        import altknot
+        from altknot import generate
+
+        traces = []
+
+        def checked(d):
+            out, trace = assert_preprocess_matches_oracle(d)
+            traces.append(trace)
+            return out, trace
+
+        monkeypatch.setattr(generate, "preprocess", checked)
+        monkeypatch.setattr(altknot, "preprocess", checked)
+        corpus_diagrams(30)
+        link_diagrams(4)
+        kinds = {s.kind for trace in traces for s in trace.steps}
+        assert len(traces) > 34 and kinds == {"nugatory", "r2"}
+
+    def test_cut_vertex_on_one_fresh_face(self, monkeypatch):
+        # moves after which a crossing becomes a cut vertex while it lies
+        # on one fresh face only (the third of seven, then the first of
+        # seven), so the crossings of every fresh face must be re-tested
+        from altknot import reduction
+
+        found = []
+        real = reduction._Moves.advance
+
+        def advance(moves, cur, fs):
+            before = set(moves.cuts)
+            real(moves, cur, fs)
+            fresh = [fs.faces[fs.corner_face[k]].crossings() for k in fs.delta[1]]
+            found.extend(
+                [i for i, f in enumerate(fresh) if c in f] for c in moves.cuts - before
+                if sum(c in f for f in fresh) == 1
+            )
+
+        monkeypatch.setattr(reduction._Moves, "advance", advance)
+        for word, flips in (
+            ([-1, 1, -1, -2, 2, 1, 2, -2, 2, -2, -1, 3, -3, 1, 3, 3, 2, -3, -1], 3),
+            ([2, -2, 3, -1, 1, 3, -3, 1, -2, 3, 3, -3, -1, 3], 2),
+        ):
+            assert_preprocess_matches_oracle(_flipped(word, flips))
+        assert found == [[2], [0]]
+
+    def test_independent_of_the_memo(self, monkeypatch, trefoil):
+        # the face_set memo is taken by another diagram after every move's
+        # check: preprocess holds each table itself, so nothing changes
+        from altknot import reduction
+
+        real = reduction.check_edit
+        checks = []
+
+        def check(b, source_fs, out, alternating=False):
+            result = real(b, source_fs, out, alternating)
+            face_set(trefoil)
+            checks.append(result)
+            return result
+
+        monkeypatch.setattr(reduction, "check_edit", check)
+        for word, flips in (([1, -2, 1, 1, -2, 2, 3, -3, -1, 1], 4), ([2, -1, 2, 2, 1, -1, -1], 2)):
+            assert_preprocess_matches_oracle(_flipped(word, flips), audit=False)
+        assert len(checks) > 10
