@@ -19,7 +19,6 @@ from .analysis import (
     refinement_check,
     shading_classes,
     twist_partition,
-    twist_region_topology,
 )
 from .augmentation import (
     AugmentationResult,
@@ -48,9 +47,7 @@ from .diagram import (
     faces,
     flip_crossing,
     parse_pd,
-    same_map,
     serialize_pd,
-    subdivide_edge_with_crossing,
     validate_diagram,
 )
 from .generate import braid_closure, random_knot_diagram, two_strand_torus

@@ -240,25 +240,6 @@ def twist_partition(d: Diagram) -> TwistPartition:
     return fs.partition
 
 
-def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
-    """Re-derive a region's topology and, for connected R2-reduced
-    diagrams, enforce that a non-disk region forces the standard
-    two-strand torus diagram."""
-    fs = face_set(d)
-    bigons = [fs.faces[fid] for fid in region.bigons]
-    topo = _region_topology(bigons)
-    out = TwistRegion(region.crossings, region.bigons, region.links, topo)
-    if topo is not RegionTopology.DISK:
-        flags = diagram_flags(d)
-        if flags.connected and flags.r2_reduced:
-            if detect_two_strand_torus(d) is None:
-                raise InvariantError(
-                    "non-disk twist region in a connected R2-reduced diagram "
-                    "that is not the standard two-strand torus diagram"
-                )
-    return out
-
-
 # -- flags: connected / reduced / R2-reduced / prime -------------------------------
 
 @dataclass(frozen=True)
@@ -311,13 +292,18 @@ def _is_cut_vertex(fs: FaceSet, c: int) -> bool:
 
 
 def _is_r2_bigon(d: Diagram, f: Face) -> bool:
-    """A bigon whose edges are non-alternating: an R2 move removes it.
-    The two edges leave each corner in adjacent slots, so the first
-    edge alternates exactly when the second does."""
-    if not f.is_bigon:
-        return False
-    a, z = d.edge_labels(f.boundary_edges[0])
-    return a == z
+    """A bigon whose edges are non-alternating: an R2 move removes it."""
+    return f.is_bigon and _is_r2_corners(d, f.corner_slots)
+
+
+def _is_r2_corners(d: Diagram, corners) -> bool:
+    """The R2 test of the bigon whose two corners are ``corners``, in
+    either order.  The edge leaving the first corner, by its slot s + 1,
+    arrives at the second in its slot; and the two edges leave each
+    corner in adjacent slots, so the first edge alternates exactly when
+    the second does."""
+    (c0, s0), (c1, s1) = corners
+    return d.label(c0, s0 + 1) == d.label(c1, s1)
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:

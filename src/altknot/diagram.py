@@ -21,8 +21,10 @@ from __future__ import annotations
 import bisect
 import re
 import weakref
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import (
     IncidenceError,
@@ -32,7 +34,6 @@ from .errors import (
     SphericityError,
     UnknownComponent,
     UnknownCrossing,
-    UnknownEdge,
 )
 
 
@@ -258,18 +259,11 @@ class FaceSet:
     diagram a table serves shares all of these with the one it was built
     for: ``restamp_origins`` and ``mark_augmenting`` change only origins,
     components and the augmenting component, and a surgery result gets
-    a new table (``_edited_face_set``).
-
-    A table from ``_edited_face_set`` also keeps ``delta``, the edit that
-    made it from its source's table: (first corners of the source faces
-    it dropped, first corners of the faces it walked afresh).  A face's
-    first corner is its least, so it names the face in both tables
-    while the ids renumber.  A table from the full walk has no delta."""
+    a new table (``_edited_face_set``)."""
 
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
         self.corner_face = corner_face
-        self.delta: tuple[list[End], list[End]] | None = None
         self.partition = None
         self.pieces = None
         self.classification = None
@@ -408,8 +402,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     slots did not change (a new over strand, or only a component
     written on their edges) change no face.  Ids and corner order come
     out as ``_build_face_set(out)`` gives them: the kept faces and the
-    new ones are merged by least corner, and the table's ``delta`` names
-    the dropped and the fresh faces.  InvariantError when a walk runs
+    new ones are merged by least corner.  InvariantError when a walk runs
     into a kept face."""
     global _last_face_set
     d = b.source
@@ -458,10 +451,6 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         for k in f.corner_slots:
             corner_face[k] = i
     fs = _face_table(merged, corner_face, out.loops)
-    fs.delta = (
-        [source_fs.faces[fid].corner_slots[0] for fid in dirty],
-        [walk[0][0] for walk in fresh],
-    )
     _last_face_set = (weakref.ref(out), fs)
     return fs
 
@@ -470,17 +459,6 @@ def faces(d: Diagram) -> list[Face]:
     """All complementary regions (two per crossing-free loop), as a new
     list the caller may modify."""
     return list(face_set(d).faces)
-
-
-def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
-    """(V, E, F) per crossing-bearing connected piece.  The package checks
-    their sum (``validate_diagram``); the tests check each piece."""
-    fs = face_set(d)
-    out = []
-    for cs, es in connected_pieces(d):
-        nf = sum(1 for f in fs.faces if f.corner_slots and f.corner_slots[0][0] in cs)
-        out.append((len(cs), len(es), nf))
-    return out
 
 
 # -- labels --------------------------------------------------------------------
@@ -692,62 +670,49 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     return ValidationReport(not failures, failures, v, e, f, ncomp)
 
 
-# -- map equality ----------------------------------------------------------------
-
-def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
-    """Combinatorial-map equality preserving edge ids, up to rotating each
-    crossing's slot numbering (which the serialization of a flipped
-    crossing does).  Crossings match by id when the id sets agree, else
-    positionally in sorted order (PD text carries no crossing ids, so a
-    parse after a serialize renumbers them in record order)."""
-    if set(a.edges) != set(b.edges) or set(a.loops) != set(b.loops):
-        return False
-    if len(a.crossings) != len(b.crossings):
-        return False
-    if set(a.crossings) == set(b.crossings):
-        cmap = {c: c for c in a.crossings}
-    else:
-        cmap = dict(zip(sorted(a.crossings), sorted(b.crossings)))
-    rot: dict[int, int] = {}
-    for cid, ca in a.crossings.items():
-        cb = b.crossings[cmap[cid]]
-        for r in range(4):
-            if tuple(ca.slots[(i + r) % 4] for i in range(4)) == tuple(cb.slots):
-                pa = ca.over_slots[0] % 2
-                pb = cb.over_slots[0] % 2
-                if (pa - r) % 2 == pb:
-                    rot[cid] = r
-                    break
-        else:
-            return False
-    comp_map: dict[int, int] = {}
-    comp_seen: set[int] = set()
-
-    def comps_match(ca: int, cb: int) -> bool:
-        if ca in comp_map:
-            return comp_map[ca] == cb
-        if cb in comp_seen:
-            return False
-        comp_map[ca] = cb
-        comp_seen.add(cb)
-        return True
-
-    for e, ra in a.edges.items():
-        rb = b.edges[e]
-        mapped = {(cmap[c], (s - rot[c]) % 4) for c, s in ra.ends}
-        if mapped != set((c, s % 4) for c, s in rb.ends):
-            return False
-        if not comps_match(ra.component, rb.component):
-            return False
-        if check_origins and ra.origin != rb.origin:
-            return False
-    for k, comp in a.loops.items():
-        if not comps_match(comp, b.loops[k]):
-            return False
-    return True
-
-
 # -- local edits -----------------------------------------------------------------
+
+class _CrossingField(MutableMapping):
+    """Crossing id -> one field of that crossing: the source crossing's
+    until written or deleted.  A builder reads through to its source
+    instead of copying a field of every crossing, so it costs what it
+    touches."""
+
+    def __init__(self, source: dict[int, Crossing], name: str):
+        self._source = source
+        self._read = attrgetter(name)
+        self._own: dict = {}
+        self._gone: set[int] = set()
+
+    def __getitem__(self, c: int):
+        own = self._own
+        if c in own:
+            return own[c]
+        if c in self._gone:
+            raise KeyError(c)
+        return self._read(self._source[c])
+
+    def __setitem__(self, c: int, value) -> None:
+        self._own[c] = value
+        self._gone.discard(c)
+
+    def __delitem__(self, c: int) -> None:
+        if c not in self:
+            raise KeyError(c)
+        self._own.pop(c, None)
+        self._gone.add(c)
+
+    def __contains__(self, c) -> bool:
+        return c in self._own or (c in self._source and c not in self._gone)
+
+    def __iter__(self):
+        own, gone = self._own, self._gone
+        yield from (c for c in self._source if c not in own and c not in gone)
+        yield from own
+
+    def __len__(self) -> int:
+        return sum(1 for _c in self)
+
 
 class MapBuilder:
     """Mutable scratch copy of a diagram for surgery.  Keeps the slot
@@ -759,22 +724,26 @@ class MapBuilder:
     records every crossing and edge id it adds, removes or changes in
     ``touched_crossings`` / ``touched_edges``; ``build()`` re-creates
     only the touched crossings, hands over a copy of ``edges``, and
-    ``edits.check_edit`` inspects only the touched records.  Slot
-    sequences stay the source's tuples until first written, so all
-    writes go through the methods below."""
+    ``edits.check_edit`` inspects only the touched records.  ``slots``
+    and ``over`` read through to the source's crossings until a crossing
+    is written or removed, and slot sequences stay the source's tuples
+    until first written, so all writes go through the methods below.
+    Making a builder copies nothing per crossing, and the fresh ids
+    (``new_edge_id`` and the like) are found in the source on first
+    use."""
 
     def __init__(self, d: Diagram):
         self.source = d
-        self.slots: dict[int, list[int] | tuple] = {c: x.slots for c, x in d.crossings.items()}
-        self.over: dict[int, tuple[int, int]] = {c: x.over_slots for c, x in d.crossings.items()}
+        self.slots: MutableMapping[int, list[int] | tuple] = _CrossingField(d.crossings, "slots")
+        self.over: MutableMapping[int, tuple[int, int]] = _CrossingField(d.crossings, "over_slots")
         self.edges: dict[int, Edge] = dict(d.edges)
         self.loops: dict[int, int] = dict(d.loops)
         self.augmenting = d.augmenting_component
         self.touched_crossings: set[int] = set()
         self.touched_edges: set[int] = set()
-        self._next_edge = d.next_edge_id()
-        self._next_crossing = d.next_crossing_id()
-        self._next_comp = d.next_component_id()
+        self._next_edge: int | None = None
+        self._next_crossing: int | None = None
+        self._next_comp: int | None = None
 
     def _own_slots(self, c: int) -> list[int]:
         if c not in self.touched_crossings:
@@ -783,14 +752,20 @@ class MapBuilder:
         return self.slots[c]
 
     def new_edge_id(self) -> int:
+        if self._next_edge is None:
+            self._next_edge = self.source.next_edge_id()
         self._next_edge += 1
         return self._next_edge - 1
 
     def new_crossing_id(self) -> int:
+        if self._next_crossing is None:
+            self._next_crossing = self.source.next_crossing_id()
         self._next_crossing += 1
         return self._next_crossing - 1
 
     def new_component_id(self) -> int:
+        if self._next_comp is None:
+            self._next_comp = self.source.next_component_id()
         self._next_comp += 1
         return self._next_comp - 1
 
@@ -870,43 +845,6 @@ def flip_crossing(d: Diagram, c: int) -> Diagram:
     crossings = dict(d.crossings)
     crossings[c] = flipped
     return Diagram(crossings, d.edges, d.loops, d.augmenting_component)
-
-
-def subdivide_edge_with_crossing(
-    d: Diagram,
-    e: int,
-    e_sign: Sign,
-    new_component: int | None = None,
-) -> Diagram:
-    """Insert one transverse crossing on edge ``e``.
-
-    The edge splits into two halves sharing the new crossing, both
-    inheriting the origin of ``e``; the strand of ``e`` carries
-    ``e_sign`` there and the crossing strand the negation.  The crossing
-    strand is a one-edge closed loop through the new crossing, labeled
-    ``new_component`` (fresh when omitted).
-
-    Parity caveat: a closed curve meets a closed strand an even number
-    of times in the sphere, so a diagram with a lone transversal loop
-    crossing fails the Euler check until further crossings of the same
-    inserted strand even the count out (``overlay_unlink`` inserts whole
-    curves at once for exactly this reason).  Everything local -- labels,
-    origins, V+1/E+2 -- behaves as for one step of a curve insertion."""
-    if e not in d.edges:
-        raise UnknownEdge(f"no edge {e}")
-    b = MapBuilder(d)
-    rec = d.edges[e]
-    x = b.new_crossing_id()
-    h0, h1 = b.new_edge_id(), b.new_edge_id()
-    loop_edge = b.new_edge_id()
-    comp = new_component if new_component is not None else b.new_component_id()
-    over = (1, 3) if e_sign is Sign.MINUS else (0, 2)
-    b.remove_edge(e)
-    b.add_crossing(x, [0, 0, 0, 0], over)
-    b.add_edge(h0, [tuple(rec.ends[0]), (x, 0)], rec.origin, rec.component)
-    b.add_edge(h1, [(x, 2), tuple(rec.ends[1])], rec.origin, rec.component)
-    b.add_edge(loop_edge, [(x, 1), (x, 3)], None, comp)
-    return b.build()
 
 
 def drop_component(d: Diagram, comp: int) -> Diagram:

@@ -9,11 +9,21 @@ derived from the source's by a local update that re-walks only the
 faces the edit changed; ``check_edit`` returns it and leaves it in the
 ``face_set`` memo for the next step.  Whole-map validation stays where
 a diagram enters or leaves the pipeline.
+
+``check_move`` checks the two moves of ``reduction.preprocess`` without
+a face walk.  Both remove crossings and join each strand through them
+straight across.  For an R2 move, and for the removal of a kink, the
+faces of the result are those of the source merged and trimmed of the
+removed corners, so they follow from the source's faces, held as a
+``FacePartition``, and a few facts about the faces at the removed
+crossings (``merge_plan``).  An edit that is not exactly such a move,
+or a move outside those facts, is checked by ``check_edit`` on a full
+table of the source.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, End, FaceSet, MapBuilder, _edited_face_set, _grow_piece
+from .diagram import Diagram, End, FaceSet, MapBuilder, _build_face_set, _edited_face_set, _grow_piece
 from .errors import InvariantError
 
 
@@ -39,17 +49,71 @@ def check_edit(
     face, which is a sphericity failure.
     """
     d = b.source
+    failures, broken = _check_records(b, out)
+    if broken:
+        return failures + broken, None
+    fs = None
+    try:
+        fs = _edited_face_set(b, source_fs, out)
+    except InvariantError as exc:
+        failures.append(f"sphericity: {exc}")
+    else:
+        dv = len(out.crossings) - len(d.crossings)
+        de = len(out.edges) - len(d.edges)
+        df = (len(fs.faces) - 2 * len(out.loops)) - (len(source_fs.faces) - 2 * len(d.loops))
+        dp = _piece_change(b, source_fs, out)
+        if dv - de + df != 2 * dp:
+            failures.append(f"sphericity: V-E+F moved by {dv - de + df} for {dp} new pieces")
+    return failures + _check_strands(b, out, alternating), fs
+
+
+def check_move(
+    b: MapBuilder, faces: FacePartition, out: Diagram, gone: tuple[int, ...]
+) -> tuple[list[str], FaceSet | None]:
+    """(failures, face table) of a reduction move ``out = b.build()`` that
+    removes the crossings ``gone`` from the valid diagram ``b.source`` and
+    joins each strand through them straight across: the removal of a
+    nugatory crossing, or of the two crossings of an R2 bigon.
+    ``faces`` is the source's ``FacePartition``.
+
+    The list is empty exactly when ``validate_diagram(out)`` finds ``out``
+    valid.  The incidence, label and strand-component checks are those of
+    ``check_edit``.  When ``out`` is exactly the source with ``gone``
+    removed and its strands joined straight across (``_joined_straight``)
+    and ``merge_plan`` finds the faces that become one, the faces of
+    ``out`` need no walk: the planned faces become one, every other face
+    keeps its corners off ``gone``, and no piece splits or vanishes.
+    Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan), and the
+    table is None.  Otherwise the move is ``check_edit`` on a full table
+    of the source, and the table is the one it returns.
+    """
+    d = b.source
+    failures, broken = _check_records(b, out)
+    if broken:
+        return failures + broken, None
+    plan = merge_plan(faces, gone) if _joined_straight(b, out, gone) else None
+    if plan is None:
+        return check_edit(b, _build_face_set(d), out)
+    dv = len(out.crossings) - len(d.crossings)
+    de = len(out.edges) - len(d.edges)
+    if dv - de + 1 - len(plan) != 0:
+        failures.append(f"sphericity: V-E+F moved by {dv - de + 1 - len(plan)} for 0 new pieces")
+    return failures + _check_strands(b, out), None
+
+
+def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
+    """(label failures, incidence and valence failures) of the crossings
+    and edges ``b`` touched; no face can be walked without the second."""
+    d = b.source
     failures: list[str] = []
-    broken: list[str] = []  # incidence and valence: no face walk without them
-    live_c = sorted(c for c in b.touched_crossings if c in out.crossings)
-    live_e = sorted(e for e in b.touched_edges if e in out.edges)
+    broken: list[str] = []
     # the uses of an id change only at touched crossings
     affected = set(b.touched_edges)
     for c in b.touched_crossings:
         if c in d.crossings:
             affected.update(d.crossings[c].slots)
     new_uses: dict[int, list[End]] = {}
-    for c in live_c:
+    for c in sorted(c for c in b.touched_crossings if c in out.crossings):
         x = out.crossings[c]
         if tuple(sorted(x.over_slots)) not in ((0, 2), (1, 3)):
             word = "".join(str(x.label(s)) for s in range(4))
@@ -70,24 +134,20 @@ def check_edit(
             broken.append(f"incidence: edge {e} used {len(uses)} times")
         if rec is not None and sorted(rec.ends) != sorted(uses):
             broken.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
+    live_e = sorted(e for e in b.touched_edges if e in out.edges)
     new_loops = [k for k in out.loops if k not in d.loops]
     for e in sorted({e for e in live_e if e in out.loops} | {k for k in new_loops if k in out.edges}):
         broken.append(f"incidence: id {e} is both edge and loop")
-    if broken:
-        return failures + broken, None
+    return failures, broken
 
-    fs = None
-    try:
-        fs = _edited_face_set(b, source_fs, out)
-    except InvariantError as exc:
-        failures.append(f"sphericity: {exc}")
-    else:
-        dv = len(out.crossings) - len(d.crossings)
-        de = len(out.edges) - len(d.edges)
-        df = (len(fs.faces) - 2 * len(out.loops)) - (len(source_fs.faces) - 2 * len(d.loops))
-        dp = _piece_change(b, source_fs, out)
-        if dv - de + df != 2 * dp:
-            failures.append(f"sphericity: V-E+F moved by {dv - de + df} for {dp} new pieces")
+
+def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> list[str]:
+    """Failures of the strand components at every crossing a touched edge
+    meets and, with ``alternating``, of the alternation of the touched
+    edges, for an ``out`` that passed ``_check_records``."""
+    failures: list[str] = []
+    live_c = sorted(c for c in b.touched_crossings if c in out.crossings)
+    live_e = sorted(e for e in b.touched_edges if e in out.edges)
     met = set(live_c)
     for e in live_e:
         met.update(c for c, _s in out.edges[e].ends)
@@ -107,7 +167,154 @@ def check_edit(
             a, z = out.edge_labels(e)
             if a == z:
                 failures.append(f"alternation: edge {e} reads ({a}{z})")
-    return failures, fs
+    return failures
+
+
+class FacePartition:
+    """The corner faces of a map as a partition of its corners, for a run
+    of ``check_move`` moves: ``face`` maps each corner to a handle, and
+    ``corners`` each handle to its face's corners.  Crossing-free loops
+    have no corners and no handle.
+
+    A move removes its crossings' corners (``remove``) and merges faces
+    (``merge``), which relabels the corners of all but the heaviest
+    face.  A face's ``weight`` is the number of corners it has ever held,
+    removed ones included, so each relabelled corner at least doubles the
+    weight of its face, and between two reads none of the map's 4n
+    corners moves more than log2(4n) times.  ``relabelled`` counts the
+    corners moved, and the corners taken afresh by ``read`` after the
+    first."""
+
+    def __init__(self, fs: FaceSet):
+        self.relabelled = 0
+        self.face: dict[End, int] = {}
+        self.read(fs)
+
+    def read(self, fs: FaceSet) -> None:
+        """Take the corner faces of the table ``fs``, replacing any held."""
+        self.relabelled += len(self.face)
+        self.face = dict(fs.corner_face)
+        self.corners = {f.id: set(f.corner_slots) for f in fs.faces if f.loop is None}
+        self.weight = {h: len(ks) for h, ks in self.corners.items()}
+
+    def is_cut(self, c: int) -> bool:
+        """One face meets crossing ``c`` at two corners (``analysis.cut_vertices``)."""
+        face = self.face
+        return len({face[(c, s)] for s in range(4)}) < 4
+
+    def is_bigon(self, h: int) -> bool:
+        """Face ``h`` has two corners at two crossings (``Face.is_bigon``)."""
+        ks = self.corners[h]
+        if len(ks) != 2:
+            return False
+        (c0, _s0), (c1, _s1) = ks
+        return c0 != c1
+
+    def bigon_end(self, x: int, s: int) -> int | None:
+        """The other crossing of the face at corner (x, s) when that face is
+        a bigon, else None."""
+        h = self.face[(x, s)]
+        if not self.is_bigon(h):
+            return None
+        (c0, _s0), (c1, _s1) = self.corners[h]
+        return c1 if c0 == x else c0
+
+    def remove(self, c: int) -> None:
+        """Drop the four corners of crossing ``c``."""
+        for s in range(4):
+            self.corners[self.face.pop((c, s))].discard((c, s))
+
+    def merge(self, handles: list[int]) -> list[End]:
+        """Make the faces ``handles`` one, under the heaviest's handle;
+        returns the corners relabelled."""
+        weight = self.weight
+        keep = max(handles, key=weight.__getitem__)
+        moved: list[End] = []
+        for h in handles:
+            if h != keep:
+                ks = self.corners.pop(h)
+                for k in ks:
+                    self.face[k] = keep
+                self.corners[keep] |= ks
+                weight[keep] += weight.pop(h)
+                moved += ks
+        self.relabelled += len(moved)
+        return moved
+
+
+def merge_plan(faces: FacePartition, gone: tuple[int, ...]) -> list[int] | None:
+    """The faces of ``faces`` that become one face when the crossings
+    ``gone`` are removed and each strand through them is joined straight
+    across, when the facts below make this so; None otherwise.
+
+    - One crossing c with a face F at two opposite corners and two other
+      faces X and Y at the other two, one of X and Y a monogon (a kink):
+      [X, Y].  F loses its two corners.  When neither is a monogon, F's
+      two arcs between its visits to c join Y and X respectively, so F
+      splits; when both are, c is a lone kinked loop, which the move
+      leaves as a crossing-free loop.
+    - Two crossings x and y sharing a bigon B, neither a cut vertex (all
+      four faces at each differ, so the side faces L and R differ), with
+      T and U, the faces opposite B at x and at y, different: [T, B, U].
+      L and R each lose their corners at x and y.  T = U when the move
+      splits off a piece or leaves a crossing-free loop.
+    """
+    face, corners = faces.face, faces.corners
+    if len(gone) == 1:
+        (c,) = gone
+        f = [face[(c, s)] for s in range(4)]
+        for k in (0, 1):
+            x, y = f[k + 1], f[(k + 3) % 4]
+            if f[k] == f[k + 2] and len({f[k], x, y}) == 3 and (len(corners[x]) == 1) != (len(corners[y]) == 1):
+                return [x, y]
+        return None
+    x, y = gone
+    fx = [face[(x, s)] for s in range(4)]
+    fy = [face[(y, s)] for s in range(4)]
+    if len(set(fx)) < 4 or len(set(fy)) < 4:
+        return None
+    for i, bigon in enumerate(fx):
+        if bigon in fy and len(corners[bigon]) == 2:
+            top, bottom = fx[(i + 2) % 4], fy[(fy.index(bigon) + 2) % 4]
+            if top != bottom:
+                return [top, bigon, bottom]
+    return None
+
+
+def _joined_straight(b: MapBuilder, out: Diagram, gone: tuple[int, ...]) -> bool:
+    """The map of ``out``, which passed ``_check_records``, is that of
+    ``b.source`` with the crossings ``gone`` removed and each strand
+    through them joined straight across: the same crossings but ``gone``,
+    the same loops, and the far end of every slot end the joined one.
+    Over strands, components and edge ids are not compared.
+
+    A far end changes only along an edge ``b`` touched: an untouched edge
+    keeps its ends, and incidence holds, so an untouched crossing keeps
+    its far ends unless one of its edges was touched."""
+    d = b.source
+    if out.loops.keys() != d.loops.keys():
+        return False
+    if any(c in out.crossings for c in gone):
+        return False
+    for c in b.touched_crossings:
+        if c not in gone and (c in out.crossings) != (c in d.crossings):
+            return False
+    for e in b.touched_edges:
+        rec = out.edges.get(e)
+        if rec is not None and _through(d, gone, rec.ends[0]) != rec.ends[1]:
+            return False
+    return True
+
+
+def _through(d: Diagram, gone: tuple[int, ...], end: End) -> End:
+    """The far end of the slot end ``end`` of ``d``, at a crossing not in
+    ``gone``, once the crossings ``gone`` are removed and each strand
+    through them joined straight across."""
+    far = d.other_end(end)
+    while far[0] in gone:
+        c, s = far
+        far = d.other_end((c, s + 2))
+    return far
 
 
 class _Partition:

@@ -8,16 +8,23 @@ R2-reduced, with crossing count strictly decreasing along the way and
 the twist count never increasing.
 
 The whole map is read once, on the input.  After that each move costs
-what it touched: the face table of a move's result records which faces
-it dropped and which it walked afresh (``FaceSet.delta``), and the
-candidate moves and the twist count are updated from that alone.
+what it touched.  ``preprocess`` holds the faces as a partition of the
+corners (``edits.FacePartition``).  An R2 move merges the bigon with its
+two end faces and trims its two side faces, and the removal of a kink
+merges the kink's monogon into the face across the crossing and trims
+the face at the other two corners.  ``edits.check_move`` checks such a
+move without a face walk, the partition takes the merge, and the
+candidate moves and the twist count are updated from the faces it
+changed.  Any other move (a nugatory crossing that is not a kink, an R2
+move that splits off a piece or leaves a crossing-free loop) is walked
+and read whole again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import _is_cut_vertex, _is_r2_bigon, cut_vertices, twist_partition
+from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners, twist_partition
 from .diagram import (
     Diagram,
     FaceSet,
@@ -26,7 +33,7 @@ from .diagram import (
     restamp_origins,
     validate_diagram,
 )
-from .edits import check_edit
+from .edits import FacePartition, check_edit, check_move, merge_plan
 from .errors import (
     InvariantError,
     NotNugatory,
@@ -76,69 +83,68 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     """Delete cut-vertex crossing ``c``, rejoining each strand through it
     directly.  Geometrically this rotates one side half a turn, so the
     link type survives; V drops by one."""
-    return _nugatory_move(d, face_set(d), c)[0]
-
-
-def _nugatory_move(d: Diagram, fs: FaceSet, c: int) -> tuple[Diagram, FaceSet]:
-    """``remove_nugatory_crossing`` on ``d``, whose face table is ``fs``;
-    returns the result and its table."""
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
+    fs = face_set(d)
     if not _is_cut_vertex(fs, c):
         raise NotNugatory(f"crossing {c} is not a cut vertex")
+    b = _nugatory_edit(d, c)
+    out = b.build()
+    _refuse_broken("nugatory", check_edit(b, fs, out)[0])
+    return out
+
+
+def _nugatory_edit(d: Diagram, c: int) -> MapBuilder:
     b = MapBuilder(d)
     b.weld((c, 0), (c, 2))
     b.weld((c, 1), (c, 3))
     b.remove_crossing(c)
-    out = b.build()
-    failures, out_fs = check_edit(b, fs, out)
-    if failures:
-        raise InvariantError(f"nugatory removal broke the map: {failures}")
-    return out, out_fs
+    return b
 
 
 def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
     """Remove the bigon face ``f`` when its two edges are non-alternating
     (one ++, one --): delete both crossings and rejoin the four outer
     strand ends in parallel.  Clasps (alternating edges) are refused."""
-    return _r2_move(d, face_set(d), f)[0]
-
-
-def _r2_move(d: Diagram, fs: FaceSet, f: int) -> tuple[Diagram, FaceSet]:
-    """``remove_r2_bigon`` on ``d``, whose face table is ``fs``; returns
-    the result and its table."""
+    fs = face_set(d)
     if not 0 <= f < len(fs.faces):
         raise UnknownFace(f"no face {f}")
     face = fs.faces[f]
     if not face.is_bigon:
         raise NotR2Bigon(f"face {f} is not a bigon")
-    e1, e2 = face.boundary_edges
-    l1, l2 = d.edge_labels(e1), d.edge_labels(e2)
-    if l1[0] != l1[1] or l2[0] != l2[1] or l1[0] == l2[0]:
+    if not _is_r2_bigon(d, face):
         raise NotR2Bigon(f"bigon {f} is a clasp; its edges alternate")
+    b = _r2_edit(d, face.corner_slots)
+    out = b.build()
+    _refuse_broken("R2", check_edit(b, fs, out)[0])
+    return out
 
-    x, y = sorted(face.crossings())
+
+def _r2_edit(d: Diagram, corners) -> MapBuilder:
+    """The R2 move on the bigon whose two corners are ``corners``."""
+    (x, i), (y, j) = sorted(corners)
     b = MapBuilder(d)
     # weld each strand across the pair: for the strand carrying ``inner``,
     # the outer stubs sit opposite it at x and at y; each inner edge runs
     # from one corner's crossing to the other's, so it sits once at each
-    for inner in (e1, e2):
+    for inner in (d.crossings[x].slots[(i + 1) % 4], d.crossings[y].slots[(j + 1) % 4]):
         sx = d.crossings[x].slots.index(inner)
         sy = d.crossings[y].slots.index(inner)
         b.remove_edge(inner)
         b.weld((x, (sx + 2) % 4), (y, (sy + 2) % 4))
     b.remove_crossing(x)
     b.remove_crossing(y)
-    out = b.build()
-    failures, out_fs = check_edit(b, fs, out)
+    return b
+
+
+def _refuse_broken(kind: str, failures: list[str]) -> None:
     if failures:
-        raise InvariantError(f"R2 removal broke the map: {failures}")
-    return out, out_fs
+        raise InvariantError(f"{kind} removal broke the map: {failures}")
 
 
-def _chains_meeting(fs: FaceSet, starts: list[int]) -> int:
-    """Number of chains of the map whose table is ``fs`` that hold one of
-    the crossings ``starts``, where a chain is a class of crossings
+def _chains_meeting(faces: FacePartition, starts: list[int]) -> int:
+    """Number of chains of the map whose faces are ``faces`` that hold one
+    of the crossings ``starts``, where a chain is a class of crossings
     joined through bigons (a twist region of ``analysis.twist_partition``).
 
     One walk leaves each start, and the walks take one crossing each in
@@ -149,7 +155,6 @@ def _chains_meeting(fs: FaceSet, starts: list[int]) -> int:
     one that splits a chain costs about the walk of the smaller part;
     walking every chain met in full makes ``preprocess`` on the
     benchmark's raw closures about a tenth slower."""
-    corner_face, faces = fs.corner_face, fs.faces
     group = list(range(len(starts)))  # walk -> its group's label
     owner = {c: i for i, c in enumerate(starts)}
     stacks = [[c] for c in starts]
@@ -159,17 +164,16 @@ def _chains_meeting(fs: FaceSet, starts: list[int]) -> int:
                 continue
             x = stack.pop()
             for s in range(4):
-                f = faces[corner_face[(x, s)]]
-                if f.is_bigon:
-                    (c0, _s0), (c1, _s1) = f.corner_slots
-                    y = c1 if c0 == x else c0
-                    j = owner.get(y)
-                    if j is None:
-                        owner[y] = i
-                        stack.append(y)
-                    elif group[j] != group[i]:
-                        merged = group[j]
-                        group = [group[i] if g == merged else g for g in group]
+                y = faces.bigon_end(x, s)
+                if y is None:
+                    continue
+                j = owner.get(y)
+                if j is None:
+                    owner[y] = i
+                    stack.append(y)
+                elif group[j] != group[i]:
+                    merged = group[j]
+                    group = [group[i] if g == merged else g for g in group]
     return len(set(group))
 
 
@@ -177,54 +181,74 @@ class _Moves:
     """The moves open on the diagram ``preprocess`` has reached, and its
     twist count, kept up to date move by move.
 
-    ``cuts`` holds the cut vertices (the nugatory crossings) and
-    ``bigons`` the first corners of the R2 bigons; a face's first corner
-    is its least, so the least key names the least face id.  ``t`` is
+    ``faces`` holds the map's faces as a ``FacePartition``.  ``cuts``
+    holds the cut vertices (the nugatory crossings) and ``bigons`` the
+    least corners of the R2 bigons; a face's least corner is its first,
+    so the least key names the least face id of the full walk.  ``t`` is
     the twist count: the number of chains, the classes of crossings
     joined through bigons.
 
-    ``advance`` reads only the move's delta.  A crossing's cut test reads
-    its four corner faces, so only crossings on fresh faces can change
-    verdict.  A bigon enters or leaves only as a fresh or dropped face.
-    And a chain changes only when it loses a crossing or meets a dropped
-    or fresh bigon; the chains that do are counted before and after the
-    move (``_chains_meeting``), and the others stay as they are."""
+    A move that takes ``check_move``'s merge path removes its crossings'
+    corners and merges the faces of its ``merge_plan``, and ``advance``
+    reads only those faces.  A crossing becomes a cut vertex exactly when
+    a merge puts two of its corners in one face, and no merge or removal
+    of corners parts two, so only the crossings of relabelled corners are
+    re-tested.  A face enters or leaves the R2 set only when it changes,
+    and a chain changes only when it loses a crossing or meets a bigon
+    the move removes or makes; the chains that do are counted before and
+    after the move (``_chains_meeting``), and the others stay as they
+    are.  A move that took the walk path is read whole from its table."""
 
     def __init__(self, d: Diagram):
-        self.fs = fs = face_set(d)
-        tp = twist_partition(d)
-        self.t = tp.t
-        self.cuts = set(cut_vertices(d))
-        self.bigons = {
-            fs.faces[f].corner_slots[0] for f in tp.bigon_faces if _is_r2_bigon(d, fs.faces[f])
-        }
+        self.faces = FacePartition(face_set(d))
+        self._read(d)
 
-    def advance(self, cur: Diagram, fs: FaceSet) -> None:
-        """Move on to ``cur``, made by one move from the diagram of
-        ``self.fs``, with ``fs`` the face table ``check_edit`` returned
-        for it (carrying the move's delta).  The move removes crossings and adds
-        none."""
-        old = self.fs
-        dropped = [old.faces[old.corner_face[k]] for k in fs.delta[0]]
-        fresh = [fs.faces[fs.corner_face[k]] for k in fs.delta[1]]
-        gone = {c for f in dropped for c, _s in f.corner_slots if c not in cur.crossings}
+    def _read(self, d: Diagram) -> None:
+        faces = self.faces
+        self.cuts = {c for c in d.crossings if faces.is_cut(c)}
+        self.bigons = {min(ks) for h, ks in faces.corners.items() if faces.is_bigon(h) and _is_r2_corners(d, ks)}
+        self.t = twist_partition(d).t
 
-        self.cuts -= gone
-        for c in {c for f in fresh for c, _s in f.corner_slots}:
-            if _is_cut_vertex(fs, c):
+    def advance(self, cur: Diagram, gone: tuple[int, ...], fs: FaceSet | None) -> None:
+        """Move on to ``cur``, made by the move that removed the crossings
+        ``gone``; ``fs`` is the face table ``check_move`` walked for it, or
+        None when it took the merge path."""
+        faces = self.faces
+        if fs is not None:
+            faces.read(fs)
+            self._read(cur)
+            return
+        face, corners = faces.face, faces.corners
+        plan = merge_plan(faces, gone)
+        at_gone = {}  # face at a removed corner -> how many it has there
+        for c in gone:
+            for s in range(4):
+                h = face[(c, s)]
+                at_gone[h] = at_gone.get(h, 0) + 1
+        # the faces after the move: the plan's as one, the others trimmed;
+        # a bigon among them is one of two corners off ``gone``
+        after = [plan] + [[h] for h in at_gone if h not in plan]
+        made = [
+            [k for h in hs for k in corners[h] if k[0] not in gone]
+            for hs in after if sum(len(corners[h]) - at_gone[h] for h in hs) == 2
+        ]
+        made = [ks for ks in made if ks[0][0] != ks[1][0]]
+        lost = [sorted(corners[h]) for h in at_gone if faces.is_bigon(h)]
+        ends = {c for ks in lost + made for c, _s in ks}
+        before = _chains_meeting(faces, sorted(ends | set(gone)))
+
+        for c in gone:
+            faces.remove(c)
+        moved = faces.merge(plan)
+        self.t += _chains_meeting(faces, sorted(ends - set(gone))) - before
+        self.cuts -= set(gone)
+        for c in {c for c, _s in moved}:
+            if faces.is_cut(c):
                 self.cuts.add(c)
-            else:
-                self.cuts.discard(c)
-
-        for f in dropped:
-            self.bigons.discard(f.corner_slots[0])
-        for f in fresh:
-            if _is_r2_bigon(cur, f):
-                self.bigons.add(f.corner_slots[0])
-
-        ends = {c for f in dropped + fresh if f.is_bigon for c, _s in f.corner_slots}
-        self.t += _chains_meeting(fs, sorted(ends - gone)) - _chains_meeting(old, sorted(ends | gone))
-        self.fs = fs
+        self.bigons.difference_update(ks[0] for ks in lost)
+        for ks in made:
+            if _is_r2_corners(cur, ks):
+                self.bigons.add(min(ks))
 
 
 def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
@@ -233,12 +257,12 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     edge of the result is re-stamped as its own origin.
 
     The input is validated as a whole map once (PreconditionError with
-    ``failed_flag="valid"`` when it is not a valid diagram), and its cut
-    vertices, R2 bigons and twist partition are read once.  Each move is
-    then checked locally (``edits.check_edit``), which also gives the
-    result's face table; the next move and the twist count after it are
-    updated from the faces that table says the move dropped and walked
-    afresh (``_Moves``).  ReductionInvariantError when a move raises the
+    ``failed_flag="valid"`` when it is not a valid diagram), and its
+    faces, cut vertices, R2 bigons and twist partition are read once.
+    Each move is then checked by ``edits.check_move``, which needs no
+    face walk for an R2 move or a kink's removal, and the next move and
+    the twist count are updated from the faces the move merged and
+    trimmed (``_Moves``).  ReductionInvariantError when a move raises the
     twist count."""
     rep = validate_diagram(d)
     if not rep.valid:
@@ -247,21 +271,21 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     trace = ReductionTrace(crossings_before=len(d.crossings), t_before=moves.t)
     cur = d
     while True:
-        fs = moves.fs
         if moves.cuts:
             c = min(moves.cuts)
-            cur, fs = _nugatory_move(cur, fs, c)
-            kind, removed = "nugatory", (c,)
+            kind, gone, b = "nugatory", (c,), _nugatory_edit(cur, c)
         elif moves.bigons:
-            face = fs.faces[fs.corner_face[min(moves.bigons)]]
-            removed = tuple(sorted(face.crossings()))
-            cur, fs = _r2_move(cur, fs, face.id)
-            kind = "r2"
+            corners = moves.faces.corners[moves.faces.face[min(moves.bigons)]]
+            gone = tuple(sorted(c for c, _s in corners))
+            kind, b = "r2", _r2_edit(cur, corners)
         else:
             break
+        cur = b.build()
+        failures, fs = check_move(b, moves.faces, cur, gone)
+        _refuse_broken("R2" if kind == "r2" else kind, failures)
         t_prev = moves.t
-        moves.advance(cur, fs)
-        trace.steps.append(ReductionStep(kind, removed, len(cur.crossings), moves.t))
+        moves.advance(cur, gone, fs)
+        trace.steps.append(ReductionStep(kind, gone, len(cur.crossings), moves.t))
         if moves.t > t_prev:
             raise ReductionInvariantError(
                 f"{kind} removal raised the twist count {t_prev} -> {moves.t}"

@@ -191,6 +191,139 @@ def augment_recording_merge_arcs(monkeypatch, diagrams):
     return results, calls
 
 
+# -- map equality, a mutator and checks of the package's facts -----------------
+# Only the tests use these; the package keeps none of them.
+
+def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
+    """Combinatorial-map equality preserving edge ids, up to rotating each
+    crossing's slot numbering (which the serialization of a flipped
+    crossing does).  Crossings match by id when the id sets agree, else
+    positionally in sorted order (PD text carries no crossing ids, so a
+    parse after a serialize renumbers them in record order)."""
+    if set(a.edges) != set(b.edges) or set(a.loops) != set(b.loops):
+        return False
+    if len(a.crossings) != len(b.crossings):
+        return False
+    if set(a.crossings) == set(b.crossings):
+        cmap = {c: c for c in a.crossings}
+    else:
+        cmap = dict(zip(sorted(a.crossings), sorted(b.crossings)))
+    rot: dict[int, int] = {}
+    for cid, ca in a.crossings.items():
+        cb = b.crossings[cmap[cid]]
+        for r in range(4):
+            if tuple(ca.slots[(i + r) % 4] for i in range(4)) == tuple(cb.slots):
+                pa = ca.over_slots[0] % 2
+                pb = cb.over_slots[0] % 2
+                if (pa - r) % 2 == pb:
+                    rot[cid] = r
+                    break
+        else:
+            return False
+    comp_map: dict[int, int] = {}
+    comp_seen: set[int] = set()
+
+    def comps_match(ca: int, cb: int) -> bool:
+        if ca in comp_map:
+            return comp_map[ca] == cb
+        if cb in comp_seen:
+            return False
+        comp_map[ca] = cb
+        comp_seen.add(cb)
+        return True
+
+    for e, ra in a.edges.items():
+        rb = b.edges[e]
+        mapped = {(cmap[c], (s - rot[c]) % 4) for c, s in ra.ends}
+        if mapped != set((c, s % 4) for c, s in rb.ends):
+            return False
+        if not comps_match(ra.component, rb.component):
+            return False
+        if check_origins and ra.origin != rb.origin:
+            return False
+    for k, comp in a.loops.items():
+        if not comps_match(comp, b.loops[k]):
+            return False
+    return True
+
+
+def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
+    """(V, E, F) per crossing-bearing connected piece.  The package checks
+    their sum (``validate_diagram``); the tests check each piece."""
+    from altknot import face_set
+    from altknot.diagram import connected_pieces
+
+    fs = face_set(d)
+    out = []
+    for cs, es in connected_pieces(d):
+        nf = sum(1 for f in fs.faces if f.corner_slots and f.corner_slots[0][0] in cs)
+        out.append((len(cs), len(es), nf))
+    return out
+
+
+def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
+    """Re-derive a region's topology and, for connected R2-reduced
+    diagrams, enforce that a non-disk region forces the standard
+    two-strand torus diagram."""
+    from altknot import detect_two_strand_torus, diagram_flags, face_set
+    from altknot.analysis import RegionTopology, TwistRegion, _region_topology
+    from altknot.errors import InvariantError
+
+    fs = face_set(d)
+    bigons = [fs.faces[fid] for fid in region.bigons]
+    topo = _region_topology(bigons)
+    out = TwistRegion(region.crossings, region.bigons, region.links, topo)
+    if topo is not RegionTopology.DISK:
+        flags = diagram_flags(d)
+        if flags.connected and flags.r2_reduced:
+            if detect_two_strand_torus(d) is None:
+                raise InvariantError(
+                    "non-disk twist region in a connected R2-reduced diagram "
+                    "that is not the standard two-strand torus diagram"
+                )
+    return out
+
+
+def subdivide_edge_with_crossing(
+    d: Diagram,
+    e: int,
+    e_sign: Sign,
+    new_component: int | None = None,
+) -> Diagram:
+    """Insert one transverse crossing on edge ``e``.
+
+    The edge splits into two halves sharing the new crossing, both
+    inheriting the origin of ``e``; the strand of ``e`` carries
+    ``e_sign`` there and the crossing strand the negation.  The crossing
+    strand is a one-edge closed loop through the new crossing, labeled
+    ``new_component`` (fresh when omitted).
+
+    Parity caveat: a closed curve meets a closed strand an even number
+    of times in the sphere, so a diagram with a lone transversal loop
+    crossing fails the Euler check until further crossings of the same
+    inserted strand even the count out (``overlay_unlink`` inserts whole
+    curves at once for exactly this reason).  Everything local -- labels,
+    origins, V+1/E+2 -- behaves as for one step of a curve insertion."""
+    from altknot.diagram import MapBuilder, Sign
+    from altknot.errors import UnknownEdge
+
+    if e not in d.edges:
+        raise UnknownEdge(f"no edge {e}")
+    b = MapBuilder(d)
+    rec = d.edges[e]
+    x = b.new_crossing_id()
+    h0, h1 = b.new_edge_id(), b.new_edge_id()
+    loop_edge = b.new_edge_id()
+    comp = new_component if new_component is not None else b.new_component_id()
+    over = (1, 3) if e_sign is Sign.MINUS else (0, 2)
+    b.remove_edge(e)
+    b.add_crossing(x, [0, 0, 0, 0], over)
+    b.add_edge(h0, [tuple(rec.ends[0]), (x, 0)], rec.origin, rec.component)
+    b.add_edge(h1, [(x, 2), tuple(rec.ends[1])], rec.origin, rec.component)
+    b.add_edge(loop_edge, [(x, 1), (x, 3)], None, comp)
+    return b.build()
+
+
 # -- oracles ----------------------------------------------------------------------
 
 def oracle_labels_from_pd(text: str) -> dict[int, list[str]]:
@@ -216,7 +349,7 @@ def oracle_valid(d) -> bool:
     at every crossing; every edge id named by exactly the two slots its
     ends list, and none also a loop id; one component id on each strand
     orbit; and V - E + F = 2 on each piece."""
-    from altknot.diagram import euler_by_piece, strand_components
+    from altknot.diagram import strand_components
     from altknot.errors import InvariantError
 
     uses = {}
@@ -354,19 +487,34 @@ def oracle_preprocess(d):
     return restamp_origins(cur), trace
 
 
+def assert_partition_is_the_walk(faces, d):
+    """The ``FacePartition`` ``faces`` holds the corner faces of the full
+    walk of ``d``: the same corner sets, no empty one, and every corner
+    of ``d`` mapped to the handle of its set."""
+    from altknot.diagram import _build_face_set
+
+    walk = {frozenset(f.corner_slots) for f in _build_face_set(d).faces if f.loop is None}
+    assert {frozenset(ks) for ks in faces.corners.values()} == walk
+    assert len(faces.corners) == len(walk)
+    assert len(faces.face) == 4 * len(d.crossings)
+    assert all(faces.face[k] == h for h, ks in faces.corners.items() for k in ks)
+
+
 def preprocess_audited(d):
     """``preprocess(d)``, checking after every move that the worklist's
-    cut vertices, R2 bigons and twist count equal the whole map's.
-    Returns (output, trace)."""
-    from altknot import reduction
+    face partition, cut vertices, R2 bigons and twist count equal the
+    whole map's.  Returns (output, trace)."""
+    from altknot import face_set, reduction
     from altknot.analysis import cut_vertices, twist_partition
 
     real = reduction._Moves.advance
 
-    def advance(moves, cur, fs):
-        real(moves, cur, fs)
+    def advance(moves, cur, gone, fs):
+        real(moves, cur, gone, fs)
+        assert_partition_is_the_walk(moves.faces, cur)
         assert moves.cuts == set(cut_vertices(cur))
-        assert moves.bigons == {fs.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur)}
+        ref = face_set(cur)
+        assert moves.bigons == {ref.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur)}
         assert moves.t == twist_partition(cur).t
 
     with pytest.MonkeyPatch.context() as m:

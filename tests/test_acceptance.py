@@ -31,11 +31,12 @@ from altknot import (
     validate_diagram,
 )
 from altknot.analysis import RegionTopology
-from altknot.diagram import euler_by_piece, is_connected, same_map
+from altknot.diagram import is_connected
 from altknot.generate import braid_closure, random_knot_diagram, two_strand_torus
 from altknot.selfcheck import verify_augmentation
 from altknot.volume import augmented_volume_bounds, catalan_reference
 
+from conftest import euler_by_piece, same_map
 from test_volume import oracle_four_catalan, oracle_tetrahedron_volume
 
 N_CASES = 500

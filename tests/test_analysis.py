@@ -18,7 +18,6 @@ from altknot import (
     refinement_check,
     shading_classes,
     twist_partition,
-    twist_region_topology,
 )
 from altknot.analysis import _is_sub_twist, _verify_refinement
 from altknot.errors import NotConnected, UnknownComponent
@@ -32,6 +31,7 @@ from conftest import (
     oracle_cut_vertices,
     oracle_twist_count,
     oracle_two_edge_cuts,
+    twist_region_topology,
 )
 
 BRAID_LETTERS = st.lists(

@@ -26,7 +26,7 @@ from altknot.augmentation import (
     _forbidden_origins,
     _shared_face,
 )
-from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, euler_by_piece, is_connected
+from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, is_connected
 from altknot.errors import PreconditionError
 from altknot.generate import two_strand_torus
 
@@ -35,10 +35,13 @@ from conftest import (
     augment_recording_fingers,
     augment_recording_merge_arcs,
     corpus_diagrams,
+    euler_by_piece,
     finger_base_verdicts,
     link_diagrams,
     oracle_curve_crossings,
     oracle_merge_arc,
+    same_map,
+    subdivide_edge_with_crossing,
 )
 
 
@@ -547,9 +550,7 @@ class TestWholeMapFactsOncePerMap:
         # map (its reconstruction passes same_map), so only the verbatim
         # comparison can catch it
         from altknot import analysis, augmentation
-        from altknot.diagram import (
-            Crossing, Edge, drop_component, restamp_origins, same_map, subdivide_edge_with_crossing,
-        )
+        from altknot.diagram import Crossing, Edge, drop_component, restamp_origins
         from altknot.errors import MappingError, UnknownComponent
 
         # a link whose curve crosses some original edge twice, after a finger

@@ -137,7 +137,9 @@ class TestAugment:
             {"name": "knot", "error": "InvariantError", "message": "guarantee failed",
              "exit": 3, "pd": pd},
         ]
-        from altknot import parse_pd, same_map
+        from altknot import parse_pd
+
+        from conftest import same_map
 
         assert same_map(parse_pd(errs[1]["pd"]), d)
 

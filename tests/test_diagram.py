@@ -13,9 +13,7 @@ from altknot import (
     faces,
     flip_crossing,
     parse_pd,
-    same_map,
     serialize_pd,
-    subdivide_edge_with_crossing,
     validate_diagram,
 )
 from altknot.diagram import (
@@ -25,7 +23,6 @@ from altknot.diagram import (
     MapBuilder,
     connected_pieces,
     drop_component,
-    euler_by_piece,
     mark_augmenting,
     restamp_origins,
 )
@@ -39,7 +36,14 @@ from altknot.errors import (
 )
 from altknot.generate import braid_closure
 
-from conftest import GRANNY_SUM, TREFOIL, oracle_labels_from_pd
+from conftest import (
+    GRANNY_SUM,
+    TREFOIL,
+    euler_by_piece,
+    oracle_labels_from_pd,
+    same_map,
+    subdivide_edge_with_crossing,
+)
 
 BRAID_LETTERS = st.lists(
     st.sampled_from([i for i in range(-4, 5) if i != 0]), min_size=1, max_size=25
@@ -346,6 +350,25 @@ class TestMapBuilder:
         assert b.touched_edges == {1, 2}
         # every untouched edge is the source's record itself
         assert all(out.edges[e] is granny_sum.edges[e] for e in out.edges if e not in b.touched_edges)
+
+    def test_slots_and_over_read_through(self, granny_sum):
+        # the builder's slot and over tables read the source's crossings
+        # until written, and a removed crossing is gone from both
+        b = MapBuilder(granny_sum)
+        src = granny_sum.crossings
+        b.reattach(2, (2, 1), (2, 3))
+        b.remove_crossing(0)
+        b.add_crossing(9, [20, 21, 20, 21], (0, 2))
+        for table, field in ((b.slots, "slots"), (b.over, "over_slots")):
+            assert 0 not in table and sorted(table) == sorted(set(src) - {0} | {9})
+            assert len(table) == len(src)
+            with pytest.raises(KeyError):
+                table[0]
+            assert all(table[c] is getattr(src[c], field) for c in src if c not in (0, 2))
+        assert b.slots[2] == [src[2].slots[0], src[2].slots[1], src[2].slots[2], 2]
+        assert (b.slots[9], b.over[9]) == ([20, 21, 20, 21], (0, 2))
+        b.add_crossing(0, [1, 1, 1, 1], (1, 3))
+        assert 0 in b.slots and b.over[0] == (1, 3)
 
 
 class TestStructure:

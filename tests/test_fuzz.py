@@ -24,11 +24,12 @@ from altknot import (
     augment,
     parse_pd,
     preprocess,
-    same_map,
     serialize_pd,
 )
 from altknot.errors import DiagramError, PreconditionError
 from altknot.generate import braid_closure
+
+from conftest import same_map
 
 IDS = st.integers(min_value=1, max_value=14)
 X_RECORD = st.tuples(IDS, IDS, IDS, IDS).map(lambda t: "X(%d,%d,%d,%d)" % t)

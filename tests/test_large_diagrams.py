@@ -1,4 +1,4 @@
-"""Diagrams of 200-800 crossings, well past the property corpus.
+"""Diagrams of 200-1600 crossings, well past the property corpus.
 
 The inputs are the benchmark's own generators (``perfbench/inputs.py``,
 read-only) at larger sizes: reduced prime non-alternating closures for
@@ -11,17 +11,21 @@ reduction runs long chains of moves.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from itertools import combinations
 
 from altknot import (
     analysis,
+    augment,
     augmentation,
     build_cut_curves,
+    classify_edges,
     face_set,
     find_merge_arc,
     overlay_unlink,
     parse_pd,
+    reduction,
     serialize_pd,
     validate_diagram,
 )
@@ -128,3 +132,38 @@ def test_preprocess_800(bench_inputs):
     out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd), audit=False)
     assert trace.crossings_before == 800 and len(trace.steps) > 100
     assert validate_diagram(out).valid
+
+
+def test_augment_800(bench_inputs):
+    # one closure of 800 crossings: every stage the merge loop reaches is
+    # checked as a whole map, and the result by the selfcheck
+    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=800, hi=800)
+    d = parse_pd(x.pd)
+    stages = []
+    res = augment(d, on_stage=lambda name, g: stages.append((name, g)))
+    assert len(d.crossings) == 800 and len(res.merges) > 20
+    for name, g in stages:
+        rep = validate_diagram(g)
+        assert rep.valid, (name, rep.failures)
+        assert classify_edges(g).is_alternating, name
+    assert verify_augmentation(d, res) == []
+
+
+def test_preprocess_relabels_n_log_n_corners(bench_inputs, monkeypatch):
+    # each corner moves to another face handle only into a face of at
+    # least twice its face's weight, so the moves of all 4n corners stay
+    # within 4n log2(4n): a count, not a time
+    held = []
+    real = reduction._Moves.__init__
+
+    def init(moves, d):
+        real(moves, d)
+        held.append(moves)
+
+    monkeypatch.setattr(reduction._Moves, "__init__", init)
+    (x,) = bench_inputs.reduce_inputs(SEED, n=1, lo=1600, hi=1600)
+    _out, trace = reduction.preprocess(parse_pd(x.pd))
+    corners = 4 * trace.crossings_before
+    relabelled = held[0].faces.relabelled
+    assert len(trace.steps) > 500
+    assert 0 < relabelled <= corners * math.ceil(math.log2(corners)), relabelled

@@ -4,20 +4,27 @@
 source, it must accept an edit exactly when ``validate_diagram`` (plus
 ``classify_edges`` where the step must stay alternating) accepts the
 whole result.  The audit below wraps it at all four surgery sites (band
-join, finger, R2 removal, nugatory removal), compares the two verdicts
-on every real edit, and then breaks the same edit at random and
-compares them again.  Every whole-map verdict is itself compared with
+join, finger, and the public R2 and nugatory removals), and wraps
+``check_move``, which checks ``preprocess``'s R2 and nugatory moves,
+at both of its move kinds.  It compares the two verdicts on every real
+edit, and then breaks the same edit at random and compares them again.
+Every whole-map verdict is itself compared with
 ``conftest.oracle_valid``, which checks each piece's Euler sum and each
 strand orbit from the definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
 against the full walk, ``_build_face_set``: every face, its id and
-corner order, and every ``corner_face`` entry.
+corner order, and every ``corner_face`` entry.  ``check_move`` walks
+no face when the move merges faces only; there the audit checks the
+face partition it was given against the full walk of the source, and
+the partition after the move's merges against the full walk of the
+result.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import sys
 from collections import Counter
@@ -36,11 +43,18 @@ from altknot import (
 )
 from altknot import augmentation, diagram, reduction
 from altknot.diagram import MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
-from altknot.edits import check_edit
+from altknot.edits import FacePartition, check_edit, check_move, merge_plan
 from altknot.errors import AlternationError, InvariantError, JoinError
 from altknot.generate import braid_closure
 
-from conftest import corpus_diagrams, link_diagrams, oracle_valid
+from conftest import (
+    TREFOIL,
+    assert_partition_is_the_walk,
+    corpus_diagrams,
+    link_diagrams,
+    oracle_preprocess,
+    oracle_valid,
+)
 
 
 def whole_map_accepts(out, alternating: bool) -> bool:
@@ -109,8 +123,8 @@ def past_incidence(failures) -> bool:
 
 
 class Audit:
-    """Drop-in for ``check_edit`` that checks its verdicts, and the face
-    table it leaves in the memo, as it goes."""
+    """Drop-in for ``check_edit`` and ``check_move`` that checks their
+    verdicts, and the faces they derive, as it goes."""
 
     def __init__(self, seed: int, mutate: bool = True):
         self.rng = random.Random(seed)
@@ -118,6 +132,8 @@ class Audit:
         self.real = Counter()
         self.mutants = Counter()
         self.tables = Counter()  # (site, "real" | "mutant") -> tables compared
+        self.merged = Counter()  # (site, "real" | "mutant") -> merged partitions compared
+        self.paths = Counter()  # (move site, "merge" | "walk") -> real moves
         self.loops_made = Counter()  # site -> edits that made a crossing-free loop
 
     def _check_table(self, out, failures, fs, site, kind) -> None:
@@ -132,14 +148,33 @@ class Audit:
         assert same_table(fs, _build_face_set(out)), (site, kind)
         self.tables[(site, kind)] += 1
 
-    def __call__(self, b, source_fs, out, alternating=False):
-        site = sys._getframe(1).f_code.co_name
-        failures, fs = check_edit(b, source_fs, out, alternating)
-        assert fs is not None, site
+    def _check_move_faces(self, b, faces, out, gone, failures, fs, site, kind) -> None:
+        if fs is not None or not past_incidence(failures):
+            self._check_table(out, failures, fs, site, kind)
+            return
+        try:
+            _build_face_set(out)
+        except InvariantError:
+            # the walk path ran into a kept face, as the full walk does
+            assert failures, (site, kind)
+            return
+        # the merge path: the source's partition, trimmed of the removed
+        # corners and merged as planned, is the result's full walk
+        after = copy.deepcopy(faces)
+        for c in gone:
+            after.remove(c)
+        after.merge(merge_plan(faces, gone))
+        assert_partition_is_the_walk(after, out)
+        self.merged[(site, kind)] += 1
+
+    def _audit(self, site, b, out, alternating, check, check_faces):
+        """Run ``check(b, out)`` on the real edit and on a mutant of it,
+        comparing each verdict with the whole map's."""
+        failures, fs = check(b, out)
         # the builder re-creates only the records it touched
         src = b.source.edges
         assert all(rec is src[e] for e, rec in out.edges.items() if e not in b.touched_edges), site
-        self._check_table(out, failures, fs, site, "real")
+        check_faces(out, failures, fs, "real")
         if out.crossings and len(out.loops) > len(b.source.loops):
             self.loops_made[site] += 1
         whole = whole_map_accepts(out, alternating)
@@ -151,11 +186,39 @@ class Audit:
             broken = b.build()
             # writes after build() reach the next build only
             assert (out.crossings, out.edges, out.loops) == built, kind
-            local, local_fs = check_edit(b, source_fs, broken, alternating)
-            self._check_table(broken, local, local_fs, site, "mutant")
+            local, local_fs = check(b, broken)
+            check_faces(broken, local, local_fs, "mutant")
             whole = whole_map_accepts(broken, alternating)
             assert (not local) == whole, (kind, local)
             self.mutants[(kind, whole)] += 1
+        return failures, fs
+
+    def __call__(self, b, source_fs, out, alternating=False):
+        site = sys._getframe(1).f_code.co_name
+
+        def check(b, out):
+            return check_edit(b, source_fs, out, alternating)
+
+        def check_faces(out, failures, fs, kind):
+            self._check_table(out, failures, fs, site, kind)
+
+        failures, fs = self._audit(site, b, out, alternating, check, check_faces)
+        assert fs is not None, site
+        return failures, fs
+
+    def move(self, b, faces, out, gone):
+        site = "nugatory" if len(gone) == 1 else "r2"
+        # the partition preprocess holds is the source's full walk
+        assert_partition_is_the_walk(faces, b.source)
+
+        def check(b, out):
+            return check_move(b, faces, out, gone)
+
+        def check_faces(out, failures, fs, kind):
+            self._check_move_faces(b, faces, out, gone, failures, fs, site, kind)
+
+        failures, fs = self._audit(site, b, out, False, check, check_faces)
+        self.paths[(site, "merge" if fs is None else "walk")] += 1
         return failures, fs
 
 
@@ -165,6 +228,7 @@ def audit(monkeypatch):
         a = Audit(seed, mutate)
         monkeypatch.setattr(augmentation, "check_edit", a)
         monkeypatch.setattr(reduction, "check_edit", a)
+        monkeypatch.setattr(reduction, "check_move", a.move)
         return a
     return install
 
@@ -193,14 +257,16 @@ def _check_tally(a: Audit, sites_min: int, sites) -> None:
     rejected = sum(v for (_k, ok), v in a.mutants.items() if not ok)
     # both verdicts must occur among the mutants, or the comparison is idle
     assert accepted >= 5 and rejected >= 5, a.mutants
-    # every site's local tables were compared, on real edits and mutants
+    # every site's local faces were compared, on real edits and mutants
     for site in sites:
-        assert a.tables[(site, "real")] >= 1, a.tables
-    assert sum(v for (_s, kind), v in a.tables.items() if kind == "mutant") >= 5, a.tables
+        assert a.tables[(site, "real")] + a.merged[(site, "real")] >= 1, (a.tables, a.merged)
+    mutant_faces = a.tables + a.merged
+    assert sum(v for (_s, kind), v in mutant_faces.items() if kind == "mutant") >= 5, mutant_faces
 
 
 AUGMENT_SITES = ("_insert_finger", "join_curves")
-REDUCTION_SITES = ("_r2_move", "_nugatory_move")
+REDUCTION_SITES = ("remove_r2_bigon", "remove_nugatory_crossing")
+MOVE_SITES = ("r2", "nugatory")
 
 
 class TestVerdictsAgree:
@@ -221,9 +287,16 @@ class TestVerdictsAgree:
         for links in (False, True):
             for d in raw_closures(40, 500 if links else 0, links):
                 preprocess(d)
-        _check_tally(a, 100, REDUCTION_SITES)
+        _check_tally(a, 100, MOVE_SITES)
+        # both kinds of move took both paths
+        assert all(a.paths[(site, path)] >= 1 for site in MOVE_SITES for path in ("merge", "walk")), a.paths
         # R2 removals that leave a crossing-free loop beside crossings
-        assert a.loops_made["_r2_move"] >= 1, a.loops_made
+        assert a.loops_made["r2"] >= 1, a.loops_made
+        # the public moves, checked by the walk, on part of the same inputs
+        for links in (False, True):
+            for d in raw_closures(10, 500 if links else 0, links):
+                oracle_preprocess(d)
+        _check_tally(a, 100, REDUCTION_SITES)
 
     def test_real_edits_pass_unmutated(self, audit):
         # without the random breakage every real edit is accepted by both
@@ -246,8 +319,13 @@ def _spy_on_site(monkeypatch, module, broken_builder, alternating):
         verdicts.append(whole_map_accepts(out, alternating))
         return check_edit(b, source_fs, out, alternating)
 
+    def spy_move(b, faces, out, gone):
+        verdicts.append(whole_map_accepts(out, False))
+        return check_move(b, faces, out, gone)
+
     monkeypatch.setattr(module, "MapBuilder", broken_builder)
     monkeypatch.setattr(module, "check_edit", spy)
+    monkeypatch.setattr(module, "check_move", spy_move, raising=False)
     return verdicts
 
 
@@ -343,34 +421,71 @@ class TestBrokenEditsRejected:
         verdicts = _spy_on_site(monkeypatch, reduction, SwappedWeld, False)
         with pytest.raises(InvariantError):
             remove_r2_bigon(d, bigon)
-        assert verdicts == [False]
+        # preprocess's first move is the same: its check refuses it too
+        with pytest.raises(InvariantError):
+            preprocess(d)
+        assert verdicts == [False, False]
 
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
         verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind, False)
         with pytest.raises(InvariantError):
             remove_nugatory_crossing(d, 3)
-        assert verdicts == [False]
+        with pytest.raises(InvariantError):
+            preprocess(d)
+        assert verdicts == [False, False]
 
 
 def test_moves_that_change_the_piece_count(audit):
     # the flipped Hopf link unlinks into two loops (its only piece
     # vanishes); a flipped clasp between two trefoils splits one piece
     # into two; a flipped clasp in a chain of three strands leaves a
-    # loop beside a Hopf link.  Each R2 move must pass the local check,
-    # and its local face table must equal the full walk.
+    # loop beside a Hopf link; a kink beside a trefoil unkinks into a
+    # loop.  No face merge gives these: each move must take the walk
+    # path, pass the local check, and give the full walk's face table.
     a = audit(5, mutate=False)
     cases = (
-        (flip_crossing(braid_closure([1, 1], strands=2), 0), 0, 2),
-        (flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3), 2, 0),
-        (flip_crossing(braid_closure([1, 1, 2, 2], strands=3), 0), 1, 1),
+        (flip_crossing(braid_closure([1, 1], strands=2), 0), "r2", 0, 2),
+        (flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3), "r2", 2, 0),
+        (flip_crossing(braid_closure([1, 1, 2, 2], strands=3), 0), "r2", 1, 1),
+        (parse_pd(TREFOIL + " X(7,7,8,8)"), "nugatory", 1, 1),
     )
-    for d, pieces, loops in cases:
+    for d, kind, pieces, loops in cases:
         out, trace = preprocess(d)
-        assert [s.kind for s in trace.steps] == ["r2"]
+        assert [s.kind for s in trace.steps] == [kind]
         assert validate_diagram(out).valid
         assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)
-    assert a.tables == {("_r2_move", "real"): 3}
+    assert a.paths == {("r2", "walk"): 3, ("nugatory", "walk"): 1}
+    assert a.tables == {("r2", "real"): 3, ("nugatory", "real"): 1}
+
+
+def test_moves_outside_the_merge_facts_are_walked(trefoil):
+    # an R2 bigon one of whose crossings is a cut vertex, and an R2 move
+    # whose builder also adds a crossing-free loop, which is not the
+    # move's shape: both results are valid, and both are walked, while
+    # the plain move merges
+    from altknot.analysis import _is_cut_vertex, _is_r2_bigon
+
+    bead = parse_pd("X(1,5,5,3) X(6,2,2,4) X(3,1,6,4)")
+    flipped = flip_crossing(trefoil, 0)
+    cases = ((bead, False, True), (flipped, True, True), (flipped, False, False))
+    for d, extra_loop, walked in cases:
+        fs = face_set(d)
+        bigon = next(f for f in fs.faces if _is_r2_bigon(d, f))
+        gone = tuple(sorted(bigon.crossings()))
+        assert any(_is_cut_vertex(fs, c) for c in gone) == (d is bead)
+        b = reduction._r2_edit(d, bigon.corner_slots)
+        if extra_loop:
+            b.loops[b.new_edge_id()] = b.new_component_id()
+        out = b.build()
+        failures, table = check_move(b, FacePartition(fs), out, gone)
+        assert failures == [] and validate_diagram(out).valid
+        assert (table is not None) == walked, (d, extra_loop)
+        if walked:
+            assert same_table(table, _build_face_set(out))
+    # a lone kinked loop: its removal leaves a crossing-free loop
+    kinked = parse_pd(TREFOIL + " X(7,7,8,8)")
+    assert merge_plan(FacePartition(face_set(kinked)), (3,)) is None
 
 
 # -- the local face table ----------------------------------------------------------

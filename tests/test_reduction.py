@@ -18,13 +18,14 @@ from altknot import (
     twist_partition,
     validate_diagram,
 )
-from altknot.diagram import Diagram, euler_by_piece
+from altknot.diagram import Diagram
 from altknot.errors import NotNugatory, NotR2Bigon, UnknownFace
 from altknot.generate import braid_closure, two_strand_torus
 
 from conftest import (
     assert_preprocess_matches_oracle,
     corpus_diagrams,
+    euler_by_piece,
     link_diagrams,
     oracle_r2_bigons,
 )
@@ -227,47 +228,57 @@ class TestWorklist:
         kinds = {s.kind for trace in traces for s in trace.steps}
         assert len(traces) > 34 and kinds == {"nugatory", "r2"}
 
-    def test_cut_vertex_on_one_fresh_face(self, monkeypatch):
-        # moves after which a crossing becomes a cut vertex while it lies
-        # on one fresh face only (the third of seven, then the first of
-        # seven), so the crossings of every fresh face must be re-tested
-        from altknot import reduction
+    def test_cut_vertex_made_by_a_merge(self, monkeypatch):
+        # moves after which a crossing becomes a cut vertex because a merge
+        # put two of its corners in one face, relabelling only one of them:
+        # the crossing of every relabelled corner must be re-tested
+        from altknot import edits, reduction
 
         found = []
-        real = reduction._Moves.advance
+        moved = []
+        real_advance, real_merge = reduction._Moves.advance, edits.FacePartition.merge
 
-        def advance(moves, cur, fs):
+        def merge(faces, handles):
+            moved.append(real_merge(faces, handles))
+            return moved[-1]
+
+        def advance(moves, cur, gone, fs):
             before = set(moves.cuts)
-            real(moves, cur, fs)
-            fresh = [fs.faces[fs.corner_face[k]].crossings() for k in fs.delta[1]]
-            found.extend(
-                [i for i, f in enumerate(fresh) if c in f] for c in moves.cuts - before
-                if sum(c in f for f in fresh) == 1
-            )
+            moved.clear()
+            real_advance(moves, cur, gone, fs)
+            if fs is None:
+                (relabelled,) = moved
+                found.extend(sum(k[0] == c for k in relabelled) for c in moves.cuts - before)
 
+        monkeypatch.setattr(edits.FacePartition, "merge", merge)
         monkeypatch.setattr(reduction._Moves, "advance", advance)
         for word, flips in (
             ([-1, 1, -1, -2, 2, 1, 2, -2, 2, -2, -1, 3, -3, 1, 3, 3, 2, -3, -1], 3),
             ([2, -2, 3, -1, 1, 3, -3, 1, -2, 3, 3, -3, -1, 3], 2),
         ):
             assert_preprocess_matches_oracle(_flipped(word, flips))
-        assert found == [[2], [0]]
+        assert found == [1, 1, 1, 1], found
 
     def test_independent_of_the_memo(self, monkeypatch, trefoil):
         # the face_set memo is taken by another diagram after every move's
         # check: preprocess holds each table itself, so nothing changes
         from altknot import reduction
 
-        real = reduction.check_edit
+        real = reduction.check_move
         checks = []
 
-        def check(b, source_fs, out, alternating=False):
-            result = real(b, source_fs, out, alternating)
+        def check(b, faces, out, gone):
+            result = real(b, faces, out, gone)
             face_set(trefoil)
             checks.append(result)
             return result
 
-        monkeypatch.setattr(reduction, "check_edit", check)
-        for word, flips in (([1, -2, 1, 1, -2, 2, 3, -3, -1, 1], 4), ([2, -1, 2, 2, 1, -1, -1], 2)):
+        monkeypatch.setattr(reduction, "check_move", check)
+        for word, flips in (
+            ([1, -2, 1, 1, -2, 2, 3, -3, -1, 1], 4),
+            ([2, -1, 2, 2, 1, -1, -1], 2),
+            ([-2, 1, 2, -2, 2, -2, -3, 1, 3, 3, -1, -3, -3], 2),
+        ):
             assert_preprocess_matches_oracle(_flipped(word, flips), audit=False)
-        assert len(checks) > 10
+        # the moves that took the walk path re-read the whole map after it
+        assert len(checks) > 10 and any(fs is not None for _failures, fs in checks)
