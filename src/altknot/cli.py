@@ -3,7 +3,8 @@
 Commands: ``analyze``, ``reduce``, ``augment``, ``bounds``, ``gen``,
 ``selfcheck``, ``render``.  Files may hold one diagram or a corpus of
 blank-line-separated PD blocks (optionally titled with ``# name:``
-comments); batch output is one JSON line per block in input order.  A
+comments), except that ``render`` takes a file of exactly one block;
+batch output is one JSON line per block in input order.  A
 block that fails does not stop the batch: it gets an error record on
 stderr carrying its name (and, for exit code 3, its PD text), and the
 command exits with the worst code of its blocks.
@@ -16,6 +17,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +26,7 @@ from . import __version__
 from .analysis import analysis_report
 from .augmentation import augment
 from .diagram import parse_pd, serialize_pd
-from .errors import DiagramError, exit_code_for
+from .errors import DiagramError, PDSyntaxError, exit_code_for
 from .generate import random_knot_diagram
 from .reduction import preprocess
 from .render import render_svg
@@ -195,8 +197,10 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    d = parse_pd(_read(args.file))
-    svg = render_svg(d)
+    blocks = _split_corpus(_read(args.file))
+    if len(blocks) != 1:
+        raise PDSyntaxError(f"render takes one diagram; the file holds {len(blocks)} blocks")
+    svg = render_svg(parse_pd(blocks[0][1]))
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0
@@ -256,8 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command in ("gen", "selfcheck"):
         args.seed = int(os.environ.get("ALTKNOT_SEED", _DEFAULT_SEED))
     try:

@@ -22,6 +22,7 @@ and read whole again.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners, twist_partition
@@ -186,7 +187,9 @@ class _Moves:
     least corners of the R2 bigons; a face's least corner is its first,
     so the least key names the least face id of the full walk.  ``t`` is
     the twist count: the number of chains, the classes of crossings
-    joined through bigons.
+    joined through bigons.  Beside each set a heap holds its keys and
+    possibly keys since removed, which are dropped when they reach the
+    top (``_least``), so each pick of the least key costs O(log n).
 
     A move that takes ``check_move``'s merge path removes its crossings'
     corners and merges the faces of its ``merge_plan``, and ``advance``
@@ -207,7 +210,15 @@ class _Moves:
         faces = self.faces
         self.cuts = {c for c in d.crossings if faces.is_cut(c)}
         self.bigons = {min(ks) for h, ks in faces.corners.items() if faces.is_bigon(h) and _is_r2_corners(d, ks)}
+        self._cut_heap = sorted(self.cuts)  # a sorted list is a heap
+        self._bigon_heap = sorted(self.bigons)
         self.t = twist_partition(d).t
+
+    def least_cut(self) -> int | None:
+        return _least(self.cuts, self._cut_heap)
+
+    def least_bigon(self) -> tuple[int, int] | None:
+        return _least(self.bigons, self._bigon_heap)
 
     def advance(self, cur: Diagram, gone: tuple[int, ...], fs: FaceSet | None) -> None:
         """Move on to ``cur``, made by the move that removed the crossings
@@ -243,12 +254,24 @@ class _Moves:
         self.t += _chains_meeting(faces, sorted(ends - set(gone))) - before
         self.cuts -= set(gone)
         for c in {c for c, _s in moved}:
-            if faces.is_cut(c):
+            if c not in self.cuts and faces.is_cut(c):
                 self.cuts.add(c)
+                heapq.heappush(self._cut_heap, c)
         self.bigons.difference_update(ks[0] for ks in lost)
         for ks in made:
-            if _is_r2_corners(cur, ks):
-                self.bigons.add(min(ks))
+            key = min(ks)
+            if key not in self.bigons and _is_r2_corners(cur, ks):
+                self.bigons.add(key)
+                heapq.heappush(self._bigon_heap, key)
+
+
+def _least(keys: set, heap: list):
+    """The least of ``keys``, or None when it is empty.  ``heap`` holds
+    every key of ``keys``; a key on top that is no longer in ``keys`` is
+    popped."""
+    while heap and heap[0] not in keys:
+        heapq.heappop(heap)
+    return heap[0] if heap else None
 
 
 def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
@@ -271,11 +294,10 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     trace = ReductionTrace(crossings_before=len(d.crossings), t_before=moves.t)
     cur = d
     while True:
-        if moves.cuts:
-            c = min(moves.cuts)
+        if (c := moves.least_cut()) is not None:
             kind, gone, b = "nugatory", (c,), _nugatory_edit(cur, c)
-        elif moves.bigons:
-            corners = moves.faces.corners[moves.faces.face[min(moves.bigons)]]
+        elif (k := moves.least_bigon()) is not None:
+            corners = moves.faces.corners[moves.faces.face[k]]
             gone = tuple(sorted(c for c, _s in corners))
             kind, b = "r2", _r2_edit(cur, corners)
         else:

@@ -24,15 +24,21 @@ _STYLE = (
 
 
 def _positions(d: Diagram) -> dict:
-    """Crossing and edge-midpoint coordinates via a barycentric solve."""
+    """Crossing and edge-midpoint coordinates via a barycentric solve.
+
+    Every node off the pinned cycle sits at the average of its neighbors.
+    An edge on the cycle has both end crossings on it, so the four edges
+    at a free crossing have free midpoints, each the average of its
+    edge's two end crossings.  Substituting them leaves one row per free
+    crossing (the Schur complement).  Doubled, the row of crossing c
+    reads ``8 x_c - sum (x_a + x_b) = 0``, the sum over c's four slots
+    with a and b the ends of the slot's edge (c itself once, twice for a
+    kink); the pinned end crossings move to the right-hand side.  The
+    free midpoints are then filled in as averages."""
     import numpy as np
 
     fs = face_set(d)
     outer = max((f for f in fs.faces if f.corner_slots), key=lambda f: (f.degree, -f.id))
-
-    nodes: list = [("c", c) for c in sorted(d.crossings)]
-    nodes += [("m", e) for e in sorted(d.edges)]
-    index = {n: i for i, n in enumerate(nodes)}
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []
@@ -44,42 +50,64 @@ def _positions(d: Diagram) -> dict:
     for k, node in enumerate(cycle):
         if node not in boundary:
             ang = 2.0 * np.pi * k / n
-            boundary[node] = (np.cos(ang), np.sin(ang))
+            boundary[node] = (float(np.cos(ang)), float(np.sin(ang)))
 
-    m = len(nodes)
-    a = np.zeros((m, m))
-    bx = np.zeros(m)
-    by = np.zeros(m)
-    for node in nodes:
-        i = index[node]
-        if node in boundary:
-            a[i, i] = 1.0
-            bx[i], by[i] = boundary[node]
-            continue
-        if node[0] == "m":
-            nbrs = [("c", c) for c, _s in d.edges[node[1]].ends]
-        else:
-            nbrs = [("m", e) for e in d.crossings[node[1]].slots]
-        a[i, i] = len(nbrs)
-        for nb in nbrs:
-            a[i, index[nb]] -= 1.0
+    free = [c for c in sorted(d.crossings) if ("c", c) not in boundary]
+    row = {c: i for i, c in enumerate(free)}
+    a = np.zeros((len(free), len(free)))
+    rhs = np.zeros((len(free), 2))
+    for c in free:
+        i = row[c]
+        a[i, i] = 8.0
+        for e in d.crossings[c].slots:
+            for x, _s in d.edges[e].ends:
+                if x in row:
+                    a[i, row[x]] -= 1.0
+                else:
+                    rhs[i] += boundary[("c", x)]
     try:
-        xs = np.linalg.solve(a, bx)
-        ys = np.linalg.solve(a, by)
+        solved = np.linalg.solve(a, rhs).tolist()
     except np.linalg.LinAlgError:
         return _fallback_positions(d)
-    pos = {node: (float(xs[index[node]]), float(ys[index[node]])) for node in nodes}
+    pos = {}
+    for c in sorted(d.crossings):
+        pos[("c", c)] = tuple(solved[row[c]]) if c in row else boundary[("c", c)]
+    for e in sorted(d.edges):
+        if ("m", e) in boundary:
+            pos[("m", e)] = boundary[("m", e)]
+        else:
+            (c0, _s0), (c1, _s1) = d.edges[e].ends
+            (x0, y0), (x1, y1) = pos[("c", c0)], pos[("c", c1)]
+            pos[("m", e)] = ((x0 + x1) / 2, (y0 + y1) / 2)
     pts = np.array([pos[("c", c)] for c in d.crossings])
     if len(pts) > 1:
-        span = pts.max(axis=0) - pts.min(axis=0)
-        dmin = min(
-            np.linalg.norm(pts[i] - pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        )
-        if span.max() <= 0 or dmin < 1e-6 * span.max():
+        span = (pts.max(axis=0) - pts.min(axis=0)).max()
+        if span <= 0 or _has_close_pair(pts, 1e-6 * span):
             return _fallback_positions(d)
     return pos
+
+
+def _has_close_pair(pts, eps: float) -> bool:
+    """Whether two of the points lie less than ``eps`` apart, measured as
+    ``np.linalg.norm`` of their difference.
+
+    The points go into square cells a hair wider than ``eps``, so that a
+    pair closer than ``eps`` lies in the same or in neighbouring cells
+    even after the rounding of the division; only those pairs are
+    measured.  A cell holds at most four points at least ``eps`` apart,
+    so this is linear in the number of points."""
+    import numpy as np
+
+    side = eps * (1.0 + 1e-9)
+    cells: dict = {}
+    for i, (gx, gy) in enumerate(np.floor((pts - pts.min(axis=0)) / side).astype(int).tolist()):
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for j in cells.get((gx + dx, gy + dy), ()):
+                    if np.linalg.norm(pts[i] - pts[j]) < eps:
+                        return True
+        cells.setdefault((gx, gy), []).append(i)
+    return False
 
 
 def _fallback_positions(d: Diagram) -> dict:
@@ -125,9 +153,10 @@ def render_svg(d: Diagram, size: int = 480) -> str:
 
     pos = _positions(d)
     pts = np.array(list(pos.values()))
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = float(max(hi - lo)) or 1.0
+    # plain floats: arithmetic on numpy scalars costs several times more
+    lo = pts.min(axis=0).tolist()
+    hi = pts.max(axis=0).tolist()
+    span = max(hi[0] - lo[0], hi[1] - lo[1]) or 1.0
     pad = 0.08 * size
 
     def xy(p):

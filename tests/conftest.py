@@ -503,7 +503,8 @@ def assert_partition_is_the_walk(faces, d):
 def preprocess_audited(d):
     """``preprocess(d)``, checking after every move that the worklist's
     face partition, cut vertices, R2 bigons and twist count equal the
-    whole map's.  Returns (output, trace)."""
+    whole map's, and that its heaps give the least cut vertex and the
+    least R2 key.  Returns (output, trace)."""
     from altknot import face_set, reduction
     from altknot.analysis import cut_vertices, twist_partition
 
@@ -515,6 +516,8 @@ def preprocess_audited(d):
         assert moves.cuts == set(cut_vertices(cur))
         ref = face_set(cur)
         assert moves.bigons == {ref.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur)}
+        assert moves.least_cut() == min(moves.cuts, default=None)
+        assert moves.least_bigon() == min(moves.bigons, default=None)
         assert moves.t == twist_partition(cur).t
 
     with pytest.MonkeyPatch.context() as m:
@@ -643,3 +646,81 @@ def oracle_merge_arc(g, live):
             target = min(cj for cj in live if cj != ci and cur in curve_faces[cj])
             best_arc = MergeArc(ci, target, tuple(faces), tuple(edges), phi)
     return best_arc
+
+
+def oracle_positions(d):
+    """The barycentric embedding as one dense solve over every crossing
+    and every edge midpoint, then the degeneracy test over all pairs of
+    crossings; ``render._fallback_positions(d)`` when the solve fails or
+    two crossings lie closer than 1e-6 of the span."""
+    import numpy as np
+
+    from altknot import face_set
+    from altknot.render import _fallback_positions
+
+    fs = face_set(d)
+    outer = max((f for f in fs.faces if f.corner_slots), key=lambda f: (f.degree, -f.id))
+    nodes = [("c", c) for c in sorted(d.crossings)] + [("m", e) for e in sorted(d.edges)]
+    index = {n: i for i, n in enumerate(nodes)}
+    cycle = []
+    for (c, _s), out_e in zip(outer.corner_slots, outer.boundary_edges):
+        cycle += [("c", c), ("m", out_e)]
+    boundary = {}
+    for k, node in enumerate(cycle):
+        if node not in boundary:
+            ang = 2.0 * np.pi * k / len(cycle)
+            boundary[node] = (np.cos(ang), np.sin(ang))
+    m = len(nodes)
+    a = np.zeros((m, m))
+    bx = np.zeros(m)
+    by = np.zeros(m)
+    for node, i in index.items():
+        if node in boundary:
+            a[i, i] = 1.0
+            bx[i], by[i] = boundary[node]
+            continue
+        if node[0] == "m":
+            nbrs = [("c", c) for c, _s in d.edges[node[1]].ends]
+        else:
+            nbrs = [("m", e) for e in d.crossings[node[1]].slots]
+        a[i, i] = len(nbrs)
+        for nb in nbrs:
+            a[i, index[nb]] -= 1.0
+    try:
+        xs = np.linalg.solve(a, bx)
+        ys = np.linalg.solve(a, by)
+    except np.linalg.LinAlgError:
+        return _fallback_positions(d)
+    pos = {node: (float(xs[i]), float(ys[i])) for node, i in index.items()}
+    pts = np.array([pos[("c", c)] for c in d.crossings])
+    if len(pts) > 1:
+        span = (pts.max(axis=0) - pts.min(axis=0)).max()
+        if span <= 0 or oracle_has_close_pair(pts, 1e-6 * span):
+            return _fallback_positions(d)
+    return pos
+
+
+def oracle_has_close_pair(pts, eps) -> bool:
+    """Whether two of the points lie less than ``eps`` apart, over all
+    pairs."""
+    import numpy as np
+
+    return any(
+        np.linalg.norm(pts[i] - pts[j]) < eps
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    )
+
+
+def assert_positions_match_oracle(d) -> bool:
+    """``render._positions(d)`` equals ``oracle_positions(d)`` within 1e-10,
+    node for node, and takes the fallback exactly when the oracle does.
+    Returns whether both fell back."""
+    from altknot import render
+
+    got, want = render._positions(d), oracle_positions(d)
+    fallback = render._fallback_positions(d)
+    assert (got == fallback) == (want == fallback)
+    assert list(got) == list(want)
+    assert max(abs(a - b) for k in got for a, b in zip(got[k], want[k])) <= 1e-10
+    return got == fallback

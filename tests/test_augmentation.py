@@ -406,6 +406,30 @@ class TestAugment:
                 return
         pytest.skip("sampled corpus had no single-curve case")
 
+    def test_blocks_that_are_not_twist_reduced(self, bench_inputs):
+        # cli-batch blocks whose G has one crossing key shared by two
+        # twist regions, so t_G is one more than its number of
+        # twist-equivalence classes (ROADMAP item 5(a))
+        from altknot.selfcheck import verify_augmentation
+
+        want = {
+            (0, "f8-b3"): (18, 30),
+            (0, "f10-b3"): (5, 9),
+            (1, "f26-b3"): (15, 29),
+            (2, "f13-b1"): (8, 16),
+        }
+        blocks = {
+            (seed, b.name): b
+            for seed in (0, 1, 2)
+            for f in bench_inputs.batch_inputs(seed, n_files=30, blocks=4)
+            for b in f.blocks
+        }
+        for key, counts in want.items():
+            d = parse_pd(blocks[key].pd)
+            res = augment(d)
+            assert (res.t_D, res.t_G) == counts, key
+            assert verify_augmentation(d, res) == [], key
+
     def test_refinement_on_output(self):
         for seed, d in corpus_diagrams(8):
             res = augment(d)

@@ -205,3 +205,72 @@ class TestSelfcheckAndRender:
         out = str(tmp_path / "t.svg")
         assert run(["render", trefoil_file, out]) == 0
         assert open(out).read().startswith("<svg")
+
+    def test_render_takes_one_block(self, tmp_path, capsys):
+        from altknot import parse_pd, render_svg
+
+        out = tmp_path / "t.svg"
+        p = tmp_path / "one.pd"
+        p.write_text(f"\n# name: trefoil\n{TREFOIL}\n\n\n")
+        assert run(["render", str(p), str(out)]) == 0
+        assert out.read_text() == render_svg(parse_pd(TREFOIL))
+        out.unlink()
+        p = tmp_path / "two.pd"
+        p.write_text(f"# name: a\n{TREFOIL}\n\n# name: b\n{TREFOIL}\n")
+        assert run(["render", str(p), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "PDSyntaxError",
+            "message": "render takes one diagram; the file holds 2 blocks",
+            "exit": 2,
+        }
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """One parser serves every ``run`` call of a process; each call must
+    behave as it does on a parser of its own."""
+
+    @staticmethod
+    def _calls(capsys, argvs):
+        out = []
+        for argv in argvs:
+            code = run(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    def _alone(self, capsys, argvs):
+        from altknot import cli
+
+        out = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            out += self._calls(capsys, [argv])
+        return out
+
+    def test_format_does_not_stick(self, trefoil_file, capsys):
+        argvs = [["--format", "text", "analyze", trefoil_file], ["analyze", trefoil_file]]
+        together = self._calls(capsys, argvs)
+        assert together == self._alone(capsys, argvs)
+        assert json.loads(together[1][1])["name"] == "trefoil"
+        assert "name: trefoil" in together[0][1].splitlines()
+
+    def test_emit_svg_does_not_stick(self, knot_file, tmp_path, capsys):
+        svg = tmp_path / "aug.svg"
+        argvs = [["augment", knot_file, "--emit-svg", str(svg)], ["augment", knot_file]]
+        code, out = self._calls(capsys, argvs[:1])[0]
+        assert code == 0 and svg.exists()
+        svg.unlink()
+        assert self._calls(capsys, argvs[1:]) == [(code, out)]
+        assert not svg.exists()
+        assert self._alone(capsys, argvs) == [(code, out)] * 2
+
+    def test_env_seed_read_per_call(self, capsys, monkeypatch):
+        argv = ["gen", "--letters", "10", "--flips", "2"]
+        together = []
+        for seed in ("3", "4"):
+            monkeypatch.setenv("ALTKNOT_SEED", seed)
+            together += self._calls(capsys, [argv])
+            assert together[-1] == self._alone(capsys, [argv])[0]
+        assert [json.loads(out)["seed"] for _code, out in together] == [3, 4]

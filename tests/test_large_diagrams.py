@@ -5,7 +5,8 @@ read-only) at larger sizes: reduced prime non-alternating closures for
 ``augment``, raw closures with nugatory and R2 moves for ``preprocess``.
 Large inputs are where the merge loop meets many circles and fingers
 whose first face borders the source circle more than once, and where
-reduction runs long chains of moves.
+reduction runs long chains of moves.  The SVG embedding is checked
+against the dense solve over every node, and its solve is sized.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 from collections import Counter
 from itertools import combinations
+
+import numpy as np
 
 from altknot import (
     analysis,
@@ -26,6 +29,7 @@ from altknot import (
     overlay_unlink,
     parse_pd,
     reduction,
+    render_svg,
     serialize_pd,
     validate_diagram,
 )
@@ -33,6 +37,7 @@ from altknot.diagram import restamp_origins
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
+    assert_positions_match_oracle,
     assert_preprocess_matches_oracle,
     augment_recording_fingers,
     augment_recording_merge_arcs,
@@ -167,3 +172,29 @@ def test_preprocess_relabels_n_log_n_corners(bench_inputs, monkeypatch):
     relabelled = held[0].faces.relabelled
     assert len(trace.steps) > 500
     assert 0 < relabelled <= corners * math.ceil(math.log2(corners)), relabelled
+
+
+def test_render_positions_200(bench_inputs):
+    # the augmented map of a 200-crossing closure: the embedding equals
+    # the dense solve over crossings and midpoints
+    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=200, hi=200)
+    g = augment(parse_pd(x.pd)).g
+    assert len(g.crossings) > 200
+    assert not assert_positions_match_oracle(g)
+
+
+def test_render_solves_on_crossings_only(bench_inputs, monkeypatch):
+    # a count, not a time: the one solve of an 800-crossing map has at
+    # most one row per crossing
+    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=800, hi=800)
+    d = parse_pd(x.pd)
+    rows = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        rows.append(a.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert render_svg(d).startswith("<svg")
+    assert len(rows) == 1 and 0 < rows[0] <= len(d.crossings) == 800

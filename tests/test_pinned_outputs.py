@@ -13,6 +13,8 @@ in ``serialize_pd``; ``AUGMENT_LARGE_REPORTS`` pins the whole
 A reduction can reach the same output through other moves, so
 ``REDUCE_TRACES`` pins the whole ``ReductionTrace.to_json()`` of the
 seed-0 ``reduce`` inputs: each move's kind, crossings and twist count.
+``CLI_BATCH_SVGS`` pins the bytes of ``render_svg``, which the CLI
+writes for ``augment --emit-svg``, over the seed-0 ``cli-batch`` blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from altknot import augment, parse_pd, preprocess, serialize_pd
+from altknot import augment, parse_pd, preprocess, render_svg, serialize_pd
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
@@ -30,6 +32,9 @@ AUGMENT_LARGE_REPORTS = "e8e233bd31aa683823f091718a1f798cf0b366df9a0f987287169c7
 # digest of json.dumps(preprocess(d)[1].to_json(), sort_keys=True) over
 # the seed-0 reduce inputs
 REDUCE_TRACES = "55d74af0dc8d2e1fa95a83f8a7a2e46345e74ecd52c689ccd8dc379747d9d859"
+# digest of render_svg over the input and the augment output of every
+# eligible block of the seed-0 cli-batch files, in file order
+CLI_BATCH_SVGS = "f8cddb53390f8d4ef3db0d8e360f5d20ba5f767d4392610fd22d2ee9b209fd26"
 
 
 def _pins(workload: str) -> dict:
@@ -62,3 +67,14 @@ def test_augment_large_reports_match_pin(bench_inputs):
     items = bench_inputs.large_inputs(SEED, n=64, lo=50, hi=110)
     reports = [json.dumps(augment(parse_pd(x.pd)).to_json(), sort_keys=True) for x in items]
     assert bench_inputs.digest(reports) == AUGMENT_LARGE_REPORTS
+
+
+def test_cli_batch_svgs_match_pin(bench_inputs):
+    svgs = []
+    for f in bench_inputs.batch_inputs(SEED, n_files=30, blocks=4):
+        for block in f.blocks:
+            if block.eligible:
+                d = parse_pd(block.pd)
+                svgs += [render_svg(d), render_svg(augment(d).g)]
+    assert len(svgs) == 216
+    assert bench_inputs.digest(svgs) == CLI_BATCH_SVGS

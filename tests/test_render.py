@@ -1,13 +1,22 @@
-"""SVG rendering: structural checks only, nothing pixel-exact."""
+"""SVG rendering: structural checks, and the embedding against a dense
+solve over every node (``oracle_positions``).  The bytes of the seed-0
+benchmark SVGs are pinned in ``test_pinned_outputs.py``."""
 
+import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from altknot import augment, parse_pd, render_svg
+from altknot import augment, parse_pd, render, render_svg
 from altknot.errors import RenderError
 
-from conftest import TREFOIL, corpus_diagrams
+from conftest import (
+    TREFOIL,
+    assert_positions_match_oracle,
+    corpus_diagrams,
+    oracle_has_close_pair,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -42,6 +51,73 @@ class TestRender:
         assert root.findall(f".//{SVG_NS}circle")
 
     def test_kink_renders(self, kink_unknot):
-        # degenerate embedding must fall back, not crash
+        # the crossing and both midpoints lie on the pinned cycle, so the
+        # solve has no rows
         svg = render_svg(kink_unknot)
         assert _paths(svg)
+
+
+class TestPositions:
+    def test_small_diagrams_match_oracle(
+        self, trefoil, kink_unknot, curl, granny_sum, hopf, fig8, borromean
+    ):
+        for d in (trefoil, kink_unknot, curl, granny_sum, hopf, fig8, borromean):
+            assert not assert_positions_match_oracle(d)
+
+    def test_corpus_matches_oracle(self):
+        for _seed, d in corpus_diagrams(12):
+            assert_positions_match_oracle(d)
+            assert_positions_match_oracle(augment(d).g)
+
+    def test_both_fall_back_on_coincident_crossings(self, bench_inputs):
+        # the one benchmark block of seeds 0-1 whose embedding puts two
+        # crossings within 1e-6 of the span of each other
+        (block,) = [
+            b for f in bench_inputs.batch_inputs(0, n_files=30, blocks=4)
+            for b in f.blocks if b.name == "f22-b3"
+        ]
+        assert assert_positions_match_oracle(parse_pd(block.pd))
+
+
+def _close(pts, eps):
+    pts = np.array(pts, dtype=float)
+    want = oracle_has_close_pair(pts, eps)
+    assert render._has_close_pair(pts, eps) == want
+    return want
+
+
+class TestCloseTest:
+    EPS = 2.0 ** -20  # a power of two, so that shifts by it are exact
+
+    def test_coincident_points(self):
+        assert _close([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], self.EPS)
+        assert _close([[0.5, 0.25], [0.5, 0.25]], self.EPS)
+
+    def test_points_exactly_eps_apart(self):
+        e = self.EPS
+        assert not _close([[0.0, 0.0], [e, 0.0], [1.0, 1.0]], e)
+        assert not _close([[0.0, 0.0], [0.0, e], [e, e], [1.0, 1.0]], e)
+        assert _close([[0.0, 0.0], [np.nextafter(e, 0.0), 0.0], [1.0, 1.0]], e)
+
+    def test_points_straddling_a_cell_border(self):
+        e = self.EPS
+        border = 7 * e  # within a hair of the 7th cell border from the origin
+        assert _close([[0.0, 0.0], [border - 0.3 * e, 0.5], [border + 0.3 * e, 0.5], [1.0, 1.0]], e)
+        # diagonal neighbours, on both sides of a border in each coordinate
+        assert _close([[0.0, 0.0], [border - 0.3 * e, border - 0.3 * e],
+                       [border + 0.3 * e, border + 0.3 * e], [1.0, 1.0]], e)
+        assert not _close([[0.0, 0.0], [border - 0.6 * e, 0.5], [border + 0.6 * e, 0.5]], e)
+
+    def test_random_clouds_at_their_pair_distances(self):
+        # eps set to one of the cloud's own pair distances: the pair at
+        # exactly eps is not close, a nearer one is
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(200):
+            pts = np.array([[rng.random(), rng.random()] for _ in range(rng.randint(2, 30))])
+            dists = sorted(
+                np.linalg.norm(pts[i] - pts[j])
+                for i in range(len(pts)) for j in range(i + 1, len(pts))
+            )
+            verdicts.add(_close(pts, dists[rng.randrange(min(3, len(dists)))]))
+        assert verdicts == {True, False}
