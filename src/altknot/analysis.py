@@ -18,6 +18,7 @@ from .diagram import (
     Face,
     FaceSet,
     _held_face_set,
+    _Partition,
     drop_component,
     face_set,
     is_connected,
@@ -191,21 +192,15 @@ def twist_partition(d: Diagram) -> TwistPartition:
     if fs.partition is not None:
         return fs.partition
     bigons = [f for f in fs.faces if f.is_bigon]
-    parent = {f.id: f.id for f in bigons}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    chains = _Partition()
     by_crossing: dict[int, list[Face]] = {}
     for f in bigons:
         for c in f.crossings():
             by_crossing.setdefault(c, []).append(f)
     for c, fl in by_crossing.items():
         for other in fl[1:]:
-            parent[find(other.id)] = find(fl[0].id)
+            chains.union(other.id, fl[0].id)
+    find = chains.find
 
     grouped: dict[int, list[Face]] = {}
     for f in bigons:
@@ -280,14 +275,14 @@ def cut_vertices(d: Diagram) -> list[int]:
     piece has its own faces, so the test is evaluated per piece: a
     crossing is a cut vertex when it cuts its own piece.
     """
-    fs = face_set(d)
-    return [c for c in sorted(d.crossings) if _is_cut_vertex(fs, c)]
+    corner_face = face_set(d).corner_face
+    return [c for c in sorted(d.crossings) if _is_cut_vertex(corner_face, c)]
 
 
-def _is_cut_vertex(fs: FaceSet, c: int) -> bool:
-    """The face test of ``cut_vertices`` for the one crossing ``c`` of the
-    map whose table is ``fs``: one face meets it at two corners."""
-    corner_face = fs.corner_face
+def _is_cut_vertex(corner_face, c: int) -> bool:
+    """The face test of ``cut_vertices`` for the one crossing ``c``, with
+    ``corner_face`` mapping each corner of the map to its face: one face
+    meets it at two corners."""
     return len({corner_face[(c, s)] for s in range(4)}) < 4
 
 

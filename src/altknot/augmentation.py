@@ -30,9 +30,11 @@ on the curve read that count.
     Every new crossing's sign is forced by keeping each cut edge
     alternating, and the diagram stays alternating as a whole.
 5.  ``join_curves``: splice two circles incident to a common face with a
-    crossing-free band that replaces one edge of each; the first pair of
-    circle edges along the face whose band edges carry opposite labels
-    is spliced, which keeps the diagram alternating.
+    crossing-free band that replaces the first edge of each along the
+    face.  On an alternating diagram every departure along a face
+    carries one label and every arrival the other, so both band edges
+    alternate and this first pair always qualifies; no other pair is
+    tried.
 
 Steps 4 and 5 each build once and raise when the build fails its check.
 
@@ -510,12 +512,8 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     if arc.phi == 0:
         return g
     fs = face_set(g)
-    f0 = arc.faces[0]
     base = min(
-        (
-            e for e, rec in g.edges.items()
-            if rec.component == arc.source_curve and f0 in fs.edge_sides(g, e)
-        ),
+        (e for e in fs.faces[arc.faces[0]].boundary_edges if g.edges[e].component == arc.source_curve),
         default=None,
     )
     if base is None:
@@ -601,33 +599,29 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     """Splice circles ``ci`` and ``cj`` with a crossing-free band inside
     ``shared_face``.
 
-    The band replaces one edge of each circle on the face boundary: it
-    pairs the arrival stub of the edge met first in walk order with the
-    departure stub of the other, and joins the two leftover stubs.  Both
-    band edges alternate exactly when the two paired stubs carry opposite
-    labels.  The first pair of circle edges, in walk order, for which
-    they do is spliced and checked locally (``check_edit``).  JoinError
-    when no pair carries opposite labels or the splice fails the check.
+    The band replaces the first edge of each circle in the walk of the
+    face: it pairs the arrival stub of ``ci``'s edge with the departure
+    stub of ``cj``'s, and joins the two leftover stubs.  Both band edges
+    alternate exactly when the paired stubs carry opposite labels, as
+    they always do on an alternating diagram: every departure along a
+    face carries one label and every arrival the other.  The splice is
+    checked locally (``check_edit``).  JoinError, before any build, when
+    the face misses a circle or the paired stubs carry one label, and
+    when the splice fails the check.
     """
     # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
     walk = _face_edge_walk(g, fs, shared_face)
     merged, dropped = min(ci, cj), max(ci, cj)
-    relabel = [e for e, rec in g.edges.items() if rec.component == dropped]
-
-    on_ci = [w for w in walk if g.edges[w[0]].component == ci]
-    on_cj = [w for w in walk if g.edges[w[0]].component == cj]
-    # walk order around the face: the non-crossing band pairs the
-    # arrival stub of the earlier edge with the departure stub of the
-    # later one, and the two leftovers; equal labels there would give a
-    # band edge that repeats a sign
-    pair = next(
-        ((a, b) for a in on_ci for b in on_cj if g.label(*a[2]) != g.label(*b[1])),
-        None,
-    )
-    if pair is None:
+    first = {}  # circle -> its first (edge, departure, arrival) on the face
+    for w in walk:
+        first.setdefault(g.edges[w[0]].component, w)
+    if ci not in first or cj not in first:
+        raise JoinError(f"face {shared_face} misses circle {ci if ci not in first else cj}")
+    (ea, dep_a, arr_a), (eb, dep_b, arr_b) = first[ci], first[cj]
+    if g.label(*arr_a) == g.label(*dep_b):
         raise JoinError(f"no alternating splice of circles {ci} and {cj} in face {shared_face}")
-    (ea, dep_a, arr_a), (eb, dep_b, arr_b) = pair
+    relabel = [e for e, rec in g.edges.items() if rec.component == dropped]
     b = MapBuilder(g)
     b.remove_edge(ea)
     b.remove_edge(eb)

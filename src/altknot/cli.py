@@ -96,7 +96,7 @@ def _run_blocks(blocks, worker) -> tuple[list, int]:
 
 
 def _cmd_analyze(args) -> int:
-    blocks = _split_corpus(_read(args.file))
+    blocks = _read_blocks(args.file)
 
     def work(block):
         name, text = block
@@ -111,7 +111,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    blocks = _split_corpus(_read(args.file))
+    blocks = _read_blocks(args.file)
 
     def work(block):
         name, text = block
@@ -125,7 +125,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    blocks = _split_corpus(_read(args.file))
+    blocks = _read_blocks(args.file)
 
     def work(block):
         name, text = block
@@ -197,7 +197,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    blocks = _split_corpus(_read(args.file))
+    blocks = _read_blocks(args.file)
     if len(blocks) != 1:
         raise PDSyntaxError(f"render takes one diagram; the file holds {len(blocks)} blocks")
     svg = render_svg(parse_pd(blocks[0][1]))
@@ -206,9 +206,16 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+def _read_blocks(path: str) -> list[tuple[str, str]]:
+    """The (name, pd text) blocks of the file at ``path``, decoded as
+    UTF-8; PDSyntaxError naming the byte offset of undecodable input."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PDSyntaxError(f"input is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from None
+    return _split_corpus(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -114,8 +114,16 @@ class Face:
     @property
     def is_bigon(self) -> bool:
         """Two corners at two distinct crossings (loop faces have none)."""
-        corners = self.corner_slots
-        return len(corners) == 2 and corners[0][0] != corners[1][0]
+        return _is_bigon_corners(self.corner_slots)
+
+
+def _is_bigon_corners(corners) -> bool:
+    """The corners of a face, in any order, make it a bigon: two corners
+    at two distinct crossings."""
+    if len(corners) != 2:
+        return False
+    (c0, _s0), (c1, _s1) = corners
+    return c0 != c1
 
 
 @dataclass(frozen=True)
@@ -167,25 +175,38 @@ class Diagram:
 
 # -- strand and connectivity structure ----------------------------------------
 
-def strand_components(d: Diagram) -> list[frozenset[int]]:
-    """Orbits of edges under going straight through crossings."""
-    parent = {e: e for e in d.edges}
+class _Partition:
+    """Union-find over hashable keys; a key not yet seen is its own class."""
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while (up := parent.get(x, x)) != x:
+            # path halving: x skips to its grandparent
+            grand = parent.get(up, up)
+            parent[x] = grand
+            x = grand
         return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
+
+def strand_components(d: Diagram) -> list[frozenset[int]]:
+    """Orbits of edges under going straight through crossings."""
+    strands = _Partition()
     for c in d.crossings.values():
-        union(c.slots[0], c.slots[2])
-        union(c.slots[1], c.slots[3])
+        strands.union(c.slots[0], c.slots[2])
+        strands.union(c.slots[1], c.slots[3])
     groups: dict[int, set[int]] = {}
     for e in d.edges:
-        groups.setdefault(find(e), set()).add(e)
+        groups.setdefault(strands.find(e), set()).add(e)
     return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
 
@@ -304,6 +325,8 @@ def face_set(d: Diagram) -> FaceSet:
     ``analysis.refinement_check``) are walked whole, and so is the
     overlay of the cut circles: it re-slots about two-thirds of its
     input's crossings, so a local update would re-walk most of the map.
+    A ``preprocess`` move that ``edits.check_move`` cannot check by a
+    face merge is validated, and so walked, whole.
     """
     global _last_face_set
     fs = _held_face_set(d)

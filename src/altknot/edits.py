@@ -17,13 +17,23 @@ faces of the result are those of the source merged and trimmed of the
 removed corners, so they follow from the source's faces, held as a
 ``FacePartition``, and a few facts about the faces at the removed
 crossings (``merge_plan``).  An edit that is not exactly such a move,
-or a move outside those facts, is checked by ``check_edit`` on a full
-table of the source.
+or a move outside those facts, is validated whole.
 """
 
 from __future__ import annotations
 
-from .diagram import Diagram, End, FaceSet, MapBuilder, _build_face_set, _edited_face_set, _grow_piece
+from .diagram import (
+    Diagram,
+    End,
+    FaceSet,
+    MapBuilder,
+    _edited_face_set,
+    _grow_piece,
+    _held_face_set,
+    _is_bigon_corners,
+    _Partition,
+    validate_diagram,
+)
 from .errors import InvariantError
 
 
@@ -84,8 +94,9 @@ def check_move(
     ``out`` need no walk: the planned faces become one, every other face
     keeps its corners off ``gone``, and no piece splits or vanishes.
     Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan), and the
-    table is None.  Otherwise the move is ``check_edit`` on a full table
-    of the source, and the table is the one it returns.
+    table is None.  Otherwise ``out`` is validated whole, and the table
+    is the one ``validate_diagram`` walked and left in the memo (None
+    when it walked none).
     """
     d = b.source
     failures, broken = _check_records(b, out)
@@ -93,7 +104,7 @@ def check_move(
         return failures + broken, None
     plan = merge_plan(faces, gone) if _joined_straight(b, out, gone) else None
     if plan is None:
-        return check_edit(b, _build_face_set(d), out)
+        return validate_diagram(out).failures, _held_face_set(out)
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
     if dv - de + 1 - len(plan) != 0:
@@ -197,26 +208,13 @@ class FacePartition:
         self.corners = {f.id: set(f.corner_slots) for f in fs.faces if f.loop is None}
         self.weight = {h: len(ks) for h, ks in self.corners.items()}
 
-    def is_cut(self, c: int) -> bool:
-        """One face meets crossing ``c`` at two corners (``analysis.cut_vertices``)."""
-        face = self.face
-        return len({face[(c, s)] for s in range(4)}) < 4
-
-    def is_bigon(self, h: int) -> bool:
-        """Face ``h`` has two corners at two crossings (``Face.is_bigon``)."""
-        ks = self.corners[h]
-        if len(ks) != 2:
-            return False
-        (c0, _s0), (c1, _s1) = ks
-        return c0 != c1
-
     def bigon_end(self, x: int, s: int) -> int | None:
         """The other crossing of the face at corner (x, s) when that face is
         a bigon, else None."""
-        h = self.face[(x, s)]
-        if not self.is_bigon(h):
+        ks = self.corners[self.face[(x, s)]]
+        if not _is_bigon_corners(ks):
             return None
-        (c0, _s0), (c1, _s1) = self.corners[h]
+        (c0, _s0), (c1, _s1) = ks
         return c1 if c0 == x else c0
 
     def remove(self, c: int) -> None:
@@ -315,28 +313,6 @@ def _through(d: Diagram, gone: tuple[int, ...], end: End) -> End:
         c, s = far
         far = d.other_end((c, s + 2))
     return far
-
-
-class _Partition:
-    """Union-find over hashable keys, created on first sight."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:

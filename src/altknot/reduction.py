@@ -16,8 +16,8 @@ the face at the other two corners.  ``edits.check_move`` checks such a
 move without a face walk, the partition takes the merge, and the
 candidate moves and the twist count are updated from the faces it
 changed.  Any other move (a nugatory crossing that is not a kink, an R2
-move that splits off a piece or leaves a crossing-free loop) is walked
-and read whole again.
+move that splits off a piece or leaves a crossing-free loop) is
+validated and read whole again.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .diagram import (
     Diagram,
     FaceSet,
     MapBuilder,
+    _is_bigon_corners,
     face_set,
     restamp_origins,
     validate_diagram,
@@ -87,7 +88,7 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     fs = face_set(d)
-    if not _is_cut_vertex(fs, c):
+    if not _is_cut_vertex(fs.corner_face, c):
         raise NotNugatory(f"crossing {c} is not a cut vertex")
     b = _nugatory_edit(d, c)
     out = b.build()
@@ -208,8 +209,8 @@ class _Moves:
 
     def _read(self, d: Diagram) -> None:
         faces = self.faces
-        self.cuts = {c for c in d.crossings if faces.is_cut(c)}
-        self.bigons = {min(ks) for h, ks in faces.corners.items() if faces.is_bigon(h) and _is_r2_corners(d, ks)}
+        self.cuts = {c for c in d.crossings if _is_cut_vertex(faces.face, c)}
+        self.bigons = {min(ks) for ks in faces.corners.values() if _is_bigon_corners(ks) and _is_r2_corners(d, ks)}
         self._cut_heap = sorted(self.cuts)  # a sorted list is a heap
         self._bigon_heap = sorted(self.bigons)
         self.t = twist_partition(d).t
@@ -243,8 +244,8 @@ class _Moves:
             [k for h in hs for k in corners[h] if k[0] not in gone]
             for hs in after if sum(len(corners[h]) - at_gone[h] for h in hs) == 2
         ]
-        made = [ks for ks in made if ks[0][0] != ks[1][0]]
-        lost = [sorted(corners[h]) for h in at_gone if faces.is_bigon(h)]
+        made = [ks for ks in made if _is_bigon_corners(ks)]
+        lost = [sorted(corners[h]) for h in at_gone if _is_bigon_corners(corners[h])]
         ends = {c for ks in lost + made for c, _s in ks}
         before = _chains_meeting(faces, sorted(ends | set(gone)))
 
@@ -254,7 +255,7 @@ class _Moves:
         self.t += _chains_meeting(faces, sorted(ends - set(gone))) - before
         self.cuts -= set(gone)
         for c in {c for c, _s in moved}:
-            if c not in self.cuts and faces.is_cut(c):
+            if c not in self.cuts and _is_cut_vertex(face, c):
                 self.cuts.add(c)
                 heapq.heappush(self._cut_heap, c)
         self.bigons.difference_update(ks[0] for ks in lost)

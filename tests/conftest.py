@@ -170,6 +170,36 @@ def finger_base_verdicts(monkeypatch, arcs):
     return verdicts
 
 
+def oracle_finger_base(g, arc):
+    """The finger base by a scan of every edge: the least edge of the
+    source circle with the arc's first face on one of its sides."""
+    from altknot import face_set
+
+    fs = face_set(g)
+    return min(
+        e for e, rec in g.edges.items()
+        if rec.component == arc.source_curve and arc.faces[0] in fs.edge_sides(g, e)
+    )
+
+
+def picked_finger_bases(monkeypatch, arcs):
+    """The base ``propagate_finger`` picks for each (map, arc), found
+    without building the finger."""
+    from altknot import augmentation
+
+    picked = []
+
+    def record(g, fs, arc, base):
+        picked.append(base)
+        return g
+
+    with monkeypatch.context() as m:
+        m.setattr(augmentation, "_insert_finger", record)
+        for g, arc in arcs:
+            augmentation.propagate_finger(g, arc)
+    return picked
+
+
 # -- merge arcs --------------------------------------------------------------------
 
 def augment_recording_merge_arcs(monkeypatch, diagrams):

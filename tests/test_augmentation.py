@@ -39,7 +39,9 @@ from conftest import (
     finger_base_verdicts,
     link_diagrams,
     oracle_curve_crossings,
+    oracle_finger_base,
     oracle_merge_arc,
+    picked_finger_bases,
     same_map,
     subdivide_edge_with_crossing,
 )
@@ -292,6 +294,14 @@ class TestFinger:
         assert len(verdicts) >= len(arcs) >= 100
         assert all(v == (True, []) for v in verdicts)
 
+    def test_base_is_the_least_circle_edge_on_the_first_face(self, monkeypatch):
+        # the base read off the first face's boundary is the least over
+        # every edge of the map
+        diagrams = [d for _seed, d in corpus_diagrams(40) + link_diagrams(16)]
+        _results, arcs = augment_recording_fingers(monkeypatch, diagrams)
+        assert len(arcs) >= 3
+        assert picked_finger_bases(monkeypatch, arcs) == [oracle_finger_base(g, arc) for g, arc in arcs]
+
     def test_zero_length_arc_noop(self):
         d, g, comps = self._overlay_with_two_curves()
         arc = find_merge_arc(g, comps)
@@ -326,6 +336,34 @@ class TestJoin:
             assert comps_at.count(merged) <= 1
 
 
+def _labels_around_faces(g):
+    """(departure labels, arrival labels) of each face of ``g`` with
+    corners: at corner (c, s) the edge in slot s + 1 departs and the edge
+    in slot s arrives."""
+    return [
+        ({g.label(c, s + 1) for c, s in f.corner_slots}, {g.label(c, s) for c, s in f.corner_slots})
+        for f in face_set(g).faces if f.corner_slots
+    ]
+
+
+class TestFaceLabels:
+    def test_one_departure_and_one_arrival_label_per_face(self):
+        # the fact the band splice rests on: along each face of an
+        # alternating diagram every departure carries one label and every
+        # arrival the other
+        checked = 0
+        for _seed, d in corpus_diagrams(40) + link_diagrams(16):
+            g, _cs = overlay_unlink(d, build_cut_curves(d))
+            for m in (g, augment(d).g):
+                for dep, arr in _labels_around_faces(m):
+                    assert len(dep) == len(arr) == 1 and dep != arr
+                    checked += 1
+        assert checked > 1000
+        # and about alternating diagrams only
+        flipped = flip_crossing(parse_pd(TREFOIL), 0)
+        assert any(len(dep) > 1 or len(arr) > 1 for dep, arr in _labels_around_faces(flipped))
+
+
 class TestGuardRails:
     def test_no_path_error_for_phantom_curve(self):
         from altknot.errors import NoPathError
@@ -347,6 +385,34 @@ class TestGuardRails:
             pytest.skip("every face of the first circle touches the second")
         with pytest.raises(JoinError):
             join_curves(g, comps[0], comps[1], only_ci[0])
+
+    def test_join_error_without_a_build_when_the_first_pair_agrees(self, monkeypatch):
+        # flip the crossing the target circle's first edge departs from:
+        # the stubs the band would pair then carry one label, and the
+        # join must refuse before it builds anything
+        from altknot import augmentation
+        from altknot.errors import JoinError
+
+        d, g, comps = TestFinger()._overlay_with_two_curves()
+        arc = find_merge_arc(g, comps)
+        g = propagate_finger(g, arc)
+        ci, cj = arc.source_curve, arc.target_curve
+        face = _shared_face(g, ci, cj)
+        walk = augmentation._face_edge_walk(g, face_set(g), face)
+        _ea, _dep_a, arr_a = next(w for w in walk if g.edges[w[0]].component == ci)
+        _eb, dep_b, _arr_b = next(w for w in walk if g.edges[w[0]].component == cj)
+        assert g.label(*arr_a) != g.label(*dep_b)
+        # the circles never cross, so the two stubs sit at two crossings
+        assert arr_a[0] != dep_b[0]
+        flipped = flip_crossing(g, dep_b[0])
+        assert flipped.label(*arr_a) == flipped.label(*dep_b)
+
+        def no_build(_g):
+            raise AssertionError("join_curves built a map")
+
+        monkeypatch.setattr(augmentation, "MapBuilder", no_build)
+        with pytest.raises(JoinError):
+            join_curves(flipped, ci, cj, face)
 
     def test_augment_deterministic(self):
         from altknot import serialize_pd

@@ -228,6 +228,25 @@ class TestSelfcheckAndRender:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "reduce", "augment", "render"])
+def test_undecodable_input_exit_2(command, tmp_path, capsys):
+    # a file that is not UTF-8 is an input error with a record naming the
+    # first bad byte, never a bare traceback
+    p = tmp_path / "bad.pd"
+    p.write_bytes(TREFOIL.encode() + b"\n\xff\xfe")
+    out = tmp_path / "t.svg"
+    argv = [command, str(p)] + ([str(out)] if command == "render" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "PDSyntaxError",
+        "message": f"input is not UTF-8: byte {len(TREFOIL) + 1} is 0xff",
+        "exit": 2,
+    }
+    assert not out.exists()
+
+
 class TestParserReuse:
     """One parser serves every ``run`` call of a process; each call must
     behave as it does on a parser of its own."""

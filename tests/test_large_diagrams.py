@@ -17,6 +17,7 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from altknot import (
     analysis,
@@ -46,7 +47,9 @@ from conftest import (
     oracle_bigon_faces,
     oracle_curve_crossings,
     oracle_cut_vertices,
+    oracle_finger_base,
     oracle_merge_arc,
+    picked_finger_bases,
 )
 
 SEED = 0
@@ -77,6 +80,8 @@ def test_augment(bench_inputs, monkeypatch):
     verdicts = finger_base_verdicts(monkeypatch, arcs)
     assert len(verdicts) > len(arcs) > 0
     assert all(v == (True, []) for v in verdicts)
+    # the base read off the first face is the least over every edge
+    assert picked_finger_bases(monkeypatch, arcs) == [oracle_finger_base(g, arc) for g, arc in arcs]
 
 
 def test_merge_arcs(bench_inputs, monkeypatch):
@@ -137,6 +142,25 @@ def test_preprocess_800(bench_inputs):
     out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd), audit=False)
     assert trace.crossings_before == 800 and len(trace.steps) > 100
     assert validate_diagram(out).valid
+
+
+@pytest.mark.parametrize("seed, n, audit", [(0, 400, True), (1, 800, False)])
+def test_preprocess_walk_path(bench_inputs, monkeypatch, seed, n, audit):
+    # closures with a move outside the merge facts: that move is
+    # validated whole, and the loop goes on from the walked table
+    (*_rest, x) = bench_inputs.reduce_inputs(seed, n=3, lo=n, hi=n)
+    paths = Counter()
+    real = reduction.check_move
+
+    def check_move(b, faces, out, gone):
+        failures, fs = real(b, faces, out, gone)
+        paths["merge" if fs is None else "walk"] += 1
+        return failures, fs
+
+    monkeypatch.setattr(reduction, "check_move", check_move)
+    out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd), audit=audit)
+    assert trace.crossings_before == n and validate_diagram(out).valid
+    assert paths["walk"] >= 1 and sum(paths.values()) == len(trace.steps), paths
 
 
 def test_augment_800(bench_inputs):

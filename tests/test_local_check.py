@@ -473,7 +473,7 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
         fs = face_set(d)
         bigon = next(f for f in fs.faces if _is_r2_bigon(d, f))
         gone = tuple(sorted(bigon.crossings()))
-        assert any(_is_cut_vertex(fs, c) for c in gone) == (d is bead)
+        assert any(_is_cut_vertex(fs.corner_face, c) for c in gone) == (d is bead)
         b = reduction._r2_edit(d, bigon.corner_slots)
         if extra_loop:
             b.loops[b.new_edge_id()] = b.new_component_id()
