@@ -316,30 +316,21 @@ def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
 
 
 def _cut_sides(d: Diagram, pair: tuple[int, int]) -> tuple[int, int]:
-    """Crossing counts of the two pieces left after removing the pair."""
-    banned = set(pair)
-    seen: set[int] = set()
-    sides = []
-    for start in sorted(d.crossings):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        n = 0
-        while stack:
-            c = stack.pop()
-            n += 1
-            for e in d.crossings[c].slots:
-                if e in banned:
-                    continue
-                for c2, _s in d.edges[e].ends:
-                    if c2 not in seen:
-                        seen.add(c2)
-                        stack.append(c2)
-        sides.append(n)
+    """Crossing counts of the two pieces left after removing the pair,
+    the side holding the least crossing first."""
+    parts = _Partition()
+    for e, rec in d.edges.items():
+        if e not in pair:
+            (c0, _s0), (c1, _s1) = rec.ends
+            parts.union(c0, c1)
+    sides: dict[int, int] = {}
+    for c in sorted(d.crossings):
+        root = parts.find(c)
+        sides[root] = sides.get(root, 0) + 1
     if len(sides) != 2:
         raise InvariantError(f"edge pair {pair} does not split into two sides")
-    return (sides[0], sides[1])
+    first, second = sides.values()
+    return (first, second)
 
 
 def diagram_flags(d: Diagram) -> DiagramFlags:
@@ -443,20 +434,11 @@ def _is_sub_twist(x: frozenset[int], region: TwistRegion, fs: FaceSet) -> bool:
         return False
     # connectivity of the chosen bigons inside the retract
     chosen = set(inside)
-    adj: dict[int, set[int]] = {f: set() for f in chosen}
+    links = _Partition()
     for a, b, _c in region.links:
         if a in chosen and b in chosen:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {inside[0]}
-    stack = [inside[0]]
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return seen == chosen
+            links.union(a, b)
+    return len({links.find(f) for f in inside}) == 1
 
 
 def _verify_refinement(

@@ -525,14 +525,9 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
     b = MapBuilder(g)
     comp = arc.source_curve
 
-    base_rec = g.edges[base]
-    base_left = fs.edge_sides(g, base)[0]
     # side L of the finger (left of base->tip travel) picks up the stub of
     # the base end lying to the left when facing into the face
-    if base_left == arc.faces[0]:
-        end_L, end_R = base_rec.ends[0], base_rec.ends[1]
-    else:
-        end_L, end_R = base_rec.ends[1], base_rec.ends[0]
+    end_L, end_R = _oriented_ends(g, fs, base, arc.faces[0])
 
     k = arc.phi
     xl = [b.new_crossing_id() for _ in range(k)]

@@ -18,7 +18,6 @@ mutate their inputs.
 
 from __future__ import annotations
 
-import bisect
 import re
 import weakref
 from collections.abc import MutableMapping
@@ -211,40 +210,36 @@ def strand_components(d: Diagram) -> list[frozenset[int]]:
 
 
 def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """(crossing ids, edge ids) per connected piece of the 4-valent map;
-    crossing-free loops are separate pieces and are not listed here.
+    """(crossing ids, edge ids) per connected piece of the 4-valent map,
+    in order of least crossing; crossing-free loops are separate pieces
+    and are not listed here.
 
     While the ``face_set`` memo holds ``d``'s table, the list is computed
     once and kept on it (``FaceSet.pieces``); otherwise it is computed
-    afresh, and no table is built for it.  The list may be shared:
-    callers must not modify it."""
+    afresh by a breadth-first search from each unseen crossing, and no
+    table is built for it.  The list may be shared: callers must not
+    modify it."""
     fs = _held_face_set(d)
     if fs is not None and fs.pieces is not None:
         return fs.pieces
     seen: set[int] = set()
     pieces = []
     for start in sorted(d.crossings):
-        if start not in seen:
-            cs = _grow_piece(d, start, seen)
-            es = frozenset(e for c in cs for e in d.crossings[c].slots)
-            pieces.append((frozenset(cs), es))
+        if start in seen:
+            continue
+        seen.add(start)
+        cs = [start]
+        for c in cs:
+            for e in d.crossings[c].slots:
+                for c2, _s in d.edges[e].ends:
+                    if c2 not in seen:
+                        seen.add(c2)
+                        cs.append(c2)
+        es = frozenset(e for c in cs for e in d.crossings[c].slots)
+        pieces.append((frozenset(cs), es))
     if fs is not None:
         fs.pieces = pieces
     return pieces
-
-
-def _grow_piece(d: Diagram, start: int, seen: set[int]) -> list[int]:
-    """Crossings of the piece holding ``start``, which must not be in
-    ``seen``; each is added to ``seen``."""
-    seen.add(start)
-    cs = [start]
-    for c in cs:
-        for e in d.crossings[c].slots:
-            for c2, _s in d.edges[e].ends:
-                if c2 not in seen:
-                    seen.add(c2)
-                    cs.append(c2)
-    return cs
 
 
 def piece_count(d: Diagram) -> int:
@@ -453,26 +448,18 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         far[z] = a
     fresh = _walk_faces(new_c, far, sorted(todo), todo)
 
-    # merge by least corner; a face whose id moved is re-made
-    kept = [f for f in source_fs.faces if f.loop is None and f.id not in dirty]
-    firsts = [f.corner_slots[0] for f in kept]
-    merged: list = []
-    at = 0
-    for walk in fresh:
-        upto = bisect.bisect_left(firsts, walk[0][0], at)
-        merged += kept[at:upto]
-        merged.append(walk)
-        at = upto
-    merged += kept[at:]
+    # kept faces and fresh walks each come in least-corner order, so the
+    # sort merges two runs; a face whose id is not its position is re-made
+    merged = sorted(
+        [f for f in source_fs.faces if f.loop is None and f.id not in dirty]
+        + [Face(-1, *w) for w in fresh],
+        key=attrgetter("corner_slots"),
+    )
     for i, f in enumerate(merged):
-        if type(f) is tuple:
-            f = merged[i] = Face(i, *f)
-        elif f.id != i:
-            f = merged[i] = Face(i, f.corner_slots, f.boundary_edges)
-        else:
-            continue
-        for k in f.corner_slots:
-            corner_face[k] = i
+        if f.id != i:
+            merged[i] = Face(i, f.corner_slots, f.boundary_edges)
+            for k in f.corner_slots:
+                corner_face[k] = i
     fs = _face_table(merged, corner_face, out.loops)
     _last_face_set = (weakref.ref(out), fs)
     return fs

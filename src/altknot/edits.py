@@ -28,10 +28,10 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     _edited_face_set,
-    _grow_piece,
     _held_face_set,
     _is_bigon_corners,
     _Partition,
+    connected_pieces,
     validate_diagram,
 )
 from .errors import InvariantError
@@ -324,8 +324,9 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
     When the cut crossings all lie in one piece (they are grouped through
     S and the faces it borders) and that piece's survivors stay together
     or vanish, the new crossings and edges are merged onto them with a
-    union-find.  Otherwise both sides are walked from the crossings the
-    cut meets.
+    union-find.  Otherwise the pieces of both maps are counted whole:
+    a piece that holds no crossing the cut meets is a piece of both, so
+    the difference of the totals is the local one.
     """
     d = b.source
     cut = [e for e in sorted(b.touched_edges) if e in d.edges]
@@ -355,16 +356,4 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
                 (c0, _s0), (c1, _s1) = out.edges[e].ends
                 merge.union(c0 if c0 in new_set else "rest", c1 if c1 in new_set else "rest")
         return len({merge.find(x) for x in roots}) - groups
-    survivors = [c for c in sorted(met) if c in out.crossings]
-    return _pieces_through(out, survivors + new) - _pieces_through(d, sorted(met))
-
-
-def _pieces_through(d: Diagram, starts) -> int:
-    """Number of distinct pieces of ``d`` holding the crossings ``starts``."""
-    seen: set[int] = set()
-    count = 0
-    for start in starts:
-        if start not in seen:
-            _grow_piece(d, start, seen)
-            count += 1
-    return count
+    return len(connected_pieces(out)) - len(connected_pieces(d))

@@ -58,24 +58,21 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
             put(e, cid, s)
         pos[i], pos[i + 1] = out_left, out_right
 
-    # close each strand position: identify the final edge with the first
+    # close each strand position: identify the final edge with the first;
+    # a final id exceeds the width and a first one does not, so one lookup
+    # resolves any id
     rename: dict[int, int] = {}
     for j in range(width):
         a, b = first[j], pos[j]
         if a != b:
             rename[b] = a
 
-    def resolve(e: int) -> int:
-        while e in rename:
-            e = rename[e]
-        return e
-
     merged_uses: dict[int, list[tuple[int, int]]] = {}
     for e, ends in uses.items():
-        merged_uses.setdefault(resolve(e), []).extend(ends)
+        merged_uses.setdefault(rename.get(e, e), []).extend(ends)
     fixed = {}
     for cid, c in crossings.items():
-        fixed[cid] = Crossing(cid, tuple(resolve(e) for e in c.slots), c.over_slots)
+        fixed[cid] = Crossing(cid, tuple(rename.get(e, e) for e in c.slots), c.over_slots)
 
     edges = {}
     loops = {}

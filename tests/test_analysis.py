@@ -241,6 +241,17 @@ class TestFlags:
         assert sorted(fl.witness.sides) == [3, 3]
         assert (1, 7) in oracle_two_edge_cuts(granny_sum)
 
+    @pytest.mark.parametrize("word, sides", [
+        ([1, 1, 1, 2, -3, 2, -3], (3, 4)),
+        ([2, -3, 2, -3, 1, 1, 1], (4, 3)),
+    ])
+    def test_cut_pair_sides_least_crossing_first(self, word, sides):
+        # trefoil # figure-eight both ways round: the side holding the
+        # least crossing comes first
+        fl = diagram_flags(braid_closure(word, 4))
+        assert fl.witness.kind == "cut_pair"
+        assert fl.witness.sides == sides
+
     def test_disconnected(self, trefoil):
         fl = diagram_flags(parse_pd(TREFOIL + " O(9)"))
         assert not fl.connected and not fl.prime

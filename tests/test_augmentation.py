@@ -302,6 +302,20 @@ class TestFinger:
         assert len(arcs) >= 3
         assert picked_finger_bases(monkeypatch, arcs) == [oracle_finger_base(g, arc) for g, arc in arcs]
 
+    def test_base_is_the_least_of_several_candidates(self, monkeypatch, bench_inputs):
+        # two augment-large inputs whose first finger face borders the
+        # source circle along 3 and 6 edges: a greatest base differs there
+        items = {x.name: x for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110)}
+        diagrams = [parse_pd(items[name].pd) for name in ("a12", "a28")]
+        _results, arcs = augment_recording_fingers(monkeypatch, diagrams)
+        candidates = [
+            [e for e in face_set(g).faces[arc.faces[0]].boundary_edges
+             if g.edges[e].component == arc.source_curve]
+            for g, arc in arcs
+        ]
+        assert max(len(es) for es in candidates) >= 2
+        assert picked_finger_bases(monkeypatch, arcs) == [oracle_finger_base(g, arc) for g, arc in arcs]
+
     def test_zero_length_arc_noop(self):
         d, g, comps = self._overlay_with_two_curves()
         arc = find_merge_arc(g, comps)

@@ -41,7 +41,7 @@ from altknot import (
     remove_r2_bigon,
     validate_diagram,
 )
-from altknot import augmentation, diagram, reduction
+from altknot import augmentation, diagram, edits, reduction
 from altknot.diagram import MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
 from altknot.edits import FacePartition, check_edit, check_move, merge_plan
 from altknot.errors import AlternationError, InvariantError, JoinError
@@ -457,6 +457,29 @@ def test_moves_that_change_the_piece_count(audit):
         assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)
     assert a.paths == {("r2", "walk"): 3, ("nugatory", "walk"): 1}
     assert a.tables == {("r2", "real"): 3, ("nugatory", "real"): 1}
+
+
+def test_public_r2_removal_that_splits_a_piece(audit, monkeypatch):
+    # removing the flipped clasp between two trefoils splits the one
+    # piece in two, which the union-find count of ``_piece_change`` does
+    # not cover: the pieces of both maps are counted whole, once
+    from altknot.analysis import _is_r2_bigon
+
+    a = audit(6, mutate=False)
+    d = flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3)
+    (f,) = [f.id for f in face_set(d).faces if _is_r2_bigon(d, f)]
+    counted = []
+    real = edits.connected_pieces
+
+    def spy(x):
+        counted.append(x)
+        return real(x)
+
+    monkeypatch.setattr(edits, "connected_pieces", spy)
+    out = remove_r2_bigon(d, f)
+    assert len(counted) == 2 and counted[0] is out and counted[1] is d
+    assert a.tables == {("remove_r2_bigon", "real"): 1}
+    assert (len(connected_pieces(out)), len(out.loops)) == (2, 0)
 
 
 def test_moves_outside_the_merge_facts_are_walked(trefoil):
