@@ -18,6 +18,7 @@ from .diagram import (
     Face,
     FaceSet,
     _held_face_set,
+    _is_bigon_corners,
     _Partition,
     drop_component,
     face_set,
@@ -57,9 +58,14 @@ def classify_edges(d: Diagram) -> EdgeClassification:
     if fs is not None and fs.classification is not None:
         return fs.classification
     alt, non = set(), set()
-    for e in d.edges:
-        a, b = d.edge_labels(e)
-        (alt if a != b else non).add(e)
+    crossings = d.crossings
+    for e, rec in d.edges.items():
+        # the end labels differ when exactly one end is in an over slot
+        (c0, s0), (c1, s1) = rec.ends
+        if (s0 in crossings[c0].over_slots) != (s1 in crossings[c1].over_slots):
+            alt.add(e)
+        else:
+            non.add(e)
     has_strands = bool(d.crossings) or bool(d.loops)
     out = EdgeClassification(
         alternating=frozenset(alt),
@@ -168,8 +174,8 @@ def _region_topology(bigons: list[Face]) -> RegionTopology:
     vs: set[int] = set()
     es: set[int] = set()
     for f in bigons:
-        vs |= f.crossings()
-        es |= set(f.boundary_edges)
+        vs.update(c for c, _s in f.corner_slots)
+        es.update(f.boundary_edges)
     chi = len(vs) - len(es) + len(bigons)
     if chi == 1:
         return RegionTopology.DISK
@@ -191,11 +197,12 @@ def twist_partition(d: Diagram) -> TwistPartition:
     fs = face_set(d)
     if fs.partition is not None:
         return fs.partition
-    bigons = [f for f in fs.faces if f.is_bigon]
+    bigons = [f for f in fs.faces if _is_bigon_corners(f.corner_slots)]
     chains = _Partition()
     by_crossing: dict[int, list[Face]] = {}
     for f in bigons:
-        for c in f.crossings():
+        # a bigon's two corners are at two distinct crossings
+        for c, _s in f.corner_slots:
             by_crossing.setdefault(c, []).append(f)
     for c, fl in by_crossing.items():
         for other in fl[1:]:
@@ -215,7 +222,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
 
     regions = []
     for root, fl in grouped.items():
-        crossings = frozenset().union(*(f.crossings() for f in fl))
+        crossings = frozenset(c for f in fl for c, _s in f.corner_slots)
         regions.append(
             TwistRegion(
                 crossings,
@@ -283,12 +290,13 @@ def _is_cut_vertex(corner_face, c: int) -> bool:
     """The face test of ``cut_vertices`` for the one crossing ``c``, with
     ``corner_face`` mapping each corner of the map to its face: one face
     meets it at two corners."""
-    return len({corner_face[(c, s)] for s in range(4)}) < 4
+    faces = {corner_face[(c, 0)], corner_face[(c, 1)], corner_face[(c, 2)], corner_face[(c, 3)]}
+    return len(faces) < 4
 
 
 def _is_r2_bigon(d: Diagram, f: Face) -> bool:
     """A bigon whose edges are non-alternating: an R2 move removes it."""
-    return f.is_bigon and _is_r2_corners(d, f.corner_slots)
+    return _is_bigon_corners(f.corner_slots) and _is_r2_corners(d, f.corner_slots)
 
 
 def _is_r2_corners(d: Diagram, corners) -> bool:
@@ -298,17 +306,22 @@ def _is_r2_corners(d: Diagram, corners) -> bool:
     corner in adjacent slots, so the first edge alternates exactly when
     the second does."""
     (c0, s0), (c1, s1) = corners
-    return d.label(c0, s0 + 1) == d.label(c1, s1)
+    crossings = d.crossings
+    return ((s0 + 1) % 4 in crossings[c0].over_slots) == (s1 in crossings[c1].over_slots)
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
     """Lowest pair of distinct edges bounding the same pair of faces.
-    In a bridgeless planar map these are exactly the two-edge cuts."""
-    seen: dict[frozenset[int], int] = {}
-    for e in sorted(d.edges):
-        key = fs.faces_of_edge(d, e)
-        if len(key) == 1:
+    In a bridgeless planar map these are exactly the two-edge cuts.
+    Each edge is keyed by its two faces, the lesser first."""
+    corner_face, edges = fs.corner_face, d.edges
+    seen: dict[tuple[int, int], int] = {}
+    for e in sorted(edges):
+        a, z = edges[e].ends
+        left, right = corner_face[a], corner_face[z]
+        if left == right:
             raise InvariantError(f"edge {e} borders one face on both sides")
+        key = (left, right) if left < right else (right, left)
         if key in seen:
             return (seen[key], e)
         seen[key] = e

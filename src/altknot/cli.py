@@ -25,7 +25,7 @@ import sys
 from . import __version__
 from .analysis import analysis_report
 from .augmentation import augment
-from .diagram import parse_pd, serialize_pd
+from .diagram import Diagram, parse_pd, serialize_pd
 from .errors import DiagramError, PDSyntaxError, exit_code_for
 from .generate import random_knot_diagram
 from .reduction import preprocess
@@ -37,7 +37,9 @@ _DEFAULT_SEED = 20240900
 
 
 def _split_corpus(text: str) -> list[tuple[str, str]]:
-    """(name, pd text) per blank-line-separated block."""
+    """(name, pd text) per blank-line-separated block.  A title followed
+    by another title, or by the end of the file, before any PD text is a
+    block of its own with empty text, which ``_parse_block`` refuses."""
     blocks = []
     name = None
     buf: list[str] = []
@@ -46,6 +48,8 @@ def _split_corpus(text: str) -> list[tuple[str, str]]:
         if stripped.startswith("#"):
             comment = stripped.lstrip("#").strip()
             if comment.lower().startswith("name:"):
+                if name is not None and not buf:
+                    blocks.append((name or f"diagram-{len(blocks)}", ""))
                 name = comment[5:].strip()
             continue
         if not stripped:
@@ -54,7 +58,17 @@ def _split_corpus(text: str) -> list[tuple[str, str]]:
                 buf, name = [], None
             continue
         buf.append(line)
+    if name is not None:
+        blocks.append((name or f"diagram-{len(blocks)}", ""))
     return blocks
+
+
+def _parse_block(text: str) -> Diagram:
+    """``parse_pd`` of one block's text; PDSyntaxError when a titled
+    block holds none."""
+    if not text:
+        raise PDSyntaxError("titled block holds no PD text")
+    return parse_pd(text)
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -100,7 +114,7 @@ def _cmd_analyze(args) -> int:
 
     def work(block):
         name, text = block
-        rep = analysis_report(parse_pd(text))
+        rep = analysis_report(_parse_block(text))
         rep["name"] = name
         return rep
 
@@ -115,7 +129,7 @@ def _cmd_reduce(args) -> int:
 
     def work(block):
         name, text = block
-        d, trace = preprocess(parse_pd(text))
+        d, trace = preprocess(_parse_block(text))
         return {"name": name, "pd": serialize_pd(d), "trace": trace.to_json()}
 
     outputs, code = _run_blocks(blocks, work)
@@ -129,7 +143,7 @@ def _cmd_augment(args) -> int:
 
     def work(block):
         name, text = block
-        res = augment(parse_pd(text))
+        res = augment(_parse_block(text))
         rep = res.to_json()
         rep["name"] = name
         rep["volume"] = volume_report(res)
@@ -200,7 +214,7 @@ def _cmd_render(args) -> int:
     blocks = _read_blocks(args.file)
     if len(blocks) != 1:
         raise PDSyntaxError(f"render takes one diagram; the file holds {len(blocks)} blocks")
-    svg = render_svg(parse_pd(blocks[0][1]))
+    svg = render_svg(_parse_block(blocks[0][1]))
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0

@@ -198,15 +198,42 @@ class _Partition:
 
 
 def strand_components(d: Diagram) -> list[frozenset[int]]:
-    """Orbits of edges under going straight through crossings."""
-    strands = _Partition()
-    for c in d.crossings.values():
-        strands.union(c.slots[0], c.slots[2])
-        strands.union(c.slots[1], c.slots[3])
-    groups: dict[int, set[int]] = {}
-    for e in d.edges:
-        groups.setdefault(strands.find(e), set()).add(e)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    """Orbits of edges under going straight through crossings, in order
+    of least edge id."""
+    ends = {e: rec.ends for e, rec in d.edges.items()}
+    return [frozenset(orbit) for orbit in _strand_walk(d.crossings, ends)]
+
+
+def _strand_walk(crossings: dict[int, Crossing], ends: dict[int, tuple[End, End]]) -> list[list[int]]:
+    """The strand orbits of the edges ``ends`` names, each walked from
+    its least edge id, in order of least id.  ``ends[e]`` is the pair of
+    slot ends of edge e, and every slot end must hold the edge that
+    names it.  The walk leaves each edge by its second end and goes
+    straight through the crossing there, slot s to s + 2; it is back at
+    the first edge when it arrives at that edge's first end.
+    InvariantError when it meets an edge of another orbit, which only
+    slots and ends that disagree can cause."""
+    seen: set[int] = set()
+    orbits = []
+    for first in sorted(ends):
+        if first in seen:
+            continue
+        seen.add(first)
+        orbit = [first]
+        c, s = ends[first][1]
+        while True:
+            through = (c, (s + 2) % 4)
+            e = crossings[c].slots[through[1]]
+            if e == first:
+                break
+            if e in seen:
+                raise InvariantError(f"strand walk from edge {first} met edge {e} again")
+            seen.add(e)
+            orbit.append(e)
+            a, z = ends[e]
+            c, s = z if a == through else a
+        orbits.append(orbit)
+    return orbits
 
 
 def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
@@ -291,9 +318,6 @@ class FaceSet:
         """(left face, right face) of edge e directed end0 -> end1."""
         (c0, s0), (c1, s1) = d.edges[e].ends
         return self.face_of_corner(c0, s0), self.face_of_corner(c1, s1)
-
-    def faces_of_edge(self, d: Diagram, e: int) -> frozenset[int]:
-        return frozenset(self.edge_sides(d, e))
 
 
 # the table of the last diagram asked for, as (weak reference, table);
@@ -493,8 +517,11 @@ def parse_pd(text: str) -> Diagram:
     Raises PDSyntaxError for malformed records, IncidenceError when an
     edge id is not used exactly twice, SphericityError when the rotation
     system is not spherical: V - E + F over the corner faces must be 2P
-    for the P crossing-bearing pieces, as in ``validate_diagram``.  The
-    strand orbits are computed once, to number the components.
+    for the P crossing-bearing pieces, as in ``validate_diagram``.
+    The strand orbits are computed once, by one walk over the slot table
+    (``_strand_walk``), and each edge record is built once, with its
+    final component: the orbits in order of least edge id, then the
+    loops in id order.
     """
     clean = _strip_comments(text)
     records = []
@@ -505,10 +532,10 @@ def parse_pd(text: str) -> Diagram:
         pos = m.end()
         kind, body = m.group(1), m.group(2)
         try:
-            ids = tuple(int(tok) for tok in body.split(","))
+            ids = tuple(map(int, body.split(",")))
         except ValueError:
             raise PDSyntaxError(f"bad record body: {m.group(0)!r}") from None
-        if any(i <= 0 for i in ids):
+        if min(ids) <= 0:
             raise PDSyntaxError(f"edge ids must be positive: {m.group(0)!r}")
         if kind == "X" and len(ids) != 4:
             raise PDSyntaxError(f"X record needs 4 edges: {m.group(0)!r}")
@@ -538,10 +565,14 @@ def parse_pd(text: str) -> Diagram:
     if bad:
         raise IncidenceError(f"edge ids not used exactly twice: {sorted(bad)}")
 
-    edges = {
-        e: Edge(e, (u[0], u[1]), origin=e, component=-1) for e, u in uses.items()
-    }
-    d = _assign_components(Diagram(crossings, edges, loops))
+    comp: dict[int, int] = {}
+    orbits = _strand_walk(crossings, uses)
+    for i, orbit in enumerate(orbits):
+        for e in orbit:
+            comp[e] = i
+    loops = {k: len(orbits) + i for i, k in enumerate(sorted(loops))}
+    edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
+    d = Diagram(crossings, edges, loops)
     chi = len(crossings) - len(edges) + len(face_set(d).faces) - 2 * len(loops)
     pieces = len(connected_pieces(d))
     if chi != 2 * pieces:
@@ -569,7 +600,10 @@ def _assign_components(d: Diagram) -> Diagram:
 
 def restamp_origins(d: Diagram) -> Diagram:
     """The same diagram with every edge re-stamped as its own origin; it
-    keeps ``d``'s face table."""
+    keeps ``d``'s face table.  ``d`` itself when every edge already is
+    its own origin, as in every parsed map."""
+    if all(e == r.origin for e, r in d.edges.items()):
+        return d
     edges = {e: Edge(e, r.ends, e, r.component) for e, r in d.edges.items()}
     return _hand_over_face_set(d, Diagram(d.crossings, edges, d.loops, d.augmenting_component))
 
@@ -620,63 +654,102 @@ class ValidationReport:
         }
 
 
+_OVER_PAIRS = ((0, 2), (2, 0), (1, 3), (3, 1))
+
+
 def validate_diagram(d: Diagram) -> ValidationReport:
     """Check 4-valence, incidence, label consistency, sphericity and the
     component census; failures are reported, not raised.
+
+    Incidence is decided in one pass over the edge records.  The map is
+    sound when every crossing has four slots, no id is both an edge and
+    a loop, 2E = 4V, and each edge's two distinct ends name existing
+    crossings at slots 0-3 that hold that edge.  A slot holds one edge,
+    and an edge's two ends differ, so then no two ends share a slot: the
+    2E ends fill 2E = 4V distinct slots, which is every slot.  Each slot
+    therefore names an existing edge whose two ends are exactly the two
+    slots naming it, so every incidence check holds.  Only when that
+    pass fails is the table of uses built and each failure worded.
 
     Sphericity is one identity, V - E + F = 2P, with F the corner faces
     and P the crossing-bearing pieces kept on the face table.  Each
     piece's face walk embeds it in a closed orientable surface, where
     V - E + F = 2 - 2g <= 2, so the sum is 2P exactly when every piece
     is a sphere.  The component census is read per crossing: the two
-    edges of each strand through it carry one component id."""
+    edges of each strand through it carry one component id.  Failures
+    name their crossings and edges in increasing id order."""
+    crossings, edges, loops = d.crossings, d.edges, d.loops
     failures: list[str] = []
-    uses: dict[int, list[End]] = {}
-    for cid, c in d.crossings.items():
+    four_slots = True
+    bad_labels = []
+    for cid, c in crossings.items():
         if len(c.slots) != 4:
-            failures.append(f"valence: crossing {cid} has {len(c.slots)} slots")
-            continue
-        for s, e in enumerate(c.slots):
-            if e not in d.edges:
-                failures.append(f"incidence: crossing {cid} slot {s} names missing edge {e}")
-            uses.setdefault(e, []).append((cid, s))
-    for e, u in sorted(uses.items()):
-        if len(u) != 2:
-            failures.append(f"incidence: edge {e} used {len(u)} times")
-    for e, rec in sorted(d.edges.items()):
-        if e in d.loops:
-            failures.append(f"incidence: id {e} is both edge and loop")
-        # an edge has two ends: they match the slots in either order
-        u = tuple(uses.get(e, ()))
-        if u != rec.ends and u[::-1] != rec.ends:
-            failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
-    for cid, c in sorted(d.crossings.items()):
-        if tuple(c.over_slots) not in ((0, 2), (2, 0), (1, 3), (3, 1)):
-            word = "".join(str(c.label(s)) for s in range(4))
-            failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
+            four_slots = False
+        if c.over_slots not in _OVER_PAIRS and tuple(c.over_slots) not in _OVER_PAIRS:
+            bad_labels.append(cid)
+    sound = four_slots and 2 * len(edges) == 4 * len(crossings) and not any(k in edges for k in loops)
+    if sound:
+        at = crossings.get
+        for e, rec in edges.items():
+            (c0, s0), (c1, s1) = rec.ends
+            x0, x1 = at(c0), at(c1)
+            # the range test keeps slots[-1] from reading slot 3
+            if (x0 is None or x1 is None or not (0 <= s0 < 4 and 0 <= s1 < 4)
+                    or x0.slots[s0] != e or x1.slots[s1] != e or (c0 == c1 and s0 == s1)):
+                sound = False
+                break
+    if not sound:
+        uses: dict[int, list[End]] = {}
+        for cid, c in crossings.items():
+            if len(c.slots) != 4:
+                failures.append(f"valence: crossing {cid} has {len(c.slots)} slots")
+                continue
+            for s, e in enumerate(c.slots):
+                if e not in edges:
+                    failures.append(f"incidence: crossing {cid} slot {s} names missing edge {e}")
+                uses.setdefault(e, []).append((cid, s))
+        for e, u in sorted(uses.items()):
+            if len(u) != 2:
+                failures.append(f"incidence: edge {e} used {len(u)} times")
+        for e, rec in sorted(edges.items()):
+            if e in loops:
+                failures.append(f"incidence: id {e} is both edge and loop")
+            # an edge has two ends: they match the slots in either order
+            u = tuple(uses.get(e, ()))
+            if u != rec.ends and u[::-1] != rec.ends:
+                failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
+        sound = not failures
+    for cid in sorted(bad_labels):
+        c = crossings[cid]
+        word = "".join(str(c.label(s)) for s in range(4))
+        failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
 
-    v = len(d.crossings)
-    e = len(d.edges)
+    v = len(crossings)
+    e = len(edges)
     f = 0
-    structural_ok = not any(msg.startswith(("incidence", "valence")) for msg in failures)
-    if structural_ok:
+    if sound:
         try:
             f = len(face_set(d).faces)
         except InvariantError as exc:
             failures.append(f"sphericity: {exc}")
         else:
-            chi = v - e + f - 2 * len(d.loops)
+            chi = v - e + f - 2 * len(loops)
             pieces = len(connected_pieces(d))
             if chi != 2 * pieces:
                 failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
-        edges = d.edges
-        for cid, c in sorted(d.crossings.items()):
+        mixed = []
+        for cid, c in crossings.items():
+            e0, e1, e2, e3 = c.slots
+            if edges[e0].component != edges[e2].component or edges[e1].component != edges[e3].component:
+                mixed.append(cid)
+        for cid in sorted(mixed):
+            slots = crossings[cid].slots
             for s in (0, 1):
-                a, z = edges[c.slots[s]].component, edges[c.slots[s + 2]].component
+                a, z = edges[slots[s]].component, edges[slots[s + 2]].component
                 if a != z:
                     ids = sorted({a, z})
                     failures.append(f"components: strand through crossing {cid} carries mixed ids {ids}")
-    ncomp = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))
+    ncomp = len({rec.component for rec in edges.values()} | set(loops.values()))
     return ValidationReport(not failures, failures, v, e, f, ncomp)
 
 
@@ -804,15 +877,6 @@ class MapBuilder:
     def remove_crossing(self, cid: int) -> None:
         del self.slots[cid], self.over[cid]
         self.touched_crossings.add(cid)
-
-    def reattach(self, eid: int, old_end: End, new_end: End) -> None:
-        rec = self.edges[eid]
-        ends = list(rec.ends)
-        ends[ends.index(tuple(old_end))] = tuple(new_end)
-        self.edges[eid] = Edge(eid, tuple(ends), rec.origin, rec.component)
-        self.touched_edges.add(eid)
-        c, s = new_end
-        self._own_slots(c)[s] = eid
 
     def weld(self, a: End, z: End) -> int | None:
         """Join the edges in slot ends ``a`` and ``z``, which may sit at

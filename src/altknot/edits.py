@@ -175,9 +175,11 @@ def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> li
         for c in live_c:
             near.update(out.crossings[c].slots)
         for e in sorted(near):
-            a, z = out.edge_labels(e)
-            if a == z:
-                failures.append(f"alternation: edge {e} reads ({a}{z})")
+            (c0, s0), (c1, s1) = out.edges[e].ends
+            over = s0 in out.crossings[c0].over_slots
+            if over == (s1 in out.crossings[c1].over_slots):
+                sign = "+" if over else "-"
+                failures.append(f"alternation: edge {e} reads ({sign}{sign})")
     return failures
 
 

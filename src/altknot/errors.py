@@ -35,10 +35,6 @@ class UnknownCrossing(DiagramError, KeyError):
     pass
 
 
-class UnknownEdge(DiagramError, KeyError):
-    pass
-
-
 class UnknownFace(DiagramError, KeyError):
     pass
 

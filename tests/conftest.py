@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from altknot import parse_pd
+from altknot.diagram import Edge
+from altknot.errors import DiagramError
 from altknot.generate import braid_closure, random_knot_diagram, two_strand_torus
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -314,6 +316,24 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     return out
 
 
+class UnknownEdge(DiagramError, KeyError):
+    """``subdivide_edge_with_crossing`` was asked for an edge the map
+    lacks."""
+
+
+def reattach(b: MapBuilder, eid: int, old_end: End, new_end: End) -> None:
+    """Move the end ``old_end`` of edge ``eid`` to the slot ``new_end``
+    in the builder ``b``, writing the edge into that slot; the slot the
+    end leaves keeps its edge id.  Only the tests build such mutants."""
+    rec = b.edges[eid]
+    ends = list(rec.ends)
+    ends[ends.index(tuple(old_end))] = tuple(new_end)
+    b.edges[eid] = Edge(eid, tuple(ends), rec.origin, rec.component)
+    b.touched_edges.add(eid)
+    c, s = new_end
+    b._own_slots(c)[s] = eid
+
+
 def subdivide_edge_with_crossing(
     d: Diagram,
     e: int,
@@ -335,7 +355,6 @@ def subdivide_edge_with_crossing(
     curves at once for exactly this reason).  Everything local -- labels,
     origins, V+1/E+2 -- behaves as for one step of a curve insertion."""
     from altknot.diagram import MapBuilder, Sign
-    from altknot.errors import UnknownEdge
 
     if e not in d.edges:
         raise UnknownEdge(f"no edge {e}")
@@ -379,7 +398,6 @@ def oracle_valid(d) -> bool:
     at every crossing; every edge id named by exactly the two slots its
     ends list, and none also a loop id; one component id on each strand
     orbit; and V - E + F = 2 on each piece."""
-    from altknot.diagram import strand_components
     from altknot.errors import InvariantError
 
     uses = {}
@@ -392,12 +410,119 @@ def oracle_valid(d) -> bool:
         return False
     if any(sorted(uses[e]) != sorted(rec.ends) for e, rec in d.edges.items()):
         return False
-    if any(len({d.edges[e].component for e in orbit}) != 1 for orbit in strand_components(d)):
+    if any(len({d.edges[e].component for e in orbit}) != 1 for orbit in oracle_strand_components(d)):
         return False
     try:
         return all(v - e + f == 2 for v, e, f in euler_by_piece(d))
     except InvariantError:  # the face walk collided: not a rotation system
         return False
+
+
+def oracle_validate_diagram(d):
+    """``validate_diagram`` as the three whole-map loops: the table of
+    uses built for every map, every incidence check worded from it, and
+    labels and the component census read in sorted crossing order."""
+    from altknot import face_set
+    from altknot.diagram import End, ValidationReport, connected_pieces
+    from altknot.errors import InvariantError
+
+    failures: list[str] = []
+    uses: dict[int, list[End]] = {}
+    for cid, c in d.crossings.items():
+        if len(c.slots) != 4:
+            failures.append(f"valence: crossing {cid} has {len(c.slots)} slots")
+            continue
+        for s, e in enumerate(c.slots):
+            if e not in d.edges:
+                failures.append(f"incidence: crossing {cid} slot {s} names missing edge {e}")
+            uses.setdefault(e, []).append((cid, s))
+    for e, u in sorted(uses.items()):
+        if len(u) != 2:
+            failures.append(f"incidence: edge {e} used {len(u)} times")
+    for e, rec in sorted(d.edges.items()):
+        if e in d.loops:
+            failures.append(f"incidence: id {e} is both edge and loop")
+        u = tuple(uses.get(e, ()))
+        if u != rec.ends and u[::-1] != rec.ends:
+            failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
+    for cid, c in sorted(d.crossings.items()):
+        if tuple(c.over_slots) not in ((0, 2), (2, 0), (1, 3), (3, 1)):
+            word = "".join(str(c.label(s)) for s in range(4))
+            failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
+
+    v = len(d.crossings)
+    e = len(d.edges)
+    f = 0
+    structural_ok = not any(msg.startswith(("incidence", "valence")) for msg in failures)
+    if structural_ok:
+        try:
+            f = len(face_set(d).faces)
+        except InvariantError as exc:
+            failures.append(f"sphericity: {exc}")
+        else:
+            chi = v - e + f - 2 * len(d.loops)
+            pieces = len(connected_pieces(d))
+            if chi != 2 * pieces:
+                failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
+        edges = d.edges
+        for cid, c in sorted(d.crossings.items()):
+            for s in (0, 1):
+                a, z = edges[c.slots[s]].component, edges[c.slots[s + 2]].component
+                if a != z:
+                    ids = sorted({a, z})
+                    failures.append(f"components: strand through crossing {cid} carries mixed ids {ids}")
+    ncomp = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))
+    return ValidationReport(not failures, failures, v, e, f, ncomp)
+
+
+def oracle_strand_components(d) -> list[frozenset[int]]:
+    """Strand orbits by a union-find over the two strands of every
+    crossing, in order of least edge id."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in d.crossings.values():
+        parent[find(c.slots[0])] = find(c.slots[2])
+        parent[find(c.slots[1])] = find(c.slots[3])
+    groups: dict[int, set[int]] = {}
+    for e in d.edges:
+        groups.setdefault(find(e), set()).add(e)
+    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+def oracle_numbered_components(d):
+    """``d`` with its edges built again and numbered as a parse numbers
+    them: the strand orbits by least edge id, then the loops in id
+    order.  Edges keep ``d``'s order, loops are listed in id order."""
+    from altknot.diagram import Diagram
+
+    edge_comp = {e: i for i, grp in enumerate(oracle_strand_components(d)) for e in grp}
+    n = len(set(edge_comp.values()))
+    loops = {k: n + i for i, k in enumerate(sorted(d.loops))}
+    edges = {e: Edge(e, rec.ends, rec.origin, edge_comp[e]) for e, rec in d.edges.items()}
+    return Diagram(d.crossings, edges, loops, d.augmenting_component)
+
+
+def oracle_two_edge_cut(d, fs):
+    """``analysis._two_edge_cut`` keyed by frozensets: the sorted scan for
+    the first edge whose two faces an earlier edge also borders."""
+    from altknot.errors import InvariantError
+
+    seen = {}
+    for e in sorted(d.edges):
+        key = frozenset(fs.edge_sides(d, e))
+        if len(key) == 1:
+            raise InvariantError(f"edge {e} borders one face on both sides")
+        if key in seen:
+            return (seen[key], e)
+        seen[key] = e
+    return None
 
 
 def oracle_two_edge_cuts(d) -> list[tuple[int, int]]:

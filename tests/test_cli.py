@@ -293,3 +293,21 @@ class TestParserReuse:
             together += self._calls(capsys, [argv])
             assert together[-1] == self._alone(capsys, [argv])[0]
         assert [json.loads(out)["seed"] for _code, out in together] == [3, 4]
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce", "augment"])
+def test_titled_block_without_pd_text_gets_a_record(command, tmp_path, capsys):
+    # a title followed by another title, or by the end of the file, with
+    # no PD text between is an input error under its own name; the
+    # blocks around it still run
+    d, _ = random_knot_diagram(5, 12, 2)
+    p = tmp_path / "corpus.pd"
+    p.write_text(f"# name: a\n\n# name: b\n{serialize_pd(d)}\n\n# name: c\n")
+    assert run([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(x)["name"] for x in captured.out.splitlines()] == ["b"]
+    errs = [json.loads(x) for x in captured.err.splitlines()]
+    assert errs == [
+        {"name": name, "error": "PDSyntaxError", "message": "titled block holds no PD text", "exit": 2}
+        for name in ("a", "c")
+    ]

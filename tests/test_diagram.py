@@ -32,15 +32,16 @@ from altknot.errors import (
     SphericityError,
     UnknownComponent,
     UnknownCrossing,
-    UnknownEdge,
 )
 from altknot.generate import braid_closure
 
 from conftest import (
     GRANNY_SUM,
     TREFOIL,
+    UnknownEdge,
     euler_by_piece,
     oracle_labels_from_pd,
+    reattach,
     same_map,
     subdivide_edge_with_crossing,
 )
@@ -117,8 +118,8 @@ class TestParse:
         beside = TREFOIL + " X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
         d = parse_pd(beside)
         b = MapBuilder(d)
-        b.reattach(7, (3, 0), (3, 1))
-        b.reattach(10, (3, 1), (3, 0))
+        reattach(b, 7, (3, 0), (3, 1))
+        reattach(b, 10, (3, 1), (3, 0))
         torus = b.build()
         assert sorted(v - e + f for v, e, f in euler_by_piece(torus)) == [0, 2]
         rep = validate_diagram(torus)
@@ -329,7 +330,7 @@ class TestMapBuilder:
         before = (dict(out.crossings), dict(out.edges), dict(out.loops))
         b.weld((0, 1), (0, 3))
         b.remove_crossing(0)
-        b.reattach(2, (2, 1), (2, 3))
+        reattach(b, 2, (2, 1), (2, 3))
         b.set_component(3, 7)
         b.add_crossing(9, [20, 21, 20, 21], (1, 3))
         b.add_edge(20, [(9, 0), (9, 2)], None, 8)
@@ -343,7 +344,7 @@ class TestMapBuilder:
         b.set_component(1, 0)  # no change: nothing touched
         assert not b.touched_edges
         b.set_component(1, 4)
-        b.reattach(2, (2, 1), (2, 3))
+        reattach(b, 2, (2, 1), (2, 3))
         out = b.build()
         assert out.edges[1] == Edge(1, granny_sum.edges[1].ends, 1, 4)
         assert (2, 3) in out.edges[2].ends and (2, 1) not in out.edges[2].ends
@@ -356,7 +357,7 @@ class TestMapBuilder:
         # until written, and a removed crossing is gone from both
         b = MapBuilder(granny_sum)
         src = granny_sum.crossings
-        b.reattach(2, (2, 1), (2, 3))
+        reattach(b, 2, (2, 1), (2, 3))
         b.remove_crossing(0)
         b.add_crossing(9, [20, 21, 20, 21], (0, 2))
         for table, field in ((b.slots, "slots"), (b.over, "over_slots")):

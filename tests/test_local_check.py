@@ -54,6 +54,8 @@ from conftest import (
     link_diagrams,
     oracle_preprocess,
     oracle_valid,
+    oracle_validate_diagram,
+    reattach,
 )
 
 
@@ -85,15 +87,15 @@ def corrupt(rng: random.Random, b: MapBuilder) -> str:
         a = tuple(rng.choice(b.edges[e1].ends))
         z = tuple(rng.choice(b.edges[e2].ends))
         if a != z:
-            b.reattach(e1, a, z)
-            b.reattach(e2, z, a)
+            reattach(b, e1, a, z)
+            reattach(b, e2, z, a)
     elif kind == "swap_slots":
         c = rng.choice(sorted(b.touched_crossings & set(b.slots)) or sorted(b.slots))
         i, j = rng.sample(range(4), 2)
         ei, ej = b.slots[c][i], b.slots[c][j]
         if ei != ej:
-            b.reattach(ei, (c, i), (c, j))
-            b.reattach(ej, (c, j), (c, i))
+            reattach(b, ei, (c, i), (c, j))
+            reattach(b, ej, (c, j), (c, i))
     elif kind == "flip":
         c = rng.choice(sorted(b.slots))
         b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
@@ -308,6 +310,31 @@ class TestVerdictsAgree:
         assert a.real[False] == 0 and a.real[True] > 0
 
 
+def test_whole_map_failures_match_the_oracle_on_every_mutant(audit, monkeypatch):
+    # every whole-map verdict the audit takes, on real edits and on their
+    # mutants, lists the failures of the replaced loops entry for entry
+    kinds = Counter()
+    real = validate_diagram
+
+    def compared(d):
+        rep = real(d)
+        assert rep == oracle_validate_diagram(d)
+        kinds.update({msg.split(":")[0] for msg in rep.failures} or {"valid"})
+        return rep
+
+    monkeypatch.setattr(sys.modules[__name__], "validate_diagram", compared)
+    audit(7)
+    for _seed, d in corpus_diagrams(40, start_seed=200, letters=(14, 18, 22, 26)):
+        augment(d)
+    for _seed, d in link_diagrams(16):
+        augment(d)
+    for links in (False, True):
+        for d in raw_closures(40, 500 if links else 0, links):
+            preprocess(d)
+    assert kinds["valid"] >= 100, kinds
+    assert all(kinds[k] >= 5 for k in ("incidence", "sphericity", "components")), kinds
+
+
 # -- one deliberately broken edit per surgery site -----------------------------------
 
 
@@ -343,7 +370,7 @@ class CrossedBand(MapBuilder):
             return super().add_edge(eid, ends, origin, comp)
         first_eid, first_far = self.first
         super().add_edge(eid, [ends[0], first_far], origin, comp)
-        self.reattach(first_eid, first_far, tuple(ends[1]))
+        reattach(self, first_eid, first_far, tuple(ends[1]))
 
 
 class WrongFingerSign(MapBuilder):
@@ -369,7 +396,7 @@ class SwappedWeld(MapBuilder):
             return super().add_edge(eid, ends, origin, comp)
         first_eid, first_far = self.first
         super().add_edge(eid, [ends[0], first_far], origin, comp)
-        self.reattach(first_eid, first_far, tuple(ends[1]))
+        reattach(self, first_eid, first_far, tuple(ends[1]))
 
 
 class CrossingLeftBehind(MapBuilder):
