@@ -3,11 +3,16 @@
 The construction in five stages, each re-checking the properties the
 theory promises.  The whole map is validated where a diagram enters (the
 input and the overlay) and where the result leaves; each finger and band
-splice in between is a local edit, checked on what it touched
-(``edits.check_edit``).  On the result, ``analysis.reconstruct_input``
-checks that dropping the curve gives back the input verbatim, and its
-walk counts the curve's crossings on each input edge; the exit checks
-on the curve read that count.
+splice in between is a local edit, checked on what it changed
+(``edits.check_edit``): the faces along the edges it removed or
+re-ended are walked afresh, and every other face is kept.  The overlay
+is built in one pass straight into the crossing and edge records, and
+the band splice relabels the dropped circle by walking its one strand,
+so neither pays for the parts of the map it leaves alone.  On the
+result, ``analysis.reconstruct_input`` checks that dropping the curve
+gives back the input verbatim, and its walk counts the curve's
+crossings on each input edge; the exit checks on the curve read that
+count.
 
 1.  ``build_cut_curves``: checkerboard-classify the crossings, thicken
     the smaller class, and walk the boundary of its ribbon neighborhood.
@@ -16,7 +21,8 @@ on the curve read that count.
     (+,+) and (-,-) around the circle.
 2.  ``overlay_unlink``: insert the circles as new unknotted components;
     the sign each crossing is forced to carry makes the result
-    alternating outright.
+    alternating outright.  The overlay re-slots most of the input's
+    crossings, so it is validated whole.
 3.  ``find_merge_arc``: when several circles were inserted, find a
     cheapest dual-face path joining two of them that crosses no bigon of
     the original diagram, no edge the circles already cross, and no edge
@@ -60,7 +66,9 @@ from .analysis import (
     twist_partition,
 )
 from .diagram import (
+    Crossing,
     Diagram,
+    Edge,
     Face,
     FaceSet,
     MapBuilder,
@@ -208,37 +216,53 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
     be alternating and connected.  Returns the new diagram and the cut
     system with each curve's realized component id recorded.
     """
-    b = MapBuilder(d)
+    # built in one pass, as ``parse_pd`` builds a map: ids are allocated
+    # as a builder would (per curve its component, its crossings, two
+    # halves per crossed edge, then its own edges), and each re-slotted
+    # crossing's slots are copied once
+    crossings = dict(d.crossings)
+    edges = dict(d.edges)
+    slots: dict[int, list[int]] = {}
+
+    def put(end, e: int) -> None:
+        c, s = end
+        if c not in slots:
+            slots[c] = list(crossings[c].slots)
+        slots[c][s] = e
+
+    comp, x, eid = d.next_component_id(), d.next_crossing_id(), d.next_edge_id()
     comp_ids: list[int] = []
     for curve in cs.curves:
-        comp = b.new_component_id()
         comp_ids.append(comp)
         n = len(curve.stubs)
-        xs = [b.new_crossing_id() for _ in range(n)]
+        ring = eid + 2 * n  # the curve's own edges, ring + k from x + k to x + k + 1
         for k, (e, cw, sw) in enumerate(curve.stubs):
-            x = xs[k]
-            rec = b.edges.get(e)
+            rec = edges.pop(e, None)
             if rec is None:
                 raise ConstructionError(f"edge {e} crossed twice during overlay")
             # orient e away from its thickened-class end (cw, sw)
             far = rec.other_end((cw, sw))
-            a, bb = d.edge_labels(e)
+            a, _z = d.edge_labels(e)
             e_sign = a.opposite  # the original strand's forced sign at x
             over = (1, 3) if e_sign is Sign.PLUS else (0, 2)
-            h_w, h_far = b.new_edge_id(), b.new_edge_id()
-            b.remove_edge(e)
+            h_w, h_far = eid + 2 * k, eid + 2 * k + 1
             # slots ccw at x: 0 curve-to-previous, 1 toward far end,
             # 2 curve-to-next, 3 toward the thickened class
-            b.add_crossing(x, [0, 0, 0, 0], over)
-            b.add_edge(h_w, [(cw, sw), (x, 3)], rec.origin, rec.component)
-            b.add_edge(h_far, [(x, 1), far], rec.origin, rec.component)
+            crossings[x + k] = Crossing(x + k, (ring + (k - 1) % n, h_far, ring + k, h_w), over)
+            edges[h_w] = Edge(h_w, ((cw, sw), (x + k, 3)), rec.origin, rec.component)
+            put((cw, sw), h_w)
+            edges[h_far] = Edge(h_far, ((x + k, 1), far), rec.origin, rec.component)
+            put(far, h_far)
         for k in range(n):
-            eid = b.new_edge_id()
-            b.add_edge(eid, [(xs[k], 2), (xs[(k + 1) % n], 0)], None, comp)
-    g = b.build()
-    # checked whole, not by ``check_edit``: the overlay re-slots about
-    # two-thirds of the input's crossings, so a local update of the face
-    # table would re-walk most of the map anyway
+            edges[ring + k] = Edge(ring + k, ((x + k, 2), (x + (k + 1) % n, 0)), None, comp)
+        comp, x, eid = comp + 1, x + n, ring + n
+    for c, ids in slots.items():
+        crossings[c] = Crossing(c, tuple(ids), crossings[c].over_slots)
+    g = Diagram(crossings, edges, d.loops, d.augmenting_component)
+    # checked whole, as a parsed map is: the overlay re-slots about
+    # two-thirds of the input's crossings, so a local check would re-walk
+    # most of the map anyway, and a builder's record of what it touched
+    # would serve no check
     rep = validate_diagram(g)
     if not rep.valid:
         raise ConstructionError(f"overlay produced an invalid map: {rep.failures}")
@@ -599,8 +623,10 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     stub of ``cj``'s, and joins the two leftover stubs.  Both band edges
     alternate exactly when the paired stubs carry opposite labels, as
     they always do on an alternating diagram: every departure along a
-    face carries one label and every arrival the other.  The splice is
-    checked locally (``check_edit``).  JoinError, before any build, when
+    face carries one label and every arrival the other.  The larger of
+    the two circle ids is dropped: its edges, found by walking its one
+    strand, take the smaller id.  The splice is checked locally
+    (``check_edit``).  JoinError, before any build, when
     the face misses a circle or the paired stubs carry one label, and
     when the splice fails the check.
     """
@@ -616,16 +642,24 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     (ea, dep_a, arr_a), (eb, dep_b, arr_b) = first[ci], first[cj]
     if g.label(*arr_a) == g.label(*dep_b):
         raise JoinError(f"no alternating splice of circles {ci} and {cj} in face {shared_face}")
-    relabel = [e for e, rec in g.edges.items() if rec.component == dropped]
     b = MapBuilder(g)
     b.remove_edge(ea)
     b.remove_edge(eb)
     g1, g2 = b.new_edge_id(), b.new_edge_id()
     b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
     b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
-    for e in relabel:
+    # straight through each crossing, from the dropped circle's edge on
+    # the face round to it again
+    start = ea if ci == dropped else eb
+    e, (c, s) = start, g.edges[start].ends[1]
+    while True:
         if e in b.edges:
             b.set_component(e, merged)
+        through = (c, (s + 2) % 4)
+        e = g.crossings[c].slots[through[1]]
+        if e == start:
+            break
+        c, s = g.edges[e].other_end(through)
     out = b.build()
     failures, _fs = check_edit(b, fs, out, alternating=True)
     if failures:

@@ -37,9 +37,11 @@ _DEFAULT_SEED = 20240900
 
 
 def _split_corpus(text: str) -> list[tuple[str, str]]:
-    """(name, pd text) per blank-line-separated block.  A title followed
-    by another title, or by the end of the file, before any PD text is a
-    block of its own with empty text, which ``_parse_block`` refuses."""
+    """(name, pd text) per blank-line-separated block.  A title after PD
+    text closes the block being read and names the next one.  A title
+    followed by another title, or by the end of the file, before any PD
+    text is a block of its own with empty text, which ``_parse_block``
+    refuses."""
     blocks = []
     name = None
     buf: list[str] = []
@@ -48,8 +50,9 @@ def _split_corpus(text: str) -> list[tuple[str, str]]:
         if stripped.startswith("#"):
             comment = stripped.lstrip("#").strip()
             if comment.lower().startswith("name:"):
-                if name is not None and not buf:
-                    blocks.append((name or f"diagram-{len(blocks)}", ""))
+                if buf or name is not None:
+                    blocks.append((name or f"diagram-{len(blocks)}", "\n".join(buf)))
+                    buf = []
                 name = comment[5:].strip()
             continue
         if not stripped:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from bisect import bisect_left
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -236,41 +237,39 @@ def _strand_walk(crossings: dict[int, Crossing], ends: dict[int, tuple[End, End]
     return orbits
 
 
-def connected_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """(crossing ids, edge ids) per connected piece of the 4-valent map,
-    in order of least crossing; crossing-free loops are separate pieces
-    and are not listed here.
+def connected_pieces(d: Diagram) -> int:
+    """Number of connected pieces of the 4-valent map; crossing-free
+    loops are separate pieces and are not counted here.
 
-    While the ``face_set`` memo holds ``d``'s table, the list is computed
-    once and kept on it (``FaceSet.pieces``); otherwise it is computed
-    afresh by a breadth-first search from each unseen crossing, and no
-    table is built for it.  The list may be shared: callers must not
-    modify it."""
+    While the ``face_set`` memo holds ``d``'s table, the count is worked
+    out once and kept on it (``FaceSet.pieces``); otherwise it is worked
+    out afresh by a breadth-first search from each unseen crossing, and
+    no table is built for it."""
     fs = _held_face_set(d)
     if fs is not None and fs.pieces is not None:
         return fs.pieces
+    crossings, edges = d.crossings, d.edges
     seen: set[int] = set()
-    pieces = []
-    for start in sorted(d.crossings):
+    pieces = 0
+    for start in crossings:
         if start in seen:
             continue
+        pieces += 1
         seen.add(start)
         cs = [start]
         for c in cs:
-            for e in d.crossings[c].slots:
-                for c2, _s in d.edges[e].ends:
+            for e in crossings[c].slots:
+                for c2, _s in edges[e].ends:
                     if c2 not in seen:
                         seen.add(c2)
                         cs.append(c2)
-        es = frozenset(e for c in cs for e in d.crossings[c].slots)
-        pieces.append((frozenset(cs), es))
     if fs is not None:
         fs.pieces = pieces
     return pieces
 
 
 def piece_count(d: Diagram) -> int:
-    return len(connected_pieces(d)) + len(d.loops)
+    return connected_pieces(d) + len(d.loops)
 
 
 def is_connected(d: Diagram) -> bool:
@@ -295,8 +294,8 @@ class FaceSet:
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
-    ``partition`` (``analysis.twist_partition``), ``pieces``
-    (``connected_pieces``) and ``classification``
+    ``partition`` (``analysis.twist_partition``), ``pieces``, the number
+    of pieces (``connected_pieces``), and ``classification``
     (``analysis.classify_edges``).  They depend only on the crossings,
     their slots and over strands, the loops and the edge ends.  Every
     diagram a table serves shares all of these with the one it was built
@@ -339,8 +338,11 @@ def face_set(d: Diagram) -> FaceSet:
 
     Surgery results do not reach the full walk: ``edits.check_edit``
     derives their table from the source's by a local update
-    (``_edited_face_set``) and leaves it here.  Diagrams made without a
-    source table (parsed, or reconstructed by
+    (``_edited_face_set``) and leaves it here.  The update re-walks only
+    the faces the edit reaches -- those at a removed crossing or on
+    either side of a removed or re-ended edge -- since every other face
+    leaves each of its corners through the same edge as before.
+    Diagrams made without a source table (parsed, or reconstructed by
     ``analysis.refinement_check``) are walked whole, and so is the
     overlay of the cut circles: it re-slots about two-thirds of its
     input's crossings, so a local update would re-walk most of the map.
@@ -430,41 +432,67 @@ def _build_face_set(d: Diagram) -> FaceSet:
     return _face_table(faces, {k: f.id for f in faces for k in f.corner_slots}, d.loops)
 
 
+def _changed_edges(b: MapBuilder, out: Diagram) -> list[int]:
+    """The edges ``b`` removed, added or re-ended in ``out = b.build()``:
+    every touched edge but those in both maps with the same ends.  An
+    edge that only had its component or origin written bounds the same
+    faces and joins the same crossings, so no face, incidence or piece
+    check needs it."""
+    old, new = b.source.edges, out.edges
+    changed = []
+    for e in b.touched_edges:
+        x, y = old.get(e), new.get(e)
+        if x is None or y is None or x.ends != y.ends:
+            changed.append(e)
+    return changed
+
+
 def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet:
     """Face table of ``out = b.build()``, derived from ``source_fs`` (the
     table of ``b.source``) and left in the ``face_set`` memo.
 
     ``out`` must pass the incidence checks of ``edits.check_edit``.  A
-    source face that meets no crossing whose slots changed is a face of
-    ``out`` as it stands; only the corners of the other faces and of new
-    or re-slotted crossings are walked.  Edges need no test of their
-    own: with slots and ends agreeing on both sides, an edge whose ends
-    changed no longer sits in the same slot at one of its old ends, and
-    both faces along it have a corner there.  Touched crossings whose
-    slots did not change (a new over strand, or only a component
-    written on their edges) change no face.  Ids and corner order come
-    out as ``_build_face_set(out)`` gives them: the kept faces and the
-    new ones are merged by least corner.  InvariantError when a walk runs
-    into a kept face."""
+    source face is dirty when it has a corner at a removed crossing, or
+    a corner (c, s - 1) where (c, s) is an end of a source edge that was
+    removed or re-ended (``_changed_edges``); every other source face is
+    a face of ``out`` as it stands.  That is sound because a face walk
+    leaves corner (c, s - 1) through the edge in slot (c, s): when that
+    edge is still there with the same ends, incidence puts it in the
+    same slot of ``out``, so the step from that corner is the same, and
+    a face all of whose steps are the same is still an orbit of the
+    walk.  The walk is a permutation of ``out``'s corners, so the other
+    corners -- those of the dirty faces and of new crossings -- are a
+    union of orbits, and only they are walked.  A new over strand, or
+    only a component written on an edge, changes no face.
+
+    Ids and corner order come out as ``_build_face_set(out)`` gives
+    them: the dirty faces are dropped from the source's list, each fresh
+    walk is placed by its least corner, and only the faces whose rank
+    moved are re-made.  InvariantError when a walk runs into a kept
+    face."""
     global _last_face_set
     d = b.source
     old_c, new_c = d.crossings, out.crossings
-    moved = set()  # crossings added, removed or re-slotted
-    for c in b.touched_crossings:
-        x, y = old_c.get(c), new_c.get(c)
-        if x is None or y is None or x.slots != y.slots:
-            moved.add(c)
-    corner_face = dict(source_fs.corner_face)
+    source_corners = source_fs.corner_face
+    corner_face = dict(source_corners)
     dirty = set()  # source faces that do not survive as they stand
-    for c in moved:
-        if c in old_c:
-            for s in range(4):
-                dirty.add(corner_face[(c, s)])
-                if c not in new_c:
-                    del corner_face[(c, s)]
-    todo = {(c, s) for c in moved if c in new_c for s in range(4)}
+    todo = set()  # corners of out to walk
+    for c in b.touched_crossings:
+        if c not in new_c:
+            if c in old_c:
+                for s in range(4):
+                    dirty.add(corner_face.pop((c, s)))
+        elif c not in old_c:
+            todo.update((c, s) for s in range(4))
+    old_e = d.edges
+    for e in _changed_edges(b, out):
+        rec = old_e.get(e)
+        if rec is not None:
+            for c, s in rec.ends:
+                dirty.add(source_corners[(c, (s - 1) % 4)])
+    source_faces = source_fs.faces
     for fid in dirty:
-        todo.update(k for k in source_fs.faces[fid].corner_slots if k[0] not in moved)
+        todo.update(k for k in source_faces[fid].corner_slots if k[0] in new_c)
     far: dict[End, End] = {}
     for c, s in todo:
         a, z = out.edges[new_c[c].slots[(s + 1) % 4]].ends
@@ -472,14 +500,24 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         far[z] = a
     fresh = _walk_faces(new_c, far, sorted(todo), todo)
 
-    # kept faces and fresh walks each come in least-corner order, so the
-    # sort merges two runs; a face whose id is not its position is re-made
-    merged = sorted(
-        [f for f in source_fs.faces if f.loop is None and f.id not in dirty]
-        + [Face(-1, *w) for w in fresh],
-        key=attrgetter("corner_slots"),
-    )
-    for i, f in enumerate(merged):
+    # the kept faces stay in least-corner order, and each fresh walk
+    # starts at its least corner and comes in that order, so each goes in
+    # after the last; ranks move only from the first change on
+    merged = source_faces[:len(source_faces) - 2 * len(d.loops)]
+    for fid in sorted(dirty, reverse=True):
+        del merged[fid]
+    first = min(dirty, default=len(merged))
+    at = 0
+    by_corners = attrgetter("corner_slots")
+    for slots, edges in fresh:
+        at = bisect_left(merged, slots, at, key=by_corners)
+        merged.insert(at, Face(at, slots, edges))
+        for k in slots:
+            corner_face[k] = at
+        first = min(first, at)
+        at += 1
+    for i in range(first, len(merged)):
+        f = merged[i]
         if f.id != i:
             merged[i] = Face(i, f.corner_slots, f.boundary_edges)
             for k in f.corner_slots:
@@ -574,7 +612,7 @@ def parse_pd(text: str) -> Diagram:
     edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
     d = Diagram(crossings, edges, loops)
     chi = len(crossings) - len(edges) + len(face_set(d).faces) - 2 * len(loops)
-    pieces = len(connected_pieces(d))
+    pieces = connected_pieces(d)
     if chi != 2 * pieces:
         raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
     return d
@@ -734,7 +772,7 @@ def validate_diagram(d: Diagram) -> ValidationReport:
             failures.append(f"sphericity: {exc}")
         else:
             chi = v - e + f - 2 * len(loops)
-            pieces = len(connected_pieces(d))
+            pieces = connected_pieces(d)
             if chi != 2 * pieces:
                 failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
         mixed = []

@@ -30,6 +30,7 @@ from .diagram import (
     _edited_face_set,
     _held_face_set,
     _is_bigon_corners,
+    _changed_edges,
     _Partition,
     connected_pieces,
     validate_diagram,
@@ -47,16 +48,22 @@ def check_edit(
     list is empty exactly when ``validate_diagram(out)`` finds ``out``
     valid and, with ``alternating`` (which needs an alternating source),
     when ``out`` is alternating as well.  Checked: valence, labels and
-    incidence of the touched crossings and edges; strand components at
-    every crossing a touched edge meets; alternation of the touched
-    edges; and sphericity as dV - dE + dF = 2 dP, where F comes from
-    ``out``'s face table and dP, the change in the number of pieces,
-    from the source's faces.  That table is updated from ``source_fs``
-    by re-walking only the faces at crossings whose slots changed
-    (``diagram._edited_face_set``, equal to the full walk of ``out``),
-    returned, and left in the memo for the next step.  The table is
-    None when the incidence checks fail or a walk runs into a kept
-    face, which is a sphericity failure.
+    incidence of the touched crossings and of the edges removed, added
+    or re-ended (``diagram._changed_edges``); strand components at every
+    crossing a touched edge meets, so a component written on a kept
+    edge is still checked; alternation of the touched edges; and
+    sphericity as dV - dE + dF = 2 dP, where F comes from ``out``'s face
+    table and dP, the change in the number of pieces, from the source's
+    faces.  An edge kept with its ends is neither cut nor re-added: it
+    bounds the same faces and joins the same crossings.
+
+    The table is updated from ``source_fs`` by re-walking only the faces
+    the edit reaches: those with a corner at a removed crossing or on
+    either side of a removed or re-ended edge
+    (``diagram._edited_face_set``, equal to the full walk of ``out``).
+    It is returned and left in the memo for the next step; it is None
+    when the incidence checks fail or a walk runs into a kept face,
+    which is a sphericity failure.
     """
     d = b.source
     failures, broken = _check_records(b, out)
@@ -114,12 +121,15 @@ def check_move(
 
 def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
     """(label failures, incidence and valence failures) of the crossings
-    and edges ``b`` touched; no face can be walked without the second."""
+    ``b`` touched and of the edges it removed, added or re-ended; no face
+    can be walked without the second."""
     d = b.source
     failures: list[str] = []
     broken: list[str] = []
-    # the uses of an id change only at touched crossings
-    affected = set(b.touched_edges)
+    # the uses of an id change only at touched crossings, and its ends
+    # only when it is removed, added or re-ended
+    changed = _changed_edges(b, out)
+    affected = set(changed)
     for c in b.touched_crossings:
         if c in d.crossings:
             affected.update(d.crossings[c].slots)
@@ -145,7 +155,9 @@ def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
             broken.append(f"incidence: edge {e} used {len(uses)} times")
         if rec is not None and sorted(rec.ends) != sorted(uses):
             broken.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
-    live_e = sorted(e for e in b.touched_edges if e in out.edges)
+    # an edge kept with its ends is no loop: the source is valid, and a
+    # new loop on its id is caught from the loop's side
+    live_e = sorted(e for e in changed if e in out.edges)
     new_loops = [k for k in out.loops if k not in d.loops]
     for e in sorted({e for e in live_e if e in out.loops} | {k for k in new_loops if k in out.edges}):
         broken.append(f"incidence: id {e} is both edge and loop")
@@ -323,15 +335,18 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
 
     Cutting an edge set S from a plane map leaves |S| - r more pieces,
     where r is the rank of S in the dual graph (faces joined across S).
-    When the cut crossings all lie in one piece (they are grouped through
-    S and the faces it borders) and that piece's survivors stay together
-    or vanish, the new crossings and edges are merged onto them with a
+    S is the source edges the edit removed or re-ended; an edge kept with
+    its ends is neither cut nor re-added.  When the cut crossings all lie
+    in one piece (they are grouped through S and the faces it borders)
+    and that piece's survivors stay together or vanish, the new crossings
+    and the added or re-ended edges are merged onto them with a
     union-find.  Otherwise the pieces of both maps are counted whole:
     a piece that holds no crossing the cut meets is a piece of both, so
     the difference of the totals is the local one.
     """
     d = b.source
-    cut = [e for e in sorted(b.touched_edges) if e in d.edges]
+    changed = _changed_edges(b, out)
+    cut = [e for e in changed if e in d.edges]
     gone = [c for c in b.touched_crossings if c in d.crossings and c not in out.crossings]
     new = [c for c in sorted(b.touched_crossings) if c in out.crossings and c not in d.crossings]
     dual, near = _Partition(), _Partition()
@@ -353,9 +368,9 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
         if groups and split == 0:
             roots.add(merge.find("rest"))
         new_set = set(new)
-        for e in b.touched_edges:
+        for e in changed:
             if e in out.edges:
                 (c0, _s0), (c1, _s1) = out.edges[e].ends
                 merge.union(c0 if c0 in new_set else "rest", c1 if c1 in new_set else "rest")
         return len({merge.find(x) for x in roots}) - groups
-    return len(connected_pieces(out)) - len(connected_pieces(d))
+    return connected_pieces(out) - connected_pieces(d)

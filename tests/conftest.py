@@ -279,15 +279,36 @@ def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
     return True
 
 
+def oracle_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """(crossing ids, edge ids) per connected piece of the 4-valent map,
+    in order of least crossing, by a search from each unseen crossing;
+    crossing-free loops are not listed.  The package only counts pieces
+    (``connected_pieces``)."""
+    seen: set[int] = set()
+    pieces = []
+    for start in sorted(d.crossings):
+        if start in seen:
+            continue
+        seen.add(start)
+        cs = [start]
+        for c in cs:
+            for e in d.crossings[c].slots:
+                for c2, _s in d.edges[e].ends:
+                    if c2 not in seen:
+                        seen.add(c2)
+                        cs.append(c2)
+        pieces.append((frozenset(cs), frozenset(e for c in cs for e in d.crossings[c].slots)))
+    return pieces
+
+
 def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
     """(V, E, F) per crossing-bearing connected piece.  The package checks
     their sum (``validate_diagram``); the tests check each piece."""
     from altknot import face_set
-    from altknot.diagram import connected_pieces
 
     fs = face_set(d)
     out = []
-    for cs, es in connected_pieces(d):
+    for cs, es in oracle_pieces(d):
         nf = sum(1 for f in fs.faces if f.corner_slots and f.corner_slots[0][0] in cs)
         out.append((len(cs), len(es), nf))
     return out
@@ -375,6 +396,58 @@ def subdivide_edge_with_crossing(
 
 # -- oracles ----------------------------------------------------------------------
 
+def oracle_overlay(d: Diagram, cs):
+    """(overlay, realized cut system) of the cut circles ``cs`` on ``d``,
+    built edit by edit through a ``MapBuilder``: per curve a fresh
+    component and crossings, each crossed edge cut into two halves, then
+    the curve's own edges.  No check is run.  ``overlay_unlink`` builds
+    the same map in one pass and checks it."""
+    from dataclasses import replace
+
+    from altknot.diagram import MapBuilder, Sign
+    from altknot.errors import ConstructionError
+
+    b = MapBuilder(d)
+    comp_ids = []
+    for curve in cs.curves:
+        comp = b.new_component_id()
+        comp_ids.append(comp)
+        n = len(curve.stubs)
+        xs = [b.new_crossing_id() for _ in range(n)]
+        for k, (e, cw, sw) in enumerate(curve.stubs):
+            rec = b.edges.get(e)
+            if rec is None:
+                raise ConstructionError(f"edge {e} crossed twice during overlay")
+            far = rec.other_end((cw, sw))
+            # the original strand takes the sign opposite its labels
+            over = (1, 3) if d.edge_labels(e)[0] is Sign.MINUS else (0, 2)
+            h_w, h_far = b.new_edge_id(), b.new_edge_id()
+            b.remove_edge(e)
+            b.add_crossing(xs[k], [0, 0, 0, 0], over)
+            b.add_edge(h_w, [(cw, sw), (xs[k], 3)], rec.origin, rec.component)
+            b.add_edge(h_far, [(xs[k], 1), far], rec.origin, rec.component)
+        for k in range(n):
+            b.add_edge(b.new_edge_id(), [(xs[k], 2), (xs[(k + 1) % n], 0)], None, comp)
+    realized = replace(cs, curves=tuple(
+        replace(curve, component=comp) for curve, comp in zip(cs.curves, comp_ids)
+    ))
+    return b.build(), realized
+
+
+def assert_overlay_matches_oracle(d: Diagram) -> None:
+    """``overlay_unlink`` on ``d``'s cut circles equals ``oracle_overlay``
+    record for record, in dict order too."""
+    from altknot import build_cut_curves, overlay_unlink
+
+    cs = build_cut_curves(d)
+    g, realized = overlay_unlink(d, cs)
+    want, want_cs = oracle_overlay(d, cs)
+    assert list(g.crossings.items()) == list(want.crossings.items())
+    assert list(g.edges.items()) == list(want.edges.items())
+    assert (g.loops, g.augmenting_component) == (want.loops, want.augmenting_component)
+    assert realized == want_cs
+
+
 def oracle_labels_from_pd(text: str) -> dict[int, list[str]]:
     """End labels straight from the record grammar: the under strand of
     X(a,b,c,d) is {a,c}, the over strand {b,d}."""
@@ -423,7 +496,7 @@ def oracle_validate_diagram(d):
     uses built for every map, every incidence check worded from it, and
     labels and the component census read in sorted crossing order."""
     from altknot import face_set
-    from altknot.diagram import End, ValidationReport, connected_pieces
+    from altknot.diagram import End, ValidationReport
     from altknot.errors import InvariantError
 
     failures: list[str] = []
@@ -461,7 +534,7 @@ def oracle_validate_diagram(d):
             failures.append(f"sphericity: {exc}")
         else:
             chi = v - e + f - 2 * len(d.loops)
-            pieces = len(connected_pieces(d))
+            pieces = len(oracle_pieces(d))
             if chi != 2 * pieces:
                 failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
         edges = d.edges

@@ -32,6 +32,7 @@ from altknot.generate import two_strand_torus
 
 from conftest import (
     TREFOIL,
+    assert_overlay_matches_oracle,
     augment_recording_fingers,
     augment_recording_merge_arcs,
     corpus_diagrams,
@@ -115,6 +116,15 @@ class TestCutCurves:
 
 
 class TestOverlay:
+    def test_one_pass_build_equals_the_builder(self, bench_inputs):
+        # the overlay is built straight into the records; a builder, edit
+        # by edit, gives the same records in the same order and the same
+        # realized curves, on knots, links and the benchmark's inputs
+        diagrams = [d for _seed, d in corpus_diagrams(40)] + [d for _seed, d in link_diagrams(16)]
+        diagrams += [parse_pd(x.pd) for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110)]
+        for d in diagrams:
+            assert_overlay_matches_oracle(d)
+
     def test_flipped_trefoil_seven_crossings(self, trefoil):
         f = flip_crossing(trefoil, 0)
         g, cs2 = overlay_unlink(f, build_cut_curves(f))
@@ -618,7 +628,7 @@ class TestWholeMapFactsOncePerMap:
                     self._check_table(g, fs)
                 seen[name] = seen.get(name, 0) + (fs.pieces is None)
                 # a surgery result's table starts empty and fills for g
-                assert connected_pieces(g) is fs.pieces is not None
+                assert connected_pieces(g) == fs.pieces is not None
                 assert classify_edges(g) is fs.classification is not None
                 self._check_table(g, fs)
 

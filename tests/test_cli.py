@@ -311,3 +311,19 @@ def test_titled_block_without_pd_text_gets_a_record(command, tmp_path, capsys):
         {"name": name, "error": "PDSyntaxError", "message": "titled block holds no PD text", "exit": 2}
         for name in ("a", "c")
     ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce", "augment"])
+def test_title_after_pd_text_starts_a_new_block(command, tmp_path, capsys):
+    # a title right after PD text closes the block being read: each block
+    # runs under its own name, exactly as with a blank line before the title
+    joined = tmp_path / "joined.pd"
+    joined.write_text(f"# name: a\n{TREFOIL}\n# name: b\nX(1,1,2,2)\n")
+    apart = tmp_path / "apart.pd"
+    apart.write_text(f"# name: a\n{TREFOIL}\n\n# name: b\nX(1,1,2,2)\n")
+    code = run([command, str(joined)])
+    got = capsys.readouterr()
+    assert (code, got.out, got.err) == (run([command, str(apart)]), *capsys.readouterr())
+    records = [json.loads(x) for x in (got.out + got.err).splitlines()]
+    assert sorted(r["name"] for r in records) == ["a", "b"]
+    assert all(r.get("error") != "IncidenceError" for r in records)

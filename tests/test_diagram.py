@@ -374,10 +374,10 @@ class TestMapBuilder:
 
 class TestStructure:
     def test_connected_pieces(self, trefoil, granny_sum):
-        assert len(connected_pieces(trefoil)) == 1
-        assert len(connected_pieces(granny_sum)) == 1
+        assert connected_pieces(trefoil) == 1
+        assert connected_pieces(granny_sum) == 1
         two = parse_pd(TREFOIL + " O(7)")
-        assert len(connected_pieces(two)) == 1
+        assert connected_pieces(two) == 1
         assert len(two.loops) == 1
 
     def test_components(self, trefoil, hopf):
@@ -467,21 +467,24 @@ class TestFaceSetMemo:
 
     def test_pieces_and_edge_classes_kept_on_the_table(self, granny_sum):
         from altknot import classify_edges
+        from altknot.diagram import _held_face_set
 
         fs = face_set(granny_sum)
         pieces, cls = connected_pieces(granny_sum), classify_edges(granny_sum)
-        assert (fs.pieces, fs.classification) == (pieces, cls)
-        assert connected_pieces(granny_sum) is pieces
+        assert (fs.pieces, fs.classification) == (pieces, cls) and pieces == 1
+        assert connected_pieces(granny_sum) == pieces
         assert classify_edges(granny_sum) is cls
         # copies that share the map take over the table and its facts
         copy = mark_augmenting(granny_sum, 0)
-        assert connected_pieces(copy) is pieces and classify_edges(copy) is cls
+        assert _held_face_set(copy) is fs
+        assert connected_pieces(copy) == pieces and classify_edges(copy) is cls
         copy = restamp_origins(copy)
-        assert connected_pieces(copy) is pieces and classify_edges(copy) is cls
+        assert _held_face_set(copy) is fs
+        assert connected_pieces(copy) == pieces and classify_edges(copy) is cls
         # an equal map built anew computes its own
         twin = parse_pd(GRANNY_SUM)
-        face_set(twin)
-        assert connected_pieces(twin) is not pieces and connected_pieces(twin) == pieces
+        twin_fs = face_set(twin)
+        assert twin_fs is not fs and twin_fs.pieces == connected_pieces(twin) == pieces
         assert classify_edges(twin) is not cls and classify_edges(twin) == cls
 
     def test_facts_of_a_diagram_without_a_held_table_build_none(self, trefoil, granny_sum):
@@ -489,7 +492,7 @@ class TestFaceSetMemo:
         from altknot.diagram import _held_face_set
 
         fs = face_set(trefoil)
-        assert len(connected_pieces(granny_sum)) == 1
+        assert connected_pieces(granny_sum) == 1
         assert classify_edges(granny_sum).is_alternating
         # the memo still holds the trefoil's table, and nothing was kept
         assert _held_face_set(trefoil) is fs

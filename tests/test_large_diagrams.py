@@ -38,6 +38,7 @@ from altknot.diagram import restamp_origins
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
+    assert_overlay_matches_oracle,
     assert_positions_match_oracle,
     assert_preprocess_matches_oracle,
     augment_recording_fingers,
@@ -82,6 +83,12 @@ def test_augment(bench_inputs, monkeypatch):
     assert all(v == (True, []) for v in verdicts)
     # the base read off the first face is the least over every edge
     assert picked_finger_bases(monkeypatch, arcs) == [oracle_finger_base(g, arc) for g, arc in arcs]
+
+
+def test_overlay(bench_inputs):
+    # the one-pass overlay equals the builder's, record for record
+    for d in _augment_inputs(bench_inputs):
+        assert_overlay_matches_oracle(d)
 
 
 def test_merge_arcs(bench_inputs, monkeypatch):

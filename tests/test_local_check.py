@@ -481,7 +481,7 @@ def test_moves_that_change_the_piece_count(audit):
         out, trace = preprocess(d)
         assert [s.kind for s in trace.steps] == [kind]
         assert validate_diagram(out).valid
-        assert (len(connected_pieces(out)), len(out.loops)) == (pieces, loops)
+        assert (connected_pieces(out), len(out.loops)) == (pieces, loops)
     assert a.paths == {("r2", "walk"): 3, ("nugatory", "walk"): 1}
     assert a.tables == {("r2", "real"): 3, ("nugatory", "real"): 1}
 
@@ -506,7 +506,7 @@ def test_public_r2_removal_that_splits_a_piece(audit, monkeypatch):
     out = remove_r2_bigon(d, f)
     assert len(counted) == 2 and counted[0] is out and counted[1] is d
     assert a.tables == {("remove_r2_bigon", "real"): 1}
-    assert (len(connected_pieces(out)), len(out.loops)) == (2, 0)
+    assert (connected_pieces(out), len(out.loops)) == (2, 0)
 
 
 def test_moves_outside_the_merge_facts_are_walked(trefoil):
@@ -596,3 +596,66 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
         new = by_corners[f.corner_slots]
         assert new is f or new.id != f.id
     assert any(by_corners[f.corner_slots] is f for f in along)
+
+
+def _spy_on_walks(monkeypatch) -> list[set]:
+    """The corners each ``_walk_faces`` call is given to walk."""
+    given = []
+    real = diagram._walk_faces
+
+    def spy(crossings, far, starts, todo):
+        given.append(set(todo))
+        return real(crossings, far, starts, todo)
+
+    monkeypatch.setattr(diagram, "_walk_faces", spy)
+    return given
+
+
+def test_a_band_splice_walks_only_the_faces_along_its_removed_edges(monkeypatch):
+    # the splice re-slots four crossings and relabels the dropped circle,
+    # but only the faces on either side of its two removed edges change
+    splices = []
+
+    def spy(b, source_fs, out, alternating=False):
+        if sys._getframe(1).f_code.co_name == "join_curves":
+            walks.clear()
+            res = check_edit(b, source_fs, out, alternating)
+            splices.append((b, source_fs, out, list(walks)))
+            return res
+        return check_edit(b, source_fs, out, alternating)
+
+    monkeypatch.setattr(augmentation, "check_edit", spy)
+    walks = _spy_on_walks(monkeypatch)
+    for _seed, d in corpus_diagrams(40, start_seed=200, letters=(14, 18, 22, 26)) + link_diagrams(16):
+        augment(d)
+    assert len(splices) >= 20
+    relabelled = 0
+    for b, source_fs, out, given in splices:
+        g = b.source
+        removed = [e for e in b.touched_edges if e not in out.edges]
+        assert len(removed) == 2 and len(b.touched_crossings) == 4
+        sides = {source_fs.corner_face[(c, (s - 1) % 4)] for e in removed for c, s in g.edges[e].ends}
+        assert len(given) == 1
+        assert given[0] == {k for f in sides for k in source_fs.faces[f].corner_slots}
+        relabelled += sum(
+            e in g.edges and g.edges[e].ends == out.edges[e].ends for e in b.touched_edges if e in out.edges
+        )
+    # and the splices did relabel edges: those alone walk nothing
+    assert relabelled > 0
+
+
+def test_a_component_change_walks_no_corner(monkeypatch):
+    _seed, d = link_diagrams(1)[0]
+    fs = face_set(d)
+    b = MapBuilder(d)
+    comp = max(r.component for r in b.edges.values())
+    for e, r in sorted(b.edges.items()):
+        if r.component == comp:
+            b.set_component(e, 0)
+    assert b.touched_edges and not b.touched_crossings
+    out = b.build()
+    full = _build_face_set(out)
+    walks = _spy_on_walks(monkeypatch)
+    failures, table = check_edit(b, fs, out)
+    assert failures == [] and same_table(table, full)
+    assert walks == [set()]
