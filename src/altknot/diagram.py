@@ -657,9 +657,11 @@ def serialize_pd(d: Diagram) -> str:
     parts = []
     for cid in sorted(d.crossings):
         c = d.crossings[cid]
-        if c.over_slots == (1, 3):
+        # a legal over strand is one of two opposite slot pairs, in
+        # either order
+        if c.over_slots in ((1, 3), (3, 1)):
             start = 0
-        elif c.over_slots == (0, 2):
+        elif c.over_slots in ((0, 2), (2, 0)):
             start = 1
         else:
             raise InvariantError(f"crossing {cid} has illegal over_slots {c.over_slots}")
@@ -797,37 +799,38 @@ class _CrossingField(MutableMapping):
     """Crossing id -> one field of that crossing: the source crossing's
     until written or deleted.  A builder reads through to its source
     instead of copying a field of every crossing, so it costs what it
-    touches."""
+    touches.  ``own`` holds the values written and ``gone`` the ids
+    deleted; ``MapBuilder`` writes the two directly."""
 
     def __init__(self, source: dict[int, Crossing], name: str):
         self._source = source
         self._read = attrgetter(name)
-        self._own: dict = {}
-        self._gone: set[int] = set()
+        self.own: dict = {}
+        self.gone: set[int] = set()
 
     def __getitem__(self, c: int):
-        own = self._own
+        own = self.own
         if c in own:
             return own[c]
-        if c in self._gone:
+        if c in self.gone:
             raise KeyError(c)
         return self._read(self._source[c])
 
     def __setitem__(self, c: int, value) -> None:
-        self._own[c] = value
-        self._gone.discard(c)
+        self.own[c] = value
+        self.gone.discard(c)
 
     def __delitem__(self, c: int) -> None:
         if c not in self:
             raise KeyError(c)
-        self._own.pop(c, None)
-        self._gone.add(c)
+        self.own.pop(c, None)
+        self.gone.add(c)
 
     def __contains__(self, c) -> bool:
-        return c in self._own or (c in self._source and c not in self._gone)
+        return c in self.own or (c in self._source and c not in self.gone)
 
     def __iter__(self):
-        own, gone = self._own, self._gone
+        own, gone = self.own, self.gone
         yield from (c for c in self._source if c not in own and c not in gone)
         yield from own
 
@@ -848,10 +851,11 @@ class MapBuilder:
     ``edits.check_edit`` inspects only the touched records.  ``slots``
     and ``over`` read through to the source's crossings until a crossing
     is written or removed, and slot sequences stay the source's tuples
-    until first written, so all writes go through the methods below.
-    Making a builder copies nothing per crossing, and the fresh ids
-    (``new_edge_id`` and the like) are found in the source on first
-    use."""
+    until first written, so all writes go through the methods below,
+    which write the fields' own tables directly.  A touched crossing is
+    removed exactly when it has no slots of its own.  Making a builder
+    copies nothing per crossing, and the fresh ids (``new_edge_id`` and
+    ``new_crossing_id``) are found in the source on first use."""
 
     def __init__(self, d: Diagram):
         self.source = d
@@ -864,13 +868,14 @@ class MapBuilder:
         self.touched_edges: set[int] = set()
         self._next_edge: int | None = None
         self._next_crossing: int | None = None
-        self._next_comp: int | None = None
 
     def _own_slots(self, c: int) -> list[int]:
+        own = self.slots.own
         if c not in self.touched_crossings:
-            self.slots[c] = list(self.slots[c])
+            # an untouched crossing is the source's
+            own[c] = list(self.source.crossings[c].slots)
             self.touched_crossings.add(c)
-        return self.slots[c]
+        return own[c]
 
     def new_edge_id(self) -> int:
         if self._next_edge is None:
@@ -884,15 +889,10 @@ class MapBuilder:
         self._next_crossing += 1
         return self._next_crossing - 1
 
-    def new_component_id(self) -> int:
-        if self._next_comp is None:
-            self._next_comp = self.source.next_component_id()
-        self._next_comp += 1
-        return self._next_comp - 1
-
     def add_crossing(self, cid: int, slots: list[int], over_slots: tuple[int, int]) -> None:
-        self.slots[cid] = slots
-        self.over[cid] = over_slots
+        for field, value in ((self.slots, slots), (self.over, over_slots)):
+            field.own[cid] = value
+            field.gone.discard(cid)
         self.touched_crossings.add(cid)
 
     def add_edge(self, eid: int, ends: list[End], origin: int | None, comp: int) -> None:
@@ -913,7 +913,12 @@ class MapBuilder:
         self.touched_edges.add(eid)
 
     def remove_crossing(self, cid: int) -> None:
-        del self.slots[cid], self.over[cid]
+        slots = self.slots
+        if cid in slots.gone or (cid not in slots.own and cid not in self.source.crossings):
+            raise KeyError(cid)
+        for field in (slots, self.over):
+            field.own.pop(cid, None)
+            field.gone.add(cid)
         self.touched_crossings.add(cid)
 
     def weld(self, a: End, z: End) -> int | None:
@@ -939,12 +944,16 @@ class MapBuilder:
         return keep
 
     def build(self) -> Diagram:
-        crossings = dict(self.source.crossings)
+        source = self.source.crossings
+        crossings = dict(source)
+        slots, over = self.slots.own, self.over.own
         for c in sorted(self.touched_crossings):
-            if c in self.slots:
-                crossings[c] = Crossing(c, tuple(self.slots[c]), self.over[c])
-            else:
+            s = slots.get(c)
+            if s is None:
                 crossings.pop(c, None)
+            else:
+                o = over.get(c)
+                crossings[c] = Crossing(c, tuple(s), source[c].over_slots if o is None else o)
         return Diagram(crossings, dict(self.edges), dict(self.loops), self.augmenting)
 
 
@@ -953,7 +962,7 @@ def flip_crossing(d: Diagram, c: int) -> Diagram:
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     cur = d.crossings[c]
-    flipped = Crossing(c, cur.slots, (1, 3) if cur.over_slots == (0, 2) else (0, 2))
+    flipped = Crossing(c, cur.slots, (1, 3) if cur.over_slots in ((0, 2), (2, 0)) else (0, 2))
     crossings = dict(d.crossings)
     crossings[c] = flipped
     return Diagram(crossings, d.edges, d.loops, d.augmenting_component)

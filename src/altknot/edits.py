@@ -18,6 +18,11 @@ removed corners, so they follow from the source's faces, held as a
 ``FacePartition``, and a few facts about the faces at the removed
 crossings (``merge_plan``).  An edit that is not exactly such a move,
 or a move outside those facts, is validated whole.
+
+The record checks the two share (``_check_records``, ``_check_strands``)
+are direct passes over what the edit touched, as ``validate_diagram``'s
+incidence pass is over the whole map: only when a pass finds a fault are
+the records read again in id order to word the failures.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .diagram import (
     MapBuilder,
     _edited_face_set,
     _held_face_set,
-    _is_bigon_corners,
     _changed_edges,
+    _OVER_PAIRS,
     _Partition,
     connected_pieces,
     validate_diagram,
@@ -86,10 +91,10 @@ def check_edit(
 
 def check_move(
     b: MapBuilder, faces: FacePartition, out: Diagram, gone: tuple[int, ...]
-) -> tuple[list[str], FaceSet | None]:
-    """(failures, face table) of a reduction move ``out = b.build()`` that
-    removes the crossings ``gone`` from the valid diagram ``b.source`` and
-    joins each strand through them straight across: the removal of a
+) -> tuple[list[str], FaceSet | None, list[int] | None]:
+    """(failures, face table, plan) of a reduction move ``out = b.build()``
+    that removes the crossings ``gone`` from the valid diagram ``b.source``
+    and joins each strand through them straight across: the removal of a
     nugatory crossing, or of the two crossings of an R2 bigon.
     ``faces`` is the source's ``FacePartition``.
 
@@ -100,35 +105,103 @@ def check_move(
     and ``merge_plan`` finds the faces that become one, the faces of
     ``out`` need no walk: the planned faces become one, every other face
     keeps its corners off ``gone``, and no piece splits or vanishes.
-    Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan), and the
-    table is None.  Otherwise ``out`` is validated whole, and the table
-    is the one ``validate_diagram`` walked and left in the memo (None
-    when it walked none).
+    Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan); the
+    plan is returned, the move's one plan, for the caller to merge, and
+    the table is None.  Otherwise ``out`` is validated whole, the plan is
+    None, and the table is the one ``validate_diagram`` walked and left
+    in the memo (None when it walked none).
     """
     d = b.source
     failures, broken = _check_records(b, out)
     if broken:
-        return failures + broken, None
+        return failures + broken, None, None
     plan = merge_plan(faces, gone) if _joined_straight(b, out, gone) else None
     if plan is None:
-        return validate_diagram(out).failures, _held_face_set(out)
+        return validate_diagram(out).failures, _held_face_set(out), None
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
     if dv - de + 1 - len(plan) != 0:
         failures.append(f"sphericity: V-E+F moved by {dv - de + 1 - len(plan)} for 0 new pieces")
-    return failures + _check_strands(b, out), None
+    return failures + _check_strands(b, out), None, plan
 
 
 def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
     """(label failures, incidence and valence failures) of the crossings
     ``b`` touched and of the edges it removed, added or re-ended; no face
-    can be walked without the second."""
+    can be walked without the second.
+
+    The affected edges are those the uses or ends of an id can change
+    at: the removed, added and re-ended ones and every edge at a touched
+    crossing.  A passing check is one direct pass.  Each touched crossing
+    of ``out`` has four slots and a legal over strand.  Each affected
+    edge of ``out`` has two distinct ends, each a use of that edge: a
+    slot holding it at a touched crossing, or one of its source ends at
+    an untouched one.  And the uses of the affected edges number twice
+    those edges: four per touched crossing of ``out``, plus the source
+    ends of affected edges at untouched crossings.  A use belongs to one
+    edge, so then every affected edge of ``out`` is used exactly at its
+    two ends and every removed one nowhere.  Only when that pass finds a
+    fault are the records read again in id order to word the failures
+    (``_record_failures``)."""
+    d = b.source
+    touched = b.touched_crossings
+    old_x, new_x = d.crossings, out.crossings
+    old_e, new_e = d.edges, out.edges
+    changed = _changed_edges(b, out)
+    affected = set(changed)
+    uses = 0
+    for c in touched:
+        x = old_x.get(c)
+        if x is not None:
+            affected.update(x.slots)
+        x = new_x.get(c)
+        if x is not None:
+            if len(x.slots) != 4 or x.over_slots not in _OVER_PAIRS:
+                return _record_failures(b, out, changed)
+            affected.update(x.slots)
+            uses += 4
+    live = 0
+    for e in affected:
+        old = old_e.get(e)
+        if old is not None:
+            for c, _s in old.ends:
+                if c not in touched:
+                    uses += 1
+        rec = new_e.get(e)
+        if rec is None:
+            continue
+        live += 1
+        a, z = rec.ends
+        if a == z:
+            return _record_failures(b, out, changed)
+        for end in (a, z):
+            c, s = end
+            if c in touched:
+                x = new_x.get(c)
+                if x is None or not 0 <= s < 4 or x.slots[s] != e:
+                    return _record_failures(b, out, changed)
+            elif old is None or end not in old.ends:
+                return _record_failures(b, out, changed)
+    if uses != 2 * live:
+        return _record_failures(b, out, changed)
+    loops = out.loops
+    if loops:
+        old_loops = d.loops
+        if any(e in loops for e in changed if e in new_e) or any(
+            k in new_e for k in loops if k not in old_loops
+        ):
+            return _record_failures(b, out, changed)
+    return [], []
+
+
+def _record_failures(b: MapBuilder, out: Diagram, changed: list[int]) -> tuple[list[str], list[str]]:
+    """The failures of ``_check_records``, worded and in id order;
+    ``changed`` is ``_changed_edges(b, out)``."""
     d = b.source
     failures: list[str] = []
     broken: list[str] = []
     # the uses of an id change only at touched crossings, and its ends
     # only when it is removed, added or re-ended
-    changed = _changed_edges(b, out)
     affected = set(changed)
     for c in b.touched_crossings:
         if c in d.crossings:
@@ -167,7 +240,33 @@ def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
 def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> list[str]:
     """Failures of the strand components at every crossing a touched edge
     meets and, with ``alternating``, of the alternation of the touched
-    edges, for an ``out`` that passed ``_check_records``."""
+    edges, for an ``out`` that passed ``_check_records``.
+
+    A passing check is one direct pass: the two edges of each strand
+    through each such crossing carry one component and, with
+    ``alternating``, the two end labels of each touched edge and of each
+    edge at a touched crossing differ.  Only when that pass finds a fault
+    are the crossings and edges read again in id order to word the
+    failures (``_strand_failures``)."""
+    xs, es = out.crossings, out.edges
+    live_c = [c for c in b.touched_crossings if c in xs]
+    live_e = [es[e] for e in b.touched_edges if e in es]
+    for c in live_c + [c for rec in live_e for c, _s in rec.ends]:
+        e0, e1, e2, e3 = xs[c].slots
+        if es[e0].component != es[e2].component or es[e1].component != es[e3].component:
+            return _strand_failures(b, out, alternating)
+    if alternating:
+        if not xs and not out.loops:
+            return _strand_failures(b, out, alternating)
+        for rec in live_e + [es[e] for c in live_c for e in xs[c].slots]:
+            (c0, s0), (c1, s1) = rec.ends
+            if (s0 in xs[c0].over_slots) == (s1 in xs[c1].over_slots):
+                return _strand_failures(b, out, alternating)
+    return []
+
+
+def _strand_failures(b: MapBuilder, out: Diagram, alternating: bool) -> list[str]:
+    """The failures of ``_check_strands``, worded and in id order."""
     failures: list[str] = []
     live_c = sorted(c for c in b.touched_crossings if c in out.crossings)
     live_e = sorted(e for e in b.touched_edges if e in out.edges)
@@ -221,15 +320,6 @@ class FacePartition:
         self.face = dict(fs.corner_face)
         self.corners = {f.id: set(f.corner_slots) for f in fs.faces if f.loop is None}
         self.weight = {h: len(ks) for h, ks in self.corners.items()}
-
-    def bigon_end(self, x: int, s: int) -> int | None:
-        """The other crossing of the face at corner (x, s) when that face is
-        a bigon, else None."""
-        ks = self.corners[self.face[(x, s)]]
-        if not _is_bigon_corners(ks):
-            return None
-        (c0, _s0), (c1, _s1) = ks
-        return c1 if c0 == x else c0
 
     def remove(self, c: int) -> None:
         """Drop the four corners of crossing ``c``."""
@@ -322,11 +412,14 @@ def _through(d: Diagram, gone: tuple[int, ...], end: End) -> End:
     """The far end of the slot end ``end`` of ``d``, at a crossing not in
     ``gone``, once the crossings ``gone`` are removed and each strand
     through them joined straight across."""
-    far = d.other_end(end)
-    while far[0] in gone:
-        c, s = far
-        far = d.other_end((c, s + 2))
-    return far
+    crossings, edges = d.crossings, d.edges
+    while True:
+        c, s = end
+        a, z = edges[crossings[c].slots[s]].ends
+        far = z if a == end else a
+        if far[0] not in gone:
+            return far
+        end = (far[0], (far[1] + 2) % 4)
 
 
 def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:

@@ -13,9 +13,9 @@ corners (``edits.FacePartition``).  An R2 move merges the bigon with its
 two end faces and trims its two side faces, and the removal of a kink
 merges the kink's monogon into the face across the crossing and trims
 the face at the other two corners.  ``edits.check_move`` checks such a
-move without a face walk, the partition takes the merge, and the
-candidate moves and the twist count are updated from the faces it
-changed.  Any other move (a nugatory crossing that is not a kink, an R2
+move without a face walk and returns its merge plan, worked out once;
+the partition takes that merge, and the candidate moves and the twist
+count are updated from the faces it changed.  Any other move (a nugatory crossing that is not a kink, an R2
 move that splits off a piece or leaves a crossing-free loop) is
 validated and read whole again.
 """
@@ -35,7 +35,7 @@ from .diagram import (
     restamp_origins,
     validate_diagram,
 )
-from .edits import FacePartition, check_edit, check_move, merge_plan
+from .edits import FacePartition, check_edit, check_move
 from .errors import (
     InvariantError,
     NotNugatory,
@@ -126,13 +126,12 @@ def _r2_edit(d: Diagram, corners) -> MapBuilder:
     """The R2 move on the bigon whose two corners are ``corners``."""
     (x, i), (y, j) = sorted(corners)
     b = MapBuilder(d)
-    # weld each strand across the pair: for the strand carrying ``inner``,
-    # the outer stubs sit opposite it at x and at y; each inner edge runs
-    # from one corner's crossing to the other's, so it sits once at each
-    for inner in (d.crossings[x].slots[(i + 1) % 4], d.crossings[y].slots[(j + 1) % 4]):
-        sx = d.crossings[x].slots.index(inner)
-        sy = d.crossings[y].slots.index(inner)
-        b.remove_edge(inner)
+    # weld each strand across the pair: the face walk leaves corner (x, i)
+    # by the inner edge in slot i + 1 at x, which arrives at y in slot j,
+    # and leaves (y, j) by the one in slot j + 1 at y, which arrives at x
+    # in slot i; the outer stubs sit opposite each
+    for sx, sy in (((i + 1) % 4, j), (i, (j + 1) % 4)):
+        b.remove_edge(d.crossings[x].slots[sx])
         b.weld((x, (sx + 2) % 4), (y, (sy + 2) % 4))
     b.remove_crossing(x)
     b.remove_crossing(y)
@@ -144,39 +143,69 @@ def _refuse_broken(kind: str, failures: list[str]) -> None:
         raise InvariantError(f"{kind} removal broke the map: {failures}")
 
 
-def _chains_meeting(faces: FacePartition, starts: list[int]) -> int:
+def _chains_meeting(faces: FacePartition, starts: set[int]) -> int:
     """Number of chains of the map whose faces are ``faces`` that hold one
     of the crossings ``starts``, where a chain is a class of crossings
     joined through bigons (a twist region of ``analysis.twist_partition``).
 
     One walk leaves each start, and the walks take one crossing each in
-    turn.  Walks that meet join one group, and a group whose walks have
-    all ended has covered its chain.  The walks stop as soon as at most
-    one group is still going, since that group lies in one more chain.
-    A move that shortens a long chain therefore costs a few steps, and
-    one that splits a chain costs about the walk of the smaller part;
-    walking every chain met in full makes ``preprocess`` on the
-    benchmark's raw closures about a tenth slower."""
-    group = list(range(len(starts)))  # walk -> its group's label
-    owner = {c: i for i, c in enumerate(starts)}
-    stacks = [[c] for c in starts]
-    while len({group[i] for i, stack in enumerate(stacks) if stack}) > 1:
+    turn.  A step reads the partition's ``face`` and ``corners`` tables
+    directly: the faces at a crossing's four corners, and the other
+    crossing of each that is a bigon.  Walks that meet join one group,
+    the smaller group's walks taking the other's label, and a group whose
+    walks have all ended has covered its chain.  The walks stop as soon
+    as at most one group is still going, since that group lies in one
+    more chain.  A move that shortens a long chain therefore costs a few
+    steps, and one that splits a chain costs about the walk of the
+    smaller part; walking every chain met in full makes ``preprocess``
+    on the benchmark's raw closures about a tenth slower."""
+    if len(starts) < 2:
+        return len(starts)
+    face, corners = faces.face, faces.corners
+    owner = {}  # crossing -> the walk that reached it
+    stacks = []
+    for i, c in enumerate(starts):
+        owner[c] = i
+        stacks.append([c])
+    group = list(range(len(stacks)))  # walk -> its group's label
+    walks = [[i] for i in group]  # label -> the walks of that group
+    going = [1] * len(stacks)  # label -> its walks not yet ended
+    groups = live = len(stacks)  # groups, and groups still going
+    while live > 1:
         for i, stack in enumerate(stacks):
             if not stack:
                 continue
             x = stack.pop()
             for s in range(4):
-                y = faces.bigon_end(x, s)
-                if y is None:
+                ks = corners[face[(x, s)]]
+                if len(ks) != 2:
                     continue
+                (c0, _s0), (c1, _s1) = ks
+                if c0 == c1:
+                    continue
+                y = c1 if c0 == x else c0
                 j = owner.get(y)
                 if j is None:
                     owner[y] = i
                     stack.append(y)
-                elif group[j] != group[i]:
-                    merged = group[j]
-                    group = [group[i] if g == merged else g for g in group]
-    return len(set(group))
+                    continue
+                keep, drop = group[i], group[j]
+                if keep != drop:
+                    if len(walks[keep]) < len(walks[drop]):
+                        keep, drop = drop, keep
+                    for w in walks[drop]:
+                        group[w] = keep
+                    walks[keep] += walks[drop]
+                    groups -= 1
+                    if going[keep] and going[drop]:
+                        live -= 1
+                    going[keep] += going[drop]
+            if not stack:
+                g = group[i]
+                going[g] -= 1
+                if not going[g]:
+                    live -= 1
+    return groups
 
 
 class _Moves:
@@ -221,44 +250,72 @@ class _Moves:
     def least_bigon(self) -> tuple[int, int] | None:
         return _least(self.bigons, self._bigon_heap)
 
-    def advance(self, cur: Diagram, gone: tuple[int, ...], fs: FaceSet | None) -> None:
+    def advance(
+        self, cur: Diagram, gone: tuple[int, ...], fs: FaceSet | None, plan: list[int] | None
+    ) -> None:
         """Move on to ``cur``, made by the move that removed the crossings
-        ``gone``; ``fs`` is the face table ``check_move`` walked for it, or
-        None when it took the merge path."""
+        ``gone``.  ``check_move`` took the merge path with the plan
+        ``plan``, the move's one ``merge_plan``, or, when that is None,
+        walked the table ``fs`` for it.
+
+        One pass over the faces at the removed corners reads what the
+        merge changes: the bigons among them are lost; the planned faces
+        become one face holding their corners off ``gone``, and each
+        other face keeps its own, so a face that keeps two is a bigon
+        made when those sit at two crossings.  The same pass picks one
+        crossing of each chain the move changes.  The crossings of
+        ``gone`` lie in one chain (an R2 move's two share its bigon), and
+        every lost bigon has a corner at ``gone``, so before the move
+        those chains are the ones through the first crossing of
+        ``gone`` or a made bigon's crossing off the lost bigons.  After
+        it they are the ones through a lost bigon's crossing off
+        ``gone`` or through a made bigon, whose two crossings lie in one
+        chain and so need one start."""
         faces = self.faces
-        if fs is not None:
+        if plan is None:
             faces.read(fs)
             self._read(cur)
             return
         face, corners = faces.face, faces.corners
-        plan = merge_plan(faces, gone)
         at_gone = {}  # face at a removed corner -> how many it has there
         for c in gone:
             for s in range(4):
                 h = face[(c, s)]
                 at_gone[h] = at_gone.get(h, 0) + 1
-        # the faces after the move: the plan's as one, the others trimmed;
-        # a bigon among them is one of two corners off ``gone``
-        after = [plan] + [[h] for h in at_gone if h not in plan]
-        made = [
-            [k for h in hs for k in corners[h] if k[0] not in gone]
-            for hs in after if sum(len(corners[h]) - at_gone[h] for h in hs) == 2
-        ]
+        lost = []  # least corners of the bigons the move removes
+        made = []  # corners of the bigons it makes
+        near = set()  # the lost bigons' crossings off ``gone``
+        kept = 0  # corners the planned faces keep
+        for h, n in at_gone.items():
+            ks = corners[h]
+            if _is_bigon_corners(ks):
+                lost.append(min(ks))
+                near.update(c for c, _s in ks if c not in gone)
+            if h in plan:
+                kept += len(ks) - n
+            elif len(ks) - n == 2:
+                made.append([k for k in ks if k[0] not in gone])
+        if kept == 2:
+            made.append([k for h in plan for k in corners[h] if k[0] not in gone])
         made = [ks for ks in made if _is_bigon_corners(ks)]
-        lost = [sorted(corners[h]) for h in at_gone if _is_bigon_corners(corners[h])]
-        ends = {c for ks in lost + made for c, _s in ks}
-        before = _chains_meeting(faces, sorted(ends | set(gone)))
+        # a crossing of each chain the move changes, before it and after
+        before, after = {gone[0]}, set(near)
+        for (c0, _s0), (c1, _s1) in made:
+            before.update(c for c in (c0, c1) if c not in near)
+            after.discard(c1)
+            after.add(c0)
+        before = _chains_meeting(faces, before)
 
         for c in gone:
             faces.remove(c)
         moved = faces.merge(plan)
-        self.t += _chains_meeting(faces, sorted(ends - set(gone))) - before
-        self.cuts -= set(gone)
+        self.t += _chains_meeting(faces, after) - before
+        self.cuts.difference_update(gone)
         for c in {c for c, _s in moved}:
             if c not in self.cuts and _is_cut_vertex(face, c):
                 self.cuts.add(c)
                 heapq.heappush(self._cut_heap, c)
-        self.bigons.difference_update(ks[0] for ks in lost)
+        self.bigons.difference_update(lost)
         for ks in made:
             key = min(ks)
             if key not in self.bigons and _is_r2_corners(cur, ks):
@@ -304,10 +361,10 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
         else:
             break
         cur = b.build()
-        failures, fs = check_move(b, moves.faces, cur, gone)
+        failures, fs, plan = check_move(b, moves.faces, cur, gone)
         _refuse_broken("R2" if kind == "r2" else kind, failures)
         t_prev = moves.t
-        moves.advance(cur, gone, fs)
+        moves.advance(cur, gone, fs, plan)
         trace.steps.append(ReductionStep(kind, gone, len(cur.crossings), moves.t))
         if moves.t > t_prev:
             raise ReductionInvariantError(

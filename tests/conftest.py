@@ -355,6 +355,14 @@ def reattach(b: MapBuilder, eid: int, old_end: End, new_end: End) -> None:
     b._own_slots(c)[s] = eid
 
 
+def new_component_id(b: MapBuilder) -> int:
+    """A component id that neither ``b``'s source nor any record written
+    to ``b`` carries: one past the largest.  Only the tests hand out
+    component ids; the surgery keeps the ids it has."""
+    comps = {r.component for r in b.edges.values()} | set(b.loops.values())
+    return max(comps | {b.source.next_component_id() - 1}) + 1
+
+
 def subdivide_edge_with_crossing(
     d: Diagram,
     e: int,
@@ -384,7 +392,7 @@ def subdivide_edge_with_crossing(
     x = b.new_crossing_id()
     h0, h1 = b.new_edge_id(), b.new_edge_id()
     loop_edge = b.new_edge_id()
-    comp = new_component if new_component is not None else b.new_component_id()
+    comp = new_component if new_component is not None else new_component_id(b)
     over = (1, 3) if e_sign is Sign.MINUS else (0, 2)
     b.remove_edge(e)
     b.add_crossing(x, [0, 0, 0, 0], over)
@@ -410,7 +418,7 @@ def oracle_overlay(d: Diagram, cs):
     b = MapBuilder(d)
     comp_ids = []
     for curve in cs.curves:
-        comp = b.new_component_id()
+        comp = new_component_id(b)
         comp_ids.append(comp)
         n = len(curve.stubs)
         xs = [b.new_crossing_id() for _ in range(n)]
@@ -738,8 +746,8 @@ def preprocess_audited(d):
 
     real = reduction._Moves.advance
 
-    def advance(moves, cur, gone, fs):
-        real(moves, cur, gone, fs)
+    def advance(moves, cur, gone, fs, plan):
+        real(moves, cur, gone, fs, plan)
         assert_partition_is_the_walk(moves.faces, cur)
         assert moves.cuts == set(cut_vertices(cur))
         ref = face_set(cur)

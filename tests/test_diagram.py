@@ -46,6 +46,13 @@ from conftest import (
     subdivide_edge_with_crossing,
 )
 
+def with_over_slots(d: Diagram, c: int, pair: tuple[int, int]) -> Diagram:
+    """``d`` with the over strand of crossing ``c`` named by ``pair``."""
+    crossings = dict(d.crossings)
+    crossings[c] = Crossing(c, d.crossings[c].slots, pair)
+    return Diagram(crossings, d.edges, d.loops, d.augmenting_component)
+
+
 BRAID_LETTERS = st.lists(
     st.sampled_from([i for i in range(-4, 5) if i != 0]), min_size=1, max_size=25
 )
@@ -142,6 +149,15 @@ class TestSerialize:
 
     def test_empty(self):
         assert serialize_pd(parse_pd("")) == ""
+
+    def test_over_pair_in_either_order(self, trefoil):
+        # a legal over strand may name its two slots in either order, and
+        # it reads the same record either way
+        for pair, same in (((3, 1), (1, 3)), ((2, 0), (0, 2))):
+            d = with_over_slots(trefoil, 0, pair)
+            assert validate_diagram(d).valid
+            assert serialize_pd(d) == serialize_pd(with_over_slots(trefoil, 0, same))
+            assert same_map(parse_pd(serialize_pd(d)), with_over_slots(trefoil, 0, same))
 
     @settings(deadline=None, max_examples=60)
     @given(BRAID_LETTERS)
@@ -251,6 +267,15 @@ class TestFlip:
     def test_unknown_crossing(self):
         with pytest.raises(UnknownCrossing):
             flip_crossing(parse_pd(""), 0)
+
+    def test_over_pair_in_either_order(self, trefoil):
+        # the over strand moves to the other slot pair whichever order
+        # its two slots are named in, so every label at the crossing turns
+        for pair, flipped in (((2, 0), (1, 3)), ((3, 1), (0, 2)), ((0, 2), (1, 3)), ((1, 3), (0, 2))):
+            d = with_over_slots(trefoil, 0, pair)
+            f = flip_crossing(d, 0)
+            assert f.crossings[0].over_slots == flipped
+            assert all(f.label(0, s) is d.label(0, s).opposite for s in range(4))
 
     def test_changes_exactly_incident_edges(self, trefoil):
         from altknot import classify_edges
@@ -370,6 +395,21 @@ class TestMapBuilder:
         assert (b.slots[9], b.over[9]) == ([20, 21, 20, 21], (0, 2))
         b.add_crossing(0, [1, 1, 1, 1], (1, 3))
         assert 0 in b.slots and b.over[0] == (1, 3)
+
+    def test_removing_a_missing_crossing_raises_key_error(self, granny_sum):
+        b = MapBuilder(granny_sum)
+        b.remove_crossing(0)
+        for c in (0, max(granny_sum.crossings) + 1):
+            with pytest.raises(KeyError):
+                b.remove_crossing(c)
+        assert 0 not in b.build().crossings
+        # a crossing added again after its removal is built from the new
+        # record, and one re-slotted keeps its source over strand
+        b.add_crossing(0, list(granny_sum.crossings[0].slots), (0, 2))
+        reattach(b, 2, (2, 1), (2, 3))
+        out = b.build()
+        assert out.crossings[0] == Crossing(0, granny_sum.crossings[0].slots, (0, 2))
+        assert out.crossings[2].over_slots == granny_sum.crossings[2].over_slots
 
 
 class TestStructure:

@@ -160,9 +160,9 @@ def test_preprocess_walk_path(bench_inputs, monkeypatch, seed, n, audit):
     real = reduction.check_move
 
     def check_move(b, faces, out, gone):
-        failures, fs = real(b, faces, out, gone)
+        failures, fs, plan = real(b, faces, out, gone)
         paths["merge" if fs is None else "walk"] += 1
-        return failures, fs
+        return failures, fs, plan
 
     monkeypatch.setattr(reduction, "check_move", check_move)
     out, trace = assert_preprocess_matches_oracle(parse_pd(x.pd), audit=audit)

@@ -42,7 +42,7 @@ from altknot import (
     validate_diagram,
 )
 from altknot import augmentation, diagram, edits, reduction
-from altknot.diagram import MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
+from altknot.diagram import Edge, MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
 from altknot.edits import FacePartition, check_edit, check_move, merge_plan
 from altknot.errors import AlternationError, InvariantError, JoinError
 from altknot.generate import braid_closure
@@ -52,6 +52,7 @@ from conftest import (
     assert_partition_is_the_walk,
     corpus_diagrams,
     link_diagrams,
+    new_component_id,
     oracle_preprocess,
     oracle_valid,
     oracle_validate_diagram,
@@ -212,16 +213,21 @@ class Audit:
         site = "nugatory" if len(gone) == 1 else "r2"
         # the partition preprocess holds is the source's full walk
         assert_partition_is_the_walk(faces, b.source)
+        plans = []
 
         def check(b, out):
-            return check_move(b, faces, out, gone)
+            failures, fs, plan = check_move(b, faces, out, gone)
+            # a plan comes back on the merge path only: the move's merge_plan
+            assert plan is None or (fs is None and plan == merge_plan(faces, gone))
+            plans.append(plan)
+            return failures, fs
 
         def check_faces(out, failures, fs, kind):
             self._check_move_faces(b, faces, out, gone, failures, fs, site, kind)
 
         failures, fs = self._audit(site, b, out, False, check, check_faces)
         self.paths[(site, "merge" if fs is None else "walk")] += 1
-        return failures, fs
+        return failures, fs, plans[0]
 
 
 @pytest.fixture
@@ -453,6 +459,27 @@ class TestBrokenEditsRejected:
             preprocess(d)
         assert verdicts == [False, False]
 
+    @pytest.mark.parametrize("broken", ["end twice", "slot out of range"])
+    def test_an_end_that_reads_its_slot_only_by_accident(self, trefoil, broken):
+        # an edge whose second end repeats its first, or whose first end
+        # names the slot holding it plus four: each end reads a slot that
+        # holds the edge and the uses still add up, yet the ends do not
+        # match the slots, and the local check must say so as the whole
+        # map's does
+        e = min(trefoil.edges)
+        rec = trefoil.edges[e]
+        (c, s), z = rec.ends
+        ends = ((c, s), (c, s)) if broken == "end twice" else ((c, s + 4), z)
+        b = MapBuilder(trefoil)
+        b._own_slots(c)
+        b.edges[e] = Edge(e, ends, rec.origin, rec.component)
+        b.touched_edges.add(e)
+        out = b.build()
+        failures, fs = check_edit(b, face_set(trefoil), out)
+        want = f"incidence: edge {e} ends {ends} do not match slots"
+        assert failures == [want] and fs is None
+        assert want in validate_diagram(out).failures
+
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
         verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind, False)
@@ -526,9 +553,9 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
         assert any(_is_cut_vertex(fs.corner_face, c) for c in gone) == (d is bead)
         b = reduction._r2_edit(d, bigon.corner_slots)
         if extra_loop:
-            b.loops[b.new_edge_id()] = b.new_component_id()
+            b.loops[b.new_edge_id()] = new_component_id(b)
         out = b.build()
-        failures, table = check_move(b, FacePartition(fs), out, gone)
+        failures, table, _plan = check_move(b, FacePartition(fs), out, gone)
         assert failures == [] and validate_diagram(out).valid
         assert (table is not None) == walked, (d, extra_loop)
         if walked:
