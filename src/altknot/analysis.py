@@ -149,16 +149,35 @@ class RegionTopology(Enum):
     SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TwistRegion:
     """Maximal chain of bigons (or a lone crossing).  ``links`` records
     the retract graph on the bigons: one entry per crossing shared by
-    exactly two of them."""
+    exactly two of them.  Slotted and written through its slot
+    descriptors, as ``diagram.Crossing`` is."""
 
     crossings: frozenset[int]
     bigons: tuple[int, ...]
     links: tuple[tuple[int, int, int], ...]  # (bigon face, bigon face, crossing)
     topology: RegionTopology
+
+    def __init__(
+        self,
+        crossings: frozenset[int],
+        bigons: tuple[int, ...],
+        links: tuple[tuple[int, int, int], ...],
+        topology: RegionTopology,
+    ) -> None:
+        _set_region_crossings(self, crossings)
+        _set_region_bigons(self, bigons)
+        _set_region_links(self, links)
+        _set_region_topology(self, topology)
+
+
+_set_region_crossings = TwistRegion.crossings.__set__
+_set_region_bigons = TwistRegion.bigons.__set__
+_set_region_links = TwistRegion.links.__set__
+_set_region_topology = TwistRegion.topology.__set__
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,7 @@ t(D) <= t(G) <= 5 t(D).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from .analysis import (
     classify_edges,
@@ -73,6 +71,7 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     Sign,
+    _held_face_set,
     face_set,
     is_connected,
     mark_augmenting,
@@ -328,6 +327,82 @@ def _curve_faces(g: Diagram, fs: FaceSet, comps) -> dict[int, set[int]]:
     return out
 
 
+class _CircleFaces:
+    """The faces each circle borders, carried through ``augment``'s merge
+    loop so that a merge reads no whole map.
+
+    A face is keyed by its least corner.  A face an edit keeps keeps its
+    corners, so its key holds while it lives, and ``corner_face[key]``
+    is its id in the current table; ids rank faces by least corner, so
+    keys order faces as their ids do.  ``faces`` maps each circle to the
+    keys of the faces its edges border, ``owners`` each such key to the
+    circles bordering that face, and ``shared`` holds the keys of the
+    faces two or more circles border.
+
+    Read once from the circles' edges (``_curve_faces``).  After an edit
+    ``follow`` updates it from what the edit's face table dropped and
+    walked afresh (``FaceSet.delta``); every other face keeps its edges,
+    and those edges keep their components, except the dropped circle's
+    after a join, whose faces pass to the merged circle."""
+
+    def __init__(self, g: Diagram, fs: FaceSet, comps) -> None:
+        self._read(g, fs, comps)
+
+    def _read(self, g: Diagram, fs: FaceSet, comps) -> None:
+        faces = fs.faces
+        self.faces = {
+            ci: {faces[f].corner_slots[0] for f in fids}
+            for ci, fids in _curve_faces(g, fs, comps).items()
+        }
+        self.owners: dict[tuple[int, int], set[int]] = {}
+        for ci, keys in self.faces.items():
+            for k in keys:
+                self.owners.setdefault(k, set()).add(ci)
+        self.shared = {k for k, circles in self.owners.items() if len(circles) > 1}
+
+    def ids(self, corner_face: dict) -> dict[int, set[int]]:
+        """Circle -> the ids of its faces, as ``_curve_faces`` gives them."""
+        return {ci: {corner_face[k] for k in keys} for ci, keys in self.faces.items()}
+
+    def follow(self, g: Diagram, dropped: int | None = None, merged: int | None = None) -> None:
+        """Carry the faces over to ``g``, a checked edit of the map they
+        describe, whose table ``check_edit`` left in the ``face_set``
+        memo; after a join, ``dropped`` is the circle whose edges now
+        carry ``merged``.  When the memo no longer holds that table, or
+        holds one walked whole, which carries no delta, the faces are
+        read afresh."""
+        faces, owners, shared = self.faces, self.owners, self.shared
+        if dropped is not None:
+            into = faces[merged]
+            for k in faces.pop(dropped):
+                circles = owners[k]
+                circles.discard(dropped)
+                circles.add(merged)
+                if len(circles) < 2:
+                    shared.discard(k)
+                into.add(k)
+        fs = _held_face_set(g)
+        if fs is None or fs.delta is None:
+            self._read(g, face_set(g), list(faces))
+            return
+        gone, fresh = fs.delta
+        for k in gone:
+            for ci in owners.pop(k, ()):
+                faces[ci].discard(k)
+            shared.discard(k)
+        edges = g.edges
+        for slots, bounds in fresh:
+            k = slots[0]
+            for e in bounds:
+                ci = edges[e].component
+                keys = faces.get(ci)
+                if keys is not None:
+                    keys.add(k)
+                    owners.setdefault(k, set()).add(ci)
+            if len(owners.get(k, ())) > 1:
+                shared.add(k)
+
+
 def _is_original_bigon(g: Diagram, f: Face) -> bool:
     """A bigon of the original diagram inside the overlay: a bigon face
     both of whose edges are origin-carrying.  A face along a circle has a
@@ -360,18 +435,19 @@ def _admissible_edges(
     return allowed
 
 
-def _free_arc(curve_faces: dict[int, set[int]]) -> MergeArc | None:
+def _free_arc(faces: _CircleFaces, corner_face: dict) -> MergeArc | None:
     """The arc of cost 0 when two circles share a face: from the least
     circle that shares one, at its least shared face, to the least other
-    circle on that face.  None when no two circles share a face."""
-    owners = Counter(chain.from_iterable(curve_faces.values()))
-    for ci in sorted(curve_faces):
-        shared = [f for f in curve_faces[ci] if owners[f] > 1]
-        if shared:
-            start = min(shared)
-            cj = min(c for c, faces in curve_faces.items() if c != ci and start in faces)
-            return MergeArc(ci, cj, (start,), (), 0)
-    return None
+    circle on that face.  None when no two circles share a face.  Only
+    the shared faces are read: their owners are the circles that share
+    one."""
+    shared, owners = faces.shared, faces.owners
+    if not shared:
+        return None
+    ci = min(min(owners[k]) for k in shared)
+    start = min(k for k in shared if ci in owners[k])
+    cj = min(c for c in owners[start] if c != ci)
+    return MergeArc(ci, cj, (corner_face[start],), (), 0)
 
 
 def _nearest_circles(
@@ -452,7 +528,7 @@ def _trace_arc(
     return MergeArc(ci, target_of[cur], tuple(faces), tuple(edges), phi)
 
 
-def find_merge_arc(g: Diagram, curve_comps: list[int]) -> MergeArc:
+def find_merge_arc(g: Diagram, curve_comps: list[int], faces: _CircleFaces | None = None) -> MergeArc:
     """Cheapest face path from one augmenting circle to another.
 
     A step crosses one admissible edge: never a circle edge, never an
@@ -461,22 +537,28 @@ def find_merge_arc(g: Diagram, curve_comps: list[int]) -> MergeArc:
     circles is taken, ties broken by source id then by the
     lexicographically least face sequence.
 
+    ``faces`` is the circles' faces as ``augment``'s loop carries them
+    (``_CircleFaces``); without it they are read from the circles' edges.
     Cost 0 needs no search: when two circles share a face, the arc is
-    read off the faces of the circles (``_free_arc``).  Otherwise one
-    search labelled by circle finds the least (cost, source circle)
-    (``_nearest_circles``), and one search from the other circles traces
-    that source's arc (``_trace_arc``).
+    read off the shared faces (``_free_arc``), so such a merge reads no
+    whole map.  Otherwise one search labelled by circle finds the least
+    (cost, source circle) (``_nearest_circles``), and one search from the
+    other circles traces that source's arc (``_trace_arc``).
     """
     if len(curve_comps) < 2:
         raise PreconditionError("need at least two augmenting circles to merge")
     fs = face_set(g)
     comps = set(curve_comps)
-    curve_faces = _curve_faces(g, fs, comps)
-    arc = _free_arc(curve_faces)
+    if faces is None:
+        faces = _CircleFaces(g, fs, comps)
+    elif faces.faces.keys() != comps:
+        raise InvariantError("carried circle faces describe other circles")
+    arc = _free_arc(faces, fs.corner_face)
     touched: set[int] = set()  # a free arc crosses no edge
     if arc is None:
         touched = _forbidden_origins(g, comps)
         allowed = _admissible_edges(g, fs, comps, touched)
+        curve_faces = faces.ids(fs.corner_face)
         best = _nearest_circles(allowed, curve_faces)
         if best is None:
             raise NoPathError("no admissible path joins two augmenting circles")
@@ -669,12 +751,16 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     return out
 
 
-def _shared_face(g: Diagram, ci: int, cj: int) -> int:
-    faces = _curve_faces(g, face_set(g), (ci, cj))
-    shared = faces[ci] & faces[cj]
+def _shared_face(g: Diagram, ci: int, cj: int, faces: _CircleFaces | None = None) -> int:
+    """The least face circles ``ci`` and ``cj`` both border, read from
+    ``faces`` as carried, or from the two circles' edges without it."""
+    fs = face_set(g)
+    if faces is None:
+        faces = _CircleFaces(g, fs, (ci, cj))
+    shared = faces.faces[ci] & faces.faces[cj]
     if not shared:
         raise InvariantError(f"circles {ci} and {cj} share no face")
-    return min(shared)
+    return fs.corner_face[min(shared)]
 
 
 # -- hyperbolicity certificate -----------------------------------------------------------
@@ -759,7 +845,13 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     """Run the whole construction on a connected, reduced, R2-reduced,
     prime, non-alternating diagram and verify every promised property of
     the output.  ``on_stage(name, diagram)`` is called after each stage
-    when provided (used by the acceptance suite to audit sphericity)."""
+    when provided (used by the acceptance suite to audit sphericity).
+
+    When the overlay has two or more circles, the merge loop reads the
+    faces each circle borders once and carries them through every finger
+    and join (``_CircleFaces``), updated from the faces each edit's table
+    dropped and walked afresh; each merge hands them to
+    ``find_merge_arc``, so a merge of cost 0 reads no whole map."""
     rep = validate_diagram(d)
     if not rep.valid:
         raise PreconditionError(f"invalid diagram: {rep.failures}", failed_flag="valid")
@@ -793,17 +885,23 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     merges: list[MergeRecord] = []
     live = sorted(curve_comps)
     expected_merges = len(live) - 1
+    # the circles' faces, followed through each edit from here on
+    circle_faces = _CircleFaces(g, face_set(g), live) if len(live) > 1 else None
     while len(live) > 1:
-        arc = find_merge_arc(g, live)
+        arc = find_merge_arc(g, live, circle_faces)
         g = propagate_finger(g, arc)
+        if arc.phi:
+            circle_faces.follow(g)
         if on_stage:
             on_stage("finger", g)
         # a free arc's face is the least face its two circles share
-        face = arc.faces[0] if arc.phi == 0 else _shared_face(g, arc.source_curve, arc.target_curve)
-        g = join_curves(g, arc.source_curve, arc.target_curve, face)
+        ci, cj = arc.source_curve, arc.target_curve
+        face = arc.faces[0] if arc.phi == 0 else _shared_face(g, ci, cj, circle_faces)
+        g = join_curves(g, ci, cj, face)
+        circle_faces.follow(g, max(ci, cj), min(ci, cj))
         if on_stage:
             on_stage("join", g)
-        live = sorted(set(live) - {max(arc.source_curve, arc.target_curve)})
+        live.remove(max(ci, cj))
         merges.append(MergeRecord(arc, face))
     if len(merges) != expected_merges:
         raise InvariantError("merge loop did not run exactly n-1 times")

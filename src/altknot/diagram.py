@@ -10,7 +10,9 @@ zero-crossing unknot diagram exists.
 PD text format: whitespace-separated records ``X(a,b,c,d)`` listing the
 four edge ids counterclockwise from the incoming under-strand edge
 (under strand = {a,c}, over strand = {b,d}), plus ``O(k)`` records for
-crossing-free loops.  ``#`` starts a line comment.
+crossing-free loops.  An id is a positive integer in ASCII decimal
+digits, with optional ASCII whitespace around it.  ``#`` starts a line
+comment.
 
 All operations are pure: they return new Diagram values and never
 mutate their inputs.
@@ -54,7 +56,18 @@ class Sign(Enum):
 End = tuple  # (crossing id, slot) pairs; plain tuples keep surgery cheap
 
 
-@dataclass(frozen=True)
+# The records below are built by the thousand on every pass, so they are
+# slotted, and each has its own ``__init__`` that writes its fields
+# through its class's slot descriptors, bound once below the class.  A
+# frozen dataclass's generated ``__init__`` writes each field by name
+# through ``object.__setattr__``, which costs about 1.7 times as much.
+# The records stay frozen: the generated ``__setattr__`` and
+# ``__delattr__`` still refuse every write, and ``==``, ``hash``,
+# ``repr``, ``dataclasses.replace``, copying and pickling are the
+# dataclass's own.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Crossing:
     """4-valent vertex.  ``slots[i]`` is the edge id at slot i, slots in
     counterclockwise cyclic order.  ``over_slots`` names the opposite
@@ -66,11 +79,21 @@ class Crossing:
     slots: tuple[int, int, int, int]
     over_slots: tuple[int, int] = (1, 3)
 
+    def __init__(self, id: int, slots: tuple[int, int, int, int], over_slots: tuple[int, int] = (1, 3)) -> None:
+        _set_crossing_id(self, id)
+        _set_crossing_slots(self, slots)
+        _set_crossing_over_slots(self, over_slots)
+
     def label(self, slot: int) -> Sign:
         return Sign.PLUS if slot in self.over_slots else Sign.MINUS
 
 
-@dataclass(frozen=True)
+_set_crossing_id = Crossing.id.__set__
+_set_crossing_slots = Crossing.slots.__set__
+_set_crossing_over_slots = Crossing.over_slots.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     """Arc between two crossing passages.
 
@@ -83,12 +106,24 @@ class Edge:
     origin: int | None
     component: int
 
+    def __init__(self, id: int, ends: tuple[End, End], origin: int | None, component: int) -> None:
+        _set_edge_id(self, id)
+        _set_edge_ends(self, ends)
+        _set_edge_origin(self, origin)
+        _set_edge_component(self, component)
+
     def other_end(self, end: End) -> End:
         a, b = self.ends
         return b if a == end else a
 
 
-@dataclass(frozen=True)
+_set_edge_id = Edge.id.__set__
+_set_edge_ends = Edge.ends.__set__
+_set_edge_origin = Edge.origin.__set__
+_set_edge_component = Edge.component.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Face:
     """Complementary region of the diagram in the sphere.
 
@@ -104,6 +139,14 @@ class Face:
     boundary_edges: tuple[int, ...]
     loop: int | None = None
 
+    def __init__(
+        self, id: int, corner_slots: tuple[End, ...], boundary_edges: tuple[int, ...], loop: int | None = None
+    ) -> None:
+        _set_face_id(self, id)
+        _set_face_corner_slots(self, corner_slots)
+        _set_face_boundary_edges(self, boundary_edges)
+        _set_face_loop(self, loop)
+
     @property
     def degree(self) -> int:
         return len(self.corner_slots)
@@ -115,6 +158,12 @@ class Face:
     def is_bigon(self) -> bool:
         """Two corners at two distinct crossings (loop faces have none)."""
         return _is_bigon_corners(self.corner_slots)
+
+
+_set_face_id = Face.id.__set__
+_set_face_corner_slots = Face.corner_slots.__set__
+_set_face_boundary_edges = Face.boundary_edges.__set__
+_set_face_loop = Face.loop.__set__
 
 
 def _is_bigon_corners(corners) -> bool:
@@ -162,8 +211,10 @@ class Diagram:
         return {k: sorted(v) for k, v in sorted(out.items())}
 
     def next_edge_id(self) -> int:
-        taken = set(self.edges) | set(self.loops)
-        return max(taken, default=0) + 1
+        """One past the largest edge or loop id, 1 on an empty map.  Ids
+        are positive, so this is the larger of the two tables' greatest
+        keys, read with no set of ids built."""
+        return max(max(self.edges, default=0), max(self.loops, default=0)) + 1
 
     def next_crossing_id(self) -> int:
         return max(self.crossings, default=-1) + 1
@@ -301,7 +352,13 @@ class FaceSet:
     diagram a table serves shares all of these with the one it was built
     for: ``restamp_origins`` and ``mark_augmenting`` change only origins,
     components and the augmenting component, and a surgery result gets
-    a new table (``_edited_face_set``)."""
+    a new table (``_edited_face_set``).
+
+    ``delta`` says how a table derived from its source's by a local
+    update differs from it: (dropped, fresh), the least corners of the
+    source faces the edit dropped and the (corner slots, boundary edges)
+    of each face walked afresh, in least-corner order.  It is None on a
+    table walked whole."""
 
     def __init__(self, faces: list[Face], corner_face: dict[End, int]):
         self.faces = faces
@@ -309,6 +366,7 @@ class FaceSet:
         self.partition = None
         self.pieces = None
         self.classification = None
+        self.delta: tuple[list[End], list[tuple]] | None = None
 
     def face_of_corner(self, c: int, slot: int) -> int:
         return self.corner_face[(c, slot % 4)]
@@ -468,8 +526,11 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     Ids and corner order come out as ``_build_face_set(out)`` gives
     them: the dirty faces are dropped from the source's list, each fresh
     walk is placed by its least corner, and only the faces whose rank
-    moved are re-made.  InvariantError when a walk runs into a kept
-    face."""
+    moved are re-made.  The table's ``delta`` names the dropped faces by
+    their least corners and holds the fresh walks, as the update met
+    them, so a caller that follows faces by least corner
+    (``augmentation._CircleFaces``) reads what changed without a pass of
+    its own.  InvariantError when a walk runs into a kept face."""
     global _last_face_set
     d = b.source
     old_c, new_c = d.crossings, out.crossings
@@ -491,8 +552,11 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
             for c, s in rec.ends:
                 dirty.add(source_corners[(c, (s - 1) % 4)])
     source_faces = source_fs.faces
+    dropped = []
     for fid in dirty:
-        todo.update(k for k in source_faces[fid].corner_slots if k[0] in new_c)
+        slots = source_faces[fid].corner_slots
+        dropped.append(slots[0])
+        todo.update(k for k in slots if k[0] in new_c)
     far: dict[End, End] = {}
     for c, s in todo:
         a, z = out.edges[new_c[c].slots[(s + 1) % 4]].ends
@@ -523,6 +587,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
             for k in f.corner_slots:
                 corner_face[k] = i
     fs = _face_table(merged, corner_face, out.loops)
+    fs.delta = (dropped, fresh)
     _last_face_set = (weakref.ref(out), fs)
     return fs
 
@@ -543,6 +608,10 @@ def end_labels(d: Diagram) -> dict[int, tuple[Sign, Sign]]:
 # -- parsing and serialization --------------------------------------------------
 
 _RECORD = re.compile(r"([XO])\(([^()]*)\)")
+# a record body: comma-separated ids of ASCII decimal digits, each with
+# optional whitespace around it; a minus sign is read, so that a zero or
+# negative id is refused as not positive rather than as bad text
+_BODY = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*", re.ASCII)
 
 
 def _strip_comments(text: str) -> str:
@@ -569,10 +638,10 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError(f"unrecognized text: {clean[pos:m.start()].strip()!r}")
         pos = m.end()
         kind, body = m.group(1), m.group(2)
-        try:
-            ids = tuple(map(int, body.split(",")))
-        except ValueError:
-            raise PDSyntaxError(f"bad record body: {m.group(0)!r}") from None
+        # int() alone would also take "1_0", "+1" and non-ASCII digits
+        if _BODY.fullmatch(body) is None:
+            raise PDSyntaxError(f"bad record body: {m.group(0)!r}")
+        ids = tuple(map(int, body.split(",")))
         if min(ids) <= 0:
             raise PDSyntaxError(f"edge ids must be positive: {m.group(0)!r}")
         if kind == "X" and len(ids) != 4:

@@ -139,7 +139,9 @@ def run_case(seed: int, n_letters: int, flips: int, max_crossings: int = 30) -> 
 
 
 def run_selfcheck(cases: int, seed: int = 0, progress=None) -> dict:
-    """Run ``cases`` random pipeline cases; returns a JSON-ready summary."""
+    """Run ``cases`` random pipeline cases; returns a JSON-ready summary.
+    ``progress(case)`` is called with each case's ``CaseResult`` as it
+    finishes, a case that raised included."""
     results = []
     failures = []
     s = seed
@@ -149,14 +151,15 @@ def run_selfcheck(cases: int, seed: int = 0, progress=None) -> dict:
         flips = 1 + (s % 3)
         try:
             out = run_case(s, letters, flips)
-            results.append(out)
-            if not out.ok:
-                failures.append({"seed": out.seed, "failures": out.failures})
-            if progress:
-                progress(out)
         except DiagramError as exc:
             failures.append({"seed": s, "failures": [f"{type(exc).__name__}: {exc}"]})
-            results.append(CaseResult(s, 0, 0, 0, 0, 0.0, [str(exc)]))
+            out = CaseResult(s, 0, 0, 0, 0, 0.0, [str(exc)])
+        else:
+            if not out.ok:
+                failures.append({"seed": out.seed, "failures": out.failures})
+        results.append(out)
+        if progress:
+            progress(out)
         s += 1
     return {
         "cases": len(results),

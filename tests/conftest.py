@@ -212,8 +212,8 @@ def augment_recording_merge_arcs(monkeypatch, diagrams):
     calls = []
     real = augmentation.find_merge_arc
 
-    def record(g, live):
-        arc = real(g, live)
+    def record(g, live, faces=None):
+        arc = real(g, live, faces)
         calls.append((g, list(live), arc))
         return arc
 
@@ -221,6 +221,50 @@ def augment_recording_merge_arcs(monkeypatch, diagrams):
         m.setattr(augmentation, "find_merge_arc", record)
         results = [augment(d) for d in diagrams]
     return results, calls
+
+
+def assert_circle_faces_are_read(faces, g, live) -> None:
+    """The circle faces ``faces`` (``augmentation._CircleFaces``) carried
+    to ``g`` are those read from the edges of the circles ``live``."""
+    from itertools import combinations
+
+    from altknot import face_set
+    from altknot.augmentation import _curve_faces
+
+    fs = face_set(g)
+    want = _curve_faces(g, fs, live)
+    assert faces.ids(fs.corner_face) == want
+    shared = {f for a, b in combinations(want, 2) for f in want[a] & want[b]}
+    assert {fs.corner_face[k] for k in faces.shared} == shared
+    owners = {}
+    for ci, fids in want.items():
+        for f in fids:
+            owners.setdefault(f, set()).add(ci)
+    assert {fs.corner_face[k]: circles for k, circles in faces.owners.items()} == owners
+    # each face is keyed by its least corner
+    assert all(fs.faces[fs.corner_face[k]].corner_slots[0] == k for k in faces.owners)
+
+
+def augment_following_circle_faces(monkeypatch, diagrams):
+    """``augment`` each diagram, checking the circle faces its merge loop
+    carries against those read afresh after every edit; returns the
+    results and the number of edits checked."""
+    from altknot import augment, augmentation
+
+    checked = []
+    real = augmentation._CircleFaces.follow
+
+    def follow(faces, g, dropped=None, merged=None):
+        live = [ci for ci in faces.faces if ci != dropped]
+        real(faces, g, dropped, merged)
+        assert sorted(faces.faces) == sorted(live)
+        assert_circle_faces_are_read(faces, g, live)
+        checked.append(dropped)
+
+    with monkeypatch.context() as m:
+        m.setattr(augmentation._CircleFaces, "follow", follow)
+        results = [augment(d) for d in diagrams]
+    return results, len(checked)
 
 
 # -- map equality, a mutator and checks of the package's facts -----------------

@@ -201,6 +201,32 @@ class TestSelfcheckAndRender:
         (rep,) = _json_lines(capsys)
         assert rep["passed"] == rep["cases"] == 4
 
+    def test_selfcheck_reports_a_case_that_raises(self, capsys, monkeypatch):
+        # the case's progress line comes out like every other's, and the
+        # summary counts it as failed
+        from altknot import selfcheck
+        from altknot.errors import ConstructionError
+
+        real = selfcheck.run_case
+
+        def run_case(seed, *args, **kwargs):
+            if seed == 1:
+                raise ConstructionError("boom")
+            return real(seed, *args, **kwargs)
+
+        monkeypatch.setattr(selfcheck, "run_case", run_case)
+        seen = []
+        report = selfcheck.run_selfcheck(3, seed=0, progress=seen.append)
+        assert [case.seed for case in seen] == [0, 1, 2]
+        assert [case.ok for case in seen] == [True, False, True]
+        assert (report["cases"], report["passed"]) == (3, 2)
+        assert report["failed"] == [{"seed": 1, "failures": ["ConstructionError: boom"]}]
+        capsys.readouterr()
+        assert run(["--format", "text", "selfcheck", "--cases", "3", "--seed", "0"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("seed ")]
+        assert [line.split(":")[0] for line in lines] == ["seed 0", "seed 1", "seed 2"]
+        assert lines[1] == "seed 1: 0 crossings, t 0 -> 0, 0 ms [FAIL]"
+
     def test_render(self, trefoil_file, tmp_path):
         out = str(tmp_path / "t.svg")
         assert run(["render", trefoil_file, out]) == 0

@@ -105,6 +105,19 @@ class TestParse:
         with pytest.raises(PDSyntaxError):
             parse_pd("X(1,2,3,0) X(3,1,0,2)")
 
+    @pytest.mark.parametrize("text", [
+        "X(1_0,10,2,2)",  # int() reads "1_0" as 10
+        "X(+1,2,2,1)",  # and "+1" as 1
+        "X(\u0661,2,2,\u0661)",  # and Arabic-Indic digits as ids
+    ])
+    def test_ids_are_ascii_digits(self, text):
+        with pytest.raises(PDSyntaxError, match="bad record body"):
+            parse_pd(text)
+
+    def test_ids_may_carry_whitespace(self):
+        spaced = parse_pd("X(1, 4, 2, 5) X( 3,6 ,4,1 ) X(5,\t2,6,3)")
+        assert serialize_pd(spaced) == serialize_pd(parse_pd(TREFOIL))
+
     def test_comments_and_whitespace(self):
         d = parse_pd("# header\nX(1,4,2,5)\n  X(3,6,4,1) # mid\nX(5,2,6,3)\n")
         assert validate_diagram(d).valid

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from conftest import (
     assert_overlay_matches_oracle,
     assert_positions_match_oracle,
     assert_preprocess_matches_oracle,
+    augment_following_circle_faces,
     augment_recording_fingers,
     augment_recording_merge_arcs,
     finger_base_verdicts,
@@ -170,19 +172,39 @@ def test_preprocess_walk_path(bench_inputs, monkeypatch, seed, n, audit):
     assert paths["walk"] >= 1 and sum(paths.values()) == len(trace.steps), paths
 
 
-def test_augment_800(bench_inputs):
-    # one closure of 800 crossings: every stage the merge loop reaches is
-    # checked as a whole map, and the result by the selfcheck
-    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=800, hi=800)
-    d = parse_pd(x.pd)
+def _augment_audited(d):
+    """``augment(d)`` with every stage the merge loop reaches checked as a
+    whole map, and the result by the selfcheck."""
     stages = []
     res = augment(d, on_stage=lambda name, g: stages.append((name, g)))
-    assert len(d.crossings) == 800 and len(res.merges) > 20
     for name, g in stages:
         rep = validate_diagram(g)
         assert rep.valid, (name, rep.failures)
         assert classify_edges(g).is_alternating, name
     assert verify_augmentation(d, res) == []
+    return res
+
+
+def test_augment_800(bench_inputs):
+    # one closure of 800 crossings
+    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=800, hi=800)
+    d = parse_pd(x.pd)
+    res = _augment_audited(d)
+    assert len(d.crossings) == 800 and len(res.merges) > 20
+
+
+@pytest.mark.parametrize("components", [2, 3])
+def test_augment_800_links(bench_inputs, monkeypatch, components):
+    # links of 800 crossings, whose loops merge some fifty circles: the
+    # circle faces the loop carries are checked against a fresh read
+    # after every edit, fingers included
+    x = bench_inputs.eligible_item(random.Random(f"links/800/{components}"), "x", 800, components)
+    d = parse_pd(x.pd)
+    res = _augment_audited(d)
+    assert len(d.crossings) == 800 and len(d.components()) == components
+    (followed,), checked = augment_following_circle_faces(monkeypatch, [d])
+    assert serialize_pd(followed.g) == serialize_pd(res.g)
+    assert len(res.merges) > 40 and checked > len(res.merges)
 
 
 def test_preprocess_relabels_n_log_n_corners(bench_inputs, monkeypatch):

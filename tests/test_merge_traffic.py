@@ -1,0 +1,104 @@
+"""What a merge of ``augment``'s loop reads, counted on the benchmark's
+``augment-large`` seed-1 inputs (64 closures of 50-110 crossings).
+
+The faces each circle borders are read from the circles' edges once per
+``augment`` (``augmentation._curve_faces``) and then carried through
+every finger and join (``augmentation._CircleFaces``), from the faces
+each edit's table dropped and walked afresh.  So a merge of cost 0 reads
+no whole map: only the merges that search, those of positive cost, list
+the circles' faces by id.  The first two tests check the carried faces
+against a fresh read after every edit, the second with the ``face_set``
+memo taken away after each splice; the others pin the traffic.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from altknot import augment, augmentation, diagram, face_set, parse_pd, serialize_pd
+from altknot.diagram import Diagram
+
+from conftest import TREFOIL, augment_following_circle_faces
+
+
+@pytest.fixture(scope="module")
+def seed1(bench_inputs):
+    return [parse_pd(x.pd) for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110)]
+
+
+def test_carried_circle_faces_are_those_of_every_edit(seed1, monkeypatch):
+    results, checked = augment_following_circle_faces(monkeypatch, seed1)
+    merges = sum(len(res.merges) for res in results)
+    fingers = sum(m.arc.phi > 0 for res in results for m in res.merges)
+    # one update per join, and one per finger that changed the map
+    assert checked == merges + fingers
+    assert merges > 200 and fingers > 10
+
+
+def test_a_table_walked_whole_is_read_afresh(seed1, monkeypatch):
+    # a wrapper that takes the face_set memo after each splice leaves
+    # the splice's result to be walked whole, with no delta: the loop
+    # then reads the circles' faces afresh, and the results are the same
+    diagrams = seed1[:12]
+    want = [serialize_pd(augment(d).g) for d in diagrams]
+    real = augmentation.join_curves
+
+    def join_curves(g, *args):
+        out = real(g, *args)
+        face_set(g)
+        return out
+
+    reads = []
+    read = augmentation._CircleFaces._read
+
+    def counted_read(faces, *args):
+        reads.append(args)
+        return read(faces, *args)
+
+    monkeypatch.setattr(augmentation, "join_curves", join_curves)
+    monkeypatch.setattr(augmentation._CircleFaces, "_read", counted_read)
+    results, checked = augment_following_circle_faces(monkeypatch, diagrams)
+    assert [serialize_pd(res.g) for res in results] == want
+    merges = sum(len(res.merges) for res in results)
+    fingers = sum(m.arc.phi > 0 for res in results for m in res.merges)
+    assert checked == merges + fingers
+    # once per augment that merges, and again after every splice
+    assert len(reads) == sum(len(res.cut_system.curves) > 1 for res in results) + merges
+
+
+def test_circle_faces_are_read_once_per_augment(seed1, monkeypatch):
+    counts = Counter()
+    for owner, name in ((augmentation, "_curve_faces"), (augmentation._CircleFaces, "ids")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    seen = Counter()
+    for d in seed1:
+        counts.clear()
+        res = augment(d)
+        circles = len(res.cut_system.curves)
+        positive = sum(m.arc.phi > 0 for m in res.merges)
+        # read once when there is a merge, and listed by id only to search
+        assert counts == Counter({"_curve_faces": int(circles > 1), "ids": positive}), (circles, positive)
+        seen[circles > 1, positive > 0] += 1
+    assert set(seen) == {(False, False), (True, False), (True, True)}, seen
+
+
+def test_next_edge_id_builds_no_set(trefoil, monkeypatch):
+    maps = [trefoil, parse_pd(TREFOIL + " O(9)"), parse_pd("O(3)"), Diagram({}, {})]
+    built = []
+
+    def counted_set(*args):
+        built.append(args)
+        return set(*args)
+
+    monkeypatch.setattr(diagram, "set", counted_set, raising=False)
+    assert [d.next_edge_id() for d in maps] == [7, 10, 4, 1]
+    assert built == []
+    # a set the module builds by name is seen
+    diagram.strand_components(trefoil)
+    assert built
