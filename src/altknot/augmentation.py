@@ -87,6 +87,8 @@ from .errors import (
     JoinError,
     NoPathError,
     PreconditionError,
+    UnknownEdge,
+    UnknownFace,
 )
 
 
@@ -346,9 +348,6 @@ class _CircleFaces:
     after a join, whose faces pass to the merged circle."""
 
     def __init__(self, g: Diagram, fs: FaceSet, comps) -> None:
-        self._read(g, fs, comps)
-
-    def _read(self, g: Diagram, fs: FaceSet, comps) -> None:
         faces = fs.faces
         self.faces = {
             ci: {faces[f].corner_slots[0] for f in fids}
@@ -368,9 +367,11 @@ class _CircleFaces:
         """Carry the faces over to ``g``, a checked edit of the map they
         describe, whose table ``check_edit`` left in the ``face_set``
         memo; after a join, ``dropped`` is the circle whose edges now
-        carry ``merged``.  When the memo no longer holds that table, or
-        holds one walked whole, which carries no delta, the faces are
-        read afresh."""
+        carry ``merged``.  InvariantError when the memo no longer holds
+        that table, or holds one walked whole, which carries no delta."""
+        fs = _held_face_set(g)
+        if fs is None or fs.delta is None:
+            raise InvariantError("the circle faces cannot follow an edit whose local table is gone")
         faces, owners, shared = self.faces, self.owners, self.shared
         if dropped is not None:
             into = faces[merged]
@@ -381,10 +382,6 @@ class _CircleFaces:
                 if len(circles) < 2:
                     shared.discard(k)
                 into.add(k)
-        fs = _held_face_set(g)
-        if fs is None or fs.delta is None:
-            self._read(g, face_set(g), list(faces))
-            return
         gone, fresh = fs.delta
         for k in gone:
             for ci in owners.pop(k, ()):
@@ -614,10 +611,16 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     equally good base, since each corner of a face of an alternating
     diagram carries the same label pattern.  AlternationError when the
     result fails the local edit check (valid and alternating).
+    UnknownFace or UnknownEdge, before any build, when the arc names a
+    face or an edge that ``g`` lacks.
     """
     if arc.phi == 0:
         return g
     fs = face_set(g)
+    if not all(0 <= f < len(fs.faces) for f in arc.faces):
+        raise UnknownFace(f"arc faces {arc.faces} name a face the map lacks")
+    if not all(e in g.edges for e in arc.edges):
+        raise UnknownEdge(f"arc edges {arc.edges} name an edge the map lacks")
     base = min(
         (e for e in fs.faces[arc.faces[0]].boundary_edges if g.edges[e].component == arc.source_curve),
         default=None,
@@ -676,7 +679,7 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
     b.add_edge(tip, [(xl[k - 1], 0), (xr[k - 1], 0)], None, comp)
 
     out = b.build()
-    failures, _fs = check_edit(b, fs, out, alternating=True)
+    failures = check_edit(b, fs, out)
     if failures:
         raise AlternationError(f"finger base {base} broke the diagram: {failures}")
     return out
@@ -684,16 +687,16 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
 
 # -- band join -------------------------------------------------------------------------
 
-def _face_edge_walk(g: Diagram, fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
-    """Boundary walk of a face as (edge, departure end, arrival end)."""
+def _face_edge_walk(fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
+    """Boundary walk of a face as (edge, departure end, arrival end):
+    the edge leaving corner (c, s) departs from slot s + 1 and arrives
+    at the next corner."""
     face = fs.faces[fid]
-    out = []
-    for c, s in face.corner_slots:
-        dep = (c, (s + 1) % 4)
-        e = g.edge_at(*dep)
-        arr = g.edges[e].other_end(dep)
-        out.append((e, dep, arr))
-    return out
+    ks = face.corner_slots
+    return [
+        (e, (c, (s + 1) % 4), ks[(k + 1) % len(ks)])
+        for k, ((c, s), e) in enumerate(zip(ks, face.boundary_edges))
+    ]
 
 
 def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
@@ -708,13 +711,18 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     face carries one label and every arrival the other.  The larger of
     the two circle ids is dropped: its edges, found by walking its one
     strand, take the smaller id.  The splice is checked locally
-    (``check_edit``).  JoinError, before any build, when
-    the face misses a circle or the paired stubs carry one label, and
-    when the splice fails the check.
+    (``check_edit``).  Before any build: UnknownFace when ``g`` has no
+    face ``shared_face``, and JoinError when ``ci == cj``, the face
+    misses a circle or the paired stubs carry one label.  JoinError when
+    the splice fails the check.
     """
+    if ci == cj:
+        raise JoinError(f"circle {ci} cannot be joined to itself")
     # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
-    walk = _face_edge_walk(g, fs, shared_face)
+    if not 0 <= shared_face < len(fs.faces):
+        raise UnknownFace(f"no face {shared_face}")
+    walk = _face_edge_walk(fs, shared_face)
     merged, dropped = min(ci, cj), max(ci, cj)
     first = {}  # circle -> its first (edge, departure, arrival) on the face
     for w in walk:
@@ -743,7 +751,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
             break
         c, s = g.edges[e].other_end(through)
     out = b.build()
-    failures, _fs = check_edit(b, fs, out, alternating=True)
+    failures = check_edit(b, fs, out)
     if failures:
         raise JoinError(
             f"splice of circles {ci} and {cj} in face {shared_face} broke the diagram: {failures}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 import weakref
 from bisect import bisect_left
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -392,11 +392,14 @@ def face_set(d: Diagram) -> FaceSet:
     the diagram only weakly, so it keeps no diagram alive.  The returned
     table is shared: callers must not modify it.  A function that works
     on two diagrams at once holds each table itself rather than asking
-    again, so the slot does not thrash.
+    again, so the slot does not thrash.  The table is not kept on the
+    Diagram, so a diagram kept past its use keeps no faces: kept there,
+    it raised the benchmark's ``augment-large`` peak RSS from 34.7 to
+    45.3 MiB, as the benchmark worker keeps each input's first output.
 
-    Surgery results do not reach the full walk: ``edits.check_edit``
-    derives their table from the source's by a local update
-    (``_edited_face_set``) and leaves it here.  The update re-walks only
+    The results of ``augment``'s fingers and band splices do not reach
+    the full walk: ``edits.check_edit`` derives their table from the
+    source's by a local update (``_edited_face_set``) and leaves it here.  The update re-walks only
     the faces the edit reaches -- those at a removed crossing or on
     either side of a removed or re-ended edge -- since every other face
     leaves each of its corners through the same edge as before.
@@ -404,8 +407,8 @@ def face_set(d: Diagram) -> FaceSet:
     ``analysis.refinement_check``) are walked whole, and so is the
     overlay of the cut circles: it re-slots about two-thirds of its
     input's crossings, so a local update would re-walk most of the map.
-    A ``preprocess`` move that ``edits.check_move`` cannot check by a
-    face merge is validated, and so walked, whole.
+    A reduction move that ``edits.check_move`` cannot check by a face
+    merge is validated, and so walked, whole.
     """
     global _last_face_set
     fs = _held_face_set(d)
@@ -864,12 +867,12 @@ def validate_diagram(d: Diagram) -> ValidationReport:
 
 # -- local edits -----------------------------------------------------------------
 
-class _CrossingField(MutableMapping):
+class _CrossingField(Mapping):
     """Crossing id -> one field of that crossing: the source crossing's
     until written or deleted.  A builder reads through to its source
     instead of copying a field of every crossing, so it costs what it
     touches.  ``own`` holds the values written and ``gone`` the ids
-    deleted; ``MapBuilder`` writes the two directly."""
+    deleted; it is read-only, and ``MapBuilder`` writes the two directly."""
 
     def __init__(self, source: dict[int, Crossing], name: str):
         self._source = source
@@ -884,19 +887,6 @@ class _CrossingField(MutableMapping):
         if c in self.gone:
             raise KeyError(c)
         return self._read(self._source[c])
-
-    def __setitem__(self, c: int, value) -> None:
-        self.own[c] = value
-        self.gone.discard(c)
-
-    def __delitem__(self, c: int) -> None:
-        if c not in self:
-            raise KeyError(c)
-        self.own.pop(c, None)
-        self.gone.add(c)
-
-    def __contains__(self, c) -> bool:
-        return c in self.own or (c in self._source and c not in self.gone)
 
     def __iter__(self):
         own, gone = self.own, self.gone
@@ -928,8 +918,8 @@ class MapBuilder:
 
     def __init__(self, d: Diagram):
         self.source = d
-        self.slots: MutableMapping[int, list[int] | tuple] = _CrossingField(d.crossings, "slots")
-        self.over: MutableMapping[int, tuple[int, int]] = _CrossingField(d.crossings, "over_slots")
+        self.slots: Mapping[int, list[int] | tuple] = _CrossingField(d.crossings, "slots")
+        self.over: Mapping[int, tuple[int, int]] = _CrossingField(d.crossings, "over_slots")
         self.edges: dict[int, Edge] = dict(d.edges)
         self.loops: dict[int, int] = dict(d.loops)
         self.augmenting = d.augmenting_component

@@ -1,23 +1,23 @@
-"""Local checks of surgery steps.
+"""Local checks of surgery steps, one checker per kind of edit.
 
-A surgery step (a band splice, a finger push, an R2 or nugatory removal)
-edits a valid diagram through a ``MapBuilder``.  ``check_edit`` decides
-whether the result is still valid -- and, where asked, alternating -- by
-inspecting only what the builder touched, instead of walking the whole
-map as ``validate_diagram`` does.  The face table of the result is
-derived from the source's by a local update that re-walks only the
-faces the edit changed; ``check_edit`` returns it and leaves it in the
-``face_set`` memo for the next step.  Whole-map validation stays where
-a diagram enters or leaves the pipeline.
+``check_edit`` checks ``augment``'s fingers and band splices, which
+must keep an alternating diagram alternating.  It returns the failures
+of the result, as valid and alternating, found by inspecting only what
+the ``MapBuilder`` touched instead of walking the whole map as
+``validate_diagram`` does.  The result's face table is derived from the
+source's by a local update that re-walks only the faces the edit
+changed, and left in the ``face_set`` memo for the next step.
 
-``check_move`` checks the two moves of ``reduction.preprocess`` without
-a face walk.  Both remove crossings and join each strand through them
-straight across.  For an R2 move, and for the removal of a kink, the
-faces of the result are those of the source merged and trimmed of the
-removed corners, so they follow from the source's faces, held as a
-``FacePartition``, and a few facts about the faces at the removed
-crossings (``merge_plan``).  An edit that is not exactly such a move,
-or a move outside those facts, is validated whole.
+``check_move`` checks the nugatory and R2 moves that ``preprocess`` and
+the public removals of ``reduction`` make, and returns the failures and
+the move's merge plan.  Both moves remove crossings and join each
+strand through them straight across.  For an R2 move, and for the
+removal of a kink, the faces of the result are those of the source
+merged and trimmed of the removed corners, so they follow from the
+source's faces, held as a ``FacePartition``, and a few facts about the
+faces at the removed crossings (``merge_plan``), with no face walk.  An
+edit that is not exactly such a move, or a move outside those facts,
+is validated whole.
 
 The record checks the two share (``_check_records``, ``_check_strands``)
 are direct passes over what the edit touched, as ``validate_diagram``'s
@@ -33,7 +33,6 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     _edited_face_set,
-    _held_face_set,
     _changed_edges,
     _OVER_PAIRS,
     _Partition,
@@ -43,38 +42,34 @@ from .diagram import (
 from .errors import InvariantError
 
 
-def check_edit(
-    b: MapBuilder, source_fs: FaceSet, out: Diagram, alternating: bool = False
-) -> tuple[list[str], FaceSet | None]:
-    """(failures, face table) of the local edit ``out = b.build()``,
+def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
+    """Failures of ``augment``'s finger or band splice ``out = b.build()``,
     inspecting only the crossings and edges ``b`` touched.
 
-    ``b.source`` must be valid and ``source_fs`` its face table.  Then the
-    list is empty exactly when ``validate_diagram(out)`` finds ``out``
-    valid and, with ``alternating`` (which needs an alternating source),
-    when ``out`` is alternating as well.  Checked: valence, labels and
-    incidence of the touched crossings and of the edges removed, added
-    or re-ended (``diagram._changed_edges``); strand components at every
-    crossing a touched edge meets, so a component written on a kept
-    edge is still checked; alternation of the touched edges; and
-    sphericity as dV - dE + dF = 2 dP, where F comes from ``out``'s face
-    table and dP, the change in the number of pieces, from the source's
-    faces.  An edge kept with its ends is neither cut nor re-added: it
-    bounds the same faces and joins the same crossings.
+    ``b.source`` must be valid and alternating and ``source_fs`` its face
+    table.  Then the list is empty exactly when ``validate_diagram(out)``
+    finds ``out`` valid and ``out`` is alternating.  Checked: valence,
+    labels and incidence of the touched crossings and of the edges
+    removed, added or re-ended (``diagram._changed_edges``); strand
+    components at every crossing a touched edge meets, so a component
+    written on a kept edge is still checked; alternation of the touched
+    edges; and sphericity as dV - dE + dF = 2 dP, where F comes from
+    ``out``'s face table and dP, the change in the number of pieces, from
+    the source's faces.  An edge kept with its ends is neither cut nor
+    re-added: it bounds the same faces and joins the same crossings.
 
-    The table is updated from ``source_fs`` by re-walking only the faces
-    the edit reaches: those with a corner at a removed crossing or on
-    either side of a removed or re-ended edge
+    ``out``'s table is updated from ``source_fs`` by re-walking only the
+    faces the edit reaches: those with a corner at a removed crossing or
+    on either side of a removed or re-ended edge
     (``diagram._edited_face_set``, equal to the full walk of ``out``).
-    It is returned and left in the memo for the next step; it is None
-    when the incidence checks fail or a walk runs into a kept face,
-    which is a sphericity failure.
+    It is left in the ``face_set`` memo for the next step, unless the
+    incidence checks fail or a walk runs into a kept face, which is a
+    sphericity failure.
     """
     d = b.source
     failures, broken = _check_records(b, out)
     if broken:
-        return failures + broken, None
-    fs = None
+        return failures + broken
     try:
         fs = _edited_face_set(b, source_fs, out)
     except InvariantError as exc:
@@ -86,17 +81,18 @@ def check_edit(
         dp = _piece_change(b, source_fs, out)
         if dv - de + df != 2 * dp:
             failures.append(f"sphericity: V-E+F moved by {dv - de + df} for {dp} new pieces")
-    return failures + _check_strands(b, out, alternating), fs
+    return failures + _check_strands(b, out, alternating=True)
 
 
 def check_move(
     b: MapBuilder, faces: FacePartition, out: Diagram, gone: tuple[int, ...]
-) -> tuple[list[str], FaceSet | None, list[int] | None]:
-    """(failures, face table, plan) of a reduction move ``out = b.build()``
-    that removes the crossings ``gone`` from the valid diagram ``b.source``
+) -> tuple[list[str], list[int] | None]:
+    """(failures, plan) of a reduction move ``out = b.build()`` that
+    removes the crossings ``gone`` from the valid diagram ``b.source``
     and joins each strand through them straight across: the removal of a
-    nugatory crossing, or of the two crossings of an R2 bigon.
-    ``faces`` is the source's ``FacePartition``.
+    nugatory crossing, or of the two crossings of an R2 bigon, by
+    ``preprocess`` or a public removal.  ``faces`` is the source's
+    ``FacePartition``.
 
     The list is empty exactly when ``validate_diagram(out)`` finds ``out``
     valid.  The incidence, label and strand-component checks are those of
@@ -105,24 +101,23 @@ def check_move(
     and ``merge_plan`` finds the faces that become one, the faces of
     ``out`` need no walk: the planned faces become one, every other face
     keeps its corners off ``gone``, and no piece splits or vanishes.
-    Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan); the
-    plan is returned, the move's one plan, for the caller to merge, and
-    the table is None.  Otherwise ``out`` is validated whole, the plan is
-    None, and the table is the one ``validate_diagram`` walked and left
-    in the memo (None when it walked none).
+    Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan), and the
+    plan, the move's one plan, is returned for the caller to merge.
+    Otherwise ``out`` is validated whole, which leaves its table in the
+    ``face_set`` memo, and the plan is None.
     """
     d = b.source
     failures, broken = _check_records(b, out)
     if broken:
-        return failures + broken, None, None
+        return failures + broken, None
     plan = merge_plan(faces, gone) if _joined_straight(b, out, gone) else None
     if plan is None:
-        return validate_diagram(out).failures, _held_face_set(out), None
+        return validate_diagram(out).failures, None
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
     if dv - de + 1 - len(plan) != 0:
         failures.append(f"sphericity: V-E+F moved by {dv - de + 1 - len(plan)} for 0 new pieces")
-    return failures + _check_strands(b, out), None, plan
+    return failures + _check_strands(b, out), plan
 
 
 def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:

@@ -39,6 +39,10 @@ class UnknownFace(DiagramError, KeyError):
     pass
 
 
+class UnknownEdge(DiagramError, KeyError):
+    pass
+
+
 class UnknownComponent(DiagramError, KeyError):
     """The diagram has no link component with the requested id."""
 

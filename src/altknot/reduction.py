@@ -15,9 +15,11 @@ merges the kink's monogon into the face across the crossing and trims
 the face at the other two corners.  ``edits.check_move`` checks such a
 move without a face walk and returns its merge plan, worked out once;
 the partition takes that merge, and the candidate moves and the twist
-count are updated from the faces it changed.  Any other move (a nugatory crossing that is not a kink, an R2
-move that splits off a piece or leaves a crossing-free loop) is
-validated and read whole again.
+count are updated from the faces it changed.  Any other move (a
+nugatory crossing that is not a kink, an R2 move that splits off a
+piece or leaves a crossing-free loop) is validated and read whole
+again.  The public ``remove_nugatory_crossing`` and ``remove_r2_bigon``
+check their one move with ``check_move`` too.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from dataclasses import dataclass, field
 from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners, twist_partition
 from .diagram import (
     Diagram,
-    FaceSet,
     MapBuilder,
     _is_bigon_corners,
     face_set,
     restamp_origins,
     validate_diagram,
 )
-from .edits import FacePartition, check_edit, check_move
+from .edits import FacePartition, check_move
 from .errors import (
     InvariantError,
     NotNugatory,
@@ -92,7 +93,7 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
         raise NotNugatory(f"crossing {c} is not a cut vertex")
     b = _nugatory_edit(d, c)
     out = b.build()
-    _refuse_broken("nugatory", check_edit(b, fs, out)[0])
+    _refuse_broken("nugatory", check_move(b, FacePartition(fs), out, (c,))[0])
     return out
 
 
@@ -118,7 +119,7 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
         raise NotR2Bigon(f"bigon {f} is a clasp; its edges alternate")
     b = _r2_edit(d, face.corner_slots)
     out = b.build()
-    _refuse_broken("R2", check_edit(b, fs, out)[0])
+    _refuse_broken("R2", check_move(b, FacePartition(fs), out, tuple(sorted(face.crossings())))[0])
     return out
 
 
@@ -250,13 +251,11 @@ class _Moves:
     def least_bigon(self) -> tuple[int, int] | None:
         return _least(self.bigons, self._bigon_heap)
 
-    def advance(
-        self, cur: Diagram, gone: tuple[int, ...], fs: FaceSet | None, plan: list[int] | None
-    ) -> None:
+    def advance(self, cur: Diagram, gone: tuple[int, ...], plan: list[int] | None) -> None:
         """Move on to ``cur``, made by the move that removed the crossings
         ``gone``.  ``check_move`` took the merge path with the plan
         ``plan``, the move's one ``merge_plan``, or, when that is None,
-        walked the table ``fs`` for it.
+        validated ``cur`` whole, which left its table in the memo.
 
         One pass over the faces at the removed corners reads what the
         merge changes: the bigons among them are lost; the planned faces
@@ -273,7 +272,7 @@ class _Moves:
         chain and so need one start."""
         faces = self.faces
         if plan is None:
-            faces.read(fs)
+            faces.read(face_set(cur))
             self._read(cur)
             return
         face, corners = faces.face, faces.corners
@@ -361,10 +360,10 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
         else:
             break
         cur = b.build()
-        failures, fs, plan = check_move(b, moves.faces, cur, gone)
+        failures, plan = check_move(b, moves.faces, cur, gone)
         _refuse_broken("R2" if kind == "r2" else kind, failures)
         t_prev = moves.t
-        moves.advance(cur, gone, fs, plan)
+        moves.advance(cur, gone, plan)
         trace.steps.append(ReductionStep(kind, gone, len(cur.crossings), moves.t))
         if moves.t > t_prev:
             raise ReductionInvariantError(

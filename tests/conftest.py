@@ -15,7 +15,7 @@ import pytest
 
 from altknot import parse_pd
 from altknot.diagram import Edge
-from altknot.errors import DiagramError
+from altknot.errors import UnknownEdge
 from altknot.generate import braid_closure, random_knot_diagram, two_strand_torus
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -150,17 +150,17 @@ def augment_recording_fingers(monkeypatch, diagrams):
 
 def finger_base_verdicts(monkeypatch, arcs):
     """Build the finger of each (map, arc) on every circle edge bordering
-    the arc's first face; returns what ``check_edit`` said of each build,
-    as (alternating, failures)."""
+    the arc's first face; returns the failures ``check_edit`` found in
+    each build."""
     from altknot import augmentation, face_set
 
     verdicts = []
     real = augmentation.check_edit
 
-    def check(b, source_fs, out, alternating=False):
-        failures, fs = real(b, source_fs, out, alternating)
-        verdicts.append((alternating, failures))
-        return failures, fs
+    def check(b, source_fs, out):
+        failures = real(b, source_fs, out)
+        verdicts.append(failures)
+        return failures
 
     with monkeypatch.context() as m:
         m.setattr(augmentation, "check_edit", check)
@@ -379,11 +379,6 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
                     "that is not the standard two-strand torus diagram"
                 )
     return out
-
-
-class UnknownEdge(DiagramError, KeyError):
-    """``subdivide_edge_with_crossing`` was asked for an edge the map
-    lacks."""
 
 
 def reattach(b: MapBuilder, eid: int, old_end: End, new_end: End) -> None:
@@ -790,8 +785,8 @@ def preprocess_audited(d):
 
     real = reduction._Moves.advance
 
-    def advance(moves, cur, gone, fs, plan):
-        real(moves, cur, gone, fs, plan)
+    def advance(moves, cur, gone, plan):
+        real(moves, cur, gone, plan)
         assert_partition_is_the_walk(moves.faces, cur)
         assert moves.cuts == set(cut_vertices(cur))
         ref = face_set(cur)

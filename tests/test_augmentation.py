@@ -302,7 +302,7 @@ class TestFinger:
                 arcs += [(g, arc) for arc in _synthetic_long_arcs(g, comps, length)]
         verdicts = finger_base_verdicts(monkeypatch, arcs)
         assert len(verdicts) >= len(arcs) >= 100
-        assert all(v == (True, []) for v in verdicts)
+        assert all(v == [] for v in verdicts)
 
     def test_base_is_the_least_circle_edge_on_the_first_face(self, monkeypatch):
         # the base read off the first face's boundary is the least over
@@ -422,7 +422,7 @@ class TestGuardRails:
         g = propagate_finger(g, arc)
         ci, cj = arc.source_curve, arc.target_curve
         face = _shared_face(g, ci, cj)
-        walk = augmentation._face_edge_walk(g, face_set(g), face)
+        walk = augmentation._face_edge_walk(face_set(g), face)
         _ea, _dep_a, arr_a = next(w for w in walk if g.edges[w[0]].component == ci)
         _eb, dep_b, _arr_b = next(w for w in walk if g.edges[w[0]].component == cj)
         assert g.label(*arr_a) != g.label(*dep_b)
@@ -437,6 +437,42 @@ class TestGuardRails:
         monkeypatch.setattr(augmentation, "MapBuilder", no_build)
         with pytest.raises(JoinError):
             join_curves(flipped, ci, cj, face)
+
+    def test_ids_the_map_lacks_are_refused_without_a_build(self, monkeypatch):
+        # a circle joined to itself, a face id past the table or below
+        # zero, and an arc through a face or an edge the map lacks are
+        # refused in the package's own errors before anything is built,
+        # not with a bare KeyError or IndexError, nor by reading a face
+        # from the end of the table
+        from dataclasses import replace
+
+        from altknot import augmentation
+        from altknot.errors import JoinError, UnknownEdge, UnknownFace
+
+        for start in (0, 30, 60, 90):
+            d, g, comps = TestFinger()._overlay_with_two_curves(start)
+            arc = next(_synthetic_long_arcs(g, comps, 1), None)
+            if arc is not None:
+                break
+        ci, cj = arc.source_curve, arc.target_curve
+        fs = face_set(g)
+        on_ci = min(_curve_faces(g, fs, [ci])[ci])
+
+        def no_build(_g):
+            raise AssertionError("a stage built a map")
+
+        monkeypatch.setattr(augmentation, "MapBuilder", no_build)
+        with pytest.raises(JoinError):
+            join_curves(g, ci, ci, on_ci)
+        for f in (len(fs.faces), -1):
+            with pytest.raises(UnknownFace):
+                join_curves(g, ci, cj, f)
+            with pytest.raises(UnknownFace):
+                propagate_finger(g, replace(arc, faces=(f,) + arc.faces[1:]))
+            with pytest.raises(UnknownFace):
+                propagate_finger(g, replace(arc, faces=arc.faces[:-1] + (f,)))
+        with pytest.raises(UnknownEdge):
+            propagate_finger(g, replace(arc, edges=(g.next_edge_id(),)))
 
     def test_augment_deterministic(self):
         from altknot import serialize_pd

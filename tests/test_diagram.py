@@ -32,13 +32,13 @@ from altknot.errors import (
     SphericityError,
     UnknownComponent,
     UnknownCrossing,
+    UnknownEdge,
 )
 from altknot.generate import braid_closure
 
 from conftest import (
     GRANNY_SUM,
     TREFOIL,
-    UnknownEdge,
     euler_by_piece,
     oracle_labels_from_pd,
     reattach,

@@ -1,16 +1,18 @@
-"""The local edit check against the whole-map check.
+"""The local edit checks against the whole-map check.
 
-``check_edit`` inspects only what a surgery step touched.  Given a valid
-source, it must accept an edit exactly when ``validate_diagram`` (plus
-``classify_edges`` where the step must stay alternating) accepts the
-whole result.  The audit below wraps it at all four surgery sites (band
-join, finger, and the public R2 and nugatory removals), and wraps
-``check_move``, which checks ``preprocess``'s R2 and nugatory moves,
-at both of its move kinds.  It compares the two verdicts on every real
-edit, and then breaks the same edit at random and compares them again.
-Every whole-map verdict is itself compared with
-``conftest.oracle_valid``, which checks each piece's Euler sum and each
-strand orbit from the definitions.
+``check_edit`` inspects only what one of ``augment``'s edits touched.
+Given a valid alternating source, it must accept an edit exactly when
+``validate_diagram`` and ``classify_edges`` accept the whole result as
+valid and alternating.  ``check_move`` checks the R2 and nugatory moves,
+made by ``preprocess`` or by the public removals, and must accept one
+exactly when ``validate_diagram`` does.  The audit below wraps
+``check_edit`` at both of ``augment``'s sites (band join and finger)
+and ``check_move`` at both move kinds of ``preprocess`` and at both
+public removals.  It compares the two verdicts on every real edit, and
+then breaks the same edit at random and compares them again.  Every
+whole-map verdict is itself compared with ``conftest.oracle_valid``,
+which checks each piece's Euler sum and each strand orbit from the
+definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
@@ -27,6 +29,7 @@ from __future__ import annotations
 import copy
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,10 +42,19 @@ from altknot import (
     preprocess,
     remove_nugatory_crossing,
     remove_r2_bigon,
+    serialize_pd,
     validate_diagram,
 )
 from altknot import augmentation, diagram, edits, reduction
-from altknot.diagram import Edge, MapBuilder, _build_face_set, _edited_face_set, connected_pieces, face_set
+from altknot.diagram import (
+    Edge,
+    MapBuilder,
+    _build_face_set,
+    _edited_face_set,
+    _held_face_set,
+    connected_pieces,
+    face_set,
+)
 from altknot.edits import FacePartition, check_edit, check_move, merge_plan
 from altknot.errors import AlternationError, InvariantError, JoinError
 from altknot.generate import braid_closure
@@ -54,6 +66,7 @@ from conftest import (
     link_diagrams,
     new_component_id,
     oracle_preprocess,
+    oracle_two_edge_cuts,
     oracle_valid,
     oracle_validate_diagram,
     reattach,
@@ -114,12 +127,6 @@ def same_table(fs, ref) -> bool:
     return fs.faces == ref.faces and fs.corner_face == ref.corner_face
 
 
-def memo_table(d):
-    """The table the ``face_set`` memo holds for ``d``, or None."""
-    last = diagram._last_face_set
-    return last[1] if last is not None and last[0]() is d else None
-
-
 def past_incidence(failures) -> bool:
     """``check_edit`` got as far as the face table."""
     return not any(msg.startswith(("incidence", "valence")) for msg in failures)
@@ -140,7 +147,7 @@ class Audit:
         self.loops_made = Counter()  # site -> edits that made a crossing-free loop
 
     def _check_table(self, out, failures, fs, site, kind) -> None:
-        assert fs is memo_table(out), (site, kind)
+        """``fs`` is the table the check left in the memo for ``out``."""
         if fs is None:
             # no table: the incidence phase failed, or the walk ran into
             # a kept face, which the full walk must then do as well
@@ -151,9 +158,10 @@ class Audit:
         assert same_table(fs, _build_face_set(out)), (site, kind)
         self.tables[(site, kind)] += 1
 
-    def _check_move_faces(self, b, faces, out, gone, failures, fs, site, kind) -> None:
-        if fs is not None or not past_incidence(failures):
-            self._check_table(out, failures, fs, site, kind)
+    def _check_move_faces(self, b, faces, out, gone, failures, plan, site, kind) -> None:
+        if plan is None:
+            # the walk path: validate_diagram left the table it walked
+            self._check_table(out, failures, _held_face_set(out), site, kind)
             return
         try:
             _build_face_set(out)
@@ -166,12 +174,13 @@ class Audit:
         after = copy.deepcopy(faces)
         for c in gone:
             after.remove(c)
-        after.merge(merge_plan(faces, gone))
+        after.merge(plan)
         assert_partition_is_the_walk(after, out)
         self.merged[(site, kind)] += 1
 
     def _audit(self, site, b, out, alternating, check, check_faces):
-        """Run ``check(b, out)`` on the real edit and on a mutant of it,
+        """Run ``check(b, out)``, which returns (failures, what
+        ``check_faces`` reads), on the real edit and on a mutant of it,
         comparing each verdict with the whole map's."""
         failures, fs = check(b, out)
         # the builder re-creates only the records it touched
@@ -196,38 +205,41 @@ class Audit:
             self.mutants[(kind, whole)] += 1
         return failures, fs
 
-    def __call__(self, b, source_fs, out, alternating=False):
+    def __call__(self, b, source_fs, out):
         site = sys._getframe(1).f_code.co_name
 
         def check(b, out):
-            return check_edit(b, source_fs, out, alternating)
+            return check_edit(b, source_fs, out), _held_face_set(out)
 
         def check_faces(out, failures, fs, kind):
             self._check_table(out, failures, fs, site, kind)
 
-        failures, fs = self._audit(site, b, out, alternating, check, check_faces)
+        failures, fs = self._audit(site, b, out, True, check, check_faces)
         assert fs is not None, site
-        return failures, fs
+        # the mutant's checks took the memo: give the real edit's table
+        # back, as ``check_edit`` left it, for the merge loop to follow
+        diagram._last_face_set = (weakref.ref(out), fs)
+        return failures
 
     def move(self, b, faces, out, gone):
-        site = "nugatory" if len(gone) == 1 else "r2"
-        # the partition preprocess holds is the source's full walk
+        # preprocess's moves by kind, the public removals by name
+        caller = sys._getframe(1).f_code.co_name
+        site = caller if caller != "preprocess" else "nugatory" if len(gone) == 1 else "r2"
+        # the partition the move is checked on is the source's full walk
         assert_partition_is_the_walk(faces, b.source)
-        plans = []
 
         def check(b, out):
-            failures, fs, plan = check_move(b, faces, out, gone)
+            failures, plan = check_move(b, faces, out, gone)
             # a plan comes back on the merge path only: the move's merge_plan
-            assert plan is None or (fs is None and plan == merge_plan(faces, gone))
-            plans.append(plan)
-            return failures, fs
+            assert plan is None or plan == merge_plan(faces, gone)
+            return failures, plan
 
-        def check_faces(out, failures, fs, kind):
-            self._check_move_faces(b, faces, out, gone, failures, fs, site, kind)
+        def check_faces(out, failures, plan, kind):
+            self._check_move_faces(b, faces, out, gone, failures, plan, site, kind)
 
-        failures, fs = self._audit(site, b, out, False, check, check_faces)
-        self.paths[(site, "merge" if fs is None else "walk")] += 1
-        return failures, fs, plans[0]
+        failures, plan = self._audit(site, b, out, False, check, check_faces)
+        self.paths[(site, "walk" if plan is None else "merge")] += 1
+        return failures, plan
 
 
 @pytest.fixture
@@ -235,7 +247,6 @@ def audit(monkeypatch):
     def install(seed, mutate=True):
         a = Audit(seed, mutate)
         monkeypatch.setattr(augmentation, "check_edit", a)
-        monkeypatch.setattr(reduction, "check_edit", a)
         monkeypatch.setattr(reduction, "check_move", a.move)
         return a
     return install
@@ -300,7 +311,8 @@ class TestVerdictsAgree:
         assert all(a.paths[(site, path)] >= 1 for site in MOVE_SITES for path in ("merge", "walk")), a.paths
         # R2 removals that leave a crossing-free loop beside crossings
         assert a.loops_made["r2"] >= 1, a.loops_made
-        # the public moves, checked by the walk, on part of the same inputs
+        # the public removals, checked by check_move too, on part of the
+        # same inputs
         for links in (False, True):
             for d in raw_closures(10, 500 if links else 0, links):
                 oracle_preprocess(d)
@@ -344,21 +356,25 @@ def test_whole_map_failures_match_the_oracle_on_every_mutant(audit, monkeypatch)
 # -- one deliberately broken edit per surgery site -----------------------------------
 
 
-def _spy_on_site(monkeypatch, module, broken_builder, alternating):
-    """Record the whole-map verdict of every edit the site checks."""
+def _spy_on_site(monkeypatch, module, broken_builder):
+    """Record the whole-map verdict of every edit the site checks:
+    ``augmentation``'s by ``check_edit``, as valid and alternating, and
+    ``reduction``'s by ``check_move``, as valid."""
     verdicts = []
 
-    def spy(b, source_fs, out, alternating=alternating):
-        verdicts.append(whole_map_accepts(out, alternating))
-        return check_edit(b, source_fs, out, alternating)
+    def spy(b, source_fs, out):
+        verdicts.append(whole_map_accepts(out, True))
+        return check_edit(b, source_fs, out)
 
     def spy_move(b, faces, out, gone):
         verdicts.append(whole_map_accepts(out, False))
         return check_move(b, faces, out, gone)
 
     monkeypatch.setattr(module, "MapBuilder", broken_builder)
-    monkeypatch.setattr(module, "check_edit", spy)
-    monkeypatch.setattr(module, "check_move", spy_move, raising=False)
+    if module is augmentation:
+        monkeypatch.setattr(module, "check_edit", spy)
+    else:
+        monkeypatch.setattr(module, "check_move", spy_move)
     return verdicts
 
 
@@ -430,14 +446,14 @@ class TestBrokenEditsRejected:
         g, arc = _two_curve_overlay()
         g = augmentation.propagate_finger(g, arc)
         face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
-        verdicts = _spy_on_site(monkeypatch, augmentation, CrossedBand, True)
+        verdicts = _spy_on_site(monkeypatch, augmentation, CrossedBand)
         with pytest.raises(JoinError):
             augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
         assert verdicts == [False]
 
     def test_wrong_finger_sign(self, monkeypatch):
         g, arc = _two_curve_overlay(arc_length=1)
-        verdicts = _spy_on_site(monkeypatch, augmentation, WrongFingerSign, True)
+        verdicts = _spy_on_site(monkeypatch, augmentation, WrongFingerSign)
         with pytest.raises(AlternationError):
             augmentation.propagate_finger(g, arc)
         assert verdicts == [False]
@@ -451,7 +467,7 @@ class TestBrokenEditsRejected:
             f.id for f in fs.faces
             if f.is_bigon and len(set(d.edge_labels(f.boundary_edges[0]))) == 1
         )
-        verdicts = _spy_on_site(monkeypatch, reduction, SwappedWeld, False)
+        verdicts = _spy_on_site(monkeypatch, reduction, SwappedWeld)
         with pytest.raises(InvariantError):
             remove_r2_bigon(d, bigon)
         # preprocess's first move is the same: its check refuses it too
@@ -475,14 +491,14 @@ class TestBrokenEditsRejected:
         b.edges[e] = Edge(e, ends, rec.origin, rec.component)
         b.touched_edges.add(e)
         out = b.build()
-        failures, fs = check_edit(b, face_set(trefoil), out)
+        failures = check_edit(b, face_set(trefoil), out)
         want = f"incidence: edge {e} ends {ends} do not match slots"
-        assert failures == [want] and fs is None
+        assert failures == [want] and _held_face_set(out) is None
         assert want in validate_diagram(out).failures
 
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
-        verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind, False)
+        verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind)
         with pytest.raises(InvariantError):
             remove_nugatory_crossing(d, 3)
         with pytest.raises(InvariantError):
@@ -513,15 +529,24 @@ def test_moves_that_change_the_piece_count(audit):
     assert a.tables == {("r2", "real"): 3, ("nugatory", "real"): 1}
 
 
-def test_public_r2_removal_that_splits_a_piece(audit, monkeypatch):
-    # removing the flipped clasp between two trefoils splits the one
-    # piece in two, which the union-find count of ``_piece_change`` does
-    # not cover: the pieces of both maps are counted whole, once
-    from altknot.analysis import _is_r2_bigon
-
-    a = audit(6, mutate=False)
-    d = flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3)
-    (f,) = [f.id for f in face_set(d).faces if _is_r2_bigon(d, f)]
+def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
+    # cutting the granny knot at its two-edge cut and closing each side
+    # into its trefoil splits the one piece in two, which the union-find
+    # count of ``_piece_change`` does not cover: the pieces of both maps
+    # are counted whole, once each, and the split is accepted
+    assert classify_edges(granny_sum).is_alternating
+    ((e1, e2),) = oracle_two_edge_cuts(granny_sum)
+    first = {0, 1, 2}  # the crossings of the first trefoil
+    b = MapBuilder(granny_sum)
+    ends = {True: [], False: []}
+    for e in (e1, e2):
+        rec = granny_sum.edges[e]
+        b.remove_edge(e)
+        for end in rec.ends:
+            ends[end[0] in first].append(end)
+    b.add_edge(e1, ends[True], rec.origin, rec.component)
+    b.add_edge(e2, ends[False], rec.origin, rec.component)
+    out = b.build()
     counted = []
     real = edits.connected_pieces
 
@@ -530,10 +555,45 @@ def test_public_r2_removal_that_splits_a_piece(audit, monkeypatch):
         return real(x)
 
     monkeypatch.setattr(edits, "connected_pieces", spy)
-    out = remove_r2_bigon(d, f)
-    assert len(counted) == 2 and counted[0] is out and counted[1] is d
-    assert a.tables == {("remove_r2_bigon", "real"): 1}
+    assert check_edit(b, face_set(granny_sum), out) == []
+    assert len(counted) == 2 and counted[0] is out and counted[1] is granny_sum
+    assert same_table(_held_face_set(out), _build_face_set(out))
+    assert whole_map_accepts(out, True)
     assert (connected_pieces(out), len(out.loops)) == (2, 0)
+
+
+def test_public_removals_take_check_move(monkeypatch):
+    # each public removal checks its one move with check_move, as
+    # preprocess does, by a face merge or by the walk, and returns the
+    # diagram it returned when check_edit checked it
+    assert not hasattr(reduction, "check_edit")
+    calls = []
+
+    def spy(b, faces, out, gone):
+        failures, plan = check_move(b, faces, out, gone)
+        calls.append((gone, "walk" if plan is None else "merge"))
+        return failures, plan
+
+    monkeypatch.setattr(reduction, "check_move", spy)
+    kinked = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")
+    lone = parse_pd(TREFOIL + " X(7,7,8,8)")
+    flipped = flip_crossing(parse_pd(TREFOIL), 0)
+    # the flipped clasp between two trefoils: its removal splits a piece
+    clasp = flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3)
+    got = [
+        remove_nugatory_crossing(kinked, 3),
+        remove_nugatory_crossing(lone, 3),
+        remove_r2_bigon(flipped, 0),
+        remove_r2_bigon(clasp, 5),
+    ]
+    assert [serialize_pd(out) for out in got] == [
+        TREFOIL,
+        TREFOIL + " O(7)",
+        "X(3,2,2,3)",
+        "X(1,5,6,2) X(5,7,8,6) X(7,1,2,8) X(3,15,16,4) X(15,17,18,16) X(17,3,4,18)",
+    ]
+    assert calls == [((3,), "merge"), ((3,), "walk"), ((0, 1), "merge"), ((3, 4), "walk")]
+    assert connected_pieces(got[3]) == 2
 
 
 def test_moves_outside_the_merge_facts_are_walked(trefoil):
@@ -555,11 +615,11 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
         if extra_loop:
             b.loops[b.new_edge_id()] = new_component_id(b)
         out = b.build()
-        failures, table, _plan = check_move(b, FacePartition(fs), out, gone)
+        failures, plan = check_move(b, FacePartition(fs), out, gone)
         assert failures == [] and validate_diagram(out).valid
-        assert (table is not None) == walked, (d, extra_loop)
+        assert (plan is None) == walked, (d, extra_loop)
         if walked:
-            assert same_table(table, _build_face_set(out))
+            assert same_table(_held_face_set(out), _build_face_set(out))
     # a lone kinked loop: its removal leaves a crossing-free loop
     kinked = parse_pd(TREFOIL + " X(7,7,8,8)")
     assert merge_plan(FacePartition(face_set(kinked)), (3,)) is None
@@ -594,9 +654,9 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
     seen = []
 
-    def spy(b, source_fs, out, alternating=False):
+    def spy(b, source_fs, out):
         seen.append((b, source_fs))
-        return check_edit(b, source_fs, out, alternating)
+        return check_edit(b, source_fs, out)
 
     monkeypatch.setattr(augmentation, "check_edit", spy)
     out = augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
@@ -643,13 +703,13 @@ def test_a_band_splice_walks_only_the_faces_along_its_removed_edges(monkeypatch)
     # but only the faces on either side of its two removed edges change
     splices = []
 
-    def spy(b, source_fs, out, alternating=False):
+    def spy(b, source_fs, out):
         if sys._getframe(1).f_code.co_name == "join_curves":
             walks.clear()
-            res = check_edit(b, source_fs, out, alternating)
+            res = check_edit(b, source_fs, out)
             splices.append((b, source_fs, out, list(walks)))
             return res
-        return check_edit(b, source_fs, out, alternating)
+        return check_edit(b, source_fs, out)
 
     monkeypatch.setattr(augmentation, "check_edit", spy)
     walks = _spy_on_walks(monkeypatch)
@@ -671,8 +731,10 @@ def test_a_band_splice_walks_only_the_faces_along_its_removed_edges(monkeypatch)
     assert relabelled > 0
 
 
-def test_a_component_change_walks_no_corner(monkeypatch):
-    _seed, d = link_diagrams(1)[0]
+def test_a_component_change_walks_no_corner(monkeypatch, borromean):
+    # check_edit's source is alternating, as augment's maps are
+    d = borromean
+    assert classify_edges(d).is_alternating
     fs = face_set(d)
     b = MapBuilder(d)
     comp = max(r.component for r in b.edges.values())
@@ -683,6 +745,6 @@ def test_a_component_change_walks_no_corner(monkeypatch):
     out = b.build()
     full = _build_face_set(out)
     walks = _spy_on_walks(monkeypatch)
-    failures, table = check_edit(b, fs, out)
-    assert failures == [] and same_table(table, full)
+    assert check_edit(b, fs, out) == []
+    assert same_table(_held_face_set(out), full)
     assert walks == [set()]

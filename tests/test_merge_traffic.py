@@ -6,9 +6,10 @@ The faces each circle borders are read from the circles' edges once per
 every finger and join (``augmentation._CircleFaces``), from the faces
 each edit's table dropped and walked afresh.  So a merge of cost 0 reads
 no whole map: only the merges that search, those of positive cost, list
-the circles' faces by id.  The first two tests check the carried faces
-against a fresh read after every edit, the second with the ``face_set``
-memo taken away after each splice; the others pin the traffic.
+the circles' faces by id.  The first test checks the carried faces
+against a fresh read after every edit, and the second that the loop
+refuses to go on when an edit's table is not there to follow; the
+others pin the traffic.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from collections import Counter
 
 import pytest
 
-from altknot import augment, augmentation, diagram, face_set, parse_pd, serialize_pd
+from altknot import augment, augmentation, diagram, face_set, parse_pd
 from altknot.diagram import Diagram
+from altknot.errors import InvariantError
 
 from conftest import TREFOIL, augment_following_circle_faces
 
@@ -37,35 +39,27 @@ def test_carried_circle_faces_are_those_of_every_edit(seed1, monkeypatch):
     assert merges > 200 and fingers > 10
 
 
-def test_a_table_walked_whole_is_read_afresh(seed1, monkeypatch):
-    # a wrapper that takes the face_set memo after each splice leaves
-    # the splice's result to be walked whole, with no delta: the loop
-    # then reads the circles' faces afresh, and the results are the same
-    diagrams = seed1[:12]
-    want = [serialize_pd(augment(d).g) for d in diagrams]
+def test_a_table_the_loop_cannot_follow_is_refused(seed1, monkeypatch):
+    # a wrapper that takes the face_set memo after each splice leaves no
+    # table for the carried faces to follow, and one that then walks the
+    # splice's result whole leaves a table with no delta: either way the
+    # merge loop stops with InvariantError rather than read the circles'
+    # faces afresh
+    d = next(d for d in seed1 if augment(d).merges)
     real = augmentation.join_curves
 
-    def join_curves(g, *args):
-        out = real(g, *args)
-        face_set(g)
-        return out
+    for rewalk in (False, True):
+        def join_curves(g, *args):
+            out = real(g, *args)
+            face_set(g)
+            if rewalk:
+                face_set(out)
+            return out
 
-    reads = []
-    read = augmentation._CircleFaces._read
-
-    def counted_read(faces, *args):
-        reads.append(args)
-        return read(faces, *args)
-
-    monkeypatch.setattr(augmentation, "join_curves", join_curves)
-    monkeypatch.setattr(augmentation._CircleFaces, "_read", counted_read)
-    results, checked = augment_following_circle_faces(monkeypatch, diagrams)
-    assert [serialize_pd(res.g) for res in results] == want
-    merges = sum(len(res.merges) for res in results)
-    fingers = sum(m.arc.phi > 0 for res in results for m in res.merges)
-    assert checked == merges + fingers
-    # once per augment that merges, and again after every splice
-    assert len(reads) == sum(len(res.cut_system.curves) > 1 for res in results) + merges
+        with monkeypatch.context() as m:
+            m.setattr(augmentation, "join_curves", join_curves)
+            with pytest.raises(InvariantError, match="cannot follow"):
+                augment(d)
 
 
 def test_circle_faces_are_read_once_per_augment(seed1, monkeypatch):

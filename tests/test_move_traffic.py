@@ -51,14 +51,14 @@ def test_merge_plan_runs_once_per_move(seed1, monkeypatch):
 
     def check_move(b, faces, out, gone):
         before = counts["merge_plan"]
-        failures, fs, plan = real_check(b, faces, out, gone)
+        failures, plan = real_check(b, faces, out, gone)
         path = "merge" if plan is not None else "walk"
         per_move[(counts["merge_plan"] - before, path)] += 1
-        return failures, fs, plan
+        return failures, plan
 
-    def advance(moves, cur, gone, fs, plan):
+    def advance(moves, cur, gone, plan):
         before = counts["merge_plan"]
-        real_advance(moves, cur, gone, fs, plan)
+        real_advance(moves, cur, gone, plan)
         assert counts["merge_plan"] == before
 
     monkeypatch.setattr(reduction, "check_move", check_move)

@@ -242,11 +242,11 @@ class TestWorklist:
             moved.append(real_merge(faces, handles))
             return moved[-1]
 
-        def advance(moves, cur, gone, fs, plan):
+        def advance(moves, cur, gone, plan):
             before = set(moves.cuts)
             moved.clear()
-            real_advance(moves, cur, gone, fs, plan)
-            if fs is None:
+            real_advance(moves, cur, gone, plan)
+            if plan is not None:
                 (relabelled,) = moved
                 found.extend(sum(k[0] == c for k in relabelled) for c in moves.cuts - before)
 
@@ -281,4 +281,4 @@ class TestWorklist:
         ):
             assert_preprocess_matches_oracle(_flipped(word, flips), audit=False)
         # the moves that took the walk path re-read the whole map after it
-        assert len(checks) > 10 and any(fs is not None for _failures, fs, _plan in checks)
+        assert len(checks) > 10 and any(plan is None for _failures, plan in checks)
