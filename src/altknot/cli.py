@@ -223,6 +223,18 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {n}")
+        return n
+
+    return count
+
+
 def _read_blocks(path: str) -> list[tuple[str, str]]:
     """The (name, pd text) blocks of the file at ``path``, decoded as
     UTF-8; PDSyntaxError naming the byte offset of undecodable input."""
@@ -268,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="random qualifying knot diagram")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--letters", type=int, default=12)
-    gen.add_argument("--flips", type=int, default=2)
+    gen.add_argument("--flips", type=_at_least(0), default=2)
     gen.add_argument("--max-crossings", type=int, default=None)
     gen.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("selfcheck", help="run the pipeline property suite")
-    s.add_argument("--cases", type=int, default=25)
+    s.add_argument("--cases", type=_at_least(1), default=25)
     s.add_argument("--seed", type=int, default=None)
     s.set_defaults(func=_cmd_selfcheck)
 
@@ -290,10 +302,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _input_error(error: str, message: str) -> int:
+    print(json.dumps({"error": error, "message": message, "exit": 2}), file=sys.stderr)
+    return 2
+
+
 def run(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command in ("gen", "selfcheck"):
-        args.seed = int(os.environ.get("ALTKNOT_SEED", _DEFAULT_SEED))
+        seed = os.environ.get("ALTKNOT_SEED", str(_DEFAULT_SEED))
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            return _input_error("ValueError", f"ALTKNOT_SEED is not an integer: {seed!r}")
     try:
         return args.func(args)
     except DiagramError as exc:
@@ -301,11 +322,7 @@ def run(argv: list[str] | None = None) -> int:
         _error_record(exc, code)
         return code
     except OSError as exc:
-        print(
-            json.dumps({"error": "OSError", "message": str(exc), "exit": 2}),
-            file=sys.stderr,
-        )
-        return 2
+        return _input_error("OSError", str(exc))
 
 
 def main() -> None:

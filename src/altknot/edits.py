@@ -1,9 +1,9 @@
 """Local checks of surgery steps, one checker per kind of edit.
 
 ``check_edit`` checks ``augment``'s fingers and band splices, which
-must keep an alternating diagram alternating.  It returns the failures
-of the result, as valid and alternating, found by inspecting only what
-the ``MapBuilder`` touched instead of walking the whole map as
+must keep an alternating diagram alternating.  It decides whether the
+result is valid and alternating by inspecting only what the
+``MapBuilder`` touched instead of walking the whole map as
 ``validate_diagram`` does.  The result's face table is derived from the
 source's by a local update that re-walks only the faces the edit
 changed, and left in the ``face_set`` memo for the next step.
@@ -21,8 +21,13 @@ is validated whole.
 
 The record checks the two share (``_check_records``, ``_check_strands``)
 are direct passes over what the edit touched, as ``validate_diagram``'s
-incidence pass is over the whole map: only when a pass finds a fault are
-the records read again in id order to word the failures.
+incidence pass is over the whole map, and they only decide, as do the
+local face update and Euler count.  Every edit a local check refuses
+(a label or incidence fault, a face walk that collides, a wrong Euler
+count, mixed strand components, an edge that does not alternate) is
+worded by the whole-map check (``_rejected``): its failures are
+``validate_diagram``'s, in its words and order, so a refused edit reads
+as the map it built would read on its own.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .errors import InvariantError
 
 def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     """Failures of ``augment``'s finger or band splice ``out = b.build()``,
-    inspecting only the crossings and edges ``b`` touched.
+    decided by inspecting only the crossings and edges ``b`` touched.
 
     ``b.source`` must be valid and alternating and ``source_fs`` its face
     table.  Then the list is empty exactly when ``validate_diagram(out)``
@@ -57,31 +62,28 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     ``out``'s face table and dP, the change in the number of pieces, from
     the source's faces.  An edge kept with its ends is neither cut nor
     re-added: it bounds the same faces and joins the same crossings.
+    A refused edit is worded by the whole-map check (``_rejected``).
 
     ``out``'s table is updated from ``source_fs`` by re-walking only the
     faces the edit reaches: those with a corner at a removed crossing or
     on either side of a removed or re-ended edge
     (``diagram._edited_face_set``, equal to the full walk of ``out``).
-    It is left in the ``face_set`` memo for the next step, unless the
-    incidence checks fail or a walk runs into a kept face, which is a
-    sphericity failure.
+    It is left in the ``face_set`` memo for the next step; a refused
+    edit leaves there what the whole-map check walked, if anything.
     """
     d = b.source
-    failures, broken = _check_records(b, out)
-    if broken:
-        return failures + broken
+    if not _check_records(b, out):
+        return _rejected(out, alternating=True)
     try:
         fs = _edited_face_set(b, source_fs, out)
-    except InvariantError as exc:
-        failures.append(f"sphericity: {exc}")
-    else:
-        dv = len(out.crossings) - len(d.crossings)
-        de = len(out.edges) - len(d.edges)
-        df = (len(fs.faces) - 2 * len(out.loops)) - (len(source_fs.faces) - 2 * len(d.loops))
-        dp = _piece_change(b, source_fs, out)
-        if dv - de + df != 2 * dp:
-            failures.append(f"sphericity: V-E+F moved by {dv - de + df} for {dp} new pieces")
-    return failures + _check_strands(b, out, alternating=True)
+    except InvariantError:
+        return _rejected(out, alternating=True)
+    dv = len(out.crossings) - len(d.crossings)
+    de = len(out.edges) - len(d.edges)
+    df = (len(fs.faces) - 2 * len(out.loops)) - (len(source_fs.faces) - 2 * len(d.loops))
+    if dv - de + df != 2 * _piece_change(b, source_fs, out) or not _check_strands(b, out, alternating=True):
+        return _rejected(out, alternating=True)
+    return []
 
 
 def check_move(
@@ -95,7 +97,8 @@ def check_move(
     ``FacePartition``.
 
     The list is empty exactly when ``validate_diagram(out)`` finds ``out``
-    valid.  The incidence, label and strand-component checks are those of
+    valid, and a refused move's list is that check's (``_rejected``).
+    The incidence, label and strand-component checks are those of
     ``check_edit``.  When ``out`` is exactly the source with ``gone``
     removed and its strands joined straight across (``_joined_straight``)
     and ``merge_plan`` finds the faces that become one, the faces of
@@ -104,40 +107,58 @@ def check_move(
     Sphericity is then dV - dE + dF = 0 with dF = 1 - len(plan), and the
     plan, the move's one plan, is returned for the caller to merge.
     Otherwise ``out`` is validated whole, which leaves its table in the
-    ``face_set`` memo, and the plan is None.
+    ``face_set`` memo, and the plan is None, as it is for a refused move.
     """
     d = b.source
-    failures, broken = _check_records(b, out)
-    if broken:
-        return failures + broken, None
+    if not _check_records(b, out):
+        return _rejected(out, alternating=False), None
     plan = merge_plan(faces, gone) if _joined_straight(b, out, gone) else None
     if plan is None:
         return validate_diagram(out).failures, None
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
-    if dv - de + 1 - len(plan) != 0:
-        failures.append(f"sphericity: V-E+F moved by {dv - de + 1 - len(plan)} for 0 new pieces")
-    return failures + _check_strands(b, out), plan
+    if dv - de + 1 - len(plan) != 0 or not _check_strands(b, out):
+        return _rejected(out, alternating=False), None
+    return [], plan
 
 
-def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
-    """(label failures, incidence and valence failures) of the crossings
-    ``b`` touched and of the edges it removed, added or re-ended; no face
-    can be walked without the second.
+def _rejected(out: Diagram, alternating: bool) -> list[str]:
+    """The failures of an edit the local checks refused, in the words and
+    order of the whole-map check: ``validate_diagram(out)``'s, then, with
+    ``alternating`` and a valid ``out``, its edges whose two ends are
+    both over or both under.  Never empty: should the whole map pass, one
+    line says the local checks refused it all the same."""
+    failures = list(validate_diagram(out).failures)
+    if alternating and not failures:
+        xs = out.crossings
+        if not xs and not out.loops:
+            failures.append("alternation: no strands")
+        for e, rec in sorted(out.edges.items()):
+            (c0, s0), (c1, s1) = rec.ends
+            over = s0 in xs[c0].over_slots
+            if over == (s1 in xs[c1].over_slots):
+                sign = "+" if over else "-"
+                failures.append(f"alternation: edge {e} reads ({sign}{sign})")
+    return failures or ["local check: edit refused, though the whole map passes"]
+
+
+def _check_records(b: MapBuilder, out: Diagram) -> bool:
+    """Whether the crossings ``b`` touched, and the edges it removed,
+    added or re-ended, have sound labels, valence and incidence; no face
+    can be walked without them.
 
     The affected edges are those the uses or ends of an id can change
     at: the removed, added and re-ended ones and every edge at a touched
-    crossing.  A passing check is one direct pass.  Each touched crossing
-    of ``out`` has four slots and a legal over strand.  Each affected
-    edge of ``out`` has two distinct ends, each a use of that edge: a
-    slot holding it at a touched crossing, or one of its source ends at
-    an untouched one.  And the uses of the affected edges number twice
+    crossing.  The check is one direct pass.  Each touched crossing of
+    ``out`` has four slots and a legal over strand.  Each affected edge
+    of ``out`` has two distinct ends, each a use of that edge: a slot
+    holding it at a touched crossing, or one of its source ends at an
+    untouched one.  And the uses of the affected edges number twice
     those edges: four per touched crossing of ``out``, plus the source
     ends of affected edges at untouched crossings.  A use belongs to one
     edge, so then every affected edge of ``out`` is used exactly at its
-    two ends and every removed one nowhere.  Only when that pass finds a
-    fault are the records read again in id order to word the failures
-    (``_record_failures``)."""
+    two ends and every removed one nowhere.  The check only decides: a
+    refusal is worded by the whole-map check."""
     d = b.source
     touched = b.touched_crossings
     old_x, new_x = d.crossings, out.crossings
@@ -152,7 +173,7 @@ def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
         x = new_x.get(c)
         if x is not None:
             if len(x.slots) != 4 or x.over_slots not in _OVER_PAIRS:
-                return _record_failures(b, out, changed)
+                return False
             affected.update(x.slots)
             uses += 4
     live = 0
@@ -168,125 +189,51 @@ def _check_records(b: MapBuilder, out: Diagram) -> tuple[list[str], list[str]]:
         live += 1
         a, z = rec.ends
         if a == z:
-            return _record_failures(b, out, changed)
+            return False
         for end in (a, z):
             c, s = end
             if c in touched:
                 x = new_x.get(c)
                 if x is None or not 0 <= s < 4 or x.slots[s] != e:
-                    return _record_failures(b, out, changed)
+                    return False
             elif old is None or end not in old.ends:
-                return _record_failures(b, out, changed)
+                return False
     if uses != 2 * live:
-        return _record_failures(b, out, changed)
+        return False
+    # an edge kept with its ends is no loop: the source is valid, and a
+    # new loop on its id is caught from the loop's side
     loops = out.loops
     if loops:
         old_loops = d.loops
         if any(e in loops for e in changed if e in new_e) or any(
             k in new_e for k in loops if k not in old_loops
         ):
-            return _record_failures(b, out, changed)
-    return [], []
+            return False
+    return True
 
 
-def _record_failures(b: MapBuilder, out: Diagram, changed: list[int]) -> tuple[list[str], list[str]]:
-    """The failures of ``_check_records``, worded and in id order;
-    ``changed`` is ``_changed_edges(b, out)``."""
-    d = b.source
-    failures: list[str] = []
-    broken: list[str] = []
-    # the uses of an id change only at touched crossings, and its ends
-    # only when it is removed, added or re-ended
-    affected = set(changed)
-    for c in b.touched_crossings:
-        if c in d.crossings:
-            affected.update(d.crossings[c].slots)
-    new_uses: dict[int, list[End]] = {}
-    for c in sorted(c for c in b.touched_crossings if c in out.crossings):
-        x = out.crossings[c]
-        if tuple(sorted(x.over_slots)) not in ((0, 2), (1, 3)):
-            word = "".join(str(x.label(s)) for s in range(4))
-            failures.append(f"labels: crossing {c} reads ({word}) around, not (+-+-)")
-        if len(x.slots) != 4:
-            broken.append(f"valence: crossing {c} has {len(x.slots)} slots")
-            continue
-        for s, e in enumerate(x.slots):
-            affected.add(e)
-            new_uses.setdefault(e, []).append((c, s))
-    for e in sorted(affected):
-        old = d.edges[e].ends if e in d.edges else ()
-        uses = [end for end in old if end[0] not in b.touched_crossings] + new_uses.get(e, [])
-        rec = out.edges.get(e)
-        if uses and rec is None:
-            broken.append(f"incidence: slots {uses} name missing edge {e}")
-        if uses and len(uses) != 2:
-            broken.append(f"incidence: edge {e} used {len(uses)} times")
-        if rec is not None and sorted(rec.ends) != sorted(uses):
-            broken.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
-    # an edge kept with its ends is no loop: the source is valid, and a
-    # new loop on its id is caught from the loop's side
-    live_e = sorted(e for e in changed if e in out.edges)
-    new_loops = [k for k in out.loops if k not in d.loops]
-    for e in sorted({e for e in live_e if e in out.loops} | {k for k in new_loops if k in out.edges}):
-        broken.append(f"incidence: id {e} is both edge and loop")
-    return failures, broken
-
-
-def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> list[str]:
-    """Failures of the strand components at every crossing a touched edge
-    meets and, with ``alternating``, of the alternation of the touched
-    edges, for an ``out`` that passed ``_check_records``.
-
-    A passing check is one direct pass: the two edges of each strand
-    through each such crossing carry one component and, with
-    ``alternating``, the two end labels of each touched edge and of each
-    edge at a touched crossing differ.  Only when that pass finds a fault
-    are the crossings and edges read again in id order to word the
-    failures (``_strand_failures``)."""
+def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> bool:
+    """Whether, in an ``out`` that passed ``_check_records``, the two
+    edges of each strand through every crossing a touched edge meets
+    carry one component and, with ``alternating``, ``out`` has strands
+    and the two end labels of each touched edge and of each edge at a
+    touched crossing differ.  The check is one direct pass, and only
+    decides: a refusal is worded by the whole-map check."""
     xs, es = out.crossings, out.edges
     live_c = [c for c in b.touched_crossings if c in xs]
     live_e = [es[e] for e in b.touched_edges if e in es]
     for c in live_c + [c for rec in live_e for c, _s in rec.ends]:
         e0, e1, e2, e3 = xs[c].slots
         if es[e0].component != es[e2].component or es[e1].component != es[e3].component:
-            return _strand_failures(b, out, alternating)
+            return False
     if alternating:
         if not xs and not out.loops:
-            return _strand_failures(b, out, alternating)
+            return False
         for rec in live_e + [es[e] for c in live_c for e in xs[c].slots]:
             (c0, s0), (c1, s1) = rec.ends
             if (s0 in xs[c0].over_slots) == (s1 in xs[c1].over_slots):
-                return _strand_failures(b, out, alternating)
-    return []
-
-
-def _strand_failures(b: MapBuilder, out: Diagram, alternating: bool) -> list[str]:
-    """The failures of ``_check_strands``, worded and in id order."""
-    failures: list[str] = []
-    live_c = sorted(c for c in b.touched_crossings if c in out.crossings)
-    live_e = sorted(e for e in b.touched_edges if e in out.edges)
-    met = set(live_c)
-    for e in live_e:
-        met.update(c for c, _s in out.edges[e].ends)
-    for c in sorted(met):
-        slots = out.crossings[c].slots
-        for s in (0, 1):
-            ids = {out.edges[slots[s]].component, out.edges[slots[s + 2]].component}
-            if len(ids) != 1:
-                failures.append(f"components: strand through crossing {c} carries mixed ids {sorted(ids)}")
-    if alternating:
-        if not out.crossings and not out.loops:
-            failures.append("alternation: no strands")
-        near = set(live_e)
-        for c in live_c:
-            near.update(out.crossings[c].slots)
-        for e in sorted(near):
-            (c0, s0), (c1, s1) = out.edges[e].ends
-            over = s0 in out.crossings[c0].over_slots
-            if over == (s1 in out.crossings[c1].over_slots):
-                sign = "+" if over else "-"
-                failures.append(f"alternation: edge {e} reads ({sign}{sign})")
-    return failures
+                return False
+    return True
 
 
 class FacePartition:

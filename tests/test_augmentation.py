@@ -535,7 +535,7 @@ class TestAugment:
     def test_blocks_that_are_not_twist_reduced(self, bench_inputs):
         # cli-batch blocks whose G has one crossing key shared by two
         # twist regions, so t_G is one more than its number of
-        # twist-equivalence classes (ROADMAP item 5(a))
+        # twist-equivalence classes (ROADMAP item 1)
         from altknot.selfcheck import verify_augmentation
 
         want = {

@@ -194,6 +194,38 @@ class TestGen:
         (rep,) = _json_lines(capsys)
         assert rep["seed"] == 3
 
+    @pytest.mark.parametrize("command", ["gen", "selfcheck"])
+    def test_unreadable_env_seed_exit_2(self, command, capsys, monkeypatch):
+        # a default seed that is not an integer is an input error with one
+        # record, never a bare traceback
+        monkeypatch.setenv("ALTKNOT_SEED", "abc")
+        assert run([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "ALTKNOT_SEED is not an integer: 'abc'",
+            "exit": 2,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["gen", "--seed", "3", "--flips", "-3"], "--flips"),
+            (["selfcheck", "--cases", "0"], "--cases"),
+            (["selfcheck", "--cases", "-1"], "--cases"),
+        ],
+    )
+    def test_out_of_range_counts_exit_2(self, argv, option, capsys):
+        # no flips below zero, and no selfcheck of no cases, which would
+        # pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be at least" in captured.err
+
 
 class TestSelfcheckAndRender:
     def test_selfcheck_passes(self, capsys):

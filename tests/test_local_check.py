@@ -9,10 +9,12 @@ exactly when ``validate_diagram`` does.  The audit below wraps
 ``check_edit`` at both of ``augment``'s sites (band join and finger)
 and ``check_move`` at both move kinds of ``preprocess`` and at both
 public removals.  It compares the two verdicts on every real edit, and
-then breaks the same edit at random and compares them again.  Every
-whole-map verdict is itself compared with ``conftest.oracle_valid``,
-which checks each piece's Euler sum and each strand orbit from the
-definitions.
+then breaks the same edit at random and compares them again.  A local
+check only decides: each edit it refuses must read exactly as the whole
+map does, ``validate_diagram``'s failures and, for ``check_edit`` on a
+valid map, the edges that do not alternate.  Every whole-map verdict is
+itself compared with ``conftest.oracle_valid``, which checks each
+piece's Euler sum and each strand orbit from the definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
@@ -83,6 +85,20 @@ def whole_map_accepts(out, alternating: bool) -> bool:
     return not alternating or classify_edges(out).is_alternating
 
 
+def whole_map_words(out, alternating: bool) -> list[str]:
+    """What a refused edit must read: the whole map's failures and, for
+    ``check_edit`` on a valid map, the edges that do not alternate."""
+    words = list(validate_diagram(out).failures)
+    if alternating and not words:
+        if not out.crossings and not out.loops:
+            words.append("alternation: no strands")
+        for e in sorted(classify_edges(out).non_alternating):
+            c, s = out.edges[e].ends[0]
+            sign = "+" if s in out.crossings[c].over_slots else "-"
+            words.append(f"alternation: edge {e} reads ({sign}{sign})")
+    return words
+
+
 def _flip(over):
     return (0, 2) if over == (1, 3) else (1, 3)
 
@@ -145,6 +161,7 @@ class Audit:
         self.merged = Counter()  # (site, "real" | "mutant") -> merged partitions compared
         self.paths = Counter()  # (move site, "merge" | "walk") -> real moves
         self.loops_made = Counter()  # site -> edits that made a crossing-free loop
+        self.worded = Counter()  # (site, "real" | "mutant") -> refusals worded
 
     def _check_table(self, out, failures, fs, site, kind) -> None:
         """``fs`` is the table the check left in the memo for ``out``."""
@@ -178,10 +195,17 @@ class Audit:
         assert_partition_is_the_walk(after, out)
         self.merged[(site, kind)] += 1
 
+    def _check_words(self, out, failures, alternating, site, kind) -> None:
+        """A refused edit reads as the whole map does."""
+        if failures:
+            assert failures == whole_map_words(out, alternating), (site, kind)
+            self.worded[(site, kind)] += 1
+
     def _audit(self, site, b, out, alternating, check, check_faces):
         """Run ``check(b, out)``, which returns (failures, what
         ``check_faces`` reads), on the real edit and on a mutant of it,
-        comparing each verdict with the whole map's."""
+        comparing each verdict, and each refusal's words, with the whole
+        map's."""
         failures, fs = check(b, out)
         # the builder re-creates only the records it touched
         src = b.source.edges
@@ -191,6 +215,7 @@ class Audit:
             self.loops_made[site] += 1
         whole = whole_map_accepts(out, alternating)
         assert (not failures) == whole, failures
+        self._check_words(out, failures, alternating, site, "real")
         self.real[whole] += 1
         if self.mutate:
             built = (dict(out.crossings), dict(out.edges), dict(out.loops))
@@ -202,6 +227,7 @@ class Audit:
             check_faces(broken, local, local_fs, "mutant")
             whole = whole_map_accepts(broken, alternating)
             assert (not local) == whole, (kind, local)
+            self._check_words(broken, local, alternating, site, "mutant")
             self.mutants[(kind, whole)] += 1
         return failures, fs
 
@@ -281,6 +307,9 @@ def _check_tally(a: Audit, sites_min: int, sites) -> None:
         assert a.tables[(site, "real")] + a.merged[(site, "real")] >= 1, (a.tables, a.merged)
     mutant_faces = a.tables + a.merged
     assert sum(v for (_s, kind), v in mutant_faces.items() if kind == "mutant") >= 5, mutant_faces
+    # and every site refused mutants in the whole map's words
+    for site in sites:
+        assert a.worded[(site, "mutant")] >= 1, a.worded
 
 
 AUGMENT_SITES = ("_insert_finger", "join_curves")
@@ -480,8 +509,8 @@ class TestBrokenEditsRejected:
         # an edge whose second end repeats its first, or whose first end
         # names the slot holding it plus four: each end reads a slot that
         # holds the edge and the uses still add up, yet the ends do not
-        # match the slots, and the local check must say so as the whole
-        # map's does
+        # match the slots, and the local check must refuse it in the
+        # whole map's words
         e = min(trefoil.edges)
         rec = trefoil.edges[e]
         (c, s), z = rec.ends
@@ -493,8 +522,40 @@ class TestBrokenEditsRejected:
         out = b.build()
         failures = check_edit(b, face_set(trefoil), out)
         want = f"incidence: edge {e} ends {ends} do not match slots"
-        assert failures == [want] and _held_face_set(out) is None
-        assert want in validate_diagram(out).failures
+        assert failures == validate_diagram(out).failures == [want]
+        assert _held_face_set(out) is None
+
+    @pytest.mark.parametrize("checker", ["_check_records", "_check_strands"])
+    def test_a_refusal_the_whole_map_passes_still_refuses(self, monkeypatch, borromean, trefoil, checker):
+        # a local check made to refuse a valid edit: the whole map has no
+        # failure to word it with, so the refusal stands on one fallback
+        # line, for an alternating edit (a component of the Borromean
+        # rings relabelled) and for a move on the merge path (the R2 move
+        # of a flipped trefoil)
+        from altknot.analysis import _is_r2_bigon
+
+        fallback = ["local check: edit refused, though the whole map passes"]
+        b = MapBuilder(borromean)
+        comp = max(r.component for r in b.edges.values())
+        for e, r in sorted(b.edges.items()):
+            if r.component == comp:
+                b.set_component(e, 0)
+        out = b.build()
+        d = flip_crossing(trefoil, 0)
+        fs = face_set(d)
+        bigon = next(f for f in fs.faces if _is_r2_bigon(d, f))
+        gone = tuple(sorted(bigon.crossings()))
+        mb = reduction._r2_edit(d, bigon.corner_slots)
+        moved = mb.build()
+        edit_fs = face_set(borromean)
+        assert check_edit(b, edit_fs, out) == []
+        assert check_move(mb, FacePartition(fs), moved, gone) == ([], merge_plan(FacePartition(fs), gone))
+        monkeypatch.setattr(edits, checker, lambda *args, **kwargs: False)
+        assert check_edit(b, edit_fs, out) == fallback
+        assert check_move(mb, FacePartition(fs), moved, gone) == (fallback, None)
+        assert whole_map_accepts(out, True) and whole_map_accepts(moved, False)
+        with pytest.raises(InvariantError, match="the whole map passes"):
+            remove_r2_bigon(d, bigon.id)
 
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil

@@ -5,8 +5,9 @@ A move's ``merge_plan`` is worked out once, inside ``check_move``, and
 ``_Moves.advance`` reads the plan ``check_move`` returns.  The chain
 walks of ``reduction._chains_meeting`` read the face partition's tables
 directly and call none of its methods.  And every move of these inputs
-passes its record checks, so the loops that word a failure
-(``edits._record_failures``, ``edits._strand_failures``) never run.
+passes its local checks, so the whole-map check that words a refused
+edit (``edits._rejected``) never runs; nor does it on the benchmark's
+``augment-large`` seed-1 inputs.
 Whether the verdicts are right is the business of the audits in
 ``test_local_check.py``; these tests pin the traffic.  The last one pins
 the early stop of the chain walks on a small closure.
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from altknot import edits, face_set, parse_pd, reduction
+from altknot import augment, edits, face_set, parse_pd, reduction
 from altknot.generate import braid_closure
 
 
@@ -99,14 +100,20 @@ def test_chain_walks_call_no_partition_method(seed1, monkeypatch):
     assert counts == {"_chains_meeting": 2 * 734}
 
 
-def test_no_failure_is_worded(seed1, monkeypatch):
+def test_no_failure_is_worded(seed1, bench_inputs, monkeypatch):
     counts = Counter()
-    for name in ("_check_records", "_check_strands", "_record_failures", "_strand_failures"):
+    for name in ("_check_records", "_check_strands", "_rejected"):
         count_calls(monkeypatch, counts, edits, name)
     assert run(seed1) == 742
     # every move passes the record checks and each merge move the strand
     # checks; the 8 walked moves are validated whole instead
     assert counts == {"_check_records": 742, "_check_strands": 734}
+    # every finger and band splice of ``augment`` on the 64 inputs passes
+    # both, and none is worded either
+    counts.clear()
+    for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110):
+        augment(parse_pd(x.pd))
+    assert counts == {"_check_records": 313, "_check_strands": 313}
 
 
 def test_chain_walks_stop_once_one_group_is_going():
