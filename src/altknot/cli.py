@@ -279,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="random qualifying knot diagram")
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--letters", type=int, default=12)
+    gen.add_argument("--letters", type=_at_least(1), default=12)
     gen.add_argument("--flips", type=_at_least(0), default=2)
-    gen.add_argument("--max-crossings", type=int, default=None)
+    gen.add_argument("--max-crossings", type=_at_least(1), default=None)
     gen.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("selfcheck", help="run the pipeline property suite")

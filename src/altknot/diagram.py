@@ -711,10 +711,16 @@ def _assign_components(d: Diagram) -> Diagram:
 def restamp_origins(d: Diagram) -> Diagram:
     """The same diagram with every edge re-stamped as its own origin; it
     keeps ``d``'s face table.  ``d`` itself when every edge already is
-    its own origin, as in every parsed map."""
-    if all(e == r.origin for e, r in d.edges.items()):
+    its own origin, as in every parsed map.  Only the edges whose origin
+    is another id get a new record; the others are handed over as they
+    are, so after ``preprocess`` only the edges its welds made are built
+    again."""
+    stale = [(e, r) for e, r in d.edges.items() if e != r.origin]
+    if not stale:
         return d
-    edges = {e: Edge(e, r.ends, e, r.component) for e, r in d.edges.items()}
+    edges = dict(d.edges)
+    for e, r in stale:
+        edges[e] = Edge(e, r.ends, e, r.component)
     return _hand_over_face_set(d, Diagram(d.crossings, edges, d.loops, d.augmenting_component))
 
 

@@ -7,10 +7,13 @@ them lowest-id-first until neither fires; the result is reduced and
 R2-reduced, with crossing count strictly decreasing along the way and
 the twist count never increasing.
 
-The whole map is read once, on the input.  After that each move costs
-what it touched.  ``preprocess`` holds the faces as a partition of the
-corners (``edits.FacePartition``).  An R2 move merges the bigon with its
-two end faces and trims its two side faces, and the removal of a kink
+The whole map is read once, on the input.  Its twist count comes off
+the corner faces: the number of classes of crossings joined through
+bigons, one union-find over the bigons' crossings, with no twist
+partition built.  After that each move costs what it touched.
+``preprocess`` holds the faces as a partition of the corners
+(``edits.FacePartition``).  An R2 move merges the bigon with its two end
+faces and trims its two side faces, and the removal of a kink
 merges the kink's monogon into the face across the crossing and trims
 the face at the other two corners.  ``edits.check_move`` checks such a
 move without a face walk and returns its merge plan, worked out once;
@@ -27,11 +30,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners, twist_partition
+from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners
 from .diagram import (
     Diagram,
     MapBuilder,
     _is_bigon_corners,
+    _Partition,
     face_set,
     restamp_origins,
     validate_diagram,
@@ -218,7 +222,10 @@ class _Moves:
     least corners of the R2 bigons; a face's least corner is its first,
     so the least key names the least face id of the full walk.  ``t`` is
     the twist count: the number of chains, the classes of crossings
-    joined through bigons.  Beside each set a heap holds its keys and
+    joined through bigons.  ``_read`` takes all three off the partition:
+    the pass over its faces that finds the R2 bigons also unions the two
+    crossings of every bigon, and ``t`` is the crossings less the unions
+    that joined two chains.  Beside each set a heap holds its keys and
     possibly keys since removed, which are dropped when they reach the
     top (``_least``), so each pick of the least key costs O(log n).
 
@@ -231,7 +238,8 @@ class _Moves:
     and a chain changes only when it loses a crossing or meets a bigon
     the move removes or makes; the chains that do are counted before and
     after the move (``_chains_meeting``), and the others stay as they
-    are.  A move that took the walk path is read whole from its table."""
+    are.  A move that took the walk path is read whole from its table,
+    the same way."""
 
     def __init__(self, d: Diagram):
         self.faces = FacePartition(face_set(d))
@@ -240,10 +248,19 @@ class _Moves:
     def _read(self, d: Diagram) -> None:
         faces = self.faces
         self.cuts = {c for c in d.crossings if _is_cut_vertex(faces.face, c)}
-        self.bigons = {min(ks) for ks in faces.corners.values() if _is_bigon_corners(ks) and _is_r2_corners(d, ks)}
+        self.bigons = set()
+        chains = _Partition()
+        joined = 0  # unions that joined two chains
+        for ks in faces.corners.values():
+            if _is_bigon_corners(ks):
+                (c0, _s0), (c1, _s1) = ks
+                joined += chains.union(c0, c1)
+                if _is_r2_corners(d, ks):
+                    self.bigons.add(min(ks))
         self._cut_heap = sorted(self.cuts)  # a sorted list is a heap
         self._bigon_heap = sorted(self.bigons)
-        self.t = twist_partition(d).t
+        # each crossing starts a chain of its own, and each union joins two
+        self.t = len(d.crossings) - joined
 
     def least_cut(self) -> int | None:
         return _least(self.cuts, self._cut_heap)
@@ -338,7 +355,8 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
 
     The input is validated as a whole map once (PreconditionError with
     ``failed_flag="valid"`` when it is not a valid diagram), and its
-    faces, cut vertices, R2 bigons and twist partition are read once.
+    faces, cut vertices, R2 bigons and twist count are read once, the
+    count off the corner faces with no twist partition built.
     Each move is then checked by ``edits.check_move``, which needs no
     face walk for an R2 move or a kink's removal, and the next move and
     the twist count are updated from the faces the move merged and

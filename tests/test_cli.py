@@ -212,13 +212,18 @@ class TestGen:
         "argv, option",
         [
             (["gen", "--seed", "3", "--flips", "-3"], "--flips"),
+            (["gen", "--seed", "3", "--letters", "0"], "--letters"),
+            (["gen", "--seed", "3", "--letters", "-2"], "--letters"),
+            (["gen", "--seed", "3", "--max-crossings", "0"], "--max-crossings"),
+            (["gen", "--seed", "3", "--max-crossings", "-1"], "--max-crossings"),
             (["selfcheck", "--cases", "0"], "--cases"),
             (["selfcheck", "--cases", "-1"], "--cases"),
         ],
     )
     def test_out_of_range_counts_exit_2(self, argv, option, capsys):
-        # no flips below zero, and no selfcheck of no cases, which would
-        # pass vacuously
+        # no flips below zero; no draw of no letters, nor one capped
+        # below one crossing, which could only retry until it gave up; and
+        # no selfcheck of no cases, which would pass vacuously
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

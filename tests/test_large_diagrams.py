@@ -223,11 +223,15 @@ def test_preprocess_relabels_n_log_n_corners(bench_inputs, monkeypatch):
 
     monkeypatch.setattr(reduction._Moves, "__init__", init)
     (x,) = bench_inputs.reduce_inputs(SEED, n=1, lo=1600, hi=1600)
-    _out, trace = reduction.preprocess(parse_pd(x.pd))
+    out, trace = reduction.preprocess(parse_pd(x.pd))
     corners = 4 * trace.crossings_before
     relabelled = held[0].faces.relabelled
     assert len(trace.steps) > 500
     assert 0 < relabelled <= corners * math.ceil(math.log2(corners)), relabelled
+    # the count read off the corner partition, and the one the moves
+    # kept, are the twist partition's at this size too
+    assert trace.t_before == analysis.twist_partition(parse_pd(x.pd)).t
+    assert trace.t_after == analysis.twist_partition(out).t
 
 
 def test_render_positions_200(bench_inputs):

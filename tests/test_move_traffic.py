@@ -7,7 +7,11 @@ walks of ``reduction._chains_meeting`` read the face partition's tables
 directly and call none of its methods.  And every move of these inputs
 passes its local checks, so the whole-map check that words a refused
 edit (``edits._rejected``) never runs; nor does it on the benchmark's
-``augment-large`` seed-1 inputs.
+``augment-large`` seed-1 inputs.  ``preprocess`` reads its twist count
+off the corner partition and builds no ``TwistPartition``, and its
+closing ``restamp_origins`` builds records only for the edges whose
+origin is another id; the trace comparisons of ``test_reduction.py``
+keep ``twist_partition`` as the oracle of every count.
 Whether the verdicts are right is the business of the audits in
 ``test_local_check.py``; these tests pin the traffic.  The last one pins
 the early stop of the chain walks on a small closure.
@@ -16,11 +20,12 @@ the early stop of the chain walks on a small closure.
 from __future__ import annotations
 
 import inspect
+import sys
 from collections import Counter
 
 import pytest
 
-from altknot import augment, edits, face_set, parse_pd, reduction
+from altknot import analysis, augment, diagram, edits, face_set, parse_pd, reduction
 from altknot.generate import braid_closure
 
 
@@ -114,6 +119,45 @@ def test_no_failure_is_worded(seed1, bench_inputs, monkeypatch):
     for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110):
         augment(parse_pd(x.pd))
     assert counts == {"_check_records": 313, "_check_strands": 313}
+
+
+def test_preprocess_builds_no_twist_partition(seed1, monkeypatch):
+    # counted wherever a module of the package holds the function, so an
+    # import by name is counted too
+    real, counts = analysis.twist_partition, Counter()
+
+    def counted(*args, **kwargs):
+        counts["twist_partition"] += 1
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "altknot" and getattr(mod, "twist_partition", None) is real:
+            monkeypatch.setattr(mod, "twist_partition", counted)
+    assert run(seed1) == 742
+    assert counts == {}
+
+
+def test_restamp_builds_only_the_welded_edges(seed1, monkeypatch):
+    real, seen = diagram.restamp_origins, Counter()
+
+    def restamp_origins(d):
+        out = real(d)
+        for e, r in d.edges.items():
+            if r.origin == e:
+                assert out.edges[e] is r, e
+                seen["kept"] += 1
+            else:
+                assert out.edges[e] is not r and out.edges[e].origin == e, e
+                assert (out.edges[e].ends, out.edges[e].component) == (r.ends, r.component), e
+                seen["built"] += 1
+        assert out.edges.keys() == d.edges.keys()
+        return out
+
+    monkeypatch.setattr(reduction, "restamp_origins", restamp_origins)
+    assert run(seed1) == 742
+    # of the 2,362 edges of the 48 outputs, the 584 the welds made are
+    # built again, and the 1,778 kept from the inputs are handed over
+    assert seen == {"kept": 1778, "built": 584}
 
 
 def test_chain_walks_stop_once_one_group_is_going():
