@@ -212,12 +212,12 @@ class TestGen:
         "argv, option",
         [
             (["gen", "--seed", "3", "--flips", "-3"], "--flips"),
+            (["selfcheck", "--cases", "0"], "--cases"),
+            (["selfcheck", "--cases", "-1"], "--cases"),
             (["gen", "--seed", "3", "--letters", "0"], "--letters"),
             (["gen", "--seed", "3", "--letters", "-2"], "--letters"),
             (["gen", "--seed", "3", "--max-crossings", "0"], "--max-crossings"),
             (["gen", "--seed", "3", "--max-crossings", "-1"], "--max-crossings"),
-            (["selfcheck", "--cases", "0"], "--cases"),
-            (["selfcheck", "--cases", "-1"], "--cases"),
         ],
     )
     def test_out_of_range_counts_exit_2(self, argv, option, capsys):
