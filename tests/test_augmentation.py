@@ -793,14 +793,22 @@ class TestWholeMapFactsOncePerMap:
 
     def test_exit_checks_read_the_census(self, monkeypatch):
         # a count on an edge inside a twist region, or of three on one
-        # edge, stops augment with the check's own message
+        # edge, stops augment with the check's own message; so does every
+        # other exit check, forced to fail on the final map (the one
+        # marked with its augmenting component), with its own type
+        from dataclasses import replace
+
         from altknot import analysis, augmentation, twist_partition
-        from altknot.errors import InvariantError
+        from altknot.errors import AlternationError, InvariantError
 
         d = next(d for _s, d in corpus_diagrams(10) if twist_partition(d).bigon_faces)
+        res = augment(d)
+        t_d, t_g = res.t_D, res.t_G
+        assert t_d < t_g
         fs = face_set(d)
         in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.faces[f].boundary_edges}
         inside, free = min(in_twist), min(set(d.edges) - in_twist)
+        all_free = set(d.edges) - in_twist
         real = analysis.reconstruct_input
         for extra, why in (
             ({inside: 1}, f"augmenting curve crosses edge {inside} inside a twist region"),
@@ -812,6 +820,48 @@ class TestWholeMapFactsOncePerMap:
             )
             with pytest.raises(InvariantError, match=why):
                 augment(d)
+        monkeypatch.undo()
+
+        def on_final(name, alter, final=lambda x: x.augmenting_component is not None):
+            # ``name``'s result passed through ``alter`` where ``final``
+            # holds of its first argument
+            real = getattr(augmentation, name)
+
+            def forced(x, *args):
+                out = real(x, *args)
+                return alter(out) if final(x) else out
+
+            return name, forced
+
+        cert = certify_hyperbolic(res.g)
+        for patches, kind, message in (
+            ([on_final("validate_diagram", lambda rep: replace(rep, valid=False, failures=["forced"]))],
+             InvariantError, "final diagram invalid: ['forced']"),
+            ([on_final("classify_edges", lambda cls: replace(cls, is_alternating=False))],
+             AlternationError, "final diagram is not alternating"),
+            ([on_final("certify_hyperbolic", lambda c: replace(c, verdict="not_certified"))],
+             InvariantError,
+             f"augmentation failed certification: {replace(cert, verdict='not_certified')}"),
+            ([on_final("refinement_report", lambda ref: replace(ref, refines=False, failures=("forced",)),
+                       final=lambda x: True)],
+             InvariantError, "refinement check failed: ('forced',)"),
+            ([on_final("twist_partition", lambda tp: replace(tp, t=5 * t_d + 1))],
+             InvariantError, f"twist bound violated: t_D={t_d}, t_G={5 * t_d + 1}"),
+            ([("reconstruct_input", lambda g, aug, expected_d: {})],
+             InvariantError, f"twist count grew past the crossing count: t_G={t_g}, t_D={t_d}, i=0"),
+            # every free edge crossed twice is i = 2 |free edges| = 4 t(D),
+            # so the bound can only fail against a smaller t(D)
+            ([("reconstruct_input", lambda g, aug, expected_d: dict.fromkeys(all_free, 2)),
+              on_final("twist_partition", lambda tp: replace(tp, t=tp.t - 1),
+                       final=lambda x: x.augmenting_component is None)],
+             InvariantError, f"crossing-count bound violated: i={2 * len(all_free)}, t_D={t_d - 1}"),
+        ):
+            for name, fn in patches:
+                monkeypatch.setattr(augmentation, name, fn)
+            with pytest.raises(kind) as exc:
+                augment(d)
+            assert (type(exc.value), str(exc.value)) == (kind, message)
+            monkeypatch.undo()
 
 
 class TestCertificate:
