@@ -16,7 +16,6 @@ from .analysis import (
     classify_edges,
     detect_two_strand_torus,
     diagram_flags,
-    refinement_check,
     shading_classes,
     twist_partition,
 )
@@ -41,7 +40,6 @@ from .diagram import (
     Face,
     Sign,
     ValidationReport,
-    drop_component,
     end_labels,
     face_set,
     faces,

@@ -20,7 +20,6 @@ from .diagram import (
     _held_face_set,
     _is_bigon_corners,
     _Partition,
-    drop_component,
     face_set,
     is_connected,
     piece_count,
@@ -511,10 +510,11 @@ def _verify_refinement(
 
 
 def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, int]:
-    """Check that dropping component ``aug`` from ``g`` gives back
-    ``expected_d`` verbatim: the crossings (ids, slots, over strands),
-    loop ids and edge ids of ``drop_component(g, aug)`` equal the
-    input's.  The test is read off ``g``; no map is built:
+    """Check that dropping component ``aug`` from ``g``, fusing each
+    input edge back from the pieces it was cut into, gives back
+    ``expected_d`` verbatim: the same crossings (ids, slots, over
+    strands), loop ids and edge ids.  The test is read off ``g``; no map
+    is built:
 
     - each input crossing is in ``g`` with the same over strand, and the
       edge in each of its slots is off ``aug`` and carries as origin the
@@ -603,41 +603,6 @@ def refinement_report(
         if x:
             p_prime.append(x)
     return _verify_refinement(p, p_prime, d_tp, d_fs, g_tp.t)
-
-
-def refinement_check(
-    g: Diagram,
-    augmenting: int | None = None,
-    expected_d: Diagram | None = None,
-) -> RefinementReport:
-    """Compare the twist partition of the diagram reconstructed from the
-    origin-labeled edges of ``g`` with the partition its crossings
-    inherit from the twist regions of ``g``.
-
-    The inherited partition must refine the reconstructed one: parts are
-    pairwise disjoint, each is a sub twist region, and together they
-    cover every reconstructed crossing.  The check is independent of
-    ``augment``: it builds the reconstruction (``drop_component``),
-    compares it with ``expected_d`` verbatim (MappingError) and walks its
-    faces and twist partition itself, where ``augment`` reads the same
-    verbatim test off the augmented map (``reconstruct_input``) and reuses
-    the tables of its input.  UnknownComponent when ``g`` has no
-    component ``augmenting``.
-    """
-    aug = augmenting if augmenting is not None else g.augmenting_component
-    d = g if aug is None else drop_component(g, aug)
-    if expected_d is not None and (
-        d.crossings != expected_d.crossings
-        or set(d.loops) != set(expected_d.loops)
-        or set(d.edges) != set(expected_d.edges)
-    ):
-        raise MappingError("reconstructed diagram is not the input verbatim")
-    # g first, while the memo may still hold its table; then d's table,
-    # held here
-    g_tp = twist_partition(g)
-    d_fs = face_set(d)
-    d_tp = twist_partition(d)
-    return refinement_report(d, d_fs, d_tp, g, g_tp)
 
 
 # -- aggregate report ------------------------------------------------------------------

@@ -8,11 +8,11 @@ splice in between is a local edit, checked on what it changed
 re-ended are walked afresh, and every other face is kept.  The overlay
 is built in one pass straight into the crossing and edge records, and
 the band splice relabels the dropped circle by walking its one strand,
-so neither pays for the parts of the map it leaves alone.  On the
-result, ``analysis.reconstruct_input`` checks that dropping the curve
-gives back the input verbatim, and its walk counts the curve's
-crossings on each input edge; the exit checks on the curve read that
-count.
+so neither pays for the parts of the map it leaves alone.  ``certify``
+checks the result against the one list of the paper's promises; there
+``analysis.reconstruct_input`` checks that dropping the curve gives back
+the input verbatim, and its walk counts the curve's crossings on each
+input edge, which the checks on the curve read.
 
 1.  ``build_cut_curves``: checkerboard-classify the crossings, thicken
     the smaller class, and walk the boundary of its ribbon neighborhood.
@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    TwistPartition,
     classify_edges,
     detect_two_strand_torus,
     diagram_flags,
@@ -83,10 +84,13 @@ from .edits import check_edit
 from .errors import (
     AlternationError,
     ConstructionError,
+    DiagramError,
     InvariantError,
     JoinError,
+    MappingError,
     NoPathError,
     PreconditionError,
+    UnknownComponent,
     UnknownEdge,
     UnknownFace,
 )
@@ -807,6 +811,103 @@ def certify_hyperbolic(g: Diagram) -> HyperbolicityCertificate:
     )
 
 
+# -- the promises ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Certification:
+    """What ``certify`` found: each broken promise, in order, as the
+    exception ``augment`` raises for it, and the quantities read on the
+    way.  ``i_A_D`` is None when the curve could not be read off G, and
+    ``t_G`` and ``certificate`` are None when G is not a valid map."""
+
+    failures: tuple[DiagramError, ...]
+    i_A_D: int | None
+    t_G: int | None
+    certificate: HyperbolicityCertificate | None
+
+
+def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: int) -> Certification:
+    """Check every promise the paper makes of G = ``g``, the input ``d``
+    (its edges their own origins) with the unknotted curve ``aug``
+    added, from ``d``'s face table and twist partition, which the caller
+    holds.  In order, with the exception for each:
+
+    1. G is a valid map (InvariantError); nothing more is read otherwise;
+    2. G is alternating (AlternationError);
+    3. dropping the curve gives back ``d`` verbatim, so the curve crosses
+       itself nowhere and crosses only edges of ``d``
+       (``reconstruct_input``: MappingError, or UnknownComponent when G
+       has no curve ``aug``);
+    4. the curve crosses no edge of a twist region of ``d`` (InvariantError);
+    5. it crosses each edge of ``d`` at most twice (InvariantError);
+    6. G carries a hyperbolicity certificate (InvariantError);
+    7. the partition of ``d``'s crossings by G's twist regions refines
+       ``d``'s twist partition (InvariantError);
+    8. t(D) <= t(G) <= 5 t(D) (InvariantError);
+    9. t(G) <= t(D) + i(A, D) (InvariantError);
+    10. i(A, D) <= 2 |edges outside the twist regions| and
+        i(A, D) <= 4 t(D) (InvariantError);
+    11. G has exactly one component more than ``d`` (InvariantError).
+
+    Checks 4, 5, 9 and 10 read the crossing counts of check 3, and are
+    skipped when it fails.  Nothing is raised: ``augment`` raises the
+    first failure, ``selfcheck.verify_augmentation`` reports them all."""
+    rep = validate_diagram(g)
+    if not rep.valid:
+        return Certification((InvariantError(f"final diagram invalid: {rep.failures}"),), None, None, None)
+    failures: list[DiagramError] = []
+    if not classify_edges(g).is_alternating:
+        failures.append(AlternationError("final diagram is not alternating"))
+    t_d = d_tp.t
+    free_edges = set(d.edges)  # the edges outside d's twist regions
+    for fid in d_tp.bigon_faces:
+        free_edges.difference_update(d_fs.faces[fid].boundary_edges)
+    # dropping the curve gives back d verbatim (read off g, no map is
+    # built), so the report below reads d's tables instead of a
+    # reconstruction's; the walk counts the curve's crossings per edge
+    try:
+        crossed = reconstruct_input(g, aug, expected_d=d)
+    except (MappingError, UnknownComponent) as exc:
+        failures.append(exc)
+        i_a_d = None
+    else:
+        inside = crossed.keys() - free_edges
+        if inside:
+            failures.append(InvariantError(f"augmenting curve crosses edge {min(inside)} inside a twist region"))
+        if any(n > 2 for n in crossed.values()):
+            failures.append(InvariantError("some original edge is crossed more than twice"))
+        i_a_d = sum(crossed.values())
+
+    g_tp = twist_partition(g)
+    cert = certify_hyperbolic(g)
+    if cert.verdict != "hyperbolic":
+        failures.append(InvariantError(f"augmentation failed certification: {cert}"))
+    try:
+        ref = refinement_report(d, d_fs, d_tp, g, g_tp)
+    except MappingError as exc:
+        failures.append(exc)
+    else:
+        if not ref.refines:
+            failures.append(InvariantError(f"refinement check failed: {ref.failures}"))
+    t_g = g_tp.t
+    if not (t_d <= t_g <= 5 * t_d):
+        failures.append(InvariantError(f"twist bound violated: t_D={t_d}, t_G={t_g}"))
+    if i_a_d is not None:
+        if t_g > t_d + i_a_d:
+            failures.append(InvariantError(
+                f"twist count grew past the crossing count: t_G={t_g}, "
+                f"t_D={t_d}, i={i_a_d}"
+            ))
+        if not (i_a_d <= 2 * len(free_edges) and i_a_d <= 4 * t_d):
+            failures.append(InvariantError(f"crossing-count bound violated: i={i_a_d}, t_D={t_d}"))
+    n_d = len(d.components())
+    if rep.components != n_d + 1:
+        failures.append(InvariantError(
+            f"final diagram has {rep.components} components, not the input's {n_d} plus one"
+        ))
+    return Certification(tuple(failures), i_a_d, t_g, cert)
+
+
 # -- full pipeline -----------------------------------------------------------------------
 
 @dataclass
@@ -851,9 +952,11 @@ class AugmentationResult:
 
 def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     """Run the whole construction on a connected, reduced, R2-reduced,
-    prime, non-alternating diagram and verify every promised property of
-    the output.  ``on_stage(name, diagram)`` is called after each stage
-    when provided (used by the acceptance suite to audit sphericity).
+    prime, non-alternating diagram, and check every promised property of
+    the output with ``certify``, from the input's face table and twist
+    partition held since the start; the first broken promise is raised.
+    ``on_stage(name, diagram)`` is called after each stage when provided
+    (used by the acceptance suite to audit sphericity).
 
     When the overlay has two or more circles, the merge loop reads the
     faces each circle borders once and carries them through every finger
@@ -878,11 +981,6 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     d = restamp_origins(d)
     d_fs = face_set(d)
     d_tp = twist_partition(d)
-    t_d = d_tp.t
-    bigon_edge_origins = set()
-    for fid in d_tp.bigon_faces:
-        bigon_edge_origins |= set(d_fs.faces[fid].boundary_edges)
-    free_edges = set(d.edges) - bigon_edge_origins
 
     cs = build_cut_curves(d)
     g, cs = overlay_unlink(d, cs)
@@ -916,38 +1014,9 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
 
     aug_comp = live[0]
     g = mark_augmenting(g, aug_comp)
-    rep = validate_diagram(g)
-    if not rep.valid:
-        raise InvariantError(f"final diagram invalid: {rep.failures}")
-    if not classify_edges(g).is_alternating:
-        raise AlternationError("final diagram is not alternating")
-    # dropping the curve gives back d verbatim (read off g, no map is
-    # built), so the report below reads d's tables instead of a
-    # reconstruction's; the walk counts the curve's crossings per edge
-    crossed = reconstruct_input(g, aug_comp, expected_d=d)
-    inside = crossed.keys() - free_edges
-    if inside:
-        raise InvariantError(f"augmenting curve crosses edge {min(inside)} inside a twist region")
-    if any(n > 2 for n in crossed.values()):
-        raise InvariantError("some original edge is crossed more than twice")
-    i_a_d = sum(crossed.values())
-
-    g_tp = twist_partition(g)
-    cert = certify_hyperbolic(g)
-    if cert.verdict != "hyperbolic":
-        raise InvariantError(f"augmentation failed certification: {cert}")
-    ref = refinement_report(d, d_fs, d_tp, g, g_tp)
-    if not ref.refines:
-        raise InvariantError(f"refinement check failed: {ref.failures}")
-    t_g = g_tp.t
-    if not (t_d <= t_g <= 5 * t_d):
-        raise InvariantError(f"twist bound violated: t_D={t_d}, t_G={t_g}")
-    if t_g > t_d + i_a_d:
-        raise InvariantError(
-            f"twist count grew past the crossing count: t_G={t_g}, "
-            f"t_D={t_d}, i={i_a_d}"
-        )
-    if not (i_a_d <= 2 * len(free_edges) and i_a_d <= 4 * t_d):
-        raise InvariantError(f"crossing-count bound violated: i={i_a_d}, t_D={t_d}")
-    return AugmentationResult(g, aug_comp, i_a_d, t_d, t_g, merges, cert, cs)
-
+    checked = certify(d, d_fs, d_tp, g, aug_comp)
+    if checked.failures:
+        raise checked.failures[0]
+    return AugmentationResult(
+        g, aug_comp, checked.i_A_D, d_tp.t, checked.t_G, merges, checked.certificate, cs
+    )

@@ -31,10 +31,8 @@ from operator import attrgetter
 from .errors import (
     IncidenceError,
     InvariantError,
-    MappingError,
     PDSyntaxError,
     SphericityError,
-    UnknownComponent,
     UnknownCrossing,
 )
 
@@ -403,8 +401,8 @@ def face_set(d: Diagram) -> FaceSet:
     the faces the edit reaches -- those at a removed crossing or on
     either side of a removed or re-ended edge -- since every other face
     leaves each of its corners through the same edge as before.
-    Diagrams made without a source table (parsed, or reconstructed by
-    ``analysis.refinement_check``) are walked whole, and so is the
+    Diagrams made without a source table (parsed ones) are walked whole,
+    and so is the
     overlay of the cut circles: it re-slots about two-thirds of its
     input's crossings, so a local update would re-walk most of the map.
     A reduction move that ``edits.check_move`` cannot check by a face
@@ -1031,63 +1029,3 @@ def flip_crossing(d: Diagram, c: int) -> Diagram:
     crossings = dict(d.crossings)
     crossings[c] = flipped
     return Diagram(crossings, d.edges, d.loops, d.augmenting_component)
-
-
-def drop_component(d: Diagram, comp: int) -> Diagram:
-    """Remove one link component, fusing the strands it crossed.
-
-    Sub-edges welded back together must share an origin id; the fused
-    edge takes that origin as its id, so dropping an augmenting curve
-    reconstructs the original diagram verbatim: the same crossings (ids,
-    slots, over strands) and loop ids, with components numbered afresh.
-    UnknownComponent when ``d`` has no component ``comp``."""
-    b = MapBuilder(d)
-    edges = b.edges
-    comp_edges = sorted(e for e, rec in edges.items() if rec.component == comp)
-    if not comp_edges and comp not in b.loops.values():
-        raise UnknownComponent(f"no component {comp}")
-    hit = sorted(
-        c for c, slots in b.slots.items()
-        if any(edges[e].component == comp for e in slots)
-    )
-    def weld_checked(c: int, s1: int, s2: int) -> None:
-        o1, o2 = edges[b.slots[c][s1]].origin, edges[b.slots[c][s2]].origin
-        if o1 != o2:
-            raise MappingError(
-                f"strand through crossing {c} mixes origins {o1} and {o2}"
-            )
-        b.weld((c, s1), (c, s2))
-
-    for c in hit:
-        slots = b.slots[c]
-        on = [edges[slots[s]].component == comp for s in range(4)]
-        if all(on):
-            for s in (0, 1):
-                if slots[s] in edges:
-                    weld_checked(c, s, s + 2)
-        elif on[0] and on[2] and not (on[1] or on[3]):
-            weld_checked(c, 1, 3)
-        elif on[1] and on[3] and not (on[0] or on[2]):
-            weld_checked(c, 0, 2)
-        else:
-            raise MappingError(f"crossing {c} mixes component {comp} within a strand")
-        b.remove_crossing(c)
-    for e in comp_edges:
-        if e in edges:
-            b.remove_edge(e)
-    for k in [k for k, cc in b.loops.items() if cc == comp]:
-        del b.loops[k]
-    # rename fused arcs back to their origin ids
-    renames = {}
-    for e in sorted(edges):
-        o = edges[e].origin
-        if o is not None and o != e:
-            if o in edges or o in renames.values():
-                raise MappingError(f"origin id {o} already taken while fusing edge {e}")
-            renames[e] = o
-    for e, o in renames.items():
-        rec = edges[e]
-        b.remove_edge(e)
-        b.add_edge(o, rec.ends, rec.origin, rec.component)
-    out = _assign_components(b.build())
-    return Diagram(out.crossings, out.edges, out.loops, None)

@@ -847,6 +847,107 @@ def oracle_curve_crossings(g, aug) -> dict[int, int]:
     return dict(counts)
 
 
+def drop_component(d, comp: int):
+    """Remove one link component, fusing the strands it crossed, by
+    builder edits: the reconstruction ``refinement_check`` compares with
+    the input, where the package reads the same test off the augmented
+    map (``analysis.reconstruct_input``).
+
+    Sub-edges welded back together must share an origin id; the fused
+    edge takes that origin as its id, so dropping an augmenting curve
+    reconstructs the original diagram verbatim: the same crossings (ids,
+    slots, over strands) and loop ids, with components numbered afresh.
+    UnknownComponent when ``d`` has no component ``comp``."""
+    from altknot.diagram import Diagram, MapBuilder, _assign_components
+    from altknot.errors import MappingError, UnknownComponent
+
+    b = MapBuilder(d)
+    edges = b.edges
+    comp_edges = sorted(e for e, rec in edges.items() if rec.component == comp)
+    if not comp_edges and comp not in b.loops.values():
+        raise UnknownComponent(f"no component {comp}")
+    hit = sorted(
+        c for c, slots in b.slots.items()
+        if any(edges[e].component == comp for e in slots)
+    )
+    def weld_checked(c: int, s1: int, s2: int) -> None:
+        o1, o2 = edges[b.slots[c][s1]].origin, edges[b.slots[c][s2]].origin
+        if o1 != o2:
+            raise MappingError(
+                f"strand through crossing {c} mixes origins {o1} and {o2}"
+            )
+        b.weld((c, s1), (c, s2))
+
+    for c in hit:
+        slots = b.slots[c]
+        on = [edges[slots[s]].component == comp for s in range(4)]
+        if all(on):
+            for s in (0, 1):
+                if slots[s] in edges:
+                    weld_checked(c, s, s + 2)
+        elif on[0] and on[2] and not (on[1] or on[3]):
+            weld_checked(c, 1, 3)
+        elif on[1] and on[3] and not (on[0] or on[2]):
+            weld_checked(c, 0, 2)
+        else:
+            raise MappingError(f"crossing {c} mixes component {comp} within a strand")
+        b.remove_crossing(c)
+    for e in comp_edges:
+        if e in edges:
+            b.remove_edge(e)
+    for k in [k for k, cc in b.loops.items() if cc == comp]:
+        del b.loops[k]
+    # rename fused arcs back to their origin ids
+    renames = {}
+    for e in sorted(edges):
+        o = edges[e].origin
+        if o is not None and o != e:
+            if o in edges or o in renames.values():
+                raise MappingError(f"origin id {o} already taken while fusing edge {e}")
+            renames[e] = o
+    for e, o in renames.items():
+        rec = edges[e]
+        b.remove_edge(e)
+        b.add_edge(o, rec.ends, rec.origin, rec.component)
+    out = _assign_components(b.build())
+    return Diagram(out.crossings, out.edges, out.loops, None)
+
+
+def refinement_check(g, augmenting: int | None = None, expected_d=None):
+    """Compare the twist partition of the diagram reconstructed from the
+    origin-labeled edges of ``g`` with the partition its crossings
+    inherit from the twist regions of ``g``.
+
+    The inherited partition must refine the reconstructed one: parts are
+    pairwise disjoint, each is a sub twist region, and together they
+    cover every reconstructed crossing.  The check is independent of
+    ``augmentation.certify``: it builds the reconstruction
+    (``drop_component``), compares it with ``expected_d`` verbatim
+    (MappingError) and walks its faces and twist partition itself, where
+    ``certify`` reads the same verbatim test off the augmented map
+    (``reconstruct_input``) and reuses the tables of the input.
+    UnknownComponent when ``g`` has no component ``augmenting``.
+    """
+    from altknot import face_set, twist_partition
+    from altknot.analysis import refinement_report
+    from altknot.errors import MappingError
+
+    aug = augmenting if augmenting is not None else g.augmenting_component
+    d = g if aug is None else drop_component(g, aug)
+    if expected_d is not None and (
+        d.crossings != expected_d.crossings
+        or set(d.loops) != set(expected_d.loops)
+        or set(d.edges) != set(expected_d.edges)
+    ):
+        raise MappingError("reconstructed diagram is not the input verbatim")
+    # g first, while the memo may still hold its table; then d's table,
+    # held here
+    g_tp = twist_partition(g)
+    d_fs = face_set(d)
+    d_tp = twist_partition(d)
+    return refinement_report(d, d_fs, d_tp, g, g_tp)
+
+
 def oracle_merge_arc(g, live):
     """The merge arc by one reverse breadth-first search per circle, with
     the admissible steps re-derived from the edges: for each circle in

@@ -20,10 +20,10 @@ from altknot import (
     constants,
     detect_two_strand_torus,
     diagram_flags,
+    face_set,
     flip_crossing,
     parse_pd,
     preprocess,
-    refinement_check,
     serialize_pd,
     shading_classes,
     twist_partition,
@@ -36,7 +36,7 @@ from altknot.generate import braid_closure, random_knot_diagram, two_strand_toru
 from altknot.selfcheck import verify_augmentation
 from altknot.volume import augmented_volume_bounds, catalan_reference
 
-from conftest import euler_by_piece, same_map
+from conftest import euler_by_piece, oracle_curve_crossings, refinement_check, same_map
 from test_volume import oracle_four_catalan, oracle_tetrahedron_volume
 
 N_CASES = 500
@@ -106,13 +106,21 @@ def raw_closures():
 def test_acceptance_1_pipeline_property_suite(pipeline):
     """>=500 generated diagrams: augment succeeds with alternating output,
     one simple augmenting curve, <=2 crossings per original edge, none in
-    a twist region, t(D) <= t(G) <= 5 t(D), under a second each."""
+    a twist region, t(D) <= t(G) <= 5 t(D), under a second each.  The
+    curve's crossings are also counted by a census of G's crossings,
+    apart from the reconstruction walk ``certify`` reads them off."""
     assert len(pipeline) >= 500
     for case in pipeline:
         assert len(case.d.crossings) <= MAX_CROSSINGS
         problems = verify_augmentation(case.d, case.result)
         assert problems == [], (case.seed, problems)
         res = case.result
+        crossed = oracle_curve_crossings(res.g, res.augmenting_component)
+        # every crossing G adds is one of the curve with an input edge
+        assert sum(crossed.values()) == res.i_A_D == len(res.g.crossings) - len(case.d.crossings)
+        assert None not in crossed and max(crossed.values(), default=0) <= 2, case.seed
+        fs, tp = face_set(case.d), twist_partition(case.d)
+        assert not crossed.keys() & {e for f in tp.bigon_faces for e in fs.faces[f].boundary_edges}
         assert classify_edges(res.g).is_alternating
         assert res.t_D <= res.t_G <= 5 * res.t_D, case.seed
         assert res.i_A_D <= 4 * res.t_D

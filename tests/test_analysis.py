@@ -15,7 +15,6 @@ from altknot import (
     face_set,
     flip_crossing,
     parse_pd,
-    refinement_check,
     shading_classes,
     twist_partition,
 )
@@ -31,6 +30,7 @@ from conftest import (
     oracle_cut_vertices,
     oracle_twist_count,
     oracle_two_edge_cuts,
+    refinement_check,
     twist_region_topology,
 )
 

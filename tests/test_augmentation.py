@@ -1,5 +1,7 @@
 """The augmentation pipeline: cut curves, overlay, merging, certificates."""
 
+from dataclasses import replace
+
 import pytest
 
 from altknot import (
@@ -16,7 +18,7 @@ from altknot import (
     overlay_unlink,
     parse_pd,
     propagate_finger,
-    refinement_check,
+    serialize_pd,
     validate_diagram,
 )
 from altknot.augmentation import (
@@ -28,7 +30,8 @@ from altknot.augmentation import (
 )
 from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, is_connected
 from altknot.errors import PreconditionError
-from altknot.generate import two_strand_torus
+from altknot.generate import random_knot_diagram, two_strand_torus
+from altknot.selfcheck import verify_augmentation
 
 from conftest import (
     TREFOIL,
@@ -36,6 +39,7 @@ from conftest import (
     augment_recording_fingers,
     augment_recording_merge_arcs,
     corpus_diagrams,
+    drop_component,
     euler_by_piece,
     finger_base_verdicts,
     link_diagrams,
@@ -43,6 +47,7 @@ from conftest import (
     oracle_finger_base,
     oracle_merge_arc,
     picked_finger_bases,
+    refinement_check,
     same_map,
     subdivide_edge_with_crossing,
 )
@@ -503,8 +508,6 @@ class TestAugment:
             augment(red)  # the unknot loop is alternating
 
     def test_corpus_end_to_end(self):
-        from altknot.selfcheck import verify_augmentation
-
         ks = 0
         for seed, d in corpus_diagrams(40):
             res = augment(d)
@@ -536,8 +539,6 @@ class TestAugment:
         # cli-batch blocks whose G has one crossing key shared by two
         # twist regions, so t_G is one more than its number of
         # twist-equivalence classes (ROADMAP item 1)
-        from altknot.selfcheck import verify_augmentation
-
         want = {
             (0, "f8-b3"): (18, 30),
             (0, "f10-b3"): (5, 9),
@@ -570,7 +571,6 @@ class TestAugment:
 
         from altknot import preprocess
         from altknot.generate import braid_closure
-        from altknot.selfcheck import verify_augmentation
 
         found = 0
         for seed in range(200):
@@ -602,8 +602,6 @@ class TestAugment:
     def test_large_links_audited_stage_by_stage(self):
         # 2- and 3-component links above 30 crossings: every stage passes
         # the whole-map check, whatever the local checks in between said
-        from altknot.selfcheck import verify_augmentation
-
         cases = link_diagrams(24)
         assert {len(d.components()) for _seed, d in cases} == {2, 3}
         merges = 0
@@ -700,7 +698,7 @@ class TestWholeMapFactsOncePerMap:
         # map (its reconstruction passes same_map), so only the verbatim
         # comparison can catch it
         from altknot import analysis, augmentation
-        from altknot.diagram import Crossing, Edge, drop_component, restamp_origins
+        from altknot.diagram import Crossing, Edge, restamp_origins
         from altknot.errors import MappingError, UnknownComponent
 
         # a link whose curve crosses some original edge twice, after a finger
@@ -862,6 +860,59 @@ class TestWholeMapFactsOncePerMap:
                 augment(d)
             assert (type(exc.value), str(exc.value)) == (kind, message)
             monkeypatch.undo()
+
+
+# results that do not match their input, each made from a true one
+_TAMPERS = {
+    "unknown-curve": lambda d, res: replace(res, augmenting_component=99),
+    "input-as-G": lambda d, res: replace(res, g=d),
+    "input-crossing-flipped": lambda d, res: replace(res, g=flip_crossing(res.g, min(res.g.crossings))),
+    "G-reparsed": lambda d, res: replace(res, g=parse_pd(serialize_pd(res.g))),
+    "t_G-plus-1": lambda d, res: replace(res, t_G=res.t_G + 1),
+    "i_A_D-plus-1": lambda d, res: replace(res, i_A_D=res.i_A_D + 1),
+}
+
+
+class TestCertify:
+    @pytest.mark.parametrize("tamper", list(_TAMPERS.values()), ids=list(_TAMPERS))
+    def test_verify_reports_a_tampered_result(self, tamper):
+        # reported line by line, never raised
+        d, _ = random_knot_diagram(3, 14, 2)
+        res = augment(d)
+        assert verify_augmentation(d, res) == []
+        assert verify_augmentation(d, tamper(d, res)) != []
+
+    def test_components_sharing_one_id_are_refused(self, monkeypatch):
+        # a 2-component input whose two components carry one id in G: G
+        # keeps every other promise, and only the component count fails
+        from altknot import augmentation, twist_partition
+        from altknot.augmentation import certify
+        from altknot.diagram import Edge, restamp_origins
+        from altknot.errors import InvariantError
+
+        d = next(d for _s, d in link_diagrams(4) if len(d.components()) == 2)
+        res = augment(d)
+        aug = res.augmenting_component
+        keep, gone = sorted(c for c in res.g.components() if c != aug)
+
+        def relabel(g):
+            edges = {e: Edge(e, r.ends, r.origin, keep) if r.component == gone else r for e, r in g.edges.items()}
+            return Diagram(g.crossings, edges, g.loops, g.augmenting_component)
+
+        g = relabel(res.g)
+        assert validate_diagram(g).valid
+        d0 = restamp_origins(d)
+        checked = certify(d0, face_set(d0), twist_partition(d0), g, aug)
+        message = "final diagram has 2 components, not the input's 2 plus one"
+        assert [(type(exc), str(exc)) for exc in checked.failures] == [(InvariantError, message)]
+        assert (checked.i_A_D, checked.t_G, checked.certificate) == (res.i_A_D, res.t_G, res.certificate)
+        assert verify_augmentation(d, replace(res, g=g)) == [f"InvariantError: {message}"]
+        # augment refuses such a G of its own
+        real = augmentation.mark_augmenting
+        monkeypatch.setattr(augmentation, "mark_augmenting", lambda g, comp: relabel(real(g, comp)))
+        with pytest.raises(InvariantError) as exc:
+            augment(d)
+        assert str(exc.value) == message
 
 
 class TestCertificate:

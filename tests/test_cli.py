@@ -256,6 +256,7 @@ class TestSelfcheckAndRender:
         report = selfcheck.run_selfcheck(3, seed=0, progress=seen.append)
         assert [case.seed for case in seen] == [0, 1, 2]
         assert [case.ok for case in seen] == [True, False, True]
+        assert seen[1].failures == ["ConstructionError: boom"]
         assert (report["cases"], report["passed"]) == (3, 2)
         assert report["failed"] == [{"seed": 1, "failures": ["ConstructionError: boom"]}]
         capsys.readouterr()

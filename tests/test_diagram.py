@@ -22,7 +22,6 @@ from altknot.diagram import (
     Edge,
     MapBuilder,
     connected_pieces,
-    drop_component,
     mark_augmenting,
     restamp_origins,
 )
@@ -39,6 +38,7 @@ from altknot.generate import braid_closure
 from conftest import (
     GRANNY_SUM,
     TREFOIL,
+    drop_component,
     euler_by_piece,
     oracle_labels_from_pd,
     reattach,

@@ -188,9 +188,10 @@ def _augment_audited(d):
     return res
 
 
-def test_augment_800(bench_inputs):
-    # one closure of 800 crossings
-    (x,) = bench_inputs.large_inputs(SEED, n=1, lo=800, hi=800)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_augment_800(bench_inputs, seed):
+    # one closure of 800 crossings per seed
+    (x,) = bench_inputs.large_inputs(seed, n=1, lo=800, hi=800)
     d = parse_pd(x.pd)
     res = _augment_audited(d)
     assert len(d.crossings) == 800 and len(res.merges) > 20
