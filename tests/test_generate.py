@@ -1,5 +1,9 @@
 """Braid closures and the random diagram generator."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from altknot import (
@@ -12,6 +16,18 @@ from altknot import (
 )
 from altknot.errors import PDSyntaxError, RetryExhausted
 from altknot.generate import braid_closure, random_knot_diagram, two_strand_torus
+
+# sha256 of ``_records`` over 4,000 closures of random words
+# (``test_closures_match_pin``)
+CLOSURES = "c3c60492558aba06f50e61d2dfef244d9b5fb5fecfb493dee8bf5a9f2da674d6"
+# sha256 of ``_records`` and the sorted trace JSON of
+# ``random_knot_diagram`` for seeds 0-59 (``test_generated_diagrams_match_pin``)
+GENERATED = "ca53fab7a0fee9111bd14ce52518e7c994882a858377d57c1455029647b512d9"
+
+
+def _records(d) -> bytes:
+    """Every record of ``d`` in dict order, which later passes iterate."""
+    return repr((list(d.crossings.items()), list(d.edges.items()), list(d.loops.items()))).encode()
 
 
 class TestBraidClosure:
@@ -91,3 +107,24 @@ class TestRandomDiagrams:
         # qualifying knot diagram
         with pytest.raises(RetryExhausted):
             random_knot_diagram(0, 1, 0, max_tries=50)
+
+
+def test_closures_match_pin():
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(4000):
+        strands = rng.randint(2, 7)
+        gens = list(range(1, strands)) + [-i for i in range(1, strands)]
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 40))]
+        width = None if rng.random() < 0.5 else strands + rng.choice([0, 1, 2])
+        h.update(_records(braid_closure(word, width)))
+    assert h.hexdigest() == CLOSURES
+
+
+def test_generated_diagrams_match_pin():
+    h = hashlib.sha256()
+    for seed in range(60):
+        d, trace = random_knot_diagram(seed, 6 + seed % 20, 1 + seed % 3)
+        h.update(_records(d))
+        h.update(json.dumps(trace.to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == GENERATED
