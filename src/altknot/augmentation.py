@@ -850,8 +850,12 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     11. G has exactly one component more than ``d`` (InvariantError).
 
     Checks 4, 5, 9 and 10 read the crossing counts of check 3, and are
-    skipped when it fails.  Nothing is raised: ``augment`` raises the
-    first failure, ``selfcheck.verify_augmentation`` reports them all."""
+    skipped when it fails.  On ``augment``'s inputs (connected, reduced,
+    no loops) a twist region of k crossings holds 2 (k - 1) edges in its
+    bigons, so exactly 2 t(D) edges lie outside the regions, and check
+    10 follows from checks 4 and 5; it stays as a guard on the counts.
+    Nothing is raised: ``augment`` raises the first failure,
+    ``selfcheck.verify_augmentation`` reports them all."""
     rep = validate_diagram(g)
     if not rep.valid:
         return Certification((InvariantError(f"final diagram invalid: {rep.failures}"),), None, None, None)

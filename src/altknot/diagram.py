@@ -622,17 +622,16 @@ def _strip_comments(text: str) -> str:
 def parse_pd(text: str) -> Diagram:
     """Parse PD text into a validated Diagram.
 
-    Raises PDSyntaxError for malformed records, IncidenceError when an
-    edge id is not used exactly twice, SphericityError when the rotation
+    Checks syntax, incidence and sphericity.  Raises PDSyntaxError for
+    malformed records; the records go to ``_assemble``, which raises
+    IncidenceError when an edge id is not used exactly twice or a loop
+    id repeats or names an edge; then SphericityError when the rotation
     system is not spherical: V - E + F over the corner faces must be 2P
     for the P crossing-bearing pieces, as in ``validate_diagram``.
-    The strand orbits are computed once, by one walk over the slot table
-    (``_strand_walk``), and each edge record is built once, with its
-    final component: the orbits in order of least edge id, then the
-    loops in id order.
     """
     clean = _strip_comments(text)
-    records = []
+    slot_records: list[tuple[int, int, int, int]] = []
+    loop_ids: list[int] = []
     pos = 0
     for m in _RECORD.finditer(clean):
         if clean[pos:m.start()].strip():
@@ -645,28 +644,47 @@ def parse_pd(text: str) -> Diagram:
         ids = tuple(map(int, body.split(",")))
         if min(ids) <= 0:
             raise PDSyntaxError(f"edge ids must be positive: {m.group(0)!r}")
-        if kind == "X" and len(ids) != 4:
-            raise PDSyntaxError(f"X record needs 4 edges: {m.group(0)!r}")
-        if kind == "O" and len(ids) != 1:
-            raise PDSyntaxError(f"O record needs 1 id: {m.group(0)!r}")
-        records.append((kind, ids))
+        if kind == "X":
+            if len(ids) != 4:
+                raise PDSyntaxError(f"X record needs 4 edges: {m.group(0)!r}")
+            slot_records.append(ids)
+        else:
+            if len(ids) != 1:
+                raise PDSyntaxError(f"O record needs 1 id: {m.group(0)!r}")
+            loop_ids.append(ids[0])
     if clean[pos:].strip():
         raise PDSyntaxError(f"unrecognized text: {clean[pos:].strip()!r}")
 
+    d = _assemble(slot_records, loop_ids)
+    chi = len(d.crossings) - len(d.edges) + len(face_set(d).faces) - 2 * len(d.loops)
+    pieces = connected_pieces(d)
+    if chi != 2 * pieces:
+        raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
+    return d
+
+
+def _assemble(slot_records: list[tuple[int, int, int, int]], loop_ids: list[int]) -> Diagram:
+    """The map of crossing records, each four edge ids counterclockwise
+    from the incoming under strand, and crossing-free loop ids, as
+    ``parse_pd`` reads them: crossings are numbered in record order with
+    the over strand in slots 1 and 3.  IncidenceError when a loop id
+    repeats, or when an edge id is not used exactly twice or is also a
+    loop id; the rotation system is not checked.  The strand orbits are
+    found by one walk over the slot table (``_strand_walk``) and each
+    edge record is built once, as its own origin, with its final
+    component: the orbits in order of least edge id, then the loops in
+    id order."""
     crossings: dict[int, Crossing] = {}
-    loops: dict[int, int] = {}
     uses: dict[int, list[End]] = {}
-    for kind, ids in records:
-        if kind == "X":
-            cid = len(crossings)
-            crossings[cid] = Crossing(cid, ids, over_slots=(1, 3))
-            for s, e in enumerate(ids):
-                uses.setdefault(e, []).append((cid, s))
-        else:
-            (k,) = ids
-            if k in loops:
-                raise IncidenceError(f"loop id {k} repeated")
-            loops[k] = -1  # component assigned below
+    for cid, slots in enumerate(slot_records):
+        crossings[cid] = Crossing(cid, slots, over_slots=(1, 3))
+        for s, e in enumerate(slots):
+            uses.setdefault(e, []).append((cid, s))
+    loops: set[int] = set()
+    for k in loop_ids:
+        if k in loops:
+            raise IncidenceError(f"loop id {k} repeated")
+        loops.add(k)
 
     bad = {e: len(u) for e, u in uses.items() if len(u) != 2}
     bad.update({k: 3 for k in loops if k in uses})
@@ -678,32 +696,8 @@ def parse_pd(text: str) -> Diagram:
     for i, orbit in enumerate(orbits):
         for e in orbit:
             comp[e] = i
-    loops = {k: len(orbits) + i for i, k in enumerate(sorted(loops))}
     edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
-    d = Diagram(crossings, edges, loops)
-    chi = len(crossings) - len(edges) + len(face_set(d).faces) - 2 * len(loops)
-    pieces = connected_pieces(d)
-    if chi != 2 * pieces:
-        raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
-    return d
-
-
-def _assign_components(d: Diagram) -> Diagram:
-    comps = strand_components(d)
-    edge_comp: dict[int, int] = {}
-    for i, grp in enumerate(comps):
-        for e in grp:
-            edge_comp[e] = i
-    n = len(comps)
-    loops = {}
-    for k in sorted(d.loops):
-        loops[k] = n
-        n += 1
-    edges = {
-        e: Edge(e, d.edges[e].ends, d.edges[e].origin, edge_comp[e])
-        for e in d.edges
-    }
-    return Diagram(d.crossings, edges, loops, d.augmenting_component)
+    return Diagram(crossings, edges, {k: len(orbits) + i for i, k in enumerate(sorted(loops))})
 
 
 def restamp_origins(d: Diagram) -> Diagram:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .analysis import classify_edges, diagram_flags
-from .diagram import Crossing, Diagram, Edge, _assign_components, flip_crossing
+from .diagram import Diagram, _assemble, flip_crossing
 from .errors import PDSyntaxError, RetryExhausted
 from .reduction import preprocess
 
@@ -23,6 +23,11 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
     Letters are nonzero integers: +i crosses strands i and i+1 with the
     left strand passing under, -i with it passing over.  Unused strands
     close into crossing-free loops.
+
+    Checks only the word (PDSyntaxError): the closed strands go to
+    ``parse_pd``'s assembler (``diagram._assemble``), which makes the
+    incidence checks, and no face is walked, since a closure is planar
+    by construction.
     """
     if not word or any(x == 0 for x in word):
         raise PDSyntaxError("braid word must be nonempty with nonzero letters")
@@ -34,56 +39,27 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
 
     next_edge = width + 1
     pos = list(range(1, width + 1))  # current edge id on each strand position
-    first = list(pos)
-    crossings: dict[int, Crossing] = {}
-    uses: dict[int, list[tuple[int, int]]] = {}
-
-    def put(eid: int, cid: int, slot: int) -> None:
-        uses.setdefault(eid, []).append((cid, slot))
-
-    for k, letter in enumerate(word):
+    records = []
+    for letter in word:
         i = abs(letter) - 1  # 0-based left position
         left_in, right_in = pos[i], pos[i + 1]
         out_left, out_right = next_edge, next_edge + 1
         next_edge += 2
-        cid = len(crossings)
         if letter > 0:
             # under strand runs NW -> SE; slots ccw: (u_in, o_out, u_out, o_in)
-            slots = (left_in, out_left, out_right, right_in)
+            records.append((left_in, out_left, out_right, right_in))
         else:
             # under strand runs NE -> SW; slots ccw: (ne_in, nw_in, sw_out, se_out)
-            slots = (right_in, left_in, out_left, out_right)
-        crossings[cid] = Crossing(cid, slots, over_slots=(1, 3))
-        for s, e in enumerate(slots):
-            put(e, cid, s)
+            records.append((right_in, left_in, out_left, out_right))
         pos[i], pos[i + 1] = out_left, out_right
 
-    # close each strand position: identify the final edge with the first;
-    # a final id exceeds the width and a first one does not, so one lookup
-    # resolves any id
-    rename: dict[int, int] = {}
-    for j in range(width):
-        a, b = first[j], pos[j]
-        if a != b:
-            rename[b] = a
-
-    merged_uses: dict[int, list[tuple[int, int]]] = {}
-    for e, ends in uses.items():
-        merged_uses.setdefault(rename.get(e, e), []).extend(ends)
-    fixed = {}
-    for cid, c in crossings.items():
-        fixed[cid] = Crossing(cid, tuple(rename.get(e, e) for e in c.slots), c.over_slots)
-
-    edges = {}
-    loops = {}
-    for e, ends in merged_uses.items():
-        if len(ends) != 2:
-            raise PDSyntaxError(f"braid closure wiring error at edge {e}")
-        edges[e] = Edge(e, (ends[0], ends[1]), origin=e, component=-1)
-    for j in range(width):
-        if first[j] == pos[j] and first[j] not in merged_uses:
-            loops[first[j]] = -1  # strand never crossed: free loop
-    return _assign_components(Diagram(fixed, edges, loops))
+    # close each strand position j, counted from 1: identify its final
+    # edge with its first, edge j; a final id exceeds the width and a
+    # first one does not, so one lookup resolves any id.  A position
+    # never crossed is a loop.
+    rename = {e: j for j, e in enumerate(pos, 1) if e != j}
+    loops = [j for j, e in enumerate(pos, 1) if e == j]
+    return _assemble([tuple([rename.get(e, e) for e in r]) for r in records], loops)
 
 
 def two_strand_torus(n: int) -> Diagram:

@@ -856,9 +856,10 @@ def drop_component(d, comp: int):
     Sub-edges welded back together must share an origin id; the fused
     edge takes that origin as its id, so dropping an augmenting curve
     reconstructs the original diagram verbatim: the same crossings (ids,
-    slots, over strands) and loop ids, with components numbered afresh.
-    UnknownComponent when ``d`` has no component ``comp``."""
-    from altknot.diagram import Diagram, MapBuilder, _assign_components
+    slots, over strands) and loop ids, with components numbered afresh:
+    the strand components in order of least edge id, then the loops in
+    id order.  UnknownComponent when ``d`` has no component ``comp``."""
+    from altknot.diagram import Diagram, Edge, MapBuilder, strand_components
     from altknot.errors import MappingError, UnknownComponent
 
     b = MapBuilder(d)
@@ -909,8 +910,12 @@ def drop_component(d, comp: int):
         rec = edges[e]
         b.remove_edge(e)
         b.add_edge(o, rec.ends, rec.origin, rec.component)
-    out = _assign_components(b.build())
-    return Diagram(out.crossings, out.edges, out.loops, None)
+    out = b.build()
+    comps = strand_components(out)
+    comp = {e: i for i, orbit in enumerate(comps) for e in orbit}
+    edges = {e: Edge(e, r.ends, r.origin, comp[e]) for e, r in out.edges.items()}
+    loops = {k: len(comps) + i for i, k in enumerate(sorted(out.loops))}
+    return Diagram(out.crossings, edges, loops, None)
 
 
 def refinement_check(g, augmenting: int | None = None, expected_d=None):

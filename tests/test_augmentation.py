@@ -914,6 +914,25 @@ class TestCertify:
             augment(d)
         assert str(exc.value) == message
 
+    def test_free_edges_number_twice_the_twist_count(self, bench_inputs):
+        # the identity behind certify's crossing-count bound: a twist
+        # region of k crossings has k - 1 bigons, which hold 2 (k - 1)
+        # edges, so 2 n - 2 (n - t) = 2 t edges lie outside the regions
+        # and the bound follows from "none inside" and "at most twice"
+        from altknot import twist_partition
+
+        pds = [x.pd for seed in (0, 1) for x in bench_inputs.large_inputs(seed, n=64, lo=50, hi=110)]
+        pds += [
+            b.pd for f in bench_inputs.batch_inputs(0, n_files=30, blocks=4)
+            for b in f.blocks if b.eligible
+        ]
+        diagrams = [d for _s, d in corpus_diagrams(10)] + [parse_pd(pd) for pd in pds]
+        assert len(diagrams) == 246
+        for d in diagrams:
+            fs, tp = face_set(d), twist_partition(d)
+            in_twist = {e for f in tp.bigon_faces for e in fs.faces[f].boundary_edges}
+            assert len(d.edges) - len(in_twist) == 2 * tp.t, serialize_pd(d)
+
 
 class TestCertificate:
     def test_augment_outputs_certified(self):
