@@ -17,7 +17,6 @@ from .diagram import (
     Diagram,
     Face,
     FaceSet,
-    _held_face_set,
     _is_bigon_corners,
     _Partition,
     face_set,
@@ -49,12 +48,11 @@ def classify_edges(d: Diagram) -> EdgeClassification:
 
     A diagram is alternating when every edge is (a bare loop counts as
     alternating); it is non-alternating when at least one edge is not.
-    While the ``face_set`` memo holds ``d``'s table, the result is
-    computed once and kept on it (``FaceSet.classification``); otherwise
-    it is computed afresh, and no table is built for it.
+    Computed once per face table and kept on ``face_set(d)``
+    (``FaceSet.classification``).
     """
-    fs = _held_face_set(d)
-    if fs is not None and fs.classification is not None:
+    fs = face_set(d)
+    if fs.classification is not None:
         return fs.classification
     alt, non = set(), set()
     crossings = d.crossings
@@ -66,15 +64,13 @@ def classify_edges(d: Diagram) -> EdgeClassification:
         else:
             non.add(e)
     has_strands = bool(d.crossings) or bool(d.loops)
-    out = EdgeClassification(
+    fs.classification = EdgeClassification(
         alternating=frozenset(alt),
         non_alternating=frozenset(non),
         is_alternating=not non and has_strands,
         is_non_alternating=bool(non),
     )
-    if fs is not None:
-        fs.classification = out
-    return out
+    return fs.classification
 
 
 # -- checkerboard shading and crossing classes ------------------------------------

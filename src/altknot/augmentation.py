@@ -72,7 +72,6 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     Sign,
-    _held_face_set,
     face_set,
     is_connected,
     mark_augmenting,
@@ -369,12 +368,12 @@ class _CircleFaces:
 
     def follow(self, g: Diagram, dropped: int | None = None, merged: int | None = None) -> None:
         """Carry the faces over to ``g``, a checked edit of the map they
-        describe, whose table ``check_edit`` left in the ``face_set``
-        memo; after a join, ``dropped`` is the circle whose edges now
-        carry ``merged``.  InvariantError when the memo no longer holds
-        that table, or holds one walked whole, which carries no delta."""
-        fs = _held_face_set(g)
-        if fs is None or fs.delta is None:
+        describe, from the delta of ``face_set(g)``, the table
+        ``check_edit`` derived; after a join, ``dropped`` is the circle
+        whose edges now carry ``merged``.  InvariantError when ``g``'s
+        table was walked whole, which carries no delta."""
+        fs = face_set(g)
+        if fs.delta is None:
             raise InvariantError("the circle faces cannot follow an edit whose local table is gone")
         faces, owners, shared = self.faces, self.owners, self.shared
         if dropped is not None:
@@ -763,16 +762,13 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     return out
 
 
-def _shared_face(g: Diagram, ci: int, cj: int, faces: _CircleFaces | None = None) -> int:
+def _shared_face(g: Diagram, ci: int, cj: int, faces: _CircleFaces) -> int:
     """The least face circles ``ci`` and ``cj`` both border, read from
-    ``faces`` as carried, or from the two circles' edges without it."""
-    fs = face_set(g)
-    if faces is None:
-        faces = _CircleFaces(g, fs, (ci, cj))
+    ``faces`` as carried."""
     shared = faces.faces[ci] & faces.faces[cj]
     if not shared:
         raise InvariantError(f"circles {ci} and {cj} share no face")
-    return fs.corner_face[min(shared)]
+    return face_set(g).corner_face[min(shared)]
 
 
 # -- hyperbolicity certificate -----------------------------------------------------------

@@ -290,12 +290,10 @@ def connected_pieces(d: Diagram) -> int:
     """Number of connected pieces of the 4-valent map; crossing-free
     loops are separate pieces and are not counted here.
 
-    While the ``face_set`` memo holds ``d``'s table, the count is worked
-    out once and kept on it (``FaceSet.pieces``); otherwise it is worked
-    out afresh by a breadth-first search from each unseen crossing, and
-    no table is built for it."""
-    fs = _held_face_set(d)
-    if fs is not None and fs.pieces is not None:
+    Counted once per face table, by a breadth-first search from each
+    unseen crossing, and kept on ``face_set(d)`` (``FaceSet.pieces``)."""
+    fs = face_set(d)
+    if fs.pieces is not None:
         return fs.pieces
     crossings, edges = d.crossings, d.edges
     seen: set[int] = set()
@@ -312,8 +310,7 @@ def connected_pieces(d: Diagram) -> int:
                     if c2 not in seen:
                         seen.add(c2)
                         cs.append(c2)
-    if fs is not None:
-        fs.pieces = pieces
+    fs.pieces = pieces
     return pieces
 
 
@@ -388,12 +385,14 @@ def face_set(d: Diagram) -> FaceSet:
     because a Diagram is never mutated after construction (every edit
     goes through MapBuilder and yields a new Diagram).  The slot holds
     the diagram only weakly, so it keeps no diagram alive.  The returned
-    table is shared: callers must not modify it.  A function that works
-    on two diagrams at once holds each table itself rather than asking
-    again, so the slot does not thrash.  The table is not kept on the
-    Diagram, so a diagram kept past its use keeps no faces: kept there,
-    it raised the benchmark's ``augment-large`` peak RSS from 34.7 to
-    45.3 MiB, as the benchmark worker keeps each input's first output.
+    table is shared: callers only fill the whole-map facts it keeps
+    (``FaceSet``), and no module but this one reads the memo.  A
+    function that works on two diagrams at once holds each table itself
+    rather than asking again, so the slot does not thrash.  The table is
+    not kept on the Diagram, so a diagram kept past its use keeps no
+    faces: kept there, it raised the benchmark's ``augment-large`` peak
+    RSS from 34.7 to 45.3 MiB, as the benchmark worker keeps each
+    input's first output.
 
     The results of ``augment``'s fingers and band splices do not reach
     the full walk: ``edits.check_edit`` derives their table from the
@@ -656,11 +655,17 @@ def parse_pd(text: str) -> Diagram:
         raise PDSyntaxError(f"unrecognized text: {clean[pos:].strip()!r}")
 
     d = _assemble(slot_records, loop_ids)
+    _check_sphericity(d)
+    return d
+
+
+def _check_sphericity(d: Diagram) -> None:
+    """SphericityError unless V - E + F = 2P over the corner faces and
+    crossing-bearing pieces of ``d``."""
     chi = len(d.crossings) - len(d.edges) + len(face_set(d).faces) - 2 * len(d.loops)
     pieces = connected_pieces(d)
     if chi != 2 * pieces:
         raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
-    return d
 
 
 def _assemble(slot_records: list[tuple[int, int, int, int]], loop_ids: list[int]) -> Diagram:
@@ -840,13 +845,9 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     if sound:
         try:
             f = len(face_set(d).faces)
-        except InvariantError as exc:
+            _check_sphericity(d)
+        except (InvariantError, SphericityError) as exc:
             failures.append(f"sphericity: {exc}")
-        else:
-            chi = v - e + f - 2 * len(loops)
-            pieces = connected_pieces(d)
-            if chi != 2 * pieces:
-                failures.append(f"sphericity: V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
         mixed = []
         for cid, c in crossings.items():
             e0, e1, e2, e3 = c.slots

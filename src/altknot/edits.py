@@ -6,7 +6,7 @@ result is valid and alternating by inspecting only what the
 ``MapBuilder`` touched instead of walking the whole map as
 ``validate_diagram`` does.  The result's face table is derived from the
 source's by a local update that re-walks only the faces the edit
-changed, and left in the ``face_set`` memo for the next step.
+changed, and ``face_set`` answers with it for the next step.
 
 ``check_move`` checks the nugatory and R2 moves that ``preprocess`` and
 the public removals of ``reduction`` make, and returns the failures and
@@ -67,9 +67,8 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     ``out``'s table is updated from ``source_fs`` by re-walking only the
     faces the edit reaches: those with a corner at a removed crossing or
     on either side of a removed or re-ended edge
-    (``diagram._edited_face_set``, equal to the full walk of ``out``).
-    It is left in the ``face_set`` memo for the next step; a refused
-    edit leaves there what the whole-map check walked, if anything.
+    (``diagram._edited_face_set``, equal to the full walk of ``out``),
+    and ``face_set(out)`` answers with it for the next step.
     """
     d = b.source
     if not _check_records(b, out):
@@ -375,9 +374,10 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
     in one piece (they are grouped through S and the faces it borders)
     and that piece's survivors stay together or vanish, the new crossings
     and the added or re-ended edges are merged onto them with a
-    union-find.  Otherwise the pieces of both maps are counted whole:
-    a piece that holds no crossing the cut meets is a piece of both, so
-    the difference of the totals is the local one.
+    union-find.  Otherwise the totals are compared: a piece that holds
+    no crossing the cut meets is a piece of both.  The valid source's
+    total is read off ``source_fs`` by Euler, and ``out``'s is counted
+    on the table ``_edited_face_set`` left for it.
     """
     d = b.source
     changed = _changed_edges(b, out)
@@ -408,4 +408,5 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
                 (c0, _s0), (c1, _s1) = out.edges[e].ends
                 merge.union(c0 if c0 in new_set else "rest", c1 if c1 in new_set else "rest")
         return len({merge.find(x) for x in roots}) - groups
-    return connected_pieces(out) - connected_pieces(d)
+    source_pieces = (len(d.crossings) - len(d.edges) + len(source_fs.faces) - 2 * len(d.loops)) // 2
+    return connected_pieces(out) - source_pieces

@@ -245,6 +245,15 @@ def assert_circle_faces_are_read(faces, g, live) -> None:
     assert all(fs.faces[fs.corner_face[k]].corner_slots[0] == k for k in faces.owners)
 
 
+def shared_face(g, ci: int, cj: int) -> int:
+    """``augmentation._shared_face`` of circles ``ci`` and ``cj`` of
+    ``g``, with their faces read from their edges."""
+    from altknot import face_set
+    from altknot.augmentation import _CircleFaces, _shared_face
+
+    return _shared_face(g, ci, cj, _CircleFaces(g, face_set(g), (ci, cj)))
+
+
 def augment_following_circle_faces(monkeypatch, diagrams):
     """``augment`` each diagram, checking the circle faces its merge loop
     carries against those read afresh after every edit; returns the

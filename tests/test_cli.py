@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -99,11 +100,11 @@ class TestAugment:
         (err,) = [json.loads(x) for x in captured.err.splitlines()]
         assert err == {"name": "trefoil", "error": "PreconditionError",
                        "message": err["message"], "exit": 1}
-        emitted = open(pd_out).read()
+        emitted = Path(pd_out).read_text()
         assert emitted == "".join(f"# name: {r['name']}\n{r['pd_G']}\n\n" for r in results)
         from altknot import augment, render_svg
 
-        assert open(svg_out).read() == render_svg(augment(knots[-1]).g)
+        assert Path(svg_out).read_text() == render_svg(augment(knots[-1]).g)
 
     def test_worst_block_code_wins(self, tmp_path, capsys):
         p = tmp_path / "corpus.pd"
@@ -155,7 +156,7 @@ class TestAugment:
         assert os.path.exists(pd_out) and os.path.exists(svg_out)
         from altknot import parse_pd, validate_diagram
 
-        blocks = [b for b in open(pd_out).read().split("\n\n") if b.strip()]
+        blocks = [b for b in Path(pd_out).read_text().split("\n\n") if b.strip()]
         assert validate_diagram(parse_pd(blocks[0])).valid
 
 
@@ -268,7 +269,7 @@ class TestSelfcheckAndRender:
     def test_render(self, trefoil_file, tmp_path):
         out = str(tmp_path / "t.svg")
         assert run(["render", trefoil_file, out]) == 0
-        assert open(out).read().startswith("<svg")
+        assert Path(out).read_text().startswith("<svg")
 
     def test_render_takes_one_block(self, tmp_path, capsys):
         from altknot import parse_pd, render_svg

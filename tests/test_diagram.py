@@ -540,17 +540,33 @@ class TestFaceSetMemo:
         assert twin_fs is not fs and twin_fs.pieces == connected_pieces(twin) == pieces
         assert classify_edges(twin) is not cls and classify_edges(twin) == cls
 
-    def test_facts_of_a_diagram_without_a_held_table_build_none(self, trefoil, granny_sum):
+    def test_facts_of_a_diagram_go_on_its_own_table(self, trefoil, granny_sum):
         from altknot import classify_edges
         from altknot.diagram import _held_face_set
 
         fs = face_set(trefoil)
         assert connected_pieces(granny_sum) == 1
         assert classify_edges(granny_sum).is_alternating
-        # the memo still holds the trefoil's table, and nothing was kept
-        assert _held_face_set(trefoil) is fs
-        assert _held_face_set(granny_sum) is None
+        # both facts went on the granny knot's own table, which the memo
+        # now holds, and the trefoil's table kept none
+        granny_fs = _held_face_set(granny_sum)
+        assert granny_fs is not None and _held_face_set(trefoil) is None
+        assert (granny_fs.pieces, granny_fs.classification) == (1, classify_edges(granny_sum))
         assert (fs.pieces, fs.classification) == (None, None)
+
+    def test_only_the_diagram_module_reads_the_memo(self):
+        # every other module reaches a table, and the facts kept on it,
+        # through face_set
+        from pathlib import Path
+
+        import altknot
+
+        package = Path(altknot.__file__).parent
+        naming = sorted(
+            p.name for p in package.glob("*.py")
+            if "_held_face_set" in p.read_text() or "_last_face_set" in p.read_text()
+        )
+        assert naming == ["diagram.py"]
 
     def test_a_surgery_result_starts_with_no_facts(self, trefoil):
         from altknot import classify_edges

@@ -197,6 +197,15 @@ def test_augment_800(bench_inputs, seed):
     assert len(d.crossings) == 800 and len(res.merges) > 20
 
 
+def test_augment_1600(bench_inputs):
+    # one closure of 1600 crossings: each of its 207 stages, the overlay
+    # and a finger or join per merge, is checked as a whole map
+    (x,) = bench_inputs.large_inputs(0, n=1, lo=1600, hi=1600)
+    d = parse_pd(x.pd)
+    res = _augment_audited(d)
+    assert len(d.crossings) == 1600 and len(res.merges) == 103
+
+
 @pytest.mark.parametrize("components", [2, 3])
 def test_augment_800_links(bench_inputs, monkeypatch, components):
     # links of 800 crossings, whose loops merge some fifty circles: the

@@ -67,11 +67,13 @@ from conftest import (
     corpus_diagrams,
     link_diagrams,
     new_component_id,
+    oracle_pieces,
     oracle_preprocess,
     oracle_two_edge_cuts,
     oracle_valid,
     oracle_validate_diagram,
     reattach,
+    shared_face,
 )
 
 
@@ -474,7 +476,7 @@ class TestBrokenEditsRejected:
     def test_crossed_band_pairing(self, monkeypatch):
         g, arc = _two_curve_overlay()
         g = augmentation.propagate_finger(g, arc)
-        face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
+        face = shared_face(g, arc.source_curve, arc.target_curve)
         verdicts = _spy_on_site(monkeypatch, augmentation, CrossedBand)
         with pytest.raises(JoinError):
             augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
@@ -593,8 +595,9 @@ def test_moves_that_change_the_piece_count(audit):
 def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
     # cutting the granny knot at its two-edge cut and closing each side
     # into its trefoil splits the one piece in two, which the union-find
-    # count of ``_piece_change`` does not cover: the pieces of both maps
-    # are counted whole, once each, and the split is accepted
+    # count of ``_piece_change`` does not cover: the source's pieces are
+    # read off its table by Euler, only ``out``'s are counted, on the
+    # table the edit left for it, and the split is accepted
     assert classify_edges(granny_sum).is_alternating
     ((e1, e2),) = oracle_two_edge_cuts(granny_sum)
     first = {0, 1, 2}  # the crossings of the first trefoil
@@ -616,11 +619,15 @@ def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
         return real(x)
 
     monkeypatch.setattr(edits, "connected_pieces", spy)
-    assert check_edit(b, face_set(granny_sum), out) == []
-    assert len(counted) == 2 and counted[0] is out and counted[1] is granny_sum
+    source_fs = face_set(granny_sum)
+    assert check_edit(b, source_fs, out) == []
+    assert len(counted) == 1 and counted[0] is out
     assert same_table(_held_face_set(out), _build_face_set(out))
     assert whole_map_accepts(out, True)
     assert (connected_pieces(out), len(out.loops)) == (2, 0)
+    # the Euler count of the source is its breadth-first count
+    euler = len(granny_sum.crossings) - len(granny_sum.edges) + len(source_fs.faces) - 2 * len(granny_sum.loops)
+    assert euler == 2 * real(granny_sum) == 2 * len(oracle_pieces(granny_sum)) == 2
 
 
 def test_public_removals_take_check_move(monkeypatch):
@@ -712,7 +719,7 @@ def test_component_and_label_changes_rewalk_nothing():
 def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     g, arc = _two_curve_overlay()
     g = augmentation.propagate_finger(g, arc)
-    face = augmentation._shared_face(g, arc.source_curve, arc.target_curve)
+    face = shared_face(g, arc.source_curve, arc.target_curve)
     seen = []
 
     def spy(b, source_fs, out):

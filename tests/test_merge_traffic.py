@@ -26,8 +26,13 @@ from conftest import TREFOIL, augment_following_circle_faces
 
 
 @pytest.fixture(scope="module")
-def seed1(bench_inputs):
-    return [parse_pd(x.pd) for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110)]
+def seed1_texts(bench_inputs):
+    return [x.pd for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110)]
+
+
+@pytest.fixture(scope="module")
+def seed1(seed1_texts):
+    return [parse_pd(text) for text in seed1_texts]
 
 
 def test_carried_circle_faces_are_those_of_every_edit(seed1, monkeypatch):
@@ -60,6 +65,32 @@ def test_a_table_the_loop_cannot_follow_is_refused(seed1, monkeypatch):
             m.setattr(augmentation, "join_curves", join_curves)
             with pytest.raises(InvariantError, match="cannot follow"):
                 augment(d)
+
+
+def test_an_augment_walks_two_maps_whole(seed1_texts, monkeypatch):
+    # parse_pd walks each input whole, and augment only the overlay of its
+    # cut circles: every finger and band splice derives its table from its
+    # source's, and every whole-map fact goes on a table already held
+    walks, real, stage = Counter(), diagram._build_face_set, [None]
+
+    def counted(d):
+        walks[stage[0]] += 1
+        return real(d)
+
+    def overlay_unlink(*args, _real=augmentation.overlay_unlink):
+        stage[0] = "overlay_unlink"
+        out = _real(*args)
+        stage[0] = "augment"
+        return out
+
+    monkeypatch.setattr(diagram, "_build_face_set", counted)
+    monkeypatch.setattr(augmentation, "overlay_unlink", overlay_unlink)
+    for text in seed1_texts:
+        stage[0] = "parse_pd"
+        d = parse_pd(text)
+        stage[0] = "augment"
+        augment(d)
+    assert walks == {"parse_pd": 64, "overlay_unlink": 64}
 
 
 def test_circle_faces_are_read_once_per_augment(seed1, monkeypatch):

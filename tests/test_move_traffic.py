@@ -30,8 +30,13 @@ from altknot.generate import braid_closure
 
 
 @pytest.fixture(scope="module")
-def seed1(bench_inputs):
-    return [parse_pd(x.pd) for x in bench_inputs.reduce_inputs(1, n=48, lo=30, hi=80)]
+def seed1_texts(bench_inputs):
+    return [x.pd for x in bench_inputs.reduce_inputs(1, n=48, lo=30, hi=80)]
+
+
+@pytest.fixture(scope="module")
+def seed1(seed1_texts):
+    return [parse_pd(text) for text in seed1_texts]
 
 
 def count_calls(monkeypatch, counts: Counter, owner, name: str) -> None:
@@ -119,6 +124,31 @@ def test_no_failure_is_worded(seed1, bench_inputs, monkeypatch):
     for x in bench_inputs.large_inputs(1, n=64, lo=50, hi=110):
         augment(parse_pd(x.pd))
     assert counts == {"_check_records": 313, "_check_strands": 313}
+
+
+def test_full_walks_of_the_reduce_op(seed1_texts, monkeypatch):
+    # the benchmark's reduce op: parse_pd walks each input whole,
+    # check_move each of the 8 moves it cannot check by a face merge, and
+    # diagram_flags each output whose last move left no table; the edge
+    # classes then go on the table the flags read
+    walks, real, stage = Counter(), diagram._build_face_set, [None]
+
+    def counted(d):
+        walks[stage[0]] += 1
+        return real(d)
+
+    monkeypatch.setattr(diagram, "_build_face_set", counted)
+    for text in seed1_texts:
+        stage[0] = "parse_pd"
+        d = parse_pd(text)
+        stage[0] = "preprocess"
+        out, _trace = reduction.preprocess(d)
+        stage[0] = "diagram_flags"
+        analysis.diagram_flags(out)
+        stage[0] = "classify_edges"
+        analysis.classify_edges(out)
+    assert walks == {"parse_pd": 48, "preprocess": 8, "diagram_flags": 45}
+    assert walks.total() == 101
 
 
 def test_preprocess_builds_no_twist_partition(seed1, monkeypatch):
