@@ -15,9 +15,8 @@ from enum import Enum
 
 from .diagram import (
     Diagram,
-    Face,
     FaceSet,
-    _is_bigon_corners,
+    _is_bigon,
     _Partition,
     face_set,
     is_connected,
@@ -105,8 +104,10 @@ def shading_classes(d: Diagram) -> ShadingClasses:
     shading = {seed: False}
     stack = [seed]
     adj: dict[int, list[int]] = {}
-    for e in d.edges:
-        l, r = fs.edge_sides(d, e)
+    dart_face = fs.dart_face
+    for rec in d.edges.values():
+        (c0, s0), (c1, s1) = rec.ends
+        l, r = dart_face[4 * c0 + s0], dart_face[4 * c1 + s1]
         adj.setdefault(l, []).append(r)
         adj.setdefault(r, []).append(l)
     while stack:
@@ -120,8 +121,7 @@ def shading_classes(d: Diagram) -> ShadingClasses:
 
     plus, minus = set(), set()
     for cid, c in d.crossings.items():
-        p = c.over_slots[0]
-        quadrant_face = fs.face_of_corner(cid, p)
+        quadrant_face = dart_face[4 * cid + c.over_slots[0]]
         (plus if shading[quadrant_face] else minus).add(cid)
 
     out = ShadingClasses(shading, frozenset(plus), frozenset(minus))
@@ -182,14 +182,15 @@ class TwistPartition:
     t: int
 
 
-def _region_topology(bigons: list[Face]) -> RegionTopology:
+def _region_topology(fs: FaceSet, bigons: list[int]) -> RegionTopology:
+    """Topology of the union of the bigon faces ``bigons`` of ``fs``."""
     if not bigons:
         return RegionTopology.DISK
     vs: set[int] = set()
     es: set[int] = set()
     for f in bigons:
-        vs.update(c for c, _s in f.corner_slots)
-        es.update(f.boundary_edges)
+        vs.update(x >> 2 for x in fs.darts[f])
+        es.update(fs.bounds[f])
     chi = len(vs) - len(es) + len(bigons)
     if chi == 1:
         return RegionTopology.DISK
@@ -211,38 +212,40 @@ def twist_partition(d: Diagram) -> TwistPartition:
     fs = face_set(d)
     if fs.partition is not None:
         return fs.partition
-    bigons = [f for f in fs.faces if _is_bigon_corners(f.corner_slots)]
+    darts = fs.darts
+    bigons = [f for f, ds in enumerate(darts) if _is_bigon(ds)]
     chains = _Partition()
-    by_crossing: dict[int, list[Face]] = {}
+    by_crossing: dict[int, list[int]] = {}
     for f in bigons:
         # a bigon's two corners are at two distinct crossings
-        for c, _s in f.corner_slots:
-            by_crossing.setdefault(c, []).append(f)
+        x0, x1 = darts[f]
+        by_crossing.setdefault(x0 >> 2, []).append(f)
+        by_crossing.setdefault(x1 >> 2, []).append(f)
     for c, fl in by_crossing.items():
         for other in fl[1:]:
-            chains.union(other.id, fl[0].id)
+            chains.union(other, fl[0])
     find = chains.find
 
-    grouped: dict[int, list[Face]] = {}
+    grouped: dict[int, list[int]] = {}
     for f in bigons:
-        grouped.setdefault(find(f.id), []).append(f)
+        grouped.setdefault(find(f), []).append(f)
     # all bigons at one crossing share a root, so each link belongs to
     # the region of its first bigon
     links: dict[int, list[tuple[int, int, int]]] = {}
     for c, shared in sorted(by_crossing.items()):
         if len(shared) == 2:
-            a, b = sorted(f.id for f in shared)
+            a, b = sorted(shared)
             links.setdefault(find(a), []).append((a, b, c))
 
     regions = []
     for root, fl in grouped.items():
-        crossings = frozenset(c for f in fl for c, _s in f.corner_slots)
+        crossings = frozenset(x >> 2 for f in fl for x in darts[f])
         regions.append(
             TwistRegion(
                 crossings,
-                tuple(sorted(f.id for f in fl)),
+                tuple(sorted(fl)),
                 tuple(links.get(root, ())),
-                _region_topology(fl),
+                _region_topology(fs, fl),
             )
         )
     in_bigon = set(by_crossing)
@@ -250,9 +253,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
         if c not in in_bigon:
             regions.append(TwistRegion(frozenset([c]), (), (), RegionTopology.DISK))
     regions.sort(key=lambda r: min(r.crossings))
-    fs.partition = TwistPartition(
-        frozenset(f.id for f in bigons), tuple(regions), len(regions)
-    )
+    fs.partition = TwistPartition(frozenset(bigons), tuple(regions), len(regions))
     return fs.partition
 
 
@@ -296,43 +297,43 @@ def cut_vertices(d: Diagram) -> list[int]:
     piece has its own faces, so the test is evaluated per piece: a
     crossing is a cut vertex when it cuts its own piece.
     """
-    corner_face = face_set(d).corner_face
-    return [c for c in sorted(d.crossings) if _is_cut_vertex(corner_face, c)]
+    dart_face = face_set(d).dart_face
+    return [c for c in sorted(d.crossings) if _is_cut_vertex(dart_face, c)]
 
 
-def _is_cut_vertex(corner_face, c: int) -> bool:
+def _is_cut_vertex(dart_face: list[int], c: int) -> bool:
     """The face test of ``cut_vertices`` for the one crossing ``c``, with
-    ``corner_face`` mapping each corner of the map to its face: one face
+    ``dart_face`` mapping each dart of the map to its face: one face
     meets it at two corners."""
-    faces = {corner_face[(c, 0)], corner_face[(c, 1)], corner_face[(c, 2)], corner_face[(c, 3)]}
-    return len(faces) < 4
+    return len(set(dart_face[4 * c:4 * c + 4])) < 4
 
 
-def _is_r2_bigon(d: Diagram, f: Face) -> bool:
-    """A bigon whose edges are non-alternating: an R2 move removes it."""
-    return _is_bigon_corners(f.corner_slots) and _is_r2_corners(d, f.corner_slots)
+def _is_r2_bigon(d: Diagram, darts) -> bool:
+    """The face of the darts ``darts`` is a bigon whose edges are
+    non-alternating: an R2 move removes it."""
+    return _is_bigon(darts) and _is_r2_corners(d, darts)
 
 
-def _is_r2_corners(d: Diagram, corners) -> bool:
-    """The R2 test of the bigon whose two corners are ``corners``, in
-    either order.  The edge leaving the first corner, by its slot s + 1,
-    arrives at the second in its slot; and the two edges leave each
-    corner in adjacent slots, so the first edge alternates exactly when
-    the second does."""
-    (c0, s0), (c1, s1) = corners
+def _is_r2_corners(d: Diagram, darts) -> bool:
+    """The R2 test of the bigon whose two corners are the darts
+    ``darts``, in either order.  The edge leaving the first corner, by
+    its slot s + 1, arrives at the second in its slot; and the two edges
+    leave each corner in adjacent slots, so the first edge alternates
+    exactly when the second does."""
+    x0, x1 = darts
     crossings = d.crossings
-    return ((s0 + 1) % 4 in crossings[c0].over_slots) == (s1 in crossings[c1].over_slots)
+    return (((x0 + 1) & 3) in crossings[x0 >> 2].over_slots) == ((x1 & 3) in crossings[x1 >> 2].over_slots)
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:
     """Lowest pair of distinct edges bounding the same pair of faces.
     In a bridgeless planar map these are exactly the two-edge cuts.
     Each edge is keyed by its two faces, the lesser first."""
-    corner_face, edges = fs.corner_face, d.edges
+    dart_face, edges = fs.dart_face, d.edges
     seen: dict[tuple[int, int], int] = {}
     for e in sorted(edges):
-        a, z = edges[e].ends
-        left, right = corner_face[a], corner_face[z]
+        (c0, s0), (c1, s1) = edges[e].ends
+        left, right = dart_face[4 * c0 + s0], dart_face[4 * c1 + s1]
         if left == right:
             raise InvariantError(f"edge {e} borders one face on both sides")
         key = (left, right) if left < right else (right, left)
@@ -372,7 +373,7 @@ def diagram_flags(d: Diagram) -> DiagramFlags:
     cuts = cut_vertices(d)
     reduced = not cuts
 
-    r2_reduced = not any(_is_r2_bigon(d, f) for f in fs.faces)
+    r2_reduced = not any(_is_r2_bigon(d, ds) for ds in fs.darts)
 
     if not connected:
         witness = PrimalityWitness("disconnected")
@@ -417,10 +418,10 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
         return None
     if len(region.bigons) != q:
         return None
-    fs = face_set(d)
+    bounds = face_set(d).bounds
     covered = set()
     for fid in region.bigons:
-        covered |= set(fs.faces[fid].boundary_edges)
+        covered.update(bounds[fid])
     if covered != set(d.edges):
         return None
     return q
@@ -451,12 +452,11 @@ def _is_sub_twist(x: frozenset[int], region: TwistRegion, fs: FaceSet) -> bool:
     the corner set of a connected subcollection of the region's bigons."""
     if len(x) == 1:
         return True
-    inside = [
-        fid for fid in region.bigons if fs.faces[fid].crossings() <= x
-    ]
+    darts = fs.darts
+    inside = [fid for fid in region.bigons if all((y >> 2) in x for y in darts[fid])]
     if not inside:
         return False
-    covered = frozenset().union(*(fs.faces[f].crossings() for f in inside))
+    covered = frozenset(y >> 2 for f in inside for y in darts[f])
     if covered != x:
         return False
     # connectivity of the chosen bigons inside the retract

@@ -68,10 +68,10 @@ from .diagram import (
     Crossing,
     Diagram,
     Edge,
-    Face,
     FaceSet,
     MapBuilder,
     Sign,
+    _is_bigon,
     face_set,
     is_connected,
     mark_augmenting,
@@ -321,14 +321,14 @@ def _forbidden_origins(g: Diagram, curve_comps: set[int]) -> set[int]:
 def _curve_faces(g: Diagram, fs: FaceSet, comps) -> dict[int, set[int]]:
     """Component -> the faces its edges border, for each of ``comps``, in
     one pass over the edges."""
-    corner_face = fs.corner_face
+    dart_face = fs.dart_face
     out: dict[int, set[int]] = {ci: set() for ci in comps}
     for rec in g.edges.values():
         faces = out.get(rec.component)
         if faces is not None:
-            a, z = rec.ends
-            faces.add(corner_face[a])
-            faces.add(corner_face[z])
+            (c0, s0), (c1, s1) = rec.ends
+            faces.add(dart_face[4 * c0 + s0])
+            faces.add(dart_face[4 * c1 + s1])
     return out
 
 
@@ -336,10 +336,10 @@ class _CircleFaces:
     """The faces each circle borders, carried through ``augment``'s merge
     loop so that a merge reads no whole map.
 
-    A face is keyed by its least corner.  A face an edit keeps keeps its
-    corners, so its key holds while it lives, and ``corner_face[key]``
-    is its id in the current table; ids rank faces by least corner, so
-    keys order faces as their ids do.  ``faces`` maps each circle to the
+    A face is keyed by its least dart.  A face an edit keeps keeps its
+    darts, so its key holds while it lives, and ``dart_face[key]`` is
+    its id in the current table; ids rank faces by least dart, so keys
+    order faces as their ids do.  ``faces`` maps each circle to the
     keys of the faces its edges border, ``owners`` each such key to the
     circles bordering that face, and ``shared`` holds the keys of the
     faces two or more circles border.
@@ -351,20 +351,20 @@ class _CircleFaces:
     after a join, whose faces pass to the merged circle."""
 
     def __init__(self, g: Diagram, fs: FaceSet, comps) -> None:
-        faces = fs.faces
+        darts = fs.darts
         self.faces = {
-            ci: {faces[f].corner_slots[0] for f in fids}
+            ci: {darts[f][0] for f in fids}
             for ci, fids in _curve_faces(g, fs, comps).items()
         }
-        self.owners: dict[tuple[int, int], set[int]] = {}
+        self.owners: dict[int, set[int]] = {}
         for ci, keys in self.faces.items():
             for k in keys:
                 self.owners.setdefault(k, set()).add(ci)
         self.shared = {k for k, circles in self.owners.items() if len(circles) > 1}
 
-    def ids(self, corner_face: dict) -> dict[int, set[int]]:
+    def ids(self, dart_face: list[int]) -> dict[int, set[int]]:
         """Circle -> the ids of its faces, as ``_curve_faces`` gives them."""
-        return {ci: {corner_face[k] for k in keys} for ci, keys in self.faces.items()}
+        return {ci: {dart_face[k] for k in keys} for ci, keys in self.faces.items()}
 
     def follow(self, g: Diagram, dropped: int | None = None, merged: int | None = None) -> None:
         """Carry the faces over to ``g``, a checked edit of the map they
@@ -391,8 +391,8 @@ class _CircleFaces:
                 faces[ci].discard(k)
             shared.discard(k)
         edges = g.edges
-        for slots, bounds in fresh:
-            k = slots[0]
+        for darts, bounds in fresh:
+            k = darts[0]
             for e in bounds:
                 ci = edges[e].component
                 keys = faces.get(ci)
@@ -403,16 +403,17 @@ class _CircleFaces:
                 shared.add(k)
 
 
-def _is_original_bigon(g: Diagram, f: Face) -> bool:
-    """A bigon of the original diagram inside the overlay: a bigon face
-    both of whose edges are origin-carrying.  A face along a circle has a
-    circle edge, which has no origin, so it is never one."""
-    return f.is_bigon and all(g.edges[e].origin is not None for e in f.boundary_edges)
+def _is_original_bigon(g: Diagram, fs: FaceSet, f: int) -> bool:
+    """Face ``f`` of ``fs`` is a bigon of the original diagram inside the
+    overlay: a bigon face both of whose edges are origin-carrying.  A
+    face along a circle has a circle edge, which has no origin, so it is
+    never one."""
+    return _is_bigon(fs.darts[f]) and all(g.edges[e].origin is not None for e in fs.bounds[f])
 
 
 def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
     """The faces of ``fs`` that are bigons of the original diagram."""
-    return {f.id for f in fs.faces if _is_original_bigon(g, f)}
+    return {f for f in range(len(fs.darts)) if _is_original_bigon(g, fs, f)}
 
 
 def _admissible_edges(
@@ -422,12 +423,13 @@ def _admissible_edges(
     cross: no circle edge, no edge whose origin is in ``touched``, and no
     edge of an original bigon."""
     banned = _d_bigon_faces(g, fs)
-    corner_face = fs.corner_face
+    dart_face = fs.dart_face
     allowed: dict[int, list[tuple[int, int]]] = {}
     for e, rec in g.edges.items():
         if rec.component in comps or rec.origin in touched:
             continue
-        l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
+        (c0, s0), (c1, s1) = rec.ends
+        l, r = dart_face[4 * c0 + s0], dart_face[4 * c1 + s1]
         if l in banned or r in banned:
             continue
         allowed.setdefault(l, []).append((r, e))
@@ -435,7 +437,7 @@ def _admissible_edges(
     return allowed
 
 
-def _free_arc(faces: _CircleFaces, corner_face: dict) -> MergeArc | None:
+def _free_arc(faces: _CircleFaces, dart_face: list[int]) -> MergeArc | None:
     """The arc of cost 0 when two circles share a face: from the least
     circle that shares one, at its least shared face, to the least other
     circle on that face.  None when no two circles share a face.  Only
@@ -447,7 +449,7 @@ def _free_arc(faces: _CircleFaces, corner_face: dict) -> MergeArc | None:
     ci = min(min(owners[k]) for k in shared)
     start = min(k for k in shared if ci in owners[k])
     cj = min(c for c in owners[start] if c != ci)
-    return MergeArc(ci, cj, (corner_face[start],), (), 0)
+    return MergeArc(ci, cj, (dart_face[start],), (), 0)
 
 
 def _nearest_circles(
@@ -553,12 +555,12 @@ def find_merge_arc(g: Diagram, curve_comps: list[int], faces: _CircleFaces | Non
         faces = _CircleFaces(g, fs, comps)
     elif faces.faces.keys() != comps:
         raise InvariantError("carried circle faces describe other circles")
-    arc = _free_arc(faces, fs.corner_face)
+    arc = _free_arc(faces, fs.dart_face)
     touched: set[int] = set()  # a free arc crosses no edge
     if arc is None:
         touched = _forbidden_origins(g, comps)
         allowed = _admissible_edges(g, fs, comps, touched)
-        curve_faces = faces.ids(fs.corner_face)
+        curve_faces = faces.ids(fs.dart_face)
         best = _nearest_circles(allowed, curve_faces)
         if best is None:
             raise NoPathError("no admissible path joins two augmenting circles")
@@ -586,7 +588,7 @@ def _check_arc(
         origins.append(rec.origin)
     if len(set(origins)) != len(origins):
         raise InvariantError("merge arc crosses some original edge twice")
-    if any(_is_original_bigon(g, fs.faces[f]) for f in arc.faces):
+    if any(_is_original_bigon(g, fs, f) for f in arc.faces):
         raise InvariantError("merge arc passes through an original bigon")
 
 
@@ -620,12 +622,12 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     if arc.phi == 0:
         return g
     fs = face_set(g)
-    if not all(0 <= f < len(fs.faces) for f in arc.faces):
+    if not all(0 <= f < len(fs.darts) for f in arc.faces):
         raise UnknownFace(f"arc faces {arc.faces} name a face the map lacks")
     if not all(e in g.edges for e in arc.edges):
         raise UnknownEdge(f"arc edges {arc.edges} name an edge the map lacks")
     base = min(
-        (e for e in fs.faces[arc.faces[0]].boundary_edges if g.edges[e].component == arc.source_curve),
+        (e for e in fs.bounds[arc.faces[0]] if g.edges[e].component == arc.source_curve),
         default=None,
     )
     if base is None:
@@ -691,15 +693,15 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
 # -- band join -------------------------------------------------------------------------
 
 def _face_edge_walk(fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
-    """Boundary walk of a face as (edge, departure end, arrival end):
-    the edge leaving corner (c, s) departs from slot s + 1 and arrives
-    at the next corner."""
-    face = fs.faces[fid]
-    ks = face.corner_slots
-    return [
-        (e, (c, (s + 1) % 4), ks[(k + 1) % len(ks)])
-        for k, ((c, s), e) in enumerate(zip(ks, face.boundary_edges))
-    ]
+    """Boundary walk of a face as (edge, departure end, arrival end),
+    each end a (crossing, slot) pair: the edge leaving corner x departs
+    from slot s + 1 and arrives at the next corner."""
+    ds = fs.darts[fid]
+    walk = []
+    for k, e in enumerate(fs.bounds[fid]):
+        x, y = ds[k], ds[(k + 1) % len(ds)]
+        walk.append((e, (x >> 2, (x + 1) & 3), (y >> 2, y & 3)))
+    return walk
 
 
 def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
@@ -723,7 +725,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
         raise JoinError(f"circle {ci} cannot be joined to itself")
     # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
-    if not 0 <= shared_face < len(fs.faces):
+    if not 0 <= shared_face < len(fs.darts):
         raise UnknownFace(f"no face {shared_face}")
     walk = _face_edge_walk(fs, shared_face)
     merged, dropped = min(ci, cj), max(ci, cj)
@@ -768,7 +770,7 @@ def _shared_face(g: Diagram, ci: int, cj: int, faces: _CircleFaces) -> int:
     shared = faces.faces[ci] & faces.faces[cj]
     if not shared:
         raise InvariantError(f"circles {ci} and {cj} share no face")
-    return face_set(g).corner_face[min(shared)]
+    return face_set(g).dart_face[min(shared)]
 
 
 # -- hyperbolicity certificate -----------------------------------------------------------
@@ -861,7 +863,7 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     t_d = d_tp.t
     free_edges = set(d.edges)  # the edges outside d's twist regions
     for fid in d_tp.bigon_faces:
-        free_edges.difference_update(d_fs.faces[fid].boundary_edges)
+        free_edges.difference_update(d_fs.bounds[fid])
     # dropping the curve gives back d verbatim (read off g, no map is
     # built), so the report below reads d's tables instead of a
     # reconstruction's; the walk counts the curve's crossings per edge

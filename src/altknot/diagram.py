@@ -54,15 +54,16 @@ class Sign(Enum):
 End = tuple  # (crossing id, slot) pairs; plain tuples keep surgery cheap
 
 
-# The records below are built by the thousand on every pass, so they are
-# slotted, and each has its own ``__init__`` that writes its fields
+# Crossings and edges are built by the thousand on every pass, so they
+# are slotted, and each has its own ``__init__`` that writes its fields
 # through its class's slot descriptors, bound once below the class.  A
 # frozen dataclass's generated ``__init__`` writes each field by name
 # through ``object.__setattr__``, which costs about 1.7 times as much.
 # The records stay frozen: the generated ``__setattr__`` and
 # ``__delattr__`` still refuse every write, and ``==``, ``hash``,
 # ``repr``, ``dataclasses.replace``, copying and pickling are the
-# dataclass's own.
+# dataclass's own.  Faces are built only when read (``FaceSet.faces``),
+# so ``Face`` keeps the generated ``__init__``.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -121,7 +122,7 @@ _set_edge_origin = Edge.origin.__set__
 _set_edge_component = Edge.component.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Face:
     """Complementary region of the diagram in the sphere.
 
@@ -130,20 +131,13 @@ class Face:
     slot i; ``boundary_edges[k]`` is the edge leaving corner k, the one
     in slot i + 1, and the edge arriving there is the one in slot i.
     Loop faces (the two sides of a crossing-free loop) have no corners
-    and carry the loop id instead."""
+    and carry the loop id instead.  A face table builds these records
+    from its darts only when they are read (``FaceSet.faces``)."""
 
     id: int
     corner_slots: tuple[End, ...]
     boundary_edges: tuple[int, ...]
     loop: int | None = None
-
-    def __init__(
-        self, id: int, corner_slots: tuple[End, ...], boundary_edges: tuple[int, ...], loop: int | None = None
-    ) -> None:
-        _set_face_id(self, id)
-        _set_face_corner_slots(self, corner_slots)
-        _set_face_boundary_edges(self, boundary_edges)
-        _set_face_loop(self, loop)
 
     @property
     def degree(self) -> int:
@@ -155,22 +149,17 @@ class Face:
     @property
     def is_bigon(self) -> bool:
         """Two corners at two distinct crossings (loop faces have none)."""
-        return _is_bigon_corners(self.corner_slots)
+        cs = self.corner_slots
+        return len(cs) == 2 and cs[0][0] != cs[1][0]
 
 
-_set_face_id = Face.id.__set__
-_set_face_corner_slots = Face.corner_slots.__set__
-_set_face_boundary_edges = Face.boundary_edges.__set__
-_set_face_loop = Face.loop.__set__
-
-
-def _is_bigon_corners(corners) -> bool:
-    """The corners of a face, in any order, make it a bigon: two corners
+def _is_bigon(darts) -> bool:
+    """The darts of a face, in any order, make it a bigon: two corners
     at two distinct crossings."""
-    if len(corners) != 2:
+    if len(darts) != 2:
         return False
-    (c0, _s0), (c1, _s1) = corners
-    return c0 != c1
+    x0, x1 = darts
+    return x0 >> 2 != x1 >> 2
 
 
 @dataclass(frozen=True)
@@ -325,18 +314,29 @@ def is_connected(d: Diagram) -> bool:
 # -- faces ---------------------------------------------------------------------
 
 class FaceSet:
-    """Faces of the map plus corner and edge-side lookup tables.
+    """Faces of the map, with every corner named by an integer dart.
 
-    The face walk keeps the face on the right of the travel direction:
-    from the corner between slots i and i+1 at a crossing, leave through
-    the edge in slot i+1 and arrive at the corner just counterclockwise
-    of its far end.  Corner (c, i) therefore denotes the quadrant swept
-    counterclockwise from slot i.
+    The dart ``x = 4 * c + s`` names the corner of crossing c at slot s:
+    the quadrant swept counterclockwise from slot s, and also the slot
+    end itself.  Crossing ids are ints >= 0 (``validate_diagram``
+    refuses any other), so darts order corners as (c, s) pairs do, and
+    ``(x >> 2, x & 3)`` is the pair again.  The face walk keeps the face
+    on the right of the travel direction: from corner x it leaves
+    through the edge in slot s + 1, by the dart ``(x & ~3) | ((x + 1) &
+    3)``, and arrives at the corner of that edge's far end.
 
-    Face ids rank the faces by their least corner (c, i), and each
-    corner list starts at that corner; the two faces of each
-    crossing-free loop come last, in loop-id order.  A face's id is its
-    position in ``faces``, so ``faces[f]`` looks face f up.
+    The table holds three lists:
+
+    - ``dart_face``: dart -> face id, -1 where the map has no corner;
+    - ``darts``: per face, its corners in cyclic order as an int tuple
+      that starts at its least dart;
+    - ``bounds``: per face, ``bounds[f][k]`` the edge leaving corner k.
+
+    Face ids rank the faces by their least dart; the two faces of each
+    crossing-free loop come last, in loop-id order (``loops``), with no
+    darts and no edges.  ``faces`` gives the ``Face`` records, built from
+    the darts the first time they are read; no pass of the package reads
+    them.
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
@@ -350,26 +350,45 @@ class FaceSet:
     a new table (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
-    update differs from it: (dropped, fresh), the least corners of the
-    source faces the edit dropped and the (corner slots, boundary edges)
-    of each face walked afresh, in least-corner order.  It is None on a
-    table walked whole."""
+    update differs from it: (dropped, fresh), the least darts of the
+    source faces the edit dropped and the (darts, boundary edges) of
+    each face walked afresh, in least-dart order.  It is None on a table
+    walked whole."""
 
-    def __init__(self, faces: list[Face], corner_face: dict[End, int]):
-        self.faces = faces
-        self.corner_face = corner_face
+    def __init__(self, dart_face: list[int], darts: list[tuple[int, ...]], bounds: list[tuple[int, ...]],
+                 loops: list[int]):
+        self.dart_face = dart_face
+        self.darts = darts
+        self.bounds = bounds
+        self.loops = loops
+        self._faces: list[Face] | None = None
         self.partition = None
         self.pieces = None
         self.classification = None
-        self.delta: tuple[list[End], list[tuple]] | None = None
+        self.delta: tuple[list[int], list[tuple]] | None = None
+
+    @property
+    def faces(self) -> list[Face]:
+        """The ``Face`` records, a face's id its position in the list."""
+        if self._faces is None:
+            n = len(self.darts) - 2 * len(self.loops)
+            faces = [
+                Face(i, tuple((x >> 2, x & 3) for x in ds), es)
+                for i, (ds, es) in enumerate(zip(self.darts[:n], self.bounds))
+            ]
+            for loop_id in self.loops:
+                faces.append(Face(len(faces), (), (), loop_id))
+                faces.append(Face(len(faces), (), (), loop_id))
+            self._faces = faces
+        return self._faces
 
     def face_of_corner(self, c: int, slot: int) -> int:
-        return self.corner_face[(c, slot % 4)]
+        return self.dart_face[4 * c + slot % 4]
 
     def edge_sides(self, d: Diagram, e: int) -> tuple[int, int]:
         """(left face, right face) of edge e directed end0 -> end1."""
         (c0, s0), (c1, s1) = d.edges[e].ends
-        return self.face_of_corner(c0, s0), self.face_of_corner(c1, s1)
+        return self.dart_face[4 * c0 + s0], self.dart_face[4 * c1 + s1]
 
 
 # the table of the last diagram asked for, as (weak reference, table);
@@ -394,18 +413,19 @@ def face_set(d: Diagram) -> FaceSet:
     RSS from 34.7 to 45.3 MiB, as the benchmark worker keeps each
     input's first output.
 
+    The full walk (``_build_face_set``) runs on flat lists indexed by
+    dart and builds no tuple per corner, no dict entry and no ``Face``.
     The results of ``augment``'s fingers and band splices do not reach
-    the full walk: ``edits.check_edit`` derives their table from the
-    source's by a local update (``_edited_face_set``) and leaves it here.  The update re-walks only
-    the faces the edit reaches -- those at a removed crossing or on
-    either side of a removed or re-ended edge -- since every other face
-    leaves each of its corners through the same edge as before.
-    Diagrams made without a source table (parsed ones) are walked whole,
-    and so is the
-    overlay of the cut circles: it re-slots about two-thirds of its
-    input's crossings, so a local update would re-walk most of the map.
-    A reduction move that ``edits.check_move`` cannot check by a face
-    merge is validated, and so walked, whole.
+    it: ``edits.check_edit`` derives their table from the source's by a
+    local update (``_edited_face_set``) and leaves it here.  The update
+    re-walks only the faces the edit reaches -- those at a removed
+    crossing or on either side of a removed or re-ended edge -- since
+    every other face leaves each of its corners through the same edge as
+    before.  Diagrams made without a source table (parsed ones) are
+    walked whole, and so is the overlay of the cut circles: it re-slots
+    about two-thirds of its input's crossings, so a local update would
+    re-walk most of the map.  A reduction move that ``edits.check_move``
+    cannot check by a face merge is validated, and so walked, whole.
     """
     global _last_face_set
     fs = _held_face_set(d)
@@ -435,59 +455,72 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     return dst
 
 
-def _walk_faces(crossings: dict[int, Crossing], far: dict[End, End], starts, todo: set[End]) -> list[tuple]:
-    """(corner slots, boundary edges) of each face through the corners
-    ``todo``, walked from each of ``starts`` still in ``todo``,
-    in that order; every corner walked leaves ``todo``.  ``far`` maps
-    each slot end the walks leave by to the far end of its edge.  A walk
-    that reaches a corner not in ``todo`` (taken, or outside the set)
+def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: list, bounds: list) -> None:
+    """Walk the face through each dart of ``starts`` still marked -1 in
+    ``dart_face``, in that order: append its darts and boundary edges to
+    ``darts`` and ``bounds``, and mark its darts with its position there.
+    ``step[x]`` is the corner after corner x, ``far[(x & ~3) | ((x + 1)
+    & 3)]`` for ``far`` the dart at the other end of each dart's edge,
+    and ``out_edge[x]`` the edge between them.  A walk that reaches a
+    marked dart (taken, or kept from a source table) or no dart (-1)
     means broken rotation data."""
-    walks = []
-    for start in starts:
-        if start not in todo:
+    for x in starts:
+        if dart_face[x] != -1:
             continue
-        todo.remove(start)
-        slots = []
-        edges = []
-        corner = start
-        while True:
-            c, s = corner
-            s1 = (s + 1) % 4
-            slots.append(corner)
-            edges.append(crossings[c].slots[s1])
-            corner = far.get((c, s1))
-            if corner == start:
-                break
-            try:
-                todo.remove(corner)
-            except KeyError:
-                raise InvariantError(f"face walk collided at corner {corner}") from None
-        walks.append((tuple(slots), tuple(edges)))
-    return walks
+        fid = len(darts)
+        dart_face[x] = fid
+        ds = [x]
+        es = [out_edge[x]]
+        y = step[x]
+        while y != x:
+            if y < 0 or dart_face[y] != -1:
+                raise InvariantError(f"face walk collided at corner {(y >> 2, y & 3) if y >= 0 else None}")
+            dart_face[y] = fid
+            ds.append(y)
+            es.append(out_edge[y])
+            y = step[y]
+        darts.append(tuple(ds))
+        bounds.append(tuple(es))
 
 
-def _face_table(faces: list[Face], corner_face: dict[End, int], loops: dict[int, int]) -> FaceSet:
-    """Table of the corner faces ``faces`` (numbered in order) plus two
-    faces per crossing-free loop."""
-    nxt = len(faces)
-    for loop_id in sorted(loops):
-        faces.append(Face(nxt, (), (), loop_id))
-        faces.append(Face(nxt + 1, (), (), loop_id))
-        nxt += 2
-    return FaceSet(faces, corner_face)
+def _face_table(dart_face: list[int], darts: list, bounds: list, loops: dict[int, int]) -> FaceSet:
+    """Table of the corner faces ``darts`` and ``bounds`` (numbered in
+    order) plus two faces per crossing-free loop."""
+    loop_ids = sorted(loops)
+    darts += [()] * (2 * len(loop_ids))
+    bounds += [()] * (2 * len(loop_ids))
+    return FaceSet(dart_face, darts, bounds, loop_ids)
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
-    """The full walk: every corner of ``d``, crossings in id order."""
-    far: dict[End, End] = {}
-    for rec in d.edges.values():
-        a, z = rec.ends
-        far[a] = z
-        far[z] = a
-    starts = [(c, s) for c in sorted(d.crossings) for s in range(4)]
-    walks = _walk_faces(d.crossings, far, starts, set(starts))
-    faces = [Face(i, slots, edges) for i, (slots, edges) in enumerate(walks)]
-    return _face_table(faces, {k: f.id for f in faces for k in f.corner_slots}, d.loops)
+    """The full walk: every corner of ``d``, crossings in id order, on
+    flat lists indexed by dart, built in one pass over the edges.
+    InvariantError, rather than a dart list read from its far end, when
+    a crossing id is negative."""
+    crossings = d.crossings
+    if crossings and min(crossings) < 0:
+        raise InvariantError(f"crossing id {min(crossings)} names no dart")
+    n = 4 * (max(crossings, default=-1) + 1)
+    step = [-1] * n
+    out_edge = [0] * n
+    for e, rec in d.edges.items():
+        # the corner just clockwise of each end leaves by it and arrives
+        # at the far end's corner
+        (c0, s0), (c1, s1) = rec.ends
+        a = 4 * c0 + s0
+        z = 4 * c1 + s1
+        pa = a - 1 if s0 else a + 3
+        pz = z - 1 if s1 else z + 3
+        step[pa] = z
+        step[pz] = a
+        out_edge[pa] = out_edge[pz] = e
+    # ids 0 .. V-1, as in a parsed map, leave no dart without a corner
+    starts = range(n) if n == 4 * len(crossings) else [x for c in sorted(crossings) for x in range(4 * c, 4 * c + 4)]
+    dart_face = [-1] * n
+    darts: list[tuple[int, ...]] = []
+    bounds: list[tuple[int, ...]] = []
+    _walk_darts(step, out_edge, starts, dart_face, darts, bounds)
+    return _face_table(dart_face, darts, bounds, d.loops)
 
 
 def _changed_edges(b: MapBuilder, out: Diagram) -> list[int]:
@@ -523,71 +556,91 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     union of orbits, and only they are walked.  A new over strand, or
     only a component written on an edge, changes no face.
 
-    Ids and corner order come out as ``_build_face_set(out)`` gives
-    them: the dirty faces are dropped from the source's list, each fresh
-    walk is placed by its least corner, and only the faces whose rank
-    moved are re-made.  The table's ``delta`` names the dropped faces by
-    their least corners and holds the fresh walks, as the update met
-    them, so a caller that follows faces by least corner
+    The update copies the source's ``dart_face`` list, marks the darts
+    of the dirty faces and of new crossings -1, and walks those darts, on
+    dicts of the step and the edge out of each.  Ids
+    and corner order come out as ``_build_face_set(out)`` gives them:
+    the dirty faces are dropped from the source's list, each fresh walk
+    is placed by its least dart, and the darts of only the faces whose
+    rank moved are written again.  The table's ``delta`` names the
+    dropped faces by their least darts and holds the fresh walks, as the
+    update met them, so a caller that follows faces by least dart
     (``augmentation._CircleFaces``) reads what changed without a pass of
-    its own.  InvariantError when a walk runs into a kept face."""
+    its own.  InvariantError when a walk runs into a kept face, or a new
+    crossing's id is not an int >= 0."""
     global _last_face_set
     d = b.source
     old_c, new_c = d.crossings, out.crossings
-    source_corners = source_fs.corner_face
-    corner_face = dict(source_corners)
+    source_face = source_fs.dart_face
+    dart_face = list(source_face)
     dirty = set()  # source faces that do not survive as they stand
-    todo = set()  # corners of out to walk
+    todo = []  # darts of out to walk
+    top = len(dart_face)
     for c in b.touched_crossings:
         if c not in new_c:
             if c in old_c:
-                for s in range(4):
-                    dirty.add(corner_face.pop((c, s)))
+                dirty.update(source_face[4 * c:4 * c + 4])
         elif c not in old_c:
-            todo.update((c, s) for s in range(4))
+            if type(c) is not int or c < 0:
+                raise InvariantError(f"crossing id {c!r} names no dart")
+            todo.extend(range(4 * c, 4 * c + 4))
+            top = max(top, 4 * c + 4)
+    dart_face += [-1] * (top - len(dart_face))
     old_e = d.edges
     for e in _changed_edges(b, out):
         rec = old_e.get(e)
         if rec is not None:
             for c, s in rec.ends:
-                dirty.add(source_corners[(c, (s - 1) % 4)])
-    source_faces = source_fs.faces
+                dirty.add(source_face[4 * c + (s - 1) % 4])
+    source_darts = source_fs.darts
     dropped = []
     for fid in dirty:
-        slots = source_faces[fid].corner_slots
-        dropped.append(slots[0])
-        todo.update(k for k in slots if k[0] in new_c)
-    far: dict[End, End] = {}
-    for c, s in todo:
-        a, z = out.edges[new_c[c].slots[(s + 1) % 4]].ends
-        far[a] = z
-        far[z] = a
-    fresh = _walk_faces(new_c, far, sorted(todo), todo)
+        ds = source_darts[fid]
+        dropped.append(ds[0])
+        for x in ds:
+            dart_face[x] = -1
+            if (x >> 2) in new_c:
+                todo.append(x)
+    step: dict[int, int] = {}
+    out_edge: dict[int, int] = {}
+    out_edges = out.edges
+    for x in todo:
+        o = (x & -4) | ((x + 1) & 3)
+        e = new_c[x >> 2].slots[o & 3]
+        (c0, s0), (c1, s1) = out_edges[e].ends
+        a = 4 * c0 + s0
+        step[x] = 4 * c1 + s1 if a == o else a
+        out_edge[x] = e
+    fresh_darts: list[tuple[int, ...]] = []
+    fresh_bounds: list[tuple[int, ...]] = []
+    _walk_darts(step, out_edge, sorted(todo), dart_face, fresh_darts, fresh_bounds)
 
-    # the kept faces stay in least-corner order, and each fresh walk
-    # starts at its least corner and comes in that order, so each goes in
-    # after the last; ranks move only from the first change on
-    merged = source_faces[:len(source_faces) - 2 * len(d.loops)]
+    # the kept faces stay in least-dart order, and each fresh walk starts
+    # at its least dart and comes in that order, so each goes in after
+    # the last; ranks move only from the first change on
+    kept = len(source_darts) - 2 * len(d.loops)
+    darts = source_darts[:kept]
+    bounds = source_fs.bounds[:kept]
     for fid in sorted(dirty, reverse=True):
-        del merged[fid]
-    first = min(dirty, default=len(merged))
+        del darts[fid]
+        del bounds[fid]
+    first = min(dirty, default=len(darts))
     at = 0
-    by_corners = attrgetter("corner_slots")
-    for slots, edges in fresh:
-        at = bisect_left(merged, slots, at, key=by_corners)
-        merged.insert(at, Face(at, slots, edges))
-        for k in slots:
-            corner_face[k] = at
+    for ds, es in zip(fresh_darts, fresh_bounds):
+        at = bisect_left(darts, ds, at)
+        darts.insert(at, ds)
+        bounds.insert(at, es)
         first = min(first, at)
         at += 1
-    for i in range(first, len(merged)):
-        f = merged[i]
-        if f.id != i:
-            merged[i] = Face(i, f.corner_slots, f.boundary_edges)
-            for k in f.corner_slots:
-                corner_face[k] = i
-    fs = _face_table(merged, corner_face, out.loops)
-    fs.delta = (dropped, fresh)
+    # all the darts of a face carry one mark, the fresh faces' their
+    # place among the fresh walks, so the first dart tells a moved face
+    for i in range(first, len(darts)):
+        ds = darts[i]
+        if dart_face[ds[0]] != i:
+            for x in ds:
+                dart_face[x] = i
+    fs = _face_table(dart_face, darts, bounds, out.loops)
+    fs.delta = (dropped, list(zip(fresh_darts, fresh_bounds)))
     _last_face_set = (weakref.ref(out), fs)
     return fs
 
@@ -662,7 +715,7 @@ def parse_pd(text: str) -> Diagram:
 def _check_sphericity(d: Diagram) -> None:
     """SphericityError unless V - E + F = 2P over the corner faces and
     crossing-bearing pieces of ``d``."""
-    chi = len(d.crossings) - len(d.edges) + len(face_set(d).faces) - 2 * len(d.loops)
+    chi = len(d.crossings) - len(d.edges) + len(face_set(d).darts) - 2 * len(d.loops)
     pieces = connected_pieces(d)
     if chi != 2 * pieces:
         raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
@@ -776,6 +829,10 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     """Check 4-valence, incidence, label consistency, sphericity and the
     component census; failures are reported, not raised.
 
+    A corner is the dart ``4 * c + s`` of the face table (``FaceSet``),
+    so a crossing id that is not an int >= 0 is a failure, and the faces
+    of such a map are not read.
+
     Incidence is decided in one pass over the edge records.  The map is
     sound when every crossing has four slots, no id is both an edge and
     a loop, 2E = 4V, and each edge's two distinct ends name existing
@@ -796,13 +853,19 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     crossings, edges, loops = d.crossings, d.edges, d.loops
     failures: list[str] = []
     four_slots = True
+    bad_ids = []
     bad_labels = []
     for cid, c in crossings.items():
+        if type(cid) is not int or cid < 0:
+            bad_ids.append(cid)
         if len(c.slots) != 4:
             four_slots = False
         if c.over_slots not in _OVER_PAIRS and tuple(c.over_slots) not in _OVER_PAIRS:
             bad_labels.append(cid)
-    sound = four_slots and 2 * len(edges) == 4 * len(crossings) and not any(k in edges for k in loops)
+    for cid in bad_ids:
+        failures.append(f"ids: crossing id {cid!r} is not an integer >= 0")
+    sound = (not bad_ids and four_slots and 2 * len(edges) == 4 * len(crossings)
+             and not any(k in edges for k in loops))
     if sound:
         at = crossings.get
         for e, rec in edges.items():
@@ -834,7 +897,8 @@ def validate_diagram(d: Diagram) -> ValidationReport:
             if u != rec.ends and u[::-1] != rec.ends:
                 failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
         sound = not failures
-    for cid in sorted(bad_labels):
+    # an id that is not an int sorts after the ints, by its text
+    for cid in sorted(bad_labels, key=lambda c: (False, c) if type(c) is int else (True, repr(c))):
         c = crossings[cid]
         word = "".join(str(c.label(s)) for s in range(4))
         failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
@@ -844,7 +908,7 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     f = 0
     if sound:
         try:
-            f = len(face_set(d).faces)
+            f = len(face_set(d).darts)
             _check_sphericity(d)
         except (InvariantError, SphericityError) as exc:
             failures.append(f"sphericity: {exc}")

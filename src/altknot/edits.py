@@ -79,7 +79,7 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
         return _rejected(out, alternating=True)
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
-    df = (len(fs.faces) - 2 * len(out.loops)) - (len(source_fs.faces) - 2 * len(d.loops))
+    df = (len(fs.darts) - 2 * len(out.loops)) - (len(source_fs.darts) - 2 * len(d.loops))
     if dv - de + df != 2 * _piece_change(b, source_fs, out) or not _check_strands(b, out, alternating=True):
         return _rejected(out, alternating=True)
     return []
@@ -237,9 +237,11 @@ def _check_strands(b: MapBuilder, out: Diagram, alternating: bool = False) -> bo
 
 class FacePartition:
     """The corner faces of a map as a partition of its corners, for a run
-    of ``check_move`` moves: ``face`` maps each corner to a handle, and
-    ``corners`` each handle to its face's corners.  Crossing-free loops
-    have no corners and no handle.
+    of ``check_move`` moves.  A corner is its dart ``4 * c + s``
+    (``diagram.FaceSet``): ``face`` is a list from each dart to a handle,
+    -1 where the map has no corner, and ``corners`` maps each handle to
+    its face's darts.  Crossing-free loops have no corners and no
+    handle.
 
     A move removes its crossings' corners (``remove``) and merges faces
     (``merge``), which relabels the corners of all but the heaviest
@@ -252,27 +254,29 @@ class FacePartition:
 
     def __init__(self, fs: FaceSet):
         self.relabelled = 0
-        self.face: dict[End, int] = {}
+        self.face: list[int] = []
         self.read(fs)
 
     def read(self, fs: FaceSet) -> None:
         """Take the corner faces of the table ``fs``, replacing any held."""
-        self.relabelled += len(self.face)
-        self.face = dict(fs.corner_face)
-        self.corners = {f.id: set(f.corner_slots) for f in fs.faces if f.loop is None}
+        self.relabelled += len(self.face) - self.face.count(-1)
+        self.face = list(fs.dart_face)
+        self.corners = {h: set(ds) for h, ds in enumerate(fs.darts) if ds}
         self.weight = {h: len(ks) for h, ks in self.corners.items()}
 
     def remove(self, c: int) -> None:
         """Drop the four corners of crossing ``c``."""
-        for s in range(4):
-            self.corners[self.face.pop((c, s))].discard((c, s))
+        face, corners = self.face, self.corners
+        for x in range(4 * c, 4 * c + 4):
+            corners[face[x]].discard(x)
+            face[x] = -1
 
-    def merge(self, handles: list[int]) -> list[End]:
+    def merge(self, handles: list[int]) -> list[int]:
         """Make the faces ``handles`` one, under the heaviest's handle;
-        returns the corners relabelled."""
+        returns the darts relabelled."""
         weight = self.weight
         keep = max(handles, key=weight.__getitem__)
-        moved: list[End] = []
+        moved: list[int] = []
         for h in handles:
             if h != keep:
                 ks = self.corners.pop(h)
@@ -305,15 +309,15 @@ def merge_plan(faces: FacePartition, gone: tuple[int, ...]) -> list[int] | None:
     face, corners = faces.face, faces.corners
     if len(gone) == 1:
         (c,) = gone
-        f = [face[(c, s)] for s in range(4)]
+        f = face[4 * c:4 * c + 4]
         for k in (0, 1):
             x, y = f[k + 1], f[(k + 3) % 4]
             if f[k] == f[k + 2] and len({f[k], x, y}) == 3 and (len(corners[x]) == 1) != (len(corners[y]) == 1):
                 return [x, y]
         return None
     x, y = gone
-    fx = [face[(x, s)] for s in range(4)]
-    fy = [face[(y, s)] for s in range(4)]
+    fx = face[4 * x:4 * x + 4]
+    fy = face[4 * y:4 * y + 4]
     if len(set(fx)) < 4 or len(set(fy)) < 4:
         return None
     for i, bigon in enumerate(fx):
@@ -408,5 +412,5 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
                 (c0, _s0), (c1, _s1) = out.edges[e].ends
                 merge.union(c0 if c0 in new_set else "rest", c1 if c1 in new_set else "rest")
         return len({merge.find(x) for x in roots}) - groups
-    source_pieces = (len(d.crossings) - len(d.edges) + len(source_fs.faces) - 2 * len(d.loops)) // 2
+    source_pieces = (len(d.crossings) - len(d.edges) + len(source_fs.darts) - 2 * len(d.loops)) // 2
     return connected_pieces(out) - source_pieces

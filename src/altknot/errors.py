@@ -121,7 +121,8 @@ class MappingError(InternalInvariantError):
 
 
 class ReductionInvariantError(InternalInvariantError):
-    """A reduction step increased the twist count."""
+    """The reduction ended with a larger twist count than it started
+    from."""
 
 
 def exit_code_for(exc: BaseException) -> int:

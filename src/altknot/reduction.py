@@ -5,7 +5,11 @@ Two moves, both link-type preserving: untwisting a nugatory crossing
 are non-alternating via a Reidemeister II move.  ``preprocess`` applies
 them lowest-id-first until neither fires; the result is reduced and
 R2-reduced, with crossing count strictly decreasing along the way and
-the twist count never increasing.
+a twist count no greater than the input's.  A single move may raise the
+count: removing a nugatory crossing that a chain of bigons runs through
+splits the chain.  Lackenby's twist number is defined on reduced
+diagrams, and the maps between the input and the output are not
+reduced, so the promise is made of the whole run, not of each move.
 
 The whole map is read once, on the input.  Its twist count comes off
 the corner faces: the number of classes of crossings joined through
@@ -30,11 +34,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .analysis import _is_cut_vertex, _is_r2_bigon, _is_r2_corners
+from .analysis import _is_cut_vertex, _is_r2_corners
 from .diagram import (
     Diagram,
     MapBuilder,
-    _is_bigon_corners,
+    _is_bigon,
     _Partition,
     face_set,
     restamp_origins,
@@ -93,7 +97,7 @@ def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     fs = face_set(d)
-    if not _is_cut_vertex(fs.corner_face, c):
+    if not _is_cut_vertex(fs.dart_face, c):
         raise NotNugatory(f"crossing {c} is not a cut vertex")
     b = _nugatory_edit(d, c)
     out = b.build()
@@ -114,22 +118,24 @@ def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
     (one ++, one --): delete both crossings and rejoin the four outer
     strand ends in parallel.  Clasps (alternating edges) are refused."""
     fs = face_set(d)
-    if not 0 <= f < len(fs.faces):
+    if not 0 <= f < len(fs.darts):
         raise UnknownFace(f"no face {f}")
-    face = fs.faces[f]
-    if not face.is_bigon:
+    darts = fs.darts[f]
+    if not _is_bigon(darts):
         raise NotR2Bigon(f"face {f} is not a bigon")
-    if not _is_r2_bigon(d, face):
+    if not _is_r2_corners(d, darts):
         raise NotR2Bigon(f"bigon {f} is a clasp; its edges alternate")
-    b = _r2_edit(d, face.corner_slots)
+    b = _r2_edit(d, darts)
     out = b.build()
-    _refuse_broken("R2", check_move(b, FacePartition(fs), out, tuple(sorted(face.crossings())))[0])
+    _refuse_broken("R2", check_move(b, FacePartition(fs), out, tuple(sorted(x >> 2 for x in darts)))[0])
     return out
 
 
-def _r2_edit(d: Diagram, corners) -> MapBuilder:
-    """The R2 move on the bigon whose two corners are ``corners``."""
-    (x, i), (y, j) = sorted(corners)
+def _r2_edit(d: Diagram, darts) -> MapBuilder:
+    """The R2 move on the bigon whose two corners are the darts
+    ``darts``."""
+    x0, x1 = sorted(darts)
+    (x, i), (y, j) = (x0 >> 2, x0 & 3), (x1 >> 2, x1 & 3)
     b = MapBuilder(d)
     # weld each strand across the pair: the face walk leaves corner (x, i)
     # by the inner edge in slot i + 1 at x, which arrives at y in slot j,
@@ -182,10 +188,11 @@ def _chains_meeting(faces: FacePartition, starts: set[int]) -> int:
                 continue
             x = stack.pop()
             for s in range(4):
-                ks = corners[face[(x, s)]]
+                ks = corners[face[4 * x + s]]
                 if len(ks) != 2:
                     continue
-                (c0, _s0), (c1, _s1) = ks
+                k0, k1 = ks
+                c0, c1 = k0 >> 2, k1 >> 2
                 if c0 == c1:
                     continue
                 y = c1 if c0 == x else c0
@@ -219,8 +226,8 @@ class _Moves:
 
     ``faces`` holds the map's faces as a ``FacePartition``.  ``cuts``
     holds the cut vertices (the nugatory crossings) and ``bigons`` the
-    least corners of the R2 bigons; a face's least corner is its first,
-    so the least key names the least face id of the full walk.  ``t`` is
+    least darts of the R2 bigons; a face's least dart is its first, so
+    the least key names the least face id of the full walk.  ``t`` is
     the twist count: the number of chains, the classes of crossings
     joined through bigons.  ``_read`` takes all three off the partition:
     the pass over its faces that finds the R2 bigons also unions the two
@@ -252,9 +259,9 @@ class _Moves:
         chains = _Partition()
         joined = 0  # unions that joined two chains
         for ks in faces.corners.values():
-            if _is_bigon_corners(ks):
-                (c0, _s0), (c1, _s1) = ks
-                joined += chains.union(c0, c1)
+            if _is_bigon(ks):
+                x0, x1 = ks
+                joined += chains.union(x0 >> 2, x1 >> 2)
                 if _is_r2_corners(d, ks):
                     self.bigons.add(min(ks))
         self._cut_heap = sorted(self.cuts)  # a sorted list is a heap
@@ -265,7 +272,7 @@ class _Moves:
     def least_cut(self) -> int | None:
         return _least(self.cuts, self._cut_heap)
 
-    def least_bigon(self) -> tuple[int, int] | None:
+    def least_bigon(self) -> int | None:
         return _least(self.bigons, self._bigon_heap)
 
     def advance(self, cur: Diagram, gone: tuple[int, ...], plan: list[int] | None) -> None:
@@ -295,28 +302,28 @@ class _Moves:
         face, corners = faces.face, faces.corners
         at_gone = {}  # face at a removed corner -> how many it has there
         for c in gone:
-            for s in range(4):
-                h = face[(c, s)]
+            for h in face[4 * c:4 * c + 4]:
                 at_gone[h] = at_gone.get(h, 0) + 1
-        lost = []  # least corners of the bigons the move removes
-        made = []  # corners of the bigons it makes
+        lost = []  # least darts of the bigons the move removes
+        made = []  # darts of the bigons it makes
         near = set()  # the lost bigons' crossings off ``gone``
         kept = 0  # corners the planned faces keep
         for h, n in at_gone.items():
             ks = corners[h]
-            if _is_bigon_corners(ks):
+            if _is_bigon(ks):
                 lost.append(min(ks))
-                near.update(c for c, _s in ks if c not in gone)
+                near.update(x >> 2 for x in ks if (x >> 2) not in gone)
             if h in plan:
                 kept += len(ks) - n
             elif len(ks) - n == 2:
-                made.append([k for k in ks if k[0] not in gone])
+                made.append([x for x in ks if (x >> 2) not in gone])
         if kept == 2:
-            made.append([k for h in plan for k in corners[h] if k[0] not in gone])
-        made = [ks for ks in made if _is_bigon_corners(ks)]
+            made.append([x for h in plan for x in corners[h] if (x >> 2) not in gone])
+        made = [ks for ks in made if _is_bigon(ks)]
         # a crossing of each chain the move changes, before it and after
         before, after = {gone[0]}, set(near)
-        for (c0, _s0), (c1, _s1) in made:
+        for x0, x1 in made:
+            c0, c1 = x0 >> 2, x1 >> 2
             before.update(c for c in (c0, c1) if c not in near)
             after.discard(c1)
             after.add(c0)
@@ -327,7 +334,7 @@ class _Moves:
         moved = faces.merge(plan)
         self.t += _chains_meeting(faces, after) - before
         self.cuts.difference_update(gone)
-        for c in {c for c, _s in moved}:
+        for c in {x >> 2 for x in moved}:
             if c not in self.cuts and _is_cut_vertex(face, c):
                 self.cuts.add(c)
                 heapq.heappush(self._cut_heap, c)
@@ -360,8 +367,10 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     Each move is then checked by ``edits.check_move``, which needs no
     face walk for an R2 move or a kink's removal, and the next move and
     the twist count are updated from the faces the move merged and
-    trimmed (``_Moves``).  ReductionInvariantError when a move raises the
-    twist count."""
+    trimmed (``_Moves``).  The trace records the twist count after every
+    move; ReductionInvariantError when the output's count is greater than
+    the input's.  A move may raise the count on the way (see the module
+    docstring)."""
     rep = validate_diagram(d)
     if not rep.valid:
         raise PreconditionError(f"invalid diagram: {rep.failures}", failed_flag="valid")
@@ -372,21 +381,18 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
         if (c := moves.least_cut()) is not None:
             kind, gone, b = "nugatory", (c,), _nugatory_edit(cur, c)
         elif (k := moves.least_bigon()) is not None:
-            corners = moves.faces.corners[moves.faces.face[k]]
-            gone = tuple(sorted(c for c, _s in corners))
-            kind, b = "r2", _r2_edit(cur, corners)
+            darts = moves.faces.corners[moves.faces.face[k]]
+            gone = tuple(sorted(x >> 2 for x in darts))
+            kind, b = "r2", _r2_edit(cur, darts)
         else:
             break
         cur = b.build()
         failures, plan = check_move(b, moves.faces, cur, gone)
         _refuse_broken("R2" if kind == "r2" else kind, failures)
-        t_prev = moves.t
         moves.advance(cur, gone, plan)
         trace.steps.append(ReductionStep(kind, gone, len(cur.crossings), moves.t))
-        if moves.t > t_prev:
-            raise ReductionInvariantError(
-                f"{kind} removal raised the twist count {t_prev} -> {moves.t}"
-            )
+    if moves.t > trace.t_before:
+        raise ReductionInvariantError(f"reduction raised the twist count {trace.t_before} -> {moves.t}")
     trace.crossings_after = len(cur.crossings)
     trace.t_after = moves.t
     cur = restamp_origins(cur)

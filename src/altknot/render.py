@@ -38,12 +38,13 @@ def _positions(d: Diagram) -> dict:
     import numpy as np
 
     fs = face_set(d)
-    outer = max((f for f in fs.faces if f.corner_slots), key=lambda f: (f.degree, -f.id))
+    darts = fs.darts
+    outer = max((f for f, ds in enumerate(darts) if ds), key=lambda f: (len(darts[f]), -f))
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []
-    for (c, _s), out_e in zip(outer.corner_slots, outer.boundary_edges):
-        cycle.append(("c", c))
+    for x, out_e in zip(darts[outer], fs.bounds[outer]):
+        cycle.append(("c", x >> 2))
         cycle.append(("m", out_e))
     boundary = {}
     n = len(cycle)

@@ -233,16 +233,19 @@ def assert_circle_faces_are_read(faces, g, live) -> None:
 
     fs = face_set(g)
     want = _curve_faces(g, fs, live)
-    assert faces.ids(fs.corner_face) == want
+    assert faces.ids(fs.dart_face) == want
+    # the keys are darts: read each through the (crossing, slot) view
+    corner_face = corner_view(fs)
+    face_of = {k: corner_face[(k >> 2, k & 3)] for k in faces.owners}
     shared = {f for a, b in combinations(want, 2) for f in want[a] & want[b]}
-    assert {fs.corner_face[k] for k in faces.shared} == shared
+    assert {face_of[k] for k in faces.shared} == shared
     owners = {}
     for ci, fids in want.items():
         for f in fids:
             owners.setdefault(f, set()).add(ci)
-    assert {fs.corner_face[k]: circles for k, circles in faces.owners.items()} == owners
+    assert {face_of[k]: circles for k, circles in faces.owners.items()} == owners
     # each face is keyed by its least corner
-    assert all(fs.faces[fs.corner_face[k]].corner_slots[0] == k for k in faces.owners)
+    assert all(fs.faces[f].corner_slots[0] == (k >> 2, k & 3) for k, f in face_of.items())
 
 
 def shared_face(g, ci: int, cj: int) -> int:
@@ -274,6 +277,69 @@ def augment_following_circle_faces(monkeypatch, diagrams):
         m.setattr(augmentation._CircleFaces, "follow", follow)
         results = [augment(d) for d in diagrams]
     return results, len(checked)
+
+
+# -- the face table ------------------------------------------------------------------
+
+def oracle_face_table(d):
+    """(faces, corner_face) of ``d`` by the walk on (crossing, slot)
+    pairs: every corner of ``d`` in crossing-id order, each face walked
+    from its least corner, ids in that order, then two faces per
+    crossing-free loop in loop-id order; ``corner_face`` maps each corner
+    to its face.  The walk leaves corner (c, s) through the edge in slot
+    s + 1 and arrives at the corner of the edge's far end.
+    InvariantError when a walk reaches a corner it took or no corner."""
+    from altknot.diagram import Face
+    from altknot.errors import InvariantError
+
+    far = {}
+    for rec in d.edges.values():
+        a, z = rec.ends
+        far[a] = z
+        far[z] = a
+    corner_face = {}
+    faces = []
+    for start in [(c, s) for c in sorted(d.crossings) for s in range(4)]:
+        if start in corner_face:
+            continue
+        fid = len(faces)
+        slots, edges = [], []
+        corner = start
+        while True:
+            if corner is None or corner in corner_face:
+                raise InvariantError(f"face walk collided at corner {corner}")
+            corner_face[corner] = fid
+            slots.append(corner)
+            c, s = corner
+            edges.append(d.crossings[c].slots[(s + 1) % 4])
+            corner = far.get((c, (s + 1) % 4))
+            if corner == start:
+                break
+        faces.append(Face(fid, tuple(slots), tuple(edges)))
+    for loop_id in sorted(d.loops):
+        faces.append(Face(len(faces), (), (), loop_id))
+        faces.append(Face(len(faces), (), (), loop_id))
+    return faces, corner_face
+
+
+def corner_view(fs) -> dict:
+    """The face table ``fs`` keyed by (crossing, slot): corner -> face id,
+    read off its darts, one entry per dart that names a corner."""
+    return {(x >> 2, x & 3): f for x, f in enumerate(fs.dart_face) if f != -1}
+
+
+def same_table(fs, d) -> bool:
+    """The face table ``fs`` is the tuple walk of ``d``
+    (``oracle_face_table``): the same faces, ids and corner order, and
+    the same face at every corner, read through the (crossing, slot)
+    view; and each face's darts and edges are those of its record."""
+    faces, corner_face = oracle_face_table(d)
+    return (
+        fs.faces == faces
+        and corner_view(fs) == corner_face
+        and [tuple(4 * c + s for c, s in f.corner_slots) for f in faces] == list(fs.darts)
+        and [f.boundary_edges for f in faces] == list(fs.bounds)
+    )
 
 
 # -- map equality, a mutator and checks of the package's facts -----------------
@@ -376,8 +442,7 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     from altknot.errors import InvariantError
 
     fs = face_set(d)
-    bigons = [fs.faces[fid] for fid in region.bigons]
-    topo = _region_topology(bigons)
+    topo = _region_topology(fs, list(region.bigons))
     out = TwistRegion(region.crossings, region.bigons, region.links, topo)
     if topo is not RegionTopology.DISK:
         flags = diagram_flags(d)
@@ -772,15 +837,14 @@ def oracle_preprocess(d):
 
 
 def assert_partition_is_the_walk(faces, d):
-    """The ``FacePartition`` ``faces`` holds the corner faces of the full
-    walk of ``d``: the same corner sets, no empty one, and every corner
-    of ``d`` mapped to the handle of its set."""
-    from altknot.diagram import _build_face_set
-
-    walk = {frozenset(f.corner_slots) for f in _build_face_set(d).faces if f.loop is None}
+    """The ``FacePartition`` ``faces`` holds the corner faces of the tuple
+    walk of ``d`` (``oracle_face_table``): the same corner sets, no empty
+    one, and every corner of ``d`` mapped to the handle of its set, each
+    corner (c, s) read as its dart 4 c + s; the other darts map to -1."""
+    walk = {frozenset(4 * c + s for c, s in f.corner_slots) for f in oracle_face_table(d)[0] if f.loop is None}
     assert {frozenset(ks) for ks in faces.corners.values()} == walk
     assert len(faces.corners) == len(walk)
-    assert len(faces.face) == 4 * len(d.crossings)
+    assert {x for x, h in enumerate(faces.face) if h != -1} == {4 * c + s for c in d.crossings for s in range(4)}
     assert all(faces.face[k] == h for h, ks in faces.corners.items() for k in ks)
 
 
@@ -799,7 +863,7 @@ def preprocess_audited(d):
         assert_partition_is_the_walk(moves.faces, cur)
         assert moves.cuts == set(cut_vertices(cur))
         ref = face_set(cur)
-        assert moves.bigons == {ref.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur)}
+        assert moves.bigons == {4 * c + s for c, s in (ref.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur))}
         assert moves.least_cut() == min(moves.cuts, default=None)
         assert moves.least_bigon() == min(moves.bigons, default=None)
         assert moves.t == twist_partition(cur).t
@@ -973,7 +1037,7 @@ def oracle_merge_arc(g, live):
     from altknot.augmentation import MergeArc
 
     fs = face_set(g)
-    corner_face = fs.corner_face
+    corner_face = corner_view(fs)
     comps = set(live)
     # origins of the original edges some circle crosses
     touched = set()

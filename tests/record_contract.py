@@ -1,12 +1,12 @@
 """The contract of the package's records, as plain checks.
 
 ``diagram.Crossing``, ``diagram.Edge``, ``diagram.Face`` and
-``analysis.TwistRegion`` are frozen, slotted dataclasses with an
-``__init__`` of their own.  The checks below hold them to what a frozen
-dataclass promises: no write or delete, no instance dict, field-wise
-``==``, ``hash`` and ``repr``, the same construction by position, by
-keyword and with defaults, and ``dataclasses.replace``, ``copy`` and
-``pickle``.  Each check raises AssertionError when the contract fails.
+``analysis.TwistRegion`` are frozen, slotted dataclasses, all but
+``Face`` with an ``__init__`` of their own.  The checks below hold them
+to what a frozen dataclass promises: no write or delete, no instance
+dict, field-wise ``==``, ``hash`` and ``repr``, the same construction by
+position, by keyword and with defaults, and ``dataclasses.replace``,
+``copy`` and ``pickle``.  Each check raises AssertionError when the contract fails.
 
 ``test_records.py`` runs them under pytest.  To check an interpreter
 that has no pytest, run this file alone from the root of a checkout:

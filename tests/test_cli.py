@@ -73,6 +73,17 @@ class TestReduce:
         assert [s["kind"] for s in rep["trace"]["steps"]] == ["r2", "nugatory"]
 
 
+    def test_a_twist_count_that_rises_on_the_way_exits_0(self, tmp_path, capsys):
+        # a valid diagram whose first move splits a chain of bigons
+        p = tmp_path / "f.pd"
+        p.write_text("X(6,7,1,8) X(9,1,7,9) X(10,6,8,11) X(11,12,12,10)\n")
+        assert run(["reduce", str(p)]) == 0
+        (rep,) = _json_lines(capsys)
+        assert rep["pd"] == "O(1)"
+        trace = rep["trace"]
+        assert [trace["t_before"]] + [s["t_after"] for s in trace["steps"]] == [1, 2, 1, 1, 0]
+
+
 class TestAugment:
     def test_alternating_input_exit_1(self, trefoil_file, capsys):
         assert run(["augment", trefoil_file]) == 1

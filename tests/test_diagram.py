@@ -27,6 +27,7 @@ from altknot.diagram import (
 )
 from altknot.errors import (
     IncidenceError,
+    InvariantError,
     PDSyntaxError,
     SphericityError,
     UnknownComponent,
@@ -38,11 +39,13 @@ from altknot.generate import braid_closure
 from conftest import (
     GRANNY_SUM,
     TREFOIL,
+    corner_view,
     drop_component,
     euler_by_piece,
     oracle_labels_from_pd,
     reattach,
     same_map,
+    same_table,
     subdivide_edge_with_crossing,
 )
 
@@ -263,6 +266,63 @@ class TestValidate:
             f"components: strand through crossing {c} carries mixed ids {ids}" for c, ids in mixed
         ]
 
+    @pytest.mark.parametrize("bad", [-1, "x"])
+    def test_a_crossing_id_that_names_no_dart_is_refused(self, trefoil, monkeypatch, bad):
+        # the face table names corner (c, s) by the dart 4 c + s, and
+        # crossing -1 would wrap round to the last darts of its lists:
+        # such a map is refused, as the first failure, before any face is
+        # read, and the pipeline entries refuse it as invalid input
+        from altknot import augment, diagram, preprocess
+        from altknot.errors import PreconditionError
+
+        def rename(end):
+            c, s = end
+            return (bad if c == 0 else c, s)
+
+        cr = {bad if c == 0 else c: Crossing(bad if c == 0 else c, x.slots, x.over_slots)
+              for c, x in trefoil.crossings.items()}
+        ed = {e: Edge(e, tuple(map(rename, r.ends)), r.origin, r.component) for e, r in trefoil.edges.items()}
+        d = Diagram(cr, ed)
+
+        if bad == -1:
+            # read on its own, the full walk refuses it too
+            with pytest.raises(InvariantError, match="names no dart"):
+                diagram._build_face_set(d)
+
+        def walk(_d):
+            raise AssertionError("a face was read")
+
+        monkeypatch.setattr(diagram, "_build_face_set", walk)
+        rep = validate_diagram(d)
+        assert rep.failures == [f"ids: crossing id {bad!r} is not an integer >= 0"] and rep.f == 0
+        for run in (augment, preprocess):
+            with pytest.raises(PreconditionError) as err:
+                run(d)
+            assert err.value.failed_flag == "valid"
+        # with illegal over strands at it and at crossing 2 too, the label
+        # failures come in id order, an id that is no int last
+        cr[bad] = Crossing(bad, cr[bad].slots, (0, 1))
+        cr[2] = Crossing(2, cr[2].slots, (0, 1))
+        assert validate_diagram(Diagram(cr, ed)).failures == [
+            f"ids: crossing id {bad!r} is not an integer >= 0",
+        ] + [f"labels: crossing {c} reads (++--) around, not (+-+-)" for c in ((-1, 2) if bad == -1 else (2, bad))]
+
+    def test_a_surgery_that_adds_crossing_minus_one_is_refused(self, trefoil):
+        # a local update never reads darts of a crossing without them:
+        # the edit is refused in the whole map's words
+        from altknot.edits import check_edit
+
+        rec = trefoil.edges[1]
+        b = MapBuilder(trefoil)
+        b.remove_edge(1)
+        b.add_crossing(-1, [0, 0, 0, 0], (1, 3))
+        b.add_edge(1, [rec.ends[0], (-1, 0)], rec.origin, rec.component)
+        b.add_edge(b.new_edge_id(), [(-1, 2), rec.ends[1]], rec.origin, rec.component)
+        b.add_edge(b.new_edge_id(), [(-1, 1), (-1, 3)], None, 1)
+        out = b.build()
+        failures = check_edit(b, face_set(trefoil), out)
+        assert failures == validate_diagram(out).failures == ["ids: crossing id -1 is not an integer >= 0"]
+
     @settings(deadline=None, max_examples=60)
     @given(BRAID_LETTERS)
     def test_braid_closures_validate(self, word):
@@ -465,7 +525,30 @@ class TestStructure:
     def test_corner_cover(self, trefoil):
         fs = face_set(trefoil)
         corners = {(c, s) for c in trefoil.crossings for s in range(4)}
-        assert set(fs.corner_face) == corners
+        assert set(corner_view(fs)) == corners
+        assert len(fs.dart_face) == 4 * len(trefoil.crossings)
+
+    def test_darts_are_corners_in_order(self, granny_sum):
+        # dart 4 c + s names corner (c, s); ids rank faces by least dart,
+        # which is their least corner, and each face's darts start there
+        fs = face_set(granny_sum)
+        for f, ds in enumerate(fs.darts):
+            assert fs.faces[f].corner_slots == tuple((x >> 2, x & 3) for x in ds)
+            assert ds[0] == min(ds) and all(fs.dart_face[x] == f for x in ds)
+        assert [ds[0] for ds in fs.darts] == sorted(ds[0] for ds in fs.darts)
+
+    def test_a_gap_in_the_crossing_ids_leaves_darts_without_a_corner(self, granny_sum):
+        # crossing 3 removed: its four darts name no corner
+        from altknot.diagram import _build_face_set
+
+        b = MapBuilder(granny_sum)
+        b.weld((3, 0), (3, 2))
+        b.weld((3, 1), (3, 3))
+        b.remove_crossing(3)
+        out = b.build()
+        fs = _build_face_set(out)
+        assert fs.dart_face[12:16] == [-1] * 4
+        assert same_table(fs, out)
 
 
 class TestFaceSetMemo:
@@ -473,8 +556,7 @@ class TestFaceSetMemo:
     def _same_table(fs, d):
         from altknot.diagram import _build_face_set
 
-        fresh = _build_face_set(d)
-        return fs.faces == fresh.faces and fs.corner_face == fresh.corner_face
+        return same_table(fs, d) and same_table(_build_face_set(d), d)
 
     def test_interleaved_diagrams_get_their_own_table(self, trefoil, granny_sum):
         for d in (trefoil, granny_sum, trefoil, granny_sum, granny_sum):

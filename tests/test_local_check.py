@@ -18,8 +18,9 @@ piece's Euler sum and each strand orbit from the definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
-against the full walk, ``_build_face_set``: every face, its id and
-corner order, and every ``corner_face`` entry.  ``check_move`` walks
+against the tuple walk, ``conftest.oracle_face_table``: every face, its
+id and corner order, and the face of every corner, read through the
+(crossing, slot) view of the table's darts.  ``check_move`` walks
 no face when the move merges faces only; there the audit checks the
 face partition it was given against the full walk of the source, and
 the partition after the move's merges against the full walk of the
@@ -64,6 +65,7 @@ from altknot.generate import braid_closure
 from conftest import (
     TREFOIL,
     assert_partition_is_the_walk,
+    corner_view,
     corpus_diagrams,
     link_diagrams,
     new_component_id,
@@ -73,6 +75,7 @@ from conftest import (
     oracle_valid,
     oracle_validate_diagram,
     reattach,
+    same_table,
     shared_face,
 )
 
@@ -141,10 +144,6 @@ def corrupt(rng: random.Random, b: MapBuilder) -> str:
     return kind
 
 
-def same_table(fs, ref) -> bool:
-    return fs.faces == ref.faces and fs.corner_face == ref.corner_face
-
-
 def past_incidence(failures) -> bool:
     """``check_edit`` got as far as the face table."""
     return not any(msg.startswith(("incidence", "valence")) for msg in failures)
@@ -174,7 +173,7 @@ class Audit:
                 with pytest.raises(InvariantError):
                     _build_face_set(out)
             return
-        assert same_table(fs, _build_face_set(out)), (site, kind)
+        assert same_table(fs, out), (site, kind)
         self.tables[(site, kind)] += 1
 
     def _check_move_faces(self, b, faces, out, gone, failures, plan, site, kind) -> None:
@@ -545,9 +544,9 @@ class TestBrokenEditsRejected:
         out = b.build()
         d = flip_crossing(trefoil, 0)
         fs = face_set(d)
-        bigon = next(f for f in fs.faces if _is_r2_bigon(d, f))
-        gone = tuple(sorted(bigon.crossings()))
-        mb = reduction._r2_edit(d, bigon.corner_slots)
+        bigon = next(f for f, ds in enumerate(fs.darts) if _is_r2_bigon(d, ds))
+        gone = tuple(sorted(x >> 2 for x in fs.darts[bigon]))
+        mb = reduction._r2_edit(d, fs.darts[bigon])
         moved = mb.build()
         edit_fs = face_set(borromean)
         assert check_edit(b, edit_fs, out) == []
@@ -557,7 +556,7 @@ class TestBrokenEditsRejected:
         assert check_move(mb, FacePartition(fs), moved, gone) == (fallback, None)
         assert whole_map_accepts(out, True) and whole_map_accepts(moved, False)
         with pytest.raises(InvariantError, match="the whole map passes"):
-            remove_r2_bigon(d, bigon.id)
+            remove_r2_bigon(d, bigon)
 
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
@@ -622,7 +621,7 @@ def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
     source_fs = face_set(granny_sum)
     assert check_edit(b, source_fs, out) == []
     assert len(counted) == 1 and counted[0] is out
-    assert same_table(_held_face_set(out), _build_face_set(out))
+    assert same_table(_held_face_set(out), out)
     assert whole_map_accepts(out, True)
     assert (connected_pieces(out), len(out.loops)) == (2, 0)
     # the Euler count of the source is its breadth-first count
@@ -676,10 +675,12 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
     cases = ((bead, False, True), (flipped, True, True), (flipped, False, False))
     for d, extra_loop, walked in cases:
         fs = face_set(d)
-        bigon = next(f for f in fs.faces if _is_r2_bigon(d, f))
-        gone = tuple(sorted(bigon.crossings()))
-        assert any(_is_cut_vertex(fs.corner_face, c) for c in gone) == (d is bead)
-        b = reduction._r2_edit(d, bigon.corner_slots)
+        bigon = next(f for f, ds in enumerate(fs.darts) if _is_r2_bigon(d, ds))
+        gone = tuple(sorted(x >> 2 for x in fs.darts[bigon]))
+        corner_face = corner_view(fs)
+        assert any(len({corner_face[(c, s)] for s in range(4)}) < 4 for c in gone) == (d is bead)
+        assert any(_is_cut_vertex(fs.dart_face, c) for c in gone) == (d is bead)
+        b = reduction._r2_edit(d, fs.darts[bigon])
         if extra_loop:
             b.loops[b.new_edge_id()] = new_component_id(b)
         out = b.build()
@@ -687,7 +688,7 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
         assert failures == [] and validate_diagram(out).valid
         assert (plan is None) == walked, (d, extra_loop)
         if walked:
-            assert same_table(_held_face_set(out), _build_face_set(out))
+            assert same_table(_held_face_set(out), out)
     # a lone kinked loop: its removal leaves a crossing-free loop
     kinked = parse_pd(TREFOIL + " X(7,7,8,8)")
     assert merge_plan(FacePartition(face_set(kinked)), (3,)) is None
@@ -698,7 +699,8 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
 
 def test_component_and_label_changes_rewalk_nothing():
     # relabelling a whole component and flipping a crossing touch
-    # records but change no face: every face object is the source's
+    # records but change no face: every face's darts and edges are the
+    # source's tuples
     _seed, d = link_diagrams(1)[0]
     fs = face_set(d)
     b = MapBuilder(d)
@@ -710,9 +712,10 @@ def test_component_and_label_changes_rewalk_nothing():
     b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
     out = b.build()
     table = _edited_face_set(b, fs, out)
-    assert len(table.faces) == len(fs.faces)
-    assert all(x is y for x, y in zip(table.faces, fs.faces))
-    assert same_table(table, _build_face_set(out))
+    assert len(table.darts) == len(fs.darts)
+    assert all(x is y for x, y in zip(table.darts, fs.darts))
+    assert all(x is y for x, y in zip(table.bounds, fs.bounds))
+    assert same_table(table, out)
     assert face_set(out) is table
 
 
@@ -730,7 +733,7 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     out = augmentation.join_curves(g, arc.source_curve, arc.target_curve, face)
     b, source_fs = seen[-1]
     table = face_set(out)
-    assert same_table(table, _build_face_set(out))
+    assert same_table(table, out)
     dropped = max(arc.source_curve, arc.target_curve)
     relabelled = {
         e for e in b.touched_edges
@@ -740,29 +743,28 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     removed = [e for e in b.touched_edges if e in g.edges and e not in out.edges]
     spliced = {c for e in removed for c, _s in g.edges[e].ends}
     along = [
-        f for f in source_fs.faces
-        if set(f.boundary_edges) & relabelled and not f.crossings() & spliced
+        f for f, ds in enumerate(source_fs.darts)
+        if set(source_fs.bounds[f]) & relabelled and not {x >> 2 for x in ds} & spliced
     ]
     assert relabelled and along
-    by_corners = {f.corner_slots: f for f in table.faces}
-    # each is a face of the result as it stands, the same object unless
-    # its id moved
+    by_darts = {ds: f for f, ds in enumerate(table.darts)}
+    # each is a face of the result as it stands: its darts and edges are
+    # the source's tuples, whether or not its id moved
     for f in along:
-        new = by_corners[f.corner_slots]
-        assert new is f or new.id != f.id
-    assert any(by_corners[f.corner_slots] is f for f in along)
+        new = by_darts[source_fs.darts[f]]
+        assert table.darts[new] is source_fs.darts[f] and table.bounds[new] is source_fs.bounds[f]
 
 
 def _spy_on_walks(monkeypatch) -> list[set]:
-    """The corners each ``_walk_faces`` call is given to walk."""
+    """The darts each ``_walk_darts`` call is given to walk from."""
     given = []
-    real = diagram._walk_faces
+    real = diagram._walk_darts
 
-    def spy(crossings, far, starts, todo):
-        given.append(set(todo))
-        return real(crossings, far, starts, todo)
+    def spy(far, edge, starts, *args):
+        given.append(set(starts))
+        return real(far, edge, starts, *args)
 
-    monkeypatch.setattr(diagram, "_walk_faces", spy)
+    monkeypatch.setattr(diagram, "_walk_darts", spy)
     return given
 
 
@@ -789,9 +791,10 @@ def test_a_band_splice_walks_only_the_faces_along_its_removed_edges(monkeypatch)
         g = b.source
         removed = [e for e in b.touched_edges if e not in out.edges]
         assert len(removed) == 2 and len(b.touched_crossings) == 4
-        sides = {source_fs.corner_face[(c, (s - 1) % 4)] for e in removed for c, s in g.edges[e].ends}
+        corner_face = corner_view(source_fs)
+        sides = {corner_face[(c, (s - 1) % 4)] for e in removed for c, s in g.edges[e].ends}
         assert len(given) == 1
-        assert given[0] == {k for f in sides for k in source_fs.faces[f].corner_slots}
+        assert given[0] == {4 * c + s for f in sides for c, s in source_fs.faces[f].corner_slots}
         relabelled += sum(
             e in g.edges and g.edges[e].ends == out.edges[e].ends for e in b.touched_edges if e in out.edges
         )
@@ -811,8 +814,7 @@ def test_a_component_change_walks_no_corner(monkeypatch, borromean):
             b.set_component(e, 0)
     assert b.touched_edges and not b.touched_crossings
     out = b.build()
-    full = _build_face_set(out)
     walks = _spy_on_walks(monkeypatch)
     assert check_edit(b, fs, out) == []
-    assert same_table(_held_face_set(out), full)
+    assert same_table(_held_face_set(out), out)
     assert walks == [set()]

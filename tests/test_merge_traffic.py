@@ -22,7 +22,7 @@ from altknot import augment, augmentation, diagram, face_set, parse_pd
 from altknot.diagram import Diagram
 from altknot.errors import InvariantError
 
-from conftest import TREFOIL, augment_following_circle_faces
+from conftest import TREFOIL, augment_following_circle_faces, same_table
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,34 @@ def test_an_augment_walks_two_maps_whole(seed1_texts, monkeypatch):
         stage[0] = "augment"
         augment(d)
     assert walks == {"parse_pd": 64, "overlay_unlink": 64}
+
+
+def test_every_table_of_an_augment_is_the_tuple_walk(seed1_texts, monkeypatch):
+    # the 128 tables walked whole and the 313 a finger or band splice
+    # derived from its source's, each read through its (crossing, slot)
+    # view, are the walk on corner pairs
+    from altknot import edits
+
+    tables = Counter()
+    real_full, real_local = diagram._build_face_set, edits._edited_face_set
+
+    def full(d):
+        fs = real_full(d)
+        assert same_table(fs, d)
+        tables["full"] += 1
+        return fs
+
+    def local(b, source_fs, out):
+        fs = real_local(b, source_fs, out)
+        assert same_table(fs, out)
+        tables["local"] += 1
+        return fs
+
+    monkeypatch.setattr(diagram, "_build_face_set", full)
+    monkeypatch.setattr(edits, "_edited_face_set", local)
+    for text in seed1_texts:
+        augment(parse_pd(text))
+    assert tables == {"full": 128, "local": 313}
 
 
 def test_circle_faces_are_read_once_per_augment(seed1, monkeypatch):

@@ -28,6 +28,8 @@ import pytest
 from altknot import analysis, augment, diagram, edits, face_set, parse_pd, reduction
 from altknot.generate import braid_closure
 
+from conftest import same_table
+
 
 @pytest.fixture(scope="module")
 def seed1_texts(bench_inputs):
@@ -151,6 +153,24 @@ def test_full_walks_of_the_reduce_op(seed1_texts, monkeypatch):
     assert walks.total() == 101
 
 
+def test_every_full_walk_of_the_reduce_op_is_the_tuple_walk(seed1_texts, monkeypatch):
+    # each of the 101 tables the reduce op walks whole, read through its
+    # (crossing, slot) view, is the walk on corner pairs
+    real, walks = diagram._build_face_set, []
+
+    def checked(d):
+        fs = real(d)
+        assert same_table(fs, d)
+        walks.append(len(d.crossings))
+        return fs
+
+    monkeypatch.setattr(diagram, "_build_face_set", checked)
+    for text in seed1_texts:
+        out, _trace = reduction.preprocess(parse_pd(text))
+        analysis.diagram_flags(out)
+    assert len(walks) == 101
+
+
 def test_preprocess_builds_no_twist_partition(seed1, monkeypatch):
     # counted wherever a module of the package holds the function, so an
     # import by name is counted too
@@ -196,12 +216,12 @@ def test_chain_walks_stop_once_one_group_is_going():
     d = braid_closure([1] * 9 + [2, -2, 2], 3)
     faces = edits.FacePartition(face_set(d))
 
-    class Reads(dict):
+    class Reads(list):
         count = 0
 
         def __getitem__(self, key):
             Reads.count += 1
-            return dict.__getitem__(self, key)
+            return list.__getitem__(self, key)
 
     faces.face = Reads(faces.face)
     # (starts, chains, corners read): one start walks nothing; two walks

@@ -30,6 +30,10 @@ from conftest import (
     oracle_r2_bigons,
 )
 
+# four crossings, t = 1: one twist region through three bigons, which a
+# nugatory crossing splits when it goes
+RISING = "X(6,7,1,8) X(9,1,7,9) X(10,6,8,11) X(11,12,12,10)"
+
 BRAID_LETTERS = st.lists(
     st.sampled_from([i for i in range(-4, 5) if i != 0]), min_size=1, max_size=25
 )
@@ -147,6 +151,32 @@ class TestPreprocess:
         kinds = [s.kind for s in trace.steps]
         assert kinds == ["r2", "nugatory"]
 
+    def test_a_move_may_raise_the_twist_count_on_the_way(self):
+        # a chain of bigons through a nugatory crossing: removing it splits
+        # the chain, so t rises on the way; twist number is a count on
+        # reduced diagrams, so only the whole run must not raise it
+        d = parse_pd(RISING)
+        out, trace = assert_preprocess_matches_oracle(d)
+        assert [trace.t_before] + [s.t_after for s in trace.steps] == [1, 2, 1, 1, 0]
+        assert serialize_pd(out) == "O(1)"
+        flags = diagram_flags(out)
+        assert flags.reduced and flags.r2_reduced
+
+    def test_a_run_that_ends_with_more_twist_regions_raises(self, monkeypatch):
+        from altknot import reduction
+        from altknot.errors import ReductionInvariantError
+
+        real = reduction._Moves.advance
+
+        def advance(moves, *args):
+            real(moves, *args)
+            moves.t += 2
+
+        monkeypatch.setattr(reduction._Moves, "advance", advance)
+        # the output's count, 0, now reads 2 or more
+        with pytest.raises(ReductionInvariantError, match=r"reduction raised the twist count 1 -> [2-9]"):
+            preprocess(parse_pd(RISING))
+
     def test_kink_plus_r2_two_steps(self):
         # closed braid (sigma1^5 sigma2) has one nugatory crossing; a flip
         # then plants one R2 bigon: two steps to the standard trefoil
@@ -248,7 +278,7 @@ class TestWorklist:
             real_advance(moves, cur, gone, plan)
             if plan is not None:
                 (relabelled,) = moved
-                found.extend(sum(k[0] == c for k in relabelled) for c in moves.cuts - before)
+                found.extend(sum(k >> 2 == c for k in relabelled) for c in moves.cuts - before)
 
         monkeypatch.setattr(edits.FacePartition, "merge", merge)
         monkeypatch.setattr(reduction._Moves, "advance", advance)
