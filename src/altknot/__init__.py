@@ -1,6 +1,8 @@
 """altknot: alternating augmentations of link diagrams with certified
 twist-number and volume bounds."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .analysis import (
@@ -40,7 +42,6 @@ from .diagram import (
     Face,
     Sign,
     ValidationReport,
-    end_labels,
     face_set,
     faces,
     flip_crossing,
@@ -49,21 +50,20 @@ from .diagram import (
     validate_diagram,
 )
 from .generate import braid_closure, random_knot_diagram, two_strand_torus
-from .reduction import (
-    ReductionTrace,
-    preprocess,
-    remove_nugatory_crossing,
-    remove_r2_bigon,
-)
+from .reduction import ReductionTrace, preprocess
 from .render import render_svg
 from .volume import (
     VolumeBounds,
     VolumeConstants,
     augmented_volume_bounds,
-    catalan_reference,
     constants,
     twist_volume_bounds,
     volume_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names are the ones imported above, not the submodules they
+# come from, which importing binds here too
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

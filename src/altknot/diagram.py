@@ -382,9 +382,6 @@ class FaceSet:
             self._faces = faces
         return self._faces
 
-    def face_of_corner(self, c: int, slot: int) -> int:
-        return self.dart_face[4 * c + slot % 4]
-
     def edge_sides(self, d: Diagram, e: int) -> tuple[int, int]:
         """(left face, right face) of edge e directed end0 -> end1."""
         (c0, s0), (c1, s1) = d.edges[e].ends
@@ -649,13 +646,6 @@ def faces(d: Diagram) -> list[Face]:
     """All complementary regions (two per crossing-free loop), as a new
     list the caller may modify."""
     return list(face_set(d).faces)
-
-
-# -- labels --------------------------------------------------------------------
-
-def end_labels(d: Diagram) -> dict[int, tuple[Sign, Sign]]:
-    """Edge id -> (label at end0, label at end1); + marks the over strand."""
-    return {e: d.edge_labels(e) for e in sorted(d.edges)}
 
 
 # -- parsing and serialization --------------------------------------------------

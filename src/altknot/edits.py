@@ -8,16 +8,16 @@ result is valid and alternating by inspecting only what the
 source's by a local update that re-walks only the faces the edit
 changed, and ``face_set`` answers with it for the next step.
 
-``check_move`` checks the nugatory and R2 moves that ``preprocess`` and
-the public removals of ``reduction`` make, and returns the failures and
-the move's merge plan.  Both moves remove crossings and join each
-strand through them straight across.  For an R2 move, and for the
-removal of a kink, the faces of the result are those of the source
-merged and trimmed of the removed corners, so they follow from the
-source's faces, held as a ``FacePartition``, and a few facts about the
-faces at the removed crossings (``merge_plan``), with no face walk.  An
-edit that is not exactly such a move, or a move outside those facts,
-is validated whole.
+``check_move`` checks the nugatory and R2 moves of ``preprocess``, the
+one route to either move, and returns the failures and the move's merge
+plan.  Both moves remove crossings and join each strand through them
+straight across.  For an R2 move, and for the removal of a kink, the
+faces of the result are those of the source merged and trimmed of the
+removed corners, so they follow from the source's faces, held as a
+``FacePartition``, and a few facts about the faces at the removed
+crossings (``merge_plan``), with no face walk.  An edit that is not
+exactly such a move, or a move outside those facts, is validated
+whole.
 
 The record checks the two share (``_check_records``, ``_check_strands``)
 are direct passes over what the edit touched, as ``validate_diagram``'s
@@ -92,8 +92,7 @@ def check_move(
     removes the crossings ``gone`` from the valid diagram ``b.source``
     and joins each strand through them straight across: the removal of a
     nugatory crossing, or of the two crossings of an R2 bigon, by
-    ``preprocess`` or a public removal.  ``faces`` is the source's
-    ``FacePartition``.
+    ``preprocess``.  ``faces`` is the source's ``FacePartition``.
 
     The list is empty exactly when ``validate_diagram(out)`` finds ``out``
     valid, and a refused move's list is that check's (``_rejected``).

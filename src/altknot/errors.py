@@ -61,14 +61,6 @@ class NotConnected(PreconditionError):
     pass
 
 
-class NotNugatory(PreconditionError):
-    """Requested crossing is not a cut vertex of the projection."""
-
-
-class NotR2Bigon(PreconditionError):
-    """Requested bigon is a clasp (alternating edges), not removable."""
-
-
 class DomainError(PreconditionError):
     """Numeric argument outside the formula's domain."""
 

@@ -25,8 +25,7 @@ the partition takes that merge, and the candidate moves and the twist
 count are updated from the faces it changed.  Any other move (a
 nugatory crossing that is not a kink, an R2 move that splits off a
 piece or leaves a crossing-free loop) is validated and read whole
-again.  The public ``remove_nugatory_crossing`` and ``remove_r2_bigon``
-check their one move with ``check_move`` too.
+again.  ``preprocess`` is the package's one route to either move.
 """
 
 from __future__ import annotations
@@ -45,15 +44,7 @@ from .diagram import (
     validate_diagram,
 )
 from .edits import FacePartition, check_move
-from .errors import (
-    InvariantError,
-    NotNugatory,
-    NotR2Bigon,
-    PreconditionError,
-    ReductionInvariantError,
-    UnknownCrossing,
-    UnknownFace,
-)
+from .errors import InvariantError, PreconditionError, ReductionInvariantError
 
 
 @dataclass
@@ -90,45 +81,12 @@ class ReductionTrace:
         }
 
 
-def remove_nugatory_crossing(d: Diagram, c: int) -> Diagram:
-    """Delete cut-vertex crossing ``c``, rejoining each strand through it
-    directly.  Geometrically this rotates one side half a turn, so the
-    link type survives; V drops by one."""
-    if c not in d.crossings:
-        raise UnknownCrossing(f"no crossing {c}")
-    fs = face_set(d)
-    if not _is_cut_vertex(fs.dart_face, c):
-        raise NotNugatory(f"crossing {c} is not a cut vertex")
-    b = _nugatory_edit(d, c)
-    out = b.build()
-    _refuse_broken("nugatory", check_move(b, FacePartition(fs), out, (c,))[0])
-    return out
-
-
 def _nugatory_edit(d: Diagram, c: int) -> MapBuilder:
     b = MapBuilder(d)
     b.weld((c, 0), (c, 2))
     b.weld((c, 1), (c, 3))
     b.remove_crossing(c)
     return b
-
-
-def remove_r2_bigon(d: Diagram, f: int) -> Diagram:
-    """Remove the bigon face ``f`` when its two edges are non-alternating
-    (one ++, one --): delete both crossings and rejoin the four outer
-    strand ends in parallel.  Clasps (alternating edges) are refused."""
-    fs = face_set(d)
-    if not 0 <= f < len(fs.darts):
-        raise UnknownFace(f"no face {f}")
-    darts = fs.darts[f]
-    if not _is_bigon(darts):
-        raise NotR2Bigon(f"face {f} is not a bigon")
-    if not _is_r2_corners(d, darts):
-        raise NotR2Bigon(f"bigon {f} is a clasp; its edges alternate")
-    b = _r2_edit(d, darts)
-    out = b.build()
-    _refuse_broken("R2", check_move(b, FacePartition(fs), out, tuple(sorted(x >> 2 for x in darts)))[0])
-    return out
 
 
 def _r2_edit(d: Diagram, darts) -> MapBuilder:
@@ -147,11 +105,6 @@ def _r2_edit(d: Diagram, darts) -> MapBuilder:
     b.remove_crossing(x)
     b.remove_crossing(y)
     return b
-
-
-def _refuse_broken(kind: str, failures: list[str]) -> None:
-    if failures:
-        raise InvariantError(f"{kind} removal broke the map: {failures}")
 
 
 def _chains_meeting(faces: FacePartition, starts: set[int]) -> int:
@@ -388,7 +341,8 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
             break
         cur = b.build()
         failures, plan = check_move(b, moves.faces, cur, gone)
-        _refuse_broken("R2" if kind == "r2" else kind, failures)
+        if failures:
+            raise InvariantError(f"{'R2' if kind == 'r2' else kind} removal broke the map: {failures}")
         moves.advance(cur, gone, plan)
         trace.steps.append(ReductionStep(kind, gone, len(cur.crossings), moves.t))
     if moves.t > trace.t_before:

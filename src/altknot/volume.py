@@ -130,8 +130,3 @@ def volume_report(result, t_lower_claim: int | None = None) -> dict:
     if aug_lower is not None:
         out["altvol_lower"] = aug_lower.lower
     return out
-
-
-def catalan_reference() -> float:
-    """4G, for sanity comparisons (e.g. 4G <= 40 * v3)."""
-    return _FOUR_CATALAN

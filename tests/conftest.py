@@ -115,6 +115,83 @@ def link_diagrams(n, min_crossings=31, start_seed=0):
     return out
 
 
+def shadow_diagrams(n, seed):
+    """n diagrams drawn from ``seed`` that are no braid closure: each is
+    the medial graph of a random connected planar graph with random
+    crossings, as PD records through ``diagram._assemble`` and its
+    sphericity check.
+
+    A w x h grid (w and h each 3-8) keeps each edge with probability
+    0.6-0.95, and its largest connected piece is the Tait graph, its
+    rotation at each vertex the grid directions counterclockwise.  Its
+    corner (v, e) is the angle at v from the edge e to the next edge
+    counterclockwise, and is one edge id of the diagram.  The crossing
+    of the graph edge e = (u, v) has the slots ``[(v, prev_v(e)), (u,
+    e), (u, prev_u(e)), (v, e)]``, counterclockwise around the middle
+    of e, which makes the diagram alternating; each record is then
+    rotated by one slot, which flips its crossing, with probability
+    0.1-0.5."""
+    import random
+
+    from altknot.diagram import _assemble, _check_sphericity
+
+    rng = random.Random(seed)
+    steps = ((1, 0), (0, 1), (-1, 0), (0, -1))  # counterclockwise
+    out = []
+    while len(out) < n:
+        w, h = rng.randint(3, 8), rng.randint(3, 8)
+        keep, flip = rng.uniform(0.6, 0.95), rng.uniform(0.1, 0.5)
+        kept = {
+            ((i, j), (i + di, j + dj))
+            for i in range(w) for j in range(h) for di, dj in steps[:2]
+            if i + di < w and j + dj < h and rng.random() < keep
+        }
+        adj = {}
+        for u, v in kept:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        piece, seen = set(), set()  # the largest connected piece
+        for s in sorted(adj):
+            if s in seen:
+                continue
+            found, stack = {s}, [s]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y not in found:
+                        found.add(y)
+                        stack.append(y)
+            seen |= found
+            if len(found) > len(piece):
+                piece = found
+        edges = sorted((u, v) for u, v in kept if u in piece)
+        if not edges:
+            continue
+        index = {e: k for k, e in enumerate(edges)}
+        rot = {}  # vertex -> its edges, counterclockwise
+        for v in piece:
+            around = [(v[0] + dx, v[1] + dy) for dx, dy in steps]
+            rot[v] = [index[e] for y in around for e in ((v, y), (y, v)) if e in index]
+        corners = {}  # (vertex, edge) -> edge id of the diagram
+
+        def corner(v, k):
+            return corners.setdefault((v, k), len(corners) + 1)
+
+        def prev(v, k):
+            r = rot[v]
+            return r[r.index(k) - 1]
+
+        records = []
+        for k, (u, v) in enumerate(edges):
+            slots = [corner(v, prev(v, k)), corner(u, k), corner(u, prev(u, k)), corner(v, k)]
+            if rng.random() < flip:
+                slots = slots[1:] + slots[:1]
+            records.append(tuple(slots))
+        d = _assemble(records, [])
+        _check_sphericity(d)
+        out.append(d)
+    return out
+
+
 @pytest.fixture(scope="session")
 def bench_inputs():
     """The benchmark's input generator, ``perfbench/inputs.py``, read-only."""
@@ -800,19 +877,31 @@ def oracle_r2_bigons(d) -> list[int]:
     return out
 
 
+def oracle_move(d, kind, key):
+    """The result of one reduction move on ``d``: the removal of the
+    nugatory crossing ``key`` (``kind`` "nugatory") or of the R2 bigon
+    whose face id is ``key`` (``kind`` "r2").  The move is built by
+    ``reduction``'s own edit and accepted only when ``validate_diagram``
+    finds its result valid, never through ``check_move``, the check it
+    is compared with."""
+    from altknot import face_set, validate_diagram
+    from altknot.reduction import _nugatory_edit, _r2_edit
+
+    b = _nugatory_edit(d, key) if kind == "nugatory" else _r2_edit(d, face_set(d).darts[key])
+    out = b.build()
+    rep = validate_diagram(out)
+    assert rep.valid, (kind, key, rep.failures)
+    return out
+
+
 def oracle_preprocess(d):
     """``preprocess`` as the whole-map loop: before every move, all cut
     vertices and all R2 bigons of the map, and after it, its whole twist
-    partition.  Returns (output, trace)."""
+    partition; each move is ``oracle_move``.  Returns (output, trace)."""
     from altknot import face_set
     from altknot.analysis import cut_vertices, twist_partition
     from altknot.diagram import restamp_origins
-    from altknot.reduction import (
-        ReductionStep,
-        ReductionTrace,
-        remove_nugatory_crossing,
-        remove_r2_bigon,
-    )
+    from altknot.reduction import ReductionStep, ReductionTrace
 
     t = twist_partition(d).t
     trace = ReductionTrace(crossings_before=len(d.crossings), t_before=t)
@@ -820,15 +909,14 @@ def oracle_preprocess(d):
     while True:
         cuts = cut_vertices(cur)
         if cuts:
-            cur = remove_nugatory_crossing(cur, cuts[0])
-            kind, removed = "nugatory", (cuts[0],)
+            kind, key, removed = "nugatory", cuts[0], (cuts[0],)
         else:
             bigons = oracle_r2_bigons(cur)
             if not bigons:
                 break
-            removed = tuple(sorted(face_set(cur).faces[bigons[0]].crossings()))
-            cur = remove_r2_bigon(cur, bigons[0])
-            kind = "r2"
+            kind, key = "r2", bigons[0]
+            removed = tuple(sorted(face_set(cur).faces[key].crossings()))
+        cur = oracle_move(cur, kind, key)
         t = twist_partition(cur).t
         trace.steps.append(ReductionStep(kind, removed, len(cur.crossings), t))
     trace.crossings_after = len(cur.crossings)

@@ -34,7 +34,7 @@ from altknot.analysis import RegionTopology
 from altknot.diagram import is_connected
 from altknot.generate import braid_closure, random_knot_diagram, two_strand_torus
 from altknot.selfcheck import verify_augmentation
-from altknot.volume import augmented_volume_bounds, catalan_reference
+from altknot.volume import augmented_volume_bounds
 
 from conftest import euler_by_piece, oracle_curve_crossings, refinement_check, same_map
 from test_volume import oracle_four_catalan, oracle_tetrahedron_volume
@@ -193,7 +193,7 @@ def test_acceptance_5_bound_formulas():
         assert w.upper == 10.0 * v3 * (t - 1)
         u, _ = augmented_volume_bounds(t)
         assert u.upper == 10.0 * v3 * (5 * t - 1)
-    assert catalan_reference() <= 40.0 * v3
+    assert constants().four_catalan <= 40.0 * v3
     print("\nACCEPTANCE 5 (bound formulas, t=1..100): PASS")
 
 

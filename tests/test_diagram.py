@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from altknot import (
     Sign,
-    end_labels,
     face_set,
     faces,
     flip_crossing,
@@ -184,7 +183,7 @@ class TestSerialize:
 
 class TestLabels:
     def test_trefoil_all_alternating(self, trefoil):
-        labs = end_labels(trefoil)
+        labs = {e: trefoil.edge_labels(e) for e in trefoil.edges}
         assert all({a.value, b.value} == {"+", "-"} for a, b in labs.values())
         oracle = oracle_labels_from_pd(TREFOIL)
         for e, (a, b) in labs.items():
@@ -192,13 +191,17 @@ class TestLabels:
 
     def test_flipped_trefoil_labels(self, trefoil):
         f = flip_crossing(trefoil, 0)
-        labs = {e: {a.value, b.value} for e, (a, b) in end_labels(f).items()}
+        labs = {e: {x.value for x in f.edge_labels(e)} for e in f.edges}
         assert labs[1] == {"+"} and labs[2] == {"+"}
         assert labs[4] == {"-"} and labs[5] == {"-"}
         assert labs[3] == {"+", "-"} and labs[6] == {"+", "-"}
 
     def test_loop_empty_mapping(self):
-        assert end_labels(parse_pd("O(1)")) == {}
+        # a crossing-free loop has no edge record, so no end to label
+        d = parse_pd("O(1)")
+        assert d.edges == {} and list(d.loops) == [1]
+        with pytest.raises(KeyError):
+            d.edge_labels(1)
 
     def test_sign_negation_involution(self):
         assert Sign.PLUS.opposite is Sign.MINUS

@@ -3,18 +3,18 @@
 ``check_edit`` inspects only what one of ``augment``'s edits touched.
 Given a valid alternating source, it must accept an edit exactly when
 ``validate_diagram`` and ``classify_edges`` accept the whole result as
-valid and alternating.  ``check_move`` checks the R2 and nugatory moves,
-made by ``preprocess`` or by the public removals, and must accept one
-exactly when ``validate_diagram`` does.  The audit below wraps
-``check_edit`` at both of ``augment``'s sites (band join and finger)
-and ``check_move`` at both move kinds of ``preprocess`` and at both
-public removals.  It compares the two verdicts on every real edit, and
-then breaks the same edit at random and compares them again.  A local
-check only decides: each edit it refuses must read exactly as the whole
-map does, ``validate_diagram``'s failures and, for ``check_edit`` on a
-valid map, the edges that do not alternate.  Every whole-map verdict is
-itself compared with ``conftest.oracle_valid``, which checks each
-piece's Euler sum and each strand orbit from the definitions.
+valid and alternating.  ``check_move`` checks the R2 and nugatory moves
+of ``preprocess``, its only caller, and must accept one exactly when
+``validate_diagram`` does.  The audit below wraps ``check_edit`` at both
+of ``augment``'s sites (band join and finger) and ``check_move`` at both
+move kinds of ``preprocess``.  It compares the two verdicts on every
+real edit, and then breaks the same edit at random and compares them
+again.  A local check only decides: each edit it refuses must read
+exactly as the whole map does, ``validate_diagram``'s failures and, for
+``check_edit`` on a valid map, the edges that do not alternate.  Every
+whole-map verdict is itself compared with ``conftest.oracle_valid``,
+which checks each piece's Euler sum and each strand orbit from the
+definitions.
 
 The face table ``check_edit`` leaves in the memo is a local update of
 the source's table.  Before each verdict comparison the audit checks it
@@ -43,9 +43,6 @@ from altknot import (
     flip_crossing,
     parse_pd,
     preprocess,
-    remove_nugatory_crossing,
-    remove_r2_bigon,
-    serialize_pd,
     validate_diagram,
 )
 from altknot import augmentation, diagram, edits, reduction
@@ -70,7 +67,6 @@ from conftest import (
     link_diagrams,
     new_component_id,
     oracle_pieces,
-    oracle_preprocess,
     oracle_two_edge_cuts,
     oracle_valid,
     oracle_validate_diagram,
@@ -249,9 +245,7 @@ class Audit:
         return failures
 
     def move(self, b, faces, out, gone):
-        # preprocess's moves by kind, the public removals by name
-        caller = sys._getframe(1).f_code.co_name
-        site = caller if caller != "preprocess" else "nugatory" if len(gone) == 1 else "r2"
+        site = "nugatory" if len(gone) == 1 else "r2"
         # the partition the move is checked on is the source's full walk
         assert_partition_is_the_walk(faces, b.source)
 
@@ -314,7 +308,6 @@ def _check_tally(a: Audit, sites_min: int, sites) -> None:
 
 
 AUGMENT_SITES = ("_insert_finger", "join_curves")
-REDUCTION_SITES = ("remove_r2_bigon", "remove_nugatory_crossing")
 MOVE_SITES = ("r2", "nugatory")
 
 
@@ -341,12 +334,6 @@ class TestVerdictsAgree:
         assert all(a.paths[(site, path)] >= 1 for site in MOVE_SITES for path in ("merge", "walk")), a.paths
         # R2 removals that leave a crossing-free loop beside crossings
         assert a.loops_made["r2"] >= 1, a.loops_made
-        # the public removals, checked by check_move too, on part of the
-        # same inputs
-        for links in (False, True):
-            for d in raw_closures(10, 500 if links else 0, links):
-                oracle_preprocess(d)
-        _check_tally(a, 100, REDUCTION_SITES)
 
     def test_real_edits_pass_unmutated(self, audit):
         # without the random breakage every real edit is accepted by both
@@ -492,18 +479,10 @@ class TestBrokenEditsRejected:
         # a flipped crossing in the middle of a five-crossing twist plants
         # an R2 bigon whose two strands both weld to outer arcs
         d = flip_crossing(braid_closure([1, 1, 1, 1, 1, 2, -2], strands=3), 2)
-        fs = face_set(d)
-        bigon = next(
-            f.id for f in fs.faces
-            if f.is_bigon and len(set(d.edge_labels(f.boundary_edges[0]))) == 1
-        )
         verdicts = _spy_on_site(monkeypatch, reduction, SwappedWeld)
         with pytest.raises(InvariantError):
-            remove_r2_bigon(d, bigon)
-        # preprocess's first move is the same: its check refuses it too
-        with pytest.raises(InvariantError):
             preprocess(d)
-        assert verdicts == [False, False]
+        assert verdicts == [False]
 
     @pytest.mark.parametrize("broken", ["end twice", "slot out of range"])
     def test_an_end_that_reads_its_slot_only_by_accident(self, trefoil, broken):
@@ -556,16 +535,14 @@ class TestBrokenEditsRejected:
         assert check_move(mb, FacePartition(fs), moved, gone) == (fallback, None)
         assert whole_map_accepts(out, True) and whole_map_accepts(moved, False)
         with pytest.raises(InvariantError, match="the whole map passes"):
-            remove_r2_bigon(d, bigon)
+            preprocess(d)
 
     def test_crossing_left_behind(self, monkeypatch):
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")  # kinked trefoil
         verdicts = _spy_on_site(monkeypatch, reduction, CrossingLeftBehind)
         with pytest.raises(InvariantError):
-            remove_nugatory_crossing(d, 3)
-        with pytest.raises(InvariantError):
             preprocess(d)
-        assert verdicts == [False, False]
+        assert verdicts == [False]
 
 
 def test_moves_that_change_the_piece_count(audit):
@@ -627,40 +604,6 @@ def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
     # the Euler count of the source is its breadth-first count
     euler = len(granny_sum.crossings) - len(granny_sum.edges) + len(source_fs.faces) - 2 * len(granny_sum.loops)
     assert euler == 2 * real(granny_sum) == 2 * len(oracle_pieces(granny_sum)) == 2
-
-
-def test_public_removals_take_check_move(monkeypatch):
-    # each public removal checks its one move with check_move, as
-    # preprocess does, by a face merge or by the walk, and returns the
-    # diagram it returned when check_edit checked it
-    assert not hasattr(reduction, "check_edit")
-    calls = []
-
-    def spy(b, faces, out, gone):
-        failures, plan = check_move(b, faces, out, gone)
-        calls.append((gone, "walk" if plan is None else "merge"))
-        return failures, plan
-
-    monkeypatch.setattr(reduction, "check_move", spy)
-    kinked = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")
-    lone = parse_pd(TREFOIL + " X(7,7,8,8)")
-    flipped = flip_crossing(parse_pd(TREFOIL), 0)
-    # the flipped clasp between two trefoils: its removal splits a piece
-    clasp = flip_crossing(braid_closure([1, 1, 1, 2, 2, 3, 3, 3], strands=4), 3)
-    got = [
-        remove_nugatory_crossing(kinked, 3),
-        remove_nugatory_crossing(lone, 3),
-        remove_r2_bigon(flipped, 0),
-        remove_r2_bigon(clasp, 5),
-    ]
-    assert [serialize_pd(out) for out in got] == [
-        TREFOIL,
-        TREFOIL + " O(7)",
-        "X(3,2,2,3)",
-        "X(1,5,6,2) X(5,7,8,6) X(7,1,2,8) X(3,15,16,4) X(15,17,18,16) X(17,3,4,18)",
-    ]
-    assert calls == [((3,), "merge"), ((3,), "walk"), ((0, 1), "merge"), ((3, 4), "walk")]
-    assert connected_pieces(got[3]) == 2
 
 
 def test_moves_outside_the_merge_facts_are_walked(trefoil):

@@ -12,14 +12,11 @@ from altknot import (
     flip_crossing,
     parse_pd,
     preprocess,
-    remove_nugatory_crossing,
-    remove_r2_bigon,
     serialize_pd,
     twist_partition,
     validate_diagram,
 )
 from altknot.diagram import Diagram
-from altknot.errors import NotNugatory, NotR2Bigon, UnknownFace
 from altknot.generate import braid_closure, two_strand_torus
 
 from conftest import (
@@ -27,7 +24,9 @@ from conftest import (
     corpus_diagrams,
     euler_by_piece,
     link_diagrams,
+    oracle_move,
     oracle_r2_bigons,
+    shadow_diagrams,
 )
 
 # four crossings, t = 1: one twist region through three bigons, which a
@@ -50,19 +49,14 @@ def _flipped(word, flips):
 
 class TestNugatory:
     def test_kink_unknot_to_loop(self, kink_unknot):
-        out = remove_nugatory_crossing(kink_unknot, 0)
+        out = oracle_move(kink_unknot, "nugatory", 0)
         assert not out.crossings and len(out.loops) == 1
-
-    def test_trefoil_crossings_not_nugatory(self, trefoil):
-        for c in trefoil.crossings:
-            with pytest.raises(NotNugatory):
-                remove_nugatory_crossing(trefoil, c)
 
     def test_kinked_trefoil(self):
         # trefoil with one kink on edge 3 (kink crossing id 3)
         d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,8) X(3,7,7,8)")
         assert validate_diagram(d).valid
-        out = remove_nugatory_crossing(d, 3)
+        out = oracle_move(d, "nugatory", 3)
         assert len(out.crossings) == 3
         assert detect_two_strand_torus(out) == 3
         assert classify_edges(out).is_alternating
@@ -71,17 +65,13 @@ class TestNugatory:
     @settings(deadline=None, max_examples=40)
     @given(BRAID_LETTERS)
     def test_verdict_is_the_cut_vertex_test(self, word):
-        # the one-crossing face test agrees with cut_vertices everywhere
+        # untwisting any crossing cut_vertices names leaves a valid map
+        # with one crossing fewer
         from altknot.analysis import cut_vertices
 
         d = braid_closure(word)
-        cuts = set(cut_vertices(d))
-        for c in sorted(d.crossings):
-            if c in cuts:
-                assert len(remove_nugatory_crossing(d, c).crossings) == len(d.crossings) - 1
-            else:
-                with pytest.raises(NotNugatory):
-                    remove_nugatory_crossing(d, c)
+        for c in cut_vertices(d):
+            assert len(oracle_move(d, "nugatory", c).crossings) == len(d.crossings) - 1
 
 
 class TestR2:
@@ -89,31 +79,13 @@ class TestR2:
         f = flip_crossing(trefoil, 0)
         faces = oracle_r2_bigons(f)
         assert faces
-        out = remove_r2_bigon(f, faces[0])
+        out = oracle_move(f, "r2", faces[0])
         assert len(out.crossings) == 1
-
-    def test_clasp_refused(self, trefoil):
-        fs = face_set(trefoil)
-        bigon = next(f for f in fs.faces if f.is_bigon)
-        with pytest.raises(NotR2Bigon):
-            remove_r2_bigon(trefoil, bigon.id)
-
-    def test_non_bigon_refused(self, trefoil):
-        fs = face_set(trefoil)
-        tri = next(f for f in fs.faces if f.degree == 3)
-        with pytest.raises(NotR2Bigon):
-            remove_r2_bigon(trefoil, tri.id)
-
-    def test_unknown_face(self, trefoil):
-        # face ids are positions in the table: -1 must not wrap around
-        for f in (-1, len(face_set(trefoil).faces)):
-            with pytest.raises(UnknownFace):
-                remove_r2_bigon(trefoil, f)
 
     def test_curl_to_single_loop(self, curl):
         faces = oracle_r2_bigons(curl)
         assert len(faces) == 1
-        out = remove_r2_bigon(curl, faces[0])
+        out = oracle_move(curl, "r2", faces[0])
         assert not out.crossings and len(out.loops) == 1
 
     def test_fused_strand_keeps_the_lower_outer_id(self):
@@ -125,7 +97,7 @@ class TestR2:
         face = face_set(d).faces[2]
         assert face.boundary_edges == (1, 2) and face.crossings() == {0, 3}
         assert 2 in oracle_r2_bigons(d)
-        out = remove_r2_bigon(d, 2)
+        out = oracle_move(d, "r2", 2)
         assert sorted(out.edges) == [3, 4, 5, 6]
         # each fused edge runs between the far ends of its outer edges
         assert out.edges[4].ends == (d.edges[4].ends[1], d.edges[8].ends[0])
@@ -135,7 +107,7 @@ class TestR2:
     def test_flipped_hopf_to_two_loops(self):
         h = flip_crossing(two_strand_torus(2), 0)
         faces = oracle_r2_bigons(h)
-        out = remove_r2_bigon(h, faces[0])
+        out = oracle_move(h, "r2", faces[0])
         assert not out.crossings and len(out.loops) == 2  # unlink preserved
 
 
@@ -258,6 +230,24 @@ class TestWorklist:
         kinds = {s.kind for trace in traces for s in trace.steps}
         assert len(traces) > 34 and kinds == {"nugatory", "r2"}
 
+    def test_shadows_that_are_no_braid_closure(self):
+        # medial graphs of random grid subgraphs with random crossings:
+        # each reduces as the whole-map loop does, and each result that
+        # meets augment's preconditions augments and passes the selfcheck
+        from altknot import augment
+        from altknot.selfcheck import verify_augmentation
+
+        kinds, eligible = set(), 0
+        for d in shadow_diagrams(200, seed=0):
+            out, trace = assert_preprocess_matches_oracle(d)
+            kinds.update(s.kind for s in trace.steps)
+            fl = diagram_flags(out)
+            if (not out.loops and fl.connected and fl.reduced and fl.r2_reduced and fl.prime
+                    and classify_edges(out).is_non_alternating):
+                eligible += 1
+                assert verify_augmentation(out, augment(out)) == []
+        assert kinds == {"nugatory", "r2"} and eligible >= 50, (kinds, eligible)
+
     def test_cut_vertex_made_by_a_merge(self, monkeypatch):
         # moves after which a crossing becomes a cut vertex because a merge
         # put two of its corners in one face, relabelling only one of them:
@@ -312,3 +302,22 @@ class TestWorklist:
             assert_preprocess_matches_oracle(_flipped(word, flips), audit=False)
         # the moves that took the walk path re-read the whole map after it
         assert len(checks) > 10 and any(plan is None for _failures, plan in checks)
+
+
+def test_only_preprocess_makes_a_move():
+    # a second route to a reduction move would need its own checks and
+    # tests: in the package only preprocess builds a move and checks it
+    import ast
+    from pathlib import Path
+
+    import altknot
+
+    moves = ("check_move", "_nugatory_edit", "_r2_edit")
+    users = set()
+    for p in sorted(Path(altknot.__file__).parent.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in moves:
+                    users.add((p.stem, getattr(top, "name", None), name))
+    assert users == {("reduction", "preprocess", name) for name in moves}, users

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from altknot import augment, constants, twist_volume_bounds
 from altknot.volume import (
     augmented_volume_bounds,
-    catalan_reference,
     volume_report,
 )
 from altknot.errors import DomainError, NotCertified
@@ -115,7 +114,7 @@ class TestBoundFormulas:
         # Catalan) sits below the upper bound 40 v3
         u, _ = augmented_volume_bounds(1)
         assert u.upper == pytest.approx(40 * constants().v3, rel=1e-15)
-        assert catalan_reference() <= u.upper
+        assert constants().four_catalan <= u.upper
 
     def test_claimed_lower(self):
         u, lo = augmented_volume_bounds(4, t_lower_claim=3)
