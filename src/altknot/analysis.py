@@ -437,15 +437,6 @@ class RefinementReport:
     sizes: tuple[int, int, int]  # |P|, |P'|, t of the ambient diagram
     failures: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "P": [sorted(x) for x in self.P],
-            "P_prime": [sorted(x) for x in self.P_prime],
-            "refines": self.refines,
-            "sizes": list(self.sizes),
-            "failures": list(self.failures),
-        }
-
 
 def _is_sub_twist(x: frozenset[int], region: TwistRegion, fs: FaceSet) -> bool:
     """x qualifies as a sub twist region of ``region``: one crossing, or

@@ -23,10 +23,8 @@ from __future__ import annotations
 import re
 import weakref
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 
 from .errors import (
     IncidenceError,
@@ -236,13 +234,6 @@ class _Partition:
         return True
 
 
-def strand_components(d: Diagram) -> list[frozenset[int]]:
-    """Orbits of edges under going straight through crossings, in order
-    of least edge id."""
-    ends = {e: rec.ends for e, rec in d.edges.items()}
-    return [frozenset(orbit) for orbit in _strand_walk(d.crossings, ends)]
-
-
 def _strand_walk(crossings: dict[int, Crossing], ends: dict[int, tuple[End, End]]) -> list[list[int]]:
     """The strand orbits of the edges ``ends`` names, each walked from
     its least edge id, in order of least id.  ``ends[e]`` is the pair of
@@ -328,15 +319,17 @@ class FaceSet:
     The table holds three lists:
 
     - ``dart_face``: dart -> face id, -1 where the map has no corner;
-    - ``darts``: per face, its corners in cyclic order as an int tuple
-      that starts at its least dart;
-    - ``bounds``: per face, ``bounds[f][k]`` the edge leaving corner k.
+    - ``darts``: per corner face, its corners in cyclic order as an int
+      tuple that starts at its least dart;
+    - ``bounds``: per corner face, ``bounds[f][k]`` the edge leaving
+      corner k.
 
-    Face ids rank the faces by their least dart; the two faces of each
-    crossing-free loop come last, in loop-id order (``loops``), with no
-    darts and no edges.  ``faces`` gives the ``Face`` records, built from
-    the darts the first time they are read; no pass of the package reads
-    them.
+    Face ids rank the corner faces by their least dart.  A crossing-free
+    loop has no dart, so it has no face in the three lists: its two
+    faces appear only among the ``Face`` records (``faces``), after the
+    corner faces, in loop-id order (``loops``).  ``faces`` builds the
+    records from the darts the first time they are read; no pass of the
+    package reads them.
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
@@ -371,10 +364,9 @@ class FaceSet:
     def faces(self) -> list[Face]:
         """The ``Face`` records, a face's id its position in the list."""
         if self._faces is None:
-            n = len(self.darts) - 2 * len(self.loops)
             faces = [
                 Face(i, tuple((x >> 2, x & 3) for x in ds), es)
-                for i, (ds, es) in enumerate(zip(self.darts[:n], self.bounds))
+                for i, (ds, es) in enumerate(zip(self.darts, self.bounds))
             ]
             for loop_id in self.loops:
                 faces.append(Face(len(faces), (), (), loop_id))
@@ -480,15 +472,6 @@ def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: list, bound
         bounds.append(tuple(es))
 
 
-def _face_table(dart_face: list[int], darts: list, bounds: list, loops: dict[int, int]) -> FaceSet:
-    """Table of the corner faces ``darts`` and ``bounds`` (numbered in
-    order) plus two faces per crossing-free loop."""
-    loop_ids = sorted(loops)
-    darts += [()] * (2 * len(loop_ids))
-    bounds += [()] * (2 * len(loop_ids))
-    return FaceSet(dart_face, darts, bounds, loop_ids)
-
-
 def _build_face_set(d: Diagram) -> FaceSet:
     """The full walk: every corner of ``d``, crossings in id order, on
     flat lists indexed by dart, built in one pass over the edges.
@@ -517,22 +500,7 @@ def _build_face_set(d: Diagram) -> FaceSet:
     darts: list[tuple[int, ...]] = []
     bounds: list[tuple[int, ...]] = []
     _walk_darts(step, out_edge, starts, dart_face, darts, bounds)
-    return _face_table(dart_face, darts, bounds, d.loops)
-
-
-def _changed_edges(b: MapBuilder, out: Diagram) -> list[int]:
-    """The edges ``b`` removed, added or re-ended in ``out = b.build()``:
-    every touched edge but those in both maps with the same ends.  An
-    edge that only had its component or origin written bounds the same
-    faces and joins the same crossings, so no face, incidence or piece
-    check needs it."""
-    old, new = b.source.edges, out.edges
-    changed = []
-    for e in b.touched_edges:
-        x, y = old.get(e), new.get(e)
-        if x is None or y is None or x.ends != y.ends:
-            changed.append(e)
-    return changed
+    return FaceSet(dart_face, darts, bounds, sorted(d.loops))
 
 
 def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet:
@@ -542,7 +510,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     ``out`` must pass the incidence checks of ``edits.check_edit``.  A
     source face is dirty when it has a corner at a removed crossing, or
     a corner (c, s - 1) where (c, s) is an end of a source edge that was
-    removed or re-ended (``_changed_edges``); every other source face is
+    removed or re-ended (``b.changed_edges``); every other source face is
     a face of ``out`` as it stands.  That is sound because a face walk
     leaves corner (c, s - 1) through the edge in slot (c, s): when that
     edge is still there with the same ends, incidence puts it in the
@@ -584,7 +552,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
             top = max(top, 4 * c + 4)
     dart_face += [-1] * (top - len(dart_face))
     old_e = d.edges
-    for e in _changed_edges(b, out):
+    for e in b.changed_edges:
         rec = old_e.get(e)
         if rec is not None:
             for c, s in rec.ends:
@@ -615,9 +583,8 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     # the kept faces stay in least-dart order, and each fresh walk starts
     # at its least dart and comes in that order, so each goes in after
     # the last; ranks move only from the first change on
-    kept = len(source_darts) - 2 * len(d.loops)
-    darts = source_darts[:kept]
-    bounds = source_fs.bounds[:kept]
+    darts = source_darts[:]
+    bounds = source_fs.bounds[:]
     for fid in sorted(dirty, reverse=True):
         del darts[fid]
         del bounds[fid]
@@ -636,7 +603,7 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         if dart_face[ds[0]] != i:
             for x in ds:
                 dart_face[x] = i
-    fs = _face_table(dart_face, darts, bounds, out.loops)
+    fs = FaceSet(dart_face, darts, bounds, sorted(out.loops))
     fs.delta = (dropped, list(zip(fresh_darts, fresh_bounds)))
     _last_face_set = (weakref.ref(out), fs)
     return fs
@@ -705,7 +672,7 @@ def parse_pd(text: str) -> Diagram:
 def _check_sphericity(d: Diagram) -> None:
     """SphericityError unless V - E + F = 2P over the corner faces and
     crossing-bearing pieces of ``d``."""
-    chi = len(d.crossings) - len(d.edges) + len(face_set(d).darts) - 2 * len(d.loops)
+    chi = len(d.crossings) - len(d.edges) + len(face_set(d).darts)
     pieces = connected_pieces(d)
     if chi != 2 * pieces:
         raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
@@ -801,16 +768,6 @@ class ValidationReport:
     f: int
     components: int
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "failures": list(self.failures),
-            "v": self.v,
-            "e": self.e,
-            "f": self.f,
-            "components": self.components,
-        }
-
 
 _OVER_PAIRS = ((0, 2), (2, 0), (1, 3), (3, 1))
 
@@ -821,7 +778,10 @@ def validate_diagram(d: Diagram) -> ValidationReport:
 
     A corner is the dart ``4 * c + s`` of the face table (``FaceSet``),
     so a crossing id that is not an int >= 0 is a failure, and the faces
-    of such a map are not read.
+    of such a map are not read.  A legal over strand is one of the four
+    tuples of opposite slots; any other value is a ``labels:`` failure.
+    The reported ``f`` is the corner faces plus the two faces of each
+    crossing-free loop, which the table does not list.
 
     Incidence is decided in one pass over the edge records.  The map is
     sound when every crossing has four slots, no id is both an edge and
@@ -850,7 +810,7 @@ def validate_diagram(d: Diagram) -> ValidationReport:
             bad_ids.append(cid)
         if len(c.slots) != 4:
             four_slots = False
-        if c.over_slots not in _OVER_PAIRS and tuple(c.over_slots) not in _OVER_PAIRS:
+        if c.over_slots not in _OVER_PAIRS:
             bad_labels.append(cid)
     for cid in bad_ids:
         failures.append(f"ids: crossing id {cid!r} is not an integer >= 0")
@@ -890,15 +850,19 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     # an id that is not an int sorts after the ints, by its text
     for cid in sorted(bad_labels, key=lambda c: (False, c) if type(c) is int else (True, repr(c))):
         c = crossings[cid]
-        word = "".join(str(c.label(s)) for s in range(4))
-        failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
+        if type(c.over_slots) is tuple:
+            word = "".join(str(c.label(s)) for s in range(4))
+            failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
+        else:
+            # a list [1, 3] would read (-+-+), a word that looks legal
+            failures.append(f"labels: crossing {cid} has over_slots {c.over_slots!r}, not a tuple")
 
     v = len(crossings)
     e = len(edges)
     f = 0
     if sound:
         try:
-            f = len(face_set(d).darts)
+            f = len(face_set(d).darts) + 2 * len(loops)
             _check_sphericity(d)
         except (InvariantError, SphericityError) as exc:
             failures.append(f"sphericity: {exc}")
@@ -920,36 +884,6 @@ def validate_diagram(d: Diagram) -> ValidationReport:
 
 # -- local edits -----------------------------------------------------------------
 
-class _CrossingField(Mapping):
-    """Crossing id -> one field of that crossing: the source crossing's
-    until written or deleted.  A builder reads through to its source
-    instead of copying a field of every crossing, so it costs what it
-    touches.  ``own`` holds the values written and ``gone`` the ids
-    deleted; it is read-only, and ``MapBuilder`` writes the two directly."""
-
-    def __init__(self, source: dict[int, Crossing], name: str):
-        self._source = source
-        self._read = attrgetter(name)
-        self.own: dict = {}
-        self.gone: set[int] = set()
-
-    def __getitem__(self, c: int):
-        own = self.own
-        if c in own:
-            return own[c]
-        if c in self.gone:
-            raise KeyError(c)
-        return self._read(self._source[c])
-
-    def __iter__(self):
-        own, gone = self.own, self.gone
-        yield from (c for c in self._source if c not in own and c not in gone)
-        yield from own
-
-    def __len__(self) -> int:
-        return sum(1 for _c in self)
-
-
 class MapBuilder:
     """Mutable scratch copy of a diagram for surgery.  Keeps the slot
     tables and edge records consistent through welds and deletions; call
@@ -961,33 +895,46 @@ class MapBuilder:
     ``touched_crossings`` / ``touched_edges``; ``build()`` re-creates
     only the touched crossings, hands over a copy of ``edges``, and
     ``edits.check_edit`` inspects only the touched records.  ``slots``
-    and ``over`` read through to the source's crossings until a crossing
-    is written or removed, and slot sequences stay the source's tuples
-    until first written, so all writes go through the methods below,
-    which write the fields' own tables directly.  A touched crossing is
-    removed exactly when it has no slots of its own.  Making a builder
+    holds the own slots of each touched crossing still in the map, a
+    list copied from the source's tuple on first write, and ``over`` the
+    over strand of each crossing added by ``add_crossing``; a touched
+    crossing with no own slots is removed, and an untouched one is the
+    source's.  ``slots_at`` reads a crossing's slots as the map stands,
+    and all writes go through the methods below.  Making a builder
     copies nothing per crossing, and the fresh ids (``new_edge_id`` and
-    ``new_crossing_id``) are found in the source on first use."""
+    ``new_crossing_id``) are found in the source on first use.
+
+    ``build()`` also records ``changed_edges``, the edges removed, added
+    or re-ended: every touched edge but those in both maps with the same
+    ends.  An edge that only had its component or origin written bounds
+    the same faces and joins the same crossings, so no face, incidence
+    or piece check needs it."""
 
     def __init__(self, d: Diagram):
         self.source = d
-        self.slots: Mapping[int, list[int] | tuple] = _CrossingField(d.crossings, "slots")
-        self.over: Mapping[int, tuple[int, int]] = _CrossingField(d.crossings, "over_slots")
+        self.slots: dict[int, list[int]] = {}
+        self.over: dict[int, tuple[int, int]] = {}
         self.edges: dict[int, Edge] = dict(d.edges)
         self.loops: dict[int, int] = dict(d.loops)
         self.augmenting = d.augmenting_component
         self.touched_crossings: set[int] = set()
         self.touched_edges: set[int] = set()
+        self.changed_edges: list[int] = []
         self._next_edge: int | None = None
         self._next_crossing: int | None = None
 
+    def slots_at(self, c: int) -> list[int] | tuple[int, ...]:
+        """The slots of crossing ``c`` as the map stands: its own once
+        touched, else the source's tuple.  KeyError when ``c`` is not in
+        the map."""
+        return self.slots[c] if c in self.touched_crossings else self.source.crossings[c].slots
+
     def _own_slots(self, c: int) -> list[int]:
-        own = self.slots.own
         if c not in self.touched_crossings:
             # an untouched crossing is the source's
-            own[c] = list(self.source.crossings[c].slots)
+            self.slots[c] = list(self.source.crossings[c].slots)
             self.touched_crossings.add(c)
-        return own[c]
+        return self.slots[c]
 
     def new_edge_id(self) -> int:
         if self._next_edge is None:
@@ -1002,9 +949,8 @@ class MapBuilder:
         return self._next_crossing - 1
 
     def add_crossing(self, cid: int, slots: list[int], over_slots: tuple[int, int]) -> None:
-        for field, value in ((self.slots, slots), (self.over, over_slots)):
-            field.own[cid] = value
-            field.gone.discard(cid)
+        self.slots[cid] = slots
+        self.over[cid] = over_slots
         self.touched_crossings.add(cid)
 
     def add_edge(self, eid: int, ends: list[End], origin: int | None, comp: int) -> None:
@@ -1025,12 +971,11 @@ class MapBuilder:
         self.touched_edges.add(eid)
 
     def remove_crossing(self, cid: int) -> None:
-        slots = self.slots
-        if cid in slots.gone or (cid not in slots.own and cid not in self.source.crossings):
+        if cid in self.touched_crossings:
+            del self.slots[cid]  # KeyError when already removed
+        elif cid not in self.source.crossings:
             raise KeyError(cid)
-        for field in (slots, self.over):
-            field.own.pop(cid, None)
-            field.gone.add(cid)
+        self.over.pop(cid, None)
         self.touched_crossings.add(cid)
 
     def weld(self, a: End, z: End) -> int | None:
@@ -1043,7 +988,7 @@ class MapBuilder:
         between ``a`` and ``z`` never affects the kept id.  Returns that
         id, or None when ``a`` and ``z`` are the two ends of one edge,
         which then closes up into a crossing-free loop with its id."""
-        r1, r2 = self.edges[self.slots[a[0]][a[1]]], self.edges[self.slots[z[0]][z[1]]]
+        r1, r2 = self.edges[self.slots_at(a[0])[a[1]]], self.edges[self.slots_at(z[0])[z[1]]]
         if r1.id == r2.id:
             self.loops[r1.id] = r1.component
             self.remove_edge(r1.id)
@@ -1058,7 +1003,7 @@ class MapBuilder:
     def build(self) -> Diagram:
         source = self.source.crossings
         crossings = dict(source)
-        slots, over = self.slots.own, self.over.own
+        slots, over = self.slots, self.over
         for c in sorted(self.touched_crossings):
             s = slots.get(c)
             if s is None:
@@ -1066,7 +1011,14 @@ class MapBuilder:
             else:
                 o = over.get(c)
                 crossings[c] = Crossing(c, tuple(s), source[c].over_slots if o is None else o)
-        return Diagram(crossings, dict(self.edges), dict(self.loops), self.augmenting)
+        old, edges = self.source.edges, self.edges
+        changed = []
+        for e in self.touched_edges:
+            x, y = old.get(e), edges.get(e)
+            if x is None or y is None or x.ends != y.ends:
+                changed.append(e)
+        self.changed_edges = changed
+        return Diagram(crossings, dict(edges), dict(self.loops), self.augmenting)
 
 
 def flip_crossing(d: Diagram, c: int) -> Diagram:

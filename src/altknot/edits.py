@@ -38,7 +38,6 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     _edited_face_set,
-    _changed_edges,
     _OVER_PAIRS,
     _Partition,
     connected_pieces,
@@ -55,12 +54,13 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     table.  Then the list is empty exactly when ``validate_diagram(out)``
     finds ``out`` valid and ``out`` is alternating.  Checked: valence,
     labels and incidence of the touched crossings and of the edges
-    removed, added or re-ended (``diagram._changed_edges``); strand
+    removed, added or re-ended (``b.changed_edges``); strand
     components at every crossing a touched edge meets, so a component
     written on a kept edge is still checked; alternation of the touched
-    edges; and sphericity as dV - dE + dF = 2 dP, where F comes from
-    ``out``'s face table and dP, the change in the number of pieces, from
-    the source's faces.  An edge kept with its ends is neither cut nor
+    edges; and sphericity as dV - dE + dF = 2 dP, where F is the number
+    of faces in ``out``'s table (corner faces only: a crossing-free loop
+    has no darts) and dP, the change in the number of crossing-bearing
+    pieces, comes from the source's faces.  An edge kept with its ends is neither cut nor
     re-added: it bounds the same faces and joins the same crossings.
     A refused edit is worded by the whole-map check (``_rejected``).
 
@@ -79,7 +79,7 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
         return _rejected(out, alternating=True)
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
-    df = (len(fs.darts) - 2 * len(out.loops)) - (len(source_fs.darts) - 2 * len(d.loops))
+    df = len(fs.darts) - len(source_fs.darts)
     if dv - de + df != 2 * _piece_change(b, source_fs, out) or not _check_strands(b, out, alternating=True):
         return _rejected(out, alternating=True)
     return []
@@ -161,7 +161,7 @@ def _check_records(b: MapBuilder, out: Diagram) -> bool:
     touched = b.touched_crossings
     old_x, new_x = d.crossings, out.crossings
     old_e, new_e = d.edges, out.edges
-    changed = _changed_edges(b, out)
+    changed = b.changed_edges
     affected = set(changed)
     uses = 0
     for c in touched:
@@ -260,7 +260,7 @@ class FacePartition:
         """Take the corner faces of the table ``fs``, replacing any held."""
         self.relabelled += len(self.face) - self.face.count(-1)
         self.face = list(fs.dart_face)
-        self.corners = {h: set(ds) for h, ds in enumerate(fs.darts) if ds}
+        self.corners = {h: set(ds) for h, ds in enumerate(fs.darts)}
         self.weight = {h: len(ks) for h, ks in self.corners.items()}
 
     def remove(self, c: int) -> None:
@@ -383,7 +383,7 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
     on the table ``_edited_face_set`` left for it.
     """
     d = b.source
-    changed = _changed_edges(b, out)
+    changed = b.changed_edges
     cut = [e for e in changed if e in d.edges]
     gone = [c for c in b.touched_crossings if c in d.crossings and c not in out.crossings]
     new = [c for c in sorted(b.touched_crossings) if c in out.crossings and c not in d.crossings]
@@ -411,5 +411,5 @@ def _piece_change(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> int:
                 (c0, _s0), (c1, _s1) = out.edges[e].ends
                 merge.union(c0 if c0 in new_set else "rest", c1 if c1 in new_set else "rest")
         return len({merge.find(x) for x in roots}) - groups
-    source_pieces = (len(d.crossings) - len(d.edges) + len(source_fs.darts) - 2 * len(d.loops)) // 2
+    source_pieces = (len(d.crossings) - len(d.edges) + len(source_fs.darts)) // 2
     return connected_pieces(out) - source_pieces

@@ -21,6 +21,7 @@ _STYLE = (
     "stroke-linecap: round; }\n"
     ".aug { stroke: #c03c2b; }\n"
 )
+_SIZE = 480  # width and height of the drawing, in SVG user units
 
 
 def _positions(d: Diagram) -> dict:
@@ -39,7 +40,7 @@ def _positions(d: Diagram) -> dict:
 
     fs = face_set(d)
     darts = fs.darts
-    outer = max((f for f, ds in enumerate(darts) if ds), key=lambda f: (len(darts[f]), -f))
+    outer = max(range(len(darts)), key=lambda f: (len(darts[f]), -f))
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []
@@ -136,7 +137,7 @@ def _quad_point(p0, p1, p2, t):
     )
 
 
-def render_svg(d: Diagram, size: int = 480) -> str:
+def render_svg(d: Diagram) -> str:
     """Render a connected diagram as SVG 1.1 text."""
     import numpy as np
 
@@ -144,11 +145,11 @@ def render_svg(d: Diagram, size: int = 480) -> str:
         raise RenderError("can only render connected diagrams")
     if not d.crossings:
         # a single crossing-free loop
-        r = size * 0.35
-        c = size / 2
+        r = _SIZE * 0.35
+        c = _SIZE / 2
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{size}" height="{size}">\n<style>{_STYLE}</style>\n'
+            f'width="{_SIZE}" height="{_SIZE}">\n<style>{_STYLE}</style>\n'
             f'<circle class="strand" cx="{c}" cy="{c}" r="{r}" fill="none"/>\n</svg>\n'
         )
 
@@ -158,17 +159,17 @@ def render_svg(d: Diagram, size: int = 480) -> str:
     lo = pts.min(axis=0).tolist()
     hi = pts.max(axis=0).tolist()
     span = max(hi[0] - lo[0], hi[1] - lo[1]) or 1.0
-    pad = 0.08 * size
+    pad = 0.08 * _SIZE
 
     def xy(p):
-        x = pad + (p[0] - lo[0]) / span * (size - 2 * pad)
-        y = pad + (p[1] - lo[1]) / span * (size - 2 * pad)
+        x = pad + (p[0] - lo[0]) / span * (_SIZE - 2 * pad)
+        y = pad + (p[1] - lo[1]) / span * (_SIZE - 2 * pad)
         return x, y
 
     gap = 0.14
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}">',
+        f'width="{_SIZE}" height="{_SIZE}">',
         f"<style>{_STYLE}</style>",
     ]
     for e in sorted(d.edges):

@@ -409,13 +409,15 @@ def same_table(fs, d) -> bool:
     """The face table ``fs`` is the tuple walk of ``d``
     (``oracle_face_table``): the same faces, ids and corner order, and
     the same face at every corner, read through the (crossing, slot)
-    view; and each face's darts and edges are those of its record."""
+    view; and the darts and edges of each corner face are those of its
+    record.  Loop faces have no darts, so the table lists none."""
     faces, corner_face = oracle_face_table(d)
+    corner_faces = [f for f in faces if f.loop is None]
     return (
         fs.faces == faces
         and corner_view(fs) == corner_face
-        and [tuple(4 * c + s for c, s in f.corner_slots) for f in faces] == list(fs.darts)
-        and [f.boundary_edges for f in faces] == list(fs.bounds)
+        and [tuple(4 * c + s for c, s in f.corner_slots) for f in corner_faces] == list(fs.darts)
+        and [f.boundary_edges for f in corner_faces] == list(fs.bounds)
     )
 
 
@@ -717,7 +719,9 @@ def oracle_validate_diagram(d):
         if u != rec.ends and u[::-1] != rec.ends:
             failures.append(f"incidence: edge {e} ends {rec.ends} do not match slots")
     for cid, c in sorted(d.crossings.items()):
-        if tuple(c.over_slots) not in ((0, 2), (2, 0), (1, 3), (3, 1)):
+        if type(c.over_slots) is not tuple:
+            failures.append(f"labels: crossing {cid} has over_slots {c.over_slots!r}, not a tuple")
+        elif c.over_slots not in ((0, 2), (2, 0), (1, 3), (3, 1)):
             word = "".join(str(c.label(s)) for s in range(4))
             failures.append(f"labels: crossing {cid} reads ({word}) around, not (+-+-)")
 
@@ -1020,7 +1024,7 @@ def drop_component(d, comp: int):
     slots, over strands) and loop ids, with components numbered afresh:
     the strand components in order of least edge id, then the loops in
     id order.  UnknownComponent when ``d`` has no component ``comp``."""
-    from altknot.diagram import Diagram, Edge, MapBuilder, strand_components
+    from altknot.diagram import Diagram, Edge, MapBuilder
     from altknot.errors import MappingError, UnknownComponent
 
     b = MapBuilder(d)
@@ -1029,11 +1033,11 @@ def drop_component(d, comp: int):
     if not comp_edges and comp not in b.loops.values():
         raise UnknownComponent(f"no component {comp}")
     hit = sorted(
-        c for c, slots in b.slots.items()
-        if any(edges[e].component == comp for e in slots)
+        c for c, x in d.crossings.items()
+        if any(edges[e].component == comp for e in x.slots)
     )
     def weld_checked(c: int, s1: int, s2: int) -> None:
-        o1, o2 = edges[b.slots[c][s1]].origin, edges[b.slots[c][s2]].origin
+        o1, o2 = edges[b.slots_at(c)[s1]].origin, edges[b.slots_at(c)[s2]].origin
         if o1 != o2:
             raise MappingError(
                 f"strand through crossing {c} mixes origins {o1} and {o2}"
@@ -1041,7 +1045,7 @@ def drop_component(d, comp: int):
         b.weld((c, s1), (c, s2))
 
     for c in hit:
-        slots = b.slots[c]
+        slots = b.slots_at(c)
         on = [edges[slots[s]].component == comp for s in range(4)]
         if all(on):
             for s in (0, 1):
@@ -1072,7 +1076,7 @@ def drop_component(d, comp: int):
         b.remove_edge(e)
         b.add_edge(o, rec.ends, rec.origin, rec.component)
     out = b.build()
-    comps = strand_components(out)
+    comps = oracle_strand_components(out)
     comp = {e: i for i, orbit in enumerate(comps) for e in orbit}
     edges = {e: Edge(e, r.ends, r.origin, comp[e]) for e, r in out.edges.items()}
     loops = {k: len(comps) + i for i, k in enumerate(sorted(out.loops))}

@@ -480,6 +480,27 @@ class TestGuardRails:
         with pytest.raises(UnknownEdge):
             propagate_finger(g, replace(arc, edges=(g.next_edge_id(),)))
 
+    def test_loop_faces_are_refused_as_faces_the_map_lacks(self):
+        # a crossing-free loop's two faces are records only, with no
+        # darts; the stages refuse their ids as they refuse any id past
+        # the table, rather than reading an empty face
+        from altknot.errors import UnknownFace
+
+        for start in (0, 30, 60, 90):
+            d, g, comps = TestFinger()._overlay_with_two_curves(start)
+            arc = next(_synthetic_long_arcs(g, comps, 1), None)
+            if arc is not None:
+                break
+        looped = Diagram(g.crossings, g.edges, {g.next_edge_id(): g.next_component_id()}, g.augmenting_component)
+        fs = face_set(looped)
+        corner_faces = len(fs.darts)
+        assert [f.loop is not None for f in fs.faces[corner_faces:]] == [True, True]
+        for f in (corner_faces, corner_faces + 1):
+            with pytest.raises(UnknownFace):
+                join_curves(looped, arc.source_curve, arc.target_curve, f)
+            with pytest.raises(UnknownFace):
+                propagate_finger(looped, replace(arc, faces=(f,) + arc.faces[1:]))
+
     def test_augment_deterministic(self):
         from altknot import serialize_pd
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from altknot import (
     Sign,
+    augment,
     face_set,
     faces,
     flip_crossing,
     parse_pd,
+    preprocess,
     serialize_pd,
     validate_diagram,
 )
@@ -19,6 +21,7 @@ from altknot.diagram import (
     Crossing,
     Diagram,
     Edge,
+    Face,
     MapBuilder,
     connected_pieces,
     mark_augmenting,
@@ -28,6 +31,7 @@ from altknot.errors import (
     IncidenceError,
     InvariantError,
     PDSyntaxError,
+    PreconditionError,
     SphericityError,
     UnknownComponent,
     UnknownCrossing,
@@ -42,6 +46,7 @@ from conftest import (
     drop_component,
     euler_by_piece,
     oracle_labels_from_pd,
+    oracle_validate_diagram,
     reattach,
     same_map,
     same_table,
@@ -78,6 +83,15 @@ class TestParse:
         assert rep.valid and rep.v == 0 and rep.e == 0
         assert rep.f == 2  # inside and outside
         assert rep.components == 1
+
+    def test_loop_faces_are_records_only(self):
+        # a crossing-free loop has no darts, so the table lists only the
+        # corner faces; f and the records still count the loop's two
+        d = parse_pd(TREFOIL + " O(7)")
+        assert validate_diagram(d).f == 7
+        fs = face_set(d)
+        assert len(fs.darts) == len(fs.bounds) == 5
+        assert faces(d)[-2:] == [Face(5, (), (), 7), Face(6, (), (), 7)]
 
     def test_hopf_faces_all_bigons(self, hopf):
         fl = faces(hopf)
@@ -229,6 +243,20 @@ class TestValidate:
         rep = validate_diagram(hacked)
         assert not rep.valid
         assert any("labels" in msg for msg in rep.failures)
+
+    @pytest.mark.parametrize("pair", [[1, 3], [0, 2]])
+    def test_list_over_slots_refused(self, trefoil, pair):
+        # a list equal to a legal pair is no legal over strand; its label
+        # word would look legal, so the line names the value
+        c0 = trefoil.crossings[0]
+        hacked = Diagram({**trefoil.crossings, 0: Crossing(0, c0.slots, pair)}, trefoil.edges, trefoil.loops)
+        rep = validate_diagram(hacked)
+        assert rep.failures == [f"labels: crossing 0 has over_slots {pair!r}, not a tuple"]
+        assert rep == oracle_validate_diagram(hacked)
+        for stage in (preprocess, augment):
+            with pytest.raises(PreconditionError) as err:
+                stage(hacked)
+            assert err.value.failed_flag == "valid"
 
     def test_face_degrees_sum_to_twice_edges(self, trefoil):
         total = sum(f.degree for f in faces(trefoil))
@@ -454,23 +482,44 @@ class TestMapBuilder:
         assert all(out.edges[e] is granny_sum.edges[e] for e in out.edges if e not in b.touched_edges)
 
     def test_slots_and_over_read_through(self, granny_sum):
-        # the builder's slot and over tables read the source's crossings
-        # until written, and a removed crossing is gone from both
+        # ``slots`` holds the own slots of the touched crossings still in
+        # the map and ``over`` the over strand of each added crossing;
+        # ``slots_at`` reads the source's tuple until a crossing is
+        # written, and a removed crossing has no slots at all
         b = MapBuilder(granny_sum)
         src = granny_sum.crossings
         reattach(b, 2, (2, 1), (2, 3))
         b.remove_crossing(0)
         b.add_crossing(9, [20, 21, 20, 21], (0, 2))
-        for table, field in ((b.slots, "slots"), (b.over, "over_slots")):
-            assert 0 not in table and sorted(table) == sorted(set(src) - {0} | {9})
-            assert len(table) == len(src)
+        assert b.slots == {2: [src[2].slots[0], src[2].slots[1], src[2].slots[2], 2], 9: [20, 21, 20, 21]}
+        assert b.over == {9: (0, 2)}
+        assert b.touched_crossings == {0, 2, 9}
+        assert all(b.slots_at(c) is src[c].slots for c in src if c not in (0, 2))
+        assert b.slots_at(2) is b.slots[2] and b.slots_at(9) is b.slots[9]
+        for c in (0, max(src) + 1):
             with pytest.raises(KeyError):
-                table[0]
-            assert all(table[c] is getattr(src[c], field) for c in src if c not in (0, 2))
-        assert b.slots[2] == [src[2].slots[0], src[2].slots[1], src[2].slots[2], 2]
-        assert (b.slots[9], b.over[9]) == ([20, 21, 20, 21], (0, 2))
+                b.slots_at(c)
         b.add_crossing(0, [1, 1, 1, 1], (1, 3))
-        assert 0 in b.slots and b.over[0] == (1, 3)
+        assert b.slots_at(0) == [1, 1, 1, 1] and b.over[0] == (1, 3)
+        b.remove_crossing(9)
+        assert 9 not in b.slots and 9 not in b.over
+
+    def test_changed_edges_are_recorded_by_build(self, granny_sum):
+        # removed, added and re-ended edges; not an edge whose component
+        # alone was written, nor one re-added with its ends
+        b = MapBuilder(granny_sum)
+        assert b.changed_edges == []
+        b.set_component(1, 4)
+        reattach(b, 2, (2, 1), (2, 3))
+        rec = b.edges[3]
+        b.remove_edge(3)
+        b.add_edge(3, list(rec.ends), rec.origin, rec.component)
+        b.remove_edge(4)
+        b.add_crossing(9, [30, 31, 30, 31], (1, 3))
+        b.add_edge(30, [(9, 0), (9, 2)], None, 0)
+        b.build()
+        assert sorted(b.changed_edges) == [2, 4, 30]
+        assert b.touched_edges == {1, 2, 3, 4, 30}
 
     def test_removing_a_missing_crossing_raises_key_error(self, granny_sum):
         b = MapBuilder(granny_sum)

@@ -6,9 +6,9 @@ components by one strand walk and builds each edge record once; and
 ``analysis._two_edge_cut`` keys each edge by its ordered pair of faces.
 Each is compared with the loop it replaced, kept in ``conftest``
 (``oracle_validate_diagram``, ``oracle_numbered_components`` and
-``oracle_strand_components``, ``oracle_two_edge_cut``): on valid maps of
-every size the package meets, and on broken maps, where the failure
-lists must agree entry for entry, order included.
+``oracle_two_edge_cut``): on valid maps of every size the package meets,
+and on broken maps, where the failure lists must agree entry for entry,
+order included.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from altknot import augment, face_set, parse_pd, serialize_pd, validate_diagram
 from altknot.analysis import _two_edge_cut
-from altknot.diagram import Crossing, Diagram, Edge, restamp_origins, strand_components
+from altknot.diagram import Crossing, Diagram, Edge, restamp_origins
 from altknot.errors import InvariantError
 from altknot.generate import braid_closure
 
@@ -30,7 +30,6 @@ from conftest import (
     corpus_diagrams,
     link_diagrams,
     oracle_numbered_components,
-    oracle_strand_components,
     oracle_two_edge_cut,
     oracle_validate_diagram,
 )
@@ -86,7 +85,6 @@ def test_validation_matches_the_oracle_on_valid_maps(valid_maps):
 
 def test_parse_numbers_components_as_the_oracle(valid_maps):
     for text, d in valid_maps:
-        assert strand_components(d) == oracle_strand_components(d)
         if text is None:
             continue
         want = oracle_numbered_components(d)

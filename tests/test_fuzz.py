@@ -4,7 +4,8 @@ PD text goes through ``parse_pd -> analysis_report -> preprocess ->
 augment``; every stage may refuse its input, but only with a
 ``DiagramError`` subclass, and whatever parses must survive a
 serialize/parse round trip.  Purely random records rarely get past the
-parser, so the texts mix random records with mutated braid closures.
+parser, so the texts mix random records with mutated braid closures and
+mutated shadows that are no braid closure (``conftest.shadow_diagrams``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from altknot import (
 from altknot.errors import DiagramError, PreconditionError
 from altknot.generate import braid_closure
 
-from conftest import same_map
+from conftest import same_map, shadow_diagrams
 
 IDS = st.integers(min_value=1, max_value=14)
 X_RECORD = st.tuples(IDS, IDS, IDS, IDS).map(lambda t: "X(%d,%d,%d,%d)" % t)
@@ -39,10 +40,8 @@ BRAID_WORD = st.lists(st.sampled_from([i for i in range(-3, 4) if i != 0]), min_
 JUNK = st.sampled_from(["X(1,2)", "O(0)", "X(1,-2,3,4)", "Y(3)", "X(a,b,c,d)", "7", "X(1,2,3,4"])
 
 
-@st.composite
-def mutated_closures(draw):
-    """The PD text of a braid closure with a few random edits."""
-    records = serialize_pd(braid_closure(draw(BRAID_WORD))).split()
+def _edit_records(draw, records: list[str]) -> str:
+    """The PD records ``records`` with a few random edits, as text."""
     for _ in range(draw(st.integers(0, 3))):
         if not records:
             break
@@ -65,6 +64,20 @@ def mutated_closures(draw):
         elif move == "junk":
             records.insert(k, draw(JUNK))
     return " ".join(records)
+
+
+@st.composite
+def mutated_closures(draw):
+    """The PD text of a braid closure with a few random edits."""
+    return _edit_records(draw, serialize_pd(braid_closure(draw(BRAID_WORD))).split())
+
+
+@st.composite
+def mutated_shadows(draw):
+    """The PD text of a drawn shadow, no braid closure, with a few
+    random edits."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _edit_records(draw, serialize_pd(shadow_diagrams(1, seed)[0]).split())
 
 
 def _run_pipeline(text: str) -> None:
@@ -92,6 +105,12 @@ def test_random_records_raise_only_diagram_errors(text):
 @settings(deadline=None, max_examples=200)
 @given(mutated_closures())
 def test_mutated_closures_raise_only_diagram_errors(text):
+    _run_pipeline(text)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mutated_shadows())
+def test_mutated_shadows_raise_only_diagram_errors(text):
     _run_pipeline(text)
 
 

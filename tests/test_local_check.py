@@ -104,6 +104,16 @@ def _flip(over):
     return (0, 2) if over == (1, 3) else (1, 3)
 
 
+def _crossings_of(b: MapBuilder) -> list[int]:
+    """The ids of the crossings of the map ``b`` holds, sorted."""
+    return sorted(b.slots.keys() | (b.source.crossings.keys() - b.touched_crossings))
+
+
+def _over_at(b: MapBuilder, c: int) -> tuple[int, int]:
+    """The over strand of crossing ``c`` of the map ``b`` holds."""
+    return b.over[c] if c in b.over else b.source.crossings[c].over_slots
+
+
 def corrupt(rng: random.Random, b: MapBuilder) -> str:
     """Break (or, by chance, not break) the edit held in ``b`` with one
     random move made through the builder, so its touched sets stay right."""
@@ -121,15 +131,15 @@ def corrupt(rng: random.Random, b: MapBuilder) -> str:
             reattach(b, e1, a, z)
             reattach(b, e2, z, a)
     elif kind == "swap_slots":
-        c = rng.choice(sorted(b.touched_crossings & set(b.slots)) or sorted(b.slots))
+        c = rng.choice(sorted(b.slots) or _crossings_of(b))
         i, j = rng.sample(range(4), 2)
-        ei, ej = b.slots[c][i], b.slots[c][j]
+        ei, ej = b.slots_at(c)[i], b.slots_at(c)[j]
         if ei != ej:
             reattach(b, ei, (c, i), (c, j))
             reattach(b, ej, (c, j), (c, i))
     elif kind == "flip":
-        c = rng.choice(sorted(b.slots))
-        b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
+        c = rng.choice(_crossings_of(b))
+        b.add_crossing(c, list(b.slots_at(c)), _flip(_over_at(b, c)))
     elif kind == "recolor":
         e = rng.choice(touched)
         b.set_component(e, rng.choice(sorted({r.component for r in b.edges.values()})) + rng.randint(0, 1))
@@ -651,8 +661,8 @@ def test_component_and_label_changes_rewalk_nothing():
     for e, r in sorted(b.edges.items()):
         if r.component == comp:
             b.set_component(e, 0)
-    c = min(b.slots)
-    b.add_crossing(c, list(b.slots[c]), _flip(b.over[c]))
+    c = min(d.crossings)
+    b.add_crossing(c, list(b.slots_at(c)), _flip(_over_at(b, c)))
     out = b.build()
     table = _edited_face_set(b, fs, out)
     assert len(table.darts) == len(fs.darts)

@@ -153,5 +153,5 @@ def test_next_edge_id_builds_no_set(trefoil, monkeypatch):
     assert [d.next_edge_id() for d in maps] == [7, 10, 4, 1]
     assert built == []
     # a set the module builds by name is seen
-    diagram.strand_components(trefoil)
+    trefoil.next_component_id()
     assert built
