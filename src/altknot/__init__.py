@@ -39,11 +39,9 @@ from .diagram import (
     Crossing,
     Diagram,
     Edge,
-    Face,
     Sign,
     ValidationReport,
     face_set,
-    faces,
     flip_crossing,
     parse_pd,
     serialize_pd,

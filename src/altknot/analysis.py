@@ -213,7 +213,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
     if fs.partition is not None:
         return fs.partition
     darts = fs.darts
-    bigons = [f for f, ds in enumerate(darts) if _is_bigon(ds)]
+    bigons = [f for f, ds in darts.items() if _is_bigon(ds)]
     chains = _Partition()
     by_crossing: dict[int, list[int]] = {}
     for f in bigons:
@@ -373,7 +373,7 @@ def diagram_flags(d: Diagram) -> DiagramFlags:
     cuts = cut_vertices(d)
     reduced = not cuts
 
-    r2_reduced = not any(_is_r2_bigon(d, ds) for ds in fs.darts)
+    r2_reduced = not any(_is_r2_bigon(d, ds) for ds in fs.darts.values())
 
     if not connected:
         witness = PrimalityWitness("disconnected")
@@ -595,11 +595,13 @@ def refinement_report(
 # -- aggregate report ------------------------------------------------------------------
 
 def analysis_report(d: Diagram) -> dict:
-    """JSON-ready summary used by the CLI ``analyze`` command."""
+    """JSON-ready summary used by the CLI ``analyze`` command.  A twist
+    region's bigons are printed by rank (``FaceSet.rank``)."""
     cls = classify_edges(d)
     flags = diagram_flags(d)
     tp = twist_partition(d)
     rep = validate_diagram(d)
+    rank = {f: i for i, f in enumerate(sorted(face_set(d).darts))}
     return {
         "valid": rep.valid,
         "v": rep.v,
@@ -617,7 +619,7 @@ def analysis_report(d: Diagram) -> dict:
         "twist_regions": [
             {
                 "crossings": sorted(r.crossings),
-                "bigons": list(r.bigons),
+                "bigons": [rank[f] for f in r.bigons],
                 "topology": r.topology.value,
             }
             for r in tp.regions

@@ -336,12 +336,10 @@ class _CircleFaces:
     """The faces each circle borders, carried through ``augment``'s merge
     loop so that a merge reads no whole map.
 
-    A face is keyed by its least dart.  A face an edit keeps keeps its
-    darts, so its key holds while it lives, and ``dart_face[key]`` is
-    its id in the current table; ids rank faces by least dart, so keys
-    order faces as their ids do.  ``faces`` maps each circle to the
-    keys of the faces its edges border, ``owners`` each such key to the
-    circles bordering that face, and ``shared`` holds the keys of the
+    A face is keyed by its id in the face table, its least dart, which
+    holds while the face keeps its darts.  ``faces`` maps each circle to
+    the ids of the faces its edges border, ``owners`` each such id to
+    the circles bordering that face, and ``shared`` holds the ids of the
     faces two or more circles border.
 
     Read once from the circles' edges (``_curve_faces``).  After an edit
@@ -351,20 +349,12 @@ class _CircleFaces:
     after a join, whose faces pass to the merged circle."""
 
     def __init__(self, g: Diagram, fs: FaceSet, comps) -> None:
-        darts = fs.darts
-        self.faces = {
-            ci: {darts[f][0] for f in fids}
-            for ci, fids in _curve_faces(g, fs, comps).items()
-        }
+        self.faces = _curve_faces(g, fs, comps)
         self.owners: dict[int, set[int]] = {}
         for ci, keys in self.faces.items():
             for k in keys:
                 self.owners.setdefault(k, set()).add(ci)
         self.shared = {k for k, circles in self.owners.items() if len(circles) > 1}
-
-    def ids(self, dart_face: list[int]) -> dict[int, set[int]]:
-        """Circle -> the ids of its faces, as ``_curve_faces`` gives them."""
-        return {ci: {dart_face[k] for k in keys} for ci, keys in self.faces.items()}
 
     def follow(self, g: Diagram, dropped: int | None = None, merged: int | None = None) -> None:
         """Carry the faces over to ``g``, a checked edit of the map they
@@ -390,10 +380,9 @@ class _CircleFaces:
             for ci in owners.pop(k, ()):
                 faces[ci].discard(k)
             shared.discard(k)
-        edges = g.edges
-        for darts, bounds in fresh:
-            k = darts[0]
-            for e in bounds:
+        edges, bounds = g.edges, fs.bounds
+        for k in fresh:
+            for e in bounds[k]:
                 ci = edges[e].component
                 keys = faces.get(ci)
                 if keys is not None:
@@ -413,7 +402,7 @@ def _is_original_bigon(g: Diagram, fs: FaceSet, f: int) -> bool:
 
 def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
     """The faces of ``fs`` that are bigons of the original diagram."""
-    return {f for f in range(len(fs.darts)) if _is_original_bigon(g, fs, f)}
+    return {f for f in fs.darts if _is_original_bigon(g, fs, f)}
 
 
 def _admissible_edges(
@@ -437,7 +426,7 @@ def _admissible_edges(
     return allowed
 
 
-def _free_arc(faces: _CircleFaces, dart_face: list[int]) -> MergeArc | None:
+def _free_arc(faces: _CircleFaces) -> MergeArc | None:
     """The arc of cost 0 when two circles share a face: from the least
     circle that shares one, at its least shared face, to the least other
     circle on that face.  None when no two circles share a face.  Only
@@ -449,7 +438,7 @@ def _free_arc(faces: _CircleFaces, dart_face: list[int]) -> MergeArc | None:
     ci = min(min(owners[k]) for k in shared)
     start = min(k for k in shared if ci in owners[k])
     cj = min(c for c in owners[start] if c != ci)
-    return MergeArc(ci, cj, (dart_face[start],), (), 0)
+    return MergeArc(ci, cj, (start,), (), 0)
 
 
 def _nearest_circles(
@@ -555,16 +544,15 @@ def find_merge_arc(g: Diagram, curve_comps: list[int], faces: _CircleFaces | Non
         faces = _CircleFaces(g, fs, comps)
     elif faces.faces.keys() != comps:
         raise InvariantError("carried circle faces describe other circles")
-    arc = _free_arc(faces, fs.dart_face)
+    arc = _free_arc(faces)
     touched: set[int] = set()  # a free arc crosses no edge
     if arc is None:
         touched = _forbidden_origins(g, comps)
         allowed = _admissible_edges(g, fs, comps, touched)
-        curve_faces = faces.ids(fs.dart_face)
-        best = _nearest_circles(allowed, curve_faces)
+        best = _nearest_circles(allowed, faces.faces)
         if best is None:
             raise NoPathError("no admissible path joins two augmenting circles")
-        arc = _trace_arc(allowed, curve_faces, *best)
+        arc = _trace_arc(allowed, faces.faces, *best)
     _check_arc(g, fs, arc, comps, touched)
     return arc
 
@@ -622,7 +610,7 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     if arc.phi == 0:
         return g
     fs = face_set(g)
-    if not all(0 <= f < len(fs.darts) for f in arc.faces):
+    if not all(f in fs.darts for f in arc.faces):
         raise UnknownFace(f"arc faces {arc.faces} name a face the map lacks")
     if not all(e in g.edges for e in arc.edges):
         raise UnknownEdge(f"arc edges {arc.edges} name an edge the map lacks")
@@ -725,7 +713,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
         raise JoinError(f"circle {ci} cannot be joined to itself")
     # g's table is held here: checking a splice takes the memo slot
     fs = face_set(g)
-    if not 0 <= shared_face < len(fs.darts):
+    if shared_face not in fs.darts:
         raise UnknownFace(f"no face {shared_face}")
     walk = _face_edge_walk(fs, shared_face)
     merged, dropped = min(ci, cj), max(ci, cj)
@@ -764,13 +752,13 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     return out
 
 
-def _shared_face(g: Diagram, ci: int, cj: int, faces: _CircleFaces) -> int:
+def _shared_face(ci: int, cj: int, faces: _CircleFaces) -> int:
     """The least face circles ``ci`` and ``cj`` both border, read from
     ``faces`` as carried."""
     shared = faces.faces[ci] & faces.faces[cj]
     if not shared:
         raise InvariantError(f"circles {ci} and {cj} share no face")
-    return face_set(g).dart_face[min(shared)]
+    return min(shared)
 
 
 # -- hyperbolicity certificate -----------------------------------------------------------
@@ -914,6 +902,11 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
 
 @dataclass
 class MergeRecord:
+    """One merge as ``augment`` reports it: its arc, and the face the two
+    circles were joined in, each face given by its rank
+    (``FaceSet.rank``) in the map of its step, the arc's before the
+    finger and the join face before the splice."""
+
     arc: MergeArc
     join_face: int
 
@@ -997,6 +990,8 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
     circle_faces = _CircleFaces(g, face_set(g), live) if len(live) > 1 else None
     while len(live) > 1:
         arc = find_merge_arc(g, live, circle_faces)
+        # printed faces are ranks in the map of the moment
+        ranked = replace(arc, faces=tuple(map(face_set(g).rank, arc.faces)))
         g = propagate_finger(g, arc)
         if arc.phi:
             circle_faces.follow(g)
@@ -1004,13 +999,14 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
             on_stage("finger", g)
         # a free arc's face is the least face its two circles share
         ci, cj = arc.source_curve, arc.target_curve
-        face = arc.faces[0] if arc.phi == 0 else _shared_face(g, ci, cj, circle_faces)
+        face = arc.faces[0] if arc.phi == 0 else _shared_face(ci, cj, circle_faces)
+        join_rank = face_set(g).rank(face)
         g = join_curves(g, ci, cj, face)
         circle_faces.follow(g, max(ci, cj), min(ci, cj))
         if on_stage:
             on_stage("join", g)
         live.remove(max(ci, cj))
-        merges.append(MergeRecord(arc, face))
+        merges.append(MergeRecord(ranked, join_rank))
     if len(merges) != expected_merges:
         raise InvariantError("merge loop did not run exactly n-1 times")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +29,7 @@ from .errors import (
     IncidenceError,
     InvariantError,
     PDSyntaxError,
+    PreconditionError,
     SphericityError,
     UnknownCrossing,
 )
@@ -60,8 +60,7 @@ End = tuple  # (crossing id, slot) pairs; plain tuples keep surgery cheap
 # The records stay frozen: the generated ``__setattr__`` and
 # ``__delattr__`` still refuse every write, and ``==``, ``hash``,
 # ``repr``, ``dataclasses.replace``, copying and pickling are the
-# dataclass's own.  Faces are built only when read (``FaceSet.faces``),
-# so ``Face`` keeps the generated ``__init__``.
+# dataclass's own.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -118,37 +117,6 @@ _set_edge_id = Edge.id.__set__
 _set_edge_ends = Edge.ends.__set__
 _set_edge_origin = Edge.origin.__set__
 _set_edge_component = Edge.component.__set__
-
-
-@dataclass(frozen=True, slots=True)
-class Face:
-    """Complementary region of the diagram in the sphere.
-
-    ``corner_slots`` lists the corners in cyclic order as (crossing,
-    slot) pairs, where slot i names the quadrant counterclockwise of
-    slot i; ``boundary_edges[k]`` is the edge leaving corner k, the one
-    in slot i + 1, and the edge arriving there is the one in slot i.
-    Loop faces (the two sides of a crossing-free loop) have no corners
-    and carry the loop id instead.  A face table builds these records
-    from its darts only when they are read (``FaceSet.faces``)."""
-
-    id: int
-    corner_slots: tuple[End, ...]
-    boundary_edges: tuple[int, ...]
-    loop: int | None = None
-
-    @property
-    def degree(self) -> int:
-        return len(self.corner_slots)
-
-    def crossings(self) -> frozenset[int]:
-        return frozenset(c for c, _s in self.corner_slots)
-
-    @property
-    def is_bigon(self) -> bool:
-        """Two corners at two distinct crossings (loop faces have none)."""
-        cs = self.corner_slots
-        return len(cs) == 2 and cs[0][0] != cs[1][0]
 
 
 def _is_bigon(darts) -> bool:
@@ -316,20 +284,22 @@ class FaceSet:
     through the edge in slot s + 1, by the dart ``(x & ~3) | ((x + 1) &
     3)``, and arrives at the corner of that edge's far end.
 
-    The table holds three lists:
+    A face's id is its least dart, the dart its walk starts from.  The
+    name holds while the face keeps its darts, so a local update
+    (``_edited_face_set``) renames no face it keeps.  The table holds:
 
-    - ``dart_face``: dart -> face id, -1 where the map has no corner;
-    - ``darts``: per corner face, its corners in cyclic order as an int
-      tuple that starts at its least dart;
-    - ``bounds``: per corner face, ``bounds[f][k]`` the edge leaving
-      corner k.
+    - ``dart_face``: a list from each dart to the id of its face, -1
+      where the map has no corner;
+    - ``darts``: a dict from each face id to the face's corners in
+      cyclic order, an int tuple that starts at the id;
+    - ``bounds``: a dict from each face id f to its boundary edges,
+      ``bounds[f][k]`` the edge leaving corner k.
 
-    Face ids rank the corner faces by their least dart.  A crossing-free
-    loop has no dart, so it has no face in the three lists: its two
-    faces appear only among the ``Face`` records (``faces``), after the
-    corner faces, in loop-id order (``loops``).  ``faces`` builds the
-    records from the darts the first time they are read; no pass of the
-    package reads them.
+    A crossing-free loop has no dart, so its two faces are in none of
+    them.  A face's rank among the faces ordered by least dart is printed
+    where a face id reaches output (``rank``); ids order faces as ranks
+    do, so every least face and tie-break the package takes is the same
+    under either.
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
@@ -343,36 +313,25 @@ class FaceSet:
     a new table (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
-    update differs from it: (dropped, fresh), the least darts of the
-    source faces the edit dropped and the (darts, boundary edges) of
-    each face walked afresh, in least-dart order.  It is None on a table
-    walked whole."""
+    update differs from it: (dropped, fresh), the ids of the source
+    faces the edit dropped and of the faces walked afresh.  An id may be
+    in both, when a face is walked again with the same least dart.  It
+    is None on a table walked whole."""
 
-    def __init__(self, dart_face: list[int], darts: list[tuple[int, ...]], bounds: list[tuple[int, ...]],
-                 loops: list[int]):
+    def __init__(self, dart_face: list[int], darts: dict[int, tuple[int, ...]],
+                 bounds: dict[int, tuple[int, ...]]):
         self.dart_face = dart_face
         self.darts = darts
         self.bounds = bounds
-        self.loops = loops
-        self._faces: list[Face] | None = None
         self.partition = None
         self.pieces = None
         self.classification = None
-        self.delta: tuple[list[int], list[tuple]] | None = None
+        self.delta: tuple[set[int], list[int]] | None = None
 
-    @property
-    def faces(self) -> list[Face]:
-        """The ``Face`` records, a face's id its position in the list."""
-        if self._faces is None:
-            faces = [
-                Face(i, tuple((x >> 2, x & 3) for x in ds), es)
-                for i, (ds, es) in enumerate(zip(self.darts, self.bounds))
-            ]
-            for loop_id in self.loops:
-                faces.append(Face(len(faces), (), (), loop_id))
-                faces.append(Face(len(faces), (), (), loop_id))
-            self._faces = faces
-        return self._faces
+    def rank(self, f: int) -> int:
+        """The number of faces whose id is less than ``f``: face ``f``'s
+        position among the faces ordered by least dart."""
+        return sum(map(f.__gt__, self.darts))
 
     def edge_sides(self, d: Diagram, e: int) -> tuple[int, int]:
         """(left face, right face) of edge e directed end0 -> end1."""
@@ -403,7 +362,7 @@ def face_set(d: Diagram) -> FaceSet:
     input's first output.
 
     The full walk (``_build_face_set``) runs on flat lists indexed by
-    dart and builds no tuple per corner, no dict entry and no ``Face``.
+    dart and builds no tuple per corner and one dict entry per face.
     The results of ``augment``'s fingers and band splices do not reach
     it: ``edits.check_edit`` derives their table from the source's by a
     local update (``_edited_face_set``) and leaves it here.  The update
@@ -444,32 +403,36 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     return dst
 
 
-def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: list, bounds: list) -> None:
+def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: dict, bounds: dict) -> list[int]:
     """Walk the face through each dart of ``starts`` still marked -1 in
-    ``dart_face``, in that order: append its darts and boundary edges to
-    ``darts`` and ``bounds``, and mark its darts with its position there.
-    ``step[x]`` is the corner after corner x, ``far[(x & ~3) | ((x + 1)
-    & 3)]`` for ``far`` the dart at the other end of each dart's edge,
-    and ``out_edge[x]`` the edge between them.  A walk that reaches a
-    marked dart (taken, or kept from a source table) or no dart (-1)
-    means broken rotation data."""
+    ``dart_face``, in that order: file its darts and boundary edges in
+    ``darts`` and ``bounds`` under its first dart, and mark its darts
+    with that id; returns the ids filed, in walk order.  The walks of a
+    union of orbits taken from their darts in increasing order each start
+    at the face's least dart, its id.  ``step[x]`` is the corner after
+    corner x, ``far[(x & ~3) | ((x + 1) & 3)]`` for ``far`` the dart at
+    the other end of each dart's edge, and ``out_edge[x]`` the edge
+    between them.  A walk that reaches a marked dart (taken, or kept
+    from a source table) or no dart (-1) means broken rotation data."""
+    filed = []
     for x in starts:
         if dart_face[x] != -1:
             continue
-        fid = len(darts)
-        dart_face[x] = fid
+        dart_face[x] = x
         ds = [x]
         es = [out_edge[x]]
         y = step[x]
         while y != x:
             if y < 0 or dart_face[y] != -1:
                 raise InvariantError(f"face walk collided at corner {(y >> 2, y & 3) if y >= 0 else None}")
-            dart_face[y] = fid
+            dart_face[y] = x
             ds.append(y)
             es.append(out_edge[y])
             y = step[y]
-        darts.append(tuple(ds))
-        bounds.append(tuple(es))
+        darts[x] = tuple(ds)
+        bounds[x] = tuple(es)
+        filed.append(x)
+    return filed
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
@@ -497,10 +460,10 @@ def _build_face_set(d: Diagram) -> FaceSet:
     # ids 0 .. V-1, as in a parsed map, leave no dart without a corner
     starts = range(n) if n == 4 * len(crossings) else [x for c in sorted(crossings) for x in range(4 * c, 4 * c + 4)]
     dart_face = [-1] * n
-    darts: list[tuple[int, ...]] = []
-    bounds: list[tuple[int, ...]] = []
+    darts: dict[int, tuple[int, ...]] = {}
+    bounds: dict[int, tuple[int, ...]] = {}
     _walk_darts(step, out_edge, starts, dart_face, darts, bounds)
-    return FaceSet(dart_face, darts, bounds, sorted(d.loops))
+    return FaceSet(dart_face, darts, bounds)
 
 
 def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet:
@@ -521,15 +484,14 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     union of orbits, and only they are walked.  A new over strand, or
     only a component written on an edge, changes no face.
 
-    The update copies the source's ``dart_face`` list, marks the darts
-    of the dirty faces and of new crossings -1, and walks those darts, on
-    dicts of the step and the edge out of each.  Ids
-    and corner order come out as ``_build_face_set(out)`` gives them:
-    the dirty faces are dropped from the source's list, each fresh walk
-    is placed by its least dart, and the darts of only the faces whose
-    rank moved are written again.  The table's ``delta`` names the
-    dropped faces by their least darts and holds the fresh walks, as the
-    update met them, so a caller that follows faces by least dart
+    The update copies the source's table, deletes the dirty faces from
+    it and marks their darts and those of new crossings -1, and walks
+    those darts, on dicts of the step and the edge out of each.  Each
+    walk is filed under its least dart, so the table holds what
+    ``_build_face_set(out)`` gives, ids and corner order alike (only the
+    order of the dicts differs), and no kept face is touched.  The
+    table's ``delta`` holds the ids of the dropped faces and of the
+    fresh walks, so a caller that follows faces by id
     (``augmentation._CircleFaces``) reads what changed without a pass of
     its own.  InvariantError when a walk runs into a kept face, or a new
     crossing's id is not an int >= 0."""
@@ -557,12 +519,11 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         if rec is not None:
             for c, s in rec.ends:
                 dirty.add(source_face[4 * c + (s - 1) % 4])
-    source_darts = source_fs.darts
-    dropped = []
+    darts = source_fs.darts.copy()
+    bounds = source_fs.bounds.copy()
     for fid in dirty:
-        ds = source_darts[fid]
-        dropped.append(ds[0])
-        for x in ds:
+        del bounds[fid]
+        for x in darts.pop(fid):
             dart_face[x] = -1
             if (x >> 2) in new_c:
                 todo.append(x)
@@ -576,43 +537,11 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
         a = 4 * c0 + s0
         step[x] = 4 * c1 + s1 if a == o else a
         out_edge[x] = e
-    fresh_darts: list[tuple[int, ...]] = []
-    fresh_bounds: list[tuple[int, ...]] = []
-    _walk_darts(step, out_edge, sorted(todo), dart_face, fresh_darts, fresh_bounds)
-
-    # the kept faces stay in least-dart order, and each fresh walk starts
-    # at its least dart and comes in that order, so each goes in after
-    # the last; ranks move only from the first change on
-    darts = source_darts[:]
-    bounds = source_fs.bounds[:]
-    for fid in sorted(dirty, reverse=True):
-        del darts[fid]
-        del bounds[fid]
-    first = min(dirty, default=len(darts))
-    at = 0
-    for ds, es in zip(fresh_darts, fresh_bounds):
-        at = bisect_left(darts, ds, at)
-        darts.insert(at, ds)
-        bounds.insert(at, es)
-        first = min(first, at)
-        at += 1
-    # all the darts of a face carry one mark, the fresh faces' their
-    # place among the fresh walks, so the first dart tells a moved face
-    for i in range(first, len(darts)):
-        ds = darts[i]
-        if dart_face[ds[0]] != i:
-            for x in ds:
-                dart_face[x] = i
-    fs = FaceSet(dart_face, darts, bounds, sorted(out.loops))
-    fs.delta = (dropped, list(zip(fresh_darts, fresh_bounds)))
+    fresh = _walk_darts(step, out_edge, sorted(todo), dart_face, darts, bounds)
+    fs = FaceSet(dart_face, darts, bounds)
+    fs.delta = (dirty, fresh)
     _last_face_set = (weakref.ref(out), fs)
     return fs
-
-
-def faces(d: Diagram) -> list[Face]:
-    """All complementary regions (two per crossing-free loop), as a new
-    list the caller may modify."""
-    return list(face_set(d).faces)
 
 
 # -- parsing and serialization --------------------------------------------------
@@ -1022,10 +951,14 @@ class MapBuilder:
 
 
 def flip_crossing(d: Diagram, c: int) -> Diagram:
-    """Toggle which strand passes over at crossing ``c``."""
+    """Toggle which strand passes over at crossing ``c``.
+    PreconditionError when its over strand is not one of the legal
+    tuples (``_OVER_PAIRS``), which has no strand to toggle to."""
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     cur = d.crossings[c]
+    if cur.over_slots not in _OVER_PAIRS:
+        raise PreconditionError(f"crossing {c} has illegal over_slots {cur.over_slots!r}", failed_flag="valid")
     flipped = Crossing(c, cur.slots, (1, 3) if cur.over_slots in ((0, 2), (2, 0)) else (0, 2))
     crossings = dict(d.crossings)
     crossings[c] = flipped

@@ -239,8 +239,10 @@ class FacePartition:
     of ``check_move`` moves.  A corner is its dart ``4 * c + s``
     (``diagram.FaceSet``): ``face`` is a list from each dart to a handle,
     -1 where the map has no corner, and ``corners`` maps each handle to
-    its face's darts.  Crossing-free loops have no corners and no
-    handle.
+    its face's darts.  A face read from a table (``read``) has its id,
+    its least dart, as handle; a merged face keeps the handle of the
+    heaviest face it was made from.  Crossing-free loops have no corners
+    and no handle.
 
     A move removes its crossings' corners (``remove``) and merges faces
     (``merge``), which relabels the corners of all but the heaviest
@@ -257,10 +259,11 @@ class FacePartition:
         self.read(fs)
 
     def read(self, fs: FaceSet) -> None:
-        """Take the corner faces of the table ``fs``, replacing any held."""
+        """Take the corner faces of the table ``fs``, with their ids as
+        handles, replacing any held."""
         self.relabelled += len(self.face) - self.face.count(-1)
         self.face = list(fs.dart_face)
-        self.corners = {h: set(ds) for h, ds in enumerate(fs.darts)}
+        self.corners = {h: set(ds) for h, ds in fs.darts.items()}
         self.weight = {h: len(ks) for h, ks in self.corners.items()}
 
     def remove(self, c: int) -> None:

@@ -179,10 +179,11 @@ class _Moves:
 
     ``faces`` holds the map's faces as a ``FacePartition``.  ``cuts``
     holds the cut vertices (the nugatory crossings) and ``bigons`` the
-    least darts of the R2 bigons; a face's least dart is its first, so
-    the least key names the least face id of the full walk.  ``t`` is
-    the twist count: the number of chains, the classes of crossings
-    joined through bigons.  ``_read`` takes all three off the partition:
+    ids of the R2 bigons, each its least dart as in the full walk's
+    table; a bigon read off a table has it as its handle, and a bigon a
+    merge makes is keyed by its least dart too, so the least key names
+    the least bigon.  ``t`` is the twist count: the number of chains,
+    the classes of crossings joined through bigons.  ``_read`` takes all three off the partition:
     the pass over its faces that finds the R2 bigons also unions the two
     crossings of every bigon, and ``t`` is the crossings less the unions
     that joined two chains.  Beside each set a heap holds its keys and
@@ -211,12 +212,12 @@ class _Moves:
         self.bigons = set()
         chains = _Partition()
         joined = 0  # unions that joined two chains
-        for ks in faces.corners.values():
+        for h, ks in faces.corners.items():
             if _is_bigon(ks):
                 x0, x1 = ks
                 joined += chains.union(x0 >> 2, x1 >> 2)
                 if _is_r2_corners(d, ks):
-                    self.bigons.add(min(ks))
+                    self.bigons.add(h)
         self._cut_heap = sorted(self.cuts)  # a sorted list is a heap
         self._bigon_heap = sorted(self.bigons)
         # each crossing starts a chain of its own, and each union joins two

@@ -40,7 +40,7 @@ def _positions(d: Diagram) -> dict:
 
     fs = face_set(d)
     darts = fs.darts
-    outer = max(range(len(darts)), key=lambda f: (len(darts[f]), -f))
+    outer = max(darts, key=lambda f: (len(darts[f]), -f))
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []

@@ -50,15 +50,6 @@ class VolumeBounds:
     upper: float
     kind: str  # "alternating" | "augmented_upper" | "augmented_lower"
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "lower_raw": self.lower_raw,
-            "lower": self.lower,
-            "upper": self.upper,
-            "kind": self.kind,
-        }
-
 
 def twist_volume_bounds(t: int) -> VolumeBounds:
     """Volume window for a prime alternating diagram with twist count t."""
@@ -98,7 +89,7 @@ def augmented_volume_bounds(
     return upper, lower
 
 
-def volume_report(result, t_lower_claim: int | None = None) -> dict:
+def volume_report(result) -> dict:
     """Bundle the volume windows for an augmentation result.
 
     Requires a hyperbolic certificate.  Reports the window for the
@@ -109,7 +100,7 @@ def volume_report(result, t_lower_claim: int | None = None) -> dict:
     if result.certificate.verdict != "hyperbolic":
         raise NotCertified("augmentation is not certified hyperbolic")
     lack = twist_volume_bounds(result.t_G)
-    aug_upper, aug_lower = augmented_volume_bounds(result.t_D, t_lower_claim)
+    aug_upper, _ = augmented_volume_bounds(result.t_D)
     audit = {
         "t_D_le_t_G": result.t_D <= result.t_G,
         "t_G_le_5t_D": result.t_G <= 5 * result.t_D,
@@ -117,7 +108,7 @@ def volume_report(result, t_lower_claim: int | None = None) -> dict:
     }
     if not all(audit.values()):
         raise NotCertified(f"bound audit failed: {audit}")
-    out = {
+    return {
         "v3": _V3,
         "t_D": result.t_D,
         "t_G": result.t_G,
@@ -127,6 +118,3 @@ def volume_report(result, t_lower_claim: int | None = None) -> dict:
         "altvol_upper": aug_upper.upper,
         "audit": audit,
     }
-    if aug_lower is not None:
-        out["altvol_lower"] = aug_lower.lower
-    return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -310,19 +311,18 @@ def assert_circle_faces_are_read(faces, g, live) -> None:
 
     fs = face_set(g)
     want = _curve_faces(g, fs, live)
-    assert faces.ids(fs.dart_face) == want
-    # the keys are darts: read each through the (crossing, slot) view
-    corner_face = corner_view(fs)
-    face_of = {k: corner_face[(k >> 2, k & 3)] for k in faces.owners}
+    assert faces.faces == want
     shared = {f for a, b in combinations(want, 2) for f in want[a] & want[b]}
-    assert {face_of[k] for k in faces.shared} == shared
+    assert faces.shared == shared
     owners = {}
     for ci, fids in want.items():
         for f in fids:
             owners.setdefault(f, set()).add(ci)
-    assert {face_of[k]: circles for k, circles in faces.owners.items()} == owners
-    # each face is keyed by its least corner
-    assert all(fs.faces[f].corner_slots[0] == (k >> 2, k & 3) for k, f in face_of.items())
+    assert faces.owners == owners
+    # each face is keyed by its least corner, read through the
+    # (crossing, slot) view
+    corner_face = corner_view(fs)
+    assert all(corner_face[(k >> 2, k & 3)] == k == min(fs.darts[k]) for k in faces.owners)
 
 
 def shared_face(g, ci: int, cj: int) -> int:
@@ -331,7 +331,7 @@ def shared_face(g, ci: int, cj: int) -> int:
     from altknot import face_set
     from altknot.augmentation import _CircleFaces, _shared_face
 
-    return _shared_face(g, ci, cj, _CircleFaces(g, face_set(g), (ci, cj)))
+    return _shared_face(ci, cj, _CircleFaces(g, face_set(g), (ci, cj)))
 
 
 def augment_following_circle_faces(monkeypatch, diagrams):
@@ -358,6 +358,39 @@ def augment_following_circle_faces(monkeypatch, diagrams):
 
 # -- the face table ------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class OracleFace:
+    """A face of the oracle walk (``oracle_face_table``).  ``id`` is its
+    rank among the walk's faces; ``corner_slots`` lists its corners in
+    cyclic order as (crossing, slot) pairs, from its least, and
+    ``boundary_edges[k]`` is the edge leaving corner k.  The two faces of
+    a crossing-free loop have no corners and carry the loop id."""
+
+    id: int
+    corner_slots: tuple
+    boundary_edges: tuple
+    loop: int | None = None
+
+    @property
+    def dart(self) -> int:
+        """The package's id of a corner face: its least corner as a dart."""
+        c, s = self.corner_slots[0]
+        return 4 * c + s
+
+    @property
+    def degree(self) -> int:
+        return len(self.corner_slots)
+
+    def crossings(self) -> frozenset[int]:
+        return frozenset(c for c, _s in self.corner_slots)
+
+    @property
+    def is_bigon(self) -> bool:
+        """Two corners at two distinct crossings."""
+        cs = self.corner_slots
+        return len(cs) == 2 and cs[0][0] != cs[1][0]
+
+
 def oracle_face_table(d):
     """(faces, corner_face) of ``d`` by the walk on (crossing, slot)
     pairs: every corner of ``d`` in crossing-id order, each face walked
@@ -366,7 +399,6 @@ def oracle_face_table(d):
     to its face.  The walk leaves corner (c, s) through the edge in slot
     s + 1 and arrives at the corner of the edge's far end.
     InvariantError when a walk reaches a corner it took or no corner."""
-    from altknot.diagram import Face
     from altknot.errors import InvariantError
 
     far = {}
@@ -392,11 +424,16 @@ def oracle_face_table(d):
             corner = far.get((c, (s + 1) % 4))
             if corner == start:
                 break
-        faces.append(Face(fid, tuple(slots), tuple(edges)))
+        faces.append(OracleFace(fid, tuple(slots), tuple(edges)))
     for loop_id in sorted(d.loops):
-        faces.append(Face(len(faces), (), (), loop_id))
-        faces.append(Face(len(faces), (), (), loop_id))
+        faces.append(OracleFace(len(faces), (), (), loop_id))
+        faces.append(OracleFace(len(faces), (), (), loop_id))
     return faces, corner_face
+
+
+def oracle_faces(d) -> list[OracleFace]:
+    """The faces of the oracle walk of ``d``, ids their ranks."""
+    return oracle_face_table(d)[0]
 
 
 def corner_view(fs) -> dict:
@@ -407,17 +444,21 @@ def corner_view(fs) -> dict:
 
 def same_table(fs, d) -> bool:
     """The face table ``fs`` is the tuple walk of ``d``
-    (``oracle_face_table``): the same faces, ids and corner order, and
-    the same face at every corner, read through the (crossing, slot)
-    view; and the darts and edges of each corner face are those of its
-    record.  Loop faces have no darts, so the table lists none."""
+    (``oracle_face_table``), compared through a ranked view: the table's
+    faces, ordered by id, are the walk's corner faces in order, with the
+    same darts and edges in the same corner order; each face's id is its
+    least dart; and every corner, read through the (crossing, slot)
+    view, is in the face of that rank.  Loop faces have no darts, so the
+    table lists none."""
     faces, corner_face = oracle_face_table(d)
     corner_faces = [f for f in faces if f.loop is None]
+    ids = sorted(fs.darts)
     return (
-        fs.faces == faces
-        and corner_view(fs) == corner_face
-        and [tuple(4 * c + s for c, s in f.corner_slots) for f in corner_faces] == list(fs.darts)
-        and [f.boundary_edges for f in corner_faces] == list(fs.bounds)
+        fs.bounds.keys() == fs.darts.keys()
+        and [tuple(4 * c + s for c, s in f.corner_slots) for f in corner_faces] == [fs.darts[f] for f in ids]
+        and [f.boundary_edges for f in corner_faces] == [fs.bounds[f] for f in ids]
+        and all(f == fs.darts[f][0] for f in ids)
+        and corner_view(fs) == {corner: ids[f] for corner, f in corner_face.items()}
     )
 
 
@@ -507,7 +548,7 @@ def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:
     fs = face_set(d)
     out = []
     for cs, es in oracle_pieces(d):
-        nf = sum(1 for f in fs.faces if f.corner_slots and f.corner_slots[0][0] in cs)
+        nf = sum(1 for f in fs.darts if f >> 2 in cs)
         out.append((len(cs), len(es), nf))
     return out
 
@@ -731,7 +772,7 @@ def oracle_validate_diagram(d):
     structural_ok = not any(msg.startswith(("incidence", "valence")) for msg in failures)
     if structural_ok:
         try:
-            f = len(face_set(d).faces)
+            f = len(face_set(d).darts) + 2 * len(d.loops)
         except InvariantError as exc:
             failures.append(f"sphericity: {exc}")
         else:
@@ -853,12 +894,10 @@ def oracle_cut_vertices(d) -> list[int]:
 
 
 def oracle_bigon_faces(d) -> list[frozenset[int]]:
-    """Edge pairs bounding bigons, via the package's face walk but an
-    independent filtering."""
-    from altknot import faces
-
+    """Edge pairs bounding bigons, by the oracle walk and an independent
+    filtering."""
     out = []
-    for f in faces(d):
+    for f in oracle_faces(d):
         if f.loop is None and len(f.corner_slots) == 2:
             cs = {c for c, _s in f.corner_slots}
             if len(cs) == 2:
@@ -867,17 +906,15 @@ def oracle_bigon_faces(d) -> list[frozenset[int]]:
 
 
 def oracle_r2_bigons(d) -> list[int]:
-    """Ids of the bigon faces whose edges do not alternate, by a scan of
-    every face."""
-    from altknot import face_set
-
-    fs = face_set(d)
+    """The package's ids (least darts) of the bigon faces whose edges do
+    not alternate, in increasing order, by a scan of every face of the
+    oracle walk."""
     out = []
-    for f in fs.faces:
+    for f in oracle_faces(d):
         if f.is_bigon:
             a, b = d.edge_labels(f.boundary_edges[0])
             if a == b:
-                out.append(f.id)
+                out.append(f.dart)
     return out
 
 
@@ -919,7 +956,7 @@ def oracle_preprocess(d):
             if not bigons:
                 break
             kind, key = "r2", bigons[0]
-            removed = tuple(sorted(face_set(cur).faces[key].crossings()))
+            removed = tuple(sorted({x >> 2 for x in face_set(cur).darts[key]}))
         cur = oracle_move(cur, kind, key)
         t = twist_partition(cur).t
         trace.steps.append(ReductionStep(kind, removed, len(cur.crossings), t))
@@ -954,8 +991,7 @@ def preprocess_audited(d):
         real(moves, cur, gone, plan)
         assert_partition_is_the_walk(moves.faces, cur)
         assert moves.cuts == set(cut_vertices(cur))
-        ref = face_set(cur)
-        assert moves.bigons == {4 * c + s for c, s in (ref.faces[f].corner_slots[0] for f in oracle_r2_bigons(cur))}
+        assert moves.bigons == set(oracle_r2_bigons(cur))
         assert moves.least_cut() == min(moves.cuts, default=None)
         assert moves.least_bigon() == min(moves.bigons, default=None)
         assert moves.t == twist_partition(cur).t
@@ -978,10 +1014,8 @@ def assert_preprocess_matches_oracle(d, audit=True):
 
 
 def oracle_twist_count(d) -> int:
-    """Union-find over crossings joined through bigons; independent of
-    the package's TwistPartition construction."""
-    from altknot import faces
-
+    """Union-find over crossings joined through bigons of the oracle
+    walk; independent of the package's TwistPartition construction."""
     parent = {c: c for c in d.crossings}
 
     def find(x):
@@ -990,7 +1024,7 @@ def oracle_twist_count(d) -> int:
             x = parent[x]
         return x
 
-    for f in faces(d):
+    for f in oracle_faces(d):
         if f.loop is None and len(f.corner_slots) == 2:
             cs = sorted({c for c, _s in f.corner_slots})
             if len(cs) == 2:
@@ -1142,7 +1176,7 @@ def oracle_merge_arc(g, live):
     # bigons of the original diagram: two corners at two crossings, both
     # edges origin-carrying
     banned = {
-        f.id for f in fs.faces
+        f.dart for f in oracle_faces(g)
         if len(f.corner_slots) == 2 and f.corner_slots[0][0] != f.corner_slots[1][0]
         and all(g.edges[e].origin is not None for e in f.boundary_edges)
     }
@@ -1201,11 +1235,9 @@ def oracle_positions(d):
     two crossings lie closer than 1e-6 of the span."""
     import numpy as np
 
-    from altknot import face_set
     from altknot.render import _fallback_positions
 
-    fs = face_set(d)
-    outer = max((f for f in fs.faces if f.corner_slots), key=lambda f: (f.degree, -f.id))
+    outer = max((f for f in oracle_faces(d) if f.corner_slots), key=lambda f: (f.degree, -f.id))
     nodes = [("c", c) for c in sorted(d.crossings)] + [("m", e) for e in sorted(d.edges)]
     index = {n: i for i, n in enumerate(nodes)}
     cycle = []

@@ -1,8 +1,7 @@
 """The contract of the package's records, as plain checks.
 
-``diagram.Crossing``, ``diagram.Edge``, ``diagram.Face`` and
-``analysis.TwistRegion`` are frozen, slotted dataclasses, all but
-``Face`` with an ``__init__`` of their own.  The checks below hold them
+``diagram.Crossing``, ``diagram.Edge`` and ``analysis.TwistRegion`` are
+frozen, slotted dataclasses, each with an ``__init__`` of its own.  The checks below hold them
 to what a frozen dataclass promises: no write or delete, no instance
 dict, field-wise ``==``, ``hash`` and ``repr``, the same construction by
 position, by keyword and with defaults, and ``dataclasses.replace``,
@@ -21,13 +20,12 @@ import dataclasses
 import pickle
 
 from altknot.analysis import RegionTopology, TwistRegion
-from altknot.diagram import Crossing, Edge, Face
+from altknot.diagram import Crossing, Edge
 
 # (class, field names, sample field values, other values field by field)
 RECORDS = [
     (Crossing, ("id", "slots", "over_slots"), (3, (1, 2, 3, 4), (0, 2)), (4, (1, 2, 4, 3), (1, 3))),
     (Edge, ("id", "ends", "origin", "component"), (5, ((0, 1), (2, 3)), 5, 0), (6, ((0, 1), (2, 2)), None, 1)),
-    (Face, ("id", "corner_slots", "boundary_edges", "loop"), (2, ((0, 0), (1, 2)), (4, 5), None), (3, ((0, 1),), (4,), 7)),
     (
         TwistRegion,
         ("crossings", "bigons", "links", "topology"),
@@ -65,7 +63,7 @@ def check_fieldwise(cls, names, values, other) -> None:
 
 
 # the fields that have defaults, and those defaults
-DEFAULTS = {Crossing: {"over_slots": (1, 3)}, Face: {"loop": None}}
+DEFAULTS = {Crossing: {"over_slots": (1, 3)}}
 
 
 def check_construction(cls, names, values, _other) -> None:

@@ -19,6 +19,7 @@ from altknot import (
     twist_partition,
 )
 from altknot.analysis import _is_sub_twist, _verify_refinement
+from altknot.diagram import _is_bigon
 from altknot.errors import NotConnected, UnknownComponent
 from altknot.generate import braid_closure, two_strand_torus
 
@@ -212,9 +213,9 @@ class TestStructuralInvariants:
         for k in range(flips):
             d = flip_crossing(d, sorted(d.crossings)[k % len(d.crossings)])
         fs = face_set(d)
-        for f in fs.faces:
-            if f.is_bigon:
-                e1, e2 = f.boundary_edges
+        for f, ds in fs.darts.items():
+            if _is_bigon(ds):
+                e1, e2 = fs.bounds[f]
                 a = d.edge_labels(e1)
                 b = d.edge_labels(e2)
                 assert (a[0] != a[1]) == (b[0] != b[1])
@@ -397,5 +398,5 @@ class TestAnalysisOnCorpus:
             for r in tp.regions:
                 assert r.topology is RegionTopology.DISK
             assert set(oracle_bigon_faces(d)) == {
-                frozenset(face_set(d).faces[f].boundary_edges) for f in tp.bigon_faces
+                frozenset(face_set(d).bounds[f]) for f in tp.bigon_faces
             }

@@ -325,7 +325,7 @@ class TestFinger:
         diagrams = [parse_pd(items[name].pd) for name in ("a12", "a28")]
         _results, arcs = augment_recording_fingers(monkeypatch, diagrams)
         candidates = [
-            [e for e in face_set(g).faces[arc.faces[0]].boundary_edges
+            [e for e in face_set(g).bounds[arc.faces[0]]
              if g.edges[e].component == arc.source_curve]
             for g, arc in arcs
         ]
@@ -371,8 +371,8 @@ def _labels_around_faces(g):
     corners: at corner (c, s) the edge in slot s + 1 departs and the edge
     in slot s arrives."""
     return [
-        ({g.label(c, s + 1) for c, s in f.corner_slots}, {g.label(c, s) for c, s in f.corner_slots})
-        for f in face_set(g).faces if f.corner_slots
+        ({g.label(x >> 2, x + 1) for x in ds}, {g.label(x >> 2, x) for x in ds})
+        for ds in face_set(g).darts.values()
     ]
 
 
@@ -445,11 +445,11 @@ class TestGuardRails:
             join_curves(flipped, ci, cj, face)
 
     def test_ids_the_map_lacks_are_refused_without_a_build(self, monkeypatch):
-        # a circle joined to itself, a face id past the table or below
-        # zero, and an arc through a face or an edge the map lacks are
-        # refused in the package's own errors before anything is built,
-        # not with a bare KeyError or IndexError, nor by reading a face
-        # from the end of the table
+        # a circle joined to itself, a face id past every dart, below
+        # zero or naming a corner that is not its face's least, and an
+        # arc through a face or an edge the map lacks are refused in the
+        # package's own errors before anything is built, not with a bare
+        # KeyError or IndexError
         from dataclasses import replace
 
         from altknot import augmentation
@@ -470,7 +470,9 @@ class TestGuardRails:
         monkeypatch.setattr(augmentation, "MapBuilder", no_build)
         with pytest.raises(JoinError):
             join_curves(g, ci, ci, on_ci)
-        for f in (len(fs.faces), -1):
+        not_least = fs.darts[on_ci][1]
+        assert not_least not in fs.darts
+        for f in (len(fs.dart_face), -1, not_least):
             with pytest.raises(UnknownFace):
                 join_curves(g, ci, cj, f)
             with pytest.raises(UnknownFace):
@@ -481,9 +483,10 @@ class TestGuardRails:
             propagate_finger(g, replace(arc, edges=(g.next_edge_id(),)))
 
     def test_loop_faces_are_refused_as_faces_the_map_lacks(self):
-        # a crossing-free loop's two faces are records only, with no
-        # darts; the stages refuse their ids as they refuse any id past
-        # the table, rather than reading an empty face
+        # a crossing-free loop's two faces have no darts, so no id: the
+        # table of the map with a loop added has the same faces, and the
+        # stages refuse the ids past its darts that a loop face could be
+        # taken to have, rather than reading an empty face
         from altknot.errors import UnknownFace
 
         for start in (0, 30, 60, 90):
@@ -492,10 +495,11 @@ class TestGuardRails:
             if arc is not None:
                 break
         looped = Diagram(g.crossings, g.edges, {g.next_edge_id(): g.next_component_id()}, g.augmenting_component)
+        ids = face_set(g).darts.keys()
         fs = face_set(looped)
-        corner_faces = len(fs.darts)
-        assert [f.loop is not None for f in fs.faces[corner_faces:]] == [True, True]
-        for f in (corner_faces, corner_faces + 1):
+        assert fs.darts.keys() == ids
+        past = len(fs.dart_face)
+        for f in (past, past + 1):
             with pytest.raises(UnknownFace):
                 join_curves(looped, arc.source_curve, arc.target_curve, f)
             with pytest.raises(UnknownFace):
@@ -832,7 +836,7 @@ class TestWholeMapFactsOncePerMap:
         t_d, t_g = res.t_D, res.t_G
         assert t_d < t_g
         fs = face_set(d)
-        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.faces[f].boundary_edges}
+        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.bounds[f]}
         inside, free = min(in_twist), min(set(d.edges) - in_twist)
         all_free = set(d.edges) - in_twist
         real = analysis.reconstruct_input
@@ -958,7 +962,7 @@ class TestCertify:
         assert len(diagrams) == 246
         for d in diagrams:
             fs, tp = face_set(d), twist_partition(d)
-            in_twist = {e for f in tp.bigon_faces for e in fs.faces[f].boundary_edges}
+            in_twist = {e for f in tp.bigon_faces for e in fs.bounds[f]}
             assert len(d.edges) - len(in_twist) == 2 * tp.t, serialize_pd(d)
 
 

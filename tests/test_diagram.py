@@ -10,7 +10,6 @@ from altknot import (
     Sign,
     augment,
     face_set,
-    faces,
     flip_crossing,
     parse_pd,
     preprocess,
@@ -21,8 +20,8 @@ from altknot.diagram import (
     Crossing,
     Diagram,
     Edge,
-    Face,
     MapBuilder,
+    _is_bigon,
     connected_pieces,
     mark_augmenting,
     restamp_origins,
@@ -42,9 +41,11 @@ from altknot.generate import braid_closure
 from conftest import (
     GRANNY_SUM,
     TREFOIL,
+    OracleFace,
     corner_view,
     drop_component,
     euler_by_piece,
+    oracle_faces,
     oracle_labels_from_pd,
     oracle_validate_diagram,
     reattach,
@@ -74,7 +75,7 @@ class TestParse:
 
     def test_trefoil_faces_frozen(self, trefoil):
         # hand-computed face walk: three bigons and two triangles
-        got = sorted(sorted(set(f.boundary_edges)) for f in faces(trefoil))
+        got = sorted(sorted(set(es)) for es in face_set(trefoil).bounds.values())
         assert got == [[1, 3, 5], [1, 4], [2, 4, 6], [2, 5], [3, 6]]
 
     def test_zero_crossing_loop(self):
@@ -86,17 +87,18 @@ class TestParse:
 
     def test_loop_faces_are_records_only(self):
         # a crossing-free loop has no darts, so the table lists only the
-        # corner faces; f and the records still count the loop's two
+        # corner faces; f and the oracle's records still count the loop's
+        # two
         d = parse_pd(TREFOIL + " O(7)")
         assert validate_diagram(d).f == 7
         fs = face_set(d)
         assert len(fs.darts) == len(fs.bounds) == 5
-        assert faces(d)[-2:] == [Face(5, (), (), 7), Face(6, (), (), 7)]
+        assert oracle_faces(d)[-2:] == [OracleFace(5, (), (), 7), OracleFace(6, (), (), 7)]
 
     def test_hopf_faces_all_bigons(self, hopf):
-        fl = faces(hopf)
-        assert len(fl) == 4
-        assert all(f.is_bigon for f in fl)
+        fs = face_set(hopf)
+        assert len(fs.darts) == 4
+        assert all(_is_bigon(ds) for ds in fs.darts.values())
 
     def test_bigon_is_two_corners_at_two_crossings(self, trefoil, curl, kink_unknot, granny_sum):
         # kinks give faces with two corners at one crossing; loops none
@@ -104,10 +106,14 @@ class TestParse:
         ds += [braid_closure(w, strands=3) for w in ([1, 1, 2], [1, -2, 1, -2], [1, 1, -1, 2, 2])]
         seen = set()
         for d in ds:
-            for f in faces(d):
-                assert f.is_bigon == (f.loop is None and f.degree == 2 and len(f.crossings()) == 2)
-                seen.add((f.degree, f.is_bigon))
-        assert {(2, True), (2, False), (0, False)} <= seen
+            darts = face_set(d).darts
+            assert sorted(darts) == [f.dart for f in oracle_faces(d) if f.loop is None]
+            for f in oracle_faces(d):
+                if f.loop is None:
+                    bigon = _is_bigon(darts[f.dart])
+                    assert bigon == (f.degree == 2 and len(f.crossings()) == 2)
+                    seen.add((f.degree, bigon))
+        assert {(2, True), (2, False)} <= seen
 
     def test_lone_record_incidence(self):
         with pytest.raises(IncidenceError):
@@ -259,7 +265,7 @@ class TestValidate:
             assert err.value.failed_flag == "valid"
 
     def test_face_degrees_sum_to_twice_edges(self, trefoil):
-        total = sum(f.degree for f in faces(trefoil))
+        total = sum(len(ds) for ds in face_set(trefoil).darts.values())
         assert total == 2 * len(trefoil.edges)
 
     def test_inconsistent_edge_ends_flagged(self, trefoil):
@@ -380,6 +386,17 @@ class TestFlip:
             f = flip_crossing(d, 0)
             assert f.crossings[0].over_slots == flipped
             assert all(f.label(0, s) is d.label(0, s).opposite for s in range(4))
+
+    @pytest.mark.parametrize("pair", [[0, 2], [1, 3], (0, 1)])
+    def test_illegal_over_strand_is_refused(self, trefoil, pair):
+        # a list equal to a legal pair, or a pair of adjacent slots, names
+        # no over strand: flipping it would hand back a legal-looking
+        # crossing that validation then passes
+        d = with_over_slots(trefoil, 0, pair)
+        with pytest.raises(PreconditionError) as err:
+            flip_crossing(d, 0)
+        assert err.value.failed_flag == "valid"
+        assert str(err.value) == f"crossing 0 has illegal over_slots {pair!r}"
 
     def test_changes_exactly_incident_edges(self, trefoil):
         from altknot import classify_edges
@@ -581,13 +598,15 @@ class TestStructure:
         assert len(fs.dart_face) == 4 * len(trefoil.crossings)
 
     def test_darts_are_corners_in_order(self, granny_sum):
-        # dart 4 c + s names corner (c, s); ids rank faces by least dart,
-        # which is their least corner, and each face's darts start there
+        # dart 4 c + s names corner (c, s); a face's id is its least dart,
+        # which is its least corner, and its darts start there
         fs = face_set(granny_sum)
-        for f, ds in enumerate(fs.darts):
-            assert fs.faces[f].corner_slots == tuple((x >> 2, x & 3) for x in ds)
-            assert ds[0] == min(ds) and all(fs.dart_face[x] == f for x in ds)
-        assert [ds[0] for ds in fs.darts] == sorted(ds[0] for ds in fs.darts)
+        walk = [f for f in oracle_faces(granny_sum) if f.loop is None]
+        assert [f.dart for f in walk] == sorted(fs.darts)
+        for f in walk:
+            ds = fs.darts[f.dart]
+            assert f.corner_slots == tuple((x >> 2, x & 3) for x in ds)
+            assert ds[0] == min(ds) == f.dart and all(fs.dart_face[x] == f.dart for x in ds)
 
     def test_a_gap_in_the_crossing_ids_leaves_darts_without_a_corner(self, granny_sum):
         # crossing 3 removed: its four darts name no corner

@@ -6,12 +6,17 @@ augment``; every stage may refuse its input, but only with a
 serialize/parse round trip.  Purely random records rarely get past the
 parser, so the texts mix random records with mutated braid closures and
 mutated shadows that are no braid closure (``conftest.shadow_diagrams``).
+A property that fails must be reported as a failure, with its example,
+under the warnings-as-errors setting of ``pyproject.toml``.
 """
 
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from contextlib import suppress
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,3 +129,22 @@ def test_invalid_hand_built_diagram_refused_by_preprocess():
     with pytest.raises(PreconditionError) as err:
         preprocess(d)
     assert err.value.failed_flag == "valid"
+
+
+def test_a_failing_property_is_reported(tmp_path):
+    # hypothesis imports libcst to report a failing example; with every
+    # warning an error, a warning raised by that import would stop the
+    # run with an internal error (exit 3) and report no later test
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(config), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout, run.stdout

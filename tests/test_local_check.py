@@ -533,7 +533,7 @@ class TestBrokenEditsRejected:
         out = b.build()
         d = flip_crossing(trefoil, 0)
         fs = face_set(d)
-        bigon = next(f for f, ds in enumerate(fs.darts) if _is_r2_bigon(d, ds))
+        bigon = next(f for f, ds in fs.darts.items() if _is_r2_bigon(d, ds))
         gone = tuple(sorted(x >> 2 for x in fs.darts[bigon]))
         mb = reduction._r2_edit(d, fs.darts[bigon])
         moved = mb.build()
@@ -612,7 +612,7 @@ def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
     assert whole_map_accepts(out, True)
     assert (connected_pieces(out), len(out.loops)) == (2, 0)
     # the Euler count of the source is its breadth-first count
-    euler = len(granny_sum.crossings) - len(granny_sum.edges) + len(source_fs.faces) - 2 * len(granny_sum.loops)
+    euler = len(granny_sum.crossings) - len(granny_sum.edges) + len(source_fs.darts)
     assert euler == 2 * real(granny_sum) == 2 * len(oracle_pieces(granny_sum)) == 2
 
 
@@ -628,7 +628,7 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
     cases = ((bead, False, True), (flipped, True, True), (flipped, False, False))
     for d, extra_loop, walked in cases:
         fs = face_set(d)
-        bigon = next(f for f, ds in enumerate(fs.darts) if _is_r2_bigon(d, ds))
+        bigon = next(f for f, ds in fs.darts.items() if _is_r2_bigon(d, ds))
         gone = tuple(sorted(x >> 2 for x in fs.darts[bigon]))
         corner_face = corner_view(fs)
         assert any(len({corner_face[(c, s)] for s in range(4)}) < 4 for c in gone) == (d is bead)
@@ -665,9 +665,9 @@ def test_component_and_label_changes_rewalk_nothing():
     b.add_crossing(c, list(b.slots_at(c)), _flip(_over_at(b, c)))
     out = b.build()
     table = _edited_face_set(b, fs, out)
-    assert len(table.darts) == len(fs.darts)
-    assert all(x is y for x, y in zip(table.darts, fs.darts))
-    assert all(x is y for x, y in zip(table.bounds, fs.bounds))
+    assert table.darts.keys() == fs.darts.keys()
+    assert all(table.darts[f] is ds for f, ds in fs.darts.items())
+    assert all(table.bounds[f] is es for f, es in fs.bounds.items())
     assert same_table(table, out)
     assert face_set(out) is table
 
@@ -696,16 +696,14 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     removed = [e for e in b.touched_edges if e in g.edges and e not in out.edges]
     spliced = {c for e in removed for c, _s in g.edges[e].ends}
     along = [
-        f for f, ds in enumerate(source_fs.darts)
+        f for f, ds in source_fs.darts.items()
         if set(source_fs.bounds[f]) & relabelled and not {x >> 2 for x in ds} & spliced
     ]
     assert relabelled and along
-    by_darts = {ds: f for f, ds in enumerate(table.darts)}
-    # each is a face of the result as it stands: its darts and edges are
-    # the source's tuples, whether or not its id moved
+    # each is a face of the result as it stands: it keeps its id, and its
+    # darts and edges are the source's tuples
     for f in along:
-        new = by_darts[source_fs.darts[f]]
-        assert table.darts[new] is source_fs.darts[f] and table.bounds[new] is source_fs.bounds[f]
+        assert table.darts[f] is source_fs.darts[f] and table.bounds[f] is source_fs.bounds[f]
 
 
 def _spy_on_walks(monkeypatch) -> list[set]:
@@ -747,7 +745,7 @@ def test_a_band_splice_walks_only_the_faces_along_its_removed_edges(monkeypatch)
         corner_face = corner_view(source_fs)
         sides = {corner_face[(c, (s - 1) % 4)] for e in removed for c, s in g.edges[e].ends}
         assert len(given) == 1
-        assert given[0] == {4 * c + s for f in sides for c, s in source_fs.faces[f].corner_slots}
+        assert given[0] == {x for f in sides for x in source_fs.darts[f]}
         relabelled += sum(
             e in g.edges and g.edges[e].ends == out.edges[e].ends for e in b.touched_edges if e in out.edges
         )

@@ -123,20 +123,23 @@ def test_every_table_of_an_augment_is_the_tuple_walk(seed1_texts, monkeypatch):
 
 def test_circle_faces_are_read_once_per_augment(seed1, monkeypatch):
     counts = Counter()
-    for owner, name in ((augmentation, "_curve_faces"), (augmentation._CircleFaces, "ids")):
-        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+    for name in ("_curve_faces", "_nearest_circles"):
+        def counted(*args, _real=getattr(augmentation, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(augmentation, name, counted)
     seen = Counter()
     for d in seed1:
         counts.clear()
         res = augment(d)
         circles = len(res.cut_system.curves)
         positive = sum(m.arc.phi > 0 for m in res.merges)
-        # read once when there is a merge, and listed by id only to search
-        assert counts == Counter({"_curve_faces": int(circles > 1), "ids": positive}), (circles, positive)
+        # read once when there is a merge, and searched only for a merge
+        # of positive cost
+        assert counts == Counter({"_curve_faces": int(circles > 1), "_nearest_circles": positive}), (
+            circles, positive,
+        )
         seen[circles > 1, positive > 0] += 1
     assert set(seen) == {(False, False), (True, False), (True, True)}, seen
 

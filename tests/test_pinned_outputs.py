@@ -15,6 +15,8 @@ A reduction can reach the same output through other moves, so
 seed-0 ``reduce`` inputs: each move's kind, crossings and twist count.
 ``CLI_BATCH_SVGS`` pins the bytes of ``render_svg``, which the CLI
 writes for ``augment --emit-svg``, over the seed-0 ``cli-batch`` blocks.
+``ANALYZE_REPORTS`` pins the whole ``analysis_report``, which the CLI
+prints for ``analyze``, with the bigon ranks of each twist region.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from altknot import augment, parse_pd, preprocess, render_svg, serialize_pd
+from altknot import analysis_report, augment, parse_pd, preprocess, render_svg, serialize_pd
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
@@ -35,6 +37,10 @@ REDUCE_TRACES = "55d74af0dc8d2e1fa95a83f8a7a2e46345e74ecd52c689ccd8dc379747d9d85
 # digest of render_svg over the input and the augment output of every
 # eligible block of the seed-0 cli-batch files, in file order
 CLI_BATCH_SVGS = "f8cddb53390f8d4ef3db0d8e360f5d20ba5f767d4392610fd22d2ee9b209fd26"
+# digest of json.dumps(analysis_report(d), sort_keys=True) over the
+# seed-0 reduce inputs, then every block of the seed-0 cli-batch files
+# in file order
+ANALYZE_REPORTS = "300243b321aab4fd117a69630eb8194923bd4d2ee32081a45876c4f8aa9ac8f1"
 
 
 def _pins(workload: str) -> dict:
@@ -78,3 +84,12 @@ def test_cli_batch_svgs_match_pin(bench_inputs):
                 svgs += [render_svg(d), render_svg(augment(d).g)]
     assert len(svgs) == 216
     assert bench_inputs.digest(svgs) == CLI_BATCH_SVGS
+
+
+def test_analyze_reports_match_pin(bench_inputs):
+    pds = [x.pd for x in bench_inputs.reduce_inputs(SEED, n=48, lo=30, hi=80)]
+    for f in bench_inputs.batch_inputs(SEED, n_files=30, blocks=4):
+        pds += [block.pd for block in f.blocks]
+    assert len(pds) == 159
+    reports = [json.dumps(analysis_report(parse_pd(pd)), sort_keys=True) for pd in pds]
+    assert bench_inputs.digest(reports) == ANALYZE_REPORTS

@@ -1,6 +1,6 @@
 """The package's public surface: the records' contract
 (``record_contract.py``) under pytest, each check on each of
-``Crossing``, ``Edge``, ``Face`` and ``TwistRegion``, and the names
+``Crossing``, ``Edge`` and ``TwistRegion``, and the names
 ``altknot`` exports."""
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ def test_public_names():
     # the submodules they come from
     assert altknot.__all__ == [
         "AugmentationResult", "Crossing", "CutCurve", "CutSystem", "Diagram", "DiagramFlags",
-        "Edge", "EdgeClassification", "Face", "HyperbolicityCertificate", "MergeArc",
+        "Edge", "EdgeClassification", "HyperbolicityCertificate", "MergeArc",
         "PrimalityWitness", "ReductionTrace", "RefinementReport", "RegionTopology",
         "ShadingClasses", "Sign", "TwistPartition", "TwistRegion", "ValidationReport",
         "VolumeBounds", "VolumeConstants", "analysis_report", "augment", "augmented_volume_bounds",
         "braid_closure", "build_cut_curves", "certify_hyperbolic", "classify_edges", "constants",
-        "detect_two_strand_torus", "diagram_flags", "face_set", "faces", "find_merge_arc",
+        "detect_two_strand_torus", "diagram_flags", "face_set", "find_merge_arc",
         "flip_crossing", "join_curves", "overlay_unlink", "parse_pd", "preprocess",
         "propagate_finger", "random_knot_diagram", "render_svg", "serialize_pd",
         "shading_classes", "twist_partition", "twist_volume_bounds", "two_strand_torus",

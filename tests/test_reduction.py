@@ -94,8 +94,8 @@ class TestR2:
         # edges (4 of 4, 1, 8 and 3 of 3, 2, 7), which welding one
         # crossing at a time through the inner edge would not give
         d = parse_pd("X(3,4,2,1) X(4,3,5,6) X(5,7,8,6) X(7,1,2,8)")
-        face = face_set(d).faces[2]
-        assert face.boundary_edges == (1, 2) and face.crossings() == {0, 3}
+        fs = face_set(d)
+        assert fs.bounds[2] == (1, 2) and {x >> 2 for x in fs.darts[2]} == {0, 3}
         assert 2 in oracle_r2_bigons(d)
         out = oracle_move(d, "r2", 2)
         assert sorted(out.edges) == [3, 4, 5, 6]

@@ -145,10 +145,15 @@ class TestVolumeReport:
         assert all(rep["audit"].values())
 
     def test_report_with_claim(self):
+        # the report carries no claimed lower window; a claim goes through
+        # augmented_volume_bounds, whose upper window is the report's
         (seed, d), = corpus_diagrams(1)
         res = augment(d)
-        rep = volume_report(res, t_lower_claim=1)
-        assert "altvol_lower" in rep
+        rep = volume_report(res)
+        assert "altvol_lower" not in rep
+        upper, lower = augmented_volume_bounds(res.t_D, t_lower_claim=1)
+        assert upper.upper == rep["altvol_upper"] == lower.upper
+        assert (lower.t, lower.lower, lower.kind) == (1, 0.0, "augmented_lower")
 
     def test_not_certified_rejected(self):
         class Fake:
