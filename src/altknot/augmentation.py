@@ -890,7 +890,7 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
             ))
         if not (i_a_d <= 2 * len(free_edges) and i_a_d <= 4 * t_d):
             failures.append(InvariantError(f"crossing-count bound violated: i={i_a_d}, t_D={t_d}"))
-    n_d = len(d.components())
+    n_d = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))
     if rep.components != n_d + 1:
         failures.append(InvariantError(
             f"final diagram has {rep.components} components, not the input's {n_d} plus one"

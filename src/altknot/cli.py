@@ -237,14 +237,16 @@ def _at_least(low: int):
 
 def _read_blocks(path: str) -> list[tuple[str, str]]:
     """The (name, pd text) blocks of the file at ``path``, decoded as
-    UTF-8; PDSyntaxError naming the byte offset of undecodable input."""
+    UTF-8 with one leading byte-order mark dropped; PDSyntaxError naming
+    the byte offset of undecodable input in the file.  (The "utf-8-sig"
+    codec would count that offset from after the mark.)"""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PDSyntaxError(f"input is not UTF-8: byte {exc.start} is {data[exc.start]:#04x}") from None
-    return _split_corpus(text)
+    return _split_corpus(text.removeprefix("\ufeff"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,44 +203,15 @@ class _Partition:
         return True
 
 
-def _strand_walk(crossings: dict[int, Crossing], ends: dict[int, tuple[End, End]]) -> list[list[int]]:
-    """The strand orbits of the edges ``ends`` names, each walked from
-    its least edge id, in order of least id.  ``ends[e]`` is the pair of
-    slot ends of edge e, and every slot end must hold the edge that
-    names it.  The walk leaves each edge by its second end and goes
-    straight through the crossing there, slot s to s + 2; it is back at
-    the first edge when it arrives at that edge's first end.
-    InvariantError when it meets an edge of another orbit, which only
-    slots and ends that disagree can cause."""
-    seen: set[int] = set()
-    orbits = []
-    for first in sorted(ends):
-        if first in seen:
-            continue
-        seen.add(first)
-        orbit = [first]
-        c, s = ends[first][1]
-        while True:
-            through = (c, (s + 2) % 4)
-            e = crossings[c].slots[through[1]]
-            if e == first:
-                break
-            if e in seen:
-                raise InvariantError(f"strand walk from edge {first} met edge {e} again")
-            seen.add(e)
-            orbit.append(e)
-            a, z = ends[e]
-            c, s = z if a == through else a
-        orbits.append(orbit)
-    return orbits
-
-
 def connected_pieces(d: Diagram) -> int:
     """Number of connected pieces of the 4-valent map; crossing-free
     loops are separate pieces and are not counted here.
 
-    Counted once per face table, by a breadth-first search from each
-    unseen crossing, and kept on ``face_set(d)`` (``FaceSet.pieces``)."""
+    Counted once per face table and kept on ``face_set(d)``
+    (``FaceSet.pieces``).  The table of a map ``_assemble`` built holds
+    the count already, the strand orbits joined at each crossing; on any
+    other table it is counted here, by a breadth-first search from each
+    unseen crossing."""
     fs = face_set(d)
     if fs.pieces is not None:
         return fs.pieces
@@ -308,9 +280,9 @@ class FaceSet:
     (``analysis.classify_edges``).  They depend only on the crossings,
     their slots and over strands, the loops and the edge ends.  Every
     diagram a table serves shares all of these with the one it was built
-    for: ``restamp_origins`` and ``mark_augmenting`` change only origins,
-    components and the augmenting component, and a surgery result gets
-    a new table (``_edited_face_set``).
+    for: ``restamp_origins`` changes only origins and ``mark_augmenting``
+    only the augmenting component, and a surgery result gets a new table
+    (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
     update differs from it: (dropped, fresh), the ids of the source
@@ -361,19 +333,21 @@ def face_set(d: Diagram) -> FaceSet:
     RSS from 34.7 to 45.3 MiB, as the benchmark worker keeps each
     input's first output.
 
-    The full walk (``_build_face_set``) runs on flat lists indexed by
-    dart and builds no tuple per corner and one dict entry per face.
-    The results of ``augment``'s fingers and band splices do not reach
-    it: ``edits.check_edit`` derives their table from the source's by a
+    The full walk (``_whole_walk``) runs on flat lists indexed by dart
+    and builds no tuple per corner and one dict entry per face; a map
+    built from records (``_assemble``) is walked as it is built.  The
+    results of ``augment``'s fingers and band splices do not reach it:
+    ``edits.check_edit`` derives their table from the source's by a
     local update (``_edited_face_set``) and leaves it here.  The update
     re-walks only the faces the edit reaches -- those at a removed
     crossing or on either side of a removed or re-ended edge -- since
     every other face leaves each of its corners through the same edge as
-    before.  Diagrams made without a source table (parsed ones) are
-    walked whole, and so is the overlay of the cut circles: it re-slots
-    about two-thirds of its input's crossings, so a local update would
-    re-walk most of the map.  A reduction move that ``edits.check_move``
-    cannot check by a face merge is validated, and so walked, whole.
+    before.  Other diagrams made without a source table are walked whole
+    (``_build_face_set``), and so is the overlay of the cut circles: it
+    re-slots about two-thirds of its input's crossings, so a local
+    update would re-walk most of the map.  A reduction move that
+    ``edits.check_move`` cannot check by a face merge is validated, and
+    so walked, whole.
     """
     global _last_face_set
     fs = _held_face_set(d)
@@ -436,27 +410,36 @@ def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: dict, bound
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
-    """The full walk: every corner of ``d``, crossings in id order, on
-    flat lists indexed by dart, built in one pass over the edges.
-    InvariantError, rather than a dart list read from its far end, when
-    a crossing id is negative."""
+    """The full walk of ``d`` (``_whole_walk``), on dart lists filled in
+    one pass over the edges.  InvariantError, rather than a dart list
+    read from its far end, when a crossing id is negative."""
     crossings = d.crossings
     if crossings and min(crossings) < 0:
         raise InvariantError(f"crossing id {min(crossings)} names no dart")
     n = 4 * (max(crossings, default=-1) + 1)
-    step = [-1] * n
-    out_edge = [0] * n
+    flat = [0] * n
+    other = [-1] * n
     for e, rec in d.edges.items():
-        # the corner just clockwise of each end leaves by it and arrives
-        # at the far end's corner
         (c0, s0), (c1, s1) = rec.ends
         a = 4 * c0 + s0
         z = 4 * c1 + s1
-        pa = a - 1 if s0 else a + 3
-        pz = z - 1 if s1 else z + 3
-        step[pa] = z
-        step[pz] = a
-        out_edge[pa] = out_edge[pz] = e
+        flat[a] = flat[z] = e
+        other[a] = z
+        other[z] = a
+    return _whole_walk(d, flat, other)
+
+
+def _whole_walk(d: Diagram, flat: list[int], other: list[int]) -> FaceSet:
+    """The table of every corner of ``d``, crossings in id order: corner
+    x leaves by the slot after it, ``rot x``, through the edge
+    ``flat[rot x]`` to the corner ``other[rot x]`` (-1 for none), the
+    dart at that edge's far end.  Every map walked whole is walked here."""
+    step = other[1:] + other[:1]
+    step[3::4] = other[::4]
+    out_edge = flat[1:] + flat[:1]
+    out_edge[3::4] = flat[::4]
+    n = len(step)
+    crossings = d.crossings
     # ids 0 .. V-1, as in a parsed map, leave no dart without a corner
     starts = range(n) if n == 4 * len(crossings) else [x for c in sorted(crossings) for x in range(4 * c, 4 * c + 4)]
     dart_face = [-1] * n
@@ -546,6 +529,14 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
 
 # -- parsing and serialization --------------------------------------------------
 
+# valid PD: X and O records of positive ASCII-decimal ids, leading zeros
+# allowed, each in optional ASCII whitespace; between records what
+# ``str.strip`` removes, which ``\s`` matches code point for code point
+_ID = r"[ \t\n\r\f\v]*0*[1-9][0-9]*[ \t\n\r\f\v]*"
+_PD = re.compile(rf"(?:\s*(?:X\({_ID},{_ID},{_ID},{_ID}\)|O\({_ID}\)))*\s*")
+_LOOP = re.compile(r"O\(([^)]*)\)")
+# in valid X records, the ids are what is left between blanks
+_BLANKS = str.maketrans("X(),", "    ")
 _RECORD = re.compile(r"([XO])\(([^()]*)\)")
 # a record body: comma-separated ids of ASCII decimal digits, each with
 # optional whitespace around it; a minus sign is read, so that a zero or
@@ -560,15 +551,36 @@ def _strip_comments(text: str) -> str:
 def parse_pd(text: str) -> Diagram:
     """Parse PD text into a validated Diagram.
 
-    Checks syntax, incidence and sphericity.  Raises PDSyntaxError for
-    malformed records; the records go to ``_assemble``, which raises
+    Checks syntax, incidence and sphericity.  One match of the
+    comment-stripped text against the grammar of valid PD (``_PD``)
+    decides the syntax, and one split reads every id; only text the
+    grammar refuses is read record by record (``_read_records``), to
+    word its PDSyntaxError.  The ids go to ``_assemble``, which raises
     IncidenceError when an edge id is not used exactly twice or a loop
     id repeats or names an edge; then SphericityError when the rotation
     system is not spherical: V - E + F over the corner faces must be 2P
-    for the P crossing-bearing pieces, as in ``validate_diagram``.
+    for the P crossing-bearing pieces, as in ``validate_diagram``, read
+    off the table and piece count ``_assemble`` left in the memo.
     """
     clean = _strip_comments(text)
-    slot_records: list[tuple[int, int, int, int]] = []
+    if _PD.fullmatch(clean) is None:
+        flat, loop_ids = _read_records(clean)
+    else:
+        loop_ids = []
+        if "O" in clean:
+            loop_ids = [int(k) for k in _LOOP.findall(clean)]
+            clean = _LOOP.sub(" ", clean)
+        flat = [*map(int, clean.translate(_BLANKS).split())]
+    d = _assemble(flat, loop_ids)
+    _check_sphericity(d)
+    return d
+
+
+def _read_records(clean: str) -> tuple[list[int], list[int]]:
+    """The slot ids of the X records of ``clean``, in record order, and
+    its loop ids, read record by record; PDSyntaxError naming the first
+    malformed record or stray text."""
+    flat: list[int] = []
     loop_ids: list[int] = []
     pos = 0
     for m in _RECORD.finditer(clean):
@@ -585,17 +597,14 @@ def parse_pd(text: str) -> Diagram:
         if kind == "X":
             if len(ids) != 4:
                 raise PDSyntaxError(f"X record needs 4 edges: {m.group(0)!r}")
-            slot_records.append(ids)
+            flat += ids
         else:
             if len(ids) != 1:
                 raise PDSyntaxError(f"O record needs 1 id: {m.group(0)!r}")
             loop_ids.append(ids[0])
     if clean[pos:].strip():
         raise PDSyntaxError(f"unrecognized text: {clean[pos:].strip()!r}")
-
-    d = _assemble(slot_records, loop_ids)
-    _check_sphericity(d)
-    return d
+    return flat, loop_ids
 
 
 def _check_sphericity(d: Diagram) -> None:
@@ -607,41 +616,77 @@ def _check_sphericity(d: Diagram) -> None:
         raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
 
 
-def _assemble(slot_records: list[tuple[int, int, int, int]], loop_ids: list[int]) -> Diagram:
-    """The map of crossing records, each four edge ids counterclockwise
-    from the incoming under strand, and crossing-free loop ids, as
-    ``parse_pd`` reads them: crossings are numbered in record order with
-    the over strand in slots 1 and 3.  IncidenceError when a loop id
-    repeats, or when an edge id is not used exactly twice or is also a
-    loop id; the rotation system is not checked.  The strand orbits are
-    found by one walk over the slot table (``_strand_walk``) and each
-    edge record is built once, as its own origin, with its final
-    component: the orbits in order of least edge id, then the loops in
-    id order."""
-    crossings: dict[int, Crossing] = {}
-    uses: dict[int, list[End]] = {}
-    for cid, slots in enumerate(slot_records):
-        crossings[cid] = Crossing(cid, slots, over_slots=(1, 3))
-        for s, e in enumerate(slots):
-            uses.setdefault(e, []).append((cid, s))
+def _assemble(flat: list[int], loop_ids: list[int]) -> Diagram:
+    """The map of the crossing slots ``flat`` (``flat[x]`` the edge in
+    slot ``x & 3`` of crossing ``x >> 2``, counterclockwise from the
+    incoming under strand, so the over strand is in slots 1 and 3) and
+    the loop ids, as ``parse_pd`` reads them.  IncidenceError when a loop
+    id repeats, or an edge id is not used exactly twice or is also a
+    loop id; InvariantError when a strand walk meets another orbit's edge.
+
+    ``other[x]`` is the dart at the far end of slot x's edge; it pairs
+    each edge's first and last slot and leaves any slot between at -1, so
+    with no -1 left and 2E = 4V every id is used twice.  Edges are built
+    in order of first use, first slot to last, as their own origins, in
+    their strand orbit (slot x to x ^ 2) numbered by least edge id, the
+    loops after.  The face table (``_whole_walk``) gets the piece count,
+    the orbits joined at each crossing, and goes in the ``face_set`` memo."""
+    global _last_face_set
+    n = len(flat)
+    it = iter(flat)
+    crossings = {cid: Crossing(cid, slots) for cid, slots in enumerate(zip(it, it, it, it))}
     loops: set[int] = set()
     for k in loop_ids:
         if k in loops:
             raise IncidenceError(f"loop id {k} repeated")
         loops.add(k)
 
-    bad = {e: len(u) for e, u in uses.items() if len(u) != 2}
-    bad.update({k: 3 for k in loops if k in uses})
-    if bad:
-        raise IncidenceError(f"edge ids not used exactly twice: {sorted(bad)}")
+    # each edge's last and first slot, keyed in order of first use; a
+    # slot between them is left at -1
+    last = dict(zip(flat, range(n)))
+    first = dict(zip(reversed(flat), range(n - 1, -1, -1)))
+    other = [-1] * n
+    for e, z in last.items():
+        a = first[e]
+        other[a] = z
+        other[z] = a
+    if 2 * len(last) != n or -1 in other or not loops.isdisjoint(last):
+        uses = Counter(flat)
+        bad = sorted({e for e, u in uses.items() if u != 2} | (loops & uses.keys()))
+        raise IncidenceError(f"edge ids not used exactly twice: {bad}")
 
     comp: dict[int, int] = {}
-    orbits = _strand_walk(crossings, uses)
-    for i, orbit in enumerate(orbits):
-        for e in orbit:
-            comp[e] = i
-    edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
-    return Diagram(crossings, edges, {k: len(orbits) + i for i, k in enumerate(sorted(loops))})
+    orbits = 0
+    for e0 in sorted(last):
+        if e0 in comp:
+            continue
+        comp[e0] = orbits
+        # leave each edge by its last slot, straight through the crossing
+        y = last[e0] ^ 2
+        e = flat[y]
+        while e != e0:
+            if e in comp:
+                raise InvariantError(f"strand walk from edge {e0} met edge {e} again")
+            comp[e] = orbits
+            y = other[y] ^ 2
+            e = flat[y]
+        orbits += 1
+    edges: dict[int, Edge] = {}
+    for e, z in last.items():
+        a = first[e]
+        edges[e] = Edge(e, ((a >> 2, a & 3), (z >> 2, z & 3)), e, comp[e])
+    d = Diagram(crossings, edges, {k: orbits + i for i, k in enumerate(sorted(loops))})
+
+    fs = _whole_walk(d, flat, other)
+    pieces = orbits
+    if orbits > 1:
+        joins = _Partition()
+        for a, b in set(zip(map(comp.__getitem__, flat[::4]), map(comp.__getitem__, flat[1::4]))):
+            if joins.union(a, b):
+                pieces -= 1
+    fs.pieces = pieces
+    _last_face_set = (weakref.ref(d), fs)
+    return d
 
 
 def restamp_origins(d: Diagram) -> Diagram:
@@ -668,19 +713,19 @@ def mark_augmenting(d: Diagram, comp: int) -> Diagram:
 
 def serialize_pd(d: Diagram) -> str:
     """Emit PD text; parse_pd(serialize_pd(d)) reproduces the map."""
+    crossings = d.crossings
     parts = []
-    for cid in sorted(d.crossings):
-        c = d.crossings[cid]
+    for cid in sorted(crossings):
+        c = crossings[cid]
+        a, b, e, f = c.slots
         # a legal over strand is one of two opposite slot pairs, in
-        # either order
+        # either order; the record starts at an under slot
         if c.over_slots in ((1, 3), (3, 1)):
-            start = 0
+            parts.append(f"X({a},{b},{e},{f})")
         elif c.over_slots in ((0, 2), (2, 0)):
-            start = 1
+            parts.append(f"X({b},{e},{f},{a})")
         else:
             raise InvariantError(f"crossing {cid} has illegal over_slots {c.over_slots}")
-        ids = [c.slots[(start + k) % 4] for k in range(4)]
-        parts.append(f"X({ids[0]},{ids[1]},{ids[2]},{ids[3]})")
     for k in sorted(d.loops):
         parts.append(f"O({k})")
     return " ".join(parts)

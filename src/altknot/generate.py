@@ -26,8 +26,9 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
 
     Checks only the word (PDSyntaxError): the closed strands go to
     ``parse_pd``'s assembler (``diagram._assemble``), which makes the
-    incidence checks, and no face is walked, since a closure is planar
-    by construction.
+    incidence checks and leaves the closure's face table in the
+    ``face_set`` memo; sphericity is not checked, since a closure is
+    planar by construction.
     """
     if not word or any(x == 0 for x in word):
         raise PDSyntaxError("braid word must be nonempty with nonzero letters")
@@ -39,7 +40,7 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
 
     next_edge = width + 1
     pos = list(range(1, width + 1))  # current edge id on each strand position
-    records = []
+    slots = []  # the slots of each crossing in turn, counterclockwise
     for letter in word:
         i = abs(letter) - 1  # 0-based left position
         left_in, right_in = pos[i], pos[i + 1]
@@ -47,10 +48,10 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
         next_edge += 2
         if letter > 0:
             # under strand runs NW -> SE; slots ccw: (u_in, o_out, u_out, o_in)
-            records.append((left_in, out_left, out_right, right_in))
+            slots += (left_in, out_left, out_right, right_in)
         else:
             # under strand runs NE -> SW; slots ccw: (ne_in, nw_in, sw_out, se_out)
-            records.append((right_in, left_in, out_left, out_right))
+            slots += (right_in, left_in, out_left, out_right)
         pos[i], pos[i + 1] = out_left, out_right
 
     # close each strand position j, counted from 1: identify its final
@@ -59,7 +60,7 @@ def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
     # never crossed is a loop.
     rename = {e: j for j, e in enumerate(pos, 1) if e != j}
     loops = [j for j, e in enumerate(pos, 1) if e == j]
-    return _assemble([tuple([rename.get(e, e) for e in r]) for r in records], loops)
+    return _assemble([rename.get(e, e) for e in slots], loops)
 
 
 def two_strand_torus(n: int) -> Diagram:

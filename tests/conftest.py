@@ -181,13 +181,13 @@ def shadow_diagrams(n, seed):
             r = rot[v]
             return r[r.index(k) - 1]
 
-        records = []
+        flat = []  # the slots of each crossing in turn
         for k, (u, v) in enumerate(edges):
             slots = [corner(v, prev(v, k)), corner(u, k), corner(u, prev(u, k)), corner(v, k)]
             if rng.random() < flip:
                 slots = slots[1:] + slots[:1]
-            records.append(tuple(slots))
-        d = _assemble(records, [])
+            flat += slots
+        d = _assemble(flat, [])
         _check_sphericity(d)
         out.append(d)
     return out
@@ -538,6 +538,96 @@ def oracle_pieces(d: Diagram) -> list[tuple[frozenset[int], frozenset[int]]]:
                         cs.append(c2)
         pieces.append((frozenset(cs), frozenset(e for c in cs for e in d.crossings[c].slots)))
     return pieces
+
+
+def oracle_assemble(slot_records, loop_ids) -> Diagram:
+    """The map of crossing records, each four edge ids, and loop ids, as
+    ``diagram._assemble`` makes it, by a table of the (crossing, slot)
+    uses of each edge and a strand walk on those pairs: crossings in
+    record order with the over strand in slots 1 and 3; edges in order of
+    first use, each from its first use to its second, as its own origin;
+    components the strand orbits by least edge id, then the loops in id
+    order.  IncidenceError and InvariantError as the package words them."""
+    from altknot.diagram import Crossing, Diagram
+    from altknot.errors import IncidenceError, InvariantError
+
+    crossings, uses = {}, {}
+    for cid, slots in enumerate(slot_records):
+        crossings[cid] = Crossing(cid, tuple(slots), over_slots=(1, 3))
+        for s, e in enumerate(slots):
+            uses.setdefault(e, []).append((cid, s))
+    loops = set()
+    for k in loop_ids:
+        if k in loops:
+            raise IncidenceError(f"loop id {k} repeated")
+        loops.add(k)
+    bad = {e for e, u in uses.items() if len(u) != 2} | (loops & uses.keys())
+    if bad:
+        raise IncidenceError(f"edge ids not used exactly twice: {sorted(bad)}")
+    comp = {}
+    n = 0
+    for first in sorted(uses):
+        if first in comp:
+            continue
+        comp[first] = n
+        # leave each edge by its second use and go straight through the
+        # crossing there, slot s to s + 2
+        c, s = uses[first][1]
+        while True:
+            through = (c, (s + 2) % 4)
+            e = crossings[c].slots[through[1]]
+            if e == first:
+                break
+            if e in comp:
+                raise InvariantError(f"strand walk from edge {first} met edge {e} again")
+            comp[e] = n
+            a, z = uses[e]
+            c, s = z if a == through else a
+        n += 1
+    edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
+    return Diagram(crossings, edges, {k: n + i for i, k in enumerate(sorted(loops))})
+
+
+def oracle_parse(text: str) -> Diagram:
+    """``parse_pd`` by its parts' oracles: the record loop
+    (``diagram._read_records``) on the comment-stripped text, then
+    ``oracle_assemble``, then V - E + F = 2P over the tuple walk's corner
+    faces (``oracle_face_table``) and ``oracle_pieces``; each refusal is
+    raised with the package's type and words."""
+    from altknot import diagram
+    from altknot.errors import SphericityError
+
+    flat, loop_ids = diagram._read_records(diagram._strip_comments(text))
+    d = oracle_assemble([flat[x:x + 4] for x in range(0, len(flat), 4)], loop_ids)
+    faces = [f for f in oracle_faces(d) if f.loop is None]
+    chi = len(d.crossings) - len(d.edges) + len(faces)
+    pieces = len(oracle_pieces(d))
+    if chi != 2 * pieces:
+        raise SphericityError(f"V-E+F = {chi} on {pieces} pieces, not {2 * pieces}")
+    return d
+
+
+def assert_parse_is_the_oracle(text: str) -> None:
+    """``parse_pd(text)`` is ``oracle_parse(text)``: the same refusal,
+    type and words, or the same records in the same dict order, with the
+    face table of the tuple walk and the oracle's number of pieces."""
+    from altknot import face_set, parse_pd
+    from altknot.errors import DiagramError
+
+    try:
+        want = oracle_parse(text)
+    except DiagramError as exc:
+        with pytest.raises(DiagramError) as got:
+            parse_pd(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc)), text
+        return
+    d = parse_pd(text)
+    assert list(d.crossings.items()) == list(want.crossings.items()), text
+    assert list(d.edges.items()) == list(want.edges.items()), text
+    assert list(d.loops.items()) == list(want.loops.items()), text
+    assert d.augmenting_component is want.augmenting_component is None
+    fs = face_set(d)
+    assert same_table(fs, d) and fs.pieces == len(oracle_pieces(d)), text
 
 
 def euler_by_piece(d: Diagram) -> list[tuple[int, int, int]]:

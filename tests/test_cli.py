@@ -323,6 +323,31 @@ def test_undecodable_input_exit_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "reduce", "augment"])
+def test_a_byte_order_mark_is_not_input(command, knot_file, tmp_path, capsys):
+    # a file that starts with the UTF-8 byte-order mark reads as the same
+    # file without it, title line included
+    plain, marked = tmp_path / "plain.pd", tmp_path / "marked.pd"
+    plain.write_bytes(b"# name: knot\n" + Path(knot_file).read_bytes())
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run([command, str(plain)]) == 0
+    want = capsys.readouterr()
+    assert run([command, str(marked)]) == 0
+    assert capsys.readouterr() == want
+    assert json.loads(want.out)["name"] == "knot"
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_offset_in_the_file(tmp_path, capsys):
+    p = tmp_path / "bad.pd"
+    p.write_bytes(b"\xef\xbb\xbfX(1)\xff")
+    assert run(["analyze", str(p)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PDSyntaxError",
+        "message": "input is not UTF-8: byte 7 is 0xff",
+        "exit": 2,
+    }
+
+
 class TestParserReuse:
     """One parser serves every ``run`` call of a process; each call must
     behave as it does on a parser of its own."""

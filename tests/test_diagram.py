@@ -42,15 +42,18 @@ from conftest import (
     GRANNY_SUM,
     TREFOIL,
     OracleFace,
+    assert_parse_is_the_oracle,
     corner_view,
     drop_component,
     euler_by_piece,
     oracle_faces,
     oracle_labels_from_pd,
+    oracle_pieces,
     oracle_validate_diagram,
     reattach,
     same_map,
     same_table,
+    shadow_diagrams,
     subdivide_edge_with_crossing,
 )
 
@@ -153,6 +156,35 @@ class TestParse:
             code = f"X({','.join(ids)}) X(3,6,4,1) X(5,2,6,3)"
             with pytest.raises(SphericityError):
                 parse_pd(code)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bench_corpora_parse_as_the_oracle(self, bench_inputs, seed):
+        pds = [x.pd for x in bench_inputs.reduce_inputs(seed, n=48, lo=30, hi=80)]
+        pds += [x.pd for x in bench_inputs.large_inputs(seed, n=64, lo=50, hi=110)]
+        for f in bench_inputs.batch_inputs(seed, n_files=30, blocks=4):
+            pds += [block.pd for block in f.blocks]
+        assert len(pds) == 223
+        for pd in pds:
+            assert_parse_is_the_oracle(pd)
+
+    def test_shadows_parse_as_the_oracle(self):
+        # a shadow's records are its serialization, so the parse is the
+        # shadow itself, record for record
+        for d in shadow_diagrams(20, 7):
+            text = serialize_pd(d)
+            assert_parse_is_the_oracle(text)
+            assert list(parse_pd(text).edges.items()) == list(d.edges.items())
+
+    def test_the_assembler_leaves_its_table_and_pieces(self):
+        from altknot.diagram import _assemble, _held_face_set
+
+        # two trefoils side by side: the table and its piece count are in
+        # the memo before anything asks for them
+        flat = [1, 4, 2, 5, 3, 6, 4, 1, 5, 2, 6, 3, 7, 10, 8, 11, 9, 12, 10, 7, 11, 8, 12, 9]
+        d = _assemble(flat, [13])
+        fs = _held_face_set(d)
+        assert fs is not None and fs.pieces == 2 == len(oracle_pieces(d))
+        assert same_table(fs, d) and d.loops == {13: 2}
 
     def test_sphere_beside_torus_rejected(self):
         # a trefoil beside a genus-one trefoil: the Euler sums are 2 and 0,

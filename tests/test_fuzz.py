@@ -8,6 +8,11 @@ parser, so the texts mix random records with mutated braid closures and
 mutated shadows that are no braid closure (``conftest.shadow_diagrams``).
 A property that fails must be reported as a failure, with its example,
 under the warnings-as-errors setting of ``pyproject.toml``.
+
+``parse_pd`` decides syntax by one grammar match and assembles on dart
+lists; texts over the PD alphabet, with whitespace and look-alike
+characters, check it against the record loop and the tuple-walk
+assembler (``conftest.oracle_parse``).
 """
 
 from __future__ import annotations
@@ -28,20 +33,25 @@ from altknot import (
     Edge,
     analysis_report,
     augment,
+    diagram,
     parse_pd,
     preprocess,
     serialize_pd,
 )
-from altknot.errors import DiagramError, PreconditionError
+from altknot.errors import DiagramError, PDSyntaxError, PreconditionError
 from altknot.generate import braid_closure
 
-from conftest import same_map, shadow_diagrams
+from conftest import assert_parse_is_the_oracle, same_map, shadow_diagrams
 
 IDS = st.integers(min_value=1, max_value=14)
 X_RECORD = st.tuples(IDS, IDS, IDS, IDS).map(lambda t: "X(%d,%d,%d,%d)" % t)
 O_RECORD = IDS.map(lambda k: f"O({k})")
 RANDOM_TEXT = st.lists(st.one_of(X_RECORD, X_RECORD, O_RECORD), min_size=1, max_size=8).map(" ".join)
 BRAID_WORD = st.lists(st.sampled_from([i for i in range(-3, 4) if i != 0]), min_size=8, max_size=30)
+# ASCII whitespace, the line breaks and spaces that only str.splitlines or
+# str.isspace know, and a byte-order mark, which is neither
+SPACES = " \t\n\r\f\v\x1c\u00a0\u2028\ufeff"
+PD_CHARS = "XO(),-+_#0123456789\u0661" + SPACES
 JUNK = st.sampled_from(["X(1,2)", "O(0)", "X(1,-2,3,4)", "Y(3)", "X(a,b,c,d)", "7", "X(1,2,3,4"])
 
 
@@ -85,6 +95,26 @@ def mutated_shadows(draw):
     return _edit_records(draw, serialize_pd(shadow_diagrams(1, seed)[0]).split())
 
 
+@st.composite
+def spelled_closures(draw):
+    """The PD text of a braid closure, with loops and a few random edits,
+    spelled with drawn padding and leading zeros around each id, drawn
+    separators and comments between records, and perhaps one stray
+    character of the PD alphabet.  The padding is what the record loop
+    reads as ASCII whitespace once comments are stripped."""
+    records = serialize_pd(braid_closure(draw(BRAID_WORD))).split()
+    records += [f"O({k})" for k in draw(st.lists(st.integers(1, 40), max_size=2))]
+    text = _edit_records(draw, records)
+    between = st.sampled_from([" ", "\n", "\r\n", "\u2028", "\u00a0", "\x1c", " # note\n"])
+    text = re.sub(" ", lambda m: draw(between), text)
+    pad = st.text(" \t\n\r\f\v\x1c\u2028", max_size=2)
+    text = re.sub(r"[0-9]+", lambda m: draw(pad) + "0" * draw(st.integers(0, 2)) + m.group() + draw(pad), text)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PD_CHARS)) + text[at:]
+    return text
+
+
 def _run_pipeline(text: str) -> None:
     try:
         d = parse_pd(text)
@@ -117,6 +147,23 @@ def test_mutated_closures_raise_only_diagram_errors(text):
 @given(mutated_shadows())
 def test_mutated_shadows_raise_only_diagram_errors(text):
     _run_pipeline(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(PD_CHARS, max_size=40), spelled_closures()))
+def test_parse_pd_is_the_record_loop_and_the_oracle_assembler(text):
+    # the grammar accepts exactly the text the record loop accepts, so the
+    # loop only words refusals; parse_pd then gives the oracle's map, or
+    # its refusal in the same type and words
+    clean = diagram._strip_comments(text)
+    try:
+        diagram._read_records(clean)
+    except PDSyntaxError:
+        accepted = False
+    else:
+        accepted = True
+    assert (diagram._PD.fullmatch(clean) is not None) == accepted
+    assert_parse_is_the_oracle(text)
 
 
 def test_invalid_hand_built_diagram_refused_by_preprocess():

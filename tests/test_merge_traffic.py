@@ -71,11 +71,11 @@ def test_an_augment_walks_two_maps_whole(seed1_texts, monkeypatch):
     # parse_pd walks each input whole, and augment only the overlay of its
     # cut circles: every finger and band splice derives its table from its
     # source's, and every whole-map fact goes on a table already held
-    walks, real, stage = Counter(), diagram._build_face_set, [None]
+    walks, real, stage = Counter(), diagram._whole_walk, [None]
 
-    def counted(d):
+    def counted(d, *lists):
         walks[stage[0]] += 1
-        return real(d)
+        return real(d, *lists)
 
     def overlay_unlink(*args, _real=augmentation.overlay_unlink):
         stage[0] = "overlay_unlink"
@@ -83,7 +83,7 @@ def test_an_augment_walks_two_maps_whole(seed1_texts, monkeypatch):
         stage[0] = "augment"
         return out
 
-    monkeypatch.setattr(diagram, "_build_face_set", counted)
+    monkeypatch.setattr(diagram, "_whole_walk", counted)
     monkeypatch.setattr(augmentation, "overlay_unlink", overlay_unlink)
     for text in seed1_texts:
         stage[0] = "parse_pd"
@@ -100,10 +100,10 @@ def test_every_table_of_an_augment_is_the_tuple_walk(seed1_texts, monkeypatch):
     from altknot import edits
 
     tables = Counter()
-    real_full, real_local = diagram._build_face_set, edits._edited_face_set
+    real_full, real_local = diagram._whole_walk, edits._edited_face_set
 
-    def full(d):
-        fs = real_full(d)
+    def full(d, *lists):
+        fs = real_full(d, *lists)
         assert same_table(fs, d)
         tables["full"] += 1
         return fs
@@ -114,7 +114,7 @@ def test_every_table_of_an_augment_is_the_tuple_walk(seed1_texts, monkeypatch):
         tables["local"] += 1
         return fs
 
-    monkeypatch.setattr(diagram, "_build_face_set", full)
+    monkeypatch.setattr(diagram, "_whole_walk", full)
     monkeypatch.setattr(edits, "_edited_face_set", local)
     for text in seed1_texts:
         augment(parse_pd(text))

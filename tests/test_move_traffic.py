@@ -133,13 +133,13 @@ def test_full_walks_of_the_reduce_op(seed1_texts, monkeypatch):
     # check_move each of the 8 moves it cannot check by a face merge, and
     # diagram_flags each output whose last move left no table; the edge
     # classes then go on the table the flags read
-    walks, real, stage = Counter(), diagram._build_face_set, [None]
+    walks, real, stage = Counter(), diagram._whole_walk, [None]
 
-    def counted(d):
+    def counted(d, *lists):
         walks[stage[0]] += 1
-        return real(d)
+        return real(d, *lists)
 
-    monkeypatch.setattr(diagram, "_build_face_set", counted)
+    monkeypatch.setattr(diagram, "_whole_walk", counted)
     for text in seed1_texts:
         stage[0] = "parse_pd"
         d = parse_pd(text)
@@ -156,15 +156,15 @@ def test_full_walks_of_the_reduce_op(seed1_texts, monkeypatch):
 def test_every_full_walk_of_the_reduce_op_is_the_tuple_walk(seed1_texts, monkeypatch):
     # each of the 101 tables the reduce op walks whole, read through its
     # (crossing, slot) view, is the walk on corner pairs
-    real, walks = diagram._build_face_set, []
+    real, walks = diagram._whole_walk, []
 
-    def checked(d):
-        fs = real(d)
+    def checked(d, *lists):
+        fs = real(d, *lists)
         assert same_table(fs, d)
         walks.append(len(d.crossings))
         return fs
 
-    monkeypatch.setattr(diagram, "_build_face_set", checked)
+    monkeypatch.setattr(diagram, "_whole_walk", checked)
     for text in seed1_texts:
         out, _trace = reduction.preprocess(parse_pd(text))
         analysis.diagram_flags(out)
