@@ -90,12 +90,12 @@ def random_knot_diagram(
         gens = list(range(1, strands)) + [-i for i in range(1, strands)]
         word = [rng.choice(gens) for _ in range(n_letters)]
         d = braid_closure(word, strands=strands)
-        if d.loops or len(d.components()) != 1 or not d.crossings:
+        if d.loops or len({rec.component for rec in d.edges.values()}) != 1:
             continue
         for _ in range(flips):
             d = flip_crossing(d, rng.choice(sorted(d.crossings)))
         d, trace = preprocess(d)
-        if d.loops or not d.crossings or len(d.components()) != 1:
+        if d.loops or len({rec.component for rec in d.edges.values()}) != 1:
             continue
         if max_crossings is not None and len(d.crossings) > max_crossings:
             continue

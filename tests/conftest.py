@@ -7,6 +7,7 @@ genuinely different computations.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -1369,12 +1370,10 @@ def oracle_positions(d):
 
 
 def oracle_has_close_pair(pts, eps) -> bool:
-    """Whether two of the points lie less than ``eps`` apart, over all
-    pairs."""
-    import numpy as np
-
+    """Whether two of the points lie less than ``eps`` apart, measured as
+    ``math.hypot`` of their difference, over all pairs."""
     return any(
-        np.linalg.norm(pts[i] - pts[j]) < eps
+        math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < eps
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
     )

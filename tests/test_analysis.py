@@ -327,6 +327,8 @@ class TestTwoStrandTorus:
         assert detect_two_strand_torus(curl) is None
         assert detect_two_strand_torus(granny_sum) is None
         assert detect_two_strand_torus(parse_pd("O(1)")) is None
+        # a chain of bigons beside a crossing-free loop is not the torus diagram
+        assert detect_two_strand_torus(parse_pd(TREFOIL + " O(7)")) is None
         assert detect_two_strand_torus(trefoil) == 3
 
 

@@ -914,6 +914,32 @@ class TestCertify:
         assert verify_augmentation(d, res) == []
         assert verify_augmentation(d, tamper(d, res)) != []
 
+    def test_input_crossing_renamed_fails_the_refinement_map(self):
+        # G with one of the input's crossings under a fresh id is still a
+        # valid map, so certify reaches the refinement check, which cannot
+        # map the input's crossings into G
+        from altknot import twist_partition
+        from altknot.augmentation import certify
+        from altknot.diagram import Crossing, Edge, restamp_origins
+        from altknot.errors import MappingError
+
+        d, _ = random_knot_diagram(3, 14, 2)
+        res = augment(d)
+        old, new = min(d.crossings), max(res.g.crossings) + 1
+        x = res.g.crossings[old]
+        crossings = {c: r for c, r in res.g.crossings.items() if c != old}
+        crossings[new] = Crossing(new, x.slots, x.over_slots)
+        edges = {
+            e: Edge(e, tuple((new if c == old else c, s) for c, s in r.ends), r.origin, r.component)
+            for e, r in res.g.edges.items()
+        }
+        g = Diagram(crossings, edges, res.g.loops, res.g.augmenting_component)
+        assert validate_diagram(g).valid
+        d0 = restamp_origins(d)
+        checked = certify(d0, face_set(d0), twist_partition(d0), g, res.augmenting_component)
+        failures = [(type(exc), str(exc)) for exc in checked.failures]
+        assert (MappingError, "reconstructed crossings are not a subset of the ambient ones") in failures
+
     def test_components_sharing_one_id_are_refused(self, monkeypatch):
         # a 2-component input whose two components carry one id in G: G
         # keeps every other promise, and only the component count fails

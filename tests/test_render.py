@@ -2,13 +2,19 @@
 solve over every node (``oracle_positions``).  The bytes of the seed-0
 benchmark SVGs are pinned in ``test_pinned_outputs.py``."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from altknot import augment, parse_pd, render, render_svg
+from altknot import augment, parse_pd, render, render_svg, serialize_pd
 from altknot.errors import RenderError
 
 from conftest import (
@@ -19,6 +25,7 @@ from conftest import (
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _paths(svg: str):
@@ -55,6 +62,33 @@ class TestRender:
         # solve has no rows
         svg = render_svg(kink_unknot)
         assert _paths(svg)
+
+
+class TestWithoutNumpy:
+    # a fresh interpreter, so that the test process's own imports (numpy,
+    # for the oracle) do not count; numpy is a test extra, not a runtime
+    # dependency
+    SCRIPT = (
+        "import json, sys\n"
+        "from altknot.cli import run\n"
+        "codes = [run(sys.argv[1:7]), run(sys.argv[7:])]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+
+    def test_cli_augments_and_renders_without_numpy(self, tmp_path):
+        (_seed, d), = corpus_diagrams(1)
+        src, pd, svg, drawn = (tmp_path / name for name in ("d.pd", "g.pd", "g.svg", "drawn.svg"))
+        src.write_text(f"# name: knot\n{serialize_pd(d)}\n")
+        argv = ["augment", str(src), "--emit-pd", str(pd), "--emit-svg", str(svg), "render", str(pd), str(drawn)]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": False}
+        g = augment(d).g
+        assert pd.read_text() == f"# name: knot\n{serialize_pd(g)}\n\n"
+        assert svg.read_text() == render_svg(g)
+        assert drawn.read_text() == render_svg(parse_pd(serialize_pd(g)))
 
 
 class TestPositions:
@@ -116,7 +150,7 @@ class TestCloseTest:
         for _ in range(200):
             pts = np.array([[rng.random(), rng.random()] for _ in range(rng.randint(2, 30))])
             dists = sorted(
-                np.linalg.norm(pts[i] - pts[j])
+                math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
                 for i in range(len(pts)) for j in range(i + 1, len(pts))
             )
             verdicts.add(_close(pts, dists[rng.randrange(min(3, len(dists)))]))
