@@ -383,7 +383,7 @@ def diagram_flags(d: Diagram) -> DiagramFlags:
         witness = PrimalityWitness("trivial")
         prime = False
     else:
-        pair = _two_edge_cut(d, fs) if len(d.crossings) >= 2 else None
+        pair = _two_edge_cut(d, fs)
         if pair is None:
             witness = PrimalityWitness("prime")
             prime = True
@@ -504,14 +504,19 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, in
     is built:
 
     - each input crossing is in ``g`` with the same over strand, and the
-      edge in each of its slots is off ``aug`` and carries as origin the
-      input's edge in that slot;
+      edge in each of its slots is off ``aug``;
     - every other crossing carries ``aug`` on exactly one strand;
     - each input edge, walked from its first end straight through such
-      crossings, keeps its origin and arrives at its second end;
+      crossings, stays off ``aug`` and arrives at its second end;
     - those walks and ``aug``'s edges (one per crossing it is on) are all
       of ``g``'s edges, and the loops of ``g`` off ``aug`` are the
       input's.
+
+    The last two give each edge of ``g`` off ``aug`` to exactly one input
+    edge, with no record naming it: a walk is one strand, so two walks
+    that shared an edge would arrive at the same end, or one would
+    arrive at the other's start.  So ``g`` is checked from its own map,
+    whatever ids its edges carry, as parsed from its PD text too.
 
     MappingError otherwise.  When nothing in ``g`` beyond the input's
     crossings is on ``aug``, UnknownComponent rather than a vacuous
@@ -522,8 +527,7 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, in
     passes.  On a valid map the walks are disjoint strands that cover
     every edge off ``aug`` and pass every non-input crossing once, so
     the counts sum to the number of crossings of ``aug`` with the rest;
-    ``aug`` crosses itself nowhere and crosses no edge without an
-    origin."""
+    ``aug`` crosses itself nowhere and crosses only input edges."""
     def fail(why: str) -> MappingError:
         return MappingError(f"reconstructed diagram is not the input verbatim: {why}")
 
@@ -534,8 +538,7 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, in
         if y is None or y.over_slots != x.over_slots:
             raise fail(f"crossing {cid} differs")
         for e, o in zip(y.slots, x.slots):
-            rec = edges[e]
-            if rec.origin != o or rec.component == aug:
+            if edges[e].component == aug:
                 raise fail(f"crossing {cid} has edge {e} in the slot of edge {o}")
     n_aug = 0
     for cid, y in crossings.items():
@@ -556,7 +559,7 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, in
             sub = edges[crossings[c].slots[s]]
             walked += 1
             # the bound stops a walk that never reaches an input crossing
-            if sub.origin != e or sub.component == aug or walked > len(edges):
+            if sub.component == aug or walked > len(edges):
                 raise fail(f"edge {e} is not one strand of its sub-edges")
             c, s = sub.other_end((c, s))
             if c in d_crossings:

@@ -12,7 +12,11 @@ so neither pays for the parts of the map it leaves alone.  ``certify``
 checks the result against the one list of the paper's promises; there
 ``analysis.reconstruct_input`` checks that dropping the curve gives back
 the input verbatim, and its walk counts the curve's crossings on each
-input edge, which the checks on the curve read.
+input edge, which the checks on the curve read.  No record says which
+input edge a piece of G was cut from: an input edge is the strand run
+between two input crossings, so the merge arc tells the pieces of a
+crossed edge by their ends on the circles (``_circle_crossings``), and
+``certify`` reads them off that walk, from G alone or from its PD text.
 
 1.  ``build_cut_curves``: checkerboard-classify the crossings, thicken
     the smaller class, and walk the boundary of its ribbon neighborhood.
@@ -75,7 +79,6 @@ from .diagram import (
     face_set,
     is_connected,
     mark_augmenting,
-    restamp_origins,
     serialize_pd,
     validate_diagram,
 )
@@ -253,12 +256,12 @@ def overlay_unlink(d: Diagram, cs: CutSystem) -> tuple[Diagram, CutSystem]:
             # slots ccw at x: 0 curve-to-previous, 1 toward far end,
             # 2 curve-to-next, 3 toward the thickened class
             crossings[x + k] = Crossing(x + k, (ring + (k - 1) % n, h_far, ring + k, h_w), over)
-            edges[h_w] = Edge(h_w, ((cw, sw), (x + k, 3)), rec.origin, rec.component)
+            edges[h_w] = Edge(h_w, ((cw, sw), (x + k, 3)), rec.component)
             put((cw, sw), h_w)
-            edges[h_far] = Edge(h_far, ((x + k, 1), far), rec.origin, rec.component)
+            edges[h_far] = Edge(h_far, ((x + k, 1), far), rec.component)
             put(far, h_far)
         for k in range(n):
-            edges[ring + k] = Edge(ring + k, ((x + k, 2), (x + (k + 1) % n, 0)), None, comp)
+            edges[ring + k] = Edge(ring + k, ((x + k, 2), (x + (k + 1) % n, 0)), comp)
         comp, x, eid = comp + 1, x + n, ring + n
     for c, ids in slots.items():
         crossings[c] = Crossing(c, tuple(ids), crossings[c].over_slots)
@@ -303,19 +306,18 @@ class MergeArc:
     phi: int
 
 
-def _forbidden_origins(g: Diagram, curve_comps: set[int]) -> set[int]:
-    """Origins of original edges some augmenting circle already crosses."""
-    touched: set[int] = set()
-    for cid, c in g.crossings.items():
-        comps = [g.edges[c.slots[0]].component, g.edges[c.slots[1]].component]
-        strand0_aug = comps[0] in curve_comps
-        strand1_aug = comps[1] in curve_comps
-        if strand0_aug != strand1_aug:
-            d_slot = 1 if strand0_aug else 0
-            o = g.edges[c.slots[d_slot]].origin
-            if o is not None:
-                touched.add(o)
-    return touched
+def _circle_crossings(g: Diagram, curve_comps: set[int]) -> set[int]:
+    """The crossings on the augmenting circles: the ends of their edges.
+    A circle cuts each original edge it crosses at such a crossing, so
+    every piece of a crossed edge has an end in this set, and an
+    uncrossed original edge is one edge of ``g`` with no end in it."""
+    on: set[int] = set()
+    for rec in g.edges.values():
+        if rec.component in curve_comps:
+            (c0, _s0), (c1, _s1) = rec.ends
+            on.add(c0)
+            on.add(c1)
+    return on
 
 
 def _curve_faces(g: Diagram, fs: FaceSet, comps) -> dict[int, set[int]]:
@@ -392,32 +394,37 @@ class _CircleFaces:
                 shared.add(k)
 
 
-def _is_original_bigon(g: Diagram, fs: FaceSet, f: int) -> bool:
+def _is_original_bigon(g: Diagram, fs: FaceSet, f: int, comps: set[int]) -> bool:
     """Face ``f`` of ``fs`` is a bigon of the original diagram inside the
-    overlay: a bigon face both of whose edges are origin-carrying.  A
-    face along a circle has a circle edge, which has no origin, so it is
-    never one."""
-    return _is_bigon(fs.darts[f]) and all(g.edges[e].origin is not None for e in fs.bounds[f])
+    overlay: a bigon face neither of whose edges is on one of the circles
+    ``comps``.
+    A corner at a circle crossing lies between a circle edge and another,
+    so such a bigon has its corners at original crossings, and its edges
+    are whole original edges."""
+    return _is_bigon(fs.darts[f]) and all(g.edges[e].component not in comps for e in fs.bounds[f])
 
 
-def _d_bigon_faces(g: Diagram, fs: FaceSet) -> set[int]:
+def _d_bigon_faces(g: Diagram, fs: FaceSet, comps: set[int]) -> set[int]:
     """The faces of ``fs`` that are bigons of the original diagram."""
-    return {f for f in fs.darts if _is_original_bigon(g, fs, f)}
+    return {f for f in fs.darts if _is_original_bigon(g, fs, f, comps)}
 
 
 def _admissible_edges(
-    g: Diagram, fs: FaceSet, comps: set[int], touched: set[int]
+    g: Diagram, fs: FaceSet, comps: set[int], on_circles: set[int]
 ) -> dict[int, list[tuple[int, int]]]:
     """Face -> (neighbouring face, edge) for every edge a merge arc may
-    cross: no circle edge, no edge whose origin is in ``touched``, and no
-    edge of an original bigon."""
-    banned = _d_bigon_faces(g, fs)
+    cross: no circle edge, no edge with an end in ``on_circles`` (a piece
+    of an original edge a circle already crosses), and no edge of an
+    original bigon.  Each admissible edge is a whole original edge."""
+    banned = _d_bigon_faces(g, fs, comps)
     dart_face = fs.dart_face
     allowed: dict[int, list[tuple[int, int]]] = {}
     for e, rec in g.edges.items():
-        if rec.component in comps or rec.origin in touched:
+        if rec.component in comps:
             continue
         (c0, s0), (c1, s1) = rec.ends
+        if c0 in on_circles or c1 in on_circles:
+            continue
         l, r = dart_face[4 * c0 + s0], dart_face[4 * c1 + s1]
         if l in banned or r in banned:
             continue
@@ -522,9 +529,9 @@ def _trace_arc(
 def find_merge_arc(g: Diagram, curve_comps: list[int], faces: _CircleFaces | None = None) -> MergeArc:
     """Cheapest face path from one augmenting circle to another.
 
-    A step crosses one admissible edge: never a circle edge, never an
-    edge whose origin a circle already crosses, and never into a bigon
-    of the original diagram.  The global minimum over ordered source
+    A step crosses one admissible edge: never a circle edge, never a
+    piece of an original edge a circle already crosses, and never into a
+    bigon of the original diagram.  The global minimum over ordered source
     circles is taken, ties broken by source id then by the
     lexicographically least face sequence.
 
@@ -545,15 +552,15 @@ def find_merge_arc(g: Diagram, curve_comps: list[int], faces: _CircleFaces | Non
     elif faces.faces.keys() != comps:
         raise InvariantError("carried circle faces describe other circles")
     arc = _free_arc(faces)
-    touched: set[int] = set()  # a free arc crosses no edge
+    on_circles: set[int] = set()  # a free arc crosses no edge
     if arc is None:
-        touched = _forbidden_origins(g, comps)
-        allowed = _admissible_edges(g, fs, comps, touched)
+        on_circles = _circle_crossings(g, comps)
+        allowed = _admissible_edges(g, fs, comps, on_circles)
         best = _nearest_circles(allowed, faces.faces)
         if best is None:
             raise NoPathError("no admissible path joins two augmenting circles")
         arc = _trace_arc(allowed, faces.faces, *best)
-    _check_arc(g, fs, arc, comps, touched)
+    _check_arc(g, fs, arc, comps, on_circles)
     return arc
 
 
@@ -562,21 +569,22 @@ def _check_arc(
     fs: FaceSet,
     arc: MergeArc,
     comps: set[int],
-    touched: set[int],
+    on_circles: set[int],
 ) -> None:
+    """InvariantError unless ``arc`` crosses only admissible edges, each
+    once.  An admissible edge is a whole original edge, so distinct
+    edges are distinct original edges."""
     if len(arc.faces) != arc.phi + 1 or len(arc.edges) != arc.phi:
         raise InvariantError("merge arc bookkeeping is inconsistent")
-    origins = []
     for e in arc.edges:
         rec = g.edges[e]
         if rec.component in comps:
             raise InvariantError("merge arc crosses an augmenting circle")
-        if rec.origin in touched:
+        if not on_circles.isdisjoint(c for c, _s in rec.ends):
             raise InvariantError("merge arc crosses an edge a circle already meets")
-        origins.append(rec.origin)
-    if len(set(origins)) != len(origins):
+    if len(set(arc.edges)) != len(arc.edges):
         raise InvariantError("merge arc crosses some original edge twice")
-    if any(_is_original_bigon(g, fs, f) for f in arc.faces):
+    if any(_is_original_bigon(g, fs, f, comps) for f in arc.faces):
         raise InvariantError("merge arc passes through an original bigon")
 
 
@@ -654,22 +662,22 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
         b.add_crossing(xl[m], [0, 0, 0, 0], over_l)
         b.add_crossing(xr[m], [0, 0, 0, 0], over_r)
         s_head, s_mid, s_tail = b.new_edge_id(), b.new_edge_id(), b.new_edge_id()
-        b.add_edge(s_head, [(xl[m], 1), tuple(head)], rec.origin, rec.component)
-        b.add_edge(s_mid, [(xr[m], 1), (xl[m], 3)], rec.origin, rec.component)
-        b.add_edge(s_tail, [tuple(tail), (xr[m], 3)], rec.origin, rec.component)
+        b.add_edge(s_head, [(xl[m], 1), tuple(head)], rec.component)
+        b.add_edge(s_mid, [(xr[m], 1), (xl[m], 3)], rec.component)
+        b.add_edge(s_tail, [tuple(tail), (xr[m], 3)], rec.component)
 
     b.remove_edge(base)
     bl = b.new_edge_id()
-    b.add_edge(bl, [tuple(end_L), (xl[0], 2)], None, comp)
+    b.add_edge(bl, [tuple(end_L), (xl[0], 2)], comp)
     br = b.new_edge_id()
-    b.add_edge(br, [tuple(end_R), (xr[0], 2)], None, comp)
+    b.add_edge(br, [tuple(end_R), (xr[0], 2)], comp)
     for m in range(k - 1):
         el = b.new_edge_id()
-        b.add_edge(el, [(xl[m], 0), (xl[m + 1], 2)], None, comp)
+        b.add_edge(el, [(xl[m], 0), (xl[m + 1], 2)], comp)
         er = b.new_edge_id()
-        b.add_edge(er, [(xr[m], 0), (xr[m + 1], 2)], None, comp)
+        b.add_edge(er, [(xr[m], 0), (xr[m + 1], 2)], comp)
     tip = b.new_edge_id()
-    b.add_edge(tip, [(xl[k - 1], 0), (xr[k - 1], 0)], None, comp)
+    b.add_edge(tip, [(xl[k - 1], 0), (xr[k - 1], 0)], comp)
 
     out = b.build()
     failures = check_edit(b, fs, out)
@@ -729,8 +737,8 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     b.remove_edge(ea)
     b.remove_edge(eb)
     g1, g2 = b.new_edge_id(), b.new_edge_id()
-    b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], None, merged)
-    b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], None, merged)
+    b.add_edge(g1, [tuple(arr_a), tuple(dep_b)], merged)
+    b.add_edge(g2, [tuple(dep_a), tuple(arr_b)], merged)
     # straight through each crossing, from the dropped circle's edge on
     # the face round to it again
     start = ea if ci == dropped else eb
@@ -814,9 +822,9 @@ class Certification:
 
 def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: int) -> Certification:
     """Check every promise the paper makes of G = ``g``, the input ``d``
-    (its edges their own origins) with the unknotted curve ``aug``
-    added, from ``d``'s face table and twist partition, which the caller
-    holds.  In order, with the exception for each:
+    with the unknotted curve ``aug`` added, from ``d``'s face table and
+    twist partition, which the caller holds.  In order, with the
+    exception for each:
 
     1. G is a valid map (InvariantError); nothing more is read otherwise;
     2. G is alternating (AlternationError);
@@ -973,7 +981,6 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         if not ok:
             raise PreconditionError(f"diagram is not {name}", failed_flag=name)
 
-    d = restamp_origins(d)
     d_fs = face_set(d)
     d_tp = twist_partition(d)
 

@@ -92,21 +92,18 @@ _set_crossing_over_slots = Crossing.over_slots.__set__
 
 @dataclass(frozen=True, slots=True, init=False)
 class Edge:
-    """Arc between two crossing passages.
-
-    ``origin`` is the id of the pre-augmentation edge this arc is a
-    piece of (stable across subdivisions); ``component`` is the link
-    component the arc belongs to."""
+    """Arc between two crossing passages.  ``component`` is the link
+    component the arc belongs to.  Which edge of a diagram an arc of a
+    larger map was cut from is not stored: it is the strand run between
+    two of that diagram's crossings (``analysis.reconstruct_input``)."""
 
     id: int
     ends: tuple[End, End]
-    origin: int | None
     component: int
 
-    def __init__(self, id: int, ends: tuple[End, End], origin: int | None, component: int) -> None:
+    def __init__(self, id: int, ends: tuple[End, End], component: int) -> None:
         _set_edge_id(self, id)
         _set_edge_ends(self, ends)
-        _set_edge_origin(self, origin)
         _set_edge_component(self, component)
 
     def other_end(self, end: End) -> End:
@@ -116,7 +113,6 @@ class Edge:
 
 _set_edge_id = Edge.id.__set__
 _set_edge_ends = Edge.ends.__set__
-_set_edge_origin = Edge.origin.__set__
 _set_edge_component = Edge.component.__set__
 
 
@@ -280,9 +276,8 @@ class FaceSet:
     (``analysis.classify_edges``).  They depend only on the crossings,
     their slots and over strands, the loops and the edge ends.  Every
     diagram a table serves shares all of these with the one it was built
-    for: ``restamp_origins`` changes only origins and ``mark_augmenting``
-    only the augmenting component, and a surgery result gets a new table
-    (``_edited_face_set``).
+    for: ``mark_augmenting`` changes only the augmenting component, and a
+    surgery result gets a new table (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
     update differs from it: (dropped, fresh), the ids of the source
@@ -368,8 +363,8 @@ def _held_face_set(d: Diagram) -> FaceSet | None:
 def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     """Return ``dst``, which must have the crossings, slots and loops of
     ``src``; if the memo holds ``src``'s table it now answers for ``dst``.
-    Faces do not depend on origins, components or the augmenting
-    component, so a copy that changes only those keeps the table."""
+    Faces do not depend on components or the augmenting component, so a
+    copy that changes only those keeps the table."""
     global _last_face_set
     fs = _held_face_set(src)
     if fs is not None:
@@ -627,9 +622,8 @@ def _assemble(flat: list[int], loop_ids: list[int]) -> Diagram:
     ``other[x]`` is the dart at the far end of slot x's edge; it pairs
     each edge's first and last slot and leaves any slot between at -1, so
     with no -1 left and 2E = 4V every id is used twice.  Edges are built
-    in order of first use, first slot to last, as their own origins, in
-    their strand orbit (slot x to x ^ 2) numbered by least edge id, the
-    loops after.  The face table (``_whole_walk``) gets the piece count,
+    in order of first use, first slot to last, in their strand orbit
+    (slot x to x ^ 2) numbered by least edge id, the loops after.  The face table (``_whole_walk``) gets the piece count,
     the orbits joined at each crossing, and goes in the ``face_set`` memo."""
     global _last_face_set
     n = len(flat)
@@ -674,7 +668,7 @@ def _assemble(flat: list[int], loop_ids: list[int]) -> Diagram:
     edges: dict[int, Edge] = {}
     for e, z in last.items():
         a = first[e]
-        edges[e] = Edge(e, ((a >> 2, a & 3), (z >> 2, z & 3)), e, comp[e])
+        edges[e] = Edge(e, ((a >> 2, a & 3), (z >> 2, z & 3)), comp[e])
     d = Diagram(crossings, edges, {k: orbits + i for i, k in enumerate(sorted(loops))})
 
     fs = _whole_walk(d, flat, other)
@@ -687,22 +681,6 @@ def _assemble(flat: list[int], loop_ids: list[int]) -> Diagram:
     fs.pieces = pieces
     _last_face_set = (weakref.ref(d), fs)
     return d
-
-
-def restamp_origins(d: Diagram) -> Diagram:
-    """The same diagram with every edge re-stamped as its own origin; it
-    keeps ``d``'s face table.  ``d`` itself when every edge already is
-    its own origin, as in every parsed map.  Only the edges whose origin
-    is another id get a new record; the others are handed over as they
-    are, so after ``preprocess`` only the edges its welds made are built
-    again."""
-    stale = [(e, r) for e, r in d.edges.items() if e != r.origin]
-    if not stale:
-        return d
-    edges = dict(d.edges)
-    for e, r in stale:
-        edges[e] = Edge(e, r.ends, e, r.component)
-    return _hand_over_face_set(d, Diagram(d.crossings, edges, d.loops, d.augmenting_component))
 
 
 def mark_augmenting(d: Diagram, comp: int) -> Diagram:
@@ -880,9 +858,9 @@ class MapBuilder:
 
     ``build()`` also records ``changed_edges``, the edges removed, added
     or re-ended: every touched edge but those in both maps with the same
-    ends.  An edge that only had its component or origin written bounds
-    the same faces and joins the same crossings, so no face, incidence
-    or piece check needs it."""
+    ends.  An edge that only had its component written bounds the same
+    faces and joins the same crossings, so no face, incidence or piece
+    check needs it."""
 
     def __init__(self, d: Diagram):
         self.source = d
@@ -927,9 +905,9 @@ class MapBuilder:
         self.over[cid] = over_slots
         self.touched_crossings.add(cid)
 
-    def add_edge(self, eid: int, ends: list[End], origin: int | None, comp: int) -> None:
+    def add_edge(self, eid: int, ends: list[End], comp: int) -> None:
         a, z = ends
-        self.edges[eid] = Edge(eid, (tuple(a), tuple(z)), origin, comp)
+        self.edges[eid] = Edge(eid, (tuple(a), tuple(z)), comp)
         self.touched_edges.add(eid)
         for c, s in ends:
             self._own_slots(c)[s] = eid
@@ -937,7 +915,7 @@ class MapBuilder:
     def set_component(self, eid: int, comp: int) -> None:
         rec = self.edges[eid]
         if rec.component != comp:
-            self.edges[eid] = Edge(eid, rec.ends, rec.origin, comp)
+            self.edges[eid] = Edge(eid, rec.ends, comp)
             self.touched_edges.add(eid)
 
     def remove_edge(self, eid: int) -> None:
@@ -956,22 +934,21 @@ class MapBuilder:
         """Join the edges in slot ends ``a`` and ``z``, which may sit at
         different crossings, into one arc between their far ends; the
         arc no longer touches ``a`` or ``z`` (their crossings are being
-        removed).  The arc keeps the lower of the two edge ids, the
-        component of the edge at ``a``, and the origin only when both
-        edges share it.  Only the two edges are read, so what lies
-        between ``a`` and ``z`` never affects the kept id.  Returns that
-        id, or None when ``a`` and ``z`` are the two ends of one edge,
-        which then closes up into a crossing-free loop with its id."""
+        removed).  The arc keeps the lower of the two edge ids and the
+        component of the edge at ``a``.  Only the two edges are read, so
+        what lies between ``a`` and ``z`` never affects the kept id.
+        Returns that id, or None when ``a`` and ``z`` are the two ends of
+        one edge, which then closes up into a crossing-free loop with its
+        id."""
         r1, r2 = self.edges[self.slots_at(a[0])[a[1]]], self.edges[self.slots_at(z[0])[z[1]]]
         if r1.id == r2.id:
             self.loops[r1.id] = r1.component
             self.remove_edge(r1.id)
             return None
         keep = min(r1.id, r2.id)
-        origin = r1.origin if r1.origin == r2.origin else None
         self.remove_edge(r1.id)
         self.remove_edge(r2.id)
-        self.add_edge(keep, [r1.other_end(a), r2.other_end(z)], origin, r1.component)
+        self.add_edge(keep, [r1.other_end(a), r2.other_end(z)], r1.component)
         return keep
 
     def build(self) -> Diagram:

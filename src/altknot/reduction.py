@@ -40,7 +40,6 @@ from .diagram import (
     _is_bigon,
     _Partition,
     face_set,
-    restamp_origins,
     validate_diagram,
 )
 from .edits import FacePartition, check_move
@@ -311,8 +310,7 @@ def _least(keys: set, heap: list):
 
 def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
     """Apply nugatory and R2 removals (lowest id first, nugatory first)
-    until neither applies.  The fixpoint is reduced and R2-reduced; every
-    edge of the result is re-stamped as its own origin.
+    until neither applies.  The fixpoint is reduced and R2-reduced.
 
     The input is validated as a whole map once (PreconditionError with
     ``failed_flag="valid"`` when it is not a valid diagram), and its
@@ -350,5 +348,4 @@ def preprocess(d: Diagram) -> tuple[Diagram, ReductionTrace]:
         raise ReductionInvariantError(f"reduction raised the twist count {trace.t_before} -> {moves.t}")
     trace.crossings_after = len(cur.crossings)
     trace.t_after = moves.t
-    cur = restamp_origins(cur)
     return cur, trace

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .analysis import classify_edges, twist_partition
 from .augmentation import augment, certify
-from .diagram import face_set, restamp_origins, validate_diagram
+from .diagram import face_set, validate_diagram
 from .errors import DiagramError
 from .generate import random_knot_diagram
 
@@ -47,7 +47,6 @@ def verify_augmentation(d, res) -> list[str]:
     ``i_A_D`` and certificate with the certified ones.  Every failure is
     a ``"Type: message"`` line; empty list = pass.  Nothing is raised on
     a result that does not match ``d``."""
-    d = restamp_origins(d)
     d_fs = face_set(d)
     d_tp = twist_partition(d)
     checked = certify(d, d_fs, d_tp, res.g, res.augmenting_component)

@@ -466,7 +466,7 @@ def same_table(fs, d) -> bool:
 # -- map equality, a mutator and checks of the package's facts -----------------
 # Only the tests use these; the package keeps none of them.
 
-def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
+def same_map(a: Diagram, b: Diagram) -> bool:
     """Combinatorial-map equality preserving edge ids, up to rotating each
     crossing's slot numbering (which the serialization of a flipped
     crossing does).  Crossings match by id when the id sets agree, else
@@ -511,8 +511,6 @@ def same_map(a: Diagram, b: Diagram, check_origins: bool = True) -> bool:
             return False
         if not comps_match(ra.component, rb.component):
             return False
-        if check_origins and ra.origin != rb.origin:
-            return False
     for k, comp in a.loops.items():
         if not comps_match(comp, b.loops[k]):
             return False
@@ -546,8 +544,7 @@ def oracle_assemble(slot_records, loop_ids) -> Diagram:
     ``diagram._assemble`` makes it, by a table of the (crossing, slot)
     uses of each edge and a strand walk on those pairs: crossings in
     record order with the over strand in slots 1 and 3; edges in order of
-    first use, each from its first use to its second, as its own origin;
-    components the strand orbits by least edge id, then the loops in id
+    first use, each from its first use to its second; components the strand orbits by least edge id, then the loops in id
     order.  IncidenceError and InvariantError as the package words them."""
     from altknot.diagram import Crossing, Diagram
     from altknot.errors import IncidenceError, InvariantError
@@ -585,7 +582,7 @@ def oracle_assemble(slot_records, loop_ids) -> Diagram:
             a, z = uses[e]
             c, s = z if a == through else a
         n += 1
-    edges = {e: Edge(e, (u[0], u[1]), e, comp[e]) for e, u in uses.items()}
+    edges = {e: Edge(e, (u[0], u[1]), comp[e]) for e, u in uses.items()}
     return Diagram(crossings, edges, {k: n + i for i, k in enumerate(sorted(loops))})
 
 
@@ -673,7 +670,7 @@ def reattach(b: MapBuilder, eid: int, old_end: End, new_end: End) -> None:
     rec = b.edges[eid]
     ends = list(rec.ends)
     ends[ends.index(tuple(old_end))] = tuple(new_end)
-    b.edges[eid] = Edge(eid, tuple(ends), rec.origin, rec.component)
+    b.edges[eid] = Edge(eid, tuple(ends), rec.component)
     b.touched_edges.add(eid)
     c, s = new_end
     b._own_slots(c)[s] = eid
@@ -695,8 +692,8 @@ def subdivide_edge_with_crossing(
 ) -> Diagram:
     """Insert one transverse crossing on edge ``e``.
 
-    The edge splits into two halves sharing the new crossing, both
-    inheriting the origin of ``e``; the strand of ``e`` carries
+    The edge splits into two halves sharing the new crossing, both on the
+    component of ``e``; the strand of ``e`` carries
     ``e_sign`` there and the crossing strand the negation.  The crossing
     strand is a one-edge closed loop through the new crossing, labeled
     ``new_component`` (fresh when omitted).
@@ -706,7 +703,7 @@ def subdivide_edge_with_crossing(
     crossing fails the Euler check until further crossings of the same
     inserted strand even the count out (``overlay_unlink`` inserts whole
     curves at once for exactly this reason).  Everything local -- labels,
-    origins, V+1/E+2 -- behaves as for one step of a curve insertion."""
+    components, V+1/E+2 -- behaves as for one step of a curve insertion."""
     from altknot.diagram import MapBuilder, Sign
 
     if e not in d.edges:
@@ -720,9 +717,9 @@ def subdivide_edge_with_crossing(
     over = (1, 3) if e_sign is Sign.MINUS else (0, 2)
     b.remove_edge(e)
     b.add_crossing(x, [0, 0, 0, 0], over)
-    b.add_edge(h0, [tuple(rec.ends[0]), (x, 0)], rec.origin, rec.component)
-    b.add_edge(h1, [(x, 2), tuple(rec.ends[1])], rec.origin, rec.component)
-    b.add_edge(loop_edge, [(x, 1), (x, 3)], None, comp)
+    b.add_edge(h0, [tuple(rec.ends[0]), (x, 0)], rec.component)
+    b.add_edge(h1, [(x, 2), tuple(rec.ends[1])], rec.component)
+    b.add_edge(loop_edge, [(x, 1), (x, 3)], comp)
     return b.build()
 
 
@@ -756,10 +753,10 @@ def oracle_overlay(d: Diagram, cs):
             h_w, h_far = b.new_edge_id(), b.new_edge_id()
             b.remove_edge(e)
             b.add_crossing(xs[k], [0, 0, 0, 0], over)
-            b.add_edge(h_w, [(cw, sw), (xs[k], 3)], rec.origin, rec.component)
-            b.add_edge(h_far, [(xs[k], 1), far], rec.origin, rec.component)
+            b.add_edge(h_w, [(cw, sw), (xs[k], 3)], rec.component)
+            b.add_edge(h_far, [(xs[k], 1), far], rec.component)
         for k in range(n):
-            b.add_edge(b.new_edge_id(), [(xs[k], 2), (xs[(k + 1) % n], 0)], None, comp)
+            b.add_edge(b.new_edge_id(), [(xs[k], 2), (xs[(k + 1) % n], 0)], comp)
     realized = replace(cs, curves=tuple(
         replace(curve, component=comp) for curve, comp in zip(cs.curves, comp_ids)
     ))
@@ -912,7 +909,7 @@ def oracle_numbered_components(d):
     edge_comp = {e: i for i, grp in enumerate(oracle_strand_components(d)) for e in grp}
     n = len(set(edge_comp.values()))
     loops = {k: n + i for i, k in enumerate(sorted(d.loops))}
-    edges = {e: Edge(e, rec.ends, rec.origin, edge_comp[e]) for e, rec in d.edges.items()}
+    edges = {e: Edge(e, rec.ends, edge_comp[e]) for e, rec in d.edges.items()}
     return Diagram(d.crossings, edges, loops, d.augmenting_component)
 
 
@@ -1032,7 +1029,6 @@ def oracle_preprocess(d):
     partition; each move is ``oracle_move``.  Returns (output, trace)."""
     from altknot import face_set
     from altknot.analysis import cut_vertices, twist_partition
-    from altknot.diagram import restamp_origins
     from altknot.reduction import ReductionStep, ReductionTrace
 
     t = twist_partition(d).t
@@ -1053,7 +1049,7 @@ def oracle_preprocess(d):
         trace.steps.append(ReductionStep(kind, removed, len(cur.crossings), t))
     trace.crossings_after = len(cur.crossings)
     trace.t_after = t
-    return restamp_origins(cur), trace
+    return cur, trace
 
 
 def assert_partition_is_the_walk(faces, d):
@@ -1123,32 +1119,55 @@ def oracle_twist_count(d) -> int:
     return len({find(c) for c in d.crossings})
 
 
-def oracle_curve_crossings(g, aug) -> dict[int, int]:
-    """Times the curve ``aug`` crosses each input edge, by a census of
-    g's crossings: at each crossing with ``aug`` on exactly one strand,
-    the origin of the other strand's edge, counted."""
-    from collections import Counter
+def oracle_strand_runs(g, stops) -> dict:
+    """The run of ``g``'s strand out of each slot (c, s) of every crossing
+    c in ``stops``, edge by edge and straight through every other
+    crossing: (c, s) -> (the end at which it arrives at a crossing of
+    ``stops``, the edges it follows, the crossings it passes on the way).
+    A run between two such crossings is walked from both of its ends.
+    The strand out of a crossing of ``stops`` comes back to it, so every
+    run ends."""
+    runs = {}
+    for c0 in sorted(stops):
+        for s0 in range(4):
+            (c, s), edges, passed = (c0, s0), [], []
+            while True:
+                e = g.crossings[c].slots[s]
+                edges.append(e)
+                c, s = g.edges[e].other_end((c, s))
+                if c in stops:
+                    break
+                passed.append(c)
+                s = (s + 2) % 4
+            runs[(c0, s0)] = ((c, s), edges, passed)
+    return runs
 
-    counts = Counter()
-    for c in g.crossings.values():
-        on = [g.edges[e].component == aug for e in c.slots]
-        if on[0] != on[1]:
-            counts[g.edges[c.slots[1 if on[0] else 0]].origin] += 1
-    return dict(counts)
+
+def oracle_curve_crossings(g, aug, d) -> dict[int, int]:
+    """Times the curve ``aug`` crosses each edge of the input ``d``, by
+    the strand runs of ``g`` out of every slot of ``d``'s crossings
+    (``oracle_strand_runs``): each run out of slot (c, s) is a piece of
+    the input's edge in that slot, and the crossings with ``aug`` it
+    passes are counted.  Both runs of an edge give its count."""
+    counts = {}
+    for (c, s), (_end, _edges, passed) in oracle_strand_runs(g, set(d.crossings)).items():
+        n = sum(1 for x in passed if any(g.edges[e].component == aug for e in g.crossings[x].slots))
+        if n:
+            counts[d.crossings[c].slots[s]] = n
+    return counts
 
 
 def drop_component(d, comp: int):
     """Remove one link component, fusing the strands it crossed, by
-    builder edits: the reconstruction ``refinement_check`` compares with
-    the input, where the package reads the same test off the augmented
-    map (``analysis.reconstruct_input``).
-
-    Sub-edges welded back together must share an origin id; the fused
-    edge takes that origin as its id, so dropping an augmenting curve
-    reconstructs the original diagram verbatim: the same crossings (ids,
-    slots, over strands) and loop ids, with components numbered afresh:
-    the strand components in order of least edge id, then the loops in
-    id order.  UnknownComponent when ``d`` has no component ``comp``."""
+    builder edits (``MapBuilder.weld``, which keeps the lower of two edge
+    ids): the reconstruction ``refinement_check`` compares with the
+    input, where the package reads the same test off the augmented map
+    (``analysis.reconstruct_input``).  The result keeps the crossings
+    (ids, slots, over strands) and loop ids off ``comp``, with components
+    numbered afresh: the strand components in order of least edge id,
+    then the loops in id order.  UnknownComponent when ``d`` has no
+    component ``comp``; MappingError when a crossing carries ``comp`` on
+    part of a strand only."""
     from altknot.diagram import Diagram, Edge, MapBuilder
     from altknot.errors import MappingError, UnknownComponent
 
@@ -1161,25 +1180,17 @@ def drop_component(d, comp: int):
         c for c, x in d.crossings.items()
         if any(edges[e].component == comp for e in x.slots)
     )
-    def weld_checked(c: int, s1: int, s2: int) -> None:
-        o1, o2 = edges[b.slots_at(c)[s1]].origin, edges[b.slots_at(c)[s2]].origin
-        if o1 != o2:
-            raise MappingError(
-                f"strand through crossing {c} mixes origins {o1} and {o2}"
-            )
-        b.weld((c, s1), (c, s2))
-
     for c in hit:
         slots = b.slots_at(c)
         on = [edges[slots[s]].component == comp for s in range(4)]
         if all(on):
             for s in (0, 1):
                 if slots[s] in edges:
-                    weld_checked(c, s, s + 2)
+                    b.weld((c, s), (c, s + 2))
         elif on[0] and on[2] and not (on[1] or on[3]):
-            weld_checked(c, 1, 3)
+            b.weld((c, 1), (c, 3))
         elif on[1] and on[3] and not (on[0] or on[2]):
-            weld_checked(c, 0, 2)
+            b.weld((c, 0), (c, 2))
         else:
             raise MappingError(f"crossing {c} mixes component {comp} within a strand")
         b.remove_crossing(c)
@@ -1188,37 +1199,44 @@ def drop_component(d, comp: int):
             b.remove_edge(e)
     for k in [k for k, cc in b.loops.items() if cc == comp]:
         del b.loops[k]
-    # rename fused arcs back to their origin ids
-    renames = {}
-    for e in sorted(edges):
-        o = edges[e].origin
-        if o is not None and o != e:
-            if o in edges or o in renames.values():
-                raise MappingError(f"origin id {o} already taken while fusing edge {e}")
-            renames[e] = o
-    for e, o in renames.items():
-        rec = edges[e]
-        b.remove_edge(e)
-        b.add_edge(o, rec.ends, rec.origin, rec.component)
     out = b.build()
     comps = oracle_strand_components(out)
     comp = {e: i for i, orbit in enumerate(comps) for e in orbit}
-    edges = {e: Edge(e, r.ends, r.origin, comp[e]) for e, r in out.edges.items()}
+    edges = {e: Edge(e, r.ends, comp[e]) for e, r in out.edges.items()}
     loops = {k: len(comps) + i for i, k in enumerate(sorted(out.loops))}
     return Diagram(out.crossings, edges, loops, None)
 
 
+def is_verbatim(d, expected) -> bool:
+    """``d`` is ``expected`` up to its edge ids: the same crossing ids and
+    over strands, the same loop ids, and one edge of ``expected`` named
+    by each edge of ``d``, read off the slots of ``expected``'s crossings
+    at each of the edge's ends, no two edges naming the same one."""
+    if d.crossings.keys() != expected.crossings.keys() or set(d.loops) != set(expected.loops):
+        return False
+    name = {}
+    for c, x in d.crossings.items():
+        y = expected.crossings[c]
+        if x.over_slots != y.over_slots:
+            return False
+        for e, o in zip(x.slots, y.slots):
+            if name.setdefault(e, o) != o:
+                return False
+    return len(name) == len(d.edges) and set(name.values()) == set(expected.edges)
+
+
 def refinement_check(g, augmenting: int | None = None, expected_d=None):
-    """Compare the twist partition of the diagram reconstructed from the
-    origin-labeled edges of ``g`` with the partition its crossings
-    inherit from the twist regions of ``g``.
+    """Compare the twist partition of the diagram reconstructed from ``g``
+    by dropping the component ``augmenting`` with the partition its
+    crossings inherit from the twist regions of ``g``.
 
     The inherited partition must refine the reconstructed one: parts are
     pairwise disjoint, each is a sub twist region, and together they
     cover every reconstructed crossing.  The check is independent of
     ``augmentation.certify``: it builds the reconstruction
-    (``drop_component``), compares it with ``expected_d`` verbatim
-    (MappingError) and walks its faces and twist partition itself, where
+    (``drop_component``), compares it with ``expected_d`` verbatim, up to
+    the ids its welds left on the edges (``is_verbatim``; MappingError),
+    and walks its faces and twist partition itself, where
     ``certify`` reads the same verbatim test off the augmented map
     (``reconstruct_input``) and reuses the tables of the input.
     UnknownComponent when ``g`` has no component ``augmenting``.
@@ -1229,11 +1247,7 @@ def refinement_check(g, augmenting: int | None = None, expected_d=None):
 
     aug = augmenting if augmenting is not None else g.augmenting_component
     d = g if aug is None else drop_component(g, aug)
-    if expected_d is not None and (
-        d.crossings != expected_d.crossings
-        or set(d.loops) != set(expected_d.loops)
-        or set(d.edges) != set(expected_d.edges)
-    ):
+    if expected_d is not None and not is_verbatim(d, expected_d):
         raise MappingError("reconstructed diagram is not the input verbatim")
     # g first, while the memo may still hold its table; then d's table,
     # held here
@@ -1256,24 +1270,20 @@ def oracle_merge_arc(g, live):
     fs = face_set(g)
     corner_face = corner_view(fs)
     comps = set(live)
-    # origins of the original edges some circle crosses
-    touched = set()
-    for c in g.crossings.values():
-        on = [g.edges[e].component in comps for e in c.slots]
-        if on[0] != on[1]:
-            o = g.edges[c.slots[1 if on[0] else 0]].origin
-            if o is not None:
-                touched.add(o)
+    # the original edges no circle crosses: the strand runs between
+    # crossings on no circle that pass no crossing
+    off = {c for c, x in g.crossings.items() if all(g.edges[e].component not in comps for e in x.slots)}
+    whole = {run[0] for _end, run, passed in oracle_strand_runs(g, off).values() if not passed}
     # bigons of the original diagram: two corners at two crossings, both
-    # edges origin-carrying
+    # edges off the circles
     banned = {
         f.dart for f in oracle_faces(g)
         if len(f.corner_slots) == 2 and f.corner_slots[0][0] != f.corner_slots[1][0]
-        and all(g.edges[e].origin is not None for e in f.boundary_edges)
+        and all(g.edges[e].component not in comps for e in f.boundary_edges)
     }
     allowed = {}
     for e, rec in sorted(g.edges.items()):
-        if rec.component in comps or rec.origin in touched:
+        if rec.component in comps or e not in whole:
             continue
         l, r = corner_face[rec.ends[0]], corner_face[rec.ends[1]]
         if l in banned or r in banned:

@@ -25,7 +25,7 @@ from altknot.diagram import Crossing, Edge
 # (class, field names, sample field values, other values field by field)
 RECORDS = [
     (Crossing, ("id", "slots", "over_slots"), (3, (1, 2, 3, 4), (0, 2)), (4, (1, 2, 4, 3), (1, 3))),
-    (Edge, ("id", "ends", "origin", "component"), (5, ((0, 1), (2, 3)), 5, 0), (6, ((0, 1), (2, 2)), None, 1)),
+    (Edge, ("id", "ends", "component"), (5, ((0, 1), (2, 3)), 0), (6, ((0, 1), (2, 2)), 1)),
     (
         TwistRegion,
         ("crossings", "bigons", "links", "topology"),

@@ -115,7 +115,7 @@ def test_acceptance_1_pipeline_property_suite(pipeline):
         problems = verify_augmentation(case.d, case.result)
         assert problems == [], (case.seed, problems)
         res = case.result
-        crossed = oracle_curve_crossings(res.g, res.augmenting_component)
+        crossed = oracle_curve_crossings(res.g, res.augmenting_component, case.d)
         # every crossing G adds is one of the curve with an input edge
         assert sum(crossed.values()) == res.i_A_D == len(res.g.crossings) - len(case.d.crossings)
         assert None not in crossed and max(crossed.values(), default=0) <= 2, case.seed
@@ -233,7 +233,7 @@ def test_acceptance_8_roundtrip_and_validation(corpus, pipeline, raw_closures):
         + [case.result.g for case in pipeline]
     )
     for d in diagrams:
-        assert same_map(parse_pd(serialize_pd(d)), d, check_origins=False)
+        assert same_map(parse_pd(serialize_pd(d)), d)
         rep = validate_diagram(d)
         assert rep.valid, rep.failures
     stage_count = 0

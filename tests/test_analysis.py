@@ -18,7 +18,7 @@ from altknot import (
     shading_classes,
     twist_partition,
 )
-from altknot.analysis import _is_sub_twist, _verify_refinement
+from altknot.analysis import _is_sub_twist, _two_edge_cut, _verify_refinement
 from altknot.diagram import _is_bigon
 from altknot.errors import NotConnected, UnknownComponent
 from altknot.generate import braid_closure, two_strand_torus
@@ -265,6 +265,17 @@ class TestFlags:
         fl = diagram_flags(hopf)
         assert fl.prime and fl.r2_reduced
         assert oracle_two_edge_cuts(hopf) == []
+
+    @pytest.mark.parametrize("pd", ["X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,1,2)"])
+    def test_one_crossing_maps_have_no_cut_pair(self, pd):
+        # the two edges of a planar 1-crossing map are kinks that border
+        # different pairs of faces, so the scan needs no guard on the
+        # crossing count: the map is prime, and its crossing nugatory
+        d = parse_pd(pd)
+        assert _two_edge_cut(d, face_set(d)) is None
+        fl = diagram_flags(d)
+        assert (fl.connected, fl.reduced, fl.r2_reduced, fl.prime) == (True, False, True, True)
+        assert fl.witness.kind == "prime"
 
     @settings(deadline=None, max_examples=40)
     @given(BRAID_LETTERS)

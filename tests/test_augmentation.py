@@ -24,9 +24,9 @@ from altknot import (
 )
 from altknot.augmentation import (
     MergeArc,
+    _circle_crossings,
     _curve_faces,
     _d_bigon_faces,
-    _forbidden_origins,
 )
 from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, is_connected
 from altknot.errors import PreconditionError
@@ -46,12 +46,23 @@ from conftest import (
     oracle_curve_crossings,
     oracle_finger_base,
     oracle_merge_arc,
+    oracle_strand_runs,
     picked_finger_bases,
     refinement_check,
     same_map,
     shared_face,
     subdivide_edge_with_crossing,
 )
+
+
+def crossed_input_edges(g, d) -> dict[int, int]:
+    """Crossing of ``g`` off ``d`` -> the edge of ``d`` whose strand passes
+    it, by the strand runs of ``g`` out of ``d``'s crossings."""
+    return {
+        x: d.crossings[c].slots[s]
+        for (c, s), (_end, _edges, passed) in oracle_strand_runs(g, set(d.crossings)).items()
+        for x in passed
+    }
 
 
 class TestCutCurves:
@@ -93,11 +104,12 @@ class TestCutCurves:
         for d in [flip_crossing(trefoil, 0)] + [d for _seed, d in corpus_diagrams(4)]:
             g, cs = overlay_unlink(d, build_cut_curves(d))
             curves = {c.component for c in cs.curves}
-            for x in set(g.crossings) - set(d.crossings):
+            crossed_at = crossed_input_edges(g, d)
+            assert crossed_at.keys() == set(g.crossings) - set(d.crossings)
+            for x, crossed in crossed_at.items():
                 c = g.crossings[x]
                 on = [g.edges[e].component in curves for e in c.slots]
                 assert on[0] != on[1]
-                crossed = g.edges[c.slots[1 if on[0] else 0]].origin
                 labels = d.edge_labels(crossed)
                 curve_over = on[c.over_slots[0]]
                 assert curve_over == (labels == (Sign.PLUS, Sign.PLUS)), (x, labels)
@@ -157,13 +169,13 @@ class TestOverlay:
         old_labels = {e: f.edge_labels(e)[0] for e in classify_edges(f).non_alternating}
         g, cs2 = overlay_unlink(f, build_cut_curves(f))
         (comp,) = [c.component for c in cs2.curves]
+        crossed_at = crossed_input_edges(g, f)
         for c in g.crossings.values():
             comps = [g.edges[c.slots[0]].component, g.edges[c.slots[1]].component]
             if comp not in comps:
                 continue
             d_slot = 1 if comps[0] == comp else 0
-            origin = g.edges[c.slots[d_slot]].origin
-            assert g.label(c.id, d_slot) == old_labels[origin].opposite
+            assert g.label(c.id, d_slot) == old_labels[crossed_at[c.id]].opposite
 
 
 class TestMergeArc:
@@ -203,22 +215,23 @@ class TestMergeArc:
             g, cs2 = overlay_unlink(d, cs)
             comps = [c.component for c in cs2.curves]
             arc = find_merge_arc(g, comps)
-            touched = _forbidden_origins(g, set(comps))
+            # the overlay keeps every input edge no circle crosses, by id
+            crossed = {e for c in cs.curves for e in c.edges}
             for e in arc.edges:
-                assert g.edges[e].origin not in touched
+                assert e in d.edges and e not in crossed
                 assert g.edges[e].component not in comps
-            assert len({g.edges[e].origin for e in arc.edges}) == arc.phi
+            assert len(set(arc.edges)) == arc.phi
 
 
 def _synthetic_long_arcs(g, comps, length):
     """Admissible face paths of exactly ``length`` steps between two
     distinct curves, by brute-force enumeration."""
     fs = face_set(g)
-    touched = _forbidden_origins(g, set(comps))
-    banned = _d_bigon_faces(g, fs)
+    on_circles = _circle_crossings(g, set(comps))
+    banned = _d_bigon_faces(g, fs, set(comps))
     adj = {}
     for e, rec in sorted(g.edges.items()):
-        if rec.component in set(comps) or rec.origin in touched:
+        if rec.component in set(comps) or not on_circles.isdisjoint(c for c, _s in rec.ends):
             continue
         l, r = fs.edge_sides(g, e)
         if l in banned or r in banned:
@@ -236,10 +249,9 @@ def _synthetic_long_arcs(g, comps, length):
                     yield MergeArc(ci, cj, fp, ep, length)
                 continue
             for nf, e in adj.get(f, ()):
-                o = g.edges[e].origin
-                if nf in fp or o in used:
+                if nf in fp or e in used:
                     continue
-                stack.append((nf, fp + (nf,), ep + (e,), used | {o}))
+                stack.append((nf, fp + (nf,), ep + (e,), used | {e}))
 
 
 class TestFinger:
@@ -677,7 +689,7 @@ class TestWholeMapFactsOncePerMap:
         real_cut_curves = augmentation.build_cut_curves
 
         def cut_curves(d, *args):
-            # the (restamped) input, with the table augment left for it
+            # the input, with the table augment left for it
             inputs.append((d, _held_face_set(d)))
             return real_cut_curves(d, *args)
 
@@ -730,7 +742,7 @@ class TestWholeMapFactsOncePerMap:
         # map (its reconstruction passes same_map), so only the verbatim
         # comparison can catch it
         from altknot import analysis, augmentation
-        from altknot.diagram import Crossing, Edge, restamp_origins
+        from altknot.diagram import Crossing, Edge
         from altknot.errors import MappingError, UnknownComponent
 
         # a link whose curve crosses some original edge twice, after a finger
@@ -738,36 +750,34 @@ class TestWholeMapFactsOncePerMap:
             (d, res) for _seed, d in link_diagrams(24)
             for res in [augment(d)] if any(m.arc.phi > 0 for m in res.merges)
         )
-        g, aug, d0 = res.g, res.augmenting_component, restamp_origins(d)
-        analysis.reconstruct_input(g, aug, d0)
+        g, aug = res.g, res.augmenting_component
+        analysis.reconstruct_input(g, aug, d)
 
-        def reslot(g, c):
-            # crossing c's slots numbered from the next one on
+        def reslot(g, c, turn=1):
+            # crossing c's slots numbered from the ``turn``-th one on, with
+            # the over strand kept on the same edges
             x = g.crossings[c]
+            over = x.over_slots if turn % 2 == 0 else (1, 3) if x.over_slots == (0, 2) else (0, 2)
             crossings = dict(g.crossings)
-            crossings[c] = Crossing(c, x.slots[1:] + x.slots[:1], (1, 3) if x.over_slots == (0, 2) else (0, 2))
+            crossings[c] = Crossing(c, x.slots[turn:] + x.slots[:turn], over)
             edges = {
-                e: Edge(e, tuple((cc, (s - 1) % 4) if cc == c else (cc, s) for cc, s in r.ends), r.origin, r.component)
+                e: Edge(e, tuple((cc, (s - turn) % 4) if cc == c else (cc, s) for cc, s in r.ends), r.component)
                 for e, r in g.edges.items()
             }
             return Diagram(crossings, edges, g.loops, g.augmenting_component)
 
+        # a quarter turn moves the over strand to the other slot pair; a
+        # half turn keeps it there, so only the walk from the crossing's
+        # slots tells it from the input
         reslotted = reslot(g, min(d.crossings))
-        assert validate_diagram(reslotted).valid
-        assert same_map(drop_component(reslotted, aug), drop_component(g, aug), check_origins=False)
-
-        # an augmenting crossing whose two sub-edges carry different origins:
-        # the middle piece of an edge the curve crosses twice
-        e = min(
-            e for e, r in g.edges.items()
-            if r.component != aug and not {c for c, _s in r.ends} & set(d.crossings)
-        )
-        r = g.edges[e]
-        other = min(o for o in d0.edges if o != r.origin)
-        mixed = Diagram(g.crossings, {**g.edges, e: Edge(e, r.ends, other, r.component)}, g.loops, aug)
+        half_turned = reslot(g, min(d.crossings), 2)
+        assert half_turned.crossings[min(d.crossings)].over_slots == d.crossings[min(d.crossings)].over_slots
+        for mutant in (reslotted, half_turned):
+            assert validate_diagram(mutant).valid
+            assert same_map(drop_component(mutant, aug), drop_component(g, aug))
 
         # an original edge split at a crossing the curve is not on
-        piece = min(e for e, r in g.edges.items() if r.origin is not None)
+        piece = min(e for e, r in g.edges.items() if r.component != aug)
         split = subdivide_edge_with_crossing(g, piece, Sign.PLUS)
 
         # the curve crossing itself, at a crossing on one of its own edges
@@ -777,24 +787,25 @@ class TestWholeMapFactsOncePerMap:
         # a loop of the input that g lacks: with the loop both pass
         k, comp = g.next_edge_id(), g.next_component_id()
         g_loop = Diagram(g.crossings, g.edges, {**g.loops, k: comp}, aug)
-        d_loop = Diagram(d0.crossings, d0.edges, {k: 0}, None)
+        d_loop = Diagram(d.crossings, d.edges, {k: 0}, None)
         analysis.reconstruct_input(g_loop, aug, d_loop)
 
         for mutant, expected, why in (
-            (reslotted, d0, "crossing .* differs"),
-            (mixed, d0, f"edge {r.origin} is not one strand"),
-            (split, d0, "not carry component"),
-            (self_crossing, d0, f"crossing {max(self_crossing.crossings)} does not carry .* exactly one strand"),
+            (reslotted, d, "crossing .* differs"),
+            (half_turned, d, r"edge \d+ (ends at|is not one strand)"),
+            (split, d, "not carry component"),
+            (self_crossing, d, f"crossing {max(self_crossing.crossings)} does not carry .* exactly one strand"),
             (g, d_loop, "loops differ"),
         ):
             with pytest.raises(MappingError, match=f"verbatim: .*{why}"):
                 analysis.reconstruct_input(mutant, aug, expected)
         # the input itself, with no curve on it, is not a vacuous pass
         with pytest.raises(UnknownComponent):
-            analysis.reconstruct_input(d0, aug, d0)
+            analysis.reconstruct_input(d, aug, d)
         # the independent re-check builds the reconstruction and catches it too
-        with pytest.raises(MappingError, match="verbatim"):
-            refinement_check(reslotted, augmenting=aug, expected_d=d0)
+        for mutant in (reslotted, half_turned):
+            with pytest.raises(MappingError, match="verbatim"):
+                refinement_check(mutant, augmenting=aug, expected_d=d)
 
         # augment runs the test on the map it made
         real = augmentation.reconstruct_input
@@ -809,14 +820,13 @@ class TestWholeMapFactsOncePerMap:
         # the reconstruction walk counts, per input edge, what a census of
         # g's crossings counts, and the counts sum to the reported i(A, D)
         from altknot import analysis
-        from altknot.diagram import restamp_origins
 
         twice = 0
         for d in [d for _s, d in corpus_diagrams(40)] + [d for _s, d in link_diagrams(24)]:
             res = augment(d)
             g, aug = res.g, res.augmenting_component
-            crossed = analysis.reconstruct_input(g, aug, restamp_origins(d))
-            assert crossed == oracle_curve_crossings(g, aug)
+            crossed = analysis.reconstruct_input(g, aug, d)
+            assert crossed == oracle_curve_crossings(g, aug, d)
             assert sum(crossed.values()) == res.i_A_D
             twice += sum(n == 2 for n in crossed.values())
         assert twice > 0
@@ -899,7 +909,6 @@ _TAMPERS = {
     "unknown-curve": lambda d, res: replace(res, augmenting_component=99),
     "input-as-G": lambda d, res: replace(res, g=d),
     "input-crossing-flipped": lambda d, res: replace(res, g=flip_crossing(res.g, min(res.g.crossings))),
-    "G-reparsed": lambda d, res: replace(res, g=parse_pd(serialize_pd(res.g))),
     "t_G-plus-1": lambda d, res: replace(res, t_G=res.t_G + 1),
     "i_A_D-plus-1": lambda d, res: replace(res, i_A_D=res.i_A_D + 1),
 }
@@ -914,13 +923,25 @@ class TestCertify:
         assert verify_augmentation(d, res) == []
         assert verify_augmentation(d, tamper(d, res)) != []
 
+    def test_a_reparsed_g_verifies_clean(self, bench_inputs):
+        # G parsed back from its PD text: nothing in the text says which
+        # input edge each edge of G was cut from, and certify reads that
+        # off the map, so the text alone certifies
+        pds = [x.pd for seed in (0, 1) for x in bench_inputs.large_inputs(seed, n=64, lo=50, hi=110)]
+        assert len(pds) == 128
+        for pd in pds:
+            d = parse_pd(pd)
+            res = augment(d)
+            reparsed = parse_pd(serialize_pd(res.g))
+            assert verify_augmentation(d, replace(res, g=reparsed)) == [], pd
+
     def test_input_crossing_renamed_fails_the_refinement_map(self):
         # G with one of the input's crossings under a fresh id is still a
         # valid map, so certify reaches the refinement check, which cannot
         # map the input's crossings into G
         from altknot import twist_partition
         from altknot.augmentation import certify
-        from altknot.diagram import Crossing, Edge, restamp_origins
+        from altknot.diagram import Crossing, Edge
         from altknot.errors import MappingError
 
         d, _ = random_knot_diagram(3, 14, 2)
@@ -930,13 +951,12 @@ class TestCertify:
         crossings = {c: r for c, r in res.g.crossings.items() if c != old}
         crossings[new] = Crossing(new, x.slots, x.over_slots)
         edges = {
-            e: Edge(e, tuple((new if c == old else c, s) for c, s in r.ends), r.origin, r.component)
+            e: Edge(e, tuple((new if c == old else c, s) for c, s in r.ends), r.component)
             for e, r in res.g.edges.items()
         }
         g = Diagram(crossings, edges, res.g.loops, res.g.augmenting_component)
         assert validate_diagram(g).valid
-        d0 = restamp_origins(d)
-        checked = certify(d0, face_set(d0), twist_partition(d0), g, res.augmenting_component)
+        checked = certify(d, face_set(d), twist_partition(d), g, res.augmenting_component)
         failures = [(type(exc), str(exc)) for exc in checked.failures]
         assert (MappingError, "reconstructed crossings are not a subset of the ambient ones") in failures
 
@@ -945,7 +965,7 @@ class TestCertify:
         # keeps every other promise, and only the component count fails
         from altknot import augmentation, twist_partition
         from altknot.augmentation import certify
-        from altknot.diagram import Edge, restamp_origins
+        from altknot.diagram import Edge
         from altknot.errors import InvariantError
 
         d = next(d for _s, d in link_diagrams(4) if len(d.components()) == 2)
@@ -954,13 +974,12 @@ class TestCertify:
         keep, gone = sorted(c for c in res.g.components() if c != aug)
 
         def relabel(g):
-            edges = {e: Edge(e, r.ends, r.origin, keep) if r.component == gone else r for e, r in g.edges.items()}
+            edges = {e: Edge(e, r.ends, keep) if r.component == gone else r for e, r in g.edges.items()}
             return Diagram(g.crossings, edges, g.loops, g.augmenting_component)
 
         g = relabel(res.g)
         assert validate_diagram(g).valid
-        d0 = restamp_origins(d)
-        checked = certify(d0, face_set(d0), twist_partition(d0), g, aug)
+        checked = certify(d, face_set(d), twist_partition(d), g, aug)
         message = "final diagram has 2 components, not the input's 2 plus one"
         assert [(type(exc), str(exc)) for exc in checked.failures] == [(InvariantError, message)]
         assert (checked.i_A_D, checked.t_G, checked.certificate) == (res.i_A_D, res.t_G, res.certificate)

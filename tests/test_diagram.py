@@ -24,7 +24,6 @@ from altknot.diagram import (
     _is_bigon,
     connected_pieces,
     mark_augmenting,
-    restamp_origins,
 )
 from altknot.errors import (
     IncidenceError,
@@ -49,6 +48,7 @@ from conftest import (
     oracle_faces,
     oracle_labels_from_pd,
     oracle_pieces,
+    oracle_strand_runs,
     oracle_validate_diagram,
     reattach,
     same_map,
@@ -304,7 +304,7 @@ class TestValidate:
         e1 = trefoil.edges[1]
         hacked = Diagram(
             trefoil.crossings,
-            {**trefoil.edges, 1: Edge(1, (e1.ends[0], (2, 0)), 1, 0)},
+            {**trefoil.edges, 1: Edge(1, (e1.ends[0], (2, 0)), 0)},
             trefoil.loops,
         )
         rep = validate_diagram(hacked)
@@ -318,8 +318,8 @@ class TestValidate:
         cr[2] = Crossing(2, cr[2].slots, (0, 1))
         cr[0] = Crossing(0, cr[0].slots, (2, 3))
         ed = {e: trefoil.edges[e] for e in sorted(trefoil.edges, reverse=True)}
-        ed[6] = Edge(6, ((0, 0), (1, 1)), 6, 0)
-        ed[3] = Edge(3, (ed[3].ends[0], (2, 0)), 3, 0)
+        ed[6] = Edge(6, ((0, 0), (1, 1)), 0)
+        ed[3] = Edge(3, (ed[3].ends[0], (2, 0)), 0)
         labels = [
             "labels: crossing 0 reads (--++) around, not (+-+-)",
             "labels: crossing 2 reads (++--) around, not (+-+-)",
@@ -329,7 +329,7 @@ class TestValidate:
             "incidence: id 4 is both edge and loop",
             "incidence: edge 6 ends ((0, 0), (1, 1)) do not match slots",
         ] + labels
-        ed = {e: Edge(e, r.ends, e, e % 3) for e, r in sorted(trefoil.edges.items(), reverse=True)}
+        ed = {e: Edge(e, r.ends, e % 3) for e, r in sorted(trefoil.edges.items(), reverse=True)}
         mixed = [(0, [1, 2]), (0, [1, 2]), (1, [0, 1]), (1, [0, 1]), (2, [0, 2]), (2, [0, 2])]
         assert validate_diagram(Diagram(cr, ed, {})).failures == labels + [
             f"components: strand through crossing {c} carries mixed ids {ids}" for c, ids in mixed
@@ -350,7 +350,7 @@ class TestValidate:
 
         cr = {bad if c == 0 else c: Crossing(bad if c == 0 else c, x.slots, x.over_slots)
               for c, x in trefoil.crossings.items()}
-        ed = {e: Edge(e, tuple(map(rename, r.ends)), r.origin, r.component) for e, r in trefoil.edges.items()}
+        ed = {e: Edge(e, tuple(map(rename, r.ends)), r.component) for e, r in trefoil.edges.items()}
         d = Diagram(cr, ed)
 
         if bad == -1:
@@ -385,9 +385,9 @@ class TestValidate:
         b = MapBuilder(trefoil)
         b.remove_edge(1)
         b.add_crossing(-1, [0, 0, 0, 0], (1, 3))
-        b.add_edge(1, [rec.ends[0], (-1, 0)], rec.origin, rec.component)
-        b.add_edge(b.new_edge_id(), [(-1, 2), rec.ends[1]], rec.origin, rec.component)
-        b.add_edge(b.new_edge_id(), [(-1, 1), (-1, 3)], None, 1)
+        b.add_edge(1, [rec.ends[0], (-1, 0)], rec.component)
+        b.add_edge(b.new_edge_id(), [(-1, 2), rec.ends[1]], rec.component)
+        b.add_edge(b.new_edge_id(), [(-1, 1), (-1, 3)], 1)
         out = b.build()
         failures = check_edit(b, face_set(trefoil), out)
         assert failures == validate_diagram(out).failures == ["ids: crossing id -1 is not an integer >= 0"]
@@ -455,14 +455,23 @@ class TestFlip:
         assert before ^ after == toggled
 
 
+def pieces(d2, d, e):
+    """The edges of ``d2`` that edge ``e`` of ``d`` was cut into: the
+    strand run of ``d2`` from the first end of ``e`` to the next crossing
+    of ``d``, which must be the second end of ``e``."""
+    end, edges, _passed = oracle_strand_runs(d2, set(d.crossings))[d.edges[e].ends[0]]
+    assert end == d.edges[e].ends[1]
+    return edges
+
+
 class TestSubdivide:
     def test_counts_labels_origins(self, trefoil):
         f = flip_crossing(trefoil, 0)  # edge 1 becomes (+,+)
         d2 = subdivide_edge_with_crossing(f, 1, Sign.MINUS)
         assert len(d2.crossings) == len(f.crossings) + 1
         assert len(d2.edges) == len(f.edges) + 2
-        halves = [e for e in d2.edges if d2.edges[e].origin == 1 and e != 1]
-        assert len(halves) == 2
+        halves = pieces(d2, f, 1)
+        assert len(halves) == 2 and 1 not in halves
         for h in halves:
             a, b = d2.edge_labels(h)
             assert a != b  # the forced sign makes both halves alternating
@@ -471,7 +480,7 @@ class TestSubdivide:
         # a {+,-} edge split with sign -: the half keeping the + end is
         # {+,-}, the half keeping the - end is forced to {-,-}
         d2 = subdivide_edge_with_crossing(trefoil, 3, Sign.MINUS)
-        halves = sorted(e for e in d2.edges if d2.edges[e].origin == 3)
+        halves = pieces(d2, trefoil, 3)
         labels = sorted(
             tuple(sorted(x.value for x in d2.edge_labels(h))) for h in halves
         )
@@ -479,9 +488,9 @@ class TestSubdivide:
 
     def test_double_subdivision_keeps_origin(self, trefoil):
         d2 = subdivide_edge_with_crossing(trefoil, 3, Sign.MINUS)
-        half = min(e for e in d2.edges if d2.edges[e].origin == 3)
+        half = min(pieces(d2, trefoil, 3))
         d3 = subdivide_edge_with_crossing(d2, half, Sign.PLUS)
-        assert sum(1 for e in d3.edges.values() if e.origin == 3) == 3
+        assert len(pieces(d3, trefoil, 3)) == 3
 
     def test_lone_crossing_breaks_parity(self, trefoil):
         # a closed strand crossing another exactly once cannot stay in the
@@ -511,7 +520,7 @@ class TestMapBuilder:
         reattach(b, 2, (2, 1), (2, 3))
         b.set_component(3, 7)
         b.add_crossing(9, [20, 21, 20, 21], (1, 3))
-        b.add_edge(20, [(9, 0), (9, 2)], None, 8)
+        b.add_edge(20, [(9, 0), (9, 2)], 8)
         b.loops[30] = 9
         assert (out.crossings, out.edges, out.loops) == before
         assert all(out.edges[e] is rec for e, rec in before[1].items())
@@ -524,7 +533,7 @@ class TestMapBuilder:
         b.set_component(1, 4)
         reattach(b, 2, (2, 1), (2, 3))
         out = b.build()
-        assert out.edges[1] == Edge(1, granny_sum.edges[1].ends, 1, 4)
+        assert out.edges[1] == Edge(1, granny_sum.edges[1].ends, 4)
         assert (2, 3) in out.edges[2].ends and (2, 1) not in out.edges[2].ends
         assert b.touched_edges == {1, 2}
         # every untouched edge is the source's record itself
@@ -562,10 +571,10 @@ class TestMapBuilder:
         reattach(b, 2, (2, 1), (2, 3))
         rec = b.edges[3]
         b.remove_edge(3)
-        b.add_edge(3, list(rec.ends), rec.origin, rec.component)
+        b.add_edge(3, list(rec.ends), rec.component)
         b.remove_edge(4)
         b.add_crossing(9, [30, 31, 30, 31], (1, 3))
-        b.add_edge(30, [(9, 0), (9, 2)], None, 0)
+        b.add_edge(30, [(9, 0), (9, 2)], 0)
         b.build()
         assert sorted(b.changed_edges) == [2, 4, 30]
         assert b.touched_edges == {1, 2, 3, 4, 30}
@@ -688,7 +697,7 @@ class TestFaceSetMemo:
         # edge 1 claims the ends of edge 4: two edges now leave by the
         # same slot ends, and two slot ends lead nowhere
         edges = dict(trefoil.edges)
-        edges[1] = Edge(1, trefoil.edges[4].ends, 1, 0)
+        edges[1] = Edge(1, trefoil.edges[4].ends, 0)
         with pytest.raises(InvariantError):
             _build_face_set(Diagram(trefoil.crossings, edges))
 
@@ -714,9 +723,6 @@ class TestFaceSetMemo:
         assert classify_edges(granny_sum) is cls
         # copies that share the map take over the table and its facts
         copy = mark_augmenting(granny_sum, 0)
-        assert _held_face_set(copy) is fs
-        assert connected_pieces(copy) == pieces and classify_edges(copy) is cls
-        copy = restamp_origins(copy)
         assert _held_face_set(copy) is fs
         assert connected_pieces(copy) == pieces and classify_edges(copy) is cls
         # an equal map built anew computes its own

@@ -20,7 +20,7 @@ import pytest
 
 from altknot import augment, face_set, parse_pd, serialize_pd, validate_diagram
 from altknot.analysis import _two_edge_cut
-from altknot.diagram import Crossing, Diagram, Edge, restamp_origins
+from altknot.diagram import Crossing, Diagram, Edge
 from altknot.errors import InvariantError
 from altknot.generate import braid_closure
 
@@ -41,8 +41,7 @@ LOOPS = ("O(1)", "O(3) O(1)", TREFOIL + " O(9) O(7)", GRANNY_SUM + " O(20)", "")
 def valid_maps(request):
     """(PD text, parsed map) of the corpus knots, the link corpus, maps
     with loops and the ``augment-large`` seed-1 inputs, plus the
-    augmentations of the corpus knots (many components, origins that are
-    not the edge ids)."""
+    augmentations of the corpus knots (many components)."""
     inputs = request.getfixturevalue("bench_inputs")
     texts = [serialize_pd(d) for _seed, d in corpus_diagrams(40)]
     texts += [serialize_pd(d) for _seed, d in link_diagrams(16)]
@@ -90,16 +89,6 @@ def test_parse_numbers_components_as_the_oracle(valid_maps):
         want = oracle_numbered_components(d)
         assert list(d.edges.items()) == list(want.edges.items())
         assert list(d.loops.items()) == list(want.loops.items())
-        # a parsed map already has every edge as its own origin
-        assert restamp_origins(d) is d
-
-
-def test_restamp_copies_a_map_with_other_origins(valid_maps):
-    for text, g in valid_maps:
-        if text is None:
-            out = restamp_origins(g)
-            assert out is not g
-            assert out.edges == {e: Edge(e, r.ends, e, r.component) for e, r in g.edges.items()}
 
 
 def test_two_edge_cut_matches_the_frozenset_scan(valid_maps):
@@ -142,7 +131,7 @@ def _trefoil_with(edges=None, crossings=None, loops=None) -> Diagram:
         if ends is None:
             del ed[e]
         else:
-            ed[e] = Edge(e, ends, e, ed[e].component if e in ed else 0)
+            ed[e] = Edge(e, ends, ed[e].component if e in ed else 0)
     cr.update(crossings or {})
     return Diagram(cr, ed, dict(loops or {}))
 
@@ -155,10 +144,10 @@ def _granny_in_reverse_order() -> tuple[Diagram, Diagram]:
     cr = {c: d.crossings[c] for c in sorted(d.crossings, reverse=True)}
     for c in (1, 4):
         cr[c] = Crossing(c, cr[c].slots, (0, 1))
-    ed = {e: Edge(e, r.ends, e, e % 3) for e, r in sorted(d.edges.items(), reverse=True)}
+    ed = {e: Edge(e, r.ends, e % 3) for e, r in sorted(d.edges.items(), reverse=True)}
     mixed = Diagram(cr, dict(ed), {})
     del ed[3]
-    ed[7] = Edge(7, ((5, 3), (0, 0)), 7, 0)
+    ed[7] = Edge(7, ((5, 3), (0, 0)), 0)
     return mixed, Diagram(cr, ed, {12: 0, 2: 0})
 
 
@@ -179,7 +168,7 @@ BAD_MAPS = {
     "illegal over strand": _trefoil_with(crossings={2: Crossing(2, (5, 2, 6, 3), (0, 1))}),
     "mixed components": Diagram(
         parse_pd(TREFOIL).crossings,
-        {e: Edge(e, r.ends, e, e % 2) for e, r in parse_pd(TREFOIL).edges.items()},
+        {e: Edge(e, r.ends, e % 2) for e, r in parse_pd(TREFOIL).edges.items()},
     ),
     "reverse order, labels and components": _granny_in_reverse_order()[0],
     "reverse order, labels and incidence": _granny_in_reverse_order()[1],

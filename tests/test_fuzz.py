@@ -171,7 +171,7 @@ def test_invalid_hand_built_diagram_refused_by_preprocess():
     # two of its slots
     d = Diagram(
         {0: Crossing(0, (1, 2, 3, 4))},
-        {1: Edge(1, ((0, 0), (0, 2)), 1, 0)},
+        {1: Edge(1, ((0, 0), (0, 2)), 0)},
     )
     with pytest.raises(PreconditionError) as err:
         preprocess(d)

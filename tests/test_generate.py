@@ -19,10 +19,10 @@ from altknot.generate import braid_closure, random_knot_diagram, two_strand_toru
 
 # sha256 of ``_records`` over 4,000 closures of random words
 # (``test_closures_match_pin``)
-CLOSURES = "c3c60492558aba06f50e61d2dfef244d9b5fb5fecfb493dee8bf5a9f2da674d6"
+CLOSURES = "20228974556820e66b61fefb9379d845a24b389a3b662e1838c7c3bd427ba4a3"
 # sha256 of ``_records`` and the sorted trace JSON of
 # ``random_knot_diagram`` for seeds 0-59 (``test_generated_diagrams_match_pin``)
-GENERATED = "ca53fab7a0fee9111bd14ce52518e7c994882a858377d57c1455029647b512d9"
+GENERATED = "12cb2a6b59b8f423b80e588e8daafc861b0275c9cd80a3c6bbf647ac505eedd8"
 
 
 def _records(d) -> bytes:

@@ -35,7 +35,6 @@ from altknot import (
     serialize_pd,
     validate_diagram,
 )
-from altknot.diagram import restamp_origins
 from altknot.selfcheck import verify_augmentation
 
 from conftest import (
@@ -73,8 +72,8 @@ def test_augment(bench_inputs, monkeypatch):
     for d, res in zip(diagrams, results):
         assert verify_augmentation(d, res) == []
         g, aug = res.g, res.augmenting_component
-        crossed = analysis.reconstruct_input(g, aug, restamp_origins(d))
-        assert crossed == oracle_curve_crossings(g, aug)
+        crossed = analysis.reconstruct_input(g, aug, d)
+        assert crossed == oracle_curve_crossings(g, aug, d)
         assert sum(crossed.values()) == res.i_A_D
     reports = [json.dumps(res.to_json(), sort_keys=True) for res in results]
     assert bench_inputs.digest(reports) == LARGE_REPORTS
@@ -95,9 +94,9 @@ def test_overlay(bench_inputs):
 
 def test_merge_arcs(bench_inputs, monkeypatch):
     # only the merges of positive cost search: the others build neither
-    # the forbidden origins nor the admissible steps
+    # the circle crossings nor the admissible steps
     counts = Counter()
-    for name in ("_forbidden_origins", "_admissible_edges"):
+    for name in ("_circle_crossings", "_admissible_edges"):
         def counted(*args, _real=getattr(augmentation, name), _name=name):
             counts[_name] += 1
             return _real(*args)
@@ -106,7 +105,7 @@ def test_merge_arcs(bench_inputs, monkeypatch):
     results, calls = augment_recording_merge_arcs(monkeypatch, _augment_inputs(bench_inputs))
     positive = sum(m.arc.phi > 0 for res in results for m in res.merges)
     assert 0 < positive < len(calls)
-    assert counts == {"_forbidden_origins": positive, "_admissible_edges": positive}
+    assert counts == {"_circle_crossings": positive, "_admissible_edges": positive}
     for g, live, arc in calls:
         assert arc == oracle_merge_arc(g, live)
     # a map with three or more live circles and no two sharing a face

@@ -411,14 +411,14 @@ class CrossedBand(MapBuilder):
 
     first = None
 
-    def add_edge(self, eid, ends, origin, comp):
-        if origin is not None or len(self.touched_edges) < 2:
-            return super().add_edge(eid, ends, origin, comp)
+    def add_edge(self, eid, ends, comp):
+        if len(self.touched_edges) < 2:
+            return super().add_edge(eid, ends, comp)
         if self.first is None:
             self.first = (eid, tuple(ends[1]))
-            return super().add_edge(eid, ends, origin, comp)
+            return super().add_edge(eid, ends, comp)
         first_eid, first_far = self.first
-        super().add_edge(eid, [ends[0], first_far], origin, comp)
+        super().add_edge(eid, [ends[0], first_far], comp)
         reattach(self, first_eid, first_far, tuple(ends[1]))
 
 
@@ -439,12 +439,12 @@ class SwappedWeld(MapBuilder):
 
     first = None
 
-    def add_edge(self, eid, ends, origin, comp):
+    def add_edge(self, eid, ends, comp):
         if self.first is None:
             self.first = (eid, tuple(ends[1]))
-            return super().add_edge(eid, ends, origin, comp)
+            return super().add_edge(eid, ends, comp)
         first_eid, first_far = self.first
-        super().add_edge(eid, [ends[0], first_far], origin, comp)
+        super().add_edge(eid, [ends[0], first_far], comp)
         reattach(self, first_eid, first_far, tuple(ends[1]))
 
 
@@ -507,7 +507,7 @@ class TestBrokenEditsRejected:
         ends = ((c, s), (c, s)) if broken == "end twice" else ((c, s + 4), z)
         b = MapBuilder(trefoil)
         b._own_slots(c)
-        b.edges[e] = Edge(e, ends, rec.origin, rec.component)
+        b.edges[e] = Edge(e, ends, rec.component)
         b.touched_edges.add(e)
         out = b.build()
         failures = check_edit(b, face_set(trefoil), out)
@@ -594,8 +594,8 @@ def test_an_alternating_edit_that_splits_a_piece(granny_sum, monkeypatch):
         b.remove_edge(e)
         for end in rec.ends:
             ends[end[0] in first].append(end)
-    b.add_edge(e1, ends[True], rec.origin, rec.component)
-    b.add_edge(e2, ends[False], rec.origin, rec.component)
+    b.add_edge(e1, ends[True], rec.component)
+    b.add_edge(e2, ends[False], rec.component)
     out = b.build()
     counted = []
     real = edits.connected_pieces

@@ -8,10 +8,9 @@ directly and call none of its methods.  And every move of these inputs
 passes its local checks, so the whole-map check that words a refused
 edit (``edits._rejected``) never runs; nor does it on the benchmark's
 ``augment-large`` seed-1 inputs.  ``preprocess`` reads its twist count
-off the corner partition and builds no ``TwistPartition``, and its
-closing ``restamp_origins`` builds records only for the edges whose
-origin is another id; the trace comparisons of ``test_reduction.py``
-keep ``twist_partition`` as the oracle of every count.
+off the corner partition and builds no ``TwistPartition``; the trace
+comparisons of ``test_reduction.py`` keep ``twist_partition`` as the
+oracle of every count.
 Whether the verdicts are right is the business of the audits in
 ``test_local_check.py``; these tests pin the traffic.  The last one pins
 the early stop of the chain walks on a small closure.
@@ -185,29 +184,6 @@ def test_preprocess_builds_no_twist_partition(seed1, monkeypatch):
             monkeypatch.setattr(mod, "twist_partition", counted)
     assert run(seed1) == 742
     assert counts == {}
-
-
-def test_restamp_builds_only_the_welded_edges(seed1, monkeypatch):
-    real, seen = diagram.restamp_origins, Counter()
-
-    def restamp_origins(d):
-        out = real(d)
-        for e, r in d.edges.items():
-            if r.origin == e:
-                assert out.edges[e] is r, e
-                seen["kept"] += 1
-            else:
-                assert out.edges[e] is not r and out.edges[e].origin == e, e
-                assert (out.edges[e].ends, out.edges[e].component) == (r.ends, r.component), e
-                seen["built"] += 1
-        assert out.edges.keys() == d.edges.keys()
-        return out
-
-    monkeypatch.setattr(reduction, "restamp_origins", restamp_origins)
-    assert run(seed1) == 742
-    # of the 2,362 edges of the 48 outputs, the 584 the welds made are
-    # built again, and the 1,778 kept from the inputs are handed over
-    assert seen == {"kept": 1778, "built": 584}
 
 
 def test_chain_walks_stop_once_one_group_is_going():

@@ -197,10 +197,6 @@ class TestPreprocess:
             assert serialize_pd(rev_out) == serialize_pd(out), item.name
             assert rev_trace.to_json() == trace.to_json(), item.name
 
-    def test_origins_restamped(self, trefoil):
-        out, _ = preprocess(flip_crossing(two_strand_torus(5), 0))
-        assert all(rec.origin == e for e, rec in out.edges.items())
-
 
 class TestWorklist:
     """``preprocess`` updates its candidate moves and twist count from
