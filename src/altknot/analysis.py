@@ -182,15 +182,15 @@ class TwistPartition:
     t: int
 
 
-def _region_topology(fs: FaceSet, bigons: list[int]) -> RegionTopology:
-    """Topology of the union of the bigon faces ``bigons`` of ``fs``."""
+def _region_topology(d: Diagram, fs: FaceSet, bigons: list[int]) -> RegionTopology:
+    """Topology of the union of the bigon faces ``bigons`` of ``d``'s ``fs``."""
     if not bigons:
         return RegionTopology.DISK
     vs: set[int] = set()
     es: set[int] = set()
     for f in bigons:
         vs.update(x >> 2 for x in fs.darts[f])
-        es.update(fs.bounds[f])
+        es.update(fs.edges(d, f))
     chi = len(vs) - len(es) + len(bigons)
     if chi == 1:
         return RegionTopology.DISK
@@ -245,7 +245,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
                 crossings,
                 tuple(sorted(fl)),
                 tuple(links.get(root, ())),
-                _region_topology(fs, fl),
+                _region_topology(d, fs, fl),
             )
         )
     in_bigon = set(by_crossing)
@@ -418,10 +418,8 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
         return None
     if len(region.bigons) != q:
         return None
-    bounds = face_set(d).bounds
-    covered = set()
-    for fid in region.bigons:
-        covered.update(bounds[fid])
+    fs = face_set(d)
+    covered = {e for fid in region.bigons for e in fs.edges(d, fid)}
     if covered != set(d.edges):
         return None
     return q

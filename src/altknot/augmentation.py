@@ -29,11 +29,12 @@ crossed edge by their ends on the circles (``_circle_crossings``), and
     crossings, so it is validated whole.
 3.  ``find_merge_arc``: when several circles were inserted, find a
     cheapest dual-face path joining two of them that crosses no bigon of
-    the original diagram, no edge the circles already cross, and no edge
-    twice.  When two circles share a face the path has cost 0 and is read
-    off the circles' faces without a search; otherwise one breadth-first
-    search labelled by circle picks the source circle and one more
-    traces its path.
+    the original diagram and no edge twice; nor, being cheapest, an edge
+    the circles already cross, which joins two faces of one circle (the
+    search skips those only to prune).  When two circles share a face
+    the path has cost 0 and is read off the circles' faces without a
+    search; otherwise one breadth-first search labelled by circle picks
+    the source circle and one more traces its path.
 4.  ``propagate_finger``: push a finger of one circle along that path
     from the least circle edge on its first face (every corner of a face
     of an alternating diagram carries the same labels, so any would do).
@@ -382,9 +383,9 @@ class _CircleFaces:
             for ci in owners.pop(k, ()):
                 faces[ci].discard(k)
             shared.discard(k)
-        edges, bounds = g.edges, fs.bounds
+        edges = g.edges
         for k in fresh:
-            for e in bounds[k]:
+            for e in fs.edges(g, k):
                 ci = edges[e].component
                 keys = faces.get(ci)
                 if keys is not None:
@@ -401,7 +402,7 @@ def _is_original_bigon(g: Diagram, fs: FaceSet, f: int, comps: set[int]) -> bool
     A corner at a circle crossing lies between a circle edge and another,
     so such a bigon has its corners at original crossings, and its edges
     are whole original edges."""
-    return _is_bigon(fs.darts[f]) and all(g.edges[e].component not in comps for e in fs.bounds[f])
+    return _is_bigon(fs.darts[f]) and all(g.edges[e].component not in comps for e in fs.edges(g, f))
 
 
 def _d_bigon_faces(g: Diagram, fs: FaceSet, comps: set[int]) -> set[int]:
@@ -415,7 +416,14 @@ def _admissible_edges(
     """Face -> (neighbouring face, edge) for every edge a merge arc may
     cross: no circle edge, no edge with an end in ``on_circles`` (a piece
     of an original edge a circle already crosses), and no edge of an
-    original bigon.  Each admissible edge is a whole original edge."""
+    original bigon.  Each admissible edge is a whole original edge.
+
+    The ``on_circles`` filter prunes the search; it does not decide the
+    arc.  Such an edge has both side faces on the circle through its
+    end, so a cheapest arc of positive cost never crosses it.  Without
+    the filter the arcs are the same, but the 47 positive-cost searches
+    on six knots of 1600 and 3200 crossings (``perfbench/inputs`` seeds
+    ``scale/{n}/{k}``) took 453,520 admissible steps, not 150,762."""
     banned = _d_bigon_faces(g, fs, comps)
     dart_face = fs.dart_face
     allowed: dict[int, list[tuple[int, int]]] = {}
@@ -623,7 +631,7 @@ def propagate_finger(g: Diagram, arc: MergeArc) -> Diagram:
     if not all(e in g.edges for e in arc.edges):
         raise UnknownEdge(f"arc edges {arc.edges} name an edge the map lacks")
     base = min(
-        (e for e in fs.bounds[arc.faces[0]] if g.edges[e].component == arc.source_curve),
+        (e for e in fs.edges(g, arc.faces[0]) if g.edges[e].component == arc.source_curve),
         default=None,
     )
     if base is None:
@@ -688,16 +696,12 @@ def _insert_finger(g: Diagram, fs: FaceSet, arc: MergeArc, base: int) -> Diagram
 
 # -- band join -------------------------------------------------------------------------
 
-def _face_edge_walk(fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
+def _face_edge_walk(g: Diagram, fs: FaceSet, fid: int) -> list[tuple[int, tuple, tuple]]:
     """Boundary walk of a face as (edge, departure end, arrival end),
     each end a (crossing, slot) pair: the edge leaving corner x departs
     from slot s + 1 and arrives at the next corner."""
     ds = fs.darts[fid]
-    walk = []
-    for k, e in enumerate(fs.bounds[fid]):
-        x, y = ds[k], ds[(k + 1) % len(ds)]
-        walk.append((e, (x >> 2, (x + 1) & 3), (y >> 2, y & 3)))
-    return walk
+    return [(e, (x >> 2, (x + 1) & 3), (y >> 2, y & 3)) for e, x, y in zip(fs.edges(g, fid), ds, ds[1:] + ds[:1])]
 
 
 def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
@@ -723,7 +727,7 @@ def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:
     fs = face_set(g)
     if shared_face not in fs.darts:
         raise UnknownFace(f"no face {shared_face}")
-    walk = _face_edge_walk(fs, shared_face)
+    walk = _face_edge_walk(g, fs, shared_face)
     merged, dropped = min(ci, cj), max(ci, cj)
     first = {}  # circle -> its first (edge, departure, arrival) on the face
     for w in walk:
@@ -859,7 +863,7 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     t_d = d_tp.t
     free_edges = set(d.edges)  # the edges outside d's twist regions
     for fid in d_tp.bigon_faces:
-        free_edges.difference_update(d_fs.bounds[fid])
+        free_edges.difference_update(d_fs.edges(d, fid))
     # dropping the curve gives back d verbatim (read off g, no map is
     # built), so the report below reads d's tables instead of a
     # reconstruction's; the walk counts the curve's crossings per edge

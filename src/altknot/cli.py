@@ -175,7 +175,7 @@ def _cmd_bounds(args) -> int:
         "v3": constants().v3,
         "t": args.twist,
         "lower_raw": w.lower_raw,
-        "lower": w.lower if args.clamp_lower else w.lower_raw,
+        "lower": w.lower,
         "upper": w.upper,
         "altvol_upper": upper.upper,
     }
@@ -276,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="volume windows for a twist count")
     b.add_argument("--twist", type=int, required=True)
     b.add_argument("--claim-min-twist", type=int, default=None)
-    b.add_argument("--no-clamp-lower", dest="clamp_lower", action="store_false")
-    b.set_defaults(func=_cmd_bounds, clamp_lower=True)
+    b.set_defaults(func=_cmd_bounds)
 
     gen = sub.add_parser("gen", help="random qualifying knot diagram")
     gen.add_argument("--seed", type=int, default=None)

@@ -259,15 +259,14 @@ class FaceSet:
     - ``dart_face``: a list from each dart to the id of its face, -1
       where the map has no corner;
     - ``darts``: a dict from each face id to the face's corners in
-      cyclic order, an int tuple that starts at the id;
-    - ``bounds``: a dict from each face id f to its boundary edges,
-      ``bounds[f][k]`` the edge leaving corner k.
+      cyclic order, an int tuple that starts at the id.
 
-    A crossing-free loop has no dart, so its two faces are in none of
-    them.  A face's rank among the faces ordered by least dart is printed
-    where a face id reaches output (``rank``); ids order faces as ranks
-    do, so every least face and tie-break the package takes is the same
-    under either.
+    A crossing-free loop has no dart, so its two faces are in neither.
+    A face's edges are not stored: the map holds the edge that leaves
+    each corner, and ``edges`` reads them off the darts.  A face's rank
+    among the faces ordered by least dart is printed where a face id
+    reaches output (``rank``); ids order faces as ranks do, so every
+    least face and tie-break the package takes is the same under either.
 
     The table also keeps whole-map facts of the map once they are
     computed, each filled by its own function and empty on a new table:
@@ -285,11 +284,9 @@ class FaceSet:
     in both, when a face is walked again with the same least dart.  It
     is None on a table walked whole."""
 
-    def __init__(self, dart_face: list[int], darts: dict[int, tuple[int, ...]],
-                 bounds: dict[int, tuple[int, ...]]):
+    def __init__(self, dart_face: list[int], darts: dict[int, tuple[int, ...]]):
         self.dart_face = dart_face
         self.darts = darts
-        self.bounds = bounds
         self.partition = None
         self.pieces = None
         self.classification = None
@@ -299,6 +296,12 @@ class FaceSet:
         """The number of faces whose id is less than ``f``: face ``f``'s
         position among the faces ordered by least dart."""
         return sum(map(f.__gt__, self.darts))
+
+    def edges(self, d: Diagram, f: int) -> list[int]:
+        """The boundary edges of face ``f`` of ``d``, the k-th the edge
+        leaving corner k: the edge in the slot after the corner's."""
+        crossings = d.crossings
+        return [crossings[x >> 2].slots[(x + 1) & 3] for x in self.darts[f]]
 
     def edge_sides(self, d: Diagram, e: int) -> tuple[int, int]:
         """(left face, right face) of edge e directed end0 -> end1."""
@@ -329,12 +332,12 @@ def face_set(d: Diagram) -> FaceSet:
     input's first output.
 
     The full walk (``_whole_walk``) runs on flat lists indexed by dart
-    and builds no tuple per corner and one dict entry per face; a map
-    built from records (``_assemble``) is walked as it is built.  The
-    results of ``augment``'s fingers and band splices do not reach it:
-    ``edits.check_edit`` derives their table from the source's by a
-    local update (``_edited_face_set``) and leaves it here.  The update
-    re-walks only the faces the edit reaches -- those at a removed
+    and builds no tuple per corner and one dict entry per face, its
+    darts; a map built from records (``_assemble``) is walked as it is
+    built.  The results of ``augment``'s fingers and band splices do not
+    reach it: ``edits.check_edit`` derives their table from the source's
+    by a local update (``_edited_face_set``) and leaves it here.  The
+    update re-walks only the faces the edit reaches -- those at a removed
     crossing or on either side of a removed or re-ended edge -- since
     every other face leaves each of its corners through the same edge as
     before.  Other diagrams made without a source table are walked whole
@@ -372,76 +375,67 @@ def _hand_over_face_set(src: Diagram, dst: Diagram) -> Diagram:
     return dst
 
 
-def _walk_darts(step, out_edge, starts, dart_face: list[int], darts: dict, bounds: dict) -> list[int]:
+def _walk_darts(step, starts, dart_face: list[int], darts: dict) -> list[int]:
     """Walk the face through each dart of ``starts`` still marked -1 in
-    ``dart_face``, in that order: file its darts and boundary edges in
-    ``darts`` and ``bounds`` under its first dart, and mark its darts
-    with that id; returns the ids filed, in walk order.  The walks of a
-    union of orbits taken from their darts in increasing order each start
-    at the face's least dart, its id.  ``step[x]`` is the corner after
-    corner x, ``far[(x & ~3) | ((x + 1) & 3)]`` for ``far`` the dart at
-    the other end of each dart's edge, and ``out_edge[x]`` the edge
-    between them.  A walk that reaches a marked dart (taken, or kept
-    from a source table) or no dart (-1) means broken rotation data."""
+    ``dart_face``, in that order: file its darts in ``darts`` under its
+    first dart, and mark them with that id; returns the ids filed, in
+    walk order.  The walks of a union of orbits taken from their darts
+    in increasing order each start at the face's least dart, its id.
+    ``step[x]`` is the corner after corner x, ``far[(x & ~3) | ((x + 1)
+    & 3)]`` for ``far`` the dart at the other end of each dart's edge.
+    A walk that reaches a marked dart (taken, or kept from a source
+    table) or no dart (-1) means broken rotation data."""
     filed = []
     for x in starts:
         if dart_face[x] != -1:
             continue
         dart_face[x] = x
         ds = [x]
-        es = [out_edge[x]]
         y = step[x]
         while y != x:
             if y < 0 or dart_face[y] != -1:
                 raise InvariantError(f"face walk collided at corner {(y >> 2, y & 3) if y >= 0 else None}")
             dart_face[y] = x
             ds.append(y)
-            es.append(out_edge[y])
             y = step[y]
         darts[x] = tuple(ds)
-        bounds[x] = tuple(es)
         filed.append(x)
     return filed
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
-    """The full walk of ``d`` (``_whole_walk``), on dart lists filled in
+    """The full walk of ``d`` (``_whole_walk``), on a dart list filled in
     one pass over the edges.  InvariantError, rather than a dart list
     read from its far end, when a crossing id is negative."""
     crossings = d.crossings
     if crossings and min(crossings) < 0:
         raise InvariantError(f"crossing id {min(crossings)} names no dart")
     n = 4 * (max(crossings, default=-1) + 1)
-    flat = [0] * n
     other = [-1] * n
-    for e, rec in d.edges.items():
+    for rec in d.edges.values():
         (c0, s0), (c1, s1) = rec.ends
         a = 4 * c0 + s0
         z = 4 * c1 + s1
-        flat[a] = flat[z] = e
         other[a] = z
         other[z] = a
-    return _whole_walk(d, flat, other)
+    return _whole_walk(d, other)
 
 
-def _whole_walk(d: Diagram, flat: list[int], other: list[int]) -> FaceSet:
+def _whole_walk(d: Diagram, other: list[int]) -> FaceSet:
     """The table of every corner of ``d``, crossings in id order: corner
-    x leaves by the slot after it, ``rot x``, through the edge
-    ``flat[rot x]`` to the corner ``other[rot x]`` (-1 for none), the
-    dart at that edge's far end.  Every map walked whole is walked here."""
+    x leaves by the slot after it, ``rot x``, through its edge to the
+    corner ``other[rot x]`` (-1 for none), the dart at that edge's far
+    end.  Every map walked whole is walked here."""
     step = other[1:] + other[:1]
     step[3::4] = other[::4]
-    out_edge = flat[1:] + flat[:1]
-    out_edge[3::4] = flat[::4]
     n = len(step)
     crossings = d.crossings
     # ids 0 .. V-1, as in a parsed map, leave no dart without a corner
     starts = range(n) if n == 4 * len(crossings) else [x for c in sorted(crossings) for x in range(4 * c, 4 * c + 4)]
     dart_face = [-1] * n
     darts: dict[int, tuple[int, ...]] = {}
-    bounds: dict[int, tuple[int, ...]] = {}
-    _walk_darts(step, out_edge, starts, dart_face, darts, bounds)
-    return FaceSet(dart_face, darts, bounds)
+    _walk_darts(step, starts, dart_face, darts)
+    return FaceSet(dart_face, darts)
 
 
 def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet:
@@ -462,16 +456,16 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
     union of orbits, and only they are walked.  A new over strand, or
     only a component written on an edge, changes no face.
 
-    The update copies the source's table, deletes the dirty faces from
-    it and marks their darts and those of new crossings -1, and walks
-    those darts, on dicts of the step and the edge out of each.  Each
-    walk is filed under its least dart, so the table holds what
-    ``_build_face_set(out)`` gives, ids and corner order alike (only the
-    order of the dicts differs), and no kept face is touched.  The
-    table's ``delta`` holds the ids of the dropped faces and of the
-    fresh walks, so a caller that follows faces by id
-    (``augmentation._CircleFaces``) reads what changed without a pass of
-    its own.  InvariantError when a walk runs into a kept face, or a new
+    The update copies the source's dart table, deletes the dirty faces
+    from it and marks their darts and those of new crossings -1, and
+    walks those darts, on a dict of the step out of each, read off the
+    edge in the slot after it.  Each walk is filed under its least dart,
+    so the table holds what ``_build_face_set(out)`` gives, ids and
+    corner order alike (only the order of the dicts differs), and no
+    kept face is touched.  The table's ``delta`` holds the ids of the
+    dropped faces and of the fresh walks, so a caller that follows faces
+    by id (``augmentation._CircleFaces``) reads what changed without a
+    pass of its own.  InvariantError when a walk runs into a kept face, or a new
     crossing's id is not an int >= 0."""
     global _last_face_set
     d = b.source
@@ -498,25 +492,21 @@ def _edited_face_set(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> FaceSet
             for c, s in rec.ends:
                 dirty.add(source_face[4 * c + (s - 1) % 4])
     darts = source_fs.darts.copy()
-    bounds = source_fs.bounds.copy()
     for fid in dirty:
-        del bounds[fid]
         for x in darts.pop(fid):
             dart_face[x] = -1
             if (x >> 2) in new_c:
                 todo.append(x)
     step: dict[int, int] = {}
-    out_edge: dict[int, int] = {}
-    out_edges = out.edges
+    new_e = out.edges
     for x in todo:
         o = (x & -4) | ((x + 1) & 3)
         e = new_c[x >> 2].slots[o & 3]
-        (c0, s0), (c1, s1) = out_edges[e].ends
+        (c0, s0), (c1, s1) = new_e[e].ends
         a = 4 * c0 + s0
         step[x] = 4 * c1 + s1 if a == o else a
-        out_edge[x] = e
-    fresh = _walk_darts(step, out_edge, sorted(todo), dart_face, darts, bounds)
-    fs = FaceSet(dart_face, darts, bounds)
+    fresh = _walk_darts(step, sorted(todo), dart_face, darts)
+    fs = FaceSet(dart_face, darts)
     fs.delta = (dirty, fresh)
     _last_face_set = (weakref.ref(out), fs)
     return fs
@@ -671,7 +661,7 @@ def _assemble(flat: list[int], loop_ids: list[int]) -> Diagram:
         edges[e] = Edge(e, ((a >> 2, a & 3), (z >> 2, z & 3)), comp[e])
     d = Diagram(crossings, edges, {k: orbits + i for i, k in enumerate(sorted(loops))})
 
-    fs = _whole_walk(d, flat, other)
+    fs = _whole_walk(d, other)
     pieces = orbits
     if orbits > 1:
         joins = _Partition()

@@ -109,7 +109,8 @@ def random_knot_diagram(
             and cls.is_non_alternating
         ):
             return d, trace
+    cap = "" if max_crossings is None else f", max_crossings={max_crossings}"
     raise RetryExhausted(
         f"no qualifying diagram in {max_tries} draws (seed={seed}, "
-        f"letters={n_letters}, flips={flips})"
+        f"letters={n_letters}, flips={flips}{cap})"
     )

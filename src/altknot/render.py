@@ -45,7 +45,7 @@ def _positions(d: Diagram) -> dict:
 
     # boundary cycle of the outer face, crossings and midpoints interleaved
     cycle: list = []
-    for x, out_e in zip(darts[outer], fs.bounds[outer]):
+    for x, out_e in zip(darts[outer], fs.edges(d, outer)):
         cycle.append(("c", x >> 2))
         cycle.append(("m", out_e))
     boundary = {}

@@ -455,9 +455,8 @@ def same_table(fs, d) -> bool:
     corner_faces = [f for f in faces if f.loop is None]
     ids = sorted(fs.darts)
     return (
-        fs.bounds.keys() == fs.darts.keys()
-        and [tuple(4 * c + s for c, s in f.corner_slots) for f in corner_faces] == [fs.darts[f] for f in ids]
-        and [f.boundary_edges for f in corner_faces] == [fs.bounds[f] for f in ids]
+        [tuple(4 * c + s for c, s in f.corner_slots) for f in corner_faces] == [fs.darts[f] for f in ids]
+        and [list(f.boundary_edges) for f in corner_faces] == [fs.edges(d, f) for f in ids]
         and all(f == fs.darts[f][0] for f in ids)
         and corner_view(fs) == {corner: ids[f] for corner, f in corner_face.items()}
     )
@@ -650,7 +649,7 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     from altknot.errors import InvariantError
 
     fs = face_set(d)
-    topo = _region_topology(fs, list(region.bigons))
+    topo = _region_topology(d, fs, list(region.bigons))
     out = TwistRegion(region.crossings, region.bigons, region.links, topo)
     if topo is not RegionTopology.DISK:
         flags = diagram_flags(d)

@@ -120,7 +120,7 @@ def test_acceptance_1_pipeline_property_suite(pipeline):
         assert sum(crossed.values()) == res.i_A_D == len(res.g.crossings) - len(case.d.crossings)
         assert None not in crossed and max(crossed.values(), default=0) <= 2, case.seed
         fs, tp = face_set(case.d), twist_partition(case.d)
-        assert not crossed.keys() & {e for f in tp.bigon_faces for e in fs.bounds[f]}
+        assert not crossed.keys() & {e for f in tp.bigon_faces for e in fs.edges(case.d, f)}
         assert classify_edges(res.g).is_alternating
         assert res.t_D <= res.t_G <= 5 * res.t_D, case.seed
         assert res.i_A_D <= 4 * res.t_D

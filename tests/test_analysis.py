@@ -215,7 +215,7 @@ class TestStructuralInvariants:
         fs = face_set(d)
         for f, ds in fs.darts.items():
             if _is_bigon(ds):
-                e1, e2 = fs.bounds[f]
+                e1, e2 = fs.edges(d, f)
                 a = d.edge_labels(e1)
                 b = d.edge_labels(e2)
                 assert (a[0] != a[1]) == (b[0] != b[1])
@@ -411,5 +411,5 @@ class TestAnalysisOnCorpus:
             for r in tp.regions:
                 assert r.topology is RegionTopology.DISK
             assert set(oracle_bigon_faces(d)) == {
-                frozenset(face_set(d).bounds[f]) for f in tp.bigon_faces
+                frozenset(face_set(d).edges(d, f)) for f in tp.bigon_faces
             }

@@ -24,9 +24,12 @@ from altknot import (
 )
 from altknot.augmentation import (
     MergeArc,
+    _admissible_edges,
     _circle_crossings,
     _curve_faces,
     _d_bigon_faces,
+    _nearest_circles,
+    _trace_arc,
 )
 from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, is_connected
 from altknot.errors import PreconditionError
@@ -207,6 +210,38 @@ class TestMergeArc:
         for g, live, arc in calls:
             assert arc == oracle_merge_arc(g, live)
 
+    def test_the_crossed_edge_filter_only_prunes(self, bench_inputs, monkeypatch):
+        # an edge with an end at a circle crossing has both side faces on
+        # that circle, so it joins two faces at distance 0 from it: the
+        # search without the filter finds the same cost, source and arc
+        diagrams = [parse_pd(x.pd) for seed in (0, 1) for x in bench_inputs.large_inputs(seed, n=64, lo=50, hi=110)]
+        _results, calls = augment_recording_merge_arcs(monkeypatch, diagrams)
+        searched = [(g, live, arc) for g, live, arc in calls if arc.phi > 0]
+        assert len(searched) >= 30
+        at_circles = pruned = 0
+        for g, live, arc in searched:
+            fs, comps = face_set(g), set(live)
+            on_circles = _circle_crossings(g, comps)
+            curve_faces = _curve_faces(g, fs, live)
+            circle_at = {c: rec.component for rec in g.edges.values() if rec.component in comps for c, _s in rec.ends}
+            for e, rec in g.edges.items():
+                if rec.component in comps:
+                    continue
+                sides = set(fs.edge_sides(g, e))
+                for c, _s in rec.ends:
+                    if c in on_circles:
+                        assert sides <= curve_faces[circle_at[c]], (e, c)
+                        at_circles += 1
+            filtered = _admissible_edges(g, fs, comps, on_circles)
+            unfiltered = _admissible_table(g, fs, live, set())
+            pruned += sum(map(len, unfiltered.values())) - sum(map(len, filtered.values()))
+            best = _nearest_circles(filtered, curve_faces)
+            assert best == (arc.phi, arc.source_curve)
+            assert _nearest_circles(unfiltered, curve_faces) == best
+            assert _trace_arc(unfiltered, curve_faces, *best) == arc
+            assert _trace_arc(filtered, curve_faces, *best) == arc
+        assert at_circles and pruned > 0
+
     def test_arc_respects_touched_edges(self):
         for seed, d in corpus_diagrams(20):
             cs = build_cut_curves(d)
@@ -223,11 +258,10 @@ class TestMergeArc:
             assert len(set(arc.edges)) == arc.phi
 
 
-def _synthetic_long_arcs(g, comps, length):
-    """Admissible face paths of exactly ``length`` steps between two
-    distinct curves, by brute-force enumeration."""
-    fs = face_set(g)
-    on_circles = _circle_crossings(g, set(comps))
+def _admissible_table(g, fs, comps, on_circles):
+    """Face -> (neighbouring face, edge) for every edge off the circles
+    ``comps``, with no end in ``on_circles`` and off the original bigons,
+    built edge by edge in id order."""
     banned = _d_bigon_faces(g, fs, set(comps))
     adj = {}
     for e, rec in sorted(g.edges.items()):
@@ -238,6 +272,15 @@ def _synthetic_long_arcs(g, comps, length):
             continue
         adj.setdefault(l, []).append((r, e))
         adj.setdefault(r, []).append((l, e))
+    return adj
+
+
+def _synthetic_long_arcs(g, comps, length):
+    """Admissible face paths of exactly ``length`` steps between two
+    distinct curves, by brute-force enumeration."""
+    fs = face_set(g)
+    banned = _d_bigon_faces(g, fs, set(comps))
+    adj = _admissible_table(g, fs, comps, _circle_crossings(g, set(comps)))
     curve_faces = _curve_faces(g, fs, comps)
     ci, cj = comps[0], comps[1]
     for f0 in sorted(curve_faces[ci] - banned):
@@ -337,7 +380,7 @@ class TestFinger:
         diagrams = [parse_pd(items[name].pd) for name in ("a12", "a28")]
         _results, arcs = augment_recording_fingers(monkeypatch, diagrams)
         candidates = [
-            [e for e in face_set(g).bounds[arc.faces[0]]
+            [e for e in face_set(g).edges(g, arc.faces[0])
              if g.edges[e].component == arc.source_curve]
             for g, arc in arcs
         ]
@@ -440,7 +483,7 @@ class TestGuardRails:
         g = propagate_finger(g, arc)
         ci, cj = arc.source_curve, arc.target_curve
         face = shared_face(g, ci, cj)
-        walk = augmentation._face_edge_walk(face_set(g), face)
+        walk = augmentation._face_edge_walk(g, face_set(g), face)
         _ea, _dep_a, arr_a = next(w for w in walk if g.edges[w[0]].component == ci)
         _eb, dep_b, _arr_b = next(w for w in walk if g.edges[w[0]].component == cj)
         assert g.label(*arr_a) != g.label(*dep_b)
@@ -846,7 +889,7 @@ class TestWholeMapFactsOncePerMap:
         t_d, t_g = res.t_D, res.t_G
         assert t_d < t_g
         fs = face_set(d)
-        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.bounds[f]}
+        in_twist = {e for f in twist_partition(d).bigon_faces for e in fs.edges(d, f)}
         inside, free = min(in_twist), min(set(d.edges) - in_twist)
         all_free = set(d.edges) - in_twist
         real = analysis.reconstruct_input
@@ -1007,7 +1050,7 @@ class TestCertify:
         assert len(diagrams) == 246
         for d in diagrams:
             fs, tp = face_set(d), twist_partition(d)
-            in_twist = {e for f in tp.bigon_faces for e in fs.bounds[f]}
+            in_twist = {e for f in tp.bigon_faces for e in fs.edges(d, f)}
             assert len(d.edges) - len(in_twist) == 2 * tp.t, serialize_pd(d)
 
 

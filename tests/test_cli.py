@@ -183,6 +183,20 @@ class TestBounds:
         (rep,) = _json_lines(capsys)
         assert "altvol_lower" in rep
 
+    def test_lower_is_clamped_at_zero(self, capsys):
+        # at t = 1 the raw lower bound v3 (t - 2) is negative; the window
+        # reports 0 and keeps the raw value beside it
+        assert run(["bounds", "--twist", "1"]) == 0
+        (rep,) = _json_lines(capsys)
+        assert rep["lower"] == 0.0
+        assert rep["lower_raw"] == -rep["v3"]
+
+    def test_no_unclamped_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--twist", "4", "--no-clamp-lower"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-clamp-lower" in capsys.readouterr().err
+
     def test_domain_error_exit_1(self, capsys):
         assert run(["bounds", "--twist", "0"]) == 1
 

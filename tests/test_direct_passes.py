@@ -117,7 +117,7 @@ def test_an_edge_with_one_face_on_both_sides_is_refused():
     # no 4-valent map has a bridge; a table that says otherwise is broken
     d = parse_pd(TREFOIL)
     fs = face_set(d)
-    broken = type(fs)([min(f, 0) for f in fs.dart_face], fs.darts, fs.bounds)
+    broken = type(fs)([min(f, 0) for f in fs.dart_face], fs.darts)
     for scan in (_two_edge_cut, oracle_two_edge_cut):
         with pytest.raises(InvariantError, match="edge 1 borders one face"):
             scan(d, broken)

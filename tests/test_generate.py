@@ -108,6 +108,15 @@ class TestRandomDiagrams:
         with pytest.raises(RetryExhausted):
             random_knot_diagram(0, 1, 0, max_tries=50)
 
+    def test_retry_exhausted_names_the_cap(self):
+        # no qualifying diagram has two crossings or fewer, so the cap
+        # refuses every draw, and the message says so; without a cap it
+        # names none
+        with pytest.raises(RetryExhausted, match=r"\(seed=1, letters=12, flips=2, max_crossings=2\)$"):
+            random_knot_diagram(1, 12, 2, max_crossings=2)
+        with pytest.raises(RetryExhausted, match=r"flips=0\)$"):
+            random_knot_diagram(0, 1, 0, max_tries=50)
+
 
 def test_closures_match_pin():
     rng = random.Random(7)

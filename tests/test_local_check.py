@@ -652,8 +652,8 @@ def test_moves_outside_the_merge_facts_are_walked(trefoil):
 
 def test_component_and_label_changes_rewalk_nothing():
     # relabelling a whole component and flipping a crossing touch
-    # records but change no face: every face's darts and edges are the
-    # source's tuples
+    # records but change no face: every face's darts are the source's
+    # tuple
     _seed, d = link_diagrams(1)[0]
     fs = face_set(d)
     b = MapBuilder(d)
@@ -667,7 +667,6 @@ def test_component_and_label_changes_rewalk_nothing():
     table = _edited_face_set(b, fs, out)
     assert table.darts.keys() == fs.darts.keys()
     assert all(table.darts[f] is ds for f, ds in fs.darts.items())
-    assert all(table.bounds[f] is es for f, es in fs.bounds.items())
     assert same_table(table, out)
     assert face_set(out) is table
 
@@ -697,13 +696,13 @@ def test_join_keeps_the_faces_along_the_relabelled_circle(monkeypatch):
     spliced = {c for e in removed for c, _s in g.edges[e].ends}
     along = [
         f for f, ds in source_fs.darts.items()
-        if set(source_fs.bounds[f]) & relabelled and not {x >> 2 for x in ds} & spliced
+        if set(source_fs.edges(g, f)) & relabelled and not {x >> 2 for x in ds} & spliced
     ]
     assert relabelled and along
     # each is a face of the result as it stands: it keeps its id, and its
-    # darts and edges are the source's tuples
+    # darts are the source's tuple
     for f in along:
-        assert table.darts[f] is source_fs.darts[f] and table.bounds[f] is source_fs.bounds[f]
+        assert table.darts[f] is source_fs.darts[f]
 
 
 def _spy_on_walks(monkeypatch) -> list[set]:
@@ -711,9 +710,9 @@ def _spy_on_walks(monkeypatch) -> list[set]:
     given = []
     real = diagram._walk_darts
 
-    def spy(far, edge, starts, *args):
+    def spy(step, starts, *args):
         given.append(set(starts))
-        return real(far, edge, starts, *args)
+        return real(step, starts, *args)
 
     monkeypatch.setattr(diagram, "_walk_darts", spy)
     return given
