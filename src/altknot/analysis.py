@@ -16,6 +16,7 @@ from enum import Enum
 from .diagram import (
     Diagram,
     FaceSet,
+    _exit_slot,
     _is_bigon,
     _Partition,
     face_set,
@@ -182,16 +183,10 @@ class TwistPartition:
     t: int
 
 
-def _region_topology(d: Diagram, fs: FaceSet, bigons: list[int]) -> RegionTopology:
-    """Topology of the union of the bigon faces ``bigons`` of ``d``'s ``fs``."""
-    if not bigons:
-        return RegionTopology.DISK
-    vs: set[int] = set()
-    es: set[int] = set()
-    for f in bigons:
-        vs.update(x >> 2 for x in fs.darts[f])
-        es.update(fs.edges(d, f))
-    chi = len(vs) - len(es) + len(bigons)
+def _topology(chi: int) -> RegionTopology:
+    """The topology of a union of bigon faces of Euler characteristic
+    ``chi``; InvariantError for any other than a disk's, an annulus's or
+    a sphere's."""
     if chi == 1:
         return RegionTopology.DISK
     if chi == 0:
@@ -205,55 +200,63 @@ def twist_partition(d: Diagram) -> TwistPartition:
     """Bigon faces, the regions they chain into, and the twist count t.
 
     Every crossing lies in exactly one region: crossings incident to no
-    bigon form singleton regions.  Computed once per face table and kept
-    on it (``FaceSet.partition``), so copies that share the table, such
-    as ``mark_augmenting``'s, share the partition object too.
+    bigon form singleton regions.  One pass over the faces files each
+    bigon under its two crossings and into their chain, the smaller of
+    two chains it joins passing into the larger, and adds its crossings
+    and edges (``diagram._exit_slot``), so a chain's Euler
+    characteristic V - E + F needs no second walk.  Computed once per
+    face table and kept on it (``FaceSet.partition``), so copies that
+    share the table, such as ``mark_augmenting``'s, share it too.
     """
     fs = face_set(d)
     if fs.partition is not None:
         return fs.partition
-    darts = fs.darts
-    bigons = [f for f, ds in darts.items() if _is_bigon(ds)]
-    chains = _Partition()
-    by_crossing: dict[int, list[int]] = {}
-    for f in bigons:
-        # a bigon's two corners are at two distinct crossings
-        x0, x1 = darts[f]
-        by_crossing.setdefault(x0 >> 2, []).append(f)
-        by_crossing.setdefault(x1 >> 2, []).append(f)
-    for c, fl in by_crossing.items():
-        for other in fl[1:]:
-            chains.union(other, fl[0])
-    find = chains.find
-
-    grouped: dict[int, list[int]] = {}
-    for f in bigons:
-        grouped.setdefault(find(f), []).append(f)
-    # all bigons at one crossing share a root, so each link belongs to
-    # the region of its first bigon
-    links: dict[int, list[tuple[int, int, int]]] = {}
-    for c, shared in sorted(by_crossing.items()):
-        if len(shared) == 2:
-            a, b = sorted(shared)
-            links.setdefault(find(a), []).append((a, b, c))
-
+    crossings = d.crossings
+    at: dict[int, list[int]] = {}  # crossing -> the bigons with a corner there
+    # crossing -> its chain: crossings, bigons, edges and links (crossings and edges repeat)
+    chain: dict[int, list[list]] = {}
+    for f, ds in fs.darts.items():
+        # a bigon (``_is_bigon``): two corners at two distinct crossings
+        if len(ds) != 2:
+            continue
+        x0, x1 = ds
+        c0, c1 = x0 >> 2, x1 >> 2
+        if c0 == c1:
+            continue
+        at.setdefault(c0, []).append(f)
+        at.setdefault(c1, []).append(f)
+        a, b = chain.get(c0), chain.get(c1)
+        if a is None:
+            a = b or [[], [], [], []]
+        elif b is not None and b is not a:
+            if len(a[0]) < len(b[0]):
+                a, b = b, a
+            for c in b[0]:
+                chain[c] = a
+            for mine, theirs in zip(a, b):
+                mine += theirs
+        cs, fl, es, _links = a
+        cs += c0, c1
+        fl.append(f)
+        es += crossings[c0].slots[_exit_slot(x0)], crossings[c1].slots[_exit_slot(x1)]
+        chain[c0] = chain[c1] = a
+    for c in sorted(at):
+        fl = at[c]
+        if len(fl) == 2:
+            chain[c][3].append((min(fl), max(fl), c))
     regions = []
-    for root, fl in grouped.items():
-        crossings = frozenset(x >> 2 for f in fl for x in darts[f])
-        regions.append(
-            TwistRegion(
-                crossings,
-                tuple(sorted(fl)),
-                tuple(links.get(root, ())),
-                _region_topology(d, fs, fl),
-            )
-        )
-    in_bigon = set(by_crossing)
-    for c in sorted(d.crossings):
-        if c not in in_bigon:
-            regions.append(TwistRegion(frozenset([c]), (), (), RegionTopology.DISK))
-    regions.sort(key=lambda r: min(r.crossings))
-    fs.partition = TwistPartition(frozenset(bigons), tuple(regions), len(regions))
+    for c in sorted(crossings):
+        ch = chain.get(c)
+        if ch is None:
+            regions.append(TwistRegion(frozenset((c,)), (), (), RegionTopology.DISK))
+        elif ch[1]:
+            # a chain's region goes at its least crossing, once
+            cs, fl, es, links = ch
+            cs = frozenset(cs)
+            regions.append(TwistRegion(cs, tuple(sorted(fl)), tuple(links), _topology(len(cs) - len(set(es)) + len(fl))))
+            ch[1] = ()
+    bigons = frozenset(f for r in regions for f in r.bigons)
+    fs.partition = TwistPartition(bigons, tuple(regions), len(regions))
     return fs.partition
 
 
@@ -322,7 +325,7 @@ def _is_r2_corners(d: Diagram, darts) -> bool:
     exactly when the second does."""
     x0, x1 = darts
     crossings = d.crossings
-    return (((x0 + 1) & 3) in crossings[x0 >> 2].over_slots) == ((x1 & 3) in crossings[x1 >> 2].over_slots)
+    return (_exit_slot(x0) in crossings[x0 >> 2].over_slots) == ((x1 & 3) in crossings[x1 >> 2].over_slots)
 
 
 def _two_edge_cut(d: Diagram, fs: FaceSet) -> tuple[int, int] | None:

@@ -76,6 +76,7 @@ from .diagram import (
     FaceSet,
     MapBuilder,
     Sign,
+    _exit_slot,
     _is_bigon,
     face_set,
     is_connected,
@@ -701,7 +702,7 @@ def _face_edge_walk(g: Diagram, fs: FaceSet, fid: int) -> list[tuple[int, tuple,
     each end a (crossing, slot) pair: the edge leaving corner x departs
     from slot s + 1 and arrives at the next corner."""
     ds = fs.darts[fid]
-    return [(e, (x >> 2, (x + 1) & 3), (y >> 2, y & 3)) for e, x, y in zip(fs.edges(g, fid), ds, ds[1:] + ds[:1])]
+    return [(e, (x >> 2, _exit_slot(x)), (y >> 2, y & 3)) for e, x, y in zip(fs.edges(g, fid), ds, ds[1:] + ds[:1])]
 
 
 def join_curves(g: Diagram, ci: int, cj: int, shared_face: int) -> Diagram:

@@ -116,6 +116,12 @@ _set_edge_ends = Edge.ends.__set__
 _set_edge_component = Edge.component.__set__
 
 
+def _exit_slot(x: int) -> int:
+    """The corner rule: the edge leaving corner ``x = 4 * c + s`` of a
+    face walk is the one in slot s + 1 of crossing c (``FaceSet``)."""
+    return (x + 1) & 3
+
+
 def _is_bigon(darts) -> bool:
     """The darts of a face, in any order, make it a bigon: two corners
     at two distinct crossings."""
@@ -203,11 +209,10 @@ def connected_pieces(d: Diagram) -> int:
     """Number of connected pieces of the 4-valent map; crossing-free
     loops are separate pieces and are not counted here.
 
-    Counted once per face table and kept on ``face_set(d)``
-    (``FaceSet.pieces``).  The table of a map ``_assemble`` built holds
-    the count already, the strand orbits joined at each crossing; on any
-    other table it is counted here, by a breadth-first search from each
-    unseen crossing."""
+    Kept on ``face_set(d)`` (``FaceSet.pieces``) by the pass that built
+    the table; only a table no pass counted (a refused edit's, one made
+    by hand) is counted here, by a breadth-first search from each unseen
+    crossing."""
     fs = face_set(d)
     if fs.pieces is not None:
         return fs.pieces
@@ -268,14 +273,17 @@ class FaceSet:
     reaches output (``rank``); ids order faces as ranks do, so every
     least face and tie-break the package takes is the same under either.
 
-    The table also keeps whole-map facts of the map once they are
-    computed, each filled by its own function and empty on a new table:
-    ``partition`` (``analysis.twist_partition``), ``pieces``, the number
-    of pieces (``connected_pieces``), and ``classification``
-    (``analysis.classify_edges``).  They depend only on the crossings,
-    their slots and over strands, the loops and the edge ends.  Every
-    diagram a table serves shares all of these with the one it was built
-    for: ``mark_augmenting`` changes only the augmenting component, and a
+    The table also keeps whole-map facts of the map.  ``pieces``, the
+    number of pieces (``connected_pieces``), comes from the pass that
+    builds the table: ``_assemble`` joins the strand orbits at each
+    crossing, ``_build_face_set`` searches its far darts, and
+    ``edits.check_edit`` adds the dP it checked to the source's count.
+    ``partition`` (``analysis.twist_partition``) and ``classification``
+    (``analysis.classify_edges``) are filled once computed.  Only the
+    edge classes read the over strands, so ``flip_crossing`` hands its
+    result a new table sharing the rest.  Every diagram a table serves
+    shares these facts with the one it was built for:
+    ``mark_augmenting`` changes only the augmenting component, and a
     surgery result gets a new table (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
@@ -301,7 +309,7 @@ class FaceSet:
         """The boundary edges of face ``f`` of ``d``, the k-th the edge
         leaving corner k: the edge in the slot after the corner's."""
         crossings = d.crossings
-        return [crossings[x >> 2].slots[(x + 1) & 3] for x in self.darts[f]]
+        return [crossings[x >> 2].slots[_exit_slot(x)] for x in self.darts[f]]
 
     def edge_sides(self, d: Diagram, e: int) -> tuple[int, int]:
         """(left face, right face) of edge e directed end0 -> end1."""
@@ -405,8 +413,9 @@ def _walk_darts(step, starts, dart_face: list[int], darts: dict) -> list[int]:
 
 def _build_face_set(d: Diagram) -> FaceSet:
     """The full walk of ``d`` (``_whole_walk``), on a dart list filled in
-    one pass over the edges.  InvariantError, rather than a dart list
-    read from its far end, when a crossing id is negative."""
+    one pass over the edges, and the piece count by a search along that
+    list.  InvariantError, rather than a dart list read from its far
+    end, when a crossing id is negative."""
     crossings = d.crossings
     if crossings and min(crossings) < 0:
         raise InvariantError(f"crossing id {min(crossings)} names no dart")
@@ -418,7 +427,23 @@ def _build_face_set(d: Diagram) -> FaceSet:
         z = 4 * c1 + s1
         other[a] = z
         other[z] = a
-    return _whole_walk(d, other)
+    fs = _whole_walk(d, other)
+    seen = bytearray(n >> 2)
+    pieces = 0
+    for start in crossings:
+        if seen[start]:
+            continue
+        pieces += 1
+        seen[start] = 1
+        cs = [start]
+        for c in cs:
+            for y in other[4 * c:4 * c + 4]:
+                y >>= 2
+                if not seen[y]:
+                    seen[y] = 1
+                    cs.append(y)
+    fs.pieces = pieces
+    return fs
 
 
 def _whole_walk(d: Diagram, other: list[int]) -> FaceSet:
@@ -965,7 +990,9 @@ class MapBuilder:
 def flip_crossing(d: Diagram, c: int) -> Diagram:
     """Toggle which strand passes over at crossing ``c``.
     PreconditionError when its over strand is not one of the legal
-    tuples (``_OVER_PAIRS``), which has no strand to toggle to."""
+    tuples (``_OVER_PAIRS``), which has no strand to toggle to.  A table
+    of ``d`` the memo holds is handed on (``FaceSet``)."""
+    global _last_face_set
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     cur = d.crossings[c]
@@ -974,4 +1001,12 @@ def flip_crossing(d: Diagram, c: int) -> Diagram:
     flipped = Crossing(c, cur.slots, (1, 3) if cur.over_slots in ((0, 2), (2, 0)) else (0, 2))
     crossings = dict(d.crossings)
     crossings[c] = flipped
-    return Diagram(crossings, d.edges, d.loops, d.augmenting_component)
+    out = Diagram(crossings, d.edges, d.loops, d.augmenting_component)
+    fs = _held_face_set(d)
+    if fs is not None:
+        # faces, pieces and twist regions read no over strand; the edge
+        # classes do, so the new table has none
+        kept = FaceSet(fs.dart_face, fs.darts)
+        kept.pieces, kept.partition = fs.pieces, fs.partition
+        _last_face_set = (weakref.ref(out), kept)
+    return out

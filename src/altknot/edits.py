@@ -68,7 +68,10 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     faces the edit reaches: those with a corner at a removed crossing or
     on either side of a removed or re-ended edge
     (``diagram._edited_face_set``, equal to the full walk of ``out``),
-    and ``face_set(out)`` answers with it for the next step.
+    and ``face_set(out)`` answers with it for the next step.  A passed
+    edit's table carries the piece count of ``out``, the one
+    ``source_fs`` carries plus the dP just checked; a refused edit's
+    carries none, so the whole-map check that words it counts afresh.
     """
     d = b.source
     if not _check_records(b, out):
@@ -80,8 +83,11 @@ def check_edit(b: MapBuilder, source_fs: FaceSet, out: Diagram) -> list[str]:
     dv = len(out.crossings) - len(d.crossings)
     de = len(out.edges) - len(d.edges)
     df = len(fs.darts) - len(source_fs.darts)
-    if dv - de + df != 2 * _piece_change(b, source_fs, out) or not _check_strands(b, out, alternating=True):
+    dp = _piece_change(b, source_fs, out)
+    if dv - de + df != 2 * dp or not _check_strands(b, out, alternating=True):
         return _rejected(out, alternating=True)
+    if source_fs.pieces is not None:
+        fs.pieces = source_fs.pieces + dp
     return []
 
 

@@ -645,11 +645,11 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
     diagrams, enforce that a non-disk region forces the standard
     two-strand torus diagram."""
     from altknot import detect_two_strand_torus, diagram_flags, face_set
-    from altknot.analysis import RegionTopology, TwistRegion, _region_topology
+    from altknot.analysis import RegionTopology, TwistRegion
     from altknot.errors import InvariantError
 
     fs = face_set(d)
-    topo = _region_topology(d, fs, list(region.bigons))
+    topo = _oracle_region_topology(d, fs, list(region.bigons))
     out = TwistRegion(region.crossings, region.bigons, region.links, topo)
     if topo is not RegionTopology.DISK:
         flags = diagram_flags(d)
@@ -1116,6 +1116,93 @@ def oracle_twist_count(d) -> int:
             if len(cs) == 2:
                 parent[find(cs[0])] = find(cs[1])
     return len({find(c) for c in d.crossings})
+
+
+def _oracle_region_topology(d, fs, bigons):
+    """Topology of the union of the bigon faces ``bigons`` of ``d``'s
+    ``fs``: the package's former helper, kept for the oracle below."""
+    from altknot.analysis import RegionTopology
+    from altknot.errors import InvariantError
+
+    if not bigons:
+        return RegionTopology.DISK
+    vs: set[int] = set()
+    es: set[int] = set()
+    for f in bigons:
+        vs.update(x >> 2 for x in fs.darts[f])
+        es.update(fs.edges(d, f))
+    chi = len(vs) - len(es) + len(bigons)
+    if chi == 1:
+        return RegionTopology.DISK
+    if chi == 0:
+        return RegionTopology.ANNULUS
+    if chi == 2:
+        return RegionTopology.SPHERE
+    raise InvariantError(f"twist region with Euler characteristic {chi}")
+
+
+def oracle_twist_partition(d):
+    """``analysis.twist_partition`` as it was before it became one pass
+    over the faces: bigons unioned through a union-find over their
+    crossings, then grouped, linked and measured region by region.  The
+    body is the former one verbatim, except that it neither reads nor
+    fills the partition kept on the face table."""
+    from altknot import face_set
+    from altknot.analysis import RegionTopology, TwistPartition, TwistRegion
+    from altknot.diagram import _is_bigon, _Partition
+
+    fs = face_set(d)
+    darts = fs.darts
+    bigons = [f for f, ds in darts.items() if _is_bigon(ds)]
+    chains = _Partition()
+    by_crossing: dict[int, list[int]] = {}
+    for f in bigons:
+        # a bigon's two corners are at two distinct crossings
+        x0, x1 = darts[f]
+        by_crossing.setdefault(x0 >> 2, []).append(f)
+        by_crossing.setdefault(x1 >> 2, []).append(f)
+    for c, fl in by_crossing.items():
+        for other in fl[1:]:
+            chains.union(other, fl[0])
+    find = chains.find
+
+    grouped: dict[int, list[int]] = {}
+    for f in bigons:
+        grouped.setdefault(find(f), []).append(f)
+    # all bigons at one crossing share a root, so each link belongs to
+    # the region of its first bigon
+    links: dict[int, list[tuple[int, int, int]]] = {}
+    for c, shared in sorted(by_crossing.items()):
+        if len(shared) == 2:
+            a, b = sorted(shared)
+            links.setdefault(find(a), []).append((a, b, c))
+
+    regions = []
+    for root, fl in grouped.items():
+        crossings = frozenset(x >> 2 for f in fl for x in darts[f])
+        regions.append(
+            TwistRegion(
+                crossings,
+                tuple(sorted(fl)),
+                tuple(links.get(root, ())),
+                _oracle_region_topology(d, fs, fl),
+            )
+        )
+    in_bigon = set(by_crossing)
+    for c in sorted(d.crossings):
+        if c not in in_bigon:
+            regions.append(TwistRegion(frozenset([c]), (), (), RegionTopology.DISK))
+    regions.sort(key=lambda r: min(r.crossings))
+    return TwistPartition(frozenset(bigons), tuple(regions), len(regions))
+
+
+def assert_twist_partition_is_the_oracle(d) -> None:
+    """``twist_partition(d)`` equals ``oracle_twist_partition(d)``: the
+    same bigons, regions in the same order, each with the same crossings,
+    bigons, links and topology."""
+    from altknot import serialize_pd, twist_partition
+
+    assert twist_partition(d) == oracle_twist_partition(d), serialize_pd(d)
 
 
 def oracle_strand_runs(g, stops) -> dict:

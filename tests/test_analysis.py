@@ -25,6 +25,7 @@ from altknot.generate import braid_closure, two_strand_torus
 
 from conftest import (
     TREFOIL,
+    assert_twist_partition_is_the_oracle,
     corpus_diagrams,
     oracle_alternating_edges,
     oracle_bigon_faces,
@@ -32,6 +33,7 @@ from conftest import (
     oracle_twist_count,
     oracle_two_edge_cuts,
     refinement_check,
+    shadow_diagrams,
     twist_region_topology,
 )
 
@@ -185,6 +187,35 @@ class TestTwistRegions:
         shifted = "X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
         two = parse_pd(TREFOIL + " " + shifted)
         assert twist_partition(two).t == 2 * twist_partition(trefoil).t
+
+
+class TestOnePassTwistPartition:
+    # twist_partition against the former construction it replaced
+    # (conftest.oracle_twist_partition): the same bigons, and the same
+    # regions in the same order, with their crossings, bigons, links and
+    # topology
+    def test_bench_inputs_and_their_augmentations(self, bench_inputs):
+        from altknot import augment
+
+        inputs = [x for seed in (0, 1) for x in bench_inputs.large_inputs(seed, n=64, lo=50, hi=110)]
+        assert len(inputs) == 128
+        for x in inputs:
+            d = parse_pd(x.pd)
+            assert_twist_partition_is_the_oracle(d)
+            assert_twist_partition_is_the_oracle(augment(d).g)
+
+    def test_shadows(self):
+        for d in shadow_diagrams(60, 5):
+            assert_twist_partition_is_the_oracle(d)
+
+    def test_small_maps(self, trefoil, fig8, hopf, borromean, kink_unknot, curl, granny_sum):
+        # a sphere (the 2-crossing torus and the Hopf link), annuli,
+        # kinks, a chain cut by a nugatory crossing, and loops
+        maps = [trefoil, fig8, hopf, borromean, kink_unknot, curl, granny_sum, parse_pd("O(1)")]
+        maps += [two_strand_torus(n) for n in range(2, 7)]
+        maps += [braid_closure(w, strands=4) for w in ([1, 1, 2, 1, 1], [1, -2, -2, 3, 1, 1], [2, 2, 2])]
+        for d in maps:
+            assert_twist_partition_is_the_oracle(d)
 
 
 class TestStructuralInvariants:

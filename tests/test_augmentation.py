@@ -49,6 +49,7 @@ from conftest import (
     oracle_curve_crossings,
     oracle_finger_base,
     oracle_merge_arc,
+    oracle_pieces,
     oracle_strand_runs,
     picked_finger_bases,
     refinement_check,
@@ -726,7 +727,10 @@ class TestWholeMapFactsOncePerMap:
             diagram._last_face_set = held
 
     def test_cached_facts_equal_fresh_ones(self, monkeypatch):
-        from altknot import augmentation
+        # every table augment makes comes with its piece count: the
+        # overlay's from its whole walk, each finger's and join's from
+        # check_edit, so connected_pieces never counts one itself
+        from altknot import augmentation, diagram as diagram_module, edits
 
         inputs = []
         real_cut_curves = augmentation.build_cut_curves
@@ -736,7 +740,18 @@ class TestWholeMapFactsOncePerMap:
             inputs.append((d, _held_face_set(d)))
             return real_cut_curves(d, *args)
 
+        uncounted = []
+        real_pieces = diagram_module.connected_pieces
+
+        def pieces(d):
+            # face_set(d) is the table the real call reads
+            if diagram_module.face_set(d).pieces is None:
+                uncounted.append(d)
+            return real_pieces(d)
+
         monkeypatch.setattr(augmentation, "build_cut_curves", cut_curves)
+        monkeypatch.setattr(diagram_module, "connected_pieces", pieces)
+        monkeypatch.setattr(edits, "connected_pieces", pieces)
         seen = {}
         for d in _cases_for_caches():
             inputs.clear()
@@ -744,12 +759,11 @@ class TestWholeMapFactsOncePerMap:
             def on_stage(name, g):
                 fs = _held_face_set(g)
                 assert fs is not None, name
+                assert fs.pieces == len(oracle_pieces(g)), name
                 if name == "overlay":
                     # filled by the overlay's own checks
                     self._check_table(g, fs)
-                seen[name] = seen.get(name, 0) + (fs.pieces is None)
-                # a surgery result's table starts empty and fills for g
-                assert connected_pieces(g) == fs.pieces is not None
+                seen[name] = seen.get(name, 0) + 1
                 assert classify_edges(g) is fs.classification is not None
                 self._check_table(g, fs)
 
@@ -757,9 +771,10 @@ class TestWholeMapFactsOncePerMap:
             (d_in, d_fs), = inputs
             self._check_table(d_in, d_fs)
             g_fs = _held_face_set(res.g)
-            assert g_fs is not None
+            assert g_fs is not None and g_fs.pieces == len(oracle_pieces(res.g))
             self._check_table(res.g, g_fs)
-        assert seen["overlay"] == 0 and seen["finger"] > 0 and seen["join"] > 0
+        assert seen["overlay"] > 0 and seen["finger"] > 0 and seen["join"] > 0
+        assert uncounted == []
 
     def test_refinement_report_equals_the_public_check(self, monkeypatch):
         from altknot import augmentation
@@ -1002,6 +1017,36 @@ class TestCertify:
         checked = certify(d, face_set(d), twist_partition(d), g, res.augmenting_component)
         failures = [(type(exc), str(exc)) for exc in checked.failures]
         assert (MappingError, "reconstructed crossings are not a subset of the ambient ones") in failures
+
+    def test_t_G_equal_to_t_D_keeps_the_twist_bound(self):
+        # check 8's lower bound reached with equality: G is the input
+        # itself, which breaks other promises but not t(D) <= t(G)
+        from altknot import twist_partition
+        from altknot.augmentation import certify
+
+        d, _ = random_knot_diagram(3, 14, 2)
+        tp = twist_partition(d)
+        checked = certify(d, face_set(d), tp, d, min(d.components()))
+        assert checked.t_G == tp.t and checked.failures
+        assert not any("twist bound violated" in str(exc) for exc in checked.failures)
+
+    def test_t_G_equal_to_five_t_D_keeps_the_twist_bound(self):
+        # the upper bound reached with equality: the trefoil (t = 1)
+        # against the raw closure of the braid 1 2 -2 1 -3 2 1 1 on four
+        # strands (t = 5), which breaks other promises but not
+        # t(G) <= 5 t(D)
+        from altknot import twist_partition
+        from altknot.augmentation import certify
+
+        d = parse_pd(TREFOIL)
+        g = parse_pd(
+            "X(1,5,6,2) X(6,7,8,3) X(8,7,9,10) X(5,11,12,9) "
+            "X(4,10,13,4) X(12,15,3,13) X(11,17,18,15) X(17,1,2,18)"
+        )
+        tp = twist_partition(d)
+        checked = certify(d, face_set(d), tp, g, max(g.components()))
+        assert (tp.t, checked.t_G) == (1, 5) and checked.failures
+        assert not any("twist bound violated" in str(exc) for exc in checked.failures)
 
     def test_components_sharing_one_id_are_refused(self, monkeypatch):
         # a 2-component input whose two components carry one id in G: G

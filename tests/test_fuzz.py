@@ -41,7 +41,7 @@ from altknot import (
 from altknot.errors import DiagramError, PDSyntaxError, PreconditionError
 from altknot.generate import braid_closure
 
-from conftest import assert_parse_is_the_oracle, same_map, shadow_diagrams
+from conftest import assert_parse_is_the_oracle, assert_twist_partition_is_the_oracle, same_map, shadow_diagrams
 
 IDS = st.integers(min_value=1, max_value=14)
 X_RECORD = st.tuples(IDS, IDS, IDS, IDS).map(lambda t: "X(%d,%d,%d,%d)" % t)
@@ -121,6 +121,7 @@ def _run_pipeline(text: str) -> None:
     except DiagramError:
         return
     assert same_map(parse_pd(serialize_pd(d)), d)
+    assert_twist_partition_is_the_oracle(d)
     with suppress(DiagramError):
         analysis_report(d)
     try:
