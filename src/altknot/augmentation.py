@@ -77,7 +77,10 @@ from .diagram import (
     MapBuilder,
     Sign,
     _exit_slot,
+    _far_darts,
     _is_bigon,
+    _search_pieces,
+    connected_pieces,
     face_set,
     is_connected,
     mark_augmenting,
@@ -831,7 +834,9 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     twist partition, which the caller holds.  In order, with the
     exception for each:
 
-    1. G is a valid map (InvariantError); nothing more is read otherwise;
+    1. G is a valid map (InvariantError), its pieces searched here and
+       equal to the count its table carries from ``edits.check_edit``'s
+       dP, on which V - E + F = 2P is read; nothing more is read otherwise;
     2. G is alternating (AlternationError);
     3. dropping the curve gives back ``d`` verbatim, so the curve crosses
        itself nowhere and crosses only edges of ``d``
@@ -858,6 +863,11 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     rep = validate_diagram(g)
     if not rep.valid:
         return Certification((InvariantError(f"final diagram invalid: {rep.failures}"),), None, None, None)
+    carried, pieces = connected_pieces(g), _search_pieces(g.crossings, _far_darts(g))
+    if pieces != carried:
+        return Certification((InvariantError(
+            f"final diagram invalid: {pieces} pieces, not the {carried} its table carries"
+        ),), None, None, None)
     failures: list[DiagramError] = []
     if not classify_edges(g).is_alternating:
         failures.append(AlternationError("final diagram is not alternating"))

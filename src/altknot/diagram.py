@@ -211,27 +211,49 @@ def connected_pieces(d: Diagram) -> int:
 
     Kept on ``face_set(d)`` (``FaceSet.pieces``) by the pass that built
     the table; only a table no pass counted (a refused edit's, one made
-    by hand) is counted here, by a breadth-first search from each unseen
-    crossing."""
+    by hand) is counted here, by ``_search_pieces``."""
     fs = face_set(d)
-    if fs.pieces is not None:
-        return fs.pieces
-    crossings, edges = d.crossings, d.edges
-    seen: set[int] = set()
+    if fs.pieces is None:
+        fs.pieces = _search_pieces(d.crossings, _far_darts(d))
+    return fs.pieces
+
+
+def _far_darts(d: Diagram) -> list[int]:
+    """``other[x]``, the dart at the far end of the edge in slot ``x & 3``
+    of crossing ``x >> 2``, filled in one pass over the edge records; -1
+    where no record names the slot.  InvariantError, rather than a list
+    read from its far end, when a crossing id is negative."""
+    crossings = d.crossings
+    if crossings and min(crossings) < 0:
+        raise InvariantError(f"crossing id {min(crossings)} names no dart")
+    other = [-1] * (4 * (max(crossings, default=-1) + 1))
+    for rec in d.edges.values():
+        (c0, s0), (c1, s1) = rec.ends
+        a = 4 * c0 + s0
+        z = 4 * c1 + s1
+        other[a] = z
+        other[z] = a
+    return other
+
+
+def _search_pieces(crossings, other: list[int]) -> int:
+    """Number of pieces of the map with these crossings and far darts
+    (``_far_darts``): a breadth-first search from each unseen crossing
+    along the far darts.  The one piece search of the package."""
+    seen = bytearray(len(other) >> 2)
     pieces = 0
     for start in crossings:
-        if start in seen:
+        if seen[start]:
             continue
         pieces += 1
-        seen.add(start)
+        seen[start] = 1
         cs = [start]
         for c in cs:
-            for e in crossings[c].slots:
-                for c2, _s in edges[e].ends:
-                    if c2 not in seen:
-                        seen.add(c2)
-                        cs.append(c2)
-    fs.pieces = pieces
+            for y in other[4 * c:4 * c + 4]:
+                y >>= 2
+                if not seen[y]:
+                    seen[y] = 1
+                    cs.append(y)
     return pieces
 
 
@@ -273,18 +295,17 @@ class FaceSet:
     reaches output (``rank``); ids order faces as ranks do, so every
     least face and tie-break the package takes is the same under either.
 
-    The table also keeps whole-map facts of the map.  ``pieces``, the
-    number of pieces (``connected_pieces``), comes from the pass that
-    builds the table: ``_assemble`` joins the strand orbits at each
-    crossing, ``_build_face_set`` searches its far darts, and
-    ``edits.check_edit`` adds the dP it checked to the source's count.
-    ``partition`` (``analysis.twist_partition``) and ``classification``
-    (``analysis.classify_edges``) are filled once computed.  Only the
-    edge classes read the over strands, so ``flip_crossing`` hands its
-    result a new table sharing the rest.  Every diagram a table serves
-    shares these facts with the one it was built for:
-    ``mark_augmenting`` changes only the augmenting component, and a
-    surgery result gets a new table (``_edited_face_set``).
+    The table also keeps whole-map facts of the map.  ``pieces``
+    (``connected_pieces``) comes from the pass that builds the table
+    (``_assemble``, ``_build_face_set``, ``edits.check_edit``), and
+    ``augmentation.certify`` searches G's again; ``partition``
+    (``analysis.twist_partition``) and ``classification``
+    (``analysis.classify_edges``) are filled once computed.  They depend
+    only on the crossings, their slots and over strands, the loops and
+    the edge ends.  Every diagram a table serves shares these facts with
+    the one it was built for: ``mark_augmenting`` changes only the
+    augmenting component, and a surgery result gets a new table
+    (``_edited_face_set``).
 
     ``delta`` says how a table derived from its source's by a local
     update differs from it: (dropped, fresh), the ids of the source
@@ -412,37 +433,11 @@ def _walk_darts(step, starts, dart_face: list[int], darts: dict) -> list[int]:
 
 
 def _build_face_set(d: Diagram) -> FaceSet:
-    """The full walk of ``d`` (``_whole_walk``), on a dart list filled in
-    one pass over the edges, and the piece count by a search along that
-    list.  InvariantError, rather than a dart list read from its far
-    end, when a crossing id is negative."""
-    crossings = d.crossings
-    if crossings and min(crossings) < 0:
-        raise InvariantError(f"crossing id {min(crossings)} names no dart")
-    n = 4 * (max(crossings, default=-1) + 1)
-    other = [-1] * n
-    for rec in d.edges.values():
-        (c0, s0), (c1, s1) = rec.ends
-        a = 4 * c0 + s0
-        z = 4 * c1 + s1
-        other[a] = z
-        other[z] = a
+    """The full walk of ``d`` (``_whole_walk``) and its piece count
+    (``_search_pieces``), both on the far-dart list ``_far_darts`` fills."""
+    other = _far_darts(d)
     fs = _whole_walk(d, other)
-    seen = bytearray(n >> 2)
-    pieces = 0
-    for start in crossings:
-        if seen[start]:
-            continue
-        pieces += 1
-        seen[start] = 1
-        cs = [start]
-        for c in cs:
-            for y in other[4 * c:4 * c + 4]:
-                y >>= 2
-                if not seen[y]:
-                    seen[y] = 1
-                    cs.append(y)
-    fs.pieces = pieces
+    fs.pieces = _search_pieces(d.crossings, other)
     return fs
 
 
@@ -990,9 +985,7 @@ class MapBuilder:
 def flip_crossing(d: Diagram, c: int) -> Diagram:
     """Toggle which strand passes over at crossing ``c``.
     PreconditionError when its over strand is not one of the legal
-    tuples (``_OVER_PAIRS``), which has no strand to toggle to.  A table
-    of ``d`` the memo holds is handed on (``FaceSet``)."""
-    global _last_face_set
+    tuples (``_OVER_PAIRS``), which has no strand to toggle to."""
     if c not in d.crossings:
         raise UnknownCrossing(f"no crossing {c}")
     cur = d.crossings[c]
@@ -1001,12 +994,4 @@ def flip_crossing(d: Diagram, c: int) -> Diagram:
     flipped = Crossing(c, cur.slots, (1, 3) if cur.over_slots in ((0, 2), (2, 0)) else (0, 2))
     crossings = dict(d.crossings)
     crossings[c] = flipped
-    out = Diagram(crossings, d.edges, d.loops, d.augmenting_component)
-    fs = _held_face_set(d)
-    if fs is not None:
-        # faces, pieces and twist regions read no over strand; the edge
-        # classes do, so the new table has none
-        kept = FaceSet(fs.dart_face, fs.darts)
-        kept.pieces, kept.partition = fs.pieces, fs.partition
-        _last_face_set = (weakref.ref(out), kept)
-    return out
+    return Diagram(crossings, d.edges, d.loops, d.augmenting_component)

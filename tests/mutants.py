@@ -1,7 +1,6 @@
 """Mutation runs over single functions of the package.
 
     python tests/mutants.py analysis.twist_partition edits.check_edit
-    python tests/mutants.py --list diagram.connected_pieces
     python tests/mutants.py --pytest "tests/test_diagram.py" diagram.flip_crossing
 
 Each argument names a function of ``src/altknot`` as ``MODULE.FUNCTION``
@@ -11,7 +10,8 @@ one mutant is made: a comparison swapped (``<`` and ``<=``, ``>`` and
 ``and`` and ``or`` swapped, a ``not`` dropped, an int constant raised
 by one, or a call statement dropped.  Each mutant is written into a
 copy of the repository, one at a time, and the tests run there with
-``-x --hypothesis-seed=0``; a mutant survives when they pass.  The run
+``-x --hypothesis-seed=0``; a mutant survives when they pass, and is
+killed when they fail or outlast ``TIMEOUT`` seconds.  The run
 prints one line per mutant and a table of mutants, survivors and time
 per function.  Standard library only; pytest is not asked to collect
 this file, and a run takes minutes per function.
@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 900  # seconds per test run; a mutant that loops is killed
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -98,12 +99,12 @@ def splice(text: str, fn: ast.AST, new: ast.AST) -> str:
     return "".join(lines[:first]) + body + "".join(lines[fn.end_lineno:])
 
 
-def run_tests(repo: Path, pytest_args: list[str], timeout: int) -> bool:
+def run_tests(repo: Path, pytest_args: list[str]) -> bool:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "--hypothesis-seed=0", "-p", "no:cacheprovider", *pytest_args]
     try:
         return subprocess.run(cmd, cwd=repo, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode == 0
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode == 0
     except subprocess.TimeoutExpired:
         return False
 
@@ -112,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("functions", nargs="+", help="MODULE.FUNCTION of src/altknot")
     p.add_argument("--pytest", default="", help="extra pytest arguments, space-separated (default: every test)")
-    p.add_argument("--timeout", type=int, default=900, help="seconds per test run; a timeout kills the mutant")
-    p.add_argument("--list", action="store_true", help="list the mutants without running them")
     args = p.parse_args(argv)
     work = Path(tempfile.mkdtemp(prefix="altknot-mutants-"))
     repo = work / "repo"
@@ -128,12 +127,9 @@ def main(argv: list[str] | None = None) -> int:
             n, survivors, start = len(sites(fn)), [], time.monotonic()
             for k in range(n):
                 mutant, what = mutate(fn, k)
-                if args.list:
-                    print(f"{name} #{k} {what}")
-                    continue
                 src.write_text(splice(text, fn, mutant))
                 try:
-                    survived = run_tests(repo, args.pytest.split(), args.timeout)
+                    survived = run_tests(repo, args.pytest.split())
                 finally:
                     src.write_text(text)
                 print(f"{name} #{k} {'SURVIVED' if survived else 'killed'} {what}", flush=True)
@@ -142,13 +138,12 @@ def main(argv: list[str] | None = None) -> int:
             rows.append((name, n, survivors, time.monotonic() - start))
     finally:
         shutil.rmtree(work)
-    if not args.list:
-        print("\n| function | mutants | survived | time |\n|---|---|---|---|")
-        for name, n, survivors, seconds in rows:
-            print(f"| `{name}` | {n} | {len(survivors)} | {seconds:.0f} s |")
-        for name, _n, survivors, _s in rows:
-            for what in survivors:
-                print(f"survivor: {name} {what}")
+    print("\n| function | mutants | survived | time |\n|---|---|---|---|")
+    for name, n, survivors, seconds in rows:
+        print(f"| `{name}` | {n} | {len(survivors)} | {seconds:.0f} s |")
+    for name, _n, survivors, _s in rows:
+        for what in survivors:
+            print(f"survivor: {name} {what}")
     return 0
 
 

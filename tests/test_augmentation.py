@@ -1048,6 +1048,26 @@ class TestCertify:
         assert (tp.t, checked.t_G) == (1, 5) and checked.failures
         assert not any("twist bound violated" in str(exc) for exc in checked.failures)
 
+    def test_check_1_counts_the_pieces_itself(self):
+        # a one-crossing map on the torus (V - E + F = 0) whose table
+        # carries 0 pieces, as a dP undercounted by the genus would leave
+        # it: the sphericity identity on the table's count holds, and
+        # certify's own search of G's pieces refuses the map
+        from altknot import twist_partition
+        from altknot.augmentation import certify
+        from altknot.diagram import Crossing, Edge
+        from altknot.errors import InvariantError
+
+        d = parse_pd(TREFOIL)
+        d_fs, d_tp = face_set(d), twist_partition(d)
+        g = Diagram({0: Crossing(0, (1, 2, 1, 2))}, {1: Edge(1, ((0, 0), (0, 2)), 0), 2: Edge(2, ((0, 1), (0, 3)), 1)}, {})
+        face_set(g).pieces = 0
+        assert validate_diagram(g).valid
+        checked = certify(d, d_fs, d_tp, g, 1)
+        assert [(type(exc), str(exc)) for exc in checked.failures] == [
+            (InvariantError, "final diagram invalid: 1 pieces, not the 0 its table carries")
+        ]
+
     def test_components_sharing_one_id_are_refused(self, monkeypatch):
         # a 2-component input whose two components carry one id in G: G
         # keeps every other promise, and only the component count fails

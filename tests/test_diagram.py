@@ -438,52 +438,6 @@ class TestFlip:
         incident = set(trefoil.crossings[0].slots)
         assert set(classify_edges(f).non_alternating) == incident
 
-    def test_flip_keeps_the_faces(self):
-        # the flipped map is served a table of its own that shares the
-        # source's faces, piece count and twist partition, none of which
-        # reads an over strand; it has no edge classes until asked, and
-        # then the ones an equal map walked afresh gets
-        from altknot import classify_edges, twist_partition
-        from altknot.diagram import _held_face_set
-
-        for d in [braid_closure([1, -2, 1, 1, -2, -2, 1, 2], strands=3), *shadow_diagrams(4, 7)]:
-            cls = classify_edges(d)
-            for c in sorted(d.crossings)[::3]:
-                # the memo holds d's table, with its partition
-                fs, tp = face_set(d), twist_partition(d)
-                f = flip_crossing(d, c)
-                kept = _held_face_set(f)
-                assert kept is not fs and kept.classification is None and kept.delta is None
-                assert kept.dart_face is fs.dart_face and kept.darts is fs.darts
-                assert (kept.pieces, kept.partition) == (fs.pieces, tp) and kept.partition is tp
-                assert same_table(kept, f) and kept.pieces == len(oracle_pieces(f))
-                fresh = Diagram(dict(f.crossings), dict(f.edges), dict(f.loops))
-                assert classify_edges(f) == classify_edges(fresh) != cls
-                assert face_set(fresh) is not kept
-
-    def test_flipped_closures_are_not_walked_again(self, monkeypatch):
-        # random_knot_diagram flips crossings of a closure whose table the
-        # assembler left in the memo; preprocess reads that table and
-        # walks none of the diagrams it is given
-        from altknot import diagram, generate
-
-        given_maps, walked = [], []
-        real_preprocess, real_build = generate.preprocess, diagram._build_face_set
-
-        def preprocess_recorded(d):
-            given_maps.append(d)
-            return real_preprocess(d)
-
-        def build_recorded(d):
-            walked.append(d)
-            return real_build(d)
-
-        monkeypatch.setattr(generate, "preprocess", preprocess_recorded)
-        monkeypatch.setattr(diagram, "_build_face_set", build_recorded)
-        for seed in range(6):
-            generate.random_knot_diagram(seed, 14, 2)
-        assert given_maps and not any(x is d for x in walked for d in given_maps)
-
     @settings(deadline=None, max_examples=40)
     @given(BRAID_LETTERS, st.integers(0, 100))
     def test_flip_toggles_alternation_of_incident_edges(self, word, pick):
