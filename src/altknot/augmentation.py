@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .analysis import (
+    ShadingClasses,
     TwistPartition,
     classify_edges,
     detect_two_strand_torus,
@@ -127,16 +128,15 @@ class CutSystem:
     curves: tuple[CutCurve, ...]
 
 
-def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
+def build_cut_curves(d: Diagram) -> CutSystem:
     """Boundary walk of the ribbon neighborhood of one crossing class.
 
     Thickens the class with fewer crossings (tie: the one holding the
-    lowest crossing id); either class satisfies every promised property,
-    and ``thicken`` forces the choice.  Each resulting circle is simple,
-    the circles are disjoint, they cross every non-alternating edge
-    exactly once in total and nothing else, and the labels along every
-    circle alternate (+,+)/(-,-); every one of those properties is
-    re-checked here.
+    lowest crossing id); either class satisfies every promised property.
+    Each resulting circle is simple, the circles are disjoint, they cross
+    every non-alternating edge exactly once in total and nothing else,
+    and the labels along every circle alternate (+,+)/(-,-); every one of
+    those properties is re-checked here.
     """
     cls = classify_edges(d)
     if not cls.is_non_alternating:
@@ -146,22 +146,21 @@ def build_cut_curves(d: Diagram, thicken: Sign | None = None) -> CutSystem:
         raise PreconditionError("diagram is not connected", failed_flag="connected")
 
     shading = shading_classes(d)
+    # a non-alternating edge joins the two classes, so neither is empty
     plus, minus = shading.plus_class, shading.minus_class
-    if thicken is Sign.PLUS:
-        w = plus
-    elif thicken is Sign.MINUS:
-        w = minus
-    elif len(plus) < len(minus):
-        w = plus
-    elif len(minus) < len(plus):
-        w = minus
+    if len(plus) != len(minus):
+        sign = Sign.PLUS if len(plus) < len(minus) else Sign.MINUS
     else:
-        w = plus if min(plus) < min(minus) else minus
-    if not w:
-        raise PreconditionError("requested crossing class is empty")
-    sign_w = Sign.PLUS if w is plus else Sign.MINUS
+        sign = Sign.PLUS if min(plus) < min(minus) else Sign.MINUS
+    return _thicken(d, cls.non_alternating, shading, sign)
 
-    cut_edges = cls.non_alternating
+
+def _thicken(
+    d: Diagram, cut_edges: frozenset[int], shading: ShadingClasses, sign_w: Sign
+) -> CutSystem:
+    """The cut system of the crossing class ``sign_w`` of ``shading``,
+    whose boundary crosses the non-alternating edges ``cut_edges``."""
+    w = shading.plus_class if sign_w is Sign.PLUS else shading.minus_class
     # ribbon boundary walk over the corners of the thickened class
     def step(corner: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int, int] | None]:
         c, i = corner
@@ -968,13 +967,13 @@ class AugmentationResult:
         }
 
 
-def augment(d: Diagram, on_stage=None) -> AugmentationResult:
+def augment(d: Diagram) -> AugmentationResult:
     """Run the whole construction on a connected, reduced, R2-reduced,
     prime, non-alternating diagram, and check every promised property of
     the output with ``certify``, from the input's face table and twist
     partition held since the start; the first broken promise is raised.
-    ``on_stage(name, diagram)`` is called after each stage when provided
-    (used by the acceptance suite to audit sphericity).
+    Only the result is returned: the maps in between are steps of the
+    construction, each checked where it is made.
 
     When the overlay has two or more circles, the merge loop reads the
     faces each circle borders once and carries them through every finger
@@ -1001,12 +1000,9 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
 
     cs = build_cut_curves(d)
     g, cs = overlay_unlink(d, cs)
-    curve_comps = [c.component for c in cs.curves]
-    if on_stage:
-        on_stage("overlay", g)
 
     merges: list[MergeRecord] = []
-    live = sorted(curve_comps)
+    live = sorted(c.component for c in cs.curves)
     expected_merges = len(live) - 1
     # the circles' faces, followed through each edit from here on
     circle_faces = _CircleFaces(g, face_set(g), live) if len(live) > 1 else None
@@ -1017,16 +1013,12 @@ def augment(d: Diagram, on_stage=None) -> AugmentationResult:
         g = propagate_finger(g, arc)
         if arc.phi:
             circle_faces.follow(g)
-        if on_stage:
-            on_stage("finger", g)
         # a free arc's face is the least face its two circles share
         ci, cj = arc.source_curve, arc.target_curve
         face = arc.faces[0] if arc.phi == 0 else _shared_face(ci, cj, circle_faces)
         join_rank = face_set(g).rank(face)
         g = join_curves(g, ci, cj, face)
         circle_faces.follow(g, max(ci, cj), min(ci, cj))
-        if on_stage:
-            on_stage("join", g)
         live.remove(max(ci, cj))
         merges.append(MergeRecord(ranked, join_rank))
     if len(merges) != expected_merges:

@@ -16,6 +16,8 @@ from .diagram import Diagram, _assemble, flip_crossing
 from .errors import PDSyntaxError, RetryExhausted
 from .reduction import preprocess
 
+MAX_TRIES = 1000  # draws random_knot_diagram makes before RetryExhausted
+
 
 def braid_closure(word: list[int], strands: int | None = None) -> Diagram:
     """Close a braid word to a diagram.
@@ -72,7 +74,6 @@ def random_knot_diagram(
     seed: int,
     n_letters: int,
     flips: int,
-    max_tries: int = 1000,
     max_crossings: int | None = None,
 ):
     """Deterministically draw a connected, reduced, R2-reduced, prime,
@@ -80,12 +81,13 @@ def random_knot_diagram(
 
     Draws braid words on 3-5 strands, keeps single-component closures,
     flips ``flips`` random crossings, reduces, and retries until the
-    result qualifies.  Returns (diagram, trace) of the qualifying draw.
+    result qualifies, for at most ``MAX_TRIES`` draws.  Returns
+    (diagram, trace) of the qualifying draw.
     """
     if n_letters < 1:
         raise PDSyntaxError("need at least one braid letter")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         strands = rng.randint(3, 5)
         gens = list(range(1, strands)) + [-i for i in range(1, strands)]
         word = [rng.choice(gens) for _ in range(n_letters)]
@@ -111,6 +113,6 @@ def random_knot_diagram(
             return d, trace
     cap = "" if max_crossings is None else f", max_crossings={max_crossings}"
     raise RetryExhausted(
-        f"no qualifying diagram in {max_tries} draws (seed={seed}, "
+        f"no qualifying diagram in {MAX_TRIES} draws (seed={seed}, "
         f"letters={n_letters}, flips={flips}{cap})"
     )

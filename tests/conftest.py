@@ -206,6 +206,37 @@ def bench_inputs():
     return inputs
 
 
+# -- stages ----------------------------------------------------------------------
+
+def augment_by_stage(run, *args, each=None):
+    """Call ``run(*args)``, which makes one ``augment`` call, and return
+    ``(run's result, stages)``: every map the construction made, as
+    ``(name, diagram)`` in order, "overlay", then per merge a "finger" (a
+    merge of cost 0 included) and a "join".  ``each(name, diagram)``,
+    when given, is called as each map is made, while the ``face_set``
+    memo still holds the table its stage left."""
+    from altknot import augmentation
+
+    stages = []
+
+    def record(name, step):
+        def stage(*step_args):
+            out = step(*step_args)
+            g = out[0] if name == "overlay" else out
+            stages.append((name, g))
+            if each is not None:
+                each(name, g)
+            return out
+        return stage
+
+    with pytest.MonkeyPatch.context() as m:
+        for name, step in (("overlay", "overlay_unlink"), ("finger", "propagate_finger"),
+                           ("join", "join_curves")):
+            m.setattr(augmentation, step, record(name, getattr(augmentation, step)))
+        out = run(*args)
+    return out, stages
+
+
 # -- finger bases ------------------------------------------------------------------
 
 def augment_recording_fingers(monkeypatch, diagrams):

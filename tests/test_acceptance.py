@@ -36,7 +36,13 @@ from altknot.generate import braid_closure, random_knot_diagram, two_strand_toru
 from altknot.selfcheck import verify_augmentation
 from altknot.volume import augmented_volume_bounds
 
-from conftest import euler_by_piece, oracle_curve_crossings, refinement_check, same_map
+from conftest import (
+    augment_by_stage,
+    euler_by_piece,
+    oracle_curve_crossings,
+    refinement_check,
+    same_map,
+)
 from test_volume import oracle_four_catalan, oracle_tetrahedron_volume
 
 N_CASES = 500
@@ -73,9 +79,8 @@ def pipeline(corpus):
     """Every corpus diagram run through the augmentation once."""
     cases = []
     for seed, d in corpus:
-        stages = []
         t0 = time.perf_counter()
-        res = augment(d, on_stage=lambda name, dia: stages.append((name, dia)))
+        res, stages = augment_by_stage(augment, d)
         dt = time.perf_counter() - t0
         cases.append(PipelineCase(seed, d, res, dt, stages))
     return cases

@@ -20,6 +20,7 @@ from altknot import (
     parse_pd,
     propagate_finger,
     serialize_pd,
+    shading_classes,
     validate_diagram,
 )
 from altknot.augmentation import (
@@ -29,6 +30,7 @@ from altknot.augmentation import (
     _curve_faces,
     _d_bigon_faces,
     _nearest_circles,
+    _thicken,
     _trace_arc,
 )
 from altknot.diagram import Diagram, Sign, _held_face_set, connected_pieces, is_connected
@@ -39,6 +41,7 @@ from altknot.selfcheck import verify_augmentation
 from conftest import (
     TREFOIL,
     assert_overlay_matches_oracle,
+    augment_by_stage,
     augment_recording_fingers,
     augment_recording_merge_arcs,
     corpus_diagrams,
@@ -121,14 +124,13 @@ class TestCutCurves:
         assert seen == {(Sign.PLUS, Sign.PLUS), (Sign.MINUS, Sign.MINUS)}
 
     def test_either_class_works(self):
-        # thickening the larger class satisfies the same promises and
-        # still yields an alternating overlay
-        from altknot import Sign
-
+        # thickening the larger class, by the ribbon walk build_cut_curves
+        # runs on the smaller one, satisfies the same promises and still
+        # yields an alternating overlay
         for seed, d in corpus_diagrams(6):
             auto = build_cut_curves(d)
             other_sign = auto.thickened_class.opposite
-            other = build_cut_curves(d, thicken=other_sign)
+            other = _thicken(d, classify_edges(d).non_alternating, shading_classes(d), other_sign)
             assert other.thickened_class == other_sign
             assert sorted(e for c in other.curves for e in c.edges) == sorted(
                 e for c in auto.curves for e in c.edges
@@ -689,8 +691,7 @@ class TestAugment:
         merges = 0
         for seed, d in cases:
             assert len(d.crossings) > 30
-            stages = []
-            res = augment(d, on_stage=lambda name, g: stages.append((name, g)))
+            res, stages = augment_by_stage(augment, d)
             for name, g in stages:
                 rep = validate_diagram(g)
                 assert rep.valid, (seed, name, rep.failures)
@@ -735,10 +736,10 @@ class TestWholeMapFactsOncePerMap:
         inputs = []
         real_cut_curves = augmentation.build_cut_curves
 
-        def cut_curves(d, *args):
+        def cut_curves(d):
             # the input, with the table augment left for it
             inputs.append((d, _held_face_set(d)))
-            return real_cut_curves(d, *args)
+            return real_cut_curves(d)
 
         uncounted = []
         real_pieces = diagram_module.connected_pieces
@@ -756,7 +757,7 @@ class TestWholeMapFactsOncePerMap:
         for d in _cases_for_caches():
             inputs.clear()
 
-            def on_stage(name, g):
+            def check_stage(name, g):
                 fs = _held_face_set(g)
                 assert fs is not None, name
                 assert fs.pieces == len(oracle_pieces(g)), name
@@ -767,7 +768,7 @@ class TestWholeMapFactsOncePerMap:
                 assert classify_edges(g) is fs.classification is not None
                 self._check_table(g, fs)
 
-            res = augment(d, on_stage=on_stage)
+            res, _stages = augment_by_stage(augment, d, each=check_stage)
             (d_in, d_fs), = inputs
             self._check_table(d_in, d_fs)
             g_fs = _held_face_set(res.g)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from altknot.analysis import classify_edges
 from altknot.cli import run
-from altknot.diagram import serialize_pd
+from altknot.diagram import serialize_pd, validate_diagram
 from altknot.generate import random_knot_diagram
 
-from conftest import TREFOIL
+from conftest import TREFOIL, augment_by_stage
 
 
 @pytest.fixture
@@ -263,6 +264,31 @@ class TestSelfcheckAndRender:
         assert run(["selfcheck", "--cases", "4", "--seed", "0"]) == 0
         (rep,) = _json_lines(capsys)
         assert rep["passed"] == rep["cases"] == 4
+
+    def test_selfcheck_cases_audited_stage_by_stage(self, monkeypatch):
+        # the cases `selfcheck --cases 4 --seed 0` draws: every map augment
+        # makes on the way, the overlay and each finger and join, is valid
+        # and alternating as a whole map
+        from altknot import selfcheck
+
+        real = selfcheck.run_case
+        audited = []
+
+        def run_case(seed, n_letters, flips):
+            case, stages = augment_by_stage(real, seed, n_letters, flips)
+            names = [name for name, _g in stages]
+            assert names == ["overlay"] + ["finger", "join"] * ((len(names) - 1) // 2), seed
+            for name, g in stages:
+                rep = validate_diagram(g)
+                assert rep.valid, (seed, name, rep.failures)
+                assert classify_edges(g).is_alternating, (seed, name)
+            audited.append(seed)
+            return case
+
+        monkeypatch.setattr(selfcheck, "run_case", run_case)
+        report = selfcheck.run_selfcheck(4, seed=0)
+        assert (report["cases"], report["passed"]) == (4, 4)
+        assert audited == [0, 1, 2, 3]
 
     def test_selfcheck_reports_a_case_that_raises(self, capsys, monkeypatch):
         # the case's progress line comes out like every other's, and the

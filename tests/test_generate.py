@@ -106,7 +106,7 @@ class TestRandomDiagrams:
         # one letter can close only to kinks and unlinks, never a
         # qualifying knot diagram
         with pytest.raises(RetryExhausted):
-            random_knot_diagram(0, 1, 0, max_tries=50)
+            random_knot_diagram(0, 1, 0)
 
     def test_retry_exhausted_names_the_cap(self):
         # no qualifying diagram has two crossings or fewer, so the cap
@@ -115,7 +115,7 @@ class TestRandomDiagrams:
         with pytest.raises(RetryExhausted, match=r"\(seed=1, letters=12, flips=2, max_crossings=2\)$"):
             random_knot_diagram(1, 12, 2, max_crossings=2)
         with pytest.raises(RetryExhausted, match=r"flips=0\)$"):
-            random_knot_diagram(0, 1, 0, max_tries=50)
+            random_knot_diagram(0, 1, 0)
 
 
 def test_closures_match_pin():

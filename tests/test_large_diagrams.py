@@ -41,6 +41,7 @@ from conftest import (
     assert_overlay_matches_oracle,
     assert_positions_match_oracle,
     assert_preprocess_matches_oracle,
+    augment_by_stage,
     augment_following_circle_faces,
     augment_recording_fingers,
     augment_recording_merge_arcs,
@@ -174,8 +175,7 @@ def test_preprocess_walk_path(bench_inputs, monkeypatch, seed, n, audit):
 def _augment_audited(d):
     """``augment(d)`` with every stage the merge loop reaches checked as a
     whole map, and the result by the selfcheck."""
-    stages = []
-    res = augment(d, on_stage=lambda name, g: stages.append((name, g)))
+    res, stages = augment_by_stage(augment, d)
     for name, g in stages:
         rep = validate_diagram(g)
         assert rep.valid, (name, rep.failures)

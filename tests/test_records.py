@@ -1,9 +1,11 @@
 """The package's public surface: the records' contract
 (``record_contract.py``) under pytest, each check on each of
-``Crossing``, ``Edge`` and ``TwistRegion``, and the names
-``altknot`` exports."""
+``Crossing``, ``Edge`` and ``TwistRegion``; the names ``altknot``
+exports; and the parameters of the entry points that take no options."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -36,3 +38,17 @@ def test_public_names():
     names = {}
     exec("from altknot import *", names)
     assert sorted(set(names) - {"__builtins__"}) == altknot.__all__
+
+
+def test_parameter_names():
+    # the construction takes the diagram and nothing else; the generator's
+    # draw count and the selfcheck's crossing cap are constants
+    from altknot import selfcheck
+
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(altknot.augment) == ["d"]
+    assert params(altknot.build_cut_curves) == ["d"]
+    assert params(altknot.random_knot_diagram) == ["seed", "n_letters", "flips", "max_crossings"]
+    assert params(selfcheck.run_case) == ["seed", "n_letters", "flips"]
