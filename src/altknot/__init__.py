@@ -9,7 +9,6 @@ from .analysis import (
     DiagramFlags,
     EdgeClassification,
     PrimalityWitness,
-    RefinementReport,
     RegionTopology,
     ShadingClasses,
     TwistPartition,

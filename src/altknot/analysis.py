@@ -4,8 +4,8 @@ Everything the rest of the package reasons with lives here: which edges
 alternate, the checkerboard shading and the two crossing classes it
 induces, bigons and twist regions with their topology, reducedness /
 R2-reducedness / primality flags, detection of the standard two-strand
-torus diagram, and the partition-refinement check comparing a diagram's
-twist regions with those of an augmentation containing it.
+torus diagram, and the test that an augmentation gives back its input
+when its curve is dropped.
 """
 
 from __future__ import annotations
@@ -147,32 +147,26 @@ class RegionTopology(Enum):
 
 @dataclass(frozen=True, slots=True, init=False)
 class TwistRegion:
-    """Maximal chain of bigons (or a lone crossing).  ``links`` records
-    the retract graph on the bigons: one entry per crossing shared by
-    exactly two of them.  Slotted and written through its slot
-    descriptors, as ``diagram.Crossing`` is."""
+    """Maximal chain of bigons (or a lone crossing).  Slotted and
+    written through its slot descriptors, as ``diagram.Crossing`` is."""
 
     crossings: frozenset[int]
     bigons: tuple[int, ...]
-    links: tuple[tuple[int, int, int], ...]  # (bigon face, bigon face, crossing)
     topology: RegionTopology
 
     def __init__(
         self,
         crossings: frozenset[int],
         bigons: tuple[int, ...],
-        links: tuple[tuple[int, int, int], ...],
         topology: RegionTopology,
     ) -> None:
         _set_region_crossings(self, crossings)
         _set_region_bigons(self, bigons)
-        _set_region_links(self, links)
         _set_region_topology(self, topology)
 
 
 _set_region_crossings = TwistRegion.crossings.__set__
 _set_region_bigons = TwistRegion.bigons.__set__
-_set_region_links = TwistRegion.links.__set__
 _set_region_topology = TwistRegion.topology.__set__
 
 
@@ -201,8 +195,8 @@ def twist_partition(d: Diagram) -> TwistPartition:
 
     Every crossing lies in exactly one region: crossings incident to no
     bigon form singleton regions.  One pass over the faces files each
-    bigon under its two crossings and into their chain, the smaller of
-    two chains it joins passing into the larger, and adds its crossings
+    bigon into the chain of its two crossings, the smaller of two chains
+    it joins passing into the larger, and adds its crossings
     and edges (``diagram._exit_slot``), so a chain's Euler
     characteristic V - E + F needs no second walk.  Computed once per
     face table and kept on it (``FaceSet.partition``), so copies that
@@ -212,8 +206,7 @@ def twist_partition(d: Diagram) -> TwistPartition:
     if fs.partition is not None:
         return fs.partition
     crossings = d.crossings
-    at: dict[int, list[int]] = {}  # crossing -> the bigons with a corner there
-    # crossing -> its chain: crossings, bigons, edges and links (crossings and edges repeat)
+    # crossing -> its chain: crossings, bigons and edges (crossings and edges repeat)
     chain: dict[int, list[list]] = {}
     for f, ds in fs.darts.items():
         # ``_is_bigon`` written out: on the 8,080 faces of the 64 augment-large
@@ -224,11 +217,9 @@ def twist_partition(d: Diagram) -> TwistPartition:
         c0, c1 = x0 >> 2, x1 >> 2
         if c0 == c1:
             continue
-        at.setdefault(c0, []).append(f)
-        at.setdefault(c1, []).append(f)
         a, b = chain.get(c0), chain.get(c1)
         if a is None:
-            a = b or [[], [], [], []]
+            a = b or [[], [], []]
         elif b is not None and b is not a:
             if len(a[0]) < len(b[0]):
                 a, b = b, a
@@ -236,25 +227,21 @@ def twist_partition(d: Diagram) -> TwistPartition:
                 chain[c] = a
             for mine, theirs in zip(a, b):
                 mine += theirs
-        cs, fl, es, _links = a
+        cs, fl, es = a
         cs += c0, c1
         fl.append(f)
         es += crossings[c0].slots[_exit_slot(x0)], crossings[c1].slots[_exit_slot(x1)]
         chain[c0] = chain[c1] = a
-    for c in sorted(at):
-        fl = at[c]
-        if len(fl) == 2:
-            chain[c][3].append((min(fl), max(fl), c))
     regions = []
     for c in sorted(crossings):
         ch = chain.get(c)
         if ch is None:
-            regions.append(TwistRegion(frozenset((c,)), (), (), RegionTopology.DISK))
+            regions.append(TwistRegion(frozenset((c,)), (), RegionTopology.DISK))
         elif ch[1]:
             # a chain's region goes at its least crossing, once
-            cs, fl, es, links = ch
+            cs, fl, es = ch
             cs = frozenset(cs)
-            regions.append(TwistRegion(cs, tuple(sorted(fl)), tuple(links), _topology(len(cs) - len(set(es)) + len(fl))))
+            regions.append(TwistRegion(cs, tuple(sorted(fl)), _topology(len(cs) - len(set(es)) + len(fl))))
             ch[1] = ()
     bigons = frozenset(f for r in regions for f in r.bigons)
     fs.partition = TwistPartition(bigons, tuple(regions), len(regions))
@@ -429,74 +416,7 @@ def detect_two_strand_torus(d: Diagram) -> int | None:
     return q
 
 
-# -- refinement of twist partitions ---------------------------------------------------
-
-@dataclass(frozen=True)
-class RefinementReport:
-    P: tuple[frozenset[int], ...]
-    P_prime: tuple[frozenset[int], ...]
-    refines: bool
-    sizes: tuple[int, int, int]  # |P|, |P'|, t of the ambient diagram
-    failures: tuple[str, ...] = ()
-
-
-def _is_sub_twist(x: frozenset[int], region: TwistRegion, fs: FaceSet) -> bool:
-    """x qualifies as a sub twist region of ``region``: one crossing, or
-    the corner set of a connected subcollection of the region's bigons."""
-    if len(x) == 1:
-        return True
-    darts = fs.darts
-    inside = [fid for fid in region.bigons if all((y >> 2) in x for y in darts[fid])]
-    if not inside:
-        return False
-    covered = frozenset(y >> 2 for f in inside for y in darts[f])
-    if covered != x:
-        return False
-    # connectivity of the chosen bigons inside the retract
-    chosen = set(inside)
-    links = _Partition()
-    for a, b, _c in region.links:
-        if a in chosen and b in chosen:
-            links.union(a, b)
-    return len({links.find(f) for f in inside}) == 1
-
-
-def _verify_refinement(
-    p: list[frozenset[int]],
-    p_prime: list[frozenset[int]],
-    d_partition: TwistPartition,
-    d_faces: FaceSet,
-    t_ambient: int,
-) -> RefinementReport:
-    """``p`` is the crossing sets of ``d_partition``'s regions, so a part
-    fits inside one of them exactly when it fits inside the region of
-    its least crossing."""
-    failures = []
-    flat: list[int] = []
-    for x in p_prime:
-        flat.extend(x)
-    if len(flat) != len(set(flat)):
-        failures.append("distinct parts intersect")
-    all_d = frozenset().union(*p) if p else frozenset()
-    if frozenset(flat) != all_d:
-        failures.append("parts do not cover every crossing")
-    region_at = {c: r for r in d_partition.regions for c in r.crossings}
-    for x in p_prime:
-        region = region_at.get(min(x))
-        if region is None or not x <= region.crossings:
-            failures.append(f"part {sorted(x)} fits inside no twist region")
-            continue
-        if not _is_sub_twist(x, region, d_faces):
-            failures.append(f"part {sorted(x)} is not a sub twist region")
-    refines = not failures
-    if refines and not (len(p) <= len(p_prime) <= t_ambient):
-        failures.append("size chain |P| <= |P'| <= t violated")
-        refines = False
-    return RefinementReport(
-        tuple(p), tuple(p_prime), refines,
-        (len(p), len(p_prime), t_ambient), tuple(failures),
-    )
-
+# -- the input inside an augmentation ---------------------------------------------------
 
 def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, int]:
     """Check that dropping component ``aug`` from ``g``, fusing each
@@ -577,24 +497,6 @@ def reconstruct_input(g: Diagram, aug: int, expected_d: Diagram) -> dict[int, in
     if set(g.loops) - aug_loops != set(expected_d.loops):
         raise fail("the loops differ")
     return crossed
-
-
-def refinement_report(
-    d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, g_tp: TwistPartition,
-) -> RefinementReport:
-    """The refinement report of ``d`` inside ``g`` from tables the caller
-    holds: ``d``'s face table and twist partition, ``g``'s twist
-    partition.  No map is walked."""
-    p = [r.crossings for r in d_tp.regions]
-    d_crossings = set(d.crossings)
-    if not d_crossings <= set(g.crossings):
-        raise MappingError("reconstructed crossings are not a subset of the ambient ones")
-    p_prime = []
-    for r in g_tp.regions:
-        x = frozenset(r.crossings & d_crossings)
-        if x:
-            p_prime.append(x)
-    return _verify_refinement(p, p_prime, d_tp, d_fs, g_tp.t)
 
 
 # -- aggregate report ------------------------------------------------------------------

@@ -66,7 +66,6 @@ from .analysis import (
     detect_two_strand_torus,
     diagram_flags,
     reconstruct_input,
-    refinement_report,
     shading_classes,
     twist_partition,
 )
@@ -844,19 +843,52 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     4. the curve crosses no edge of a twist region of ``d`` (InvariantError);
     5. it crosses each edge of ``d`` at most twice (InvariantError);
     6. G carries a hyperbolicity certificate (InvariantError);
-    7. the partition of ``d``'s crossings by G's twist regions refines
-       ``d``'s twist partition (InvariantError);
+    7. the twist identity: restricted to ``d``'s crossings, G's twist
+       regions are ``d``'s, and every other crossing of G, one of the
+       curve's, is a region by itself (InvariantError; MappingError when
+       a crossing of ``d`` is missing from G);
     8. t(D) <= t(G) <= 5 t(D) (InvariantError);
-    9. t(G) <= t(D) + i(A, D) (InvariantError);
+    9. t(G) = t(D) + i(A, D) (InvariantError);
     10. i(A, D) <= 2 |edges outside the twist regions| and
         i(A, D) <= 4 t(D) (InvariantError);
     11. G has exactly one component more than ``d`` (InvariantError).
 
     Checks 4, 5, 9 and 10 read the crossing counts of check 3, and are
-    skipped when it fails.  On ``augment``'s inputs (connected, reduced,
-    no loops) a twist region of k crossings holds 2 (k - 1) edges in its
-    bigons, so exactly 2 t(D) edges lie outside the regions, and check
-    10 follows from checks 4 and 5; it stays as a guard on the counts.
+    skipped when it fails.  Check 7 is one pass over G's regions: each
+    must be the region of its least crossing in ``d``, or that crossing
+    alone when ``d`` lacks it.  A region mixing crossings of ``d`` and
+    of the curve fails either way, and so do a split or a merged region
+    of ``d``.  Check 7 implies the lower half of check 8, and with check
+    3, which counts each crossing of the curve once in i(A, D), it makes
+    check 9 an equality; check 9 stays as a guard on those counts.
+    Check 10 follows too: checks 4 and 5 bound i(A, D) by twice the
+    edges outside the regions, and checks 8 and 9 give i(A, D) =
+    t(G) - t(D) <= 4 t(D); it stays as a guard as well.
+
+    Check 7 refuses no output of ``augment``.  A bigon of G is one of
+    two kinds:
+
+    - both corners at crossings of ``d``: its edges are whole edges of
+      ``d``, so it is a bigon of ``d``.  Each bigon of ``d`` survives,
+      since the curve crosses no edge of a twist region (check 4);
+    - a corner at a crossing x of the curve: that corner lies between an
+      edge of the curve and a piece of an edge of ``d``, and an edge of
+      the curve ends only at crossings of the curve, so the other corner
+      is a crossing y of the curve, and the bigon is bounded by an edge
+      of the curve and the piece of ``d`` from x to y.
+
+    The construction makes the second kind only at a finger's tip: the
+    ``tip`` edge and the middle piece ``s_mid`` of the last crossed
+    edge.  Nothing else makes it: the overlay's circles cross distinct
+    edges, once each, and a finger crosses only uncrossed edges, so the
+    crossings on an edge of ``d`` are one circle's, while a band edge
+    joins crossings of two circles.  The join that follows each finger
+    removes ``tip``: the target circle borders only the last face of
+    the arc, where the source circle's only edge is ``tip``, so ``tip``
+    is the first source edge in the walk of the join face.  So G's
+    bigons are ``d``'s, and each crossing of the curve is a region by
+    itself.
+
     Nothing is raised: ``augment`` raises the first failure,
     ``selfcheck.verify_augmentation`` reports them all."""
     rep = validate_diagram(g)
@@ -875,7 +907,7 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     for fid in d_tp.bigon_faces:
         free_edges.difference_update(d_fs.edges(d, fid))
     # dropping the curve gives back d verbatim (read off g, no map is
-    # built), so the report below reads d's tables instead of a
+    # built), so check 7 below reads d's tables instead of a
     # reconstruction's; the walk counts the curve's crossings per edge
     try:
         crossed = reconstruct_input(g, aug, expected_d=d)
@@ -894,22 +926,24 @@ def certify(d: Diagram, d_fs: FaceSet, d_tp: TwistPartition, g: Diagram, aug: in
     cert = certify_hyperbolic(g)
     if cert.verdict != "hyperbolic":
         failures.append(InvariantError(f"augmentation failed certification: {cert}"))
-    try:
-        ref = refinement_report(d, d_fs, d_tp, g, g_tp)
-    except MappingError as exc:
-        failures.append(exc)
+    if not d.crossings.keys() <= g.crossings.keys():
+        failures.append(MappingError("reconstructed crossings are not a subset of the ambient ones"))
     else:
-        if not ref.refines:
-            failures.append(InvariantError(f"refinement check failed: {ref.failures}"))
+        region_of = {c: r.crossings for r in d_tp.regions for c in r.crossings}
+        for r in g_tp.regions:
+            c = min(r.crossings)
+            if r.crossings != region_of.get(c, {c}):
+                failures.append(InvariantError(
+                    f"twist identity fails: G's twist region {sorted(r.crossings)} "
+                    "is neither a twist region of D nor one crossing of the curve"
+                ))
+                break
     t_g = g_tp.t
     if not (t_d <= t_g <= 5 * t_d):
         failures.append(InvariantError(f"twist bound violated: t_D={t_d}, t_G={t_g}"))
     if i_a_d is not None:
-        if t_g > t_d + i_a_d:
-            failures.append(InvariantError(
-                f"twist count grew past the crossing count: t_G={t_g}, "
-                f"t_D={t_d}, i={i_a_d}"
-            ))
+        if t_g != t_d + i_a_d:
+            failures.append(InvariantError(f"twist count is not t_D + i: t_G={t_g}, t_D={t_d}, i={i_a_d}"))
         if not (i_a_d <= 2 * len(free_edges) and i_a_d <= 4 * t_d):
             failures.append(InvariantError(f"crossing-count bound violated: i={i_a_d}, t_D={t_d}"))
     n_d = len({rec.component for rec in d.edges.values()} | set(d.loops.values()))

@@ -8,8 +8,9 @@ map it makes where it makes it.  The result is re-checked by
 list of the paper's promises (alternating output, a single simple
 augmenting curve that gives back the input when dropped, at most two
 crossings per original edge and none inside a twist region, the
-hyperbolicity certificate, the partition refinement,
-t(D) <= t(G) <= 5 t(D), the crossing-count bounds and one component
+hyperbolicity certificate, the twist identity (G's twist regions are
+the input's plus one per crossing of the curve), t(D) <= t(G) <= 5 t(D),
+t(G) = t(D) + i(A, D), the crossing-count bounds and one component
 more than the input), on tables it computes itself, and checks that the
 numbers the result reports are the ones certified.
 """

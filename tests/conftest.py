@@ -681,7 +681,7 @@ def twist_region_topology(d: Diagram, region: TwistRegion) -> TwistRegion:
 
     fs = face_set(d)
     topo = _oracle_region_topology(d, fs, list(region.bigons))
-    out = TwistRegion(region.crossings, region.bigons, region.links, topo)
+    out = TwistRegion(region.crossings, region.bigons, topo)
     if topo is not RegionTopology.DISK:
         flags = diagram_flags(d)
         if flags.connected and flags.r2_reduced:
@@ -1175,9 +1175,10 @@ def _oracle_region_topology(d, fs, bigons):
 def oracle_twist_partition(d):
     """``analysis.twist_partition`` as it was before it became one pass
     over the faces: bigons unioned through a union-find over their
-    crossings, then grouped, linked and measured region by region.  The
-    body is the former one verbatim, except that it neither reads nor
-    fills the partition kept on the face table."""
+    crossings, then grouped and measured region by region.  The body is
+    the former one verbatim, except that it neither reads nor fills the
+    partition kept on the face table, and keeps no links between bigons,
+    which regions no longer record."""
     from altknot import face_set
     from altknot.analysis import RegionTopology, TwistPartition, TwistRegion
     from altknot.diagram import _is_bigon, _Partition
@@ -1200,29 +1201,14 @@ def oracle_twist_partition(d):
     grouped: dict[int, list[int]] = {}
     for f in bigons:
         grouped.setdefault(find(f), []).append(f)
-    # all bigons at one crossing share a root, so each link belongs to
-    # the region of its first bigon
-    links: dict[int, list[tuple[int, int, int]]] = {}
-    for c, shared in sorted(by_crossing.items()):
-        if len(shared) == 2:
-            a, b = sorted(shared)
-            links.setdefault(find(a), []).append((a, b, c))
-
     regions = []
-    for root, fl in grouped.items():
+    for fl in grouped.values():
         crossings = frozenset(x >> 2 for f in fl for x in darts[f])
-        regions.append(
-            TwistRegion(
-                crossings,
-                tuple(sorted(fl)),
-                tuple(links.get(root, ())),
-                _oracle_region_topology(d, fs, fl),
-            )
-        )
+        regions.append(TwistRegion(crossings, tuple(sorted(fl)), _oracle_region_topology(d, fs, fl)))
     in_bigon = set(by_crossing)
     for c in sorted(d.crossings):
         if c not in in_bigon:
-            regions.append(TwistRegion(frozenset([c]), (), (), RegionTopology.DISK))
+            regions.append(TwistRegion(frozenset([c]), (), RegionTopology.DISK))
     regions.sort(key=lambda r: min(r.crossings))
     return TwistPartition(frozenset(bigons), tuple(regions), len(regions))
 
@@ -1230,7 +1216,7 @@ def oracle_twist_partition(d):
 def assert_twist_partition_is_the_oracle(d) -> None:
     """``twist_partition(d)`` equals ``oracle_twist_partition(d)``: the
     same bigons, regions in the same order, each with the same crossings,
-    bigons, links and topology."""
+    bigons and topology."""
     from altknot import serialize_pd, twist_partition
 
     assert twist_partition(d) == oracle_twist_partition(d), serialize_pd(d)
@@ -1342,36 +1328,33 @@ def is_verbatim(d, expected) -> bool:
     return len(name) == len(d.edges) and set(name.values()) == set(expected.edges)
 
 
-def refinement_check(g, augmenting: int | None = None, expected_d=None):
-    """Compare the twist partition of the diagram reconstructed from ``g``
-    by dropping the component ``augmenting`` with the partition its
-    crossings inherit from the twist regions of ``g``.
+def refinement_check(g, augmenting: int | None = None, expected_d=None) -> list[list[int]]:
+    """The twist identity on the diagram reconstructed from ``g`` by
+    dropping the component ``augmenting``: ``g``'s twist partition is the
+    reconstruction's with each other crossing of ``g``, one of the
+    curve's, as a part by itself.  Returns the parts, as sorted crossing
+    lists in increasing order, that are in one of the two partitions and
+    not in the other; empty when the identity holds.
 
-    The inherited partition must refine the reconstructed one: parts are
-    pairwise disjoint, each is a sub twist region, and together they
-    cover every reconstructed crossing.  The check is independent of
-    ``augmentation.certify``: it builds the reconstruction
-    (``drop_component``), compares it with ``expected_d`` verbatim, up to
-    the ids its welds left on the edges (``is_verbatim``; MappingError),
-    and walks its faces and twist partition itself, where
-    ``certify`` reads the same verbatim test off the augmented map
-    (``reconstruct_input``) and reuses the tables of the input.
-    UnknownComponent when ``g`` has no component ``augmenting``.
+    The check is independent of ``augmentation.certify``: it builds the
+    reconstruction (``drop_component``), compares it with ``expected_d``
+    verbatim, up to the ids its welds left on the edges (``is_verbatim``;
+    MappingError), and takes both partitions from
+    ``oracle_twist_partition``, where ``certify`` reads the same verbatim
+    test off the augmented map (``reconstruct_input``) and walks ``g``'s
+    regions against the tables of the input.  UnknownComponent when ``g``
+    has no component ``augmenting``.
     """
-    from altknot import face_set, twist_partition
-    from altknot.analysis import refinement_report
     from altknot.errors import MappingError
 
     aug = augmenting if augmenting is not None else g.augmenting_component
     d = g if aug is None else drop_component(g, aug)
     if expected_d is not None and not is_verbatim(d, expected_d):
         raise MappingError("reconstructed diagram is not the input verbatim")
-    # g first, while the memo may still hold its table; then d's table,
-    # held here
-    g_tp = twist_partition(g)
-    d_fs = face_set(d)
-    d_tp = twist_partition(d)
-    return refinement_report(d, d_fs, d_tp, g, g_tp)
+    want = {r.crossings for r in oracle_twist_partition(d).regions}
+    want |= {frozenset((c,)) for c in g.crossings.keys() - d.crossings.keys()}
+    have = {r.crossings for r in oracle_twist_partition(g).regions}
+    return sorted(sorted(x) for x in have ^ want)
 
 
 def oracle_merge_arc(g, live):

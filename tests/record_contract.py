@@ -28,9 +28,9 @@ RECORDS = [
     (Edge, ("id", "ends", "component"), (5, ((0, 1), (2, 3)), 0), (6, ((0, 1), (2, 2)), 1)),
     (
         TwistRegion,
-        ("crossings", "bigons", "links", "topology"),
-        (frozenset({1, 2}), (3,), ((3, 4, 1),), RegionTopology.DISK),
-        (frozenset({1}), (), (), RegionTopology.ANNULUS),
+        ("crossings", "bigons", "topology"),
+        (frozenset({1, 2}), (3,), RegionTopology.DISK),
+        (frozenset({1}), (), RegionTopology.ANNULUS),
     ),
 ]
 

@@ -216,17 +216,15 @@ def test_acceptance_6_hyperbolicity_certificates(pipeline):
 
 
 def test_acceptance_7_refinement(pipeline):
-    """Partition refinement holds on every pipeline output."""
+    """The twist identity holds on every pipeline output: G's twist
+    regions are the input's, with each crossing of the curve alone, so
+    t(G) = t(D) + i(A, D)."""
     for case in pipeline:
-        rep = refinement_check(
-            case.result.g,
-            augmenting=case.result.augmenting_component,
-            expected_d=case.d,
-        )
-        assert rep.refines, (case.seed, rep.failures)
-        p, p_prime, t_g = rep.sizes
-        assert p <= p_prime <= t_g
-    print(f"\nACCEPTANCE 7 (refinement, {len(pipeline)} outputs): PASS")
+        res = case.result
+        differ = refinement_check(res.g, augmenting=res.augmenting_component, expected_d=case.d)
+        assert differ == [], (case.seed, differ)
+        assert res.t_G == res.t_D + res.i_A_D, case.seed
+    print(f"\nACCEPTANCE 7 (twist identity, {len(pipeline)} outputs): PASS")
 
 
 def test_acceptance_8_roundtrip_and_validation(corpus, pipeline, raw_closures):

@@ -1,5 +1,5 @@
 """Analysis: classification, shading classes, twist regions, flags,
-two-strand torus detection, refinement."""
+two-strand torus detection, and the twist identity certify checks."""
 
 import random
 
@@ -18,7 +18,7 @@ from altknot import (
     shading_classes,
     twist_partition,
 )
-from altknot.analysis import _is_sub_twist, _two_edge_cut, _verify_refinement
+from altknot.analysis import _two_edge_cut
 from altknot.diagram import _is_bigon
 from altknot.errors import NotConnected, UnknownComponent
 from altknot.generate import braid_closure, two_strand_torus
@@ -160,8 +160,6 @@ class TestTwistRegions:
         region = tp.regions[0]
         assert region.topology is RegionTopology.ANNULUS
         assert len(region.bigons) == 5
-        # the retract is a single cycle through all five bigons
-        assert len(region.links) == 5
 
     def test_flip_preserves_twist_count(self, trefoil, fig8):
         for d in (trefoil, fig8):
@@ -376,56 +374,100 @@ class TestTwoStrandTorus:
 
 class TestRefinement:
     def test_identity_refinement(self, trefoil, fig8):
+        # with no curve to drop, the identity is the partition itself
         for d in (trefoil, fig8):
-            rep = refinement_check(d, augmenting=None)
-            assert rep.refines
-            assert rep.P == rep.P_prime
-            assert rep.sizes[0] == rep.sizes[1] <= rep.sizes[2]
+            assert refinement_check(d, augmenting=None) == []
 
     def test_unknown_augmenting_component(self, trefoil):
         # a component the diagram lacks is an error, not a vacuous pass
         with pytest.raises(UnknownComponent):
             refinement_check(trefoil, augmenting=7)
 
-    def test_fabricated_cross_region_part_fails(self, fig8):
-        # a part straddling two twist regions is not a sub twist region
-        fs = face_set(fig8)
-        tp = twist_partition(fig8)
-        a = min(tp.regions[0].crossings)
-        b = min(tp.regions[1].crossings)
-        rep = _verify_refinement(
-            [r.crossings for r in tp.regions],
-            [frozenset({a, b})] + [
-                frozenset(r.crossings - {a, b}) for r in tp.regions
-                if r.crossings - {a, b}
-            ],
-            tp, fs, tp.t,
-        )
-        assert not rep.refines
-        assert any("sub twist region" in f or "fits inside" in f for f in rep.failures)
+    # certify's check 7 against G's twist partition made up part by part:
+    # each fabricated partition breaks the identity in one way, and the
+    # check names the first region that breaks it
+    @pytest.fixture(scope="class")
+    def augmented(self):
+        from altknot import augment
 
-    def test_fabricated_disconnected_part_fails(self):
-        # the two end crossings of a length-3 chain skip the middle one:
-        # inside one region but not a connected bigon neighborhood
-        d = two_strand_torus(4)
-        fs = face_set(d)
-        tp = twist_partition(d)
-        region = tp.regions[0]
-        a, b, c, e = sorted(region.crossings)
-        assert not _is_sub_twist(frozenset({a, c}), region, fs)
-        assert _is_sub_twist(frozenset({a}), region, fs)
-        assert _is_sub_twist(frozenset({a, b}), region, fs)
-
-    def test_coverage_failure_detected(self, fig8):
-        fs = face_set(fig8)
-        tp = twist_partition(fig8)
-        rep = _verify_refinement(
-            [r.crossings for r in tp.regions],
-            [tp.regions[0].crossings],  # misses the second region entirely
-            tp, fs, tp.t,
+        d = next(
+            d for _s, d in corpus_diagrams(10)
+            if any(len(r.crossings) > 1 for r in twist_partition(d).regions) and twist_partition(d).t > 1
         )
-        assert not rep.refines
-        assert any("cover" in f for f in rep.failures)
+        return d, augment(d)
+
+    @staticmethod
+    def _check_7(monkeypatch, d, res, parts):
+        """``certify``'s failures on ``res.g`` with its twist regions made
+        the crossing sets ``parts``."""
+        from altknot import augmentation
+        from altknot.analysis import TwistPartition, TwistRegion
+
+        g = res.g
+        regions = tuple(TwistRegion(frozenset(x), (), RegionTopology.DISK) for x in sorted(parts, key=min))
+        fake = TwistPartition(frozenset(), regions, len(regions))
+        real = augmentation.twist_partition
+        monkeypatch.setattr(augmentation, "twist_partition", lambda x: fake if x is g else real(x))
+        checked = augmentation.certify(d, face_set(d), twist_partition(d), g, res.augmenting_component)
+        return [(type(exc), str(exc)) for exc in checked.failures]
+
+    @staticmethod
+    def _refused(region):
+        from altknot.errors import InvariantError
+
+        return (InvariantError, f"twist identity fails: G's twist region {sorted(region)} "
+                "is neither a twist region of D nor one crossing of the curve")
+
+    @staticmethod
+    def _parts(d, res):
+        """G's true partition: d's regions, and the curve's crossings one
+        by one."""
+        d_parts = [set(r.crossings) for r in twist_partition(d).regions]
+        return d_parts, [{c} for c in sorted(res.g.crossings.keys() - d.crossings.keys())]
+
+    def test_the_true_partition_passes(self, monkeypatch, augmented):
+        d, res = augmented
+        assert self._check_7(monkeypatch, d, res, sum(self._parts(d, res), [])) == []
+
+    def test_a_split_region_of_d_fails(self, monkeypatch, augmented):
+        d, res = augmented
+        d_parts, a_parts = self._parts(d, res)
+        big = next(x for x in d_parts if len(x) > 1)
+        least = {min(big)}
+        parts = [x for x in d_parts if x is not big] + [least, big - least] + a_parts
+        assert self._refused(least) in self._check_7(monkeypatch, d, res, parts)
+
+    def test_two_merged_regions_of_d_fail(self, monkeypatch, augmented):
+        d, res = augmented
+        d_parts, a_parts = self._parts(d, res)
+        merged = d_parts[0] | d_parts[1]
+        parts = [merged] + d_parts[2:] + a_parts
+        assert self._refused(merged) in self._check_7(monkeypatch, d, res, parts)
+
+    def test_a_region_of_d_with_a_curve_crossing_fails(self, monkeypatch, augmented):
+        d, res = augmented
+        d_parts, a_parts = self._parts(d, res)
+        mixed = d_parts[0] | a_parts[0]
+        parts = [mixed] + d_parts[1:] + a_parts[1:]
+        assert self._refused(mixed) in self._check_7(monkeypatch, d, res, parts)
+
+    def test_two_curve_crossings_in_one_region_fail(self, monkeypatch, augmented):
+        d, res = augmented
+        d_parts, a_parts = self._parts(d, res)
+        pair = a_parts[0] | a_parts[1]
+        parts = d_parts + [pair] + a_parts[2:]
+        assert self._refused(pair) in self._check_7(monkeypatch, d, res, parts)
+
+    def test_a_crossing_of_d_missing_from_g_fails(self, fig8):
+        # fig8's crossings are not all in the trefoil
+        from altknot.augmentation import certify
+        from altknot.errors import MappingError
+
+        g = parse_pd(TREFOIL)
+        assert not fig8.crossings.keys() <= g.crossings.keys()
+        checked = certify(fig8, face_set(fig8), twist_partition(fig8), g, 0)
+        failures = [(type(exc), str(exc)) for exc in checked.failures]
+        assert (MappingError, "reconstructed crossings are not a subset of the ambient ones") in failures
 
 
 class TestAnalysisOnCorpus:

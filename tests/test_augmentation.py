@@ -644,10 +644,8 @@ class TestAugment:
     def test_refinement_on_output(self):
         for seed, d in corpus_diagrams(8):
             res = augment(d)
-            rep = refinement_check(res.g, augmenting=res.augmenting_component,
-                                   expected_d=d)
-            assert rep.refines
-            assert rep.sizes[0] <= rep.sizes[1] <= rep.sizes[2]
+            assert refinement_check(res.g, augmenting=res.augmenting_component, expected_d=d) == []
+            assert res.t_G == res.t_D + res.i_A_D
 
     def test_multi_component_link_inputs(self):
         # the construction is stated for links, not just knots
@@ -703,6 +701,21 @@ class TestAugment:
 
 def _cases_for_caches():
     return [d for _seed, d in corpus_diagrams(8)] + [d for _seed, d in link_diagrams(4)]
+
+
+def _finger_tip(res):
+    """``res.g`` with a finger of its curve pushed across one edge, the
+    first admissible edge on the least face the curve borders: the
+    finger's tip and the middle piece of that edge bound a bigon, which
+    no join removes.  None when no face the curve borders has one."""
+    g, aug = res.g, res.augmenting_component
+    fs = face_set(g)
+    allowed = _admissible_edges(g, fs, {aug}, _circle_crossings(g, {aug}))
+    faces = sorted({f for e, r in g.edges.items() if r.component == aug for f in fs.edge_sides(g, e)})
+    for f0 in faces:
+        for f1, e in sorted(allowed.get(f0, ())):
+            return diagram.mark_augmenting(propagate_finger(g, MergeArc(aug, aug, (f0, f1), (e,), 1)), aug)
+    return None
 
 
 def _rebuilt(x):
@@ -777,23 +790,23 @@ class TestWholeMapFactsOncePerMap:
         assert seen["overlay"] > 0 and seen["finger"] > 0 and seen["join"] > 0
         assert uncounted == []
 
-    def test_refinement_report_equals_the_public_check(self, monkeypatch):
-        from altknot import augmentation
+    def test_refinement_report_equals_the_public_check(self):
+        # certify's check 7 and the independent oracle agree on each
+        # output, which both pass, and on the output with a finger tip
+        # pushed into it, which both refuse
+        from altknot import twist_partition
+        from altknot.augmentation import certify
 
-        reports = []
-        real_report = augmentation.refinement_report
-
-        def report(*args):
-            reports.append(real_report(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(augmentation, "refinement_report", report)
+        refused = 0
         for d in _cases_for_caches():
-            reports.clear()
             res = augment(d)
-            (ref,) = reports
-            assert ref.refines
-            assert ref == refinement_check(res.g, augmenting=res.augmenting_component, expected_d=d)
+            aug = res.augmenting_component
+            for g in (res.g, _finger_tip(res)):
+                checked = certify(d, face_set(d), twist_partition(d), g, aug)
+                mine = any("twist identity" in str(exc) for exc in checked.failures)
+                assert mine == bool(refinement_check(g, augmenting=aug, expected_d=d))
+                refused += mine
+        assert refused == len(_cases_for_caches())
 
     def test_reconstruction_must_be_the_input_verbatim(self, monkeypatch):
         # the verbatim test is read off the augmented map, so each mutant
@@ -933,6 +946,8 @@ class TestWholeMapFactsOncePerMap:
             return name, forced
 
         cert = certify_hyperbolic(res.g)
+        first, second = twist_partition(res.g).regions[:2]
+        merged = replace(first, crossings=first.crossings | second.crossings)
         for patches, kind, message in (
             ([on_final("validate_diagram", lambda rep: replace(rep, valid=False, failures=["forced"]))],
              InvariantError, "final diagram invalid: ['forced']"),
@@ -941,19 +956,14 @@ class TestWholeMapFactsOncePerMap:
             ([on_final("certify_hyperbolic", lambda c: replace(c, verdict="not_certified"))],
              InvariantError,
              f"augmentation failed certification: {replace(cert, verdict='not_certified')}"),
-            ([on_final("refinement_report", lambda ref: replace(ref, refines=False, failures=("forced",)),
-                       final=lambda x: True)],
-             InvariantError, "refinement check failed: ('forced',)"),
+            ([on_final("twist_partition", lambda tp: replace(tp, regions=(merged,) + tp.regions[2:]))],
+             InvariantError,
+             f"twist identity fails: G's twist region {sorted(merged.crossings)} "
+             "is neither a twist region of D nor one crossing of the curve"),
             ([on_final("twist_partition", lambda tp: replace(tp, t=5 * t_d + 1))],
              InvariantError, f"twist bound violated: t_D={t_d}, t_G={5 * t_d + 1}"),
             ([("reconstruct_input", lambda g, aug, expected_d: {})],
-             InvariantError, f"twist count grew past the crossing count: t_G={t_g}, t_D={t_d}, i=0"),
-            # every free edge crossed twice is i = 2 |free edges| = 4 t(D),
-            # so the bound can only fail against a smaller t(D)
-            ([("reconstruct_input", lambda g, aug, expected_d: dict.fromkeys(all_free, 2)),
-              on_final("twist_partition", lambda tp: replace(tp, t=tp.t - 1),
-                       final=lambda x: x.augmenting_component is None)],
-             InvariantError, f"crossing-count bound violated: i={2 * len(all_free)}, t_D={t_d - 1}"),
+             InvariantError, f"twist count is not t_D + i: t_G={t_g}, t_D={t_d}, i=0"),
         ):
             for name, fn in patches:
                 monkeypatch.setattr(augmentation, name, fn)
@@ -961,6 +971,33 @@ class TestWholeMapFactsOncePerMap:
                 augment(d)
             assert (type(exc.value), str(exc.value)) == (kind, message)
             monkeypatch.undo()
+
+        # every free edge crossed twice is i = 2 |free edges| = 4 t(D): both
+        # halves of check 10 hold with equality.  Checks 4 and 5 give the
+        # first half and checks 8 and 9 the second, so check 10 fails only
+        # after one of them, and certify lists each failure
+        twice = dict.fromkeys(all_free, 2)
+        i = 2 * len(all_free)
+        assert i == 4 * t_d
+
+        def count(i, t):
+            return (InvariantError, f"twist count is not t_D + i: t_G={t_g}, t_D={t}, i={i}")
+
+        def bound(i, t):
+            return (InvariantError, f"crossing-count bound violated: i={i}, t_D={t}")
+
+        for crossed, t, expected in (
+            (twice, t_d, [count(i, t_d)]),
+            (twice, t_d - 1, [count(i, t_d - 1), bound(i, t_d - 1)]),
+            # one edge crossed three times: i = 2 |free edges| + 1 <= 4 t(D)
+            ({**twice, free: 3}, t_d + 1, [
+                (InvariantError, "some original edge is crossed more than twice"),
+                count(i + 1, t_d + 1), bound(i + 1, t_d + 1),
+            ]),
+        ):
+            monkeypatch.setattr(augmentation, "reconstruct_input", lambda g, aug, expected_d: crossed)
+            checked = augmentation.certify(d, fs, replace(twist_partition(d), t=t), res.g, res.augmenting_component)
+            assert [(type(exc), str(exc)) for exc in checked.failures] == expected
 
 
 # results that do not match their input, each made from a true one
@@ -993,6 +1030,39 @@ class TestCertify:
             res = augment(d)
             reparsed = parse_pd(serialize_pd(res.g))
             assert verify_augmentation(d, replace(res, g=reparsed)) == [], pd
+
+    def test_a_finger_tip_bigon_is_refused(self, monkeypatch):
+        # a finger of the final curve pushed across one uncrossed edge,
+        # outside every twist region: G stays valid, alternating and
+        # hyperbolic, with each edge crossed at most twice, and its
+        # twist count is t_D + i - 1, since the tip and the edge's middle
+        # piece bound a bigon of two crossings of the curve.  Check 7
+        # refuses it, and augment refuses such a G of its own
+        from altknot import augmentation, twist_partition
+        from altknot.augmentation import certify
+        from altknot.errors import InvariantError
+
+        for _seed, d in corpus_diagrams(6):
+            res = augment(d)
+            g = _finger_tip(res)
+            checked = certify(d, face_set(d), twist_partition(d), g, res.augmenting_component)
+            assert (checked.t_G, checked.i_A_D) == (res.t_G + 1, res.i_A_D + 2)
+            tip = sorted(g.crossings.keys() - res.g.crossings.keys())
+            message = (f"twist identity fails: G's twist region {tip} "
+                       "is neither a twist region of D nor one crossing of the curve")
+            assert [(type(exc), str(exc)) for exc in checked.failures] == [
+                (InvariantError, message),
+                (InvariantError, f"twist count is not t_D + i: t_G={res.t_G + 1}, t_D={res.t_D}, i={res.i_A_D + 2}"),
+            ]
+            real = augmentation.mark_augmenting
+            monkeypatch.setattr(
+                augmentation, "mark_augmenting",
+                lambda g, comp: _finger_tip(replace(res, g=real(g, comp))),
+            )
+            with pytest.raises(InvariantError) as exc:
+                augment(d)
+            assert str(exc.value) == message
+            monkeypatch.undo()
 
     def test_input_crossing_renamed_fails_the_refinement_map(self):
         # G with one of the input's crossings under a fresh id is still a
@@ -1030,6 +1100,9 @@ class TestCertify:
         checked = certify(d, face_set(d), tp, d, min(d.components()))
         assert checked.t_G == tp.t and checked.failures
         assert not any("twist bound violated" in str(exc) for exc in checked.failures)
+        # nor the twist identity: G has d's crossings, and d's regions
+        identity = ("reconstructed crossings are not a subset", "twist identity")
+        assert not any(str(exc).startswith(identity) for exc in checked.failures)
 
     def test_t_G_equal_to_five_t_D_keeps_the_twist_bound(self):
         # the upper bound reached with equality: the trefoil (t = 1)

@@ -25,7 +25,7 @@ def test_public_names():
     assert altknot.__all__ == [
         "AugmentationResult", "Crossing", "CutCurve", "CutSystem", "Diagram", "DiagramFlags",
         "Edge", "EdgeClassification", "HyperbolicityCertificate", "MergeArc",
-        "PrimalityWitness", "ReductionTrace", "RefinementReport", "RegionTopology",
+        "PrimalityWitness", "ReductionTrace", "RegionTopology",
         "ShadingClasses", "Sign", "TwistPartition", "TwistRegion", "ValidationReport",
         "VolumeBounds", "VolumeConstants", "analysis_report", "augment", "augmented_volume_bounds",
         "braid_closure", "build_cut_curves", "certify_hyperbolic", "classify_edges", "constants",
